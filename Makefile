@@ -98,10 +98,10 @@ bench-wallclock:
 	$(GO) run ./cmd/spritesim -experiment E17 -wallclock-snapshot BENCH_wallclock.json
 
 # Crash-storm chaos suite (DESIGN.md §10) under the race detector: every
-# migration strategy in both batch modes survives a storm of host crashes
-# and instant reboots with all jobs completing and invariants green. Emits
-# RECOVERY_metrics.json — per-configuration recovery counters — plus the
-# recovery demo's full metrics snapshot for the CI artifact.
+# migration strategy survives a storm of host crashes and instant reboots
+# with all jobs completing and invariants green. Emits RECOVERY_metrics.json
+# — per-strategy recovery counters — plus the recovery demo's full metrics
+# snapshot for the CI artifact.
 chaos:
 	SPRITE_CHAOS_SNAPSHOT=$(CURDIR)/RECOVERY_metrics.json SPRITE_SIM_PARALLEL=4 \
 		$(GO) test -race -run 'TestCrashStorm|TestCrashAnyHostAtAnyFailpoint|TestGoldenCrashScenarios' -v ./internal/recovery

@@ -1,9 +1,7 @@
 // Command migbench runs migration micro-benchmarks: one migration with a
 // configurable process footprint under each VM transfer strategy, printing
 // the per-phase breakdown (negotiate, VM transfer, stream handoff, PCB,
-// resume) the thesis tabulates. Each strategy runs twice — once over the
-// batched bulk-transfer data plane and once over the legacy per-page path —
-// so the ablation is part of every report.
+// resume) the thesis tabulates.
 //
 // Usage:
 //
@@ -15,9 +13,7 @@
 // saved JSON file and exits non-zero if any strategy's total migration
 // time — or any individual phase — regressed by more than -tolerance
 // (default 20%). A missing baseline file is not an error: the gate arms
-// once a baseline exists. -min-batch-gain (default 0.30) additionally
-// requires the batched sprite-flush migration to beat the legacy one by at
-// least that fraction of total time whenever both modes were measured.
+// once a baseline exists.
 package main
 
 import (
@@ -60,12 +56,11 @@ func strategies(name string) ([]core.TransferStrategy, error) {
 	return nil, fmt.Errorf("unknown strategy %q", name)
 }
 
-// benchResult is one strategy+mode's measured migration, as written to the
+// benchResult is one strategy's measured migration, as written to the
 // JSON report. Durations are milliseconds of virtual time, so the numbers
 // are deterministic for a given seed and safe to diff across machines.
 type benchResult struct {
 	Strategy    string  `json:"strategy"`
-	Batching    bool    `json:"batching"`
 	TotalMS     float64 `json:"total_ms"`
 	FreezeMS    float64 `json:"freeze_ms"`
 	NegotiateMS float64 `json:"negotiate_ms"`
@@ -78,20 +73,10 @@ type benchResult struct {
 	Files       int     `json:"files"`
 	Residual    bool    `json:"residual"`
 
-	// Bulk data-plane counters (zero on the legacy path).
+	// Bulk data-plane counters.
 	BatchRuns        int `json:"batch_runs,omitempty"`
 	BatchFragments   int `json:"batch_fragments,omitempty"`
 	BatchRetransmits int `json:"batch_retransmits,omitempty"`
-}
-
-// key identifies a result across reports: strategy plus data-plane mode.
-func (r benchResult) key() string { return r.Strategy + "/" + modeName(r.Batching) }
-
-func modeName(batched bool) string {
-	if batched {
-		return "batched"
-	}
-	return "legacy"
 }
 
 // benchReport is the BENCH_migration.json document.
@@ -111,12 +96,10 @@ func run(args []string, w io.Writer) error {
 		files     = flags.Int("files", 4, "open files at migration time")
 		dirtyMB   = flags.Int("dirty-mb", 8, "dirty heap megabytes at migration time")
 		strategy  = flags.String("strategy", "all", "VM transfer strategy (or 'all')")
-		mode      = flags.String("mode", "both", "data plane: both|batched|legacy")
 		seed      = flags.Int64("seed", 42, "simulation seed")
 		out       = flags.String("out", "", "write results as JSON to this file")
 		baseline  = flags.String("baseline", "", "compare against this JSON report; missing file disarms the gate")
 		tolerance = flags.Float64("tolerance", 0.20, "allowed fractional regression vs baseline, total and per phase")
-		minGain   = flags.Float64("min-batch-gain", 0.30, "required fractional sprite-flush total-time win of batched over legacy (0 disables)")
 	)
 	if err := flags.Parse(args); err != nil {
 		return err
@@ -125,64 +108,44 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var modes []bool
-	switch *mode {
-	case "both":
-		modes = []bool{true, false}
-	case "batched":
-		modes = []bool{true}
-	case "legacy":
-		modes = []bool{false}
-	default:
-		return fmt.Errorf("unknown mode %q (want both, batched, or legacy)", *mode)
-	}
 	report := benchReport{Name: "migration", Seed: *seed, Files: *files, DirtyMB: *dirtyMB}
-	fmt.Fprintf(w, "%-18s %-8s %-10s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-6s %-8s\n",
-		"strategy", "mode", "total", "freeze", "negotiate", "vm", "streams", "pcb", "resume", "touchback", "frags", "residual")
+	fmt.Fprintf(w, "%-18s %-10s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-6s %-8s\n",
+		"strategy", "total", "freeze", "negotiate", "vm", "streams", "pcb", "resume", "touchback", "frags", "residual")
 	for _, s := range sts {
-		for _, batched := range modes {
-			rec, touchback, err := migrateOnce(*seed, s, *files, *dirtyMB, batched)
-			if err != nil {
-				return err
-			}
-			// Phases must tile Total exactly — the span accounting
-			// contract holds even when streams overlap the VM transfer.
-			if sum := rec.NegotiateTime + rec.VMTime + rec.FileTime + rec.PCBTime + rec.ResumeTime; sum != rec.Total {
-				return fmt.Errorf("%s/%s: phases sum to %v, total %v",
-					s.Name(), modeName(batched), sum, rec.Total)
-			}
-			r := 100 * time.Microsecond
-			fmt.Fprintf(w, "%-18s %-8s %-10s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-6d %-8v\n",
-				s.Name(), modeName(batched),
-				rec.Total.Round(r), rec.Freeze.Round(r),
-				rec.NegotiateTime.Round(r), rec.VMTime.Round(r),
-				rec.FileTime.Round(r), rec.PCBTime.Round(r), rec.ResumeTime.Round(r),
-				touchback.Round(r),
-				rec.BatchFragments, rec.Residual)
-			report.Results = append(report.Results, benchResult{
-				Strategy:         s.Name(),
-				Batching:         batched,
-				TotalMS:          msf(rec.Total),
-				FreezeMS:         msf(rec.Freeze),
-				NegotiateMS:      msf(rec.NegotiateTime),
-				VMMS:             msf(rec.VMTime),
-				StreamsMS:        msf(rec.FileTime),
-				PCBMS:            msf(rec.PCBTime),
-				ResumeMS:         msf(rec.ResumeTime),
-				TouchbackMS:      msf(touchback),
-				VMBytes:          rec.VMBytes,
-				Files:            rec.Files,
-				Residual:         rec.Residual,
-				BatchRuns:        rec.BatchRuns,
-				BatchFragments:   rec.BatchFragments,
-				BatchRetransmits: rec.BatchRetransmits,
-			})
-		}
-	}
-	if *minGain > 0 {
-		if err := checkBatchGain(w, report, *minGain); err != nil {
+		rec, touchback, err := migrateOnce(*seed, s, *files, *dirtyMB)
+		if err != nil {
 			return err
 		}
+		// Phases must tile Total exactly — the span accounting contract
+		// holds even though streams overlap the VM transfer.
+		if sum := rec.NegotiateTime + rec.VMTime + rec.FileTime + rec.PCBTime + rec.ResumeTime; sum != rec.Total {
+			return fmt.Errorf("%s: phases sum to %v, total %v", s.Name(), sum, rec.Total)
+		}
+		r := 100 * time.Microsecond
+		fmt.Fprintf(w, "%-18s %-10s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-6d %-8v\n",
+			s.Name(),
+			rec.Total.Round(r), rec.Freeze.Round(r),
+			rec.NegotiateTime.Round(r), rec.VMTime.Round(r),
+			rec.FileTime.Round(r), rec.PCBTime.Round(r), rec.ResumeTime.Round(r),
+			touchback.Round(r),
+			rec.BatchFragments, rec.Residual)
+		report.Results = append(report.Results, benchResult{
+			Strategy:         s.Name(),
+			TotalMS:          msf(rec.Total),
+			FreezeMS:         msf(rec.Freeze),
+			NegotiateMS:      msf(rec.NegotiateTime),
+			VMMS:             msf(rec.VMTime),
+			StreamsMS:        msf(rec.FileTime),
+			PCBMS:            msf(rec.PCBTime),
+			ResumeMS:         msf(rec.ResumeTime),
+			TouchbackMS:      msf(touchback),
+			VMBytes:          rec.VMBytes,
+			Files:            rec.Files,
+			Residual:         rec.Residual,
+			BatchRuns:        rec.BatchRuns,
+			BatchFragments:   rec.BatchFragments,
+			BatchRetransmits: rec.BatchRetransmits,
+		})
 	}
 	if *out != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -195,37 +158,9 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "wrote %s\n", *out)
 	}
 	if *baseline != "" {
-		if err := checkBaseline(w, report, *baseline, *tolerance); err != nil {
+		if err := checkBaseline(w, report, *baseline, *tolerance, *strategy == "all"); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkBatchGain enforces the data-plane speedup claim: when sprite-flush was
-// measured in both modes, the batched total must undercut the legacy total by
-// at least minGain.
-func checkBatchGain(w io.Writer, rep benchReport, minGain float64) error {
-	var batched, legacy float64
-	for _, r := range rep.Results {
-		if r.Strategy != "sprite-flush" {
-			continue
-		}
-		if r.Batching {
-			batched = r.TotalMS
-		} else {
-			legacy = r.TotalMS
-		}
-	}
-	if batched <= 0 || legacy <= 0 {
-		return nil // one of the modes was not measured; nothing to compare
-	}
-	gain := 1 - batched/legacy
-	fmt.Fprintf(w, "sprite-flush batched %.2fms vs legacy %.2fms: %.1f%% faster (need >= %.0f%%)\n",
-		batched, legacy, gain*100, minGain*100)
-	if gain < minGain {
-		return fmt.Errorf("batched sprite-flush gained only %.1f%% over legacy, need >= %.0f%%",
-			gain*100, minGain*100)
 	}
 	return nil
 }
@@ -249,11 +184,14 @@ var phaseGates = []struct {
 const phaseGateFloorMS = 0.5
 
 // checkBaseline compares the fresh report against a saved one and errors on
-// any strategy+mode whose total migration time — or any individual phase —
+// any strategy whose total migration time — or any individual phase —
 // regressed beyond tolerance. Phases with a near-zero baseline are exempt
-// from the ratio gate. A missing baseline file only prints a note: the gate
-// arms once someone commits a baseline.
-func checkBaseline(w io.Writer, cur benchReport, path string, tolerance float64) error {
+// from the ratio gate. When the run measured every strategy (all), a
+// baseline row with no counterpart in the run fails the gate too — a renamed
+// or dropped strategy must not pass ungated; a run row with no baseline is
+// reported as new. A missing baseline file only prints a note: the gate arms
+// once someone commits a baseline.
+func checkBaseline(w io.Writer, cur benchReport, path string, tolerance float64, all bool) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(w, "no baseline at %s; regression gate disarmed\n", path)
@@ -266,15 +204,25 @@ func checkBaseline(w io.Writer, cur benchReport, path string, tolerance float64)
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	baseBy := make(map[string]benchResult, len(base.Results))
-	for _, r := range base.Results {
-		baseBy[r.key()] = r
+	curBy := make(map[string]benchResult, len(cur.Results))
+	for _, r := range cur.Results {
+		curBy[r.Strategy] = r
 	}
 	pct := func(curv, basev float64) float64 { return (curv/basev - 1) * 100 }
 	var regressions []string
-	for _, r := range cur.Results {
-		b, ok := baseBy[r.key()]
-		if !ok || b.TotalMS <= 0 {
+	for _, b := range base.Results {
+		r, ok := curBy[b.Strategy]
+		if !ok {
+			if all {
+				regressions = append(regressions,
+					fmt.Sprintf("%s: baseline row has no counterpart in this run", b.Strategy))
+			}
+			continue
+		}
+		// Each run row answers one baseline row; a second baseline row
+		// under the same key is stale and falls through to the check above.
+		delete(curBy, b.Strategy)
+		if b.TotalMS <= 0 {
 			continue
 		}
 		ratio := r.TotalMS / b.TotalMS
@@ -283,10 +231,10 @@ func checkBaseline(w io.Writer, cur benchReport, path string, tolerance float64)
 			status = "REGRESSION"
 			regressions = append(regressions,
 				fmt.Sprintf("%s: total %.2fms vs baseline %.2fms (%+.1f%%)",
-					r.key(), r.TotalMS, b.TotalMS, (ratio-1)*100))
+					r.Strategy, r.TotalMS, b.TotalMS, (ratio-1)*100))
 		}
 		fmt.Fprintf(w, "vs baseline %-26s total %.2fms -> %.2fms (%+.1f%%) %s\n",
-			r.key(), b.TotalMS, r.TotalMS, (ratio-1)*100, status)
+			r.Strategy, b.TotalMS, r.TotalMS, (ratio-1)*100, status)
 		for _, pg := range phaseGates {
 			bv, cv := pg.get(b), pg.get(r)
 			switch {
@@ -296,10 +244,15 @@ func checkBaseline(w io.Writer, cur benchReport, path string, tolerance float64)
 				fmt.Fprintf(w, "    %-9s %8.2fms -> %8.2fms (%+.1f%%) REGRESSION\n", pg.name, bv, cv, pct(cv, bv))
 				regressions = append(regressions,
 					fmt.Sprintf("%s: phase %s %.2fms vs baseline %.2fms (%+.1f%%)",
-						r.key(), pg.name, cv, bv, pct(cv, bv)))
+						r.Strategy, pg.name, cv, bv, pct(cv, bv)))
 			default:
 				fmt.Fprintf(w, "    %-9s %8.2fms -> %8.2fms (%+.1f%%) ok\n", pg.name, bv, cv, pct(cv, bv))
 			}
+		}
+	}
+	for _, r := range cur.Results {
+		if _, unmatched := curBy[r.Strategy]; unmatched {
+			fmt.Fprintf(w, "vs baseline %-26s total %.2fms new (ungated)\n", r.Strategy, r.TotalMS)
 		}
 	}
 	if len(regressions) > 0 {
@@ -308,10 +261,8 @@ func checkBaseline(w io.Writer, cur benchReport, path string, tolerance float64)
 	return nil
 }
 
-func migrateOnce(seed int64, strategy core.TransferStrategy, files, dirtyMB int, batched bool) (core.MigrationRecord, time.Duration, error) {
-	params := core.DefaultParams()
-	params.Batch.Enabled = batched
-	c, err := core.NewCluster(core.Options{Workstations: 2, FileServers: 1, Seed: seed, Params: &params})
+func migrateOnce(seed int64, strategy core.TransferStrategy, files, dirtyMB int) (core.MigrationRecord, time.Duration, error) {
+	c, err := core.NewCluster(core.Options{Workstations: 2, FileServers: 1, Seed: seed})
 	if err != nil {
 		return core.MigrationRecord{}, 0, err
 	}

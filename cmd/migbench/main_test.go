@@ -11,7 +11,7 @@ import (
 
 // TestBenchJSONHasPhaseBreakdown: the emitted BENCH_migration.json carries
 // the negotiate / VM / stream-handoff / resume decomposition for all four
-// strategies in both data-plane modes, and the phases tile the total.
+// strategies, and the phases tile the total.
 func TestBenchJSONHasPhaseBreakdown(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_migration.json")
 	var buf bytes.Buffer
@@ -26,57 +26,37 @@ func TestBenchJSONHasPhaseBreakdown(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 8 {
-		t.Fatalf("results = %d, want all 4 strategies x 2 modes", len(rep.Results))
+	if len(rep.Results) != 4 {
+		t.Fatalf("results = %d, want all 4 strategies", len(rep.Results))
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Results {
-		seen[r.key()] = true
-		// StreamsMS may be zero in batched mode: the stream transfer
-		// overlaps the VM transfer and its span covers only the tail.
+		seen[r.Strategy] = true
+		// StreamsMS may be zero: the stream transfer overlaps the VM
+		// transfer and its span covers only the tail.
 		if r.TotalMS <= 0 || r.NegotiateMS <= 0 || r.StreamsMS < 0 || r.PCBMS <= 0 || r.ResumeMS < 0 {
-			t.Fatalf("%s: non-positive phase fields: %+v", r.key(), r)
+			t.Fatalf("%s: non-positive phase fields: %+v", r.Strategy, r)
 		}
 		sum := r.NegotiateMS + r.VMMS + r.StreamsMS + r.PCBMS + r.ResumeMS
 		if diff := sum - r.TotalMS; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("%s: phases sum to %.6f, total %.6f", r.key(), sum, r.TotalMS)
+			t.Fatalf("%s: phases sum to %.6f, total %.6f", r.Strategy, sum, r.TotalMS)
 		}
-		if r.Batching && r.Strategy != "copy-on-reference" && r.BatchFragments <= 0 {
-			t.Fatalf("%s: batched run reports no fragments: %+v", r.key(), r)
-		}
-		if !r.Batching && (r.BatchRuns != 0 || r.BatchFragments != 0 || r.BatchRetransmits != 0) {
-			t.Fatalf("%s: legacy run reports batch counters: %+v", r.key(), r)
+		if r.Strategy != "copy-on-reference" && r.BatchFragments <= 0 {
+			t.Fatalf("%s: run reports no fragments: %+v", r.Strategy, r)
 		}
 	}
 	for _, s := range []string{"sprite-flush", "full-copy", "copy-on-reference", "pre-copy"} {
-		for _, m := range []string{"batched", "legacy"} {
-			if !seen[s+"/"+m] {
-				t.Fatalf("%s/%s missing from report", s, m)
-			}
+		if !seen[s] {
+			t.Fatalf("%s missing from report", s)
 		}
-	}
-}
-
-// TestBatchGainGate: the batched sprite-flush run must beat the legacy one by
-// the advertised margin at the standard footprint, and an unreachable margin
-// trips the gate.
-func TestBatchGainGate(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-dirty-mb", "2", "-strategy", "sprite-flush"}, &buf); err != nil {
-		t.Fatalf("default -min-batch-gain failed: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "faster") {
-		t.Fatalf("batch-gain line missing:\n%s", buf.String())
-	}
-	err := run([]string{"-dirty-mb", "2", "-strategy", "sprite-flush", "-min-batch-gain", "0.99"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "gained only") {
-		t.Fatalf("unreachable gain did not trip the gate: %v", err)
 	}
 }
 
 // TestBaselineGate: an identical baseline passes, a tightened one trips the
-// >20% regression check — on the total and on any individual phase — and a
-// missing baseline only prints a note.
+// >20% regression check — on the total and on any individual phase — a
+// missing baseline only prints a note, and under -strategy all a baseline row
+// with no counterpart in the run fails the gate while a run row with no
+// baseline is reported as new.
 func TestBaselineGate(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "cur.json")
@@ -142,5 +122,22 @@ func TestBaselineGate(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "disarmed") {
 		t.Fatalf("missing baseline note absent:\n%s", buf.String())
+	}
+	// -strategy all against the one-row baseline: the three strategies it
+	// lacks are new, not failures.
+	p = writeBaseline(func(r *benchResult) {})
+	buf.Reset()
+	if err := run([]string{"-dirty-mb", "1", "-baseline", p}, &buf); err != nil {
+		t.Fatalf("run rows without a baseline tripped the gate: %v", err)
+	}
+	if got := strings.Count(buf.String(), "new (ungated)"); got != 3 {
+		t.Fatalf("new (ungated) lines = %d, want 3:\n%s", got, buf.String())
+	}
+	// A baseline row the run no longer produces (a renamed or dropped
+	// strategy) must fail the gate by name, not pass vacuously.
+	p = writeBaseline(func(r *benchResult) { r.Strategy = "sprite-flush/legacy" })
+	err = run([]string{"-dirty-mb", "1", "-baseline", p}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "sprite-flush/legacy: baseline row has no counterpart") {
+		t.Fatalf("gate did not trip on an unmatched baseline row: %v", err)
 	}
 }

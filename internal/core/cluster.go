@@ -199,11 +199,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	applyEnvParallel(&params.Sim)
 	s := sim.New(opts.Seed)
-	look := params.Sim.Lookahead
-	if look <= 0 {
-		look = params.Net.Latency
-	}
-	s.SetLookahead(look)
+	s.SetLookahead(params.Net.Latency)
 	net := netsim.New(s, params.Net)
 	transport := rpc.NewTransport(s, net, params.RPC)
 	fsys := fs.New(s, transport, params.FS)

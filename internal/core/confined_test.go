@@ -24,10 +24,9 @@ import (
 // everything observable — committed order, final virtual time, the full
 // trace stream, migration counts, and the metrics snapshot — into one
 // string. Any divergence between kernels shows up as a byte difference.
-func confinedFingerprint(t *testing.T, strategy TransferStrategy, batched bool, simp SimParams) string {
+func confinedFingerprint(t *testing.T, strategy TransferStrategy, simp SimParams) string {
 	t.Helper()
 	params := DefaultParams()
-	params.Batch.Enabled = batched
 	params.Sim = simp
 	params.Sim.ConfineHosts = true
 	const W = 4
@@ -132,10 +131,9 @@ func confinedFingerprint(t *testing.T, strategy TransferStrategy, batched bool, 
 }
 
 // TestConfinedMigrationEquivalence is the core acceptance property of host
-// confinement: for every VM transfer strategy, over both data planes, the
-// serial oracle and the parallel kernel at 1/2/4/8 workers produce
-// byte-identical fingerprints (order digest + traces + metrics) with hosts
-// confined.
+// confinement: for every VM transfer strategy, the serial oracle and the
+// parallel kernel at 1/2/4/8 workers produce byte-identical fingerprints
+// (order digest + traces + metrics) with hosts confined.
 func TestConfinedMigrationEquivalence(t *testing.T) {
 	strategies := []TransferStrategy{
 		SpriteFlushStrategy{},
@@ -143,32 +141,26 @@ func TestConfinedMigrationEquivalence(t *testing.T) {
 		CopyOnReferenceStrategy{},
 		PreCopyStrategy{RedirtyPagesPerSec: 100},
 	}
-	for _, batched := range []bool{true, false} {
-		mode := "legacy"
-		if batched {
-			mode = "batched"
-		}
-		for _, strategy := range strategies {
-			strategy := strategy
-			t.Run(mode+"/"+strategy.Name(), func(t *testing.T) {
-				serial := confinedFingerprint(t, strategy, batched, SimParams{})
-				for _, workers := range []int{1, 2, 4, 8} {
-					par := confinedFingerprint(t, strategy, batched, SimParams{Parallel: true, Workers: workers})
-					if par != serial {
-						t.Fatalf("workers=%d diverged from serial oracle:\n--- parallel ---\n%.2000s\n--- serial ---\n%.2000s", workers, par, serial)
-					}
+	for _, strategy := range strategies {
+		strategy := strategy
+		t.Run("batched/"+strategy.Name(), func(t *testing.T) {
+			serial := confinedFingerprint(t, strategy, SimParams{})
+			for _, workers := range []int{1, 2, 4, 8} {
+				par := confinedFingerprint(t, strategy, SimParams{Parallel: true, Workers: workers})
+				if par != serial {
+					t.Fatalf("workers=%d diverged from serial oracle:\n--- parallel ---\n%.2000s\n--- serial ---\n%.2000s", workers, par, serial)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestConfinedGoldenFrozen pins the batched sprite-flush confined
+// TestConfinedGoldenFrozen pins the sprite-flush confined
 // fingerprint byte for byte under testdata/. A golden that moves here means
 // either an intentional cost-model change (regenerate with -update-golden)
 // or a determinism leak in the confined plane.
 func TestConfinedGoldenFrozen(t *testing.T) {
-	got := confinedFingerprint(t, SpriteFlushStrategy{}, true, SimParams{Parallel: true, Workers: 4})
+	got := confinedFingerprint(t, SpriteFlushStrategy{}, SimParams{Parallel: true, Workers: 4})
 	path := filepath.Join("testdata", "confined_batched.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

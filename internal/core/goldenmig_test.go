@@ -18,10 +18,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the migration snap
 // heap, one migration, a touchback — and renders everything observable about
 // it: the record's full phase decomposition, the bulk data-plane counters,
 // and the whole metrics snapshot.
-func migrationSnapshot(t *testing.T, seed int64, batched bool, simp SimParams) string {
+func migrationSnapshot(t *testing.T, seed int64, simp SimParams) string {
 	t.Helper()
 	params := DefaultParams()
-	params.Batch.Enabled = batched
 	params.Sim = simp
 	c, err := NewCluster(Options{Workstations: 2, FileServers: 1, Seed: seed, Params: &params})
 	if err != nil {
@@ -72,42 +71,39 @@ func migrationSnapshot(t *testing.T, seed int64, batched bool, simp SimParams) s
 	return b.String()
 }
 
-// TestGoldenMigrationSnapshots pins one batched and one legacy migration run
-// byte for byte: the snapshot must be identical run over run, identical
-// across two seeds (the scenario draws no randomness — any divergence means
-// nondeterminism leaked into the data plane), and identical to the golden
-// committed under testdata/. Regenerate with -update-golden when a cost
-// model change is intentional.
+// migrationGolden is the committed snapshot, named for the bulk data plane
+// it pins; its subtests carry the same name.
+var migrationGolden = filepath.Join("testdata", "migration_batched.golden")
+
+// TestGoldenMigrationSnapshots pins one migration run byte for byte: the
+// snapshot must be identical run over run, identical across two seeds (the
+// scenario draws no randomness — any divergence means nondeterminism leaked
+// into the data plane), and identical to the golden committed under
+// testdata/. Regenerate with -update-golden when a cost model change is
+// intentional.
 func TestGoldenMigrationSnapshots(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		mode := "legacy"
-		if batched {
-			mode = "batched"
+	t.Run("batched", func(t *testing.T) {
+		got := migrationSnapshot(t, 1, SimParams{})
+		if again := migrationSnapshot(t, 1, SimParams{}); again != got {
+			t.Fatalf("same-seed reruns differ:\n--- first ---\n%s\n--- second ---\n%s", got, again)
 		}
-		t.Run(mode, func(t *testing.T) {
-			got := migrationSnapshot(t, 1, batched, SimParams{})
-			if again := migrationSnapshot(t, 1, batched, SimParams{}); again != got {
-				t.Fatalf("same-seed reruns differ:\n--- first ---\n%s\n--- second ---\n%s", got, again)
+		if other := migrationSnapshot(t, 2, SimParams{}); other != got {
+			t.Fatalf("seed 2 diverged from seed 1:\n--- seed1 ---\n%s\n--- seed2 ---\n%s", got, other)
+		}
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
 			}
-			if other := migrationSnapshot(t, 2, batched, SimParams{}); other != got {
-				t.Fatalf("seed 2 diverged from seed 1:\n--- seed1 ---\n%s\n--- seed2 ---\n%s", got, other)
+			if err := os.WriteFile(migrationGolden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "migration_"+mode+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
-			}
-			if got != string(want) {
-				t.Fatalf("snapshot changed vs %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-			}
-		})
-	}
+		}
+		want, err := os.ReadFile(migrationGolden)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+		}
+		if got != string(want) {
+			t.Fatalf("snapshot changed vs %s:\n--- got ---\n%s\n--- want ---\n%s", migrationGolden, got, want)
+		}
+	})
 }

@@ -3,33 +3,25 @@ package core
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
 // TestGoldenFrozenUnderParallelKernel is the golden freeze: the committed
-// migration snapshots must pass byte-for-byte with the conservative
+// migration snapshot must pass byte-for-byte with the conservative
 // parallel kernel switched on, at every worker count. The parallel kernel
 // commits the serial event order exactly, so a golden that moves here is a
 // kernel bug, never an acceptable regeneration.
 func TestGoldenFrozenUnderParallelKernel(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		mode := "legacy"
-		if batched {
-			mode = "batched"
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", "migration_"+mode+".golden"))
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("%s/workers%d", mode, workers), func(t *testing.T) {
-				got := migrationSnapshot(t, 1, batched, SimParams{Parallel: true, Workers: workers})
-				if got != string(want) {
-					t.Fatalf("parallel kernel moved the %s golden:\n--- got ---\n%s\n--- want ---\n%s", mode, got, want)
-				}
-			})
-		}
+	want, err := os.ReadFile(migrationGolden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("batched/workers%d", workers), func(t *testing.T) {
+			got := migrationSnapshot(t, 1, SimParams{Parallel: true, Workers: workers})
+			if got != string(want) {
+				t.Fatalf("parallel kernel moved the golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
 	}
 }
-

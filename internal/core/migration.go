@@ -51,8 +51,8 @@ type MigrationRecord struct {
 	Strategy string
 
 	// Batched marks a migration whose VM transfer used the bulk data
-	// plane; BatchRuns / BatchFragments / BatchRetransmits detail it
-	// (all zero on the legacy per-page path).
+	// plane (copy-on-reference ships none); BatchRuns / BatchFragments /
+	// BatchRetransmits detail it.
 	Batched          bool
 	BatchRuns        int
 	BatchFragments   int
@@ -182,23 +182,17 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	}
 	rec.NegotiateTime = mm.next(env, "vm."+rec.Strategy)
 
-	// 2 + 3. Virtual memory and open streams. With the batched data plane's
-	// overlap on, the stream transfer runs in its own activity concurrent
-	// with the VM transfer: both phases still tile Total exactly because the
-	// vm span closes retroactively at the instant the VM work finished and
-	// the streams span covers only the tail that outlived it (zero when the
-	// streams won the race).
-	overlap := k.params.Batch.Enabled && k.params.Batch.OverlapStreams
-	tVM := env.Now()
-	var strmDone *sim.Future
-	if overlap {
-		strmDone = sim.NewFuture(k.cluster.sim)
-		env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
-			mv, serr := k.transferStreams(senv, p, target, &rec)
-			strmDone.Complete(mv, serr)
-			return nil
-		})
-	}
+	// 2 + 3. Virtual memory and open streams. The stream transfer runs in
+	// its own activity concurrent with the VM transfer: both phases still
+	// tile Total exactly because the vm span closes retroactively at the
+	// instant the VM work finished and the streams span covers only the tail
+	// that outlived it (zero when the streams won the race).
+	strmDone := sim.NewFuture(k.cluster.sim)
+	env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
+		mv, serr := k.transferStreams(senv, p, target, &rec)
+		strmDone.Complete(mv, serr)
+		return nil
+	})
 	vmErr := k.strategy.Transfer(env, k, target, p, &rec)
 	if vmErr != nil {
 		vmErr = fmt.Errorf("vm transfer: %w", vmErr)
@@ -206,41 +200,24 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 		vmErr = k.cluster.failAt(env, "mig.vm", p.pid)
 	}
 	tVMEnd := env.Now()
-	if overlap {
-		// Join the stream mover before acting on any error: abort recovery
-		// needs the final moved list, and the mover must not outlive the
-		// migration it belongs to.
-		mv, serr := strmDone.Wait(env)
-		if ms, ok := mv.([]*fs.Stream); ok {
-			moved = ms
-		}
-		if vmErr != nil {
-			return abort(vmErr)
-		}
-		rec.VMTime = mm.nextAt(env, "streams", tVMEnd)
-		if serr != nil {
-			return abort(fmt.Errorf("stream transfer: %w", serr))
-		}
-		if err := k.cluster.failAt(env, "mig.streams", p.pid); err != nil {
-			return abort(err)
-		}
-		rec.FileTime = env.Now() - tVMEnd
-	} else {
-		if vmErr != nil {
-			return abort(vmErr)
-		}
-		rec.VMTime = env.Now() - tVM
-		mm.next(env, "streams")
-		tF := env.Now()
-		var serr error
-		if moved, serr = k.transferStreams(env, p, target, &rec); serr != nil {
-			return abort(fmt.Errorf("stream transfer: %w", serr))
-		}
-		if err := k.cluster.failAt(env, "mig.streams", p.pid); err != nil {
-			return abort(err)
-		}
-		rec.FileTime = env.Now() - tF
+	// Join the stream mover before acting on any error: abort recovery
+	// needs the final moved list, and the mover must not outlive the
+	// migration it belongs to.
+	mv, serr := strmDone.Wait(env)
+	if ms, ok := mv.([]*fs.Stream); ok {
+		moved = ms
 	}
+	if vmErr != nil {
+		return abort(vmErr)
+	}
+	rec.VMTime = mm.nextAt(env, "streams", tVMEnd)
+	if serr != nil {
+		return abort(fmt.Errorf("stream transfer: %w", serr))
+	}
+	if err := k.cluster.failAt(env, "mig.streams", p.pid); err != nil {
+		return abort(err)
+	}
+	rec.FileTime = env.Now() - tVMEnd
 	mm.next(env, "pcb")
 
 	// 4. PCB and residual untyped state.

@@ -56,9 +56,6 @@ type Params struct {
 	// PageWireOverhead is the per-page message overhead for strategies
 	// that ship pages directly between kernels.
 	PageWireOverhead int
-
-	// Batch configures the batched migration data plane.
-	Batch BatchParams
 }
 
 // SimParams selects and tunes the event kernel (DESIGN.md §13). The zero
@@ -73,11 +70,6 @@ type SimParams struct {
 	// Workers is the worker-goroutine count when Parallel is set
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Lookahead is the conservative horizon: confined events closer than
-	// this to the window head commit without cross-shard coordination.
-	// 0 derives it from Net.Latency, the propagation delay that already
-	// lower-bounds any cross-host interaction.
-	Lookahead time.Duration
 	// ConfineHosts homes every simulated host on its own shard: RPC
 	// dispatchers, fs servers, and process activities for host H run
 	// confined to shard H, and all cross-host interaction rides mailboxes
@@ -89,28 +81,6 @@ type SimParams struct {
 	// contract (uncontended network, no host crashes, no migration aborts,
 	// drivers pinned to host shards via BootOn).
 	ConfineHosts bool
-}
-
-// BatchParams holds the knobs of the batched, pipelined migration data
-// plane. The batched path is the default; disabling it restores the legacy
-// one-RPC-per-page behaviour as an ablation.
-type BatchParams struct {
-	// Enabled routes migration VM traffic through the bulk-transfer RPC
-	// path: dirty pages flush as coalesced runs (fs.writeBulk), direct-copy
-	// strategies ship pages as pipelined fragment streams (k.migPages), and
-	// the migrated process demand-pages through the readahead pager.
-	Enabled bool
-	// MaxRunPages bounds one bulk transfer's length in pages (0 =
-	// unlimited): long flush runs are split so a single call never
-	// monopolizes the server or the wire.
-	MaxRunPages int
-	// PrefetchPages is the target-side readahead window: a post-migration
-	// fault pulls up to this many pages in one bulk read. Values < 2
-	// disable readahead.
-	PrefetchPages int
-	// OverlapStreams runs the open-stream transfer concurrently with the
-	// VM transfer during migration, instead of strictly after it.
-	OverlapStreams bool
 }
 
 // DefaultParams returns the Sun-3-era calibration.
@@ -137,12 +107,5 @@ func DefaultParams() Params {
 		IdleInputAge:      30 * time.Second,
 
 		PageWireOverhead: 64,
-
-		Batch: BatchParams{
-			Enabled:        true,
-			MaxRunPages:    256,
-			PrefetchPages:  16,
-			OverlapStreams: true,
-		},
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 	"sprite/internal/vm"
@@ -33,44 +31,39 @@ var _ TransferStrategy = SpriteFlushStrategy{}
 // Name implements TransferStrategy.
 func (SpriteFlushStrategy) Name() string { return "sprite-flush" }
 
-// Transfer implements TransferStrategy. With the batched data plane enabled
-// the dirty set flushes as coalesced page runs through fs.writeBulk — one
-// handshake and a pipelined fragment stream per run — instead of one
-// synchronous RPC per block.
+// maxRunPages bounds one bulk flush's length in pages: long runs are split
+// so a single call never monopolizes the server or the wire.
+const maxRunPages = 256
+
+// Transfer implements TransferStrategy. The dirty set flushes as coalesced
+// page runs through fs.writeBulk — one handshake and a pipelined fragment
+// stream per run.
 func (SpriteFlushStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error {
 	if p.space == nil {
 		return nil
 	}
-	if b := src.params.Batch; b.Enabled {
-		n, bs, err := p.space.FlushDirtyBulk(env, src.fsc, b.MaxRunPages)
-		if err != nil {
-			return err
-		}
-		rec.PagesFlushed = n
-		rec.VMBytes = n * src.params.VM.PageSize
-		noteBatch(rec, bs)
-	} else {
-		n, err := p.space.FlushDirty(env, src.fsc)
-		if err != nil {
-			return err
-		}
-		rec.PagesFlushed = n
-		rec.VMBytes = n * src.params.VM.PageSize
+	n, bs, err := p.space.FlushDirtyBulk(env, src.fsc, maxRunPages)
+	if err != nil {
+		return err
 	}
+	rec.PagesFlushed = n
+	rec.VMBytes = n * src.params.VM.PageSize
+	noteBatch(rec, bs)
 	for _, seg := range p.space.Segments() {
 		seg.InvalidateAll()
 	}
 	return nil
 }
 
-// TargetPager implements TransferStrategy: normal file-system paging on the
-// target — through the readahead pager when batching is on, so the process
-// repopulates its resident set in runs.
+// prefetchPages is the target-side readahead window: a post-migration fault
+// pulls up to this many pages in one bulk read.
+const prefetchPages = 16
+
+// TargetPager implements TransferStrategy: file-system paging on the target
+// through the readahead pager, so the process repopulates its resident set
+// in runs.
 func (SpriteFlushStrategy) TargetPager(src, dst *Kernel) vm.Pager {
-	if b := dst.params.Batch; b.Enabled && b.PrefetchPages > 1 {
-		return &vm.ReadaheadPager{Client: dst.fsc, Window: b.PrefetchPages}
-	}
-	return &vm.FilePager{Client: dst.fsc}
+	return &vm.ReadaheadPager{Client: dst.fsc, Window: prefetchPages}
 }
 
 // noteBatch folds one bulk transfer's wire stats into the record.
@@ -81,21 +74,17 @@ func noteBatch(rec *MigrationRecord, bs rpc.BulkStats) {
 	rec.BatchRetransmits += bs.Retransmits
 }
 
-// sendPages ships a block of pages from src to dst: over the bulk path (one
-// k.migPages transfer of pipelined fragments) when batching is enabled,
-// otherwise as one legacy network send.
+// sendPages ships a block of pages from src to dst as one k.migPages bulk
+// transfer of pipelined fragments.
 func sendPages(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord, pages, pageBytes int) error {
-	if b := src.params.Batch; b.Enabled {
-		_, bs, err := src.ep.CallBulk(env, dst.host, "k.migPages", migPagesArgs{
-			PID: p.pid, Pages: pages,
-		}, 32, pages*pageBytes, rpc.BulkOut)
-		if err != nil {
-			return err
-		}
-		noteBatch(rec, bs)
-		return nil
+	_, bs, err := src.ep.CallBulk(env, dst.host, "k.migPages", migPagesArgs{
+		PID: p.pid, Pages: pages,
+	}, 32, pages*pageBytes, rpc.BulkOut)
+	if err != nil {
+		return err
 	}
-	return src.cluster.net.Send(env, pages*pageBytes)
+	noteBatch(rec, bs)
+	return nil
 }
 
 // FullCopyStrategy ships the entire resident image directly to the target
@@ -208,7 +197,6 @@ func (s PreCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, re
 		maxPasses = 5
 	}
 	pageBytes := src.params.VM.PageSize + src.params.PageWireOverhead
-	perPage := src.cluster.net.TransferTime(pageBytes)
 
 	// First pass: all resident pages, while the process "runs".
 	toCopy := 0
@@ -216,21 +204,15 @@ func (s PreCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, re
 		toCopy += seg.ResidentCount()
 	}
 	copied := 0
-	batched := src.params.Batch.Enabled
 	for pass := 0; pass < maxPasses && toCopy > threshold; pass++ {
 		t0 := env.Now()
 		if err := sendPages(env, src, dst, p, rec, toCopy, pageBytes); err != nil {
 			return err
 		}
 		copied += toCopy
-		// Pages dirtied during this pass must be re-sent. The legacy path
-		// keeps its analytic pass-time estimate; the bulk path measures the
-		// pass it actually took (pipelining makes the estimate wrong).
-		passTime := time.Duration(toCopy) * perPage
-		if batched {
-			passTime = env.Now() - t0
-		}
-		redirtied := int(s.RedirtyPagesPerSec * passTime.Seconds())
+		// Pages dirtied during this pass must be re-sent; the pass time is
+		// measured, because pipelining makes a per-page estimate wrong.
+		redirtied := int(s.RedirtyPagesPerSec * (env.Now() - t0).Seconds())
 		if redirtied > toCopy {
 			redirtied = toCopy
 		}

@@ -9,14 +9,10 @@ import (
 	"sprite/internal/sim"
 )
 
-// bulkCluster builds a cluster with the batched data plane explicitly
-// enabled (the default, asserted here so the test keeps meaning if the
-// default ever changes).
+// bulkCluster builds a default cluster with the test binary seeded.
 func bulkCluster(t *testing.T, workstations int, seed int64) *core.Cluster {
 	t.Helper()
-	params := core.DefaultParams()
-	params.Batch.Enabled = true
-	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: 1, Seed: seed, Params: &params})
+	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: 1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

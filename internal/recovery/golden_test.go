@@ -76,9 +76,7 @@ func traceSink(b *strings.Builder) core.TraceFunc {
 // part of the snapshot.
 func targetCrashSnapshot(t *testing.T, seed int64) string {
 	t.Helper()
-	params := core.DefaultParams()
-	params.Batch.Enabled = true
-	c, err := core.NewCluster(core.Options{Workstations: 3, FileServers: 1, Seed: seed, Params: &params})
+	c, err := core.NewCluster(core.Options{Workstations: 3, FileServers: 1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

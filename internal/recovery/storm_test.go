@@ -19,7 +19,6 @@ import (
 // the chaos CI job uploads as its artifact (see `make chaos`).
 type stormSummary struct {
 	Strategy    string `json:"strategy"`
-	Batched     bool   `json:"batched"`
 	HostDown    int64  `json:"host_down"`
 	HostUp      int64  `json:"host_up"`
 	Restarts    int64  `json:"restarts"`
@@ -33,11 +32,9 @@ type stormSummary struct {
 // crash+restart and instant-reboot faults across every host the jobs can
 // land on. The home workstation stays up so "no job may be lost" is an
 // unconditional assertion.
-func stormRun(t *testing.T, strategy core.TransferStrategy, batched bool) stormSummary {
+func stormRun(t *testing.T, strategy core.TransferStrategy) stormSummary {
 	t.Helper()
-	params := core.DefaultParams()
-	params.Batch.Enabled = batched
-	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: 17, Params: &params})
+	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +96,6 @@ func stormRun(t *testing.T, strategy core.TransferStrategy, batched bool) stormS
 	}
 	return stormSummary{
 		Strategy:    strategy.Name(),
-		Batched:     batched,
 		HostDown:    snap.Counters["recovery.host_down"],
 		HostUp:      snap.Counters["recovery.host_up"],
 		Restarts:    snap.Counters["recovery.restarts"],
@@ -110,7 +106,7 @@ func stormRun(t *testing.T, strategy core.TransferStrategy, batched bool) stormS
 }
 
 // TestCrashStorm is the chaos suite behind `make chaos`: the full crash
-// storm under every migration strategy in both batch modes. When
+// storm under every migration strategy. When
 // SPRITE_CHAOS_SNAPSHOT names a file, the per-configuration recovery
 // metrics are written there as JSON for the CI artifact.
 func TestCrashStorm(t *testing.T) {
@@ -122,16 +118,10 @@ func TestCrashStorm(t *testing.T) {
 	}
 	var summaries []stormSummary
 	for _, s := range strategies {
-		for _, batched := range []bool{false, true} {
-			s, batched := s, batched
-			mode := "legacy"
-			if batched {
-				mode = "batched"
-			}
-			t.Run(s.Name()+"/"+mode, func(t *testing.T) {
-				summaries = append(summaries, stormRun(t, s, batched))
-			})
-		}
+		s := s
+		t.Run(s.Name()+"/batched", func(t *testing.T) {
+			summaries = append(summaries, stormRun(t, s))
+		})
 	}
 	if path := os.Getenv("SPRITE_CHAOS_SNAPSHOT"); path != "" && !t.Failed() {
 		data, err := json.MarshalIndent(summaries, "", "  ")

@@ -83,13 +83,14 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 		t.record(env, to, service, 0, err != nil)
 		return reply, bs, err
 	}
+	var h Handler
 	if t.confined {
 		// Per-host shard delivery: the handler hops to the server's shard;
 		// the service lookup happens there too.
-		return e.callBulkConfined(env, target, service, arg, argSize, payloadBytes, dir)
-	}
-	h, ok := target.services[service]
-	if !ok {
+		if s := env.Shard(); s != 0 && s != e.shard {
+			panic(fmt.Sprintf("rpc: bulk call via %v's endpoint from foreign shard %d (home %d)", e.host, s, e.shard))
+		}
+	} else if h, ok = target.services[service]; !ok {
 		t.record(env, to, service, argSize, true)
 		return nil, bs, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
 	}
@@ -114,7 +115,12 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 			t.recordBulk(env, &bs)
 			return nil, bs, err
 		}
-		reply, replySize, herr = h(env, e.host, arg)
+		reply, replySize, herr, err = e.runBulkHandler(env, target, h, service, arg)
+		if err != nil {
+			t.record(env, to, service, wire, true)
+			t.recordBulk(env, &bs)
+			return nil, bs, err
+		}
 		// Reply leg: a small control message, retried on loss like a
 		// normal reply (the server answers retransmissions from its
 		// cached reply without re-running the handler).
@@ -125,7 +131,13 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 		}
 		wire += replySize
 	case BulkIn:
-		reply, replySize, herr = h(env, e.host, arg)
+		var err error
+		reply, replySize, herr, err = e.runBulkHandler(env, target, h, service, arg)
+		if err != nil {
+			t.record(env, to, service, wire, true)
+			t.recordBulk(env, &bs)
+			return nil, bs, err
+		}
 		if herr == nil {
 			w, err := e.streamFragments(env, target, service, replySize, &bs)
 			wire += w
@@ -145,6 +157,32 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 	t.record(env, to, service, wire, herr != nil)
 	t.recordBulk(env, &bs)
 	return reply, bs, herr
+}
+
+// runBulkHandler is CallBulk's "run the handler" step. Unconfined, h runs
+// inline in the calling activity. Under confinement it is a reliable mailbox
+// round trip (no injection — faults were already applied to the handshake
+// and the fragment stream) that runs the handler on the server's shard; the
+// payload bytes were charged by the stream, so both legs ride bare latency.
+// The last result is a failure of that hop, not of the handler.
+func (e *Endpoint) runBulkHandler(env *sim.Env, target *Endpoint, h Handler, service string, arg any) (any, int, error, error) {
+	t := e.transport
+	if !t.confined {
+		reply, size, herr := h(env, e.host, arg)
+		return reply, size, herr, nil
+	}
+	replyBox := sim.NewMailboxOn(t.sim, env.Shard(), 0)
+	e.xidSeq++
+	target.reqBox.SendAfter(env, &confReq{
+		from: e.host, xid: e.xidSeq, service: service, arg: arg,
+		reply: replyBox, internal: true,
+	}, t.net.Latency())
+	rv, err := replyBox.Recv(env)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	rep := rv.(*confReply)
+	return rep.value, rep.size, rep.err, nil
 }
 
 // fragOverhead returns the per-fragment header size, defaulted.

@@ -319,95 +319,3 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 		}
 	}
 }
-
-// execRemote is the bulk-transfer execution hop: a reliable mailbox round
-// trip (no injection — faults were already applied to the handshake and the
-// fragment stream) that runs the handler on the server's shard. The payload
-// bytes were charged by the stream, so both legs ride bare latency.
-func (e *Endpoint) execRemote(env *sim.Env, target *Endpoint, service string, arg any) (*confReply, error) {
-	t := e.transport
-	replyBox := sim.NewMailboxOn(t.sim, env.Shard(), 0)
-	e.xidSeq++
-	target.reqBox.SendAfter(env, &confReq{
-		from: e.host, xid: e.xidSeq, service: service, arg: arg,
-		reply: replyBox, internal: true,
-	}, t.net.Latency())
-	rv, err := replyBox.Recv(env)
-	if err != nil {
-		return nil, err
-	}
-	return rv.(*confReply), nil
-}
-
-// callBulkConfined is CallBulk's remote path under confinement. The
-// handshake, the windowed fragment stream, and the trailing control trip are
-// pure wire timing plus counters, all shard-local, so they run client-side
-// exactly as in the inline path; only the handler execution hops to the
-// server's shard.
-func (e *Endpoint) callBulkConfined(env *sim.Env, target *Endpoint, service string, arg any, argSize, payloadBytes int, dir BulkDir) (any, BulkStats, error) {
-	t := e.transport
-	to := target.host
-	var bs BulkStats
-	bs.Calls = 1
-	if s := env.Shard(); s != 0 && s != e.shard {
-		panic(fmt.Sprintf("rpc: bulk call via %v's endpoint from foreign shard %d (home %d)", e.host, s, e.shard))
-	}
-	if err := env.Sleep(t.params.ClientOverhead); err != nil {
-		return nil, bs, err
-	}
-	wire := argSize + t.fragOverhead()
-	if err := e.bulkControl(env, target, service, argSize, t.fragOverhead()); err != nil {
-		t.record(env, to, service, wire, true)
-		return nil, bs, err
-	}
-	switch dir {
-	case BulkOut:
-		w, err := e.streamFragments(env, target, service, payloadBytes, &bs)
-		wire += w
-		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
-		}
-		rep, err := e.execRemote(env, target, service, arg)
-		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
-		}
-		if err := e.bulkControl(env, target, service, rep.size, 0); err != nil {
-			t.record(env, to, service, wire+rep.size, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
-		}
-		wire += rep.size
-		t.record(env, to, service, wire, rep.err != nil)
-		t.recordBulk(env, &bs)
-		return rep.value, bs, rep.err
-	case BulkIn:
-		rep, err := e.execRemote(env, target, service, arg)
-		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
-		}
-		if rep.err == nil {
-			w, serr := e.streamFragments(env, target, service, rep.size, &bs)
-			wire += w
-			if serr != nil {
-				t.record(env, to, service, wire, true)
-				t.recordBulk(env, &bs)
-				return nil, bs, serr
-			}
-		} else if cerr := e.bulkControl(env, target, service, t.fragOverhead(), 0); cerr != nil {
-			// The error reply is a plain small message.
-			t.record(env, to, service, wire, true)
-			return nil, bs, cerr
-		}
-		t.record(env, to, service, wire, rep.err != nil)
-		t.recordBulk(env, &bs)
-		return rep.value, bs, rep.err
-	default:
-		return nil, bs, fmt.Errorf("rpc: unknown bulk direction %d", dir)
-	}
-}

@@ -13,8 +13,7 @@ import (
 // fs.writeBulk), marking them clean. Contiguous dirty pages become one
 // transfer; maxRunPages bounds a single transfer's length (0 = unlimited).
 // It returns the pages written and the accumulated wire statistics. This is
-// the batched core of Sprite's migration-time VM transfer: where FlushDirty
-// pays one synchronous RPC per block, this pays one handshake per run.
+// the core of Sprite's migration-time VM transfer: one handshake per run.
 func (as *AddressSpace) FlushDirtyBulk(env *sim.Env, client *fs.Client, maxRunPages int) (int, rpc.BulkStats, error) {
 	var bs rpc.BulkStats
 	written := 0

@@ -38,43 +38,6 @@ func TestFlushDirtyBulkCoalescesAndClears(t *testing.T) {
 	})
 }
 
-func TestFlushDirtyBulkFasterThanLegacy(t *testing.T) {
-	h := newHarness(t)
-	h.run(t, func(env *sim.Env) error {
-		dirtyAll := func(as *AddressSpace) error {
-			for i := 0; i < 32; i++ {
-				if err := as.Touch(env, as.Heap, i, true); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		legacy := newSpace(t, env, h, "legacy", 32)
-		if err := dirtyAll(legacy); err != nil {
-			return err
-		}
-		t0 := env.Now()
-		if _, err := legacy.FlushDirty(env, h.fs.Client(2)); err != nil {
-			return err
-		}
-		legacyTook := env.Now() - t0
-
-		bulk := newSpace(t, env, h, "bulk", 32)
-		if err := dirtyAll(bulk); err != nil {
-			return err
-		}
-		t0 = env.Now()
-		if _, _, err := bulk.FlushDirtyBulk(env, h.fs.Client(2), 256); err != nil {
-			return err
-		}
-		bulkTook := env.Now() - t0
-		if bulkTook >= legacyTook {
-			t.Errorf("bulk flush %v not faster than legacy %v", bulkTook, legacyTook)
-		}
-		return nil
-	})
-}
-
 func TestReadaheadPagerFillsRuns(t *testing.T) {
 	h := newHarness(t)
 	h.run(t, func(env *sim.Env) error {
@@ -129,25 +92,9 @@ func TestReadaheadPagerFillsRuns(t *testing.T) {
 	})
 }
 
-// BenchmarkFlushDirtyBulk measures the batched migration flush hot path:
-// a fully dirty 64-page heap coalesced into bulk transfers.
+// BenchmarkFlushDirtyBulk measures the migration flush hot path: a fully
+// dirty 64-page heap coalesced into bulk transfers.
 func BenchmarkFlushDirtyBulk(b *testing.B) {
-	benchFlush(b, func(env *sim.Env, h *harness, as *AddressSpace) error {
-		_, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 256)
-		return err
-	})
-}
-
-// BenchmarkFlushDirtyLegacy is the ablation: the same flush paying one
-// synchronous RPC per block.
-func BenchmarkFlushDirtyLegacy(b *testing.B) {
-	benchFlush(b, func(env *sim.Env, h *harness, as *AddressSpace) error {
-		_, err := as.FlushDirty(env, h.fs.Client(2))
-		return err
-	})
-}
-
-func benchFlush(b *testing.B, flush func(env *sim.Env, h *harness, as *AddressSpace) error) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h := newHarness(b)
@@ -158,7 +105,8 @@ func benchFlush(b *testing.B, flush func(env *sim.Env, h *harness, as *AddressSp
 					return err
 				}
 			}
-			return flush(env, h, as)
+			_, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 256)
+			return err
 		})
 	}
 }

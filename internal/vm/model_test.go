@@ -74,7 +74,7 @@ func TestModelRandomTouchSequences(t *testing.T) {
 					switch rng.Intn(10) {
 					case 0: // flush
 						want := ref.flush()
-						got, err := as.FlushDirty(env, h.fs.Client(2))
+						got, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 0)
 						if err != nil {
 							return err
 						}
@@ -155,14 +155,14 @@ func TestFlushIdempotent(t *testing.T) {
 				return err
 			}
 		}
-		n1, err := as.FlushDirty(env, h.fs.Client(2))
+		n1, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 0)
 		if err != nil {
 			return err
 		}
 		if n1 != len(distinct) {
 			return fmt.Errorf("first flush %d, want %d", n1, len(distinct))
 		}
-		n2, err := as.FlushDirty(env, h.fs.Client(2))
+		n2, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 0)
 		if err != nil {
 			return err
 		}

@@ -346,29 +346,6 @@ func (as *AddressSpace) TouchRange(env *sim.Env, seg *Segment, lo, hi int, write
 	return nil
 }
 
-// FlushDirty writes every dirty heap/stack page to backing store through the
-// given client and marks it clean. It returns the number of pages written.
-// This is the core of Sprite's migration-time VM transfer.
-func (as *AddressSpace) FlushDirty(env *sim.Env, client *fs.Client) (int, error) {
-	written := 0
-	buf := make([]byte, as.params.PageSize)
-	for _, seg := range []*Segment{as.Heap, as.Stack} {
-		if seg.Backing == nil {
-			continue
-		}
-		for _, page := range seg.DirtyList() {
-			off := int64(page) * int64(as.params.PageSize)
-			if err := client.WriteAt(env, seg.Backing, off, buf); err != nil {
-				return written, fmt.Errorf("vm: flush %s/%d: %w", seg.Kind, page, err)
-			}
-			seg.dirty[page] = false
-			written++
-			as.stats.PageOuts++
-		}
-	}
-	return written, nil
-}
-
 // FilePager pages from the segment's backing stream through the file
 // system — Sprite's normal paging path.
 type FilePager struct {

@@ -104,7 +104,7 @@ func TestFlushDirtyWritesToBackingStore(t *testing.T) {
 			t.Fatalf("dirty = %d, want 8", as.DirtyPages())
 		}
 		t0 := env.Now()
-		n, err := as.FlushDirty(env, h.fs.Client(2))
+		n, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 0)
 		if err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func TestDemandPagingAfterInvalidate(t *testing.T) {
 				return err
 			}
 		}
-		if _, err := as.FlushDirty(env, h.fs.Client(2)); err != nil {
+		if _, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 0); err != nil {
 			return err
 		}
 		// Simulate arrival on the target: empty resident set, pages come
