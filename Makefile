@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race race-confined cover bench bench-baseline bench-wallclock chaos chaos-confined shootout shootout-confined fleet scale experiments examples clean
+.PHONY: all build vet lint test race race-confined cover bench bench-baseline bench-wallclock bench-e2e chaos chaos-confined shootout shootout-confined fleet scale experiments examples clean
 
 all: build vet lint test
 
@@ -96,6 +96,13 @@ bench-wallclock:
 	$(GO) test -run '^$$' -bench=. -benchmem -count=$(BENCH_COUNT) \
 		./internal/sim ./internal/rpc ./internal/vm ./internal/metrics | tee bench-wallclock.txt
 	$(GO) run ./cmd/spritesim -experiment E17 -wallclock-snapshot BENCH_wallclock.json
+
+# The end-to-end benchmark (benchmark/README.md): the five named workloads,
+# 20 iterations each, both clocks, written to BENCH_e2e.json. `go run`
+# exits non-zero if any unit of work failed its check. Compare two such
+# files with `go run ./benchmark -compare old.json new.json`.
+bench-e2e:
+	$(GO) run ./benchmark -iters 20 -out BENCH_e2e.json
 
 # Crash-storm chaos suite (DESIGN.md §10) under the race detector: every
 # migration strategy survives a storm of host crashes and instant reboots

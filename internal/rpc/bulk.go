@@ -171,7 +171,7 @@ func (e *Endpoint) runBulkHandler(env *sim.Env, target *Endpoint, h Handler, ser
 		reply, size, herr := h(env, e.host, arg)
 		return reply, size, herr, nil
 	}
-	replyBox := sim.NewMailboxOn(t.sim, env.Shard(), 0)
+	replyBox := e.takeReplyBox(env)
 	e.xidSeq++
 	target.reqBox.SendAfter(env, &confReq{
 		from: e.host, xid: e.xidSeq, service: service, arg: arg,
@@ -181,6 +181,7 @@ func (e *Endpoint) runBulkHandler(env *sim.Env, target *Endpoint, h Handler, ser
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	e.recycleReplyBox(replyBox) // one reliable request, its one reply consumed
 	rep := rv.(*confReply)
 	return rep.value, rep.size, rep.err, nil
 }

@@ -177,7 +177,7 @@ func (ep *Endpoint) dispatchLoop(env *sim.Env) error {
 // execAsync runs the handler in a fresh activity on the server's shard and
 // routes the reply (and any parked retransmissions') back to the caller.
 func (ep *Endpoint) execAsync(env *sim.Env, req *confReq, ent *confEntry) {
-	env.Spawn(fmt.Sprintf("rpc-%v-%s", ep.host, req.service), func(henv *sim.Env) error {
+	env.Spawn(ep.handlerName(req.service), func(henv *sim.Env) error {
 		rep := ep.execConfined(henv, req)
 		if ent != nil {
 			ent.rep = rep
@@ -190,6 +190,20 @@ func (ep *Endpoint) execAsync(env *sim.Env, req *confReq, ent *confEntry) {
 		ep.sendConfReply(henv, req, rep)
 		return nil
 	})
+}
+
+// handlerName names the activity that executes a request for service,
+// formatting it on the first request only.
+func (ep *Endpoint) handlerName(service string) string {
+	name, ok := ep.handlerNames[service]
+	if !ok {
+		if ep.handlerNames == nil {
+			ep.handlerNames = make(map[string]string)
+		}
+		name = fmt.Sprintf("rpc-%v-%s", ep.host, service)
+		ep.handlerNames[service] = name
+	}
+	return name
 }
 
 // execConfined looks the service up and runs it on the server's shard,
@@ -232,6 +246,31 @@ func (ep *Endpoint) sendConfReply(env *sim.Env, req *confReq, rep *confReply) {
 	req.reply.SendAfter(env, rep, t.net.Latency()+xfer+extra)
 }
 
+// takeReplyBox returns a reply mailbox homed on the caller's shard: a
+// recycled one when the caller is on the endpoint's own shard, else (the
+// exclusive setup context calling through the endpoint) a fresh one.
+func (e *Endpoint) takeReplyBox(env *sim.Env) *sim.Mailbox {
+	if n := len(e.replyBoxes); n > 0 && env.Shard() == e.shard {
+		box := e.replyBoxes[n-1]
+		e.replyBoxes[n-1] = nil
+		e.replyBoxes = e.replyBoxes[:n-1]
+		return box
+	}
+	return sim.NewMailboxOn(e.transport.sim, env.Shard(), 0)
+}
+
+// recycleReplyBox returns a reply mailbox to the free list. The caller must
+// have consumed every reply the box can ever receive — one request sent, its
+// one reply received — because a reply still in flight (a retransmission's,
+// or one the network delayed past the timeout) would otherwise land in the
+// next call's box. Calls that sent more than one request, or gave up, leave
+// their box to the garbage collector instead.
+func (e *Endpoint) recycleReplyBox(box *sim.Mailbox) {
+	if box.HomeShard() == e.shard {
+		e.replyBoxes = append(e.replyBoxes, box)
+	}
+}
+
 // callConfined is Call's remote path under confinement: the Sprite RPC
 // client loop with the handler execution moved to the server's shard. The
 // injector's verdicts are still taken client-side, once per attempt, in the
@@ -245,9 +284,10 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
 		return nil, err
 	}
-	replyBox := sim.NewMailboxOn(t.sim, env.Shard(), 0)
+	replyBox := e.takeReplyBox(env)
 	e.xidSeq++
 	xid := e.xidSeq
+	sends := 0 // requests that can each draw one reply into replyBox
 	for attempt := 0; ; attempt++ {
 		// A host that went down between attempts fails fast, like a channel
 		// reset in Sprite RPC.
@@ -273,6 +313,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 					reply: replyBox, dropReply: v.DropReply,
 				}, t.net.Latency()+xfer+extra)
 				sent = true
+				sends++
 				if v.Duplicate {
 					// The duplicate occupies the wire; the server's
 					// transaction check discards it on arrival.
@@ -295,6 +336,9 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 				rv, rerr = replyBox.Recv(env)
 			}
 			if rerr == nil {
+				if sends == 1 {
+					e.recycleReplyBox(replyBox)
+				}
 				rep := rv.(*confReply)
 				t.record(env, to, service, argSize+rep.size, rep.err != nil)
 				if t.observer != nil {

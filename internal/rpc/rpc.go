@@ -418,6 +418,14 @@ type Endpoint struct {
 	shard  int
 	reqBox *sim.Mailbox
 	xidSeq uint64
+
+	// handlerNames caches the handler-activity name per service, so the
+	// dispatcher formats each once instead of once per request. replyBoxes is
+	// the free list of reply mailboxes homed on the endpoint's shard
+	// (confine.go says when a box may return to it). Like xidSeq, both are
+	// only touched from that shard.
+	handlerNames map[string]string
+	replyBoxes   []*sim.Mailbox
 }
 
 // Host returns the endpoint's host id.

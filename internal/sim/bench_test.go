@@ -34,16 +34,38 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// benchConfined runs a population of shard-confined daemons whose ticks
-// carry real CPU work (a small hash loop standing in for per-host load
-// accounting), under the serial or the parallel kernel. The digest of the
-// committed order is returned so the benchmark doubles as an equivalence
-// smoke check.
+// Shape of the confined-daemon program shared by BenchmarkParallelKernel and
+// the allocation tests.
+const (
+	confinedShards = 64
+	confinedTicks  = 200
+)
+
+// spawnConfinedTickers starts a population of shard-confined daemons whose
+// ticks carry real CPU work (a small hash loop standing in for per-host load
+// accounting); each exits after confinedTicks ticks.
+func spawnConfinedTickers(s *Simulation) {
+	for sh := 1; sh <= confinedShards; sh++ {
+		s.SpawnOn(sh, fmt.Sprintf("w%d", sh), func(env *Env) error {
+			h := uint64(env.Shard())
+			for k := 0; k < confinedTicks; k++ {
+				if err := env.Sleep(10 * time.Microsecond); err != nil {
+					return err
+				}
+				for j := 0; j < 4000; j++ { // per-tick bookkeeping work
+					h = (h ^ uint64(j)) * 1099511628211
+				}
+			}
+			_ = h
+			return nil
+		})
+	}
+}
+
+// benchConfined runs the confined-daemon program under the serial or the
+// parallel kernel. The digest of the committed order is checked across
+// iterations so the benchmark doubles as an equivalence smoke check.
 func benchConfined(b *testing.B, workers int) {
-	const (
-		shards = 64
-		ticks  = 200
-	)
 	b.ReportAllocs()
 	var first uint64
 	for i := 0; i < b.N; i++ {
@@ -52,21 +74,7 @@ func benchConfined(b *testing.B, workers int) {
 		if workers > 0 {
 			s.ConfigureParallel(workers)
 		}
-		for sh := 1; sh <= shards; sh++ {
-			s.SpawnOn(sh, fmt.Sprintf("w%d", sh), func(env *Env) error {
-				h := uint64(env.Shard())
-				for k := 0; k < ticks; k++ {
-					if err := env.Sleep(10 * time.Microsecond); err != nil {
-						return err
-					}
-					for j := 0; j < 4000; j++ { // per-tick bookkeeping work
-						h = (h ^ uint64(j)) * 1099511628211
-					}
-				}
-				_ = h
-				return nil
-			})
-		}
+		spawnConfinedTickers(s)
 		if err := s.Run(0); err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ import (
 // under the serial oracle too, not only when parallelism is enabled.
 type Mailbox struct {
 	sim   *Simulation
-	q     *Queue
+	q     Queue
 	delay time.Duration
 	shard int // delivery home: 0 = exclusive event, >0 = confined shard
 }
@@ -49,7 +49,7 @@ func NewMailboxOn(s *Simulation, shard int, delay time.Duration) *Mailbox {
 	if shard < 0 {
 		panic("sim: NewMailboxOn with negative shard")
 	}
-	return &Mailbox{sim: s, q: NewQueue(s), delay: delay, shard: shard}
+	return &Mailbox{sim: s, q: Queue{sim: s}, delay: delay, shard: shard}
 }
 
 // Delay returns the mailbox's default delivery delay.
@@ -74,13 +74,15 @@ func (m *Mailbox) SendAfter(env *Env, v any, delay time.Duration) {
 	if env.act.shard != 0 && delay < s.lookahead {
 		panic(fmt.Sprintf("sim: Mailbox delay %v below lookahead %v on a confined send; the delivery could land inside an already-running window", delay, s.lookahead))
 	}
+	// The delivery is an event carrying (m, v) as data, homed to m's shard:
+	// queued directly in exclusive context, logged for replay inside a window.
+	var ev *event
 	if w := env.act.ctxw; w != nil {
-		w.cur.children = append(w.cur.children, childEntry{
-			mail: &mailEntry{m: m, v: v, at: w.now + delay},
-		})
-		return
+		ev = w.scheduleRemote(w.now+delay, nil)
+	} else {
+		ev = s.schedule(s.now+delay, nil, nil)
 	}
-	s.scheduleOnShard(env.Now()+delay, m.shard, func() { m.deliver(v) })
+	ev.mbox, ev.mval = m, v
 }
 
 func (m *Mailbox) deliver(v any) { m.q.Send(v) }

@@ -21,7 +21,7 @@ package sim
 //
 // Workers never touch shared simulation state. Every effect of an in-window
 // dispatch (scheduled events, spawns, mailbox posts, trace emissions) is
-// buffered on a per-event record. At the barrier, replay() walks the
+// buffered on the dispatched event itself. At the barrier, replay() walks the
 // committed events in (at, seq) order and performs the global half of each
 // effect — sequence-number assignment, activity admission, queue accounting,
 // trace flushing — exactly where the serial kernel would have. Because the
@@ -44,27 +44,14 @@ import (
 // serial kernel's schedule-time ordering.
 const provSeqBase = uint64(1) << 40
 
-// dispatchRec buffers the effects of one in-window dispatch until replay.
-type dispatchRec struct {
-	children []childEntry // schedule effects, in the order they were made
-	traces   []traceEntry // Env.Emit output, flushed at the barrier
-	finished bool         // the activity completed during this dispatch
-}
-
-// childEntry is one buffered schedule effect: a locally created event
-// (timer, wake, or a spawn's first resume), a mailbox post, or a remote
-// event targeting another shard (a Rehome's wake on the activity's new home).
+// childEntry is one buffered schedule effect of an in-window dispatch: a
+// locally created event (timer, wake, or a spawn's first resume), or a remote
+// event homed elsewhere — a mailbox post, or a Rehome's wake on the
+// activity's new shard.
 type childEntry struct {
 	ev     *event
 	spawn  *activity // set when ev is a freshly spawned activity's first resume
-	mail   *mailEntry
-	remote bool // ev targets a foreign shard: global queue only, never local
-}
-
-type mailEntry struct {
-	m  *Mailbox
-	v  any
-	at time.Duration
+	remote bool      // global queue only, never this worker's local order
 }
 
 type traceEntry struct {
@@ -92,11 +79,19 @@ type worker struct {
 	p       *parKernel
 	idx     int
 	local   eventHeap // assigned window events + locally created ones
-	counter uint64    // provisional sequence counter
+	counter uint64    // events created this window: provisional sequence counter
 	horizon time.Duration
 	now     time.Duration // timestamp of the event being dispatched
-	cur     *dispatchRec  // record of the event being dispatched
+	cur     *event        // the event being dispatched, logging its effects
 	work    chan struct{}
+
+	// pool holds the recycled events this worker hands out inside a window.
+	// The coordinator tops it up from Simulation.free between windows, to
+	// want — the most events the worker ever created in one window — so a
+	// steady-state window allocates nothing; the worker never touches
+	// Simulation.free itself.
+	pool []*event
+	want int
 }
 
 // ConfigureParallel switches the simulation to the conservative parallel
@@ -137,13 +132,21 @@ func (p *parKernel) workerFor(shard int) *worker {
 	return p.workers[(shard-1)%len(p.workers)]
 }
 
+// start launches one goroutine per worker for the duration of a Run. The
+// worker structs themselves — and with them the event pools and their
+// high-water marks — live as long as the kernel, so a simulation advanced by
+// repeated Run calls does not warm its pools up again each time.
 func (p *parKernel) start() {
-	p.workers = make([]*worker, p.nworkers)
-	p.done = make(chan struct{}, p.nworkers)
-	for i := range p.workers {
-		w := &worker{p: p, idx: i, work: make(chan struct{})}
-		p.workers[i] = w
-		go w.run()
+	if p.workers == nil {
+		p.workers = make([]*worker, p.nworkers)
+		for i := range p.workers {
+			p.workers[i] = &worker{p: p, idx: i}
+		}
+		p.done = make(chan struct{}, p.nworkers)
+	}
+	for _, w := range p.workers {
+		w.work = make(chan struct{})
+		go w.run(w.work)
 	}
 }
 
@@ -151,8 +154,6 @@ func (p *parKernel) stopWorkers() {
 	for _, w := range p.workers {
 		close(w.work)
 	}
-	p.workers = nil
-	p.done = nil
 }
 
 // runParallel is Run's main loop under the parallel kernel.
@@ -162,7 +163,7 @@ func (s *Simulation) runParallel(limit time.Duration) {
 	defer p.stopWorkers()
 	for len(s.queue) > 0 && !s.stopped {
 		head := s.queue[0]
-		if head.act == nil && head.fn == nil {
+		if head.cancelled() {
 			heap.Pop(&s.queue)
 			s.release(head)
 			continue
@@ -174,21 +175,7 @@ func (s *Simulation) runParallel(limit time.Duration) {
 			return
 		}
 		if head.homeShard() == 0 {
-			// Exclusive event: the serial kernel's dispatch, verbatim.
-			ev := heap.Pop(&s.queue).(*event)
-			at, seq, act, fn := ev.at, ev.seq, ev.act, ev.fn
-			s.release(ev)
-			if at > s.now {
-				s.now = at
-			}
-			s.stats.EventsDispatched++
-			s.noteCommit(at, seq)
-			if fn != nil {
-				fn()
-			}
-			if act != nil {
-				s.dispatch(act)
-			}
+			s.commitExclusive(heap.Pop(&s.queue).(*event))
 			continue
 		}
 		p.runWindow(limit)
@@ -212,7 +199,7 @@ func (p *parKernel) runWindow(limit time.Duration) {
 		if h.at >= horizon {
 			break
 		}
-		if h.act != nil || h.fn != nil {
+		if !h.cancelled() {
 			if h.homeShard() == 0 {
 				// Exclusive blocker: nothing committed in this window may
 				// reorder past it, so it bounds how far locally created
@@ -228,7 +215,7 @@ func (p *parKernel) runWindow(limit time.Duration) {
 	}
 
 	for _, ev := range window {
-		if ev.act == nil && ev.fn == nil {
+		if ev.cancelled() {
 			ev.consumed = true // cancelled before the window formed
 			continue
 		}
@@ -239,6 +226,7 @@ func (p *parKernel) runWindow(limit time.Duration) {
 	for _, w := range p.workers {
 		if len(w.local) > 0 {
 			w.horizon = horizon
+			p.topUp(w)
 			active++
 		}
 	}
@@ -253,12 +241,33 @@ func (p *parKernel) runWindow(limit time.Duration) {
 	p.inWindow = false
 	for _, w := range p.workers {
 		// Whatever a worker did not consume was locally created past the
-		// horizon; replay re-homes those through the dispatch records.
+		// horizon; replay re-homes those through the effect logs. Scratch is
+		// cleared, not just truncated: events are recycled, and a stale
+		// pointer in a backing array would alias a live one.
+		clear(w.local)
 		w.local = w.local[:0]
+		w.want = max(w.want, int(w.counter))
 		w.counter = 0
 	}
 	s.replay(window)
+	clear(window)
 	p.window = window[:0]
+}
+
+// topUp refills w's event pool from the global freelist up to w.want. It runs
+// on the coordinator between windows, the only time both are quiescent; if
+// the freelist runs short the worker allocates the difference, and those
+// events join the freelist when replay releases them.
+func (p *parKernel) topUp(w *worker) {
+	s := p.s
+	n := min(w.want-len(w.pool), len(s.free))
+	if n <= 0 {
+		return
+	}
+	cut := len(s.free) - n
+	w.pool = append(w.pool, s.free[cut:]...)
+	clear(s.free[cut:])
+	s.free = s.free[:cut]
 }
 
 // pushInitial assigns a committed window event to the worker that owns its
@@ -270,8 +279,8 @@ func (w *worker) pushInitial(ev *event) {
 // run is the worker loop: dispatch this worker's share of the window in
 // (at, seq) order, following locally created events while they stay below
 // the horizon.
-func (w *worker) run() {
-	for range w.work {
+func (w *worker) run(work <-chan struct{}) {
+	for range work {
 		for len(w.local) > 0 {
 			top := w.local[0]
 			if top.seq >= provSeqBase && top.at >= w.horizon {
@@ -284,15 +293,14 @@ func (w *worker) run() {
 			}
 			ev := heap.Pop(&w.local).(*event)
 			ev.consumed = true
-			if ev.fn != nil {
-				// A shard-homed scheduler callback (mailbox delivery): it runs
-				// on this worker so its wakes land in this shard's local
-				// order, with a record of its own for the effects.
-				rec := &dispatchRec{}
-				ev.rec = rec
+			if ev.mbox != nil {
+				// A shard-homed mailbox delivery: it runs on this worker so
+				// its wakes land in this shard's local order, logging its
+				// effects like any dispatch.
+				ev.dispatched = true
 				w.now = ev.at
-				w.cur = rec
-				ev.fn()
+				w.cur = ev
+				ev.mbox.deliver(ev.mval)
 				w.cur = nil
 				continue
 			}
@@ -303,44 +311,49 @@ func (w *worker) run() {
 			if a.state == stateDone {
 				continue
 			}
-			rec := &dispatchRec{}
-			ev.rec = rec
+			ev.dispatched = true
 			w.now = ev.at
 			a.wake = nil
 			a.state = stateRunning
 			a.ctxw = w
-			w.cur = rec
+			w.cur = ev
 			a.resume <- struct{}{}
 			<-a.yield
 			a.ctxw = nil
 			w.cur = nil
-			if a.state == stateDone {
-				rec.finished = true
-			}
+			ev.finished = a.state == stateDone
 		}
 		w.p.done <- struct{}{}
 	}
+}
+
+// newEvent hands out an event for activity a inside a window, from the pool
+// when it can, with a provisional sequence number.
+func (w *worker) newEvent(at time.Duration, a *activity) *event {
+	ev := takeEvent(&w.pool)
+	w.counter++
+	ev.at, ev.seq, ev.act = at, provSeqBase+w.counter, a
+	return ev
 }
 
 // scheduleLocal buffers a schedule effect made inside a window: the event
 // joins this worker's local order immediately (it may still run in this
 // window if it stays below the horizon) and is recorded for replay.
 func (w *worker) scheduleLocal(at time.Duration, a *activity) *event {
-	w.counter++
-	ev := &event{at: at, seq: provSeqBase + w.counter, act: a}
+	ev := w.newEvent(at, a)
 	heap.Push(&w.local, ev)
 	w.cur.children = append(w.cur.children, childEntry{ev: ev})
 	return ev
 }
 
-// scheduleRemote buffers a wake event for an activity that now belongs to a
-// foreign shard (Env.Rehome). The event must not join this worker's local
-// order — the new shard's worker owns it — so it is only recorded; replay
-// homes it through the global queue, where the rehome delay's >= lookahead
-// contract keeps it at or beyond the window horizon.
+// scheduleRemote buffers an event that belongs to another shard: the wake of
+// an activity rehoming there (Env.Rehome), or — with a nil activity, and
+// Mailbox.SendAfter filling in the delivery — a mailbox post. The event must not join
+// this worker's local order, so it is only recorded; replay homes it through
+// the global queue, where the >= lookahead delay contract keeps it at or
+// beyond the window horizon.
 func (w *worker) scheduleRemote(at time.Duration, a *activity) *event {
-	w.counter++
-	ev := &event{at: at, seq: provSeqBase + w.counter, act: a}
+	ev := w.newEvent(at, a)
 	w.cur.children = append(w.cur.children, childEntry{ev: ev, remote: true})
 	return ev
 }
@@ -368,7 +381,7 @@ func (s *Simulation) replay(window []*event) {
 	for len(p.frontier) > 0 {
 		ev := heap.Pop(&p.frontier).(*event)
 		pending--
-		if ev.act == nil && ev.fn == nil {
+		if ev.cancelled() {
 			s.release(ev)
 			continue
 		}
@@ -377,40 +390,26 @@ func (s *Simulation) replay(window []*event) {
 		}
 		s.stats.EventsDispatched++
 		s.noteCommit(ev.at, ev.seq)
-		if rec := ev.rec; rec != nil {
+		if ev.dispatched {
 			if ev.act != nil {
-				// fn events (mailbox deliveries) are not activity dispatches:
-				// the serial kernel neither traces nor counts a context
-				// switch for them, so replay must not either.
+				// Mailbox deliveries are not activity dispatches: the serial
+				// kernel neither traces nor counts a context switch for them,
+				// so replay must not either.
 				if s.Trace != nil {
 					s.Trace("t=%v run %s", ev.at, ev.act.name)
 				}
 				s.stats.ContextSwitches++
 			}
-			for i := range rec.children {
-				ch := &rec.children[i]
-				if ch.mail != nil {
-					m, v := ch.mail.m, ch.mail.v
-					s.seq++
-					mev := s.newEvent(ch.mail.at, s.seq, nil, func() { m.deliver(v) })
-					mev.shard = m.shard
-					heap.Push(&s.queue, mev)
-					pending++
-					if pending > s.stats.MaxQueueDepth {
-						s.stats.MaxQueueDepth = pending
-					}
-					continue
-				}
+			for i := range ev.children {
+				ch := &ev.children[i]
 				if ch.spawn != nil {
 					s.admit(ch.spawn)
 				}
-				if ch.remote {
+				if a := ch.ev.act; ch.remote && a != nil && s.shards[a.shard] == nil {
 					// A rehomed activity's wake: make sure its new shard has
 					// deterministic spawn-ordinal state before anything runs
 					// there.
-					if sh := ch.ev.act; sh != nil && s.shards[sh.shard] == nil {
-						s.shards[sh.shard] = &shardMeta{}
-					}
+					s.shards[a.shard] = &shardMeta{}
 				}
 				s.seq++
 				ch.ev.seq = s.seq
@@ -425,15 +424,15 @@ func (s *Simulation) replay(window []*event) {
 				}
 			}
 			if s.traceSink != nil {
-				for _, te := range rec.traces {
+				for _, te := range ev.traces {
 					s.traceSink(te.at, te.kind, te.detail)
 				}
 			}
-			if rec.finished {
+			if ev.finished {
 				s.reap(ev.act)
 			}
 		}
 		s.release(ev)
 	}
-	p.frontier = p.frontier[:0]
+	// The frontier is empty again, and heap.Pop nilled every slot it vacated.
 }

@@ -149,6 +149,135 @@ func runConfinedProg(cfg progCfg, workers int) kernelFP {
 	return fp
 }
 
+// errPoke is what the cancel-heavy program's pokers interrupt with.
+var errPoke = errors.New("poke")
+
+// runCancelProg is the timer-cancel-heavy counterpart of runConfinedProg.
+// Nearly every timer it arms is cancelled before it fires: shard-homed
+// mailboxes received with RecvTimeout while deliveries race the deadline,
+// long sleeps cut short by same-shard Interrupts, futures raced by their own
+// WaitTimeout, and nomads that Rehome to another shard mid-window and post
+// to its mailbox on arrival. Under the parallel kernel those timers are
+// pooled events reached through activity.wake, and a rehoming wake is drawn
+// from one worker's pool and consumed on another's — so an event recycled
+// while still referenced, or by the wrong owner, shows as a fingerprint
+// mismatch here or as a report under -race.
+func runCancelProg(cfg progCfg, workers int) kernelFP {
+	s := New(cfg.seed)
+	s.SetLookahead(cfg.lookahead)
+	if workers > 0 {
+		s.ConfigureParallel(workers)
+	}
+	var traceB strings.Builder
+	s.SetTraceSink(func(at time.Duration, kind, detail string) {
+		fmt.Fprintf(&traceB, "%d %s %s\n", at, kind, detail)
+	})
+	us := func(r interface{ Intn(int) int }, n int) time.Duration {
+		return time.Duration(r.Intn(n)+1) * time.Microsecond
+	}
+	// outcome logs how a blocking call ended and says whether to go on.
+	outcome := func(env *Env, what string, err error) bool {
+		switch {
+		case err == nil:
+			env.Emit(what, env.Name())
+		case errors.Is(err, ErrTimeout):
+			env.Emit(what+".timeout", env.Name())
+		case errors.Is(err, errPoke):
+			env.Emit(what+".poked", env.Name())
+		default:
+			return false // ErrStopped: unwinding
+		}
+		return true
+	}
+
+	boxes := make([]*Mailbox, cfg.shards+1)
+	for sh := 1; sh <= cfg.shards; sh++ {
+		boxes[sh] = NewMailboxOn(s, sh, cfg.lookahead+50*time.Microsecond)
+	}
+	for sh := 1; sh <= cfg.shards; sh++ {
+		box := boxes[sh]
+		receiver := s.SpawnOn(sh, fmt.Sprintf("recv-%d", sh), func(env *Env) error {
+			r := env.LocalRand()
+			for {
+				v, err := box.RecvTimeout(env, us(r, 400))
+				if err == nil {
+					env.Emit("mail", fmt.Sprint(v))
+				}
+				if !outcome(env, "recv", err) {
+					return nil
+				}
+			}
+		})
+		sleeper := s.SpawnOn(sh, fmt.Sprintf("sleeper-%d", sh), func(env *Env) error {
+			r := env.LocalRand()
+			for outcome(env, "sleep", env.Sleep(us(r, 3000))) {
+			}
+			return nil
+		})
+		for d := 0; d < cfg.daemons; d++ {
+			s.SpawnOn(sh, fmt.Sprintf("poker-%d-%d", sh, d), func(env *Env) error {
+				r := env.LocalRand()
+				for step := 0; ; step++ {
+					if err := env.Sleep(us(r, 500)); err != nil {
+						return nil
+					}
+					switch r.Intn(4) {
+					case 0:
+						receiver.Interrupt(errPoke)
+					case 1:
+						sleeper.Interrupt(errPoke)
+					case 2:
+						to := 1 + r.Intn(cfg.shards)
+						boxes[to].SendAfter(env, fmt.Sprintf("%s#%d", env.Name(), step), cfg.lookahead+us(r, 300))
+					case 3:
+						f := NewFuture(s)
+						env.Spawn(fmt.Sprintf("%s-child-%d", env.Name(), step), func(c *Env) error {
+							if err := c.Sleep(us(c.LocalRand(), 300)); err != nil {
+								return err
+							}
+							f.Complete(step, nil)
+							return nil
+						})
+						_, err := f.WaitTimeout(env, us(r, 300))
+						if !outcome(env, "future", err) {
+							return nil
+						}
+					}
+				}
+			})
+		}
+	}
+	for n := 0; n < 2; n++ {
+		s.SpawnOn(1+n%cfg.shards, fmt.Sprintf("nomad-%d", n), func(env *Env) error {
+			r := env.LocalRand()
+			for hop := 0; ; hop++ {
+				if err := env.Sleep(us(r, 300)); err != nil {
+					return nil
+				}
+				next := 1 + r.Intn(cfg.shards)
+				if err := env.Rehome(next, cfg.lookahead+us(r, 200)); err != nil {
+					return nil
+				}
+				env.Emit("hop", fmt.Sprintf("%s hop=%d shard=%d", env.Name(), hop, env.Shard()))
+				boxes[next].Send(env, fmt.Sprintf("%s@%d", env.Name(), hop))
+			}
+		})
+	}
+
+	err := s.Run(cfg.limit)
+	fp := kernelFP{digest: s.OrderDigest(), stats: s.Stats(), now: s.Now()}
+	if err != nil {
+		fp.runErr = err.Error()
+	}
+	s.Stop()
+	_ = s.Run(0)
+	fp.trace = traceB.String()
+	if s.LiveActivities() != 0 {
+		fp.errs = fmt.Sprintf("leaked %d activities", s.LiveActivities())
+	}
+	return fp
+}
+
 func TestParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	cfg := progCfg{
 		seed:      42,
@@ -188,13 +317,36 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 			lookahead: time.Duration(i%5) * 200 * time.Microsecond,
 			limit:     time.Duration(20+i%40) * time.Millisecond,
 		}
-		want := runConfinedProg(cfg, 0)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := runConfinedProg(cfg, workers)
-			if got != want {
-				t.Fatalf("seed=%d shards=%d daemons=%d lookahead=%v workers=%d diverged:\n got: %v\nwant: %v",
-					cfg.seed, cfg.shards, cfg.daemons, cfg.lookahead, workers, got, want)
+		for _, p := range []struct {
+			name string
+			run  func(progCfg, int) kernelFP
+		}{{"confined", runConfinedProg}, {"cancel-heavy", runCancelProg}} {
+			name, prog := p.name, p.run
+			want := prog(cfg, 0)
+			if want.runErr != "" || want.errs != "" {
+				t.Fatalf("%s seed=%d: serial oracle failed: %v", name, cfg.seed, want)
 			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				got := prog(cfg, workers)
+				if got != want {
+					t.Fatalf("%s seed=%d shards=%d daemons=%d lookahead=%v workers=%d diverged:\n got: %v\nwant: %v",
+						name, cfg.seed, cfg.shards, cfg.daemons, cfg.lookahead, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCancelProgCancels guards the cancel-heavy program against going
+// quiet: every race it is built around must actually go both ways.
+func TestCancelProgCancels(t *testing.T) {
+	fp := runCancelProg(progCfg{seed: 42, shards: 5, daemons: 2, lookahead: 400 * time.Microsecond, limit: 40 * time.Millisecond}, 2)
+	for _, kind := range []string{
+		" mail ", " recv.timeout ", " recv.poked ", " sleep.poked ",
+		" future ", " future.timeout ", " hop ",
+	} {
+		if !strings.Contains(fp.trace, kind) {
+			t.Errorf("cancel-heavy program never produced a%sevent", kind)
 		}
 	}
 }

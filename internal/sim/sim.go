@@ -44,33 +44,63 @@ var (
 	ErrDeadlock = errors.New("sim: deadlock: blocked activities with empty event queue")
 )
 
-// event is a scheduled wakeup of an activity or a scheduled callback.
+// event is a scheduled wakeup of an activity, a scheduled callback, or a
+// scheduled mailbox delivery.
 type event struct {
 	at  time.Duration
 	seq uint64
-	act *activity // activity to resume (nil for fn-only events)
-	fn  func()    // optional callback run in scheduler context
+	act *activity // activity to resume (nil for callback and delivery events)
+	fn  func()    // optional callback run in scheduler context (exclusive)
 
-	// shard homes an fn-only event (shard-homed mailbox deliveries): the
-	// parallel kernel dispatches it on the owning shard's worker inside a
-	// window instead of treating it as an exclusive blocker. Activity events
-	// are homed by their activity's shard; the field is ignored for them.
-	shard int
+	// mbox/mval carry a mailbox delivery as data instead of a closure: the
+	// event delivers mval to mbox on mbox's home shard. The parallel kernel
+	// dispatches a shard-homed delivery on the owning shard's worker inside
+	// a window instead of treating it as an exclusive blocker.
+	mbox *Mailbox
+	mval any
 
-	// Parallel-kernel bookkeeping (unused by the serial kernel): rec is the
-	// effect log of this event's in-window dispatch, consumed marks events a
-	// worker popped (dispatched or skipped as cancelled) inside a window.
-	rec      *dispatchRec
-	consumed bool
+	// Parallel-kernel bookkeeping (unused by the serial kernel). consumed
+	// marks events a worker popped (dispatched or skipped as cancelled)
+	// inside a window. dispatched marks the ones it actually ran, whose
+	// effects are logged below until replay commits them: children in the
+	// order they were made, traces as Env.Emit produced them, finished if the
+	// activity completed during the dispatch. The two backing arrays survive
+	// reset, so a recycled event logs without allocating.
+	consumed   bool
+	dispatched bool
+	finished   bool
+	children   []childEntry
+	traces     []traceEntry
+}
+
+// reset returns ev to the zero event, keeping (cleared) the effect-log
+// backing arrays. It is the only place an event is wiped: release calls it
+// on the way into the freelist, and takeEvent — behind both newEvent and the
+// worker pools — hands out freelist events only, so a new field cannot be
+// forgotten in one of them.
+func (ev *event) reset() {
+	clear(ev.children)
+	clear(ev.traces)
+	*ev = event{children: ev.children[:0], traces: ev.traces[:0]}
+}
+
+// cancelled reports whether the event no longer does anything: a timer whose
+// activity was woken early (wakeNow clears act), still queued.
+func (ev *event) cancelled() bool {
+	return ev.act == nil && ev.fn == nil && ev.mbox == nil
 }
 
 // homeShard is the shard an event is ordered and dispatched on: the
-// activity's shard for activity events, the explicit homing for fn events.
+// activity's shard for activity events, the mailbox's home for deliveries,
+// the exclusive shard for callbacks.
 func (ev *event) homeShard() int {
 	if ev.act != nil {
 		return ev.act.shard
 	}
-	return ev.shard
+	if ev.mbox != nil {
+		return ev.mbox.shard
+	}
+	return 0
 }
 
 type eventHeap []*event
@@ -390,26 +420,25 @@ func (s *Simulation) schedule(at time.Duration, a *activity, fn func()) *event {
 	return ev
 }
 
-// scheduleOnShard schedules an fn event homed to a confined shard. Under the
-// parallel kernel the event is dispatched inside a window by the shard's
-// worker; the serial kernel runs it at its (at, seq) position like any other.
-func (s *Simulation) scheduleOnShard(at time.Duration, shard int, fn func()) *event {
-	ev := s.schedule(at, nil, fn)
-	ev.shard = shard
+// takeEvent pops a recycled event off list, or allocates one when the list is
+// empty. Recycled events are always zero apart from their (empty) effect-log
+// arrays: release resets them on the way in.
+func takeEvent(list *[]*event) *event {
+	l := *list
+	n := len(l)
+	if n == 0 {
+		return new(event)
+	}
+	ev := l[n-1]
+	l[n-1] = nil
+	*list = l[:n-1]
 	return ev
 }
 
 // newEvent allocates an event, reusing the freelist when possible.
 func (s *Simulation) newEvent(at time.Duration, seq uint64, a *activity, fn func()) *event {
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		*ev = event{at: at, seq: seq, act: a, fn: fn}
-	} else {
-		ev = &event{at: at, seq: seq, act: a, fn: fn}
-	}
+	ev := takeEvent(&s.free)
+	ev.at, ev.seq, ev.act, ev.fn = at, seq, a, fn
 	return ev
 }
 
@@ -419,7 +448,7 @@ func (s *Simulation) newEvent(at time.Duration, seq uint64, a *activity, fn func
 // is cleared before the event is released (cancelled timers are cleared by
 // wakeNow, fired timers by dispatch).
 func (s *Simulation) release(ev *event) {
-	*ev = event{}
+	ev.reset()
 	s.free = append(s.free, ev)
 }
 
@@ -465,26 +494,37 @@ func (s *Simulation) Run(limit time.Duration) error {
 func (s *Simulation) runSerial(limit time.Duration) {
 	for len(s.queue) > 0 && !s.stopped {
 		ev := heap.Pop(&s.queue).(*event)
-		at, seq, act, fn := ev.at, ev.seq, ev.act, ev.fn
-		s.release(ev)
-		if act == nil && fn == nil {
-			continue // cancelled timer
+		if ev.cancelled() {
+			s.release(ev)
+			continue
 		}
-		if limit > 0 && at > limit {
+		if limit > 0 && ev.at > limit {
+			s.release(ev)
 			s.now = limit
 			break
 		}
-		if at > s.now {
-			s.now = at
-		}
-		s.stats.EventsDispatched++
-		s.noteCommit(at, seq)
-		if fn != nil {
-			fn()
-		}
-		if act != nil {
-			s.dispatch(act)
-		}
+		s.commitExclusive(ev)
+	}
+}
+
+// commitExclusive commits one popped event in exclusive context: the serial
+// kernel's whole step, and the parallel kernel's for shard-0 events.
+func (s *Simulation) commitExclusive(ev *event) {
+	at, seq, act, fn, mbox, mval := ev.at, ev.seq, ev.act, ev.fn, ev.mbox, ev.mval
+	s.release(ev)
+	if at > s.now {
+		s.now = at
+	}
+	s.stats.EventsDispatched++
+	s.noteCommit(at, seq)
+	if fn != nil {
+		fn()
+	}
+	if mbox != nil {
+		mbox.deliver(mval)
+	}
+	if act != nil {
+		s.dispatch(act)
 	}
 }
 
@@ -692,13 +732,17 @@ func (e *Env) SpawnOn(shard int, name string, fn func(env *Env) error) *Env {
 // flushed at the barrier in committed order, so sinks always observe the
 // serial sequence.
 func (e *Env) Emit(kind, detail string) {
+	// The sink is installed before Run, so reading it from a worker is
+	// race-free; without one there is nothing to buffer either.
+	sink := e.sim.traceSink
+	if sink == nil {
+		return
+	}
 	if w := e.act.ctxw; w != nil {
 		w.cur.traces = append(w.cur.traces, traceEntry{at: w.now, kind: kind, detail: detail})
 		return
 	}
-	if e.sim.traceSink != nil {
-		e.sim.traceSink(e.sim.now, kind, detail)
-	}
+	sink(e.sim.now, kind, detail)
 }
 
 // block parks the activity until the scheduler resumes it, returning any
@@ -747,9 +791,8 @@ func (e *Env) wakeNow(err error) {
 	if a.state != stateBlocked || a.woken {
 		return
 	}
-	if a.wake != nil { // cancel pending timer
+	if a.wake != nil { // cancel pending timer (always a bare activity event)
 		a.wake.act = nil
-		a.wake.fn = nil
 		a.wake = nil
 	}
 	a.woken = true

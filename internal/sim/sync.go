@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 )
 
@@ -80,12 +81,63 @@ func (f *Future) dropWaiter(env *Env) {
 	}
 }
 
+// fifo is a slice-backed first-in-first-out list that keeps its backing
+// array. Popping with s = s[1:] walks the slice off the front of its array,
+// so that every later append reallocates; fifo instead advances a head
+// index, rewinds to the front whenever it drains, and slides the live items
+// down when the array is full but at least half consumed. A steady push/pop
+// cycle therefore allocates nothing.
+type fifo[T comparable] struct {
+	buf  []T // live items are buf[head:]
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// live returns the queued items, oldest first; valid until the next push.
+func (f *fifo[T]) live() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	f.rewind()
+	return v
+}
+
+// remove deletes the oldest item equal to v, if any, keeping the order.
+func (f *fifo[T]) remove(v T) {
+	for i := f.head; i < len(f.buf); i++ {
+		if f.buf[i] == v {
+			f.buf = slices.Delete(f.buf, i, i+1)
+			f.rewind()
+			return
+		}
+	}
+}
+
+func (f *fifo[T]) rewind() {
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+}
+
 // Queue is an unbounded FIFO queue with blocking receive. Senders never
 // block. It is the mailbox primitive used by server activities.
 type Queue struct {
 	sim     *Simulation
-	items   []any
-	waiters []*Env
+	items   fifo[any]
+	waiters fifo[*Env]
 	closed  bool
 }
 
@@ -95,7 +147,7 @@ func NewQueue(s *Simulation) *Queue {
 }
 
 // Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
 
 // Send enqueues v, waking the oldest waiter if any. Send on a closed queue is
 // a silent no-op (the receiver has gone away). A waiter already woken with an
@@ -104,10 +156,9 @@ func (q *Queue) Send(v any) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, v)
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	q.items.push(v)
+	for q.waiters.len() > 0 {
+		w := q.waiters.pop()
 		if w.act.woken {
 			continue
 		}
@@ -122,28 +173,26 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waiters {
+	for _, w := range q.waiters.live() {
 		w.wakeNow(ErrStopped)
 	}
-	q.waiters = nil
+	q.waiters = fifo[*Env]{}
 }
 
 // Recv blocks until an item is available and returns it. It returns
 // ErrStopped if the queue is closed or the simulation stops.
 func (q *Queue) Recv(env *Env) (any, error) {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed {
 			return nil, ErrStopped
 		}
-		q.waiters = append(q.waiters, env)
+		q.waiters.push(env)
 		if werr := env.block(); werr != nil {
-			q.dropWaiter(env)
+			q.waiters.remove(env)
 			return nil, werr
 		}
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, nil
+	return q.items.pop(), nil
 }
 
 // RecvTimeout is Recv with a deadline: it returns ErrTimeout if no item
@@ -151,33 +200,22 @@ func (q *Queue) Recv(env *Env) (any, error) {
 // reply-mailbox shape); with several receivers a timed-out waiter could
 // consume an item a concurrent Send had already woken another waiter for.
 func (q *Queue) RecvTimeout(env *Env, d time.Duration) (any, error) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		if q.closed {
 			return nil, ErrStopped
 		}
-		q.waiters = append(q.waiters, env)
+		q.waiters.push(env)
 		env.act.wake = env.scheduleWake(d)
 		if werr := env.block(); werr != nil {
-			q.dropWaiter(env)
+			q.waiters.remove(env)
 			return nil, werr
 		}
-		if len(q.items) == 0 {
-			q.dropWaiter(env)
+		if q.items.len() == 0 {
+			q.waiters.remove(env)
 			return nil, ErrTimeout
 		}
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, nil
-}
-
-func (q *Queue) dropWaiter(env *Env) {
-	for i, w := range q.waiters {
-		if w == env {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
-	}
+	return q.items.pop(), nil
 }
 
 // Resource is a FIFO semaphore with a fixed number of slots. It models
@@ -187,7 +225,7 @@ type Resource struct {
 	sim     *Simulation
 	slots   int
 	inUse   int
-	waiters []*Env
+	waiters fifo[*Env]
 
 	// stats
 	busy      time.Duration
@@ -210,7 +248,7 @@ func NewResource(s *Simulation, slots int) *Resource {
 // CPU.Compute its round-robin behaviour).
 func (r *Resource) Acquire(env *Env) error {
 	start := env.Now()
-	if r.inUse < r.slots && len(r.waiters) == 0 {
+	if r.inUse < r.slots && r.waiters.len() == 0 {
 		if r.inUse == 0 {
 			r.lastStart = start
 		}
@@ -218,9 +256,9 @@ func (r *Resource) Acquire(env *Env) error {
 		r.acquired++
 		return nil
 	}
-	r.waiters = append(r.waiters, env)
+	r.waiters.push(env)
 	if werr := env.block(); werr != nil {
-		r.dropWaiter(env)
+		r.waiters.remove(env)
 		return werr
 	}
 	// A nil wake means Release transferred its slot to us: inUse was left
@@ -247,9 +285,8 @@ func (r *Resource) releaseAt(now time.Duration) {
 	if r.inUse == 0 {
 		return
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	for r.waiters.len() > 0 {
+		w := r.waiters.pop()
 		if w.act.woken {
 			continue
 		}
@@ -279,22 +316,13 @@ func (r *Resource) Use(env *Env, d time.Duration) error {
 func (r *Resource) BusyTime() time.Duration { return r.busy }
 
 // QueueLen returns the number of activities currently blocked in Acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // WaitTime returns the cumulative virtual time acquirers spent queued.
 func (r *Resource) WaitTime() time.Duration { return r.waited }
 
 // Acquired returns the number of successful acquisitions.
 func (r *Resource) Acquired() uint64 { return r.acquired }
-
-func (r *Resource) dropWaiter(env *Env) {
-	for i, w := range r.waiters {
-		if w == env {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-			return
-		}
-	}
-}
 
 // WaitGroup counts outstanding activities and lets one or more activities
 // wait for the count to reach zero.
