@@ -12,21 +12,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# spritelint (DESIGN.md §11, §16): the project's own go/analysis-style
-# suite — six intraprocedural analyzers (walltime, globalrand, maporder,
-# failpointreg, metricname, shardedstate) plus the interprocedural tier
-# (simtaint, confine, sharded) built on whole-tree function summaries —
-# run over the whole tree. Built once into bin/ so repeated runs reuse
-# the build cache; the whole-tree pattern also enables the
-# dead-failpoint audit and the stale-allow audit (-deadallow).
+# spritelint (DESIGN.md §11): the project's own go/analysis-style suite —
+# five analyzers (simtaint, confine, sharded, failpointreg, metricname)
+# over one whole-tree call graph and its function summaries. Built into
+# bin/ first; the whole-tree pattern also enables the dead-failpoint
+# audit, and -deadallow the stale-allow audit.
 lint:
 	$(GO) build -o bin/spritelint ./cmd/spritelint
 	./bin/spritelint -deadallow ./...
 
-# Dump the SCC-condensed whole-tree call graph the interprocedural
-# analyzers run over (DESIGN.md §16) — one line per function with its
-# resolved callees — for offline inspection of why a summary converged
-# the way it did.
+# Dump the whole-tree call graph the analyzers run over (DESIGN.md §11) —
+# one line per resolved edge, then the spawn roots — for offline
+# inspection of why a summary converged the way it did.
 lint-graph:
 	$(GO) build -o bin/spritelint ./cmd/spritelint
 	./bin/spritelint -graph ./...

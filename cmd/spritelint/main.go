@@ -1,15 +1,12 @@
-// Command spritelint is the project's multichecker: it runs the
-// internal/analysis suite — the per-function analyzers walltime,
-// globalrand, maporder, failpointreg, metricname, shardedstate, and the
-// interprocedural tree analyzers simtaint, confine, sharded — over the
-// requested packages and fails (exit 1) on any violation. The analyzers
-// statically enforce the contracts everything else in this repo only
-// promises: byte-identical goldens, seed-replayable fuzzing, the exact
-// virtual-time regression gate, a failpoint/metric namespace shared by
-// code, tests, and DESIGN.md §11, and the parallel kernel's
-// confined-activity discipline (DESIGN.md §13) — the tree analyzers
-// proving the determinism and confinement contracts across call chains
-// (DESIGN.md §16).
+// Command spritelint is the project's multichecker: it loads the requested
+// packages as one tree, computes the whole-tree call graph and function
+// summaries once (internal/analysis/dataflow), runs the five analyzers
+// over them — simtaint, confine, sharded, failpointreg, metricname — and
+// fails (exit 1) on any violation. The analyzers statically enforce the
+// contracts everything else in this repo only promises: byte-identical
+// goldens, seed-replayable fuzzing, the exact virtual-time regression gate,
+// the parallel kernel's confined-activity discipline (DESIGN.md §13), and
+// a failpoint/metric namespace shared by code, tests, and DESIGN.md §11.
 //
 // Usage:
 //
@@ -24,12 +21,8 @@
 //	-graph             dump the whole-tree call graph (roots included) and exit
 //	-deadallow         report //spritelint:allow comments that suppressed
 //	                   nothing this run (run whole-tree so every analyzer votes)
-//	-cache             reuse per-package dataflow summaries across runs (default true)
-//	-cachedir DIR      summary cache location (default: user cache dir)
 //	-audit-failpoints  print every constant failpoint name found at a
 //	                   fault-plane call site (the registry audit) and exit
-//	-deadcheck         enable the dead-registry-entry check (default true;
-//	                   effective only with a ./... pattern)
 //	-debug             print per-package load/type-check diagnostics
 //
 // Violations are suppressed line by line with
@@ -44,36 +37,26 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"sprite/internal/analysis/confine"
 	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/failpointreg"
-	"sprite/internal/analysis/globalrand"
 	"sprite/internal/analysis/lint"
 	"sprite/internal/analysis/load"
-	"sprite/internal/analysis/maporder"
 	"sprite/internal/analysis/metricname"
 	"sprite/internal/analysis/sharded"
-	"sprite/internal/analysis/shardedstate"
 	"sprite/internal/analysis/simtaint"
-	"sprite/internal/analysis/walltime"
 )
 
-var analyzers = []*lint.Analyzer{
-	walltime.Analyzer,
-	globalrand.Analyzer,
-	maporder.Analyzer,
-	failpointreg.Analyzer,
-	metricname.Analyzer,
-	shardedstate.Analyzer,
-}
-
-var treeAnalyzers = []*dataflow.TreeAnalyzer{
+var analyzers = []*dataflow.TreeAnalyzer{
 	simtaint.Analyzer,
 	confine.Analyzer,
 	sharded.Analyzer,
+	failpointreg.Analyzer,
+	metricname.Analyzer,
 }
 
 // jsonReport is the -json output schema, kept stable for CI artifacts.
@@ -82,33 +65,37 @@ type jsonReport struct {
 	Analyzers   int               `json:"analyzers"`
 	Diagnostics []lint.Diagnostic `json:"diagnostics"`
 	StaleAllows []lint.StaleAllow `json:"stale_allows,omitempty"`
-	CacheHits   int               `json:"cache_hits"`
-	CacheMisses int               `json:"cache_misses"`
 }
 
 func main() {
-	list := flag.Bool("list", false, "print the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics and run metadata as JSON")
-	graph := flag.Bool("graph", false, "dump the whole-tree call graph and exit")
-	deadallow := flag.Bool("deadallow", false, "report allow comments that suppressed nothing this run")
-	useCache := flag.Bool("cache", true, "reuse per-package dataflow summaries across runs")
-	cacheDir := flag.String("cachedir", dataflow.DefaultCacheDir(), "summary cache location")
-	audit := flag.Bool("audit-failpoints", false, "print every constant failpoint name at a fault-plane call site and exit")
-	deadcheck := flag.Bool("deadcheck", true, "flag registered failpoints no analyzed code references (whole-tree runs only)")
-	debug := flag.Bool("debug", false, "print per-package load/type-check diagnostics")
-	flag.Parse()
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the packages args name, resolved in dir, and returns the exit
+// code: 0 clean, 1 findings, 2 could not run.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spritelint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "print the analyzers and exit")
+	jsonOut := fs.Bool("json", false, "emit diagnostics and run metadata as JSON")
+	graph := fs.Bool("graph", false, "dump the whole-tree call graph and exit")
+	deadallow := fs.Bool("deadallow", false, "report allow comments that suppressed nothing this run")
+	audit := fs.Bool("audit-failpoints", false, "print every constant failpoint name at a fault-plane call site and exit")
+	debug := fs.Bool("debug", false, "print per-package load/type-check diagnostics")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range treeAnalyzers {
-			fmt.Printf("%-14s %s (interprocedural)\n", a.Name, a.Doc)
-		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -119,134 +106,98 @@ func main() {
 		}
 	}
 
-	pkgs, err := load.Packages(".", patterns...)
+	pkgs, err := load.Packages(dir, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spritelint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spritelint: %v\n", err)
+		return 2
 	}
 	if len(pkgs) == 0 {
-		fmt.Fprintln(os.Stderr, "spritelint: no packages matched")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "spritelint: no packages matched")
+		return 2
 	}
 
-	// One suppressor across every package: tree-analyzer diagnostics land
-	// in whichever file the violating function lives, and the -deadallow
-	// audit needs the global view of which allows fired.
+	// One suppressor across every package: a diagnostic lands in whichever
+	// file the violating function lives, and the -deadallow audit needs the
+	// global view of which allows fired.
 	supp := lint.NewSuppressor(pkgs[0].Fset, nil)
 	for _, pkg := range pkgs {
+		if *debug {
+			fmt.Fprintf(stderr, "spritelint: %s: %d files, %d type errors\n",
+				pkg.ImportPath, len(pkg.Files), len(pkg.TypeErrors))
+			for _, e := range pkg.TypeErrors {
+				fmt.Fprintf(stderr, "spritelint:   type error: %v\n", e)
+			}
+		}
 		supp.Add(pkg.Fset, pkg.Files)
 	}
 
-	var all []lint.Diagnostic
-	var sites []failpointreg.SiteRef
-	for _, pkg := range pkgs {
-		if *debug {
-			fmt.Fprintf(os.Stderr, "spritelint: %s: %d files, %d type errors\n",
-				pkg.ImportPath, len(pkg.Files), len(pkg.TypeErrors))
-			for _, e := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "spritelint:   type error: %v\n", e)
-			}
-		}
-		for _, a := range analyzers {
-			diags, res, err := lint.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spritelint: %s on %s: %v\n", a.Name, pkg.ImportPath, err)
-				os.Exit(2)
-			}
-			all = append(all, supp.Filter(diags)...)
-			if refs, ok := res.([]failpointreg.SiteRef); ok {
-				sites = append(sites, refs...)
-			}
-		}
-	}
-
-	// Interprocedural pass: one shared Tree, three analyzers over it.
-	var cache *dataflow.Cache
-	if *useCache {
-		cache = &dataflow.Cache{Dir: *cacheDir}
-	}
-	tree := dataflow.Analyze(pkgs, dataflow.Options{Cache: cache})
+	tree := dataflow.Analyze(pkgs)
 	if *graph {
-		fmt.Print(tree.Graph.Dump())
-		return
+		fmt.Fprint(stdout, tree.Graph.Dump())
+		return 0
 	}
-	for _, a := range treeAnalyzers {
-		diags, err := a.Run(tree)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spritelint: %s: %v\n", a.Name, err)
-			os.Exit(2)
-		}
-		all = append(all, supp.Filter(diags)...)
-	}
-
 	if *audit {
-		sort.Slice(sites, func(i, j int) bool {
-			if sites[i].Name != sites[j].Name {
-				return sites[i].Name < sites[j].Name
-			}
-			return sites[i].Pos.String() < sites[j].Pos.String()
-		})
+		sites := failpointreg.Sites(tree)
+		sort.SliceStable(sites, func(i, j int) bool { return sites[i].Name < sites[j].Name })
 		for _, s := range sites {
 			status := "registered"
 			if !s.Registered {
 				status = "UNREGISTERED"
 			}
-			fmt.Printf("%-20s %-13s %s\n", s.Name, status, s.Pos)
+			fmt.Fprintf(stdout, "%-20s %-13s %s\n", s.Name, status, s.Pos)
 		}
-		return
+		return 0
 	}
 
-	exit := 0
-	if len(all) > 0 {
-		exit = 1
-	}
-	if *deadcheck && wholeTree {
-		for _, name := range failpointreg.DeadEntries(sites) {
-			all = append(all, lint.Diagnostic{
-				Analyzer: "failpointreg",
-				Message:  fmt.Sprintf("internal/fault/failpoints.go: registered failpoint %q has no remaining call site; delete the entry or restore the site", name),
-			})
-			exit = 1
+	var all []lint.Diagnostic
+	for _, a := range analyzers {
+		diags, err := a.Run(tree)
+		if err != nil {
+			fmt.Fprintf(stderr, "spritelint: %s: %v\n", a.Name, err)
+			return 2
 		}
+		all = append(all, diags...)
+	}
+	all = supp.Filter(all)
+	if wholeTree {
+		all = append(all, failpointreg.DeadEntries(tree)...)
 	}
 	var stale []lint.StaleAllow
 	if *deadallow {
 		stale = supp.Stale()
-		if len(stale) > 0 {
-			exit = 1
-		}
+	}
+	exit := 0
+	if len(all) > 0 || len(stale) > 0 {
+		exit = 1
 	}
 
 	if *jsonOut {
 		rep := jsonReport{
 			Packages:    len(pkgs),
-			Analyzers:   len(analyzers) + len(treeAnalyzers),
+			Analyzers:   len(analyzers),
 			Diagnostics: all,
 			StaleAllows: stale,
-			CacheHits:   tree.CacheHits,
-			CacheMisses: tree.CacheMisses,
 		}
 		if rep.Diagnostics == nil {
 			rep.Diagnostics = []lint.Diagnostic{}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "spritelint: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "spritelint: %v\n", err)
+			return 2
 		}
-		os.Exit(exit)
+		return exit
 	}
 
 	for _, d := range all {
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	for _, s := range stale {
-		fmt.Printf("%s: stale //spritelint:allow %s — it suppressed nothing this run; delete it (deadallow)\n", s.Pos, s.Name)
+		fmt.Fprintf(stdout, "%s: stale //spritelint:allow %s — it suppressed nothing this run; delete it (deadallow)\n", s.Pos, s.Name)
 	}
 	if exit == 0 {
-		fmt.Printf("spritelint: %d packages clean under %d analyzers (summary cache: %d hits, %d misses)\n",
-			len(pkgs), len(analyzers)+len(treeAnalyzers), tree.CacheHits, tree.CacheMisses)
+		fmt.Fprintf(stdout, "spritelint: %d packages clean under %d analyzers\n", len(pkgs), len(analyzers))
 	}
-	os.Exit(exit)
+	return exit
 }

@@ -1,30 +1,27 @@
 // Package callgraph builds a whole-tree static call graph over the offline
 // loader's packages (internal/analysis/load), the substrate for the
-// interprocedural analyzers (DESIGN.md §16). The per-package analyzers see
-// one function at a time; the contracts they enforce — determinism of
+// analyzers (DESIGN.md §11). The contracts they enforce — determinism of
 // everything feeding traces and digests, the confined-shard discipline —
-// are properties of call *chains*, so the graph stitches the tree back
+// are properties of call *chains*, so the graph stitches the tree
 // together:
 //
 //   - every function declaration and every function literal is a node,
-//     identified by a stable FuncID ("sprite/internal/core.(*Kernel).Fork",
-//     "sprite/internal/rpc.Call$1") that survives re-runs and is therefore
-//     usable as a summary-cache key;
+//     identified by a stable, readable FuncID
+//     ("sprite/internal/core.(Kernel).Fork", "sprite/internal/rpc.Call$1");
 //   - static calls resolve through the type checker, across packages
 //     (imported *types.Func objects are distinct from their source-side
 //     twins, so identity is by FuncID, not object);
-//   - the spawn idioms the shardedstate analyzer understands — inline
-//     literals, local variables bound to literals, method values, and
-//     same-or-cross-package closure factories — are resolved at every
-//     confinement point (sim.Simulation.SpawnOn, sim.Env.SpawnOn,
-//     core.Cluster.BootOn) and recorded as confined roots;
+//   - the spawn idioms — inline literals, local variables bound to
+//     literals, method values, and same-or-cross-package closure factories
+//     — are resolved at every confinement point (sim.Simulation.SpawnOn,
+//     sim.Env.SpawnOn, core.Cluster.BootOn) and recorded as confined roots;
 //   - a literal's node hangs off its enclosing declaration with an
 //     Encloses edge: when the enclosing function runs in some context, the
 //     literals it builds are conservatively assumed to run there too.
 //
 // Dynamic dispatch — interface methods, func values threaded through
 // fields or maps (rpc's service handler table) — is out of reach for any
-// static pass and is deliberately unresolved; DESIGN.md §16 lists it as a
+// static pass and is deliberately unresolved; DESIGN.md §11 lists it as a
 // soundness limit, covered by the kernel's runtime checks.
 package callgraph
 
@@ -45,9 +42,14 @@ import (
 //	pkgpath.Name            package-level function
 //	pkgpath.(Recv).Name     method (pointer-ness of the receiver elided)
 //	<parent>$<n>            n-th function literal inside parent, in
-//	                        source order (stable across runs for
-//	                        unchanged source — the cache key property)
+//	                        source order
 type FuncID string
+
+// Short trims the import-path directory for messages:
+// "sprite/internal/sim.(Env).Emit" -> "sim.(Env).Emit".
+func (id FuncID) Short() string {
+	return string(id[strings.LastIndexByte(string(id), '/')+1:])
+}
 
 // EdgeKind classifies an outgoing reference.
 type EdgeKind uint8
@@ -109,9 +111,6 @@ type Node struct {
 	// Fn is the type-checker object for declarations (nil for literals).
 	Fn  *types.Func
 	Out []Edge
-
-	// scc is the condensation component index, filled by Condense.
-	scc int
 }
 
 // Body returns the node's statement block (nil for a bodyless decl).
@@ -171,8 +170,6 @@ type Graph struct {
 	byObj map[*types.Func]*Node
 	// litOf resolves a literal syntax node to its graph node.
 	litOf map[*ast.FuncLit]*Node
-	// enclosing, for diagnostics: FuncID of the node containing a pos.
-	pkgs []*load.Package
 }
 
 const (
@@ -206,7 +203,6 @@ func Build(pkgs []*load.Package) *Graph {
 		Nodes: make(map[FuncID]*Node),
 		byObj: make(map[*types.Func]*Node),
 		litOf: make(map[*ast.FuncLit]*Node),
-		pkgs:  pkgs,
 	}
 	if len(pkgs) > 0 {
 		g.Fset = pkgs[0].Fset
@@ -263,7 +259,7 @@ func Build(pkgs []*load.Package) *Graph {
 				if fn == nil {
 					continue
 				}
-				g.addEdges(pkg, g.byObj[fn], fd.Body)
+				g.walkEdges(pkg, g.byObj[fn], fd.Body)
 			}
 		}
 	}
@@ -300,15 +296,9 @@ func (g *Graph) addLits(pkg *load.Package, parent FuncID, root ast.Node) {
 	})
 }
 
-// addEdges walks owner's body recording call, ref, encloses, and spawn
-// edges; enclosed literals get their own walks (recursively) so every
-// node's edges reflect only its own body.
-func (g *Graph) addEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
-	g.walkEdges(pkg, owner, body)
-}
-
-// walkEdges records owner's outgoing references, shallow (literals are
-// separate nodes, linked by an Encloses edge and walked recursively).
+// walkEdges records owner's outgoing call, ref, encloses, and spawn edges,
+// shallow: literals are separate nodes, linked by an Encloses edge and
+// walked recursively, so every node's edges reflect only its own body.
 func (g *Graph) walkEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
 	// Pass 1: calls, spawn points, and enclosed literals.
 	inspectShallow(body, func(n ast.Node) bool {
@@ -459,7 +449,7 @@ func (g *Graph) spawnRoots(pkg *load.Package, owner *Node, call *ast.CallExpr, f
 	if !ok {
 		return
 	}
-	for _, body := range g.resolveFuncExpr(pkg, arg) {
+	for _, body := range g.ResolveFuncExpr(pkg, arg) {
 		// Env.Spawn roots are not recorded: the body runs on the parent's
 		// shard, whatever that is — confined reachability follows the
 		// SpawnSame edge from the parent instead.
@@ -478,10 +468,6 @@ func (g *Graph) spawnRoots(pkg *load.Package, owner *Node, call *ast.CallExpr, f
 // literal, or a closure factory call whose declaration returns literals
 // (followed across packages through the graph's node index).
 func (g *Graph) ResolveFuncExpr(pkg *load.Package, e ast.Expr) []FuncID {
-	return g.resolveFuncExpr(pkg, e)
-}
-
-func (g *Graph) resolveFuncExpr(pkg *load.Package, e ast.Expr) []FuncID {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
 		if n := g.litOf[e]; n != nil {
@@ -675,9 +661,6 @@ func (g *Graph) Condense() []SCC {
 					}
 				}
 				sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-				for _, id := range comp {
-					g.Nodes[id].scc = len(comps)
-				}
 				comps = append(comps, comp)
 			}
 			done := f.id
@@ -694,22 +677,6 @@ func (g *Graph) Condense() []SCC {
 	out := make([]SCC, len(comps))
 	for i, c := range comps {
 		out[i] = SCC{Funcs: c}
-	}
-	return out
-}
-
-// CalleesIn returns the node's outgoing edges of the given kinds whose
-// targets exist in the graph.
-func (g *Graph) CalleesIn(n *Node, kinds ...EdgeKind) []Edge {
-	want := make(map[EdgeKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Edge
-	for _, e := range n.Out {
-		if want[e.Kind] && g.Nodes[e.Callee] != nil {
-			out = append(out, e)
-		}
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 // Package dataflow computes bottom-up per-function summaries over the
 // SCC-condensed call graph (internal/analysis/callgraph) and exposes them
-// to the interprocedural analyzers (simtaint, confine, sharded) as a Tree.
+// to the analyzers as a Tree. It is also the one owner of what counts as
+// a nondeterminism source (sources.go) and of every per-function contract
+// fact; the analyzers only join facts and word diagnostics.
 //
-// The engine is deliberately modest (DESIGN.md §16): flow- and
+// The engine is deliberately modest (DESIGN.md §11): flow- and
 // path-insensitive, one taint environment per top-level declaration
 // (nested literals share their parent's environment, so captured-variable
 // taint propagates lexically), with a small bit-lattice per value:
@@ -20,11 +22,13 @@
 // reverse topological order, iterating inside recursive components —
 // terminates; TestRecursiveConvergence pins that.
 //
-// Local contract facts (banned sim API calls, raw concurrency, global
-// writes, unsharded metrics mutators, tainted sink hits) are recorded per
-// node with stable file:line positions so they can be cached per package
-// and replayed without re-analysis; confine and sharded join them against
-// confined reachability, simtaint against file exemptions.
+// Local contract facts (banned sim API calls, raw concurrency, global and
+// captured-variable writes, unsharded metrics mutators, tainted sink hits)
+// are recorded per node; confine and sharded join them against confined
+// reachability, simtaint against file exemptions. Violations visible at
+// one source position with no summary at all — a reference to a banned
+// clock or rand function, order-sensitive work written directly inside a
+// map range — come from Tree.Sites, which covers every parsed file.
 package dataflow
 
 import (
@@ -80,63 +84,76 @@ func paramMark(i int) Kind {
 	return 1 << (markerShift + i)
 }
 
-// Fact is one position-stamped local observation, cacheable across runs.
+// Fact is one position-stamped local observation.
 type Fact struct {
-	Pos  token.Position `json:"pos"`
-	What string         `json:"what"`
+	Pos  token.Position
+	What string
 }
 
 // SinkHit is a tainted value reaching a determinism-sensitive sink.
 type SinkHit struct {
-	Pos   token.Position `json:"pos"`
-	Kinds Kind           `json:"kinds"` // source bits that arrived
-	Sink  string         `json:"sink"`  // what it reached ("Env.Emit", "via q.helper", ...)
+	Pos   token.Position
+	Kinds Kind   // source bits that arrived
+	Sink  string // what it reached ("Env.Emit", "via q.helper", ...)
 }
 
 // RangeEmitHit is a call, inside a map-range body, to a function whose
-// summary says it emits order-sensitively — the interprocedural maporder
-// violation the per-function analyzer cannot see.
+// summary says it emits order-sensitively — the interprocedural half of
+// the map-order contract (Tree.Sites reports the work written in the
+// range body itself).
 type RangeEmitHit struct {
-	Pos    token.Position    `json:"pos"`
-	Callee callgraph.FuncID  `json:"callee"`
+	Pos    token.Position
+	Callee callgraph.FuncID
+}
+
+// CapturedWrite is a write whose base variable is declared outside the
+// writing node: a literal mutating state it closed over. Whether that is
+// a violation depends on who runs the literal, so the fact keeps the
+// declaration site for confine to compare against the spawned body.
+type CapturedWrite struct {
+	Pos  token.Position
+	Name string
+	Decl token.Pos
 }
 
 // Summary is what callers may rely on about one function.
 type Summary struct {
 	// ReturnTaint are source bits every caller receives.
-	ReturnTaint Kind `json:"return_taint,omitempty"`
+	ReturnTaint Kind
 	// ReturnFromParams: bit i set = param i's taint flows to the return.
 	// Param numbering includes the receiver first, when there is one.
-	ReturnFromParams uint64 `json:"return_from_params,omitempty"`
+	ReturnFromParams uint64
 	// SinkParams: bit i set = param i reaches a determinism-sensitive
 	// sink inside this function or a callee.
-	SinkParams uint64 `json:"sink_params,omitempty"`
+	SinkParams uint64
 	// MutatesParams: bit i set = param i's pointee is written here or in
 	// a callee it is passed to.
-	MutatesParams uint64 `json:"mutates_params,omitempty"`
+	MutatesParams uint64
 	// MutatesGlobals are package-level variables written, transitively
 	// ("pkgpath.name", sorted, capped).
-	MutatesGlobals []string `json:"mutates_globals,omitempty"`
+	MutatesGlobals []string
 	// Emits: the function performs order-sensitive emission (output,
 	// trace, append/send to caller-visible state), directly or via a
 	// callee — calling it once per map-range iteration emits in map
 	// order.
-	Emits bool `json:"emits,omitempty"`
+	Emits bool
 
 	// Local facts (this node's own body, literals excluded — they carry
 	// their own), joined against reachability by confine/sharded.
-	BannedCalls      []Fact `json:"banned_calls,omitempty"`
-	Concurrency      []Fact `json:"concurrency,omitempty"`
-	GlobalWrites     []Fact `json:"global_writes,omitempty"`
-	UnshardedMetrics []Fact `json:"unsharded_metrics,omitempty"`
+	BannedCalls      []Fact
+	Concurrency      []Fact
+	GlobalWrites     []Fact
+	CapturedWrites   []CapturedWrite
+	UnshardedMetrics []Fact
 
 	// SinkHits and RangeEmitHits are the simtaint raw findings for this
 	// node, before file exemptions and suppressions.
-	SinkHits      []SinkHit      `json:"sink_hits,omitempty"`
-	RangeEmitHits []RangeEmitHit `json:"range_emit_hits,omitempty"`
+	SinkHits      []SinkHit
+	RangeEmitHits []RangeEmitHit
 }
 
-// TreeAnalyzer is a whole-tree analyzer driven by cmd/spritelint.
+// TreeAnalyzer is one static check over the whole loaded tree: the only
+// analyzer type, driven by cmd/spritelint and linttest.RunTree.
 type TreeAnalyzer struct {
 	Name string
 	Doc  string
@@ -149,16 +166,11 @@ type Tree struct {
 	Graph *callgraph.Graph
 	Sums  map[callgraph.FuncID]*Summary
 
-	// CacheHits/CacheMisses count per-package summary cache outcomes.
-	CacheHits, CacheMisses int
-
-	pkgOf   map[callgraph.FuncID]*load.Package
 	testFns map[callgraph.FuncID]bool
 }
 
 const (
 	simPkg     = "sprite/internal/sim"
-	corePkg    = "sprite/internal/core"
 	tracePkg   = "sprite/internal/trace"
 	metricsPkg = "sprite/internal/metrics"
 	statsPkg   = "sprite/internal/stats"
@@ -181,22 +193,22 @@ func Trusted(importPath string) bool {
 // Param numbering counts the receiver as param 0.
 var models = map[callgraph.FuncID]*Summary{
 	// Trace emission: the determinism goldens' raw material.
-	simPkg + ".(Env).Emit":       {SinkParams: pbits(1, 2), Emits: true},
-	tracePkg + ".(Log).Append":   {SinkParams: pbits(1, 2, 3), Emits: true},
+	simPkg + ".(Env).Emit":     {SinkParams: pbits(1, 2), Emits: true},
+	tracePkg + ".(Log).Append": {SinkParams: pbits(1, 2, 3), Emits: true},
 	// Metrics values land in Snapshot.Text, which goldens compare.
-	metricsPkg + ".(Counter).Add":         {SinkParams: pbits(1)},
-	metricsPkg + ".(Counter).AddSlot":     {SinkParams: pbits(2)},
-	metricsPkg + ".(Timing).Observe":      {SinkParams: pbits(1)},
-	metricsPkg + ".(Timing).ObserveSlot":  {SinkParams: pbits(2)},
-	metricsPkg + ".(Gauge).Set":           {SinkParams: pbits(1)},
-	metricsPkg + ".(Gauge).Add":           {SinkParams: pbits(1)},
+	metricsPkg + ".(Counter).Add":        {SinkParams: pbits(1)},
+	metricsPkg + ".(Counter).AddSlot":    {SinkParams: pbits(2)},
+	metricsPkg + ".(Timing).Observe":     {SinkParams: pbits(1)},
+	metricsPkg + ".(Timing).ObserveSlot": {SinkParams: pbits(2)},
+	metricsPkg + ".(Gauge).Set":          {SinkParams: pbits(1)},
+	metricsPkg + ".(Gauge).Add":          {SinkParams: pbits(1)},
 	// Deterministic clocks/randomness: returns are clean.
 	simPkg + ".(Env).Now":       {},
 	simPkg + ".(Env).Rand":      {},
 	simPkg + ".(Env).LocalRand": {},
 	// Stdlib map-order sources.
-	"maps.Keys":   {ReturnTaint: KMapOrder},
-	"maps.Values": {ReturnTaint: KMapOrder},
+	"maps.Keys":               {ReturnTaint: KMapOrder},
+	"maps.Values":             {ReturnTaint: KMapOrder},
 	"reflect.(Value).MapKeys": {ReturnTaint: KMapOrder},
 }
 
@@ -208,54 +220,26 @@ func pbits(is ...int) uint64 {
 	return b
 }
 
-// Options configures Analyze.
-type Options struct {
-	// Cache, when non-nil, loads/stores per-package summaries.
-	Cache *Cache
-}
-
 // Analyze builds the call graph and computes summaries bottom-up.
-func Analyze(pkgs []*load.Package, opts Options) *Tree {
+func Analyze(pkgs []*load.Package) *Tree {
 	t := &Tree{
 		Pkgs:    pkgs,
 		Graph:   callgraph.Build(pkgs),
 		Sums:    make(map[callgraph.FuncID]*Summary),
-		pkgOf:   make(map[callgraph.FuncID]*load.Package),
 		testFns: make(map[callgraph.FuncID]bool),
 	}
 	for id, n := range t.Graph.Nodes {
-		t.pkgOf[id] = n.Pkg
 		pos, _ := n.Extent()
 		if strings.HasSuffix(n.Pkg.Fset.Position(pos).Filename, "_test.go") {
 			t.testFns[id] = true
 		}
 	}
 
-	// Per-package cache: a hit ships the package's summaries wholesale
-	// and removes its units from the fixpoint.
-	cached := make(map[string]bool)
-	if opts.Cache != nil {
-		for _, pkg := range pkgs {
-			if Trusted(pkg.ImportPath) {
-				continue
-			}
-			if sums, ok := opts.Cache.Load(pkg, pkgs); ok {
-				for id, s := range sums {
-					t.Sums[id] = s
-				}
-				cached[pkg.ImportPath] = true
-				t.CacheHits++
-			} else {
-				t.CacheMisses++
-			}
-		}
-	}
-
 	// Units: one per top-level declaration (plus orphan literals from
-	// package-level initializers), skipping trusted packages, test files,
-	// and cached packages. Ordered callees-first by the condensation so
-	// one pass settles non-recursive code.
-	units := t.collectUnits(cached)
+	// package-level initializers), skipping trusted packages and test
+	// files. Ordered callees-first by the condensation so one pass
+	// settles non-recursive code.
+	units := t.collectUnits()
 	order := t.unitOrder(units)
 
 	for round := 0; round < 32; round++ {
@@ -273,33 +257,11 @@ func Analyze(pkgs []*load.Package, opts Options) *Tree {
 			break
 		}
 	}
-
-	if opts.Cache != nil {
-		for _, pkg := range pkgs {
-			if Trusted(pkg.ImportPath) || cached[pkg.ImportPath] {
-				continue
-			}
-			sums := make(map[callgraph.FuncID]*Summary)
-			for id, s := range t.Sums {
-				if t.pkgOf[id] == pkg {
-					sums[id] = s
-				}
-			}
-			opts.Cache.Store(pkg, pkgs, sums)
-		}
-	}
 	return t
 }
 
-// PkgOf returns the package a function belongs to (nil for cached-only
-// or external IDs).
-func (t *Tree) PkgOf(id callgraph.FuncID) *load.Package { return t.pkgOf[id] }
-
-// InTestFile reports whether the function's source lives in a _test.go.
-func (t *Tree) InTestFile(id callgraph.FuncID) bool { return t.testFns[id] }
-
 // SummaryFor resolves a callee's summary: models first (the trusted API
-// surface), then computed/cached summaries. Nil means unknown — callers
+// surface), then computed summaries. Nil means unknown — callers
 // must be conservative.
 func (t *Tree) SummaryFor(id callgraph.FuncID) *Summary {
 	if m, ok := models[id]; ok {
@@ -314,7 +276,7 @@ type unitRoot struct {
 	nodes []*callgraph.Node // root first, then literals, source order
 }
 
-func (t *Tree) collectUnits(cachedPkgs map[string]bool) map[callgraph.FuncID]*unitRoot {
+func (t *Tree) collectUnits() map[callgraph.FuncID]*unitRoot {
 	ids := make([]string, 0, len(t.Graph.Nodes))
 	for id := range t.Graph.Nodes {
 		ids = append(ids, string(id))
@@ -324,16 +286,13 @@ func (t *Tree) collectUnits(cachedPkgs map[string]bool) map[callgraph.FuncID]*un
 	for _, s := range ids {
 		id := callgraph.FuncID(s)
 		n := t.Graph.Nodes[id]
-		if Trusted(n.Pkg.ImportPath) || cachedPkgs[n.Pkg.ImportPath] || t.testFns[id] {
+		if Trusted(n.Pkg.ImportPath) || t.testFns[id] {
 			continue
 		}
 		if n.Decl == nil && !t.orphanLit(id) {
 			continue // literal owned by a declaration's unit
 		}
-		u := &unitRoot{root: n}
-		u.nodes = append(u.nodes, n)
-		t.addEnclosed(n, &u.nodes)
-		units[id] = u
+		units[id] = &unitRoot{root: n, nodes: t.Enclosed(n)}
 	}
 	return units
 }
@@ -347,18 +306,6 @@ func (t *Tree) orphanLit(id callgraph.FuncID) bool {
 	}
 	_, ok := t.Graph.Nodes[callgraph.FuncID(string(id)[:i])]
 	return !ok
-}
-
-func (t *Tree) addEnclosed(n *callgraph.Node, out *[]*callgraph.Node) {
-	for _, e := range n.Out {
-		if e.Kind != callgraph.Encloses {
-			continue
-		}
-		if c := t.Graph.Nodes[e.Callee]; c != nil {
-			*out = append(*out, c)
-			t.addEnclosed(c, out)
-		}
-	}
 }
 
 // unitOrder sorts unit roots callees-first using the SCC condensation.

@@ -76,7 +76,7 @@ func analyzeSrc(t *testing.T, src string) *Tree {
 	tm := checkPkg(t, fset, imp, "time", fakeTime)
 	sim := checkPkg(t, fset, imp, "sprite/internal/sim", fakeSim)
 	p := checkPkg(t, fset, imp, "p", src)
-	return Analyze([]*load.Package{tm, sim, p}, Options{})
+	return Analyze([]*load.Package{tm, sim, p})
 }
 
 // TestRecursiveConvergence pins the satellite requirement: summaries on a

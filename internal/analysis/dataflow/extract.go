@@ -59,9 +59,10 @@ var unshardedMetrics = map[string]string{
 	"Timing.Observe": "Timing.ObserveSlot",
 }
 
-// emitMethodNames are the order-sensitive output methods maporder
-// recognizes; a call on an escaping receiver makes the function an
-// emitter.
+// emitMethodNames are the order-sensitive output methods: stream
+// writers, hashes, and the cluster's event/trace emitters. A call on an
+// escaping receiver makes the function an emitter; a call written in a
+// map-range body is a local sink (localRangeSinks).
 var emitMethodNames = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Emit": true, "emit": true,
@@ -111,7 +112,7 @@ func (st *unitState) extractNode(n *callgraph.Node) {
 		case *ast.CallExpr:
 			st.extractCall(n, sum, nd, fact)
 		case *ast.RangeStmt:
-			st.extractRange(n, sum, nd)
+			st.extractRange(sum, nd)
 		}
 		return true
 	})
@@ -138,14 +139,8 @@ func (st *unitState) extractAssign(n *callgraph.Node, sum *Summary, a *ast.Assig
 		// Emission: x = append(x, ...) or s += ... into escaping state.
 		if i < len(a.Rhs) {
 			rhs := a.Rhs[i]
-			isAppend := false
-			if c, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-				if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
-					if b, ok := st.info().Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-						isAppend = true
-					}
-				}
-			}
+			c, ok := ast.Unparen(rhs).(*ast.CallExpr)
+			isAppend := ok && isBuiltin(st.info(), c, "append")
 			isConcat := a.Tok == token.ADD_ASSIGN && isStringType(st.info(), lhs)
 			if (isAppend || isConcat) && st.escaping(n, baseObj(st.info(), lhs)) {
 				sum.Emits = true
@@ -168,9 +163,11 @@ func isStringType(info *types.Info, e ast.Expr) bool {
 	return ok && b.Kind() == types.String
 }
 
-// extractWrite classifies one lvalue write. Plain-ident writes to locals
-// and params rebind a copy and are ignored; compound writes through a
-// reference-like base escape to whoever shares the base.
+// extractWrite classifies one lvalue write. A write rooted at a variable
+// declared outside the node is a captured write whatever its shape;
+// beyond that, plain-ident writes to locals and params rebind a copy and
+// are ignored, and compound writes through a reference-like base escape
+// to whoever shares the base.
 func (st *unitState) extractWrite(n *callgraph.Node, sum *Summary, lhs ast.Expr, compound bool, fact func(*[]Fact, token.Pos, string), pos token.Pos) {
 	obj := baseObj(st.info(), lhs)
 	if obj == nil {
@@ -182,6 +179,12 @@ func (st *unitState) extractWrite(n *callgraph.Node, sum *Summary, lhs ast.Expr,
 		sum.MutatesGlobals = append(sum.MutatesGlobals, name)
 		return
 	}
+	if v, ok := obj.(*types.Var); ok && !v.IsField() {
+		if start, end := n.Extent(); v.Pos() < start || v.Pos() > end {
+			sum.CapturedWrites = append(sum.CapturedWrites,
+				CapturedWrite{Pos: st.pkg.Fset.Position(pos), Name: v.Name(), Decl: v.Pos()})
+		}
+	}
 	if !compound && isIdent(lhs) {
 		return // rebinding a local name
 	}
@@ -189,7 +192,6 @@ func (st *unitState) extractWrite(n *callgraph.Node, sum *Summary, lhs ast.Expr,
 		if s := st.sums[owner]; s != nil {
 			s.MutatesParams |= 1 << idx
 		}
-		_ = n
 	}
 }
 
@@ -244,11 +246,9 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 	info := st.info()
 
 	// close() on a channel is raw concurrency.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
-			fact(&sum.Concurrency, call.Pos(), "close on raw channel")
-			return
-		}
+	if isBuiltin(info, call, "close") {
+		fact(&sum.Concurrency, call.Pos(), "close on raw channel")
+		return
 	}
 
 	fn := lint.FuncObjOf(info, call)
@@ -279,14 +279,17 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 			fact(&sum.UnshardedMetrics, call.Pos(),
 				"metrics.Gauge."+fn.Name()+" is deliberately unsharded; gauges must be driven from the exclusive shard")
 		}
-		// Output emission.
-		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Print") {
+		// Output emission: every printed operand is sink-reaching (the
+		// writer argument of Fprint* is not printed).
+		if isFmtPrint(fn) {
 			sum.Emits = true
-			st.sinkArgs(n, sum, call, call.Args, ^uint64(0), "fmt."+fn.Name())
-		}
-		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Fprint") {
-			sum.Emits = true
-			st.sinkArgs(n, sum, call, call.Args[1:], ^uint64(0), "fmt."+fn.Name())
+			printed := call.Args
+			if strings.HasPrefix(fn.Name(), "Fprint") {
+				printed = printed[1:]
+			}
+			for _, a := range printed {
+				st.sinkOne(sum, call, a, "fmt."+fn.Name())
+			}
 		}
 		// Sink methods (Write/Emit/...) on escaping receivers.
 		if emitMethodNames[fn.Name()] {
@@ -308,11 +311,15 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 		if s.SinkParams != 0 {
 			// A modeled callee IS the sink; a computed one passes the
 			// value along to a sink somewhere below it.
-			sink := "via " + shortID(id)
+			sink := "via " + id.Short()
 			if _, isModel := models[id]; isModel {
-				sink = shortID(id)
+				sink = id.Short()
 			}
-			st.sinkArgsAt(n, sum, call, args, s.SinkParams, sink)
+			for i := 0; i < len(args) && i < 64; i++ {
+				if s.SinkParams&(1<<i) != 0 {
+					st.sinkOne(sum, call, args[i], sink)
+				}
+			}
 		}
 		if s.MutatesParams != 0 {
 			for i := 0; i < len(args) && i < 64; i++ {
@@ -325,7 +332,7 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 				}
 				if isGlobalVar(obj) {
 					name := globalName(obj)
-					fact(&sum.GlobalWrites, call.Pos(), "passes package-level "+name+" to mutating "+shortID(id))
+					fact(&sum.GlobalWrites, call.Pos(), "passes package-level "+name+" to mutating "+id.Short())
 					sum.MutatesGlobals = append(sum.MutatesGlobals, name)
 				} else if owner, idx, ok := st.paramOf(obj); ok && refLike(obj.Type()) {
 					if os := st.sums[owner]; os != nil {
@@ -343,26 +350,10 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 	}
 }
 
-// sinkArgsAt records tainted values reaching the sink-positions of a
-// callee, and propagates "my param reaches a sink" facts to param owners.
-func (st *unitState) sinkArgsAt(n *callgraph.Node, sum *Summary, call *ast.CallExpr, args []ast.Expr, sinkBits uint64, sink string) {
-	for i := 0; i < len(args) && i < 64; i++ {
-		if sinkBits&(1<<i) == 0 {
-			continue
-		}
-		st.sinkOne(n, sum, call, args[i], sink)
-	}
-}
-
-// sinkArgs treats every listed argument as sink-reaching (variadic output
-// calls like fmt.Println).
-func (st *unitState) sinkArgs(n *callgraph.Node, sum *Summary, call *ast.CallExpr, args []ast.Expr, _ uint64, sink string) {
-	for _, a := range args {
-		st.sinkOne(n, sum, call, a, sink)
-	}
-}
-
-func (st *unitState) sinkOne(n *callgraph.Node, sum *Summary, call *ast.CallExpr, arg ast.Expr, sink string) {
+// sinkOne records a tainted value reaching a sink position of call, and
+// propagates "my param reaches a sink" to the params the value derives
+// from.
+func (st *unitState) sinkOne(sum *Summary, call *ast.CallExpr, arg ast.Expr, sink string) {
 	k := st.kindOf(arg)
 	if srcs := k & SourceMask; srcs != 0 {
 		sum.SinkHits = append(sum.SinkHits, SinkHit{
@@ -378,18 +369,11 @@ func (st *unitState) sinkOne(n *callgraph.Node, sum *Summary, call *ast.CallExpr
 	})
 }
 
-// extractRange records interprocedural maporder hits: calls inside a
+// extractRange records interprocedural map-order hits: calls inside a
 // map-range body to callees whose summaries emit order-sensitively, with
 // no later sort to forgive them.
-func (st *unitState) extractRange(n *callgraph.Node, sum *Summary, rng *ast.RangeStmt) {
-	tv, ok := st.info().Types[rng.X]
-	if !ok || tv.Type == nil {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	if st.sortAfter(rng.End()) {
+func (st *unitState) extractRange(sum *Summary, rng *ast.RangeStmt) {
+	if !isMapRange(st.info(), rng) || st.sortAfter(rng.End()) {
 		return
 	}
 	ast.Inspect(rng.Body, func(nd ast.Node) bool {
@@ -399,7 +383,7 @@ func (st *unitState) extractRange(n *callgraph.Node, sum *Summary, rng *ast.Rang
 		}
 		for _, id := range st.t.Graph.ResolveFuncExpr(st.pkg, call.Fun) {
 			if _, isModel := models[id]; isModel {
-				continue // direct trusted sinks are the intra analyzer's turf
+				continue // a sink written in the range body is localRangeSinks' turf
 			}
 			s := st.t.SummaryFor(id)
 			if s != nil && s.Emits {
@@ -420,16 +404,6 @@ func (st *unitState) sortAfter(pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// shortID trims the import-path directory from a FuncID for messages:
-// "sprite/internal/sim.(Env).Emit" -> "sim.(Env).Emit".
-func shortID(id callgraph.FuncID) string {
-	s := string(id)
-	if i := strings.LastIndexByte(s, '/'); i >= 0 {
-		return s[i+1:]
-	}
-	return s
 }
 
 // inspectShallow walks n without descending into nested function literals

@@ -20,9 +20,43 @@ type Chain struct {
 func (c *Chain) String() string {
 	parts := []string{c.Root.Via}
 	for _, id := range c.Path {
-		parts = append(parts, shortID(id))
+		parts = append(parts, id.Short())
 	}
 	return strings.Join(parts, " -> ")
+}
+
+// visitable: the function's body was analyzed — in the graph, outside the
+// trusted substrate, and not in a _test.go.
+func (t *Tree) visitable(id callgraph.FuncID) bool {
+	n := t.Graph.Nodes[id]
+	return n != nil && !Trusted(n.Pkg.ImportPath) && !t.testFns[id]
+}
+
+// ConfinedRoots returns the spawn roots the static contract covers: the
+// confined ones whose body was analyzed, spawned from production code
+// (spawns made from test code exercise the runtime contract
+// deliberately).
+func (t *Tree) ConfinedRoots() []callgraph.Root {
+	var out []callgraph.Root
+	for _, r := range t.Graph.Roots {
+		if r.Kind == callgraph.ConfinedRoot && t.visitable(r.Body) &&
+			!strings.HasSuffix(t.Graph.Fset.Position(r.Site).Filename, "_test.go") {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Enclosed returns n followed by every literal lexically inside it, in
+// source order — the code a spawned body hands to its shard.
+func (t *Tree) Enclosed(n *callgraph.Node) []*callgraph.Node {
+	out := []*callgraph.Node{n}
+	for _, e := range n.Out {
+		if c := t.Graph.Nodes[e.Callee]; e.Kind == callgraph.Encloses && c != nil {
+			out = append(out, t.Enclosed(c)...)
+		}
+	}
+	return out
 }
 
 // ConfinedReachable returns every non-trusted, non-test function
@@ -34,33 +68,9 @@ func (c *Chain) String() string {
 func (t *Tree) ConfinedReachable() map[callgraph.FuncID]*Chain {
 	reach := make(map[callgraph.FuncID]*Chain)
 	var queue []callgraph.FuncID
-
-	visitable := func(id callgraph.FuncID) bool {
-		n := t.Graph.Nodes[id]
-		if n == nil {
-			return false // external or trusted-pkg body: not analyzed
-		}
-		if Trusted(n.Pkg.ImportPath) || t.testFns[id] {
-			return false
-		}
-		return true
-	}
-
-	for _, r := range t.Graph.Roots {
-		if r.Kind != callgraph.ConfinedRoot {
-			continue
-		}
-		// Spawns made from test code exercise the runtime contract
-		// deliberately; the static contract covers production spawns.
-		if strings.HasSuffix(t.Graph.Fset.Position(r.Site).Filename, "_test.go") {
-			continue
-		}
-		if !visitable(r.Body) {
-			continue
-		}
+	for _, r := range t.ConfinedRoots() {
 		if reach[r.Body] == nil {
-			root := r
-			reach[r.Body] = &Chain{Root: root, Path: []callgraph.FuncID{r.Body}}
+			reach[r.Body] = &Chain{Root: r, Path: []callgraph.FuncID{r.Body}}
 			queue = append(queue, r.Body)
 		}
 	}
@@ -79,7 +89,7 @@ func (t *Tree) ConfinedReachable() map[callgraph.FuncID]*Chain {
 			default:
 				continue
 			}
-			if !visitable(e.Callee) || reach[e.Callee] != nil {
+			if !t.visitable(e.Callee) || reach[e.Callee] != nil {
 				continue
 			}
 			path := make([]callgraph.FuncID, len(cur.Path)+1)

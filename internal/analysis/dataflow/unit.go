@@ -4,12 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"sprite/internal/analysis/callgraph"
 	"sprite/internal/analysis/lint"
 	"sprite/internal/analysis/load"
-	"sprite/internal/analysis/walltime"
 )
 
 // update is one node's freshly computed summary.
@@ -105,8 +103,8 @@ func (st *unitState) collectParams() {
 }
 
 // collectSorted records objects passed to sort-family calls anywhere in
-// the unit, plus the call positions (the maporder "later sort forgives"
-// heuristic, applied unit-wide). A sorted object's map-order bit is
+// the unit, plus the call positions (the "later sort forgives" heuristic
+// of isSortCall, applied unit-wide). A sorted object's map-order bit is
 // masked on every read.
 func (st *unitState) collectSorted() {
 	body := st.u.root.Body()
@@ -118,8 +116,7 @@ func (st *unitState) collectSorted() {
 		if !ok {
 			return true
 		}
-		name := calleeName(call)
-		if !strings.Contains(strings.ToLower(name), "sort") {
+		if !isSortCall(call) {
 			return true
 		}
 		st.sortPos = append(st.sortPos, call.Pos())
@@ -255,9 +252,9 @@ func (st *unitState) assign(n *ast.AssignStmt, bump func(types.Object, Kind)) {
 // compound op (+=, -=, *=, |=, &=, ^=, &^=) on a numeric lvalue. Folding
 // map values into a numeric accumulator is order-insensitive — the final
 // value does not depend on iteration order — so KMapOrder does not
-// propagate (the intra maporder analyzer likewise only flags append and
-// emission inside range-over-map bodies, never scalar folds). String +=
-// is NOT forgiven: concatenation order shows.
+// propagate (localRangeSinks likewise only flags append and emission
+// inside range-over-map bodies, never scalar folds). String += is NOT
+// forgiven: concatenation order shows.
 func (st *unitState) numericReduction(n *ast.AssignStmt, lhs ast.Expr) bool {
 	switch n.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
@@ -276,8 +273,8 @@ func (st *unitState) numericReduction(n *ast.AssignStmt, lhs ast.Expr) bool {
 // mapIndexWrite reports whether lhs is m[k] for a map m. A map insert is
 // order-insensitive — the resulting content does not depend on the order
 // the keys were written — so KMapOrder does not propagate through it
-// (mirroring the intra-function maporder analyzer, which forgives map
-// inserts inside range-over-map bodies).
+// (localRangeSinks forgives map inserts inside range-over-map bodies for
+// the same reason).
 func (st *unitState) mapIndexWrite(lhs ast.Expr) bool {
 	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 	if !ok {
@@ -307,10 +304,8 @@ func lhsObj(info *types.Info, lhs ast.Expr) types.Object {
 func (st *unitState) rangeTaint(n *ast.RangeStmt, bump func(types.Object, Kind)) {
 	xk := st.kindOf(n.X)
 	over := Kind(0)
-	if tv, ok := st.info().Types[n.X]; ok {
-		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-			over = KMapOrder
-		}
+	if isMapRange(st.info(), n) {
+		over = KMapOrder
 	}
 	for _, e := range []ast.Expr{n.Key, n.Value} {
 		if e == nil {
@@ -423,17 +418,8 @@ func (st *unitState) kindOfCall(call *ast.CallExpr) Kind {
 		}
 	}
 	// Explicit sources.
-	if fn := lint.FuncObjOf(info, call); fn != nil && fn.Pkg() != nil {
-		switch fn.Pkg().Path() {
-		case "time":
-			if walltime.Banned[fn.Name()] {
-				return KWalltime
-			}
-		case "math/rand", "math/rand/v2":
-			if fn.Type().(*types.Signature).Recv() == nil && !randAllowed[fn.Name()] {
-				return KGlobalRand
-			}
-		}
+	if k := SourceOf(lint.FuncObjOf(info, call)); k != 0 {
+		return k
 	}
 	// Resolved callees with summaries (in-tree or modeled).
 	ids := st.t.Graph.ResolveFuncExpr(st.pkg, call.Fun)
@@ -474,7 +460,3 @@ func (st *unitState) kindOfCall(call *ast.CallExpr) Kind {
 	k |= st.kindOf(call.Fun)
 	return k
 }
-
-// randAllowed mirrors globalrand's constructor allowance: deterministic
-// seeded generators are fine, ambient package-level state is not.
-var randAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}

@@ -4,8 +4,8 @@
 // arming calls, the fuzzer's fault-kind pool, the chaos tests, and
 // DESIGN.md; a typo ("mig.steams") silently arms a point nothing ever
 // consults. The analyzer flags every constant failpoint name that is not
-// in the registry, and the spritelint driver aggregates the names each
-// package did use to flag dead registry entries after a whole-tree run.
+// in the registry; after a whole-tree run the spritelint driver also asks
+// DeadEntries for registered names no call site uses any more.
 //
 // Non-constant names (the fuzzer draws its point from the registry slice
 // at run time) are out of static reach and are deliberately not flagged —
@@ -13,9 +13,11 @@
 package failpointreg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 
+	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/lint"
 	"sprite/internal/fault"
 )
@@ -40,65 +42,75 @@ type SiteRef struct {
 	Registered bool
 }
 
-// Analyzer is the failpointreg check. Its per-package result is a
-// []SiteRef of every constant failpoint name observed; the driver
-// aggregates these for the dead-entry pass and the -audit-failpoints
-// listing.
-var Analyzer = &lint.Analyzer{
+// Analyzer is the failpointreg check.
+var Analyzer = &dataflow.TreeAnalyzer{
 	Name: "failpointreg",
 	Doc:  "failpoint names passed to the fault plane must be registered in internal/fault/failpoints.go",
-	Run:  run,
+	Run: func(t *dataflow.Tree) ([]lint.Diagnostic, error) {
+		var diags []lint.Diagnostic
+		for _, ref := range Sites(t) {
+			if !ref.Registered {
+				diags = append(diags, diag(ref.Pos,
+					"failpoint %q is not in the registry (internal/fault/failpoints.go); register it or fix the name", ref.Name))
+			}
+		}
+		return diags, nil
+	},
 }
 
-func run(pass *lint.Pass) (any, error) {
+func diag(pos token.Position, format string, args ...any) lint.Diagnostic {
+	return lint.Diagnostic{Pos: pos, Analyzer: "failpointreg", Message: fmt.Sprintf(format, args...)}
+}
+
+// Sites returns every constant failpoint name observed at a fault-plane
+// call, in package and source order (the -audit-failpoints listing).
+func Sites(t *dataflow.Tree) []SiteRef {
 	var refs []SiteRef
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := lint.FuncObjOf(pass.TypesInfo, call)
-			if fn == nil {
-				return true
-			}
-			for _, s := range sites {
-				if !lint.IsMethod(fn, s.pkg, s.typ, s.method) || len(call.Args) <= s.arg {
-					continue
-				}
-				name, ok := lint.ConstString(pass.TypesInfo, call.Args[s.arg])
+	for _, pkg := range t.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
 				if !ok {
-					continue // dynamic: registry-derived by construction
+					return true
 				}
-				ref := SiteRef{
-					Name:       name,
-					Pos:        pass.Fset.Position(call.Args[s.arg].Pos()),
-					Registered: fault.RegisteredFailpoint(name),
+				fn := lint.FuncObjOf(pkg.Info, call)
+				if fn == nil {
+					return true
 				}
-				refs = append(refs, ref)
-				if !ref.Registered {
-					pass.Reportf(call.Args[s.arg].Pos(),
-						"failpoint %q is not in the registry (internal/fault/failpoints.go); register it or fix the name", name)
+				for _, s := range sites {
+					if !lint.IsMethod(fn, s.pkg, s.typ, s.method) || len(call.Args) <= s.arg {
+						continue
+					}
+					name, ok := lint.ConstString(pkg.Info, call.Args[s.arg])
+					if !ok {
+						continue // dynamic: registry-derived by construction
+					}
+					refs = append(refs, SiteRef{
+						Name:       name,
+						Pos:        pkg.Fset.Position(call.Args[s.arg].Pos()),
+						Registered: fault.RegisteredFailpoint(name),
+					})
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return refs, nil
+	return refs
 }
 
-// DeadEntries returns the registered failpoints none of the analyzed
-// packages referenced. Meaningful only after a whole-tree run; the driver
-// gates it on the ./... pattern.
-func DeadEntries(refs []SiteRef) []string {
-	seen := make(map[string]bool, len(refs))
-	for _, r := range refs {
+// DeadEntries reports the registered failpoints no call site in the tree
+// references. Meaningful only when the tree is the whole module; the
+// driver gates it on the ./... pattern.
+func DeadEntries(t *dataflow.Tree) []lint.Diagnostic {
+	seen := make(map[string]bool)
+	for _, r := range Sites(t) {
 		seen[r.Name] = true
 	}
-	var dead []string
+	var dead []lint.Diagnostic
 	for _, fp := range fault.Failpoints {
 		if !seen[fp.Name] {
-			dead = append(dead, fp.Name)
+			dead = append(dead, diag(token.Position{},
+				"internal/fault/failpoints.go: registered failpoint %q has no remaining call site; delete the entry or restore the site", fp.Name))
 		}
 	}
 	return dead

@@ -1,6 +1,7 @@
 package failpointreg_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,11 +10,8 @@ import (
 )
 
 func TestFailpointreg(t *testing.T) {
-	res := linttest.Run(t, failpointreg.Analyzer, "a")
-	refs, ok := res.([]failpointreg.SiteRef)
-	if !ok {
-		t.Fatalf("analyzer result is %T, want []failpointreg.SiteRef", res)
-	}
+	tree := linttest.RunTree(t, "a", failpointreg.Analyzer)
+	refs := failpointreg.Sites(tree)
 
 	type obs struct {
 		name       string
@@ -37,8 +35,14 @@ func TestFailpointreg(t *testing.T) {
 		t.Errorf("observed sites = %v, want %v", got, want)
 	}
 
-	dead := failpointreg.DeadEntries(refs)
-	wantDead := []string{"mig.streams", "mig.pcb", "recovery.restart", "fleet.drain", "fleet.remediate", "fleet.readmit"}
+	var dead []string
+	for _, d := range failpointreg.DeadEntries(tree) {
+		dead = append(dead, d.Message)
+	}
+	var wantDead []string
+	for _, name := range []string{"mig.streams", "mig.pcb", "recovery.restart", "fleet.drain", "fleet.remediate", "fleet.readmit"} {
+		wantDead = append(wantDead, fmt.Sprintf("internal/fault/failpoints.go: registered failpoint %q has no remaining call site; delete the entry or restore the site", name))
+	}
 	if !reflect.DeepEqual(dead, wantDead) {
 		t.Errorf("DeadEntries = %v, want %v", dead, wantDead)
 	}

@@ -1,11 +1,9 @@
-// Package lint is the spritelint analyzer framework: a deliberately small,
-// dependency-free re-implementation of the golang.org/x/tools/go/analysis
-// surface this repo needs. The container building this repo has no module
-// proxy, so the real x/tools framework is unavailable; the subset here —
-// an Analyzer with a Run func over a type-checked package, positional
-// diagnostics, and a comment-driven suppression mechanism — is
-// API-compatible enough that migrating to the upstream framework later is a
-// mechanical change.
+// Package lint holds what every spritelint analyzer shares: the
+// positional Diagnostic, the comment-driven Suppressor (with the stale-allow
+// audit), and a few go/types helpers. The analyzers themselves are
+// dataflow.TreeAnalyzers — the container building this repo has no module
+// proxy, so golang.org/x/tools/go/analysis is unavailable and the suite is
+// stdlib-only.
 //
 // The project contracts the analyzers enforce are documented in DESIGN.md
 // §11 ("Static contracts").
@@ -21,36 +19,6 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check. Run inspects a single type-checked package
-// and reports violations through the Pass.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// "//spritelint:allow <name>" suppression comments.
-	Name string
-	// Doc is a one-paragraph description of the contract enforced.
-	Doc string
-	// Run performs the check. It may return an analyzer-specific result
-	// (e.g. failpointreg returns the set of registered names it saw) that
-	// the driver aggregates across packages.
-	Run func(*Pass) (any, error)
-}
-
-// Pass carries one package's syntax and type information to an analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files is the package's syntax, including in-package _test.go files
-	// when the driver loaded the test variant.
-	Files []*ast.File
-	// Pkg is the type-checked package (path() is the import path the
-	// analyzers match against, e.g. "sprite/internal/core").
-	Pkg *types.Package
-	// TypesInfo resolves identifiers, selections, and expression types.
-	TypesInfo *types.Info
-
-	diags *[]Diagnostic
-}
-
 // Diagnostic is one reported violation.
 type Diagnostic struct {
 	Pos      token.Position
@@ -62,50 +30,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// Reportf records a violation at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// FileFor returns the *ast.File containing pos, or nil.
-func (p *Pass) FileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// Filename returns the base name of the file containing pos.
-func (p *Pass) Filename(pos token.Pos) string {
-	return p.Fset.Position(pos).Filename
-}
-
-// Run applies one analyzer to one package and returns its diagnostics
-// (suppressions not yet applied — see Suppressor) plus the analyzer's
-// aggregate result.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, any, error) {
-	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		diags:     &diags,
-	}
-	res, err := a.Run(pass)
-	return diags, res, err
-}
-
 // AllowPrefix introduces a suppression comment. A comment of the form
 //
-//	//spritelint:allow walltime[,maporder] [rationale...]
+//	//spritelint:allow simtaint[,confine] [rationale...]
 //
 // suppresses the named analyzers' diagnostics on the statement it is
 // attached to: the statement (or declaration) starting on the comment's
@@ -301,7 +228,9 @@ func (s *Suppressor) Stale() []StaleAllow {
 	return out
 }
 
-// Filter drops suppressed diagnostics and sorts the rest by position.
+// Filter drops suppressed diagnostics and sorts the rest into the one
+// total order every report uses: position, then analyzer, then message.
+// Analyzers need not sort their own output.
 func (s *Suppressor) Filter(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for _, d := range diags {
@@ -320,7 +249,10 @@ func (s *Suppressor) Filter(diags []Diagnostic) []Diagnostic {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return out[i].Analyzer < out[j].Analyzer
+		if out[i].Analyzer != out[j].Analyzer {
+			return out[i].Analyzer < out[j].Analyzer
+		}
+		return out[i].Message < out[j].Message
 	})
 	return out
 }

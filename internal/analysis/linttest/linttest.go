@@ -7,10 +7,11 @@
 //	rand.Intn(4) // want `global rand\.Intn`
 //
 // Each `// want` comment holds one or more quoted regular expressions, one
-// per expected diagnostic on that line, in column order; a line with no
+// per expected diagnostic on that line, in report order; a line with no
 // want comment must produce no diagnostics. Imports resolve first against
-// sibling stub packages under testdata/src (so fixtures can fake
-// sprite/internal/core and friends), then against real packages via `go
+// stub packages — under the analyzer's own testdata/src, then under this
+// package's testdata/src, which holds the one set of sprite/internal/...
+// stubs every fixture shares — and then against real packages via `go
 // list -export` run at the module root. Suppression comments
 // (//spritelint:allow) are honored, so fixtures exercise the escape hatch
 // by pairing an allow comment with the absence of a want.
@@ -21,6 +22,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,21 +31,30 @@ import (
 	"strings"
 	"testing"
 
+	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/lint"
 	"sprite/internal/analysis/load"
 )
 
-// Run loads testdata/src/<pkgname> (relative to the test's working
-// directory), applies the analyzer, and compares the surviving diagnostics
-// against the fixture's want annotations. It returns the analyzer's result
-// value for checks beyond diagnostics (e.g. failpointreg's site list).
-func Run(t *testing.T, a *lint.Analyzer, pkgname string) any {
+// RunTree loads testdata/src/<pkgname> (relative to the test's working
+// directory) plus every stub package it imports (transitively) as a small
+// whole program, runs the engine and then the analyzers over it, and
+// compares their diagnostics — restricted to the fixture package's own
+// files — against the fixture's want annotations.
+//
+// Stub packages take part in the analysis as real packages: the stub at
+// sprite/internal/sim is recognized as trusted and modeled, while a
+// non-trusted stub (a fake helper package) gets its own computed
+// summaries, so fixtures can stage cross-package violations.
+func RunTree(t *testing.T, pkgname string, analyzers ...*dataflow.TreeAnalyzer) *dataflow.Tree {
 	t.Helper()
-	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
+	local, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(srcRoot, pkgname)
+	root := moduleRoot(t)
+	stubRoots := []string{local, filepath.Join(root, "internal", "analysis", "linttest", "testdata", "src")}
+	dir := filepath.Join(local, pkgname)
 
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir)
@@ -51,29 +62,58 @@ func Run(t *testing.T, a *lint.Analyzer, pkgname string) any {
 		t.Fatalf("parsing fixture %s: %v", dir, err)
 	}
 
-	srcDirs, external, err := resolveImports(fset, srcRoot, files)
-	if err != nil {
-		t.Fatalf("resolving fixture imports: %v", err)
-	}
-	exports, err := load.ExportData(moduleRoot(t), external)
+	stubFiles, external := resolveStubTree(fset, stubRoots, files)
+	exports, err := load.ExportData(root, external)
 	if err != nil {
 		t.Fatalf("export data for fixture imports: %v", err)
 	}
-	imp := load.NewImporter(fset, exports, srcDirs)
+	imp := &layeredImporter{checked: make(map[string]*types.Package), base: load.NewImporter(fset, exports)}
 
-	var terrs []error
-	tpkg, info := load.Check(fset, pkgname, files, imp, &terrs)
-	for _, e := range terrs {
-		t.Errorf("fixture type error: %v", e)
+	// Type-check stubs callees-first: a stub is ready once every stub it
+	// imports is already checked.
+	var pkgs []*load.Package
+	for len(stubFiles) > 0 {
+		var ready []string
+		for path, fs := range stubFiles {
+			ok := true
+			for _, ip := range importPaths(fs) {
+				if _, pending := stubFiles[ip]; pending {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				ready = append(ready, path)
+			}
+		}
+		if len(ready) == 0 {
+			t.Fatalf("import cycle among fixture stubs")
+		}
+		sort.Strings(ready)
+		for _, path := range ready {
+			pkgs = append(pkgs, checkOne(t, fset, imp, path, stubFiles[path]))
+			delete(stubFiles, path)
+		}
 	}
+	pkgs = append(pkgs, checkOne(t, fset, imp, pkgname, files))
 
-	diags, result, err := lint.Run(a, fset, files, tpkg, info)
-	if err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
+	tree := dataflow.Analyze(pkgs)
+	// Only the fixture package's own diagnostics are compared; stub
+	// packages exist to be called into, not asserted on.
+	var own []lint.Diagnostic
+	for _, a := range analyzers {
+		diags, err := a.Run(tree)
+		if err != nil {
+			t.Fatalf("analyzer %s: %v", a.Name, err)
+		}
+		for _, d := range diags {
+			if filepath.Dir(d.Pos.Filename) == dir {
+				own = append(own, d)
+			}
+		}
 	}
-	diags = lint.NewSuppressor(fset, files).Filter(diags)
-	compare(t, fset, files, diags)
-	return result
+	compare(t, fset, files, lint.NewSuppressor(fset, files).Filter(own))
+	return tree
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
@@ -98,37 +138,71 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// resolveImports walks the fixture's import graph: paths with a directory
-// under srcRoot become source stubs (recursively), everything else is
-// external and needs export data.
-func resolveImports(fset *token.FileSet, srcRoot string, files []*ast.File) (srcDirs map[string]string, external []string, err error) {
-	srcDirs = make(map[string]string)
+// resolveStubTree walks the fixture's import graph: a path with a source
+// directory under one of the stub roots becomes a stub package
+// (recursively), everything else is external and needs export data.
+func resolveStubTree(fset *token.FileSet, stubRoots []string, files []*ast.File) (stubs map[string][]*ast.File, external []string) {
+	stubs = make(map[string][]*ast.File)
 	seen := make(map[string]bool)
 	queue := files
 	for len(queue) > 0 {
 		f := queue[0]
 		queue = queue[1:]
-		for _, spec := range f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err != nil || seen[path] {
+	imports:
+		for _, path := range importPaths([]*ast.File{f}) {
+			if seen[path] {
 				continue
 			}
 			seen[path] = true
-			stubDir := filepath.Join(srcRoot, filepath.FromSlash(path))
-			if st, err := os.Stat(stubDir); err == nil && st.IsDir() {
-				srcDirs[path] = stubDir
-				stubFiles, err := parseDir(fset, stubDir)
-				if err != nil {
-					return nil, nil, fmt.Errorf("stub %s: %w", path, err)
+			for _, root := range stubRoots {
+				if fs, err := parseDir(fset, filepath.Join(root, filepath.FromSlash(path))); err == nil {
+					stubs[path] = fs
+					queue = append(queue, fs...)
+					continue imports
 				}
-				queue = append(queue, stubFiles...)
-			} else {
-				external = append(external, path)
 			}
+			external = append(external, path)
 		}
 	}
 	sort.Strings(external)
-	return srcDirs, external, nil
+	return stubs, external
+}
+
+func importPaths(files []*ast.File) []string {
+	var out []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			if p, err := strconv.Unquote(spec.Path.Value); err == nil {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+func checkOne(t *testing.T, fset *token.FileSet, imp *layeredImporter, path string, files []*ast.File) *load.Package {
+	t.Helper()
+	pkg := &load.Package{ImportPath: path, Fset: fset, Files: files}
+	pkg.Types, pkg.Info = load.Check(fset, path, files, imp, &pkg.TypeErrors)
+	for _, e := range pkg.TypeErrors {
+		t.Errorf("fixture type error in %s: %v", path, e)
+	}
+	imp.checked[path] = pkg.Types
+	return pkg
+}
+
+// layeredImporter serves already-checked fixture packages first and falls
+// back to export data for real dependencies.
+type layeredImporter struct {
+	checked map[string]*types.Package
+	base    types.Importer
+}
+
+func (l *layeredImporter) Import(path string) (*types.Package, error) {
+	if p, ok := l.checked[path]; ok {
+		return p, nil
+	}
+	return l.base.Import(path)
 }
 
 // moduleRoot finds the enclosing go.mod directory, where `go list` must
@@ -151,17 +225,13 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// wantRE extracts the quoted regexps of a want comment: double-quoted
+// wantChunkRE extracts the quoted regexps of a want comment: double-quoted
 // (Go-unquoted) or backquoted chunks after "want".
 var wantChunkRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-type expectation struct {
-	res []*regexp.Regexp
-}
-
 func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.Diagnostic) {
 	t.Helper()
-	wants := make(map[string]map[int]*expectation) // file -> line -> wants
+	wants := make(map[string]map[int][]*regexp.Regexp) // file -> line -> wants
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -170,7 +240,7 @@ func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				exp := &expectation{}
+				var res []*regexp.Regexp
 				for _, chunk := range wantChunkRE.FindAllString(rest, -1) {
 					pattern := chunk
 					if pattern[0] == '"' {
@@ -188,16 +258,16 @@ func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.
 						t.Errorf("%s: bad want regexp %q: %v", pos, pattern, err)
 						continue
 					}
-					exp.res = append(exp.res, re)
+					res = append(res, re)
 				}
-				if len(exp.res) == 0 {
+				if len(res) == 0 {
 					t.Errorf("%s: want comment with no patterns", pos)
 					continue
 				}
 				if wants[pos.Filename] == nil {
-					wants[pos.Filename] = make(map[int]*expectation)
+					wants[pos.Filename] = make(map[int][]*regexp.Regexp)
 				}
-				wants[pos.Filename][pos.Line] = exp
+				wants[pos.Filename][pos.Line] = res
 			}
 		}
 	}
@@ -211,13 +281,13 @@ func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.
 	}
 
 	for file, byLine := range wants {
-		for line, exp := range byLine {
+		for line, res := range byLine {
 			actual := got[file][line]
-			if len(actual) != len(exp.res) {
-				t.Errorf("%s:%d: want %d diagnostic(s), got %d: %v", file, line, len(exp.res), len(actual), messages(actual))
+			if len(actual) != len(res) {
+				t.Errorf("%s:%d: want %d diagnostic(s), got %d: %v", file, line, len(res), len(actual), messages(actual))
 				continue
 			}
-			for i, re := range exp.res {
+			for i, re := range res {
 				if !re.MatchString(actual[i].Message) {
 					t.Errorf("%s:%d: diagnostic %q does not match want pattern %q", file, line, actual[i].Message, re)
 				}
@@ -226,7 +296,7 @@ func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.
 	}
 	for file, byLine := range got {
 		for line, actual := range byLine {
-			if wants[file] == nil || wants[file][line] == nil {
+			if wants[file][line] == nil {
 				t.Errorf("%s:%d: unexpected diagnostic(s): %v", file, line, messages(actual))
 			}
 		}

@@ -88,7 +88,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, exports, nil)
+	imp := NewImporter(fset, exports)
 	var pkgs []*Package
 	for _, e := range units {
 		p, err := checkEntry(fset, imp, e)
@@ -212,76 +212,14 @@ func ExportData(dir string, paths []string) (map[string]string, error) {
 	return exports, nil
 }
 
-// Importer resolves imports for the type-checker: source directories first
-// (the linttest harness maps fixture import paths to testdata dirs), then
-// gc export data produced by `go list -export`.
-type Importer struct {
-	fset *token.FileSet
-	// srcDirs maps an import path to a directory of Go source to
-	// type-check on first use (fixture stubs). nil outside tests.
-	srcDirs map[string]string
-	gc      types.ImporterFrom
-	srcPkgs map[string]*types.Package
-}
-
-// NewImporter builds an Importer over the given export-data map and
-// optional source-stub directories.
-func NewImporter(fset *token.FileSet, exports map[string]string, srcDirs map[string]string) *Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
+// NewImporter resolves imports for the type-checker from the gc export
+// data files `go list -export` produced (import path -> file).
+func NewImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
-	}
-	return &Importer{
-		fset:    fset,
-		srcDirs: srcDirs,
-		gc:      importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
-		srcPkgs: make(map[string]*types.Package),
-	}
-}
-
-// Import implements types.Importer.
-func (imp *Importer) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if pkg, ok := imp.srcPkgs[path]; ok {
-		return pkg, nil
-	}
-	if dir, ok := imp.srcDirs[path]; ok {
-		pkg, err := imp.checkDir(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		imp.srcPkgs[path] = pkg
-		return pkg, nil
-	}
-	return imp.gc.Import(path)
-}
-
-// checkDir type-checks a fixture stub package from source.
-func (imp *Importer) checkDir(path, dir string) (*types.Package, error) {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, de := range names {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(imp.fset, filepath.Join(dir, de.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	var errs []error
-	pkg, _ := Check(imp.fset, path, files, imp, &errs)
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("type-checking %s: %v", path, errs[0])
-	}
-	return pkg, nil
+	})
 }

@@ -17,11 +17,14 @@
 package metricname
 
 import (
+	"fmt"
 	"go/ast"
 	"regexp"
 	"strings"
 
+	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/lint"
+	"sprite/internal/analysis/load"
 )
 
 // methods are the Registry entry points that mint a named instrument.
@@ -40,50 +43,58 @@ var (
 )
 
 // Analyzer is the metricname check.
-var Analyzer = &lint.Analyzer{
+var Analyzer = &dataflow.TreeAnalyzer{
 	Name: "metricname",
 	Doc:  "metric names must follow area.noun[.verb] (lowercase dot-separated segments); dynamic names need a conforming literal backbone",
 	Run:  run,
 }
 
-func run(pass *lint.Pass) (any, error) {
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Filename(f.Pos()), "_test.go") {
-			continue
+func run(t *dataflow.Tree) ([]lint.Diagnostic, error) {
+	var diags []lint.Diagnostic
+	for _, pkg := range t.Pkgs {
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := lint.FuncObjOf(pkg.Info, call)
+				if fn == nil || !methods[fn.Name()] || !lint.IsMethod(fn, metricsPkg, "Registry", fn.Name()) || len(call.Args) == 0 {
+					return true
+				}
+				arg := call.Args[0]
+				for _, msg := range checkName(pkg, arg) {
+					diags = append(diags, lint.Diagnostic{Pos: pkg.Fset.Position(arg.Pos()), Analyzer: "metricname", Message: msg})
+				}
+				return true
+			})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := lint.FuncObjOf(pass.TypesInfo, call)
-			if fn == nil || !methods[fn.Name()] || !lint.IsMethod(fn, metricsPkg, "Registry", fn.Name()) || len(call.Args) == 0 {
-				return true
-			}
-			checkName(pass, call.Args[0])
-			return true
-		})
 	}
-	return nil, nil
+	return diags, nil
 }
 
-func checkName(pass *lint.Pass, arg ast.Expr) {
-	if name, ok := lint.ConstString(pass.TypesInfo, arg); ok {
+// checkName returns what is wrong with one name argument, if anything.
+func checkName(pkg *load.Package, arg ast.Expr) []string {
+	if name, ok := lint.ConstString(pkg.Info, arg); ok {
 		if !validFullName(name) {
-			pass.Reportf(arg.Pos(), "metric name %q does not follow area.noun[.verb] (two or more lowercase dot-separated segments)", name)
+			return []string{fmt.Sprintf("metric name %q does not follow area.noun[.verb] (two or more lowercase dot-separated segments)", name)}
 		}
-		return
+		return nil
 	}
-	frags, _ := fragments(pass, arg)
+	frags, _ := fragments(pkg, arg)
 	if len(frags) == 0 {
-		pass.Reportf(arg.Pos(), "dynamically-built metric name with no literal fragment: give it a literal area.noun backbone so snapshot goldens stay traceable")
-		return
+		return []string{"dynamically-built metric name with no literal fragment: give it a literal area.noun backbone so snapshot goldens stay traceable"}
 	}
+	var msgs []string
 	for _, frag := range frags {
 		if bad, ok := badSegment(frag); ok {
-			pass.Reportf(arg.Pos(), "metric name fragment %q: segment %q breaks the area.noun[.verb] convention (lowercase [a-z0-9_-])", frag, bad)
+			msgs = append(msgs, fmt.Sprintf("metric name fragment %q: segment %q breaks the area.noun[.verb] convention (lowercase [a-z0-9_-])", frag, bad))
 		}
 	}
+	return msgs
 }
 
 // validFullName checks a complete constant name: >= 2 segments, each
@@ -116,21 +127,21 @@ func badSegment(frag string) (string, bool) {
 // fragments collects the literal pieces of a dynamic name expression:
 // string constants in a concatenation chain, and the (verb-masked) format
 // of a fmt.Sprintf call.
-func fragments(pass *lint.Pass, e ast.Expr) (frags []string, dynamic bool) {
+func fragments(pkg *load.Package, e ast.Expr) (frags []string, dynamic bool) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.BinaryExpr:
-		lf, ld := fragments(pass, e.X)
-		rf, rd := fragments(pass, e.Y)
+		lf, ld := fragments(pkg, e.X)
+		rf, rd := fragments(pkg, e.Y)
 		return append(lf, rf...), ld || rd
 	case *ast.CallExpr:
-		if fn := lint.FuncObjOf(pass.TypesInfo, e); lint.IsPkgFunc(fn, "fmt", "Sprintf") && len(e.Args) > 0 {
-			if format, ok := lint.ConstString(pass.TypesInfo, e.Args[0]); ok {
+		if fn := lint.FuncObjOf(pkg.Info, e); lint.IsPkgFunc(fn, "fmt", "Sprintf") && len(e.Args) > 0 {
+			if format, ok := lint.ConstString(pkg.Info, e.Args[0]); ok {
 				return []string{verbRE.ReplaceAllString(format, "x")}, true
 			}
 		}
 		return nil, true
 	default:
-		if s, ok := lint.ConstString(pass.TypesInfo, e); ok {
+		if s, ok := lint.ConstString(pkg.Info, e); ok {
 			return []string{s}, false
 		}
 		return nil, true

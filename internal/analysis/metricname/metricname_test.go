@@ -8,5 +8,5 @@ import (
 )
 
 func TestMetricname(t *testing.T) {
-	linttest.Run(t, metricname.Analyzer, "a")
+	linttest.RunTree(t, "a", metricname.Analyzer)
 }

@@ -5,12 +5,11 @@
 // — the unsharded mutators serialize on one cache line and, worse, make
 // the metric's final value depend on cross-shard interleaving.
 //
-// The per-function shardedstate analyzer flags unsharded mutators
-// written directly inside a confined spawn literal. sharded joins the
-// same facts (collected per function by internal/analysis/dataflow)
-// against the confined reachability closure, so a metrics helper called
-// three frames below the spawn point is caught too, with the witness
-// chain in the message.
+// sharded joins the per-function facts collected by
+// internal/analysis/dataflow against the confined reachability closure,
+// so a metrics helper called three frames below the spawn point is caught
+// like one written in the spawn literal, with the witness chain in the
+// message. Exclusive activities may use the unsharded mutators.
 package sharded
 
 import (
@@ -51,15 +50,5 @@ func run(t *dataflow.Tree) ([]lint.Diagnostic, error) {
 			})
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return diags[i].Message < diags[j].Message
-	})
 	return diags, nil
 }

@@ -7,5 +7,5 @@ import (
 )
 
 func TestSharded(t *testing.T) {
-	linttest.RunTree(t, Analyzer, "a")
+	linttest.RunTree(t, "a", Analyzer)
 }

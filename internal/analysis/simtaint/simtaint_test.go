@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimtaint(t *testing.T) {
-	tree := linttest.RunTree(t, Analyzer, "a")
+	tree := linttest.RunTree(t, "a", Analyzer)
 	// The allow-listed file suppresses the diagnostic, not the taint:
 	// wallReport's summary still records the wall-clock hit.
 	s := tree.Sums["a.wallReport"]
@@ -16,3 +16,12 @@ func TestSimtaint(t *testing.T) {
 		t.Errorf("wallReport should still carry the suppressed wall-clock sink hit: %+v", s)
 	}
 }
+
+// The three source-site and map-range fixtures below are the former
+// walltime, globalrand and maporder analyzers' cases, want for want.
+
+func TestWallClockSites(t *testing.T) { linttest.RunTree(t, "clock", Analyzer) }
+
+func TestGlobalRandSites(t *testing.T) { linttest.RunTree(t, "rand", Analyzer) }
+
+func TestMapRangeSinks(t *testing.T) { linttest.RunTree(t, "maprange", Analyzer) }

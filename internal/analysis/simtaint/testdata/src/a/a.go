@@ -1,7 +1,7 @@
 // Fixture: each sink hit is one call hop away from its source. The
-// per-function walltime/globalrand/maporder analyzers flag the source
-// lines (stamp, jitter) but cannot see that the values reach trace
-// emission — only the whole-tree taint summaries connect them.
+// source lines (stamp, jitter) are flagged where they stand, but that the
+// values reach trace emission is visible only through the whole-tree
+// taint summaries that connect the two.
 package a
 
 import (
@@ -13,9 +13,9 @@ import (
 	sim "sprite/internal/sim"
 )
 
-func stamp() string { return time.Now().Format(time.RFC3339) }
+func stamp() string { return time.Now().Format(time.RFC3339) } // want `wall-clock time\.Now in simulated code`
 
-func jitter() int { return rand.Intn(10) }
+func jitter() int { return rand.Intn(10) } // want `global rand\.Intn`
 
 func report(env *sim.Env) {
 	env.Emit("host.up", stamp()) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit; goldens and seed replay diverge`

@@ -1,4 +1,4 @@
-// wallclock.go sits on walltime's allow list: the wall-clock budget
+// wallclock.go sits on the wall-clock allow list: the wall-clock budget
 // plumbing legitimately reports real elapsed time. simtaint still
 // computes taint through this file but suppresses wall-clock sink hits
 // inside it.

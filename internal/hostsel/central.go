@@ -196,7 +196,7 @@ func (c *Central) handleRequest(env *sim.Env, from rpc.HostID, arg any) (any, in
 	var cands []rpc.HostID
 	for h, inf := range c.info {
 		if _, busy := c.assignments[h]; !busy && inf.available && h != a.Client {
-			cands = append(cands, h) //spritelint:allow maporder pickLongestIdle re-sorts below with a total order (idleSince, host id)
+			cands = append(cands, h) //spritelint:allow simtaint pickLongestIdle re-sorts below with a total order (idleSince, host id)
 		}
 	}
 	// Fair allocation under contention: a client's holdings may not exceed

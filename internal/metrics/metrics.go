@@ -120,25 +120,12 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Max returns the high-water mark since creation.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
-// TimingBuckets configures the fixed histogram under every Timing: bucket
-// i counts observations in [Lo + i*Width, Lo + (i+1)*Width).
-type TimingBuckets struct {
-	Lo      time.Duration
-	Width   time.Duration
-	Buckets int
-}
-
-// DefaultTimingBuckets spans 0..1s in 10 ms steps — the range of one
-// migration phase at the thesis's hardware scale.
-var DefaultTimingBuckets = TimingBuckets{Lo: 0, Width: 10 * time.Millisecond, Buckets: 100}
-
 // timingAcc is the accumulator state shared by a Timing's base cell and
 // its per-worker cells.
 type timingAcc struct {
 	n        uint64
 	sum      time.Duration
 	min, max time.Duration
-	hist     *stats.Histogram
 	sketch   *stats.Sketch
 }
 
@@ -151,7 +138,6 @@ func (a *timingAcc) observe(d time.Duration) {
 	}
 	a.n++
 	a.sum += d
-	a.hist.Add(d.Seconds())
 	a.sketch.Add(d.Seconds())
 }
 
@@ -165,8 +151,8 @@ type timingCell struct {
 	_ [32]byte
 }
 
-// Timing accumulates duration observations: count, sum, min, max, a
-// fixed-bucket histogram, and an online quantile sketch. With registry
+// Timing accumulates duration observations: count, sum, min, max, and an
+// online quantile sketch. With registry
 // sharding enabled, ObserveSlot records into per-worker cells that are
 // merged only when the timing is read. Counts, sums (integer nanoseconds),
 // extrema, and sketch buckets are all commutative, so the merged view is
@@ -175,25 +161,15 @@ type timingCell struct {
 type Timing struct {
 	mu sync.Mutex
 	timingAcc
-	buckets TimingBuckets
-	cells   []*timingCell
+	cells []*timingCell
 }
 
-func newTiming(b TimingBuckets) *Timing {
-	if b.Buckets <= 0 {
-		b = DefaultTimingBuckets
-	}
-	t := &Timing{}
-	t.timingAcc = newTimingAcc(b)
-	t.buckets = b
-	return t
+func newTiming() *Timing {
+	return &Timing{timingAcc: newTimingAcc()}
 }
 
-func newTimingAcc(b TimingBuckets) timingAcc {
-	return timingAcc{
-		hist:   stats.NewHistogram(b.Lo.Seconds(), b.Width.Seconds(), b.Buckets),
-		sketch: stats.NewSketch(stats.DefaultSketchAccuracy),
-	}
+func newTimingAcc() timingAcc {
+	return timingAcc{sketch: stats.NewSketch(stats.DefaultSketchAccuracy)}
 }
 
 // shard equips the timing with private cells for slots 1..n. Called under
@@ -205,7 +181,7 @@ func (t *Timing) shard(n int) {
 	t.cells = make([]*timingCell, n)
 	for i := range t.cells {
 		c := &timingCell{}
-		c.timingAcc = newTimingAcc(t.buckets)
+		c.timingAcc = newTimingAcc()
 		t.cells[i] = c
 	}
 }
@@ -331,7 +307,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timings  map[string]*Timing
-	buckets  TimingBuckets
 	slots    int
 
 	// emit, when set, receives one trace event per finished span —
@@ -339,13 +314,12 @@ type Registry struct {
 	emit func(at time.Duration, kind, detail string)
 }
 
-// New returns an empty registry using DefaultTimingBuckets.
+// New returns an empty registry.
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		timings:  make(map[string]*Timing),
-		buckets:  DefaultTimingBuckets,
 	}
 }
 
@@ -420,7 +394,7 @@ func (r *Registry) Timing(name string) *Timing {
 	defer r.mu.Unlock()
 	t, ok := r.timings[name]
 	if !ok {
-		t = newTiming(r.buckets)
+		t = newTiming()
 		if r.slots > 0 {
 			t.shard(r.slots)
 		}

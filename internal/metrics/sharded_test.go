@@ -146,7 +146,7 @@ func TestShardedTimingMergeRollup(t *testing.T) {
 		return tm
 	}
 	rollup := func(host *Timing) string {
-		cluster := newTiming(DefaultTimingBuckets)
+		cluster := newTiming()
 		if err := cluster.Merge(host); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,9 @@
 // Package stats provides the small set of summary statistics used by the
-// experiment harness: online mean/variance, percentiles, and fixed-bucket
-// histograms.
+// experiment harness: online mean/variance, percentiles, and a mergeable
+// quantile sketch.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -130,66 +129,4 @@ func (s *Sample) ensureSorted() {
 		sort.Float64s(s.values)
 		s.sorted = true
 	}
-}
-
-// Histogram counts observations into fixed-width buckets.
-type Histogram struct {
-	Lo, Width float64
-	Counts    []uint64
-	under     uint64
-	over      uint64
-	n         uint64
-}
-
-// NewHistogram returns a histogram with buckets [lo, lo+width), ...
-func NewHistogram(lo, width float64, buckets int) *Histogram {
-	return &Histogram{Lo: lo, Width: width, Counts: make([]uint64, buckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	if v < h.Lo {
-		h.under++
-		return
-	}
-	// Compare in floating point before converting, so huge observations
-	// cannot overflow the bucket index.
-	bucket := (v - h.Lo) / h.Width
-	if bucket >= float64(len(h.Counts)) {
-		h.over++
-		return
-	}
-	h.Counts[int(bucket)]++
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Fraction returns the fraction of observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.n)
-}
-
-// FractionBelow returns the fraction of observations strictly below v.
-func (h *Histogram) FractionBelow(v float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	count := h.under
-	for i, c := range h.Counts {
-		hi := h.Lo + float64(i+1)*h.Width
-		if hi <= v {
-			count += c
-		}
-	}
-	return float64(count) / float64(h.n)
-}
-
-// String renders a compact textual summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("hist(n=%d, under=%d, over=%d)", h.n, h.under, h.over)
 }

@@ -105,25 +105,6 @@ func TestMeanBounded(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	for _, v := range []float64{-1, 0.5, 1.5, 1.7, 9.9, 100} {
-		h.Add(v)
-	}
-	if h.N() != 6 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[9] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if !almost(h.Fraction(1), 2.0/6.0) {
-		t.Fatalf("fraction = %v", h.Fraction(1))
-	}
-	if got := h.FractionBelow(2); !almost(got, 4.0/6.0) {
-		t.Fatalf("FractionBelow(2) = %v", got)
-	}
-}
-
 // TestMomentsMemoized: Mean/Std results must survive interleaved reads and
 // stay correct after further Adds invalidate the cache.
 func TestMomentsMemoized(t *testing.T) {
@@ -176,29 +157,5 @@ func BenchmarkSampleStdUncached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.momentsValid = false
 		_ = s.Std()
-	}
-}
-
-func TestHistogramFractionBelowMonotonic(t *testing.T) {
-	f := func(vals []float64) bool {
-		h := NewHistogram(0, 0.5, 20)
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-			h.Add(v)
-		}
-		prev := -1.0
-		for x := 0.0; x <= 10; x += 0.5 {
-			cur := h.FractionBelow(x)
-			if cur < prev-1e-9 {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
