@@ -80,7 +80,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("spritesim", flag.ContinueOnError)
 	var (
 		list      = fs.Bool("list", false, "list available experiments")
-		expID     = fs.String("experiment", "", "experiment id to run (E1..E14)")
+		expID     = fs.String("experiment", "", "experiment id to run (see -list)")
 		all       = fs.Bool("all", false, "run every experiment")
 		seed      = fs.Int64("seed", 42, "simulation seed")
 		quick     = fs.Bool("quick", false, "smaller parameter sweeps")

@@ -30,15 +30,6 @@ func applyEnvParallel(p *SimParams) {
 			p.Workers = n
 		}
 	}
-	// SPRITE_SIM_CONFINE=1 additionally homes every host on its own shard.
-	// Unlike SPRITE_SIM_PARALLEL this is NOT safe across arbitrary suites:
-	// confined clusters reject crashes, migration aborts, and shard-0
-	// process joins (DESIGN.md §14), so only point it at suites written for
-	// the confined contract (the `make race-confined` / `chaos-confined`
-	// legs select those by name).
-	if v := os.Getenv("SPRITE_SIM_CONFINE"); v == "1" || v == "true" {
-		p.ConfineHosts = true
-	}
 }
 
 // Options configures a simulated Sprite cluster.

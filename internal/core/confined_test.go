@@ -182,8 +182,8 @@ func TestConfinedGoldenFrozen(t *testing.T) {
 
 // TestConfinedCrossHostStorm is the -race stress leg: a dense all-to-all
 // storm of migrating, forking, and file-writing processes across 8 confined
-// hosts, dispatched on 4 workers. Running it under `go test -race` (the
-// `make race-confined` leg) audits every shard handoff in the confined
+// hosts, dispatched on 4 workers. Running it under `go test -race` (`make
+// race`) audits every shard handoff in the confined
 // RPC/FS/migration plane; the digest check keeps the storm honest against
 // the serial oracle.
 func TestConfinedCrossHostStorm(t *testing.T) {

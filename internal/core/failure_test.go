@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"sprite/internal/fs"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 )
@@ -283,5 +285,256 @@ func TestConcurrentMigrationsDoNotInterfere(t *testing.T) {
 	runCluster(t, c)
 	if got := len(c.MigrationRecords()); got != 3 {
 		t.Fatalf("migrations = %d, want 3", got)
+	}
+}
+
+// TestMigrationAbortRollsBack injects a failure at each failpoint of the
+// shared part of the migration sequence, for both kinds of migration. The
+// rollback contract is the same either way — the process runs on at the
+// source with its streams back, the target keeps no ghost, the abort is
+// counted once and leaves no timing for the phase it cut short — and only
+// the requester's view differs: a full migration's future fails with the
+// injected error, an exec-time one is demoted to a local exec and resolves
+// to the source host.
+func TestMigrationAbortRollsBack(t *testing.T) {
+	injected := errors.New("injected fault")
+	points := []struct{ point, phase string }{
+		{"mig.init", "negotiate"},
+		{"mig.streams", "streams"},
+		{"mig.pcb", "pcb"},
+	}
+	for _, atExec := range []bool{false, true} {
+		for _, tc := range points {
+			atExec, tc := atExec, tc
+			name := "full/" + tc.point
+			if atExec {
+				name = "exec/" + tc.point
+			}
+			t.Run(name, func(t *testing.T) {
+				c := newCluster(t, 2)
+				src, dst := c.Workstation(0), c.Workstation(1)
+				armed := true
+				c.SetFailpoint(func(env *sim.Env, name string, pid PID) error {
+					if armed && name == tc.point {
+						armed = false
+						return injected
+					}
+					return nil
+				})
+				ready := sim.NewFuture(c.Sim())
+				var fd int
+				var ranOn rpc.HostID
+				// after is what the process does once the migration has
+				// aborted: keep using the stream that moved and came back.
+				after := func(ctx *Ctx) error {
+					ranOn = ctx.Process().Current().Host()
+					if _, err := ctx.Write(fd, []byte("after")); err != nil {
+						return err
+					}
+					return ctx.Close(fd)
+				}
+				c.Boot("boot", func(env *sim.Env) error {
+					p, err := src.StartProcess(env, "unlucky", func(ctx *Ctx) error {
+						var err error
+						if fd, err = ctx.Open("/log", fs.WriteMode, fs.OpenOptions{Create: true}); err != nil {
+							return err
+						}
+						if _, err := ctx.Write(fd, []byte("before ")); err != nil {
+							return err
+						}
+						if err := ctx.TouchHeap(0, 16, true); err != nil {
+							return err
+						}
+						ready.Complete(nil, nil)
+						// A full migration fires at one of these quanta.
+						if err := ctx.Compute(20 * time.Millisecond); err != nil {
+							return err
+						}
+						if atExec {
+							return ctx.Exec("image", after, smallProc)
+						}
+						return after(ctx)
+					}, bigProc)
+					if err != nil {
+						return err
+					}
+					if _, err := ready.Wait(env); err != nil {
+						return err
+					}
+					request := src.RequestMigration
+					if atExec {
+						request = src.RequestExecMigration
+					}
+					landed, merr := request(p, dst, "test").Wait(env)
+					if atExec {
+						if merr != nil || landed != src.Host() {
+							t.Errorf("demoted exec resolved to (%v, %v), want (%v, nil)", landed, merr, src.Host())
+						}
+					} else if !errors.Is(merr, injected) {
+						t.Errorf("requester saw %v, want the injected fault", merr)
+					}
+					// The instant the requester hears of it, the rollback is
+					// already complete.
+					if p.Current() != src || p.State() != StateRunning {
+						t.Errorf("after abort: on %v in state %v, want running on source", p.Current().Host(), p.State())
+					}
+					if _, ghost := dst.procs[p.pid]; ghost {
+						t.Error("target still holds the aborted process's PCB")
+					}
+					for _, st := range p.allStreams() {
+						if st.RefsOn(src.Host()) == 0 || st.RefsOn(dst.Host()) != 0 {
+							t.Errorf("stream %s: refs source=%d target=%d, want all back on the source",
+								st.Path, st.RefsOn(src.Host()), st.RefsOn(dst.Host()))
+						}
+					}
+					status, err := p.Exited().Wait(env)
+					if err != nil {
+						return err
+					}
+					if status != 0 {
+						t.Errorf("exit status = %v, want 0", status)
+					}
+					got, err := src.FSClient().ReadFile(env, "/log")
+					if err != nil {
+						return err
+					}
+					if string(got) != "before after" {
+						t.Errorf("file = %q, want %q", got, "before after")
+					}
+					return nil
+				})
+				runCluster(t, c)
+
+				if ranOn != src.Host() {
+					t.Errorf("ran on %v after the abort, want source %v", ranOn, src.Host())
+				}
+				if s, d := src.Stats(), dst.Stats(); s.MigrationsAborted != 1 || s.MigrationsOut != 0 || s.RemoteExecs != 0 || d.MigrationsIn != 0 {
+					t.Errorf("stats: source %+v, target %+v", s, d)
+				}
+				if n := len(c.MigrationRecords()); n != 0 {
+					t.Errorf("%d migration records for an aborted migration", n)
+				}
+				snap := c.MetricsSnapshot()
+				for name, want := range map[string]int64{
+					"mig.started": 1, "mig.completed": 0, "mig.aborted": 1, "mig.aborted." + tc.phase: 1,
+				} {
+					if got := snap.Counters[name]; got != want {
+						t.Errorf("%s = %d, want %d", name, got, want)
+					}
+				}
+				for _, name := range []string{"mig.phase." + tc.phase, "mig.total", "mig.freeze"} {
+					if ts := snap.Timings[name]; ts.N != 0 {
+						t.Errorf("timing %s survived the rollback: %+v", name, ts)
+					}
+				}
+				if v := c.CheckInvariants(true); len(v) != 0 {
+					t.Errorf("invariants: %v", v)
+				}
+			})
+		}
+	}
+}
+
+// TestPendingMigrationDiesWithItsProcess: a request its process never
+// reaches a migration point to serve — here an exec-time request on a
+// process that never execs — resolves with ErrNoSuchProcess however the
+// process ends: a normal exit, a foreign exit on a confined cluster (which
+// settles on the home shard), or the crash of its host.
+func TestPendingMigrationDiesWithItsProcess(t *testing.T) {
+	idle := func(ctx *Ctx) error { return ctx.Compute(2 * time.Second) }
+
+	t.Run("exit", func(t *testing.T) {
+		c := newCluster(t, 2)
+		src, dst := c.Workstation(0), c.Workstation(1)
+		var merr error
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := src.StartProcess(env, "quitter", idle, smallProc)
+			if err != nil {
+				return err
+			}
+			_, merr = src.RequestExecMigration(p, dst, "test").Wait(env)
+			return nil
+		})
+		runCluster(t, c)
+		if !errors.Is(merr, ErrNoSuchProcess) {
+			t.Fatalf("requester saw %v, want ErrNoSuchProcess", merr)
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		c := newCluster(t, 2)
+		src, dst := c.Workstation(0), c.Workstation(1)
+		var merr error
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := src.StartProcess(env, "victim", idle, smallProc)
+			if err != nil {
+				return err
+			}
+			pending := src.RequestExecMigration(p, dst, "test")
+			if err := env.Sleep(100 * time.Millisecond); err != nil {
+				return err
+			}
+			c.CrashHost(env, src.Host())
+			_, merr = pending.Wait(env)
+			return nil
+		})
+		runCluster(t, c)
+		if !errors.Is(merr, ErrNoSuchProcess) {
+			t.Fatalf("requester saw %v, want ErrNoSuchProcess", merr)
+		}
+		if v := c.CheckInvariants(true); len(v) != 0 {
+			t.Fatalf("invariants: %v", v)
+		}
+	})
+
+	for _, simp := range []SimParams{{}, {Parallel: true, Workers: 2}} {
+		simp := simp
+		t.Run(fmt.Sprintf("confined-foreign-exit/parallel=%t", simp.Parallel), func(t *testing.T) {
+			params := DefaultParams()
+			params.Sim = simp
+			params.Sim.ConfineHosts = true
+			c, err := NewCluster(Options{Workstations: 2, FileServers: 1, Seed: 1, Params: &params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SeedBinary("/bin/prog", 128*1024); err != nil {
+				t.Fatal(err)
+			}
+			home, away := c.Workstation(0), c.Workstation(1)
+			c.BootOn(home.Host(), "driver", func(env *sim.Env) error {
+				p, err := home.StartProcess(env, "guest", func(ctx *Ctx) error {
+					if err := ctx.Migrate(away.Host()); err != nil {
+						return err
+					}
+					return idle(ctx)
+				}, smallProc)
+				if err != nil {
+					return err
+				}
+				_, err = p.Exited().Wait(env)
+				return err
+			})
+			// The requester lives on the shard of the host the guest is
+			// visiting, as an evictor would, and asks once it has settled.
+			var merr error
+			c.BootOn(away.Host(), "requester", func(env *sim.Env) error {
+				if err := env.Sleep(time.Second); err != nil {
+					return err
+				}
+				guests := away.ForeignProcesses()
+				if len(guests) != 1 {
+					return fmt.Errorf("%d guests on %v, want 1", len(guests), away.Host())
+				}
+				_, merr = away.RequestExecMigration(guests[0], home, "test").Wait(env)
+				return nil
+			})
+			runCluster(t, c)
+			if !errors.Is(merr, ErrNoSuchProcess) {
+				t.Fatalf("requester saw %v, want ErrNoSuchProcess", merr)
+			}
+			if v := c.CheckInvariants(true); len(v) != 0 {
+				t.Fatalf("invariants: %v", v)
+			}
+		})
 	}
 }

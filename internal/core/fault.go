@@ -303,15 +303,7 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 		}
 	}
 	p.migTarget, p.migMoved = nil, nil
-	streams := p.openStreams()
-	if p.space != nil {
-		for _, seg := range p.space.Segments() {
-			if seg.Backing != nil {
-				streams = append(streams, seg.Backing)
-			}
-		}
-	}
-	for _, st := range streams {
+	for _, st := range p.allStreams() {
 		st.ScrubHost(crashedHost)
 	}
 	c.noteEnd(p.pid)
@@ -323,10 +315,7 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 		// yet know — ReapDeadHost settles the record once a detector fires.
 		p.home.recordExit(p.pid, CrashStatus)
 	}
-	if req := p.migrateReq; req != nil {
-		p.migrateReq = nil
-		req.done.Complete(nil, fmt.Errorf("%w: %v crashed", ErrNoSuchProcess, p.pid))
-	}
+	p.failPendingMigration(fmt.Sprintf("%v crashed", p.pid))
 	if w := p.contWaiter; w != nil {
 		p.contWaiter = nil
 		w.Complete(nil, ErrHostCrashed)

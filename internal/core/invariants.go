@@ -180,10 +180,6 @@ func (c *Cluster) checkStreamRefs() []string {
 
 	// One server-side open reference exists per (stream, host) pair with a
 	// positive client refcount, counted under the stream's mode class.
-	type refKey struct {
-		fid  fs.FileID
-		host rpc.HostID
-	}
 	expected := make(map[refKey]fs.OpenCount)
 	expReaders := make(map[refKey]bool) // pipe ends expected per host
 	expWriters := make(map[refKey]bool)
@@ -193,15 +189,7 @@ func (c *Cluster) checkStreamRefs() []string {
 			if p.cur != k || p.state == StateExited {
 				continue
 			}
-			streams := p.openStreams()
-			if p.space != nil {
-				for _, seg := range p.space.Segments() {
-					if seg.Backing != nil {
-						streams = append(streams, seg.Backing)
-					}
-				}
-			}
-			for _, st := range streams {
+			for _, st := range p.allStreams() {
 				if seen[st.ID] {
 					continue
 				}
@@ -251,11 +239,42 @@ func (c *Cluster) checkStreamRefs() []string {
 		}
 	}
 
-	keys := make(map[refKey]bool)
-	for k := range expected {
+	for _, k := range sortedRefKeys(expected, actual) {
+		if e, a := expected[k], actual[k]; e != a {
+			out = append(out, fmt.Sprintf("refs: file %v host %v: server holds r=%d w=%d, live streams imply r=%d w=%d",
+				k.fid, k.host, a.Readers, a.Writers, e.Readers, e.Writers))
+		}
+	}
+
+	diffEnds := func(exp, act map[refKey]bool, end string) {
+		for _, k := range sortedRefKeys(exp, act) {
+			switch {
+			case exp[k] && !act[k]:
+				out = append(out, fmt.Sprintf("refs: pipe %v: live %s stream on host %v but server lost the end", k.fid, end, k.host))
+			case !exp[k] && act[k]:
+				out = append(out, fmt.Sprintf("refs: pipe %v: server holds a %s end for host %v with no live stream", k.fid, end, k.host))
+			}
+		}
+	}
+	diffEnds(expReaders, actReaders, "reader")
+	diffEnds(expWriters, actWriters, "writer")
+	return out
+}
+
+// refKey names one host's server-side open reference to one file.
+type refKey struct {
+	fid  fs.FileID
+	host rpc.HostID
+}
+
+// sortedRefKeys returns the union of the two maps' keys in (server, inode,
+// host) order, so a comparison of the maps reports in a replayable order.
+func sortedRefKeys[V any](a, b map[refKey]V) []refKey {
+	keys := make(map[refKey]bool, len(a)+len(b))
+	for k := range a {
 		keys[k] = true
 	}
-	for k := range actual {
+	for k := range b {
 		keys[k] = true
 	}
 	sorted := make([]refKey, 0, len(keys))
@@ -272,45 +291,5 @@ func (c *Cluster) checkStreamRefs() []string {
 		}
 		return a.host < b.host
 	})
-	for _, k := range sorted {
-		if e, a := expected[k], actual[k]; e != a {
-			out = append(out, fmt.Sprintf("refs: file %v host %v: server holds r=%d w=%d, live streams imply r=%d w=%d",
-				k.fid, k.host, a.Readers, a.Writers, e.Readers, e.Writers))
-		}
-	}
-
-	diffEnds := func(exp, act map[refKey]bool, end string) {
-		keys := make(map[refKey]bool)
-		for k := range exp {
-			keys[k] = true
-		}
-		for k := range act {
-			keys[k] = true
-		}
-		sorted := make([]refKey, 0, len(keys))
-		for k := range keys {
-			sorted = append(sorted, k)
-		}
-		sort.Slice(sorted, func(i, j int) bool {
-			a, b := sorted[i], sorted[j]
-			if a.fid.Server != b.fid.Server {
-				return a.fid.Server < b.fid.Server
-			}
-			if a.fid.Ino != b.fid.Ino {
-				return a.fid.Ino < b.fid.Ino
-			}
-			return a.host < b.host
-		})
-		for _, k := range sorted {
-			switch {
-			case exp[k] && !act[k]:
-				out = append(out, fmt.Sprintf("refs: pipe %v: live %s stream on host %v but server lost the end", k.fid, end, k.host))
-			case !exp[k] && act[k]:
-				out = append(out, fmt.Sprintf("refs: pipe %v: server holds a %s end for host %v with no live stream", k.fid, end, k.host))
-			}
-		}
-	}
-	diffEnds(expReaders, actReaders, "reader")
-	diffEnds(expWriters, actWriters, "writer")
-	return out
+	return sorted
 }

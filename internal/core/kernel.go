@@ -425,10 +425,7 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	k.cluster.noteEnd(p.pid)
 	k.cluster.emitEnv(env, "proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
 	if k.cluster.confined && p.Foreign() {
-		if req := p.migrateReq; req != nil {
-			p.migrateReq = nil
-			req.done.Complete(nil, fmt.Errorf("%w: exited before migration", ErrNoSuchProcess))
-		}
+		p.failPendingMigration("exited before migration")
 		if _, err := k.ep.Call(env, p.home.host, "k.exitNotify", exitNotifyArgs{
 			PID: p.pid, Status: status,
 		}, 32); err != nil {
@@ -442,10 +439,7 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	p.state = StateExited
 	p.exitStatus = status
 	p.home.recordExit(p.pid, status)
-	if req := p.migrateReq; req != nil {
-		p.migrateReq = nil
-		req.done.Complete(nil, fmt.Errorf("%w: exited before migration", ErrNoSuchProcess))
-	}
+	p.failPendingMigration("exited before migration")
 	p.exited.Complete(status, nil)
 }
 

@@ -63,59 +63,61 @@ type MigrationRecord struct {
 // point. The returned future resolves to the new host id (or an error). A
 // process using shared writable memory refuses, as in Sprite.
 func (k *Kernel) RequestMigration(p *Process, target *Kernel, reason string) *sim.Future {
-	done := sim.NewFuture(k.cluster.sim)
-	switch {
-	case p.state == StateExited:
-		done.Complete(nil, fmt.Errorf("%w: %v", ErrNoSuchProcess, p.pid))
-	case p.sharedMemory:
-		done.Complete(nil, fmt.Errorf("%w: %v uses shared writable memory", ErrNotMigratable, p.pid))
-	case p.migrateReq != nil:
-		done.Complete(nil, fmt.Errorf("%w: %v migration already pending", ErrNotMigratable, p.pid))
-	case target == p.cur:
-		done.Complete(target.host, nil)
-	default:
-		p.migrateReq = &migrationRequest{target: target, reason: reason, done: done}
-	}
-	return done
+	return k.requestMigration(p, target, reason, false)
 }
 
 // RequestExecMigration marks p to migrate to target at its next exec — the
 // cheap remote-invocation path (no VM transfer).
 func (k *Kernel) RequestExecMigration(p *Process, target *Kernel, reason string) *sim.Future {
+	return k.requestMigration(p, target, reason, true)
+}
+
+func (k *Kernel) requestMigration(p *Process, target *Kernel, reason string, atExec bool) *sim.Future {
 	done := sim.NewFuture(k.cluster.sim)
-	switch {
-	case p.state == StateExited:
-		done.Complete(nil, fmt.Errorf("%w: %v", ErrNoSuchProcess, p.pid))
-	case p.migrateReq != nil:
-		done.Complete(nil, fmt.Errorf("%w: %v migration already pending", ErrNotMigratable, p.pid))
+	switch err := p.migratable(atExec); {
+	case err != nil:
+		done.Complete(nil, err)
+	case !atExec && target == p.cur:
+		done.Complete(target.host, nil)
 	default:
-		p.migrateReq = &migrationRequest{target: target, reason: reason, done: done, atExec: true}
+		p.migrateReq = &migrationRequest{target: target, atExec: atExec, reason: reason, done: done}
 	}
 	return done
 }
 
-// migrateNow validates and performs a migration inline, in p's own activity
-// (used by the explicit migrate call, which is itself a migration point).
-func (k *Kernel) migrateNow(env *sim.Env, p *Process, target *Kernel, reason string) error {
+// migratable reports why p cannot take a new migration request (nil when
+// it can). An exec-time request skips the shared-memory rule: the image is
+// discarded at exec, so nothing shared would move.
+func (p *Process) migratable(atExec bool) error {
 	switch {
 	case p.state == StateExited:
 		return fmt.Errorf("%w: %v", ErrNoSuchProcess, p.pid)
-	case p.sharedMemory:
+	case p.sharedMemory && !atExec:
 		return fmt.Errorf("%w: %v uses shared writable memory", ErrNotMigratable, p.pid)
 	case p.migrateReq != nil:
 		return fmt.Errorf("%w: %v migration already pending", ErrNotMigratable, p.pid)
-	case target == p.cur:
-		return nil
 	}
-	return k.migrateSelf(env, p, &migrationRequest{target: target, reason: reason})
+	return nil
 }
 
-// migrateSelf performs a full migration of p from this kernel to
-// req.target, executed in p's own activity at a migration point. The order
-// follows the thesis: negotiate, transfer virtual memory, transfer open
-// streams (with I/O server coordination), transfer the PCB, update the home
-// machine, resume on the target.
-func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) error {
+// failPendingMigration resolves a request p will never reach a migration
+// point to serve (it exited, or died with its host) with ErrNoSuchProcess.
+func (p *Process) failPendingMigration(why string) {
+	if req := p.migrateReq; req != nil {
+		p.migrateReq = nil
+		req.done.Complete(nil, fmt.Errorf("%w: %s", ErrNoSuchProcess, why))
+	}
+}
+
+// migrate moves p from this kernel to req.target, executed in p's own
+// activity at a migration point. The order follows the thesis: negotiate,
+// transfer the process's state, transfer the PCB, update the home machine,
+// resume on the target. Exec-time migration is the same mechanism with the
+// virtual-memory transfer left out, so the state-transfer step
+// (transferImage / transferForExec) is the one place the two differ; what
+// else hangs off req.atExec is the exec arguments riding with the PCB and
+// the bookkeeping of which kind completed.
+func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error {
 	target := req.target
 	if target == k {
 		return nil
@@ -126,10 +128,13 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 		To:       target.host,
 		Reason:   req.reason,
 		Start:    env.Now(),
+		ExecTime: req.atExec,
 		Strategy: k.strategy.Name(),
 	}
+	if req.atExec {
+		rec.Strategy = "exec-time"
+	}
 	p.state = StateMigrating
-	t0 := env.Now()
 	// Expose in-flight progress so crash injection can release stream
 	// references already moved to the target if this host dies mid-flight.
 	p.migTarget = target
@@ -138,11 +143,12 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	mm := newMigMeter(env, k.cluster.metrics)
 
 	// abort undoes a partial migration so the process resumes on the
-	// source: streams already moved come back, a PCB already installed at
-	// the target is discarded there. A process destroyed by a crash of its
-	// own host skips recovery — there is nothing left to resume. The
-	// metrics rollback always runs: an aborted migration must not leave a
-	// phase timing or a dangling in-flight count behind.
+	// source (where an exec rebuilds the image locally instead): streams
+	// already moved come back, a PCB already installed at the target is
+	// discarded there. A process destroyed by a crash of its own host skips
+	// recovery — there is nothing left to resume. The metrics rollback
+	// always runs: an aborted migration must not leave a phase timing or a
+	// dangling in-flight count behind.
 	var moved []*fs.Stream
 	abort := func(err error) error {
 		if k.cluster.confined {
@@ -180,53 +186,42 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	if err := k.cluster.failAt(env, "mig.init", p.pid); err != nil {
 		return abort(err)
 	}
-	rec.NegotiateTime = mm.next(env, "vm."+rec.Strategy)
 
-	// 2 + 3. Virtual memory and open streams. The stream transfer runs in
-	// its own activity concurrent with the VM transfer: both phases still
-	// tile Total exactly because the vm span closes retroactively at the
-	// instant the VM work finished and the streams span covers only the tail
-	// that outlived it (zero when the streams won the race).
-	strmDone := sim.NewFuture(k.cluster.sim)
-	env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
-		mv, serr := k.transferStreams(senv, p, target, &rec)
-		strmDone.Complete(mv, serr)
-		return nil
-	})
-	vmErr := k.strategy.Transfer(env, k, target, p, &rec)
-	if vmErr != nil {
-		vmErr = fmt.Errorf("vm transfer: %w", vmErr)
+	// 2 + 3. Virtual memory (unless this is an exec) and open streams.
+	var tStreams time.Duration
+	var err error
+	if req.atExec {
+		moved, tStreams, err = k.transferForExec(env, p, target, &rec, mm)
 	} else {
-		vmErr = k.cluster.failAt(env, "mig.vm", p.pid)
+		moved, tStreams, err = k.transferImage(env, p, target, &rec, mm)
 	}
-	tVMEnd := env.Now()
-	// Join the stream mover before acting on any error: abort recovery
-	// needs the final moved list, and the mover must not outlive the
-	// migration it belongs to.
-	mv, serr := strmDone.Wait(env)
-	if ms, ok := mv.([]*fs.Stream); ok {
-		moved = ms
-	}
-	if vmErr != nil {
-		return abort(vmErr)
-	}
-	rec.VMTime = mm.nextAt(env, "streams", tVMEnd)
-	if serr != nil {
-		return abort(fmt.Errorf("stream transfer: %w", serr))
+	if err != nil {
+		return abort(err)
 	}
 	if err := k.cluster.failAt(env, "mig.streams", p.pid); err != nil {
 		return abort(err)
 	}
-	rec.FileTime = env.Now() - tVMEnd
+	rec.FileTime = env.Now() - tStreams
 	mm.next(env, "pcb")
 
-	// 4. PCB and residual untyped state.
+	// 4. PCB and residual untyped state; exec arguments ride along.
 	tP := env.Now()
 	if err := k.transferPCB(env, p, target); err != nil {
 		return abort(fmt.Errorf("pcb transfer: %w", err))
 	}
 	if err := k.cluster.failAt(env, "mig.pcb", p.pid); err != nil {
 		return abort(err)
+	}
+	if req.atExec {
+		argBytes := 0
+		for _, a := range p.args {
+			argBytes += len(a)
+		}
+		if argBytes > 0 {
+			if err := k.cluster.net.Send(env, argBytes); err != nil {
+				return abort(err)
+			}
+		}
 	}
 	rec.PCBTime = env.Now() - tP
 	mm.next(env, "resume")
@@ -254,7 +249,8 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 		return abort(fmt.Errorf("%w: target %v crashed mid-migration", rpc.ErrHostDown, target.host))
 	}
 
-	// 6. Switch the process over and resume.
+	// 6. Switch the process over and resume. After an exec-time transfer
+	// there is no address space left to re-point.
 	delete(k.procs, p.pid)
 	k.stats.MigrationsOut++
 	p.cur = target
@@ -265,7 +261,7 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	}
 
 	rec.ResumeTime = mm.complete(env)
-	rec.Total = env.Now() - t0
+	rec.Total = env.Now() - rec.Start
 	if rec.Freeze == 0 {
 		rec.Freeze = rec.Total
 	} else {
@@ -275,139 +271,72 @@ func (k *Kernel) migrateSelf(env *sim.Env, p *Process, req *migrationRequest) er
 	}
 	mm.observeTotals(env, &rec)
 	k.records = append(k.records, rec)
-	k.cluster.emitEnv(env, "migration",
-		fmt.Sprintf("%v %v->%v (%s, %s) total=%v vm=%dB files=%d",
-			p.pid, rec.From, rec.To, rec.Reason, rec.Strategy, rec.Total, rec.VMBytes, rec.Files))
+	if req.atExec {
+		k.stats.RemoteExecs++
+		k.cluster.emitEnv(env, "exec-migration",
+			fmt.Sprintf("%v %v->%v (%s) total=%v", p.pid, rec.From, rec.To, rec.Reason, rec.Total))
+	} else {
+		k.cluster.emitEnv(env, "migration",
+			fmt.Sprintf("%v %v->%v (%s, %s) total=%v vm=%dB files=%d",
+				p.pid, rec.From, rec.To, rec.Reason, rec.Strategy, rec.Total, rec.VMBytes, rec.Files))
+	}
 	return nil
 }
 
-// migrateForExec performs the exec-time variant: no VM transfer at all; the
-// new image is built on the target. Only streams, PCB, and the exec
-// arguments move.
-func (k *Kernel) migrateForExec(env *sim.Env, p *Process, req *migrationRequest) error {
-	target := req.target
-	if target == k {
+// transferImage is a full migration's state transfer: the VM strategy's
+// work with the open streams moving in their own activity beside it. Both
+// phases still tile Total exactly because the vm span closes retroactively
+// at the instant the VM work finished and the streams span covers only the
+// tail that outlived it (zero when the streams won the race). Like
+// transferForExec it returns the streams moved (also on error, for abort
+// recovery) and when the streams span opened.
+func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) ([]*fs.Stream, time.Duration, error) {
+	rec.NegotiateTime = mm.next(env, "vm."+rec.Strategy)
+	strmDone := sim.NewFuture(k.cluster.sim)
+	env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
+		mv, serr := k.transferStreams(senv, p, target, rec)
+		strmDone.Complete(mv, serr)
 		return nil
+	})
+	var vmErr error
+	if p.space != nil {
+		vmErr = k.strategy.Transfer(env, k, target, p, rec)
 	}
-	rec := MigrationRecord{
-		PID:      p.pid,
-		From:     k.host,
-		To:       target.host,
-		Reason:   req.reason,
-		Start:    env.Now(),
-		ExecTime: true,
-		Strategy: "exec-time",
+	if vmErr != nil {
+		vmErr = fmt.Errorf("vm transfer: %w", vmErr)
+	} else {
+		vmErr = k.cluster.failAt(env, "mig.vm", p.pid)
 	}
-	p.state = StateMigrating
-	t0 := env.Now()
-	p.migTarget = target
-	defer func() { p.migTarget, p.migMoved = nil, nil }()
+	tVMEnd := env.Now()
+	// Join the stream mover before acting on any error: abort recovery
+	// needs the final moved list, and the mover must not outlive the
+	// migration it belongs to.
+	mv, serr := strmDone.Wait(env)
+	moved, _ := mv.([]*fs.Stream)
+	if vmErr != nil {
+		return moved, 0, vmErr
+	}
+	rec.VMTime = mm.nextAt(env, "streams", tVMEnd)
+	if serr != nil {
+		return moved, 0, fmt.Errorf("stream transfer: %w", serr)
+	}
+	return moved, tVMEnd, nil
+}
 
-	mm := newMigMeter(env, k.cluster.metrics)
-
-	// Same recovery contract as migrateSelf: an aborted exec-time migration
-	// resumes the process on the source (where exec rebuilds the image
-	// locally instead). As there, the metrics rollback runs even for a
-	// crash-destroyed process.
-	var moved []*fs.Stream
-	abort := func(err error) error {
-		if k.cluster.confined {
-			// Same reasoning as migrateSelf's abort: recovery is cross-shard
-			// and every abort trigger is excluded by the confined contract.
-			panic(&sim.ConfinedContractError{
-				Op:     "migration abort",
-				Host:   fmt.Sprintf("%v (on %v)", p.pid, k.host),
-				Reason: err.Error(),
-			})
-		}
-		mm.abort(env)
-		k.stats.MigrationsAborted++
-		if p.crashed {
-			return err
-		}
-		if len(moved) > 0 {
-			k.recoverStreams(env, moved, target)
-		}
-		if _, installed := target.procs[p.pid]; installed {
-			delete(target.procs, p.pid)
-			target.stats.MigrationsIn--
-		}
-		p.state = StateRunning
-		return err
-	}
-
-	mm.next(env, "negotiate")
-	if err := k.migInit(env, p, target); err != nil {
-		return abort(err)
-	}
-	if err := k.cluster.failAt(env, "mig.init", p.pid); err != nil {
-		return abort(err)
-	}
-	// Discard the old image here; nothing of it moves.
+// transferForExec is the exec-time state transfer: no VM moves at all — the
+// old image is discarded here and the new one is built on the target — so
+// only the open streams travel, inline.
+func (k *Kernel) transferForExec(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) ([]*fs.Stream, time.Duration, error) {
 	if err := p.discardSpace(env); err != nil {
-		return abort(err)
+		return nil, 0, err
 	}
 	rec.NegotiateTime = mm.next(env, "streams")
-	tF := env.Now()
-	var serr error
-	if moved, serr = k.transferStreams(env, p, target, &rec); serr != nil {
-		return abort(fmt.Errorf("stream transfer: %w", serr))
+	tStreams := env.Now()
+	moved, err := k.transferStreams(env, p, target, rec)
+	if err != nil {
+		err = fmt.Errorf("stream transfer: %w", err)
 	}
-	if err := k.cluster.failAt(env, "mig.streams", p.pid); err != nil {
-		return abort(err)
-	}
-	rec.FileTime = env.Now() - tF
-	mm.next(env, "pcb")
-	tP := env.Now()
-	if err := k.transferPCB(env, p, target); err != nil {
-		return abort(fmt.Errorf("pcb transfer: %w", err))
-	}
-	if err := k.cluster.failAt(env, "mig.pcb", p.pid); err != nil {
-		return abort(err)
-	}
-	// Exec arguments ride along with the PCB.
-	argBytes := 0
-	for _, a := range p.args {
-		argBytes += len(a)
-	}
-	if argBytes > 0 {
-		if err := k.cluster.net.Send(env, argBytes); err != nil {
-			return abort(err)
-		}
-	}
-	rec.PCBTime = env.Now() - tP
-	mm.next(env, "resume")
-	if p.home != target || k.cluster.confined {
-		if _, err := k.ep.Call(env, p.home.host, "k.updateLoc", updateLocArgs{
-			PID: p.pid, Loc: target.host,
-		}, 32); err != nil {
-			return abort(fmt.Errorf("update home: %w", err))
-		}
-	} else if hr := p.home.homeRecs[p.pid]; hr != nil {
-		hr.location = target.host
-	}
-	// The target may have crashed after the PCB landed; resuming there
-	// would run the process on a dead host.
-	if k.cluster.HostDown(target.host) {
-		if hr := p.home.homeRecs[p.pid]; hr != nil {
-			hr.location = k.host
-		}
-		return abort(fmt.Errorf("%w: target %v crashed mid-migration", rpc.ErrHostDown, target.host))
-	}
-	delete(k.procs, p.pid)
-	k.stats.MigrationsOut++
-	k.stats.RemoteExecs++
-	p.cur = target
-	p.migrations++
-	p.state = StateRunning
-	rec.ResumeTime = mm.complete(env)
-	rec.Total = env.Now() - t0
-	rec.Freeze = rec.Total
-	mm.observeTotals(env, &rec)
-	k.records = append(k.records, rec)
-	k.cluster.emitEnv(env, "exec-migration",
-		fmt.Sprintf("%v %v->%v (%s) total=%v", p.pid, rec.From, rec.To, rec.Reason, rec.Total))
-	return nil
+	return moved, tStreams, err
 }
 
 func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
@@ -428,16 +357,8 @@ func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
 // actually moved so an aborting migration can move them back — on error the
 // partial list covers everything transferred before the failure.
 func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord) ([]*fs.Stream, error) {
-	streams := p.openStreams()
-	if p.space != nil {
-		for _, seg := range p.space.Segments() {
-			if seg.Backing != nil {
-				streams = append(streams, seg.Backing)
-			}
-		}
-	}
 	var moved []*fs.Stream
-	for _, st := range streams {
+	for _, st := range p.allStreams() {
 		if err := k.cpu.Compute(env, k.params.MigPerFileCPU); err != nil {
 			return moved, err
 		}

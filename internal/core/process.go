@@ -230,6 +230,21 @@ func (p *Process) openStreams() []*fs.Stream {
 	return out
 }
 
+// allStreams returns every stream the process holds a reference through:
+// the open descriptors plus the VM segments' backing streams — what a
+// migration moves and a crash scrubs.
+func (p *Process) allStreams() []*fs.Stream {
+	streams := p.openStreams()
+	if p.space != nil {
+		for _, seg := range p.space.Segments() {
+			if seg.Backing != nil {
+				streams = append(streams, seg.Backing)
+			}
+		}
+	}
+	return streams
+}
+
 // Ctx is a program's window onto the kernel: its system call interface.
 type Ctx struct {
 	proc *Process

@@ -75,10 +75,7 @@ func (c *Ctx) SigVec(sig Signal, handler SignalHandler) error {
 // SendSignal delivers sig to another process, routed through its home
 // machine like kill (Appendix A: forwarded home).
 func (c *Ctx) SendSignal(target PID, sig Signal) error {
-	if err := c.enter("kill"); err != nil {
-		return err
-	}
-	if err := c.forwardHome("kill"); err != nil {
+	if err := c.enterHome("kill"); err != nil {
 		return err
 	}
 	return c.proc.cur.cluster.signalPID(c.env, c.proc.cur, target, sig)
@@ -181,10 +178,7 @@ func (p *Process) Stopped() bool { return p.contWaiter != nil }
 // GetPgrp returns the caller's process group (forwarded home: group
 // membership is family state kept at the home machine).
 func (c *Ctx) GetPgrp() (PID, error) {
-	if err := c.enter("getpgrp"); err != nil {
-		return NilPID, err
-	}
-	if err := c.forwardHome("getpgrp"); err != nil {
+	if err := c.enterHome("getpgrp"); err != nil {
 		return NilPID, err
 	}
 	return c.proc.pgrp, nil
@@ -192,10 +186,7 @@ func (c *Ctx) GetPgrp() (PID, error) {
 
 // SetPgrp makes the caller the leader of a new process group.
 func (c *Ctx) SetPgrp() error {
-	if err := c.enter("setpgrp"); err != nil {
-		return err
-	}
-	if err := c.forwardHome("setpgrp"); err != nil {
+	if err := c.enterHome("setpgrp"); err != nil {
 		return err
 	}
 	c.proc.pgrp = c.proc.pid
@@ -206,10 +197,7 @@ func (c *Ctx) SetPgrp() error {
 // home machine enumerates the members (they all share it, since children
 // inherit their parent's home) and routes to each member's location.
 func (c *Ctx) SignalGroup(pgrp PID, sig Signal) error {
-	if err := c.enter("kill"); err != nil {
-		return err
-	}
-	if err := c.forwardHome("kill"); err != nil {
+	if err := c.enterHome("kill"); err != nil {
 		return err
 	}
 	homeK := c.proc.cur.cluster.kernels[pgrp.Home]
@@ -275,10 +263,7 @@ type Rusage struct {
 // process-attribute calls it is forwarded home so that accounting is
 // consistent for the whole family.
 func (c *Ctx) GetRusage() (Rusage, error) {
-	if err := c.enter("getrusage"); err != nil {
-		return Rusage{}, err
-	}
-	if err := c.forwardHome("getrusage"); err != nil {
+	if err := c.enterHome("getrusage"); err != nil {
 		return Rusage{}, err
 	}
 	p := c.proc

@@ -12,8 +12,8 @@ import (
 type TransferStrategy interface {
 	// Name identifies the strategy in records and tables.
 	Name() string
-	// Transfer moves p's address space from src to dst, charging costs and
-	// filling in rec.
+	// Transfer moves p's address space (never nil) from src to dst,
+	// charging costs and filling in rec.
 	Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error
 	// TargetPager returns the pager the process uses on the target after
 	// migration.
@@ -39,9 +39,6 @@ const maxRunPages = 256
 // page runs through fs.writeBulk — one handshake and a pipelined fragment
 // stream per run.
 func (SpriteFlushStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error {
-	if p.space == nil {
-		return nil
-	}
 	n, bs, err := p.space.FlushDirtyBulk(env, src.fsc, maxRunPages)
 	if err != nil {
 		return err
@@ -100,9 +97,6 @@ func (FullCopyStrategy) Name() string { return "full-copy" }
 
 // Transfer implements TransferStrategy.
 func (FullCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error {
-	if p.space == nil {
-		return nil
-	}
 	pageBytes := src.params.VM.PageSize + src.params.PageWireOverhead
 	pages := 0
 	for _, seg := range p.space.Segments() {
@@ -138,9 +132,6 @@ func (CopyOnReferenceStrategy) Name() string { return "copy-on-reference" }
 
 // Transfer implements TransferStrategy.
 func (CopyOnReferenceStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error {
-	if p.space == nil {
-		return nil
-	}
 	// Ship page tables only: a few words per page.
 	tableBytes := p.space.TotalPages() * 8
 	if tableBytes > 0 {
@@ -185,9 +176,6 @@ func (PreCopyStrategy) Name() string { return "pre-copy" }
 
 // Transfer implements TransferStrategy.
 func (s PreCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error {
-	if p.space == nil {
-		return nil
-	}
 	threshold := s.FreezeThresholdPages
 	if threshold <= 0 {
 		threshold = 16

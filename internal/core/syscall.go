@@ -101,34 +101,69 @@ type forwardArgs struct {
 	Call string
 }
 
-// enter is the common kernel-call prologue: it is the migration point (a
-// pending migration is performed before the call executes), the kill point,
-// and where the local trap overhead is charged.
-func (c *Ctx) enter(call string) error {
+// migrationPoint is what every kernel-call entry and every compute quantum
+// boundary does first: it is the kill point, the point where a pending
+// migration is performed, and the signal-delivery point.
+func (c *Ctx) migrationPoint() error {
 	p := c.proc
 	if p.killed {
 		return ErrKilled
 	}
 	if req := p.migrateReq; req != nil && !req.atExec {
-		p.migrateReq = nil
-		if err := p.cur.migrateSelf(c.env, p, req); err != nil {
-			req.done.Complete(nil, err)
-			if p.crashed || p.killed {
-				return fmt.Errorf("migrate %v: %w", p.pid, err)
-			}
-			// The abort path restored the process on the source; the
-			// requester learns of the failure, the process runs on.
-		} else {
+		if err := c.performMigration(req); err != nil {
+			return err
+		}
+	}
+	return c.deliverPending()
+}
+
+// performMigration carries out req in the process's own activity — the one
+// place a migration is run, whichever migration point took the request —
+// then resolves the requester's future and finishes the switch-over on the
+// target's shard. An abort has already restored the process on the source,
+// so what it means depends on who asked: an explicit Migrate (no future)
+// reports it to its caller, a requested migration reports it to the
+// requester and the process runs on, and an exec demotes to a local exec.
+// Only a process killed or crashed mid-flight unwinds.
+func (c *Ctx) performMigration(req *migrationRequest) error {
+	p := c.proc
+	p.migrateReq = nil
+	err := p.cur.migrate(c.env, p, req)
+	dead := p.crashed || p.killed
+	if err != nil && req.atExec && !dead {
+		// An aborted exec-time migration leaves the process intact on the
+		// source; Sprite demotes it to a plain local exec.
+		p.cur.cluster.emitEnv(c.env, "exec-migrate-abort",
+			fmt.Sprintf("%v -> %v: %v", p.pid, req.target.host, err))
+		err = nil
+	}
+	if err == nil {
+		if req.done != nil {
 			// Complete before rehoming: the requester waits on the source
 			// shard, where this activity still runs.
 			req.done.Complete(p.cur.host, nil)
-			if err := p.confinedResume(c.env); err != nil {
-				return err
-			}
 		}
+		return p.confinedResume(c.env)
 	}
-	// Kernel-call entry is also the signal-delivery point.
-	if err := c.deliverPending(); err != nil {
+	if req.done == nil {
+		return err
+	}
+	req.done.Complete(nil, err)
+	if !dead {
+		return nil
+	}
+	kind := "migrate"
+	if req.atExec {
+		kind = "exec-migrate"
+	}
+	return fmt.Errorf("%s %v: %w", kind, p.pid, err)
+}
+
+// enter is the common kernel-call prologue: the migration point, then the
+// local trap overhead.
+func (c *Ctx) enter(call string) error {
+	p := c.proc
+	if err := c.migrationPoint(); err != nil {
 		return err
 	}
 	if d := p.cur.params.SyscallCPU; d > 0 {
@@ -165,6 +200,15 @@ func (c *Ctx) forwardHome(call string) error {
 	return nil
 }
 
+// enterHome is the prologue of a call whose policy is PolicyHome: enter,
+// then the trip home if the process is foreign.
+func (c *Ctx) enterHome(call string) error {
+	if err := c.enter(call); err != nil {
+		return err
+	}
+	return c.forwardHome(call)
+}
+
 // Syscall enters the kernel for a named call with no effect beyond the
 // entry itself: trap cost, pending migration, and signal delivery. Services
 // built outside the core package (pseudo-devices, for instance) use it so
@@ -184,10 +228,7 @@ func (c *Ctx) GetPID() (PID, error) {
 // GetTimeOfDay returns the current time, forwarded home for foreign
 // processes so that a process family observes one clock.
 func (c *Ctx) GetTimeOfDay() (time.Duration, error) {
-	if err := c.enter("gettimeofday"); err != nil {
-		return 0, err
-	}
-	if err := c.forwardHome("gettimeofday"); err != nil {
+	if err := c.enterHome("gettimeofday"); err != nil {
 		return 0, err
 	}
 	return c.env.Now(), nil
@@ -196,10 +237,7 @@ func (c *Ctx) GetTimeOfDay() (time.Duration, error) {
 // GetHostname returns the *home* host's name: Sprite forwards host-identity
 // calls so migration stays invisible to the process.
 func (c *Ctx) GetHostname() (string, error) {
-	if err := c.enter("gethostname"); err != nil {
-		return "", err
-	}
-	if err := c.forwardHome("gethostname"); err != nil {
+	if err := c.enterHome("gethostname"); err != nil {
 		return "", err
 	}
 	return c.proc.home.host.String(), nil
@@ -213,24 +251,7 @@ func (c *Ctx) GetHostname() (string, error) {
 func (c *Ctx) Compute(d time.Duration) error {
 	p := c.proc
 	for d > 0 {
-		if p.killed {
-			return ErrKilled
-		}
-		if req := p.migrateReq; req != nil && !req.atExec {
-			p.migrateReq = nil
-			if err := p.cur.migrateSelf(c.env, p, req); err != nil {
-				req.done.Complete(nil, err)
-				if p.crashed || p.killed {
-					return fmt.Errorf("migrate %v: %w", p.pid, err)
-				}
-			} else {
-				req.done.Complete(p.cur.host, nil)
-				if err := p.confinedResume(c.env); err != nil {
-					return err
-				}
-			}
-		}
-		if err := c.deliverPending(); err != nil {
+		if err := c.migrationPoint(); err != nil {
 			return err
 		}
 		slice := p.cur.params.CPUQuantum
@@ -481,10 +502,7 @@ func (c *Ctx) Wait() (PID, int, error) {
 // Kill terminates another process. The home machine of the target routes
 // the signal to wherever the target currently runs.
 func (c *Ctx) Kill(target PID) error {
-	if err := c.enter("kill"); err != nil {
-		return err
-	}
-	if err := c.forwardHome("kill"); err != nil {
+	if err := c.enterHome("kill"); err != nil {
 		return err
 	}
 	return c.proc.cur.cluster.killPID(c.env, c.proc.cur, target)
@@ -502,10 +520,7 @@ func (c *Ctx) Exit(status int) error {
 // next migration point (i.e. immediately, since the caller is in a kernel
 // call). Initiation is forwarded home, as in Appendix A.
 func (c *Ctx) Migrate(target rpc.HostID) error {
-	if err := c.enter("migrate"); err != nil {
-		return err
-	}
-	if err := c.forwardHome("migrate"); err != nil {
+	if err := c.enterHome("migrate"); err != nil {
 		return err
 	}
 	k := c.proc.cur.cluster.KernelOn(target)
@@ -514,10 +529,11 @@ func (c *Ctx) Migrate(target rpc.HostID) error {
 	}
 	// The caller is already at a migration point (a kernel-call boundary),
 	// so the migration happens inline in its own activity.
-	if err := c.proc.cur.migrateNow(c.env, c.proc, k, "explicit"); err != nil {
+	p := c.proc
+	if err := p.migratable(false); err != nil || k == p.cur {
 		return err
 	}
-	return c.proc.confinedResume(c.env)
+	return c.performMigration(&migrationRequest{target: k, reason: "explicit"})
 }
 
 // Exec replaces the process image: a fresh address space sized by cfg,
@@ -531,19 +547,7 @@ func (c *Ctx) Exec(name string, prog Program, cfg ProcConfig) error {
 	p := c.proc
 	// Exec-time migration: move before building the new address space.
 	if req := p.migrateReq; req != nil && req.atExec {
-		p.migrateReq = nil
-		if err := p.cur.migrateForExec(c.env, p, req); err != nil {
-			if p.crashed || p.killed {
-				req.done.Complete(nil, err)
-				return fmt.Errorf("exec-migrate %v: %w", p.pid, err)
-			}
-			// An aborted exec-time migration leaves the process intact on
-			// the source; Sprite demotes it to a plain local exec.
-			p.cur.cluster.emit(c.env.Now(), "exec-migrate-abort",
-				fmt.Sprintf("%v -> %v: %v", p.pid, req.target.host, err))
-		}
-		req.done.Complete(p.cur.host, nil)
-		if err := p.confinedResume(c.env); err != nil {
+		if err := c.performMigration(req); err != nil {
 			return err
 		}
 	}

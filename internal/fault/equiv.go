@@ -78,40 +78,8 @@ func EquivCheck(sc Scenario, bgHosts int, workerCounts []int) []string {
 // from serial, reusing the fuzzer's shrinking moves with "still diverges"
 // as the predicate. Determinism makes the predicate exact.
 func ShrinkEquiv(sc Scenario, bgHosts int, workerCounts []int) (Scenario, []string) {
-	diffs := EquivCheck(sc, bgHosts, workerCounts)
-	if len(diffs) == 0 {
-		return sc, nil
-	}
-	cur := sc
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur.Events); i++ {
-			cand := cur
-			cand.Events = make([]Event, 0, len(cur.Events)-1)
-			cand.Events = append(cand.Events, cur.Events[:i]...)
-			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if d := EquivCheck(cand, bgHosts, workerCounts); len(d) > 0 {
-				cur, diffs = cand, d
-				changed = true
-				break
-			}
-		}
-		if !changed && cur.Gossip {
-			cand := cur
-			cand.Gossip = false
-			if d := EquivCheck(cand, bgHosts, workerCounts); len(d) > 0 {
-				cur, diffs = cand, d
-				changed = true
-			}
-		}
-		if !changed && cur.Procs > 1 {
-			cand := cur
-			cand.Procs = cur.Procs / 2
-			if d := EquivCheck(cand, bgHosts, workerCounts); len(d) > 0 {
-				cur, diffs = cand, d
-				changed = true
-			}
-		}
-	}
-	return cur, diffs
+	return shrink(sc, scenarioKnobs, func(cand Scenario) ([]string, bool) {
+		diffs := EquivCheck(cand, bgHosts, workerCounts)
+		return diffs, len(diffs) > 0
+	})
 }

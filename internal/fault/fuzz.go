@@ -557,42 +557,54 @@ func fuzzProgram(c *core.Cluster, i int, pl procPlan) core.Program {
 }
 
 // Shrink greedily minimizes a failing scenario: drop fault events one at a
-// time, then halve the process count, keeping every step that still fails.
-// Because runs are deterministic, "still fails" is exact, not statistical.
+// time, drop gossip, then halve the process count, keeping every step that
+// still fails. Because runs are deterministic, "still fails" is exact, not
+// statistical.
 func Shrink(sc Scenario) (Scenario, *Result) {
-	res := RunScenario(sc)
-	if !res.Failed() {
-		return sc, res
+	return shrink(sc, scenarioKnobs, func(cand Scenario) (*Result, bool) {
+		res := RunScenario(cand)
+		return res, res.Failed()
+	})
+}
+
+func scenarioKnobs(sc *Scenario) (*[]Event, *bool, *int) {
+	return &sc.Events, &sc.Gossip, &sc.Procs
+}
+
+// shrink is the greedy loop behind Shrink, ShrinkFleet and ShrinkEquiv.
+// probe runs a scenario and reports whether it still fails, with the
+// evidence; a scenario that passes to begin with comes straight back. The
+// moves, in order — drop one event, switch gossip off, halve the population
+// — are each tried on a copy of cur and kept when the probe still fails; a
+// kept move restarts from the first. knobs points at the three fields of a
+// scenario that the moves edit.
+func shrink[S, E, R any](cur S, knobs func(*S) (events *[]E, gossip *bool, population *int), probe func(S) (R, bool)) (S, R) {
+	res, failing := probe(cur)
+	keep := func(cand S) bool {
+		r, fails := probe(cand)
+		if fails {
+			cur, res = cand, r
+		}
+		return fails
 	}
-	cur := sc
-	for changed := true; changed; {
+	for changed := failing; changed; {
 		changed = false
-		for i := 0; i < len(cur.Events); i++ {
+		events, _, _ := knobs(&cur)
+		for i := 0; i < len(*events) && !changed; i++ {
 			cand := cur
-			cand.Events = make([]Event, 0, len(cur.Events)-1)
-			cand.Events = append(cand.Events, cur.Events[:i]...)
-			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if r := RunScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-				break
-			}
+			rest, _, _ := knobs(&cand)
+			*rest = append(append(make([]E, 0, len(*events)-1), (*events)[:i]...), (*events)[i+1:]...)
+			changed = keep(cand)
 		}
-		if !changed && cur.Gossip {
-			cand := cur
-			cand.Gossip = false
-			if r := RunScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
+		cand := cur
+		if _, gossip, _ := knobs(&cand); !changed && *gossip {
+			*gossip = false
+			changed = keep(cand)
 		}
-		if !changed && cur.Procs > 1 {
-			cand := cur
-			cand.Procs = cur.Procs / 2
-			if r := RunScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
+		cand = cur
+		if _, _, population := knobs(&cand); !changed && *population > 1 {
+			*population /= 2
+			changed = keep(cand)
 		}
 	}
 	return cur, res

@@ -70,3 +70,41 @@ func TestScenarioDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestShrinkGreedyMoves pins the loop the three shrinkers share, with a
+// synthetic predicate in place of a run: "fails" while the crash event
+// survives and at least 3 processes remain. Every other event and gossip
+// must go, the population halves 8 → 4 and stops (2 would pass), and the
+// evidence returned is the last failing probe's. A scenario that passes
+// comes back untouched after one probe.
+func TestShrinkGreedyMoves(t *testing.T) {
+	crash := Event{Kind: KindCrash, Host: 2, At: 5}
+	sc := Scenario{Seed: 9, Workstations: 4, Procs: 8, Gossip: true, Events: []Event{
+		{Kind: KindPartition, Host: 1}, crash, {Kind: KindDrop, Prob: 0.5}, {Kind: KindMigFail, Point: "mig.vm"},
+	}}
+	probes, lastFailing := 0, 0
+	fails := func(c Scenario) (int, bool) {
+		probes++
+		for _, e := range c.Events {
+			if e == crash && c.Procs >= 3 {
+				lastFailing = probes
+				return probes, true
+			}
+		}
+		return probes, false
+	}
+	min, evidence := shrink(sc, scenarioKnobs, fails)
+	want := Scenario{Seed: 9, Workstations: 4, Procs: 4, Events: []Event{crash}}
+	if min.String() != want.String() {
+		t.Fatalf("shrunk to %v, want %v", min, want)
+	}
+	if evidence != lastFailing {
+		t.Fatalf("evidence is probe %d's, want the last failing probe's (%d)", evidence, lastFailing)
+	}
+
+	probes = 0
+	same, _ := shrink(sc, scenarioKnobs, func(c Scenario) (int, bool) { probes++; return 0, false })
+	if same.String() != sc.String() || probes != 1 {
+		t.Fatalf("passing scenario: got %v after %d probes, want it untouched after 1", same, probes)
+	}
+}

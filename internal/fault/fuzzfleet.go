@@ -423,40 +423,10 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 // every step that still fails. Deterministic runs make "still fails"
 // exact.
 func ShrinkFleet(sc FleetScenario) (FleetScenario, *Result) {
-	res := RunFleetScenario(sc)
-	if !res.Failed() {
-		return sc, res
-	}
-	cur := sc
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur.Events); i++ {
-			cand := cur
-			cand.Events = make([]FleetEvent, 0, len(cur.Events)-1)
-			cand.Events = append(cand.Events, cur.Events[:i]...)
-			cand.Events = append(cand.Events, cur.Events[i+1:]...)
-			if r := RunFleetScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-				break
-			}
-		}
-		if !changed && cur.Gossip {
-			cand := cur
-			cand.Gossip = false
-			if r := RunFleetScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
-		}
-		if !changed && cur.Jobs > 1 {
-			cand := cur
-			cand.Jobs = cur.Jobs / 2
-			if r := RunFleetScenario(cand); r.Failed() {
-				cur, res = cand, r
-				changed = true
-			}
-		}
-	}
-	return cur, res
+	return shrink(sc, func(sc *FleetScenario) (*[]FleetEvent, *bool, *int) {
+		return &sc.Events, &sc.Gossip, &sc.Jobs
+	}, func(cand FleetScenario) (*Result, bool) {
+		res := RunFleetScenario(cand)
+		return res, res.Failed()
+	})
 }

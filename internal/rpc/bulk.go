@@ -62,48 +62,32 @@ func (s *BulkStats) Add(o BulkStats) {
 func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, argSize, payloadBytes int, dir BulkDir) (any, BulkStats, error) {
 	t := e.transport
 	var bs BulkStats
-	target, ok := t.endpoints[to]
-	if !ok {
-		t.record(env, to, service, argSize, true)
-		return nil, bs, fmt.Errorf("%w: %v", ErrNoHost, to)
-	}
-	if target.down || e.down {
-		t.record(env, to, service, argSize, true)
-		return nil, bs, fmt.Errorf("%w: %v", ErrHostDown, to)
-	}
-	if e.host == to {
-		// Local shortcut: no network, no protocol overhead, no faults.
-		h, ok := target.services[service]
-		if !ok {
-			t.record(env, to, service, argSize, true)
-			return nil, bs, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
+	target, h, reply, done, err := e.resolve(env, to, service, arg, argSize)
+	if done {
+		if h != nil {
+			bs.Calls = 1 // the local shortcut ran it
 		}
-		bs.Calls = 1
-		reply, _, err := h(env, e.host, arg)
-		t.record(env, to, service, 0, err != nil)
 		return reply, bs, err
 	}
-	var h Handler
-	if t.confined {
-		// Per-host shard delivery: the handler hops to the server's shard;
-		// the service lookup happens there too.
-		if s := env.Shard(); s != 0 && s != e.shard {
-			panic(fmt.Sprintf("rpc: bulk call via %v's endpoint from foreign shard %d (home %d)", e.host, s, e.shard))
-		}
-	} else if h, ok = target.services[service]; !ok {
-		t.record(env, to, service, argSize, true)
-		return nil, bs, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
+	// Per-host shard delivery: the handler hops to the server's shard.
+	if s := env.Shard(); t.confined && s != 0 && s != e.shard {
+		panic(fmt.Sprintf("rpc: bulk call via %v's endpoint from foreign shard %d (home %d)", e.host, s, e.shard))
 	}
 	bs.Calls = 1
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
 		return nil, bs, err
 	}
-	wire := argSize + t.fragOverhead()
-	if err := e.bulkControl(env, target, service, argSize, t.fragOverhead()); err != nil {
+	wire := argSize + t.params.BulkFragOverhead
+	if _, err := e.roundTrip(env, target, service, argSize, t.params.BulkFragOverhead, nil); err != nil {
 		t.record(env, to, service, wire, true)
 		return nil, bs, err
 	}
-	var reply any
+	// failed books a transfer that died after its handshake.
+	failed := func(wire int, err error) (any, BulkStats, error) {
+		t.record(env, to, service, wire, true)
+		t.recordBulk(env, &bs)
+		return nil, bs, err
+	}
 	var replySize int
 	var herr error
 	switch dir {
@@ -111,42 +95,31 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 		w, err := e.streamFragments(env, target, service, payloadBytes, &bs)
 		wire += w
 		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
+			return failed(wire, err)
 		}
 		reply, replySize, herr, err = e.runBulkHandler(env, target, h, service, arg)
 		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
+			return failed(wire, err)
 		}
 		// Reply leg: a small control message, retried on loss like a
 		// normal reply (the server answers retransmissions from its
 		// cached reply without re-running the handler).
-		if err := e.bulkControl(env, target, service, replySize, 0); err != nil {
-			t.record(env, to, service, wire+replySize, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
+		if _, err := e.roundTrip(env, target, service, replySize, noReply, nil); err != nil {
+			return failed(wire+replySize, err)
 		}
 		wire += replySize
 	case BulkIn:
-		var err error
 		reply, replySize, herr, err = e.runBulkHandler(env, target, h, service, arg)
 		if err != nil {
-			t.record(env, to, service, wire, true)
-			t.recordBulk(env, &bs)
-			return nil, bs, err
+			return failed(wire, err)
 		}
 		if herr == nil {
 			w, err := e.streamFragments(env, target, service, replySize, &bs)
 			wire += w
 			if err != nil {
-				t.record(env, to, service, wire, true)
-				t.recordBulk(env, &bs)
-				return nil, bs, err
+				return failed(wire, err)
 			}
-		} else if err := e.bulkControl(env, target, service, t.fragOverhead(), 0); err != nil {
+		} else if _, err := e.roundTrip(env, target, service, t.params.BulkFragOverhead, noReply, nil); err != nil {
 			// The error reply is a plain small message.
 			t.record(env, to, service, wire, true)
 			return nil, bs, err
@@ -186,30 +159,6 @@ func (e *Endpoint) runBulkHandler(env *sim.Env, target *Endpoint, h Handler, ser
 	return rep.value, rep.size, rep.err, nil
 }
 
-// fragOverhead returns the per-fragment header size, defaulted.
-func (t *Transport) fragOverhead() int {
-	if t.params.BulkFragOverhead > 0 {
-		return t.params.BulkFragOverhead
-	}
-	return 32
-}
-
-// fragSize returns the fragment payload size, defaulted.
-func (t *Transport) fragSize() int {
-	if t.params.BulkFragmentBytes > 0 {
-		return t.params.BulkFragmentBytes
-	}
-	return 16 << 10
-}
-
-// window returns the bulk window size in fragments, defaulted.
-func (t *Transport) window() int {
-	if t.params.BulkWindow > 0 {
-		return t.params.BulkWindow
-	}
-	return 8
-}
-
 // recordBulk folds one transfer's stats into the bulk metrics counters.
 func (t *Transport) recordBulk(env *sim.Env, bs *BulkStats) {
 	if t.m.reg == nil {
@@ -222,67 +171,6 @@ func (t *Transport) recordBulk(env *sim.Env, bs *BulkStats) {
 	t.m.bulkRetransmits.AddSlot(slot, int64(bs.Retransmits))
 }
 
-// bulkControl delivers one small control round trip (handshake or final
-// reply) under the plain service name, with the standard per-attempt retry
-// loop: lost request or lost acknowledgement costs a timeout plus backoff
-// and is retransmitted, up to MaxRetries.
-func (e *Endpoint) bulkControl(env *sim.Env, target *Endpoint, service string, reqSize, ackSize int) error {
-	t := e.transport
-	for attempt := 0; ; attempt++ {
-		if target.down || e.down {
-			return fmt.Errorf("%w: %v", ErrHostDown, target.host)
-		}
-		var v Verdict
-		if t.injector != nil {
-			v = t.injector.Intercept(env, e.host, target.host, service, attempt)
-		}
-		if v.Delay > 0 {
-			if err := env.Sleep(v.Delay); err != nil {
-				return err
-			}
-		}
-		if v.DropRequest {
-			if err := e.awaitRetry(env, target.host, service, attempt); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := t.net.Send(env, reqSize); err != nil {
-			if errors.Is(err, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, target.host, service, attempt); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			return err
-		}
-		if v.Duplicate {
-			// The duplicate occupies the wire; the receiver's transaction
-			// check discards it.
-			_ = t.net.Send(env, reqSize)
-		}
-		if ackSize <= 0 {
-			return nil
-		}
-		if v.DropReply {
-			if err := e.awaitRetry(env, target.host, service, attempt); err != nil {
-				return err
-			}
-			continue
-		}
-		if nerr := t.net.Send(env, ackSize); nerr != nil {
-			if errors.Is(nerr, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, target.host, service, attempt); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			return nerr
-		}
-		return nil
-	}
-}
-
 // streamFragments delivers payload bytes as the windowed fragment stream and
 // returns the wire bytes charged (payload plus headers, retransmissions
 // included). A lost fragment (injector drop or network drop) waits out the
@@ -290,9 +178,9 @@ func (e *Endpoint) bulkControl(env *sim.Env, target *Endpoint, service string, r
 // pipeline, so it pays the one-way latency again.
 func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service string, payload int, bs *BulkStats) (int, error) {
 	t := e.transport
-	fragSize := t.fragSize()
-	window := t.window()
-	overhead := t.fragOverhead()
+	fragSize := t.params.BulkFragmentBytes
+	window := t.params.BulkWindow
+	overhead := t.params.BulkFragOverhead
 	frags := (payload + fragSize - 1) / fragSize
 	if frags <= 0 {
 		return 0, nil

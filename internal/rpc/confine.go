@@ -329,7 +329,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 			var rv any
 			var rerr error
 			if t.faulty() {
-				rv, rerr = replyBox.RecvTimeout(env, t.callTimeout())
+				rv, rerr = replyBox.RecvTimeout(env, t.params.CallTimeout)
 			} else {
 				// Nothing can be lost: wait for the reply however long the
 				// handler takes, exactly like the inline path.
@@ -352,7 +352,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 			if !errors.Is(rerr, sim.ErrTimeout) {
 				return nil, rerr
 			}
-		} else if err := env.Sleep(t.callTimeout()); err != nil {
+		} else if err := env.Sleep(t.params.CallTimeout); err != nil {
 			// The request (or its wire image) was lost before arriving;
 			// the client still waits the full timeout.
 			return nil, err

@@ -302,8 +302,24 @@ func (t *Transport) Confined() bool { return t.confined }
 // cache stays unallocated.
 func (t *Transport) faulty() bool { return t.injector != nil || t.net.Hooked() }
 
-// NewTransport returns an empty transport over the given network.
+// NewTransport returns an empty transport over the given network. The
+// retransmission timeout and the bulk fragment geometry must be positive
+// for the loss-recovery and bulk paths to make progress, so an unset one
+// takes its DefaultParams value here, once.
 func NewTransport(s *sim.Simulation, net *netsim.Network, params Params) *Transport {
+	def := DefaultParams()
+	if params.CallTimeout <= 0 {
+		params.CallTimeout = def.CallTimeout
+	}
+	if params.BulkFragmentBytes <= 0 {
+		params.BulkFragmentBytes = def.BulkFragmentBytes
+	}
+	if params.BulkWindow <= 0 {
+		params.BulkWindow = def.BulkWindow
+	}
+	if params.BulkFragOverhead <= 0 {
+		params.BulkFragOverhead = def.BulkFragOverhead
+	}
 	return &Transport{
 		sim:       s,
 		net:       net,
@@ -471,133 +487,154 @@ func (e *Endpoint) Restart() {
 // reply (duplicate suppression by transaction id, as in Sprite RPC).
 func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSize int) (any, error) {
 	t := e.transport
-	target, ok := t.endpoints[to]
-	if !ok {
-		t.record(env, to, service, argSize, true)
-		return nil, fmt.Errorf("%w: %v", ErrNoHost, to)
-	}
-	if target.down || e.down {
-		t.record(env, to, service, argSize, true)
-		return nil, fmt.Errorf("%w: %v", ErrHostDown, to)
-	}
-	if e.host == to {
-		// Local shortcut: no network, no protocol overhead, no faults.
-		h, ok := target.services[service]
-		if !ok {
-			t.record(env, to, service, argSize, true)
-			return nil, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
-		}
-		reply, _, err := h(env, e.host, arg)
-		t.record(env, to, service, 0, err != nil)
+	target, h, reply, done, err := e.resolve(env, to, service, arg, argSize)
+	if done {
 		return reply, err
 	}
 	if t.confined {
 		// Per-host shard delivery: the handler runs on the server's shard,
-		// reached through its request mailbox. The service lookup happens
-		// server-side too — the services table is shard-local state.
+		// reached through its request mailbox.
 		return e.callConfined(env, target, service, arg, argSize)
-	}
-	h, ok := target.services[service]
-	if !ok {
-		t.record(env, to, service, argSize, true)
-		return nil, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
 	}
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
 		return nil, err
 	}
-	executed := false
-	var reply any
 	var replySize int
 	var herr error
 	var hintPayload any
+	lost, err := e.roundTrip(env, target, service, argSize, 0, func() int {
+		reply, replySize, herr = h(env, e.host, arg)
+		if target.hints != nil {
+			var hintSize int
+			hintPayload, hintSize = target.hints()
+			replySize += hintSize
+		}
+		return replySize
+	})
+	if err != nil {
+		if lost {
+			t.record(env, to, service, argSize, true)
+		}
+		return nil, err
+	}
+	t.record(env, to, service, argSize+replySize, herr != nil)
+	if t.observer != nil {
+		t.observer(to, target.epoch)
+	}
+	if t.hintObs != nil && hintPayload != nil {
+		t.hintObs(e.host, to, hintPayload)
+	}
+	return reply, herr
+}
+
+// resolve is the step Call and CallBulk share before anything touches the
+// wire: an unknown or down host fails the call, a call to the caller's own
+// host runs the handler on the spot (no network, no protocol overhead, no
+// faults), and otherwise the service is looked up. done reports that the
+// call is over, with reply and err its outcome. Under confinement a remote
+// lookup happens server-side instead — the services table is shard-local
+// state — so h comes back nil.
+func (e *Endpoint) resolve(env *sim.Env, to HostID, service string, arg any, argSize int) (target *Endpoint, h Handler, reply any, done bool, err error) {
+	t := e.transport
+	target, ok := t.endpoints[to]
+	if !ok {
+		t.record(env, to, service, argSize, true)
+		return nil, nil, nil, true, fmt.Errorf("%w: %v", ErrNoHost, to)
+	}
+	if target.down || e.down {
+		t.record(env, to, service, argSize, true)
+		return nil, nil, nil, true, fmt.Errorf("%w: %v", ErrHostDown, to)
+	}
+	local := e.host == to
+	if local || !t.confined {
+		if h, ok = target.services[service]; !ok {
+			t.record(env, to, service, argSize, true)
+			return nil, nil, nil, true, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
+		}
+	}
+	if local {
+		reply, _, err = h(env, e.host, arg)
+		t.record(env, to, service, 0, err != nil)
+		return target, h, reply, true, err
+	}
+	return target, h, nil, false, nil
+}
+
+// noReply is the roundTrip reply size of a one-way control message.
+const noReply = -1
+
+// roundTrip is one request/reply exchange on the blocking wire, with the
+// per-attempt loss recovery every such exchange shares: consult the
+// injector, send the request, send the reply. A lost message costs the
+// retransmission timeout plus backoff and another attempt, up to
+// MaxRetries. serve, when set, runs between the legs and sizes the reply —
+// once, however many attempts it takes: a retransmission of an
+// already-served request is answered from the cached reply, Sprite RPC's
+// at-most-once rule. On failure lost reports that the wire gave the call
+// up (dead host, retries spent) rather than the caller's own activity being
+// interrupted mid-send.
+func (e *Endpoint) roundTrip(env *sim.Env, target *Endpoint, service string, reqSize, replySize int, serve func() int) (lost bool, err error) {
+	t := e.transport
+	served := false
 	for attempt := 0; ; attempt++ {
 		// A host that went down between attempts fails fast, like a channel
 		// reset in Sprite RPC.
 		if target.down || e.down {
-			t.record(env, to, service, argSize, true)
-			return nil, fmt.Errorf("%w: %v", ErrHostDown, to)
+			return true, fmt.Errorf("%w: %v", ErrHostDown, target.host)
 		}
 		var v Verdict
 		if t.injector != nil {
-			v = t.injector.Intercept(env, e.host, to, service, attempt)
+			v = t.injector.Intercept(env, e.host, target.host, service, attempt)
 		}
 		if v.Delay > 0 {
 			if err := env.Sleep(v.Delay); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
-		if v.DropRequest {
-			if err := e.awaitRetry(env, to, service, attempt); err != nil {
-				t.record(env, to, service, argSize, true)
-				return nil, err
-			}
-			continue
-		}
-		if err := t.net.Send(env, argSize); err != nil {
-			if errors.Is(err, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, to, service, attempt); rerr != nil {
-					t.record(env, to, service, argSize, true)
-					return nil, rerr
+		dropped := v.DropRequest
+		if !dropped {
+			if err := t.net.Send(env, reqSize); err != nil {
+				if !errors.Is(err, netsim.ErrDropped) {
+					return false, err
 				}
-				continue
+				dropped = true
 			}
-			return nil, err
 		}
-		if !executed {
-			reply, replySize, herr = h(env, e.host, arg)
-			if target.hints != nil {
-				var hintSize int
-				hintPayload, hintSize = target.hints()
-				replySize += hintSize
+		if !dropped {
+			if serve != nil && !served {
+				replySize = serve()
+				served = true
 			}
-			executed = true
-		}
-		if v.Duplicate {
-			// The duplicate request occupies the wire but is discarded by
-			// the server's transaction check; the error (if the medium is
-			// perturbed again) does not affect the call.
-			_ = t.net.Send(env, argSize)
-		}
-		if v.DropReply {
-			if err := e.awaitRetry(env, to, service, attempt); err != nil {
-				t.record(env, to, service, argSize, true)
-				return nil, err
+			if v.Duplicate {
+				// The duplicate request occupies the wire but is discarded
+				// by the server's transaction check; the error (if the
+				// medium is perturbed again) does not affect the call.
+				_ = t.net.Send(env, reqSize)
 			}
-			continue
-		}
-		if nerr := t.net.Send(env, replySize); nerr != nil {
-			if errors.Is(nerr, netsim.ErrDropped) {
-				if rerr := e.awaitRetry(env, to, service, attempt); rerr != nil {
-					t.record(env, to, service, argSize, true)
-					return nil, rerr
-				}
-				continue
+			if replySize == noReply {
+				return false, nil
 			}
-			return nil, nerr
+			dropped = v.DropReply
 		}
-		t.record(env, to, service, argSize+replySize, herr != nil)
-		if t.observer != nil {
-			t.observer(to, target.epoch)
+		if !dropped {
+			err := t.net.Send(env, replySize)
+			if err == nil {
+				return false, nil
+			}
+			if !errors.Is(err, netsim.ErrDropped) {
+				return false, err
+			}
 		}
-		if t.hintObs != nil && hintPayload != nil {
-			t.hintObs(e.host, to, hintPayload)
+		if err := e.awaitRetry(env, target.host, service, attempt); err != nil {
+			return true, err
 		}
-		return reply, herr
 	}
-}
-
-// callTimeout returns the retransmission timeout, defaulted.
-func (t *Transport) callTimeout() time.Duration {
-	if t.params.CallTimeout > 0 {
-		return t.params.CallTimeout
-	}
-	return 25 * time.Millisecond
 }
 
 // awaitRetry charges the client the retransmission timeout plus exponential
 // backoff, or fails the call with ErrTimeout once the retry budget is spent.
 func (e *Endpoint) awaitRetry(env *sim.Env, to HostID, service string, attempt int) error {
-	if err := env.Sleep(e.transport.callTimeout()); err != nil {
+	if err := env.Sleep(e.transport.params.CallTimeout); err != nil {
 		return err
 	}
 	return e.retryBookkeeping(env, to, service, attempt)
