@@ -5,38 +5,40 @@
 //
 //	spritesim -list
 //	spritesim -experiment E5 [-seed 42] [-quick] [-metrics]
-//	spritesim -experiment E15 [-crash ws1@250ms+200ms] [-recovery-snapshot out.json]
-//	spritesim -experiment E16 [-fleet-10k] [-hostsel-snapshot HOSTSEL_shootout.json]
-//	spritesim -experiment E16 -hosts 10000
-//	spritesim -experiment E17 [-hosts 1000] [-wallclock-snapshot BENCH_wallclock.json]
-//	spritesim -experiment E18 [-quick] [-fleet-snapshot FLEET_storms.json]
+//	spritesim -experiment E15 [-crash ws1@250ms+200ms] [-snapshot RECOVERY_demo.json]
+//	spritesim -experiment E16 [-hosts 10000] [-snapshot HOSTSEL_shootout.json]
+//	spritesim -experiment E17 [-hosts 1000]
+//	spritesim -experiment E18 [-quick] [-snapshot FLEET_storms.json]
 //	spritesim -fleet-storm 5007
-//	spritesim -confined-scale SCALE_confined.json [-hosts 10000]
+//	spritesim -confined-scale [-hosts 10000] [-snapshot SCALE_confined.json]
 //	spritesim -all [-quick] [-parallel] [-workers N]
 //
 // -metrics appends every cluster's metrics snapshot (RPC traffic, cache
 // behaviour, migration phase timings) under the corresponding table.
 //
+// -snapshot writes the typed rows behind one table (E15–E18 and
+// -confined-scale have them) as indented JSON; the printed table is the
+// same with or without it.
+//
 // -crash schedules a host fault in the recovery experiment (E15):
 // host@at[+dur] crashes the host at `at` and restarts it `dur` later;
 // without +dur the host reboots instantly (state lost, epoch bumped).
-// Repeatable. -recovery-snapshot writes E15's final metrics as JSON.
+// Repeatable.
 //
-// -fleet-10k adds the 10,000-host point to the selector shoot-out (E16);
-// -hostsel-snapshot writes E16's per-selector results as JSON.
-//
-// -hosts overrides the scale-aware experiments' host count: E16 runs its
-// combined-churn schedule at exactly that fleet size (the 10k CI tier),
-// and E17 sizes its confined load-daemon fleet.
+// -hosts overrides the scale-aware experiments' host count: E16 and E18
+// run at exactly that fleet size (the 10k CI tier), E17 sizes its confined
+// load-daemon fleet, and -confined-scale its workstation ring.
 //
 // -parallel / -workers run every cluster on the conservative parallel
 // kernel, which commits the identical event order — same tables, less
-// wallclock. -wallclock-snapshot writes E17's measurements as JSON.
+// wallclock.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -69,32 +71,28 @@ func (c *crashFlags) Set(v string) error {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		//spritelint:allow simtaint E17's error values may carry measured host wall time; operator diagnostics, not sim state
 		fmt.Fprintln(os.Stderr, "spritesim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spritesim", flag.ContinueOnError)
 	var (
-		list      = fs.Bool("list", false, "list available experiments")
-		expID     = fs.String("experiment", "", "experiment id to run (see -list)")
-		all       = fs.Bool("all", false, "run every experiment")
-		seed      = fs.Int64("seed", 42, "simulation seed")
-		quick     = fs.Bool("quick", false, "smaller parameter sweeps")
-		metrics   = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
-		recSnap   = fs.String("recovery-snapshot", "", "write the recovery experiment's (E15) metrics snapshot JSON to this file")
-		fleet10k  = fs.Bool("fleet-10k", false, "add the 10,000-host point to the selector shoot-out (E16)")
-		hostSnap  = fs.String("hostsel-snapshot", "", "write the selector shoot-out's (E16) results JSON to this file")
-		hosts     = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 fleet size, E17 load daemons)")
-		wallSnap  = fs.String("wallclock-snapshot", "", "write the wallclock experiment's (E17) rows JSON to this file")
-		confScale  = fs.String("confined-scale", "", "run the confined-hosts scale tier (serial vs parallel migration plane, default 10000 hosts; -hosts overrides) and write the comparison JSON to this file")
-		fleetSnap  = fs.String("fleet-snapshot", "", "write the fleet economy experiment's (E18) rows JSON to this file")
+		list       = fs.Bool("list", false, "list available experiments")
+		expID      = fs.String("experiment", "", "experiment id to run (see -list)")
+		all        = fs.Bool("all", false, "run every experiment")
+		seed       = fs.Int64("seed", 42, "simulation seed")
+		quick      = fs.Bool("quick", false, "smaller parameter sweeps")
+		metrics    = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
+		snapshot   = fs.String("snapshot", "", "write the table's typed rows as JSON to this file (E15, E16, E17, E18, -confined-scale)")
+		hosts      = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 and E18 fleet size, E17 load daemons, -confined-scale workstations)")
+		confScale  = fs.Bool("confined-scale", false, "run the confined-hosts scale tier: serial vs parallel migration plane (default 10000 hosts; -hosts overrides)")
 		fleetStorm = fs.Int64("fleet-storm", 0, "replay one fleet eviction-storm fuzz scenario by seed and print its report")
-		parallel  = fs.Bool("parallel", false, "run every cluster on the conservative parallel kernel (identical results, less wallclock)")
-		workers   = fs.Int("workers", 0, "parallel kernel worker count (0 = GOMAXPROCS; implies -parallel)")
+		parallel   = fs.Bool("parallel", false, "run every cluster on the conservative parallel kernel (identical results, less wallclock)")
+		workers    = fs.Int("workers", 0, "parallel kernel worker count (0 = GOMAXPROCS; implies -parallel)")
 	)
 	var crashes crashFlags
 	fs.Var(&crashes, "crash", "recovery-experiment fault: host@at[+dur], e.g. ws1@250ms+200ms (repeatable; no +dur = instant reboot)")
@@ -112,13 +110,24 @@ func run(args []string) error {
 		}
 		os.Setenv("SPRITE_SIM_PARALLEL", v)
 	}
-	cfg := experiments.Config{
-		Seed: *seed, Quick: *quick, Metrics: *metrics,
-		Crashes: crashes, RecoverySnapshot: *recSnap,
-		Fleet10k: *fleet10k, HostselSnapshot: *hostSnap,
-		Hosts: *hosts, WallclockSnapshot: *wallSnap,
-		ConfinedScaleSnapshot: *confScale,
-		FleetSnapshot:         *fleetSnap,
+	if *snapshot != "" && *expID == "" && !*confScale {
+		return fmt.Errorf("-snapshot writes one table's rows: pass -experiment or -confined-scale")
+	}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Metrics: *metrics, Crashes: crashes, Hosts: *hosts}
+	// emit prints one table and, under -snapshot, writes its typed rows.
+	emit := func(tbl *experiments.Table) error {
+		fmt.Fprintln(stdout, tbl)
+		if *snapshot == "" {
+			return nil
+		}
+		if tbl.Data == nil {
+			return fmt.Errorf("%s has no snapshot data", tbl.ID)
+		}
+		data, err := json.MarshalIndent(tbl.Data, "", "  ")
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(*snapshot, data, 0o644)
 	}
 	switch {
 	case *fleetStorm != 0:
@@ -127,15 +136,15 @@ func run(args []string) error {
 		// debugging entry point a failure report names.
 		sc := fault.GenFleetScenario(*fleetStorm)
 		res := fault.RunFleetScenario(sc)
-		fmt.Print(sc.Report(res))
+		fmt.Fprint(stdout, sc.Report(res))
 		if res.Failed() {
 			min, minRes := fault.ShrinkFleet(sc)
-			fmt.Printf("shrunk:\n%s", min.Report(minRes))
+			fmt.Fprintf(stdout, "shrunk:\n%s", min.Report(minRes))
 			return fmt.Errorf("fleet storm seed %d failed", *fleetStorm)
 		}
-		fmt.Println("ok")
+		fmt.Fprintln(stdout, "ok")
 		return nil
-	case *confScale != "":
+	case *confScale:
 		// The tier runs its own serial and parallel legs, so it must not be
 		// combined with -parallel (which forces every cluster parallel and
 		// would turn the serial baseline into a second parallel run).
@@ -147,11 +156,10 @@ func run(args []string) error {
 			return err
 		}
 		//spritelint:allow simtaint the confined-scale table reports measured host wall time by design (serial vs parallel speedup)
-		fmt.Println(tbl)
-		return nil
+		return emit(tbl)
 	case *list:
 		for _, r := range experiments.All() {
-			fmt.Printf("%-4s %s\n", r.ID, r.Name)
+			fmt.Fprintf(stdout, "%-4s %s\n", r.ID, r.Name)
 		}
 		return nil
 	case *all:
@@ -160,7 +168,7 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", r.ID, err)
 			}
-			fmt.Println(tbl)
+			fmt.Fprintln(stdout, tbl)
 		}
 		return nil
 	case *expID != "":
@@ -172,8 +180,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(tbl)
-		return nil
+		return emit(tbl)
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -experiment, -all, or -list")

@@ -49,8 +49,8 @@ func TestExperimentsAreReproducible(t *testing.T) {
 			if r.ID == "E17" {
 				// E17's table is wallclock (real time) by design; its
 				// determinism claim — identical order digests across
-				// kernels — is asserted inside the driver and in
-				// internal/experiments TestE17DigestsAgree.
+				// kernels — is asserted inside the driver
+				// (internal/experiments TestE17QuickTable).
 				t.Skip("wallclock output is not byte-reproducible by design")
 			}
 			a, err := r.Run(cfg)

@@ -20,6 +20,17 @@ import (
 // snapshot at every worker count — and identical to the serial oracle
 // running the same confined code path.
 
+// requireKernel fails the test unless the cluster runs on the kernel simp
+// asked for. SPRITE_SIM_PARALLEL overrides every cluster's kernel, serial
+// baselines included, so a test that compares kernels clears the variable
+// first; this is the check that the pin held.
+func requireKernel(t *testing.T, c *Cluster, simp SimParams) {
+	t.Helper()
+	if got := c.Sim().Parallel(); got != simp.Parallel {
+		t.Fatalf("asked for Parallel=%v, kernel reports %v (SPRITE_SIM_PARALLEL=%q)", simp.Parallel, got, os.Getenv("SPRITE_SIM_PARALLEL"))
+	}
+}
+
 // confinedFingerprint runs one migration-heavy confined scenario and folds
 // everything observable — committed order, final virtual time, the full
 // trace stream, migration counts, and the metrics snapshot — into one
@@ -34,6 +45,7 @@ func confinedFingerprint(t *testing.T, strategy TransferStrategy, simp SimParams
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireKernel(t, c, simp)
 	c.SetStrategyAll(strategy)
 	var trace strings.Builder
 	c.SetTrace(func(at time.Duration, kind, detail string) {
@@ -135,6 +147,7 @@ func confinedFingerprint(t *testing.T, strategy TransferStrategy, simp SimParams
 // parallel kernel at 1/2/4/8 workers produce byte-identical fingerprints
 // (order digest + traces + metrics) with hosts confined.
 func TestConfinedMigrationEquivalence(t *testing.T) {
+	t.Setenv("SPRITE_SIM_PARALLEL", "")
 	strategies := []TransferStrategy{
 		SpriteFlushStrategy{},
 		FullCopyStrategy{},
@@ -187,6 +200,7 @@ func TestConfinedGoldenFrozen(t *testing.T) {
 // RPC/FS/migration plane; the digest check keeps the storm honest against
 // the serial oracle.
 func TestConfinedCrossHostStorm(t *testing.T) {
+	t.Setenv("SPRITE_SIM_PARALLEL", "")
 	storm := func(simp SimParams) string {
 		params := DefaultParams()
 		params.Sim = simp
@@ -196,6 +210,7 @@ func TestConfinedCrossHostStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireKernel(t, c, simp)
 		if err := c.SeedBinary("/bin/prog", 32<<10); err != nil {
 			t.Fatal(err)
 		}

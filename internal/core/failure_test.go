@@ -490,6 +490,7 @@ func TestPendingMigrationDiesWithItsProcess(t *testing.T) {
 	for _, simp := range []SimParams{{}, {Parallel: true, Workers: 2}} {
 		simp := simp
 		t.Run(fmt.Sprintf("confined-foreign-exit/parallel=%t", simp.Parallel), func(t *testing.T) {
+			t.Setenv("SPRITE_SIM_PARALLEL", "")
 			params := DefaultParams()
 			params.Sim = simp
 			params.Sim.ConfineHosts = true
@@ -497,6 +498,7 @@ func TestPendingMigrationDiesWithItsProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireKernel(t, c, simp)
 			if err := c.SeedBinary("/bin/prog", 128*1024); err != nil {
 				t.Fatal(err)
 			}

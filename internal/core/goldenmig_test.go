@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the migration snap
 // heap, one migration, a touchback — and renders everything observable about
 // it: the record's full phase decomposition, the bulk data-plane counters,
 // and the whole metrics snapshot.
-func migrationSnapshot(t *testing.T, seed int64, simp SimParams) string {
+func migrationSnapshot(t *testing.T, seed int64, strategy TransferStrategy, simp SimParams) string {
 	t.Helper()
 	params := DefaultParams()
 	params.Sim = simp
@@ -26,6 +26,7 @@ func migrationSnapshot(t *testing.T, seed int64, simp SimParams) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetStrategyAll(strategy)
 	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
 		t.Fatal(err)
 	}
@@ -71,39 +72,56 @@ func migrationSnapshot(t *testing.T, seed int64, simp SimParams) string {
 	return b.String()
 }
 
-// migrationGolden is the committed snapshot, named for the bulk data plane
-// it pins; its subtests carry the same name.
-var migrationGolden = filepath.Join("testdata", "migration_batched.golden")
+// migrationGolden is the committed snapshot of the named subtest.
+func migrationGolden(name string) string {
+	return filepath.Join("testdata", "migration_"+name+".golden")
+}
 
-// TestGoldenMigrationSnapshots pins one migration run byte for byte: the
-// snapshot must be identical run over run, identical across two seeds (the
-// scenario draws no randomness — any divergence means nondeterminism leaked
-// into the data plane), and identical to the golden committed under
-// testdata/. Regenerate with -update-golden when a cost model change is
-// intentional.
+// migrationGoldens lists every pinned strategy by subtest (and golden)
+// name; sprite-flush keeps the name of the bulk data plane it first pinned.
+var migrationGoldens = []struct {
+	name     string
+	strategy TransferStrategy
+}{
+	{"batched", SpriteFlushStrategy{}},
+	{"full-copy", FullCopyStrategy{}},
+	{"copy-on-reference", CopyOnReferenceStrategy{}},
+	{"pre-copy", PreCopyStrategy{RedirtyPagesPerSec: 50}},
+}
+
+// TestGoldenMigrationSnapshots pins one migration run per transfer strategy
+// byte for byte: the snapshot must be identical run over run, identical
+// across two seeds (the scenario draws no randomness — any divergence means
+// nondeterminism leaked into the data plane), and identical to the golden
+// committed under testdata/. It is the migration-cost regression gate: every
+// phase, counter and byte of each strategy's migration is exact. Regenerate
+// with -update-golden when a cost model change is intentional.
 func TestGoldenMigrationSnapshots(t *testing.T) {
-	t.Run("batched", func(t *testing.T) {
-		got := migrationSnapshot(t, 1, SimParams{})
-		if again := migrationSnapshot(t, 1, SimParams{}); again != got {
-			t.Fatalf("same-seed reruns differ:\n--- first ---\n%s\n--- second ---\n%s", got, again)
-		}
-		if other := migrationSnapshot(t, 2, SimParams{}); other != got {
-			t.Fatalf("seed 2 diverged from seed 1:\n--- seed1 ---\n%s\n--- seed2 ---\n%s", got, other)
-		}
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
+	for _, g := range migrationGoldens {
+		t.Run(g.name, func(t *testing.T) {
+			golden := migrationGolden(g.name)
+			got := migrationSnapshot(t, 1, g.strategy, SimParams{})
+			if again := migrationSnapshot(t, 1, g.strategy, SimParams{}); again != got {
+				t.Fatalf("same-seed reruns differ:\n--- first ---\n%s\n--- second ---\n%s", got, again)
 			}
-			if err := os.WriteFile(migrationGolden, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+			if other := migrationSnapshot(t, 2, g.strategy, SimParams{}); other != got {
+				t.Fatalf("seed 2 diverged from seed 1:\n--- seed1 ---\n%s\n--- seed2 ---\n%s", got, other)
 			}
-		}
-		want, err := os.ReadFile(migrationGolden)
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
-		}
-		if got != string(want) {
-			t.Fatalf("snapshot changed vs %s:\n--- got ---\n%s\n--- want ---\n%s", migrationGolden, got, want)
-		}
-	})
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("snapshot changed vs %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+			}
+		})
+	}
 }

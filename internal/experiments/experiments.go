@@ -1,7 +1,7 @@
 // Package experiments contains one driver per reproduced table/figure of
 // the thesis (see DESIGN.md §4 and EXPERIMENTS.md). Each driver builds its
 // own cluster(s) from a seed, runs the workload, and returns a Table whose
-// rows mirror what the paper reports. Benchmarks and the spritesim CLI call
+// rows mirror what the paper reports. The spritesim CLI and the tests call
 // these drivers.
 package experiments
 
@@ -19,7 +19,7 @@ import (
 type Config struct {
 	// Seed makes the run reproducible.
 	Seed int64
-	// Quick shrinks sweeps for use inside benchmarks.
+	// Quick shrinks sweeps to test size.
 	Quick bool
 	// Metrics attaches each cluster's metrics snapshot to the table
 	// (rendered after the notes). Off by default, so standard outputs are
@@ -28,31 +28,11 @@ type Config struct {
 	// Crashes overrides the recovery experiment's (E15) default fault
 	// schedule; parsed from repeated spritesim -crash flags.
 	Crashes []recovery.CrashSpec
-	// RecoverySnapshot, when non-empty, makes E15 write its final metrics
-	// snapshot to this file as JSON.
-	RecoverySnapshot string
-	// Fleet10k opts the selector shoot-out (E16) into the 10,000-host
-	// point, which is far slower than the standard 100/1,000 sweep.
-	Fleet10k bool
-	// HostselSnapshot, when non-empty, makes E16 write its per-selector
-	// results to this file as JSON.
-	HostselSnapshot string
 	// Hosts overrides the primary scale knob of the scale-aware
-	// experiments: E16's fleet size (replacing the standard sweep) and
-	// E17's load-daemon count. Zero keeps each experiment's default.
+	// experiments: E16's and E18's fleet size (replacing the standard
+	// sweep), E17's load-daemon count and the confined scale tier's host
+	// count. Zero keeps each experiment's default.
 	Hosts int
-	// WallclockSnapshot, when non-empty, makes E17 write its per-kernel
-	// wallclock rows to this file as JSON (the BENCH_wallclock.json CI
-	// artifact).
-	WallclockSnapshot string
-	// ConfinedScaleSnapshot, when non-empty, makes the confined scale tier
-	// (E17ConfinedScale) write its serial-vs-parallel comparison rows to
-	// this file as JSON (the SCALE_confined.json nightly CI artifact).
-	ConfinedScaleSnapshot string
-	// FleetSnapshot, when non-empty, makes the fleet economy experiment
-	// (E18) write its per-intensity rows to this file as JSON (the
-	// FLEET_storms.json CI artifact; bench/BENCH_fleet.json gates it).
-	FleetSnapshot string
 }
 
 // Table is one reproduced table or figure, as labeled rows.
@@ -66,6 +46,10 @@ type Table struct {
 	// Metrics holds one rendered metrics snapshot per cluster the
 	// experiment ran (populated only when Config.Metrics is set).
 	Metrics []string
+	// Data is the typed rows behind the table, for the drivers that have a
+	// machine-readable artifact (E15–E18); nil otherwise. It is not
+	// rendered: spritesim -snapshot marshals it, gate tests read it.
+	Data any
 }
 
 // AddRow appends one formatted row.

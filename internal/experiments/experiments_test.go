@@ -307,8 +307,8 @@ func TestDeterminism(t *testing.T) {
 			if r.ID == "E17" {
 				// E17's table is wallclock (real time) by design; its
 				// determinism claim — identical order digests across
-				// kernels — is asserted inside the driver and by
-				// TestE17DigestsAgree.
+				// kernels — is asserted inside the driver
+				// (TestE17QuickTable).
 				t.Skip("wallclock output is not byte-reproducible by design")
 			}
 			a, err := r.Run(quick())

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"sprite/internal/core"
@@ -39,8 +37,9 @@ var e18Intensities = []e18Storm{
 	{name: "hurricane", bursts: 6, flaps: 4, racks: 2, cordons: 4},
 }
 
-// e18Row is one (intensity, fleet size) measurement, also the JSON shape
-// written to Config.FleetSnapshot and gated by bench/BENCH_fleet.json.
+// e18Row is one (intensity, fleet size) measurement; the rows are the
+// table's Data (the FLEET_storms.json CI artifact), gated by
+// bench/BENCH_fleet.json.
 type e18Row struct {
 	Intensity       string  `json:"intensity"`
 	Hosts           int     `json:"hosts"`
@@ -346,15 +345,6 @@ func E18FleetEconomy(cfg Config) (*Table, error) {
 		}
 	}
 	t.AddNote("every host comes back in this schedule, so goodput stays 1.00 at every intensity: storms cost job latency (checkpoint relaunches, migrations), never jobs")
-	if cfg.FleetSnapshot != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.FleetSnapshot, data, 0o644); err != nil {
-			return nil, err
-		}
-		t.AddNote("fleet economy results written to %s", cfg.FleetSnapshot)
-	}
+	t.Data = rows
 	return t, nil
 }

@@ -39,25 +39,16 @@ func TestFleetEconomyGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := filepath.Join(t.TempDir(), "FLEET_gate.json")
-	cfg := Config{Seed: base.Seed, Quick: base.Quick, FleetSnapshot: snap}
-	if _, err := E18FleetEconomy(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(snap)
+	tbl, err := E18FleetEconomy(Config{Seed: base.Seed, Quick: base.Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []e18Row
-	if err := json.Unmarshal(out, &rows); err != nil {
-		t.Fatal(err)
-	}
+	rows := tbl.Data.([]*e18Row)
 	if len(rows) == 0 {
 		t.Fatal("no rows in fleet economy snapshot")
 	}
 	var hurricane *e18Row
-	for i := range rows {
-		r := &rows[i]
+	for _, r := range rows {
 		if r.Intensity == "hurricane" {
 			hurricane = r
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -14,9 +13,9 @@ import (
 // reaping, and checkpoint-backed failover. It runs the canonical demo — a
 // deferred-reap cluster, a liveness monitor, and three supervised jobs whose
 // host dies mid-run — and reports what the recovery plane observed. The
-// fault schedule is overridable from the CLI (-crash host@t[+dur]), and
-// -recovery-snapshot dumps the full metrics snapshot as JSON for dashboards
-// and the CI chaos artifact.
+// fault schedule is overridable from the CLI (-crash host@t[+dur]); the
+// table's Data is the full metrics snapshot (the RECOVERY_demo.json CI
+// artifact).
 func E15CrashRecovery(cfg Config) (*Table, error) {
 	res, err := recovery.RunDemoWith(cfg.Seed, cfg.Crashes)
 	if err != nil {
@@ -53,15 +52,6 @@ func E15CrashRecovery(cfg Config) (*Table, error) {
 		t.AddNote("INVARIANT VIOLATIONS: %s", strings.Join(res.Violations, "; "))
 	}
 	t.CaptureSnapshot(cfg, "demo", res.Snapshot)
-	if cfg.RecoverySnapshot != "" {
-		data, err := res.Snapshot.JSON()
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.RecoverySnapshot, data, 0o644); err != nil {
-			return nil, fmt.Errorf("write recovery snapshot: %w", err)
-		}
-		t.AddNote("metrics snapshot written to %s", cfg.RecoverySnapshot)
-	}
+	t.Data = res.Snapshot
 	return t, nil
 }

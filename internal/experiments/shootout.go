@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"sprite/internal/fault"
@@ -35,8 +33,8 @@ func e16Tolerable(err error) bool {
 	return false
 }
 
-// e16Row is one (architecture, fleet size) measurement, also the JSON shape
-// written to Config.HostselSnapshot.
+// e16Row is one (architecture, fleet size) measurement; the rows are the
+// table's Data (the HOSTSEL_shootout.json CI artifact).
 type e16Row struct {
 	Architecture string  `json:"architecture"`
 	Hosts        int     `json:"hosts"`
@@ -241,8 +239,6 @@ func E16SelectorShootout(cfg Config) (*Table, error) {
 	sizes := []int{100, 1000}
 	if cfg.Quick {
 		sizes = []int{24}
-	} else if cfg.Fleet10k {
-		sizes = append(sizes, 10000)
 	}
 	if cfg.Hosts > 0 {
 		// Explicit scale override (spritesim -hosts): run exactly that one
@@ -269,15 +265,6 @@ func E16SelectorShootout(cfg Config) (*Table, error) {
 		}
 	}
 	t.AddNote("paper shape: central stays conflict-free but funnels every update through one host; gossip's bounded aged views misplace a small fraction of claims and recover via claim verification; multicast pays per-request fleet-wide traffic")
-	if cfg.HostselSnapshot != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.HostselSnapshot, data, 0o644); err != nil {
-			return nil, err
-		}
-		t.AddNote("shoot-out results written to %s", cfg.HostselSnapshot)
-	}
+	t.Data = rows
 	return t, nil
 }

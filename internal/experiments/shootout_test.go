@@ -37,23 +37,14 @@ func TestGossipMisplaceGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := filepath.Join(t.TempDir(), "HOSTSEL_gate.json")
-	cfg := Config{Seed: base.Seed, Quick: base.Quick, HostselSnapshot: snap}
-	if _, err := E16SelectorShootout(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(snap)
+	tbl, err := E16SelectorShootout(Config{Seed: base.Seed, Quick: base.Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []e16Row
-	if err := json.Unmarshal(out, &rows); err != nil {
-		t.Fatal(err)
-	}
 	var gossip *e16Row
-	for i := range rows {
-		if rows[i].Architecture == "gossip" {
-			gossip = &rows[i]
+	for _, r := range tbl.Data.([]*e16Row) {
+		if r.Architecture == "gossip" {
+			gossip = r
 		}
 	}
 	if gossip == nil {

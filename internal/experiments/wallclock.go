@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -23,8 +21,8 @@ import (
 // which is the point. This file is exempt from the walltime lint for
 // exactly that reason.
 
-// e17Row is one kernel configuration's measurement, and the JSON shape of
-// the BENCH_wallclock.json artifact.
+// e17Row is one kernel configuration's measurement; the rows are the
+// table's Data.
 type e17Row struct {
 	// Workload names the measured plane: "daemons" is the original fleet of
 	// confined per-host load daemons around an exclusive cluster plane;
@@ -248,8 +246,7 @@ func e17Sweep(workload string, hosts, reps int, workerCounts []int,
 // migration-heavy confined-hosts plane ("migration"), where RPC service,
 // fs/vm traffic, and the migrations themselves dispatch concurrently
 // because every host kernel lives on its own shard. Quick shrinks both;
-// Config.Hosts overrides the daemon fleet. Config.WallclockSnapshot writes
-// the rows as BENCH_wallclock.json.
+// Config.Hosts overrides the daemon fleet.
 func E17ParallelWallclock(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:       "E17",
@@ -289,16 +286,7 @@ func E17ParallelWallclock(cfg Config) (*Table, error) {
 	t.AddNote("identical digests within each workload: worker count is not an input to the simulation")
 	t.AddNote("migration rows run with ConfineHosts: host kernels, RPC loops, and migrations are shard-confined")
 	t.AddNote("measured on %d cores; speedup is meaningful only when cores >= workers", runtime.NumCPU())
-	if cfg.WallclockSnapshot != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.WallclockSnapshot, data, 0o644); err != nil {
-			return nil, err
-		}
-		t.AddNote("wallclock rows written to %s", cfg.WallclockSnapshot)
-	}
+	t.Data = rows
 	return t, nil
 }
 
@@ -307,9 +295,8 @@ func E17ParallelWallclock(cfg Config) (*Table, error) {
 // overrides), run once under the serial oracle and once under the parallel
 // kernel at 4 workers. The run FAILS — not merely notes — if the two
 // kernels commit different order digests at this scale, which is the
-// regression the small equivalence suites could miss. The serial and
-// parallel wallclocks land in Config.ConfinedScaleSnapshot as the
-// SCALE_confined.json comparison artifact.
+// regression the small equivalence suites could miss. The table's Data is
+// the serial-vs-parallel comparison (the SCALE_confined.json artifact).
 func E17ConfinedScale(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:       "E17s",
@@ -356,15 +343,6 @@ func E17ConfinedScale(cfg Config) (*Table, error) {
 	}
 	t.AddNote("digests agree at %d hosts: the confined plane commits the serial order at fleet scale", hosts)
 	t.AddNote("measured on %d cores; speedup is meaningful only when cores >= workers", cores)
-	if cfg.ConfinedScaleSnapshot != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.ConfinedScaleSnapshot, data, 0o644); err != nil {
-			return nil, err
-		}
-		t.AddNote("comparison rows written to %s", cfg.ConfinedScaleSnapshot)
-	}
+	t.Data = rows
 	return t, nil
 }

@@ -2,8 +2,6 @@ package fault
 
 import (
 	"flag"
-	"os"
-	"strconv"
 	"testing"
 )
 
@@ -19,7 +17,7 @@ var equivWorkers = []int{2, 4, 8}
 // sim-level property suite (internal/sim) covers 50+ seeds of raw kernel
 // behaviour, so the cluster-level budget here trades seed count for the
 // much larger per-seed surface (full trace + metrics bytes). Set
-// SPRITE_EQUIV=<n> for a longer sweep.
+// SPRITE_FUZZ=<n> for a longer sweep.
 const equivSmokeN = 10
 
 // TestKernelEquivalence is the cluster-level half of the serial≡parallel
@@ -28,6 +26,7 @@ const equivSmokeN = 10
 // snapshots, order digests, and invariant verdicts under the parallel
 // kernel at 2, 4, and 8 workers. Failures shrink to a minimal scenario.
 func TestKernelEquivalence(t *testing.T) {
+	t.Setenv("SPRITE_SIM_PARALLEL", "")
 	const bgHosts = 6
 	check := func(seed int64) {
 		sc := GenScenario(seed)
@@ -41,13 +40,7 @@ func TestKernelEquivalence(t *testing.T) {
 		check(*equivSeed)
 		return
 	}
-	n := equivSmokeN
-	if s := os.Getenv("SPRITE_EQUIV"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			n = v
-		}
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, sweepN(t, equivSmokeN); i < n; i++ {
 		check(int64(2000 + i))
 	}
 }

@@ -19,6 +19,23 @@ var fuzzSeed = flag.Int64("seed", 0, "replay one fuzz scenario by seed")
 // run; set SPRITE_FUZZ=<n> for a longer sweep.
 const fuzzSmokeN = 30
 
+// sweepN is the scenario budget of a seed sweep: smoke by default, and
+// SPRITE_FUZZ=<n> lengthens every sweep in this package (cluster fuzz,
+// fleet fuzz, kernel equivalence). A value that is not a positive integer
+// fails the test instead of quietly running the smoke count.
+func sweepN(t *testing.T, smoke int) int {
+	t.Helper()
+	s := os.Getenv("SPRITE_FUZZ")
+	if s == "" {
+		return smoke
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		t.Fatalf("SPRITE_FUZZ=%q: want a positive scenario count", s)
+	}
+	return n
+}
+
 // TestClusterFuzz runs randomized fault scenarios and fails on the first
 // invariant violation, after shrinking it to a minimal reproduction.
 func TestClusterFuzz(t *testing.T) {
@@ -31,12 +48,7 @@ func TestClusterFuzz(t *testing.T) {
 		}
 		return
 	}
-	n := fuzzSmokeN
-	if s := os.Getenv("SPRITE_FUZZ"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			n = v
-		}
-	}
+	n := sweepN(t, fuzzSmokeN)
 	kinds := make(map[Kind]int)
 	for i := 0; i < n; i++ {
 		seed := int64(1000 + i)

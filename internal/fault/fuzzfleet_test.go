@@ -2,8 +2,6 @@ package fault
 
 import (
 	"flag"
-	"os"
-	"strconv"
 	"testing"
 )
 
@@ -14,8 +12,8 @@ var fleetSeed = flag.Int64("fleet-seed", 0, "replay one fleet fuzz scenario by s
 
 // fleetSmokeN covers the acceptance bar for the drain-safety family: 50
 // seeds of eviction storms, flapping hosts, correlated rack failures, and
-// manual cordons, all run against the audit. SPRITE_FLEET_FUZZ=<n>
-// lengthens the sweep.
+// manual cordons, all run against the audit. SPRITE_FUZZ=<n> lengthens the
+// sweep.
 const fleetSmokeN = 50
 
 func runFleetSeed(t *testing.T, seed int64) {
@@ -38,12 +36,7 @@ func TestFleetFuzz(t *testing.T) {
 		runFleetSeed(t, *fleetSeed)
 		return
 	}
-	n := fleetSmokeN
-	if s := os.Getenv("SPRITE_FLEET_FUZZ"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			n = v
-		}
-	}
+	n := sweepN(t, fleetSmokeN)
 	kinds := make(map[FleetEventKind]int)
 	gossipRuns := 0
 	for i := 0; i < n; i++ {
@@ -88,6 +81,7 @@ func TestFleetScenarioDeterminism(t *testing.T) {
 // hosts), so the parallel kernel routes everything through the exclusive
 // shard — the digests must still match exactly.
 func TestFleetKernelEquivalence(t *testing.T) {
+	t.Setenv("SPRITE_SIM_PARALLEL", "")
 	for _, seed := range []int64{5002, 5007, 5013} {
 		sc := GenFleetScenario(seed)
 		sres, sobs := RunFleetScenarioKernel(sc, false, 0)

@@ -161,8 +161,8 @@ func TestShardedTimingMergeRollup(t *testing.T) {
 
 // BenchmarkRegistryParallel contrasts the contended single-cell counter
 // with the sharded per-slot cells under concurrent writers — the number
-// bench-wallclock tracks to show the parallel kernel's metrics plane does
-// not serialize on cache-line ping-pong.
+// that shows the parallel kernel's metrics plane does not serialize on
+// cache-line ping-pong.
 func BenchmarkRegistryParallel(b *testing.B) {
 	const slots = 8
 	b.Run("shared", func(b *testing.B) {

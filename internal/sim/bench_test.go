@@ -87,9 +87,8 @@ func benchConfined(b *testing.B, workers int) {
 }
 
 // BenchmarkParallelKernel compares the serial oracle against the parallel
-// kernel at increasing worker counts on a confined-daemon workload
-// (bench-wallclock's speedup evidence at the sim layer; E17 measures the
-// same at cluster scale).
+// kernel at increasing worker counts on a confined-daemon workload (the
+// sim-layer form of what E17 measures at cluster scale).
 func BenchmarkParallelKernel(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchConfined(b, 0) })
 	for _, w := range []int{1, 2, 4, 8} {
