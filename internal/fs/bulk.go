@@ -8,10 +8,22 @@ import (
 	"sprite/internal/sim"
 )
 
-// PageRun is one contiguous byte extent of a scatter-gather write.
+// PageRun is one contiguous extent of a scatter-gather write: the bytes in
+// Data, or when Data is nil, Zeros zero bytes that are counted on the wire
+// and at the server but never materialised. The VM system flushes pages as
+// zero runs because page contents are not modelled.
 type PageRun struct {
-	Off  int64
-	Data []byte
+	Off   int64
+	Data  []byte
+	Zeros int
+}
+
+// size returns the run's length in bytes.
+func (r PageRun) size() int {
+	if r.Data != nil {
+		return len(r.Data)
+	}
+	return r.Zeros
 }
 
 // WriteAtBatch performs a vectored write: the runs are sorted, contiguous
@@ -38,37 +50,44 @@ func (c *Client) WriteAtBatch(env *sim.Env, st *Stream, runs []PageRun, maxRunBy
 		return bs, fmt.Errorf("bulk write %s: %w", st.Path, ErrBadStream)
 	}
 	for _, ext := range splitRuns(coalesceRuns(runs), maxRunBytes) {
+		n := ext.size()
 		if c.cacheEnabled(st) {
-			if err := c.writeRange(env, st, ext.Off, ext.Data); err != nil {
+			// The block cache holds bytes, so a zero run is materialised here.
+			data := ext.Data
+			if data == nil {
+				data = make([]byte, n)
+			}
+			if err := c.writeRange(env, st, ext.Off, data); err != nil {
 				return bs, err
 			}
 		} else {
-			one, err := c.writeBulk(env, st, ext.Off, ext.Data)
+			one, err := c.writeBulk(env, st, ext)
 			if err != nil {
 				return bs, err
 			}
 			bs.Add(one)
 		}
-		c.stats.BytesWritten += uint64(len(ext.Data))
+		c.stats.BytesWritten += uint64(n)
 		if m := c.fs.m; m != nil {
-			m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(len(ext.Data)))
+			m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(n))
 		}
 	}
 	return bs, nil
 }
 
 // writeBulk ships one contiguous extent through the bulk-transfer path.
-func (c *Client) writeBulk(env *sim.Env, st *Stream, off int64, data []byte) (rpc.BulkStats, error) {
-	newSize := int(off) + len(data)
+func (c *Client) writeBulk(env *sim.Env, st *Stream, ext PageRun) (rpc.BulkStats, error) {
+	n := ext.size()
+	newSize := int(ext.Off) + n
 	defer c.bumpSize(st, newSize)
 	if newSize > c.fileSize[st.FID] {
 		c.fileSize[st.FID] = newSize
 	}
 	reply, bs, err := c.ep.CallBulk(env, st.FID.Server, "fs.writeBulk", writeBulkArgs{
-		FID: st.FID, Off: off, Data: data, NewSize: -1,
-	}, 48, len(data), rpc.BulkOut)
+		FID: st.FID, Off: ext.Off, Data: ext.Data, N: n, NewSize: -1,
+	}, 48, n, rpc.BulkOut)
 	if err != nil {
-		return bs, fmt.Errorf("bulk write %s at %d: %w", st.Path, off, err)
+		return bs, fmt.Errorf("bulk write %s at %d: %w", st.Path, ext.Off, err)
 	}
 	if r, ok := reply.(writeReply); ok {
 		c.fileVer[st.FID] = r.Version
@@ -76,55 +95,47 @@ func (c *Client) writeBulk(env *sim.Env, st *Stream, off int64, data []byte) (rp
 	}
 	// Any cached blocks overlapping the extent predate this write and are
 	// now stale; drop them rather than patching.
-	c.dropRange(st.FID, off, len(data))
+	c.dropRange(st.FID, ext.Off, n)
 	return bs, nil
 }
 
-// ReadAtBulk reads [off, off+n) as one fs.readBulk bulk transfer, without
-// moving the access position. It is the readahead pager's fill path: a page
-// fault pulls a whole run of pages in one handshake instead of one RPC per
-// block. Cacheable files fall back to the per-block cached path.
-func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) ([]byte, rpc.BulkStats, error) {
+// ReadAtBulk transfers [off, off+n), clamped at end of file, as one
+// fs.readBulk bulk transfer without moving the access position, and returns
+// the number of bytes transferred — not the bytes: it is the readahead
+// pager's fill path (a page fault pulls a whole run of pages in one handshake
+// instead of one RPC per block) and page contents are not modelled; ReadAt
+// is for callers that want contents. Cacheable files fall back to the
+// per-block cached path.
+func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) (int, rpc.BulkStats, error) {
 	var bs rpc.BulkStats
 	if st.closed {
-		return nil, bs, ErrBadStream
+		return 0, bs, ErrBadStream
 	}
-	size := c.knownSize(st)
-	avail := int64(size) - off
+	if st.pipe {
+		return 0, bs, fmt.Errorf("bulk read %s: %w", st.Path, ErrBadStream)
+	}
+	avail := int(min(int64(n), int64(c.knownSize(st))-off))
 	if avail <= 0 {
-		return nil, bs, nil
-	}
-	if int64(n) < avail {
-		avail = int64(n)
+		return 0, bs, nil
 	}
 	if c.cacheEnabled(st) {
-		data, err := c.readRange(env, st, off, int(avail))
+		if _, err := c.readRange(env, st, off, avail); err != nil {
+			return 0, bs, err
+		}
+	} else {
+		var err error
+		_, bs, err = c.ep.CallBulk(env, st.FID.Server, "fs.readBulk", readBulkArgs{
+			FID: st.FID, Off: off, N: avail,
+		}, 40, 0, rpc.BulkIn)
 		if err != nil {
-			return nil, bs, err
+			return 0, bs, fmt.Errorf("bulk read %s at %d: %w", st.Path, off, err)
 		}
-		c.stats.BytesRead += uint64(len(data))
-		if m := c.fs.m; m != nil {
-			m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(data)))
-		}
-		return data, bs, nil
 	}
-	reply, bs, err := c.ep.CallBulk(env, st.FID.Server, "fs.readBulk", readBulkArgs{
-		FID: st.FID, Off: off, N: int(avail),
-	}, 40, 0, rpc.BulkIn)
-	if err != nil {
-		return nil, bs, fmt.Errorf("bulk read %s at %d: %w", st.Path, off, err)
-	}
-	r, ok := reply.(readBulkReply)
-	if !ok {
-		return nil, bs, fmt.Errorf("fs.readBulk: bad reply %T", reply)
-	}
-	out := make([]byte, avail)
-	copy(out, r.Data)
-	c.stats.BytesRead += uint64(len(out))
+	c.stats.BytesRead += uint64(avail)
 	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(out)))
+		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(avail))
 	}
-	return out, bs, nil
+	return avail, bs, nil
 }
 
 // dropRange evicts cached blocks of fid overlapping [off, off+n).
@@ -144,7 +155,8 @@ func (c *Client) dropRange(fid FileID, off int64, n int) {
 }
 
 // coalesceRuns sorts runs by offset and merges extents that touch, so the
-// bulk path sees the longest possible contiguous transfers.
+// bulk path sees the longest possible contiguous transfers. A group of zero
+// runs merges by adding lengths; a group holding any bytes is materialised.
 func coalesceRuns(runs []PageRun) []PageRun {
 	if len(runs) <= 1 {
 		return runs
@@ -155,17 +167,22 @@ func coalesceRuns(runs []PageRun) []PageRun {
 	var out []PageRun
 	for i := 0; i < len(sorted); {
 		j := i + 1
-		total := len(sorted[i].Data)
-		for j < len(sorted) && sorted[j-1].Off+int64(len(sorted[j-1].Data)) == sorted[j].Off {
-			total += len(sorted[j].Data)
+		total := sorted[i].size()
+		hasBytes := sorted[i].Data != nil
+		for j < len(sorted) && sorted[i].Off+int64(total) == sorted[j].Off {
+			total += sorted[j].size()
+			hasBytes = hasBytes || sorted[j].Data != nil
 			j++
 		}
-		if j == i+1 {
+		switch {
+		case j == i+1:
 			out = append(out, sorted[i])
-		} else {
-			buf := make([]byte, 0, total)
-			for k := i; k < j; k++ {
-				buf = append(buf, sorted[k].Data...)
+		case !hasBytes:
+			out = append(out, PageRun{Off: sorted[i].Off, Zeros: total})
+		default:
+			buf := make([]byte, total)
+			for _, r := range sorted[i:j] {
+				copy(buf[r.Off-sorted[i].Off:], r.Data)
 			}
 			out = append(out, PageRun{Off: sorted[i].Off, Data: buf})
 		}
@@ -181,9 +198,15 @@ func splitRuns(runs []PageRun, maxBytes int) []PageRun {
 	}
 	var out []PageRun
 	for _, r := range runs {
-		for len(r.Data) > maxBytes {
-			out = append(out, PageRun{Off: r.Off, Data: r.Data[:maxBytes]})
-			r = PageRun{Off: r.Off + int64(maxBytes), Data: r.Data[maxBytes:]}
+		for r.size() > maxBytes {
+			head := PageRun{Off: r.Off}
+			if r.Data != nil {
+				head.Data, r.Data = r.Data[:maxBytes], r.Data[maxBytes:]
+			} else {
+				head.Zeros, r.Zeros = maxBytes, r.Zeros-maxBytes
+			}
+			r.Off += int64(maxBytes)
+			out = append(out, head)
 		}
 		out = append(out, r)
 	}

@@ -525,25 +525,19 @@ func (c *Client) bumpSize(st *Stream, size int) {
 // readRange returns file bytes [off, off+n), via the cache when permitted.
 func (c *Client) readRange(env *sim.Env, st *Stream, off int64, n int) ([]byte, error) {
 	bs := c.fs.params.BlockSize
-	out := make([]byte, 0, n)
-	for n > 0 {
-		block := int(off) / bs
-		inOff := int(off) % bs
-		want := bs - inOff
-		if want > n {
-			want = n
-		}
+	out := make([]byte, n)
+	for pos := 0; pos < n; {
+		block := (int(off) + pos) / bs
+		inOff := (int(off) + pos) % bs
+		want := min(bs-inOff, n-pos)
 		data, err := c.readBlock(env, st, block)
 		if err != nil {
 			return nil, err
 		}
-		chunk := make([]byte, want)
 		if inOff < len(data) {
-			copy(chunk, data[inOff:])
+			copy(out[pos:pos+want], data[inOff:])
 		}
-		out = append(out, chunk...)
-		off += int64(want)
-		n -= want
+		pos += want
 	}
 	return out, nil
 }

@@ -227,30 +227,43 @@ func (f *FS) Namespace() *Namespace { return f.ns }
 // cost is not part of any measured experiment. If the path already exists
 // its content is replaced.
 func (f *FS) Seed(path string, data []byte, neverCache bool) (FileID, error) {
+	fid, fl, err := f.seed(path, neverCache)
+	if err == nil {
+		fl.writeAt(0, data, len(data))
+	}
+	return fid, err
+}
+
+// SeedSized seeds a file of the given size with zero bytes (cheap way to
+// create large inputs: the zeros are a length, nothing is stored).
+func (f *FS) SeedSized(path string, size int, neverCache bool) (FileID, error) {
+	fid, fl, err := f.seed(path, neverCache)
+	if err == nil {
+		fl.setSize(size)
+	}
+	return fid, err
+}
+
+// seed finds or creates path's file on its server and empties it.
+func (f *FS) seed(path string, neverCache bool) (FileID, *file, error) {
 	srvHost, err := f.ns.Lookup(path)
 	if err != nil {
-		return FileID{}, fmt.Errorf("seed %s: %w", path, err)
+		return FileID{}, nil, fmt.Errorf("seed %s: %w", path, err)
 	}
 	srv := f.servers[srvHost]
 	if srv == nil {
-		return FileID{}, fmt.Errorf("seed %s: %w", path, ErrNoServer)
+		return FileID{}, nil, fmt.Errorf("seed %s: %w", path, ErrNoServer)
 	}
 	fl, ok := srv.files[path]
 	if !ok {
 		fl = srv.create(path, neverCache)
 	}
-	fl.data = append([]byte(nil), data...)
+	fl.setSize(0)
 	fl.version++
 	fl.mtime = f.sim.Now()
 	// Seeded data is considered on disk: first reads pay the disk cost.
 	fl.touched = make(map[int]bool)
-	return FileID{Server: srvHost, Ino: fl.ino}, nil
-}
-
-// SeedSized seeds a file of the given size with zero bytes (cheap way to
-// create large inputs).
-func (f *FS) SeedSized(path string, size int, neverCache bool) (FileID, error) {
-	return f.Seed(path, make([]byte, size), neverCache)
+	return FileID{Server: srvHost, Ino: fl.ino}, fl, nil
 }
 
 func (f *FS) nextStreamID() StreamID {

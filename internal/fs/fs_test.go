@@ -593,6 +593,52 @@ func TestSeedIsFree(t *testing.T) {
 	})
 }
 
+// TestSeedSizedStoresNothing: a sized seed is a length, however large, and
+// reading its zeros costs exactly what reading stored zeros costs.
+func TestSeedSizedStoresNothing(t *testing.T) {
+	const bs = 4096 // DefaultParams().BlockSize
+	h := newHarness(t, 1)
+	if _, err := h.fs.SeedSized("/huge", 1<<30, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.fs.Seed("/flat", make([]byte, 3*bs), false); err != nil {
+		t.Fatal(err)
+	}
+	if stored := len(h.srv.files["/huge"].data); stored != 0 {
+		t.Fatalf("SeedSized stored %d bytes, want none", stored)
+	}
+	c := h.fs.Client(2)
+	h.run(t, func(env *sim.Env) error {
+		if _, size, err := c.Stat(env, "/huge"); err != nil || size != 1<<30 {
+			t.Errorf("stat = %d, %v; want 1 GiB", size, err)
+		}
+		// The same block-straddling read near the tail of each file.
+		var took [2]time.Duration
+		for i, path := range []string{"/huge", "/flat"} {
+			st, err := c.Open(env, path, ReadMode, OpenOptions{})
+			if err != nil {
+				return err
+			}
+			start := env.Now()
+			got, err := c.ReadAt(env, st, int64(st.size)-bs-100, bs)
+			if err != nil {
+				return err
+			}
+			took[i] = env.Now() - start
+			if !bytes.Equal(got, make([]byte, bs)) {
+				t.Errorf("%s: read %d bytes, not %d zeros", path, len(got), bs)
+			}
+			if err := c.Close(env, st); err != nil {
+				return err
+			}
+		}
+		if took[0] != took[1] {
+			t.Errorf("reading unstored zeros took %v, stored zeros %v", took[0], took[1])
+		}
+		return nil
+	})
+}
+
 func TestEOFReadReturnsNil(t *testing.T) {
 	h := newHarness(t, 1)
 	c := h.fs.Client(2)

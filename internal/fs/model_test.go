@@ -12,6 +12,9 @@ import (
 	"sprite/internal/sim"
 )
 
+// swapPath is the model tests' never-cached file.
+const swapPath = "/swap"
+
 // modelFile is the reference implementation: a flat byte slice.
 type modelFile struct {
 	data []byte
@@ -25,6 +28,26 @@ func (m *modelFile) writeAt(off int64, p []byte) {
 		m.data = grown
 	}
 	copy(m.data[off:], p)
+}
+
+// writeRuns applies a scatter-gather write; a zero run writes its zeros.
+func (m *modelFile) writeRuns(runs []PageRun) {
+	for _, r := range runs {
+		data := r.Data
+		if data == nil {
+			data = make([]byte, r.Zeros)
+		}
+		m.writeAt(r.Off, data)
+	}
+}
+
+// setSize truncates or zero-extends the file to n bytes.
+func (m *modelFile) setSize(n int) {
+	if n <= len(m.data) {
+		m.data = m.data[:n]
+		return
+	}
+	m.writeAt(int64(n), nil)
 }
 
 func (m *modelFile) readAt(off int64, n int) []byte {
@@ -80,14 +103,32 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	model := map[string]*modelFile{}
-	paths := []string{"/a", "/b", "/c"}
+	paths := []string{"/a", "/b", "/c", swapPath}
+	// Two files start as SeedSized holes — a size with nothing stored — so
+	// byte writes land inside a hole. The swap file is never client-cached:
+	// every operation on it reaches the server's sparse file directly, batch
+	// writes by bulk transfer.
+	for _, path := range []string{"/b", swapPath} {
+		size := rng.Intn(40000)
+		if _, err := f.SeedSized(path, size, path == swapPath); err != nil {
+			t.Fatal(err)
+		}
+		model[path] = &modelFile{data: make([]byte, size)}
+	}
+	randBytes := func(n int) []byte {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		return data
+	}
 
 	s.Spawn("driver", func(env *sim.Env) error {
 		for op := 0; op < ops; op++ {
 			c := clients[rng.Intn(len(clients))]
 			path := paths[rng.Intn(len(paths))]
 			mf, exists := model[path]
-			switch rng.Intn(5) {
+			switch rng.Intn(7) {
 			case 0, 1: // write a random range
 				if !exists {
 					mf = &modelFile{}
@@ -133,15 +174,52 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 					return err
 				}
 			case 4: // whole-file rewrite (truncate)
-				n := rng.Intn(10000)
-				data := make([]byte, n)
-				for i := range data {
-					data[i] = byte(rng.Intn(256))
-				}
+				data := randBytes(rng.Intn(10000))
 				if err := c.WriteFile(env, path, data); err != nil {
 					return fmt.Errorf("op %d rewrite %s: %w", op, path, err)
 				}
 				model[path] = &modelFile{data: append([]byte(nil), data...)}
+			case 5: // scatter-gather write: shuffled byte and zero runs, some touching
+				if !exists {
+					mf = &modelFile{}
+					model[path] = mf
+				}
+				runs := make([]PageRun, 1+rng.Intn(5))
+				off := int64(rng.Intn(20000))
+				for i := range runs {
+					runs[i] = PageRun{Off: off, Zeros: 1 + rng.Intn(6000)}
+					if rng.Intn(2) == 0 {
+						runs[i] = PageRun{Off: off, Data: randBytes(1 + rng.Intn(6000))}
+					}
+					off += int64(runs[i].size() + rng.Intn(2)*rng.Intn(3000))
+				}
+				mf.writeRuns(runs)
+				rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+				st, err := c.Open(env, path, ReadWriteMode, OpenOptions{Create: true})
+				if err != nil {
+					return fmt.Errorf("op %d open-batch %s: %w", op, path, err)
+				}
+				if _, err := c.WriteAtBatch(env, st, runs, rng.Intn(3)*5000); err != nil {
+					return fmt.Errorf("op %d batch write %s: %w", op, path, err)
+				}
+				if err := c.Close(env, st); err != nil {
+					return err
+				}
+			case 6: // a flush that carries a size, shrinking or growing the swap file
+				mf = model[swapPath]
+				fid, _, err := c.Stat(env, swapPath)
+				if err != nil {
+					return fmt.Errorf("op %d stat %s: %w", op, swapPath, err)
+				}
+				bs := params.BlockSize
+				block, data, newSize := rng.Intn(8), randBytes(1+rng.Intn(bs)), rng.Intn(50000)
+				if _, err := c.ep.Call(env, fid.Server, "fs.write", writeArgs{
+					FID: fid, Block: block, Data: data, NewSize: newSize,
+				}, 48+len(data)); err != nil {
+					return fmt.Errorf("op %d sized flush %s: %w", op, swapPath, err)
+				}
+				mf.writeAt(int64(block*bs), data)
+				mf.setSize(newSize)
 			}
 			if err := env.Sleep(time.Millisecond); err != nil {
 				return err

@@ -60,16 +60,14 @@ type (
 	writeBulkArgs struct {
 		FID     FileID
 		Off     int64
-		Data    []byte
+		Data    []byte // nil: the N bytes are zeros and travel as a length only
+		N       int
 		NewSize int // -1 to keep current size
 	}
 	readBulkArgs struct {
 		FID FileID
 		Off int64
 		N   int
-	}
-	readBulkReply struct {
-		Data []byte
 	}
 	statArgs struct {
 		Path string
@@ -125,11 +123,15 @@ type openState struct {
 
 func (o *openState) total() int { return o.readers + o.writers }
 
-// file is the server-side state of one file.
+// file is the server-side state of one file. Its contents are the stored
+// prefix data plus a logical size: bytes in [len(data), size) are zero and
+// take no memory, so a swap file of flushed pages or a SeedSized input costs
+// nothing to hold. Only readAt, writeAt and setSize touch data.
 type file struct {
 	ino        int
 	path       string
 	data       []byte
+	size       int
 	version    uint64
 	mtime      time.Duration // virtual time of the last server-side change
 	neverCache bool          // backing-store and similar files are never client-cached
@@ -143,6 +145,60 @@ type file struct {
 	// or stream migration would read the stale open table and re-enable
 	// caching the blocked open is about to rely on being disabled.
 	mu *sim.Resource
+}
+
+// readAt returns a copy of the stored bytes of [off, off+n) and the range's
+// logical length, clamped at end of file; the bytes past the copy are zeros.
+func (fl *file) readAt(off, n int) ([]byte, int) {
+	end := min(off+n, fl.size)
+	if end <= off {
+		return nil, 0
+	}
+	var stored []byte
+	if off < len(fl.data) {
+		stored = append(stored, fl.data[off:min(end, len(fl.data))]...)
+	}
+	return stored, end - off
+}
+
+// writeAt puts n bytes at off, growing the file to cover them: data, or when
+// data is nil, zeros — which only clear what is already stored.
+func (fl *file) writeAt(off int, data []byte, n int) {
+	end := off + n
+	if data == nil {
+		if off < len(fl.data) {
+			clear(fl.data[off:min(end, len(fl.data))])
+		}
+	} else {
+		if end > len(fl.data) {
+			fl.data = append(fl.data, make([]byte, end-len(fl.data))...)
+		}
+		copy(fl.data[off:], data)
+	}
+	if end > fl.size {
+		fl.size = end
+	}
+}
+
+// setSize truncates or extends the file to n bytes; an extension stores
+// nothing.
+func (fl *file) setSize(n int) {
+	if n < len(fl.data) {
+		fl.data = fl.data[:n]
+	}
+	fl.size = n
+}
+
+// applyWrite is where both write handlers end: store the bytes, settle the
+// size (newSize < 0 keeps whatever the write left) and stamp the change.
+func (fl *file) applyWrite(now time.Duration, off int, data []byte, n, newSize int) writeReply {
+	fl.writeAt(off, data, n)
+	if newSize >= 0 {
+		fl.setSize(newSize)
+	}
+	fl.version++
+	fl.mtime = now
+	return writeReply{Version: fl.version, Size: fl.size}
 }
 
 func (fl *file) writersOn(except rpc.HostID) int {
@@ -311,7 +367,7 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 		return nil, 0, err
 	}
 	if exists && a.Create && a.Truncate {
-		fl.data = nil
+		fl.setSize(0)
 		fl.version++
 		fl.mtime = env.Now()
 	}
@@ -331,7 +387,7 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	}
 	reply := openReply{
 		FID:       FileID{Server: s.host, Ino: fl.ino},
-		Size:      len(fl.data),
+		Size:      fl.size,
 		Version:   fl.version,
 		Cacheable: fl.cacheable,
 	}
@@ -458,17 +514,8 @@ func (s *Server) handleRead(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	}
 	s.stats.BlocksRead++
 	bs := s.fs.params.BlockSize
-	lo := a.Block * bs
-	if lo >= len(fl.data) {
-		return readReply{}, 16, nil
-	}
-	hi := lo + bs
-	if hi > len(fl.data) {
-		hi = len(fl.data)
-	}
-	data := make([]byte, hi-lo)
-	copy(data, fl.data[lo:hi])
-	return readReply{Data: data}, 16 + len(data), nil
+	data, n := fl.readAt(a.Block*bs, bs)
+	return readReply{Data: data}, 16 + n, nil
 }
 
 func (s *Server) handleWrite(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
@@ -485,24 +532,8 @@ func (s *Server) handleWrite(env *sim.Env, from rpc.HostID, arg any) (any, int, 
 	}
 	s.stats.BlocksWrite++
 	fl.touched[a.Block] = true
-	bs := s.fs.params.BlockSize
-	lo := a.Block*bs + a.Offset
-	need := lo + len(a.Data)
-	if a.NewSize >= 0 && a.NewSize > need {
-		need = a.NewSize
-	}
-	if need > len(fl.data) {
-		grown := make([]byte, need)
-		copy(grown, fl.data)
-		fl.data = grown
-	}
-	copy(fl.data[lo:], a.Data)
-	if a.NewSize >= 0 && a.NewSize < len(fl.data) {
-		fl.data = fl.data[:a.NewSize]
-	}
-	fl.version++
-	fl.mtime = env.Now()
-	return writeReply{Version: fl.version, Size: len(fl.data)}, 32, nil
+	lo := a.Block*s.fs.params.BlockSize + a.Offset
+	return fl.applyWrite(env.Now(), lo, a.Data, len(a.Data), a.NewSize), 32, nil
 }
 
 // bulkCPU charges the per-batch server cost for a bulk transfer covering
@@ -531,10 +562,10 @@ func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, arg any) (any, i
 	}
 	bs := s.fs.params.BlockSize
 	lo := int(a.Off)
-	hi := lo + len(a.Data)
+	hi := lo + a.N
 	first := lo / bs
 	last := (hi - 1) / bs
-	if len(a.Data) == 0 {
+	if a.N == 0 {
 		last = first
 	}
 	if err := s.bulkCPU(env, last-first+1); err != nil {
@@ -545,26 +576,13 @@ func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, arg any) (any, i
 		fl.touched[b] = true
 	}
 	s.stats.BlocksWrite += uint64(last - first + 1)
-	need := hi
-	if a.NewSize >= 0 && a.NewSize > need {
-		need = a.NewSize
-	}
-	if need > len(fl.data) {
-		grown := make([]byte, need)
-		copy(grown, fl.data)
-		fl.data = grown
-	}
-	copy(fl.data[lo:], a.Data)
-	if a.NewSize >= 0 && a.NewSize < len(fl.data) {
-		fl.data = fl.data[:a.NewSize]
-	}
-	fl.version++
-	fl.mtime = env.Now()
-	return writeReply{Version: fl.version, Size: len(fl.data)}, 32, nil
+	return fl.applyWrite(env.Now(), lo, a.Data, a.N, a.NewSize), 32, nil
 }
 
-// handleReadBulk serves one contiguous multi-block read; the reply payload
-// streams back to the caller as pipelined fragments.
+// handleReadBulk serves one contiguous multi-block read. The reply payload
+// streams back to the caller as pipelined fragments and is a length only:
+// page contents are not modelled, so the one caller (the readahead pager)
+// needs the transfer charged, not the bytes.
 func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
 	a, ok := arg.(readBulkArgs)
 	if !ok {
@@ -576,13 +594,7 @@ func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, in
 	}
 	bs := s.fs.params.BlockSize
 	lo := int(a.Off)
-	hi := lo + a.N
-	if hi > len(fl.data) {
-		hi = len(fl.data)
-	}
-	if hi < lo {
-		hi = lo
-	}
+	hi := max(lo, min(lo+a.N, fl.size))
 	first := lo / bs
 	last := first
 	if hi > lo {
@@ -610,9 +622,7 @@ func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, in
 		}
 	}
 	s.stats.BlocksRead += uint64(last - first + 1)
-	data := make([]byte, hi-lo)
-	copy(data, fl.data[lo:hi])
-	return readBulkReply{Data: data}, 16 + len(data), nil
+	return nil, 16 + hi - lo, nil
 }
 
 func (s *Server) handleStat(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
@@ -628,7 +638,7 @@ func (s *Server) handleStat(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
 	}
-	size := len(fl.data)
+	size := fl.size
 	mtime := fl.mtime
 	// Under delayed write-back the last writer's cache may hold newer
 	// attributes than the server; Sprite servers fetch cached attributes
@@ -687,7 +697,7 @@ func (s *Server) handleOffset(env *sim.Env, from rpc.HostID, arg any) (any, int,
 	} else {
 		s.offsets[a.Stream] = old + a.Delta
 	}
-	return offsetReply{Old: old, Size: len(fl.data)}, 32, nil
+	return offsetReply{Old: old, Size: fl.size}, 32, nil
 }
 
 func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
@@ -736,7 +746,7 @@ func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, arg any) (an
 	}
 	return openReply{
 		FID:       a.FID,
-		Size:      len(fl.data),
+		Size:      fl.size,
 		Version:   fl.version,
 		Cacheable: fl.cacheable,
 	}, 64, nil

@@ -32,10 +32,7 @@ func (as *AddressSpace) FlushDirtyBulk(env *sim.Env, client *fs.Client, maxRunPa
 		}
 		runs := make([]fs.PageRun, 0, len(dirty))
 		for _, page := range dirty {
-			runs = append(runs, fs.PageRun{
-				Off:  int64(page) * int64(ps),
-				Data: make([]byte, ps),
-			})
+			runs = append(runs, fs.PageRun{Off: int64(page) * int64(ps), Zeros: ps})
 		}
 		segStats, err := client.WriteAtBatch(env, seg.Backing, runs, maxRunBytes)
 		bs.Add(segStats)

@@ -91,22 +91,3 @@ func TestReadaheadPagerFillsRuns(t *testing.T) {
 		return nil
 	})
 }
-
-// BenchmarkFlushDirtyBulk measures the migration flush hot path: a fully
-// dirty 64-page heap coalesced into bulk transfers.
-func BenchmarkFlushDirtyBulk(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := newHarness(b)
-		h.run(b, func(env *sim.Env) error {
-			as := newSpace(b, env, h, "bench", 64)
-			for p := 0; p < 64; p++ {
-				if err := as.Touch(env, as.Heap, p, true); err != nil {
-					return err
-				}
-			}
-			_, _, err := as.FlushDirtyBulk(env, h.fs.Client(2), 256)
-			return err
-		})
-	}
-}

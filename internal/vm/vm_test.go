@@ -16,7 +16,7 @@ type harness struct {
 	fs  *fs.FS
 }
 
-func newHarness(t testing.TB) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Params{Latency: 500 * time.Microsecond, BandwidthBytesPerSec: 1e6})
@@ -31,7 +31,7 @@ func newHarness(t testing.TB) *harness {
 	return &harness{sim: s, fs: f}
 }
 
-func (h *harness) run(t testing.TB, fn func(env *sim.Env) error) {
+func (h *harness) run(t *testing.T, fn func(env *sim.Env) error) {
 	t.Helper()
 	h.sim.Spawn("test", fn)
 	if err := h.sim.Run(0); err != nil {
@@ -39,7 +39,7 @@ func (h *harness) run(t testing.TB, fn func(env *sim.Env) error) {
 	}
 }
 
-func newSpace(t testing.TB, env *sim.Env, h *harness, name string, heapPages int) *AddressSpace {
+func newSpace(t *testing.T, env *sim.Env, h *harness, name string, heapPages int) *AddressSpace {
 	t.Helper()
 	as, err := New(env, h.fs.Client(2), name, Config{
 		CodePages:  8,
