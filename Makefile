@@ -56,12 +56,9 @@ cover:
 # The end-to-end benchmark (benchmark/README.md): the five named workloads,
 # 20 iterations each, both clocks, written to BENCH_e2e.json. `go run`
 # exits non-zero if any unit of work failed its check. Compare two such
-# files with `go run ./benchmark -compare old.json new.json`. Then the
-# baseline and ablation benches EXPERIMENTS.md quotes (virtual-time
-# metrics, so one iteration is exact).
+# files with `go run ./benchmark -compare old.json new.json`.
 bench:
 	$(GO) run ./benchmark -iters 20 -out BENCH_e2e.json
-	$(GO) test -run '^$$' -bench 'Baseline|Ablation' -benchtime=1x .
 
 # The CI artifacts of the three fault planes, at full scale: E15's recovery
 # demo metrics (DESIGN.md §10), E16's selector shoot-out (§12) and E18's

@@ -136,10 +136,10 @@ func run(args []string, stdout io.Writer) error {
 		// debugging entry point a failure report names.
 		sc := fault.GenFleetScenario(*fleetStorm)
 		res := fault.RunFleetScenario(sc)
-		fmt.Fprint(stdout, sc.Report(res))
+		fmt.Fprint(stdout, res.Report())
 		if res.Failed() {
-			min, minRes := fault.ShrinkFleet(sc)
-			fmt.Fprintf(stdout, "shrunk:\n%s", min.Report(minRes))
+			_, minRes := fault.ShrinkFleet(sc)
+			fmt.Fprintf(stdout, "shrunk:\n%s", minRes.Report())
 			return fmt.Errorf("fleet storm seed %d failed", *fleetStorm)
 		}
 		fmt.Fprintln(stdout, "ok")

@@ -44,6 +44,32 @@ func TestSnapshotWritesTableData(t *testing.T) {
 	}
 }
 
+// TestComparisonTablesPrintTheirGoldens: -list names E19 and E20, and
+// -experiment at the default seed prints exactly the pinned table that
+// EXPERIMENTS.md quotes.
+func TestComparisonTablesPrintTheirGoldens(t *testing.T) {
+	var list bytes.Buffer
+	if err := run([]string{"-list"}, &list); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"E19", "E20"} {
+		if !strings.Contains(list.String(), id+" ") {
+			t.Errorf("-list lacks %s:\n%s", id, list.String())
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-experiment", id, "-seed", "42"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want)+"\n" {
+			t.Errorf("-experiment %s differs from its golden:\n%s", id, out.String())
+		}
+	}
+}
+
 // TestSnapshotNeedsATableWithData: -snapshot fails loudly when there is
 // nothing to write — a driver without typed rows, or a mode that prints no
 // single table.

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"sprite/internal/sim"
 )
@@ -59,5 +60,52 @@ func TestSpriteFlushMovesPagesAsCounts(t *testing.T) {
 	t.Logf("migrate + re-touch of %d pages allocated %d bytes", heapPages, allocated)
 	if allocated > budget {
 		t.Errorf("migrate + re-touch of %d pages allocated %d bytes, budget %d", heapPages, allocated, budget)
+	}
+}
+
+// TestUntracedRunFormatsNoTraceDetails: a trace event's detail string is
+// built only when a sink is installed. Sixteen processes start, migrate and
+// exit twice over — once untraced, once into a sink that keeps nothing — and
+// the traced run must allocate at least one object per event more than the
+// untraced one. Formatting ahead of the sink check made the two runs
+// allocate alike.
+func TestUntracedRunFormatsNoTraceDetails(t *testing.T) {
+	const procs = 16
+	run := func(sink func(time.Duration, string, string)) uint64 {
+		c := newCluster(t, 2)
+		c.trace = sink // the kernel's own events only: SetTrace would add every layer's
+		dst := c.Workstation(1)
+		c.Boot("boot", func(env *sim.Env) error {
+			for i := 0; i < procs; i++ {
+				p, err := c.Workstation(0).StartProcess(env, "hop", func(ctx *Ctx) error {
+					return ctx.Migrate(dst.Host())
+				}, smallProc)
+				if err != nil {
+					return err
+				}
+				if _, err := p.Exited().Wait(env); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		runCluster(t, c)
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	events := 0
+	untraced := run(nil)
+	traced := run(func(time.Duration, string, string) { events++ })
+	if events != 3*procs {
+		t.Fatalf("sink saw %d events, want a start, a migration and an exit for each of %d processes", events, procs)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	t.Logf("%d events: %d objects traced, %d untraced", events, traced, untraced)
+	if traced < untraced+uint64(events) {
+		t.Errorf("traced run allocated %d objects, untraced %d: %d events were formatted with nobody listening", traced, untraced, events)
 	}
 }

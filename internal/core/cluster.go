@@ -39,10 +39,6 @@ type Options struct {
 	// FileServers is the number of file servers (minimum 1). The first
 	// serves "/"; additional servers serve "/vol2", "/vol3", ...
 	FileServers int
-	// ServerPrefixes optionally overrides the domain served by each file
-	// server (index i configures server i). Longest prefix wins, so e.g.
-	// {"/", "/swap"} dedicates the second server to VM backing store.
-	ServerPrefixes []string
 	// Params carries every calibration constant (DefaultParams if zero).
 	Params *Params
 	// Seed seeds the simulation's deterministic random stream.
@@ -157,6 +153,8 @@ func (c *Cluster) SetTrace(fn TraceFunc) {
 
 // emit records a trace event if a sink is installed. It is the exclusive-
 // context variant; paths reachable from confined activities use emitEnv.
+// Call sites that format a detail check c.trace themselves first, so an
+// untraced run formats nothing.
 func (c *Cluster) emit(at time.Duration, kind, detail string) {
 	if c.trace != nil {
 		c.trace(at, kind, detail)
@@ -224,9 +222,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		prefix := "/"
 		if i > 0 {
 			prefix = fmt.Sprintf("/vol%d", i+1)
-		}
-		if i < len(opts.ServerPrefixes) && opts.ServerPrefixes[i] != "" {
-			prefix = opts.ServerPrefixes[i]
 		}
 		c.servers = append(c.servers, fsys.AddServer(host, prefix))
 	}

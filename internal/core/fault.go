@@ -163,7 +163,9 @@ func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 		}
 	}
 	c.fs.ScrubHostEpoch(host, epoch)
-	c.emit(env.Now(), "host-crash", fmt.Sprintf("host %v epoch %d", host, epoch))
+	if c.trace != nil {
+		c.emit(env.Now(), "host-crash", fmt.Sprintf("host %v epoch %d", host, epoch))
+	}
 }
 
 // RestartHost brings a crashed host back with empty tables under a new boot
@@ -175,7 +177,9 @@ func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
 	if ep := c.transport.Endpoint(host); ep != nil {
 		ep.Restart()
 	}
-	c.emit(env.Now(), "host-restart", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
+	if c.trace != nil {
+		c.emit(env.Now(), "host-restart", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
+	}
 }
 
 // Reboot power-cycles a host: if it is up it crashes first (same semantics
@@ -206,7 +210,9 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		k.homeRecs = make(map[PID]*homeRecord)
 	}
 	c.RestartHost(env, host)
-	c.emit(env.Now(), "host-reboot", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
+	if c.trace != nil {
+		c.emit(env.Now(), "host-reboot", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
+	}
 }
 
 // ReapDeadHost applies Sprite's crash-recovery matrix for one dead boot
@@ -249,7 +255,9 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 			}
 			if p.home.host == host && p.homeEpoch <= epoch {
 				p.post(SigKill)
-				c.emit(env.Now(), "reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
+				if c.trace != nil {
+					c.emit(env.Now(), "reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
+				}
 			}
 		}
 	}
@@ -268,7 +276,9 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 	for _, hook := range c.reapHooks {
 		hook(env, host, epoch)
 	}
-	c.emit(env.Now(), "host-reap", fmt.Sprintf("host %v epoch %d", host, epoch))
+	if c.trace != nil {
+		c.emit(env.Now(), "host-reap", fmt.Sprintf("host %v epoch %d", host, epoch))
+	}
 }
 
 // HostDown reports whether the host is currently crashed.
@@ -324,7 +334,9 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	if p.env != nil {
 		p.env.Interrupt(ErrHostCrashed)
 	}
-	c.emit(env.Now(), "proc-crash", fmt.Sprintf("%v %s on %v", p.pid, p.name, crashedHost))
+	if c.trace != nil {
+		c.emit(env.Now(), "proc-crash", fmt.Sprintf("%v %s on %v", p.pid, p.name, crashedHost))
+	}
 }
 
 // recoverStreams undoes a partial stream transfer when a migration aborts:

@@ -254,7 +254,9 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	k.procs[pid] = p
 	k.stats.ProcsStarted++
 	k.cluster.noteStart(pid)
-	k.cluster.emitEnv(env, "proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
+	if k.cluster.trace != nil {
+		k.cluster.emitEnv(env, "proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
+	}
 
 	body := func(penv *sim.Env) error {
 		return k.runProcess(penv, p, cfg)
@@ -423,7 +425,9 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	delete(k.procs, p.pid)
 	k.stats.ProcsExited++
 	k.cluster.noteEnd(p.pid)
-	k.cluster.emitEnv(env, "proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
+	if k.cluster.trace != nil {
+		k.cluster.emitEnv(env, "proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
+	}
 	if k.cluster.confined && p.Foreign() {
 		p.failPendingMigration("exited before migration")
 		if _, err := k.ep.Call(env, p.home.host, "k.exitNotify", exitNotifyArgs{

@@ -273,6 +273,11 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	k.records = append(k.records, rec)
 	if req.atExec {
 		k.stats.RemoteExecs++
+	}
+	if k.cluster.trace == nil {
+		return nil
+	}
+	if req.atExec {
 		k.cluster.emitEnv(env, "exec-migration",
 			fmt.Sprintf("%v %v->%v (%s) total=%v", p.pid, rec.From, rec.To, rec.Reason, rec.Total))
 	} else {
@@ -414,7 +419,9 @@ func (k *Kernel) EvictAll(env *sim.Env) error {
 		}
 		waits = append(waits, k.RequestMigration(p, target, "eviction"))
 		k.stats.Evictions++
-		k.cluster.emitEnv(env, "eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
+		if k.cluster.trace != nil {
+			k.cluster.emitEnv(env, "eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
+		}
 	}
 	for _, w := range waits {
 		if _, err := w.Wait(env); err != nil {

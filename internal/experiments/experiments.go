@@ -167,6 +167,8 @@ func All() []Runner {
 		{ID: "E16", Name: "selector shoot-out under churn", Run: E16SelectorShootout},
 		{ID: "E17", Name: "parallel kernel wallclock speedup", Run: E17ParallelWallclock},
 		{ID: "E18", Name: "fleet economy under eviction storms", Run: E18FleetEconomy},
+		{ID: "E19", Name: "design-choice ablations", Run: E19Ablations},
+		{ID: "E20", Name: "baselines the thesis argues against", Run: E20Baselines},
 	}
 }
 

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite the E19/E20 table goldens under testdata/")
 
 // quick enables Metrics so TestDeterminism doubles as the golden check
 // that MetricsSnapshot is byte-identical across same-seed runs of every
@@ -62,7 +67,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 }
 
 func TestFindLocatesRunners(t *testing.T) {
-	if Find("e5") == nil || Find("E12") == nil {
+	if Find("e5") == nil || Find("E12") == nil || Find("e19") == nil || Find("E20") == nil {
 		t.Fatal("Find failed on valid ids")
 	}
 	if Find("E99") != nil {
@@ -292,6 +297,82 @@ func TestE14BatchRunsRemotely(t *testing.T) {
 	migs := cell(t, tbl, findRow(t, tbl, "total migrations"), 1)
 	if migs < 5 {
 		t.Errorf("migrations = %v, want a working load-sharing day", migs)
+	}
+}
+
+// TestE19EveryAblationSeparates asserts the direction each row group
+// claims: listed in the order the value must strictly rise, so a design
+// choice whose arms read the same fails here instead of being printed.
+func TestE19EveryAblationSeparates(t *testing.T) {
+	tbl, err := E19Ablations(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		choice, measure string
+		rising          []string
+	}{
+		{"name-lookup cost", "pmake speedup at 8 hosts", []string{"8ms", "500µs"}},
+		{"client caching", "pmake makespan s at 4 hosts", []string{"delayed write-back", "write-through"}},
+		{"network", "4 MB migration ms beside bulk traffic", []string{"dedicated paths", "shared medium"}},
+		{"eviction destination", "evicted guest done at s", []string{"evict to an idle host", "evict home"}},
+		{"cpu quantum", "request-to-done ms, mean of 8 offsets", []string{"5ms", "20ms", "100ms"}},
+		{"cpu quantum", "request-to-done ms, worst of 8 offsets", []string{"5ms", "20ms", "100ms"}},
+	} {
+		prev := -1.0
+		for _, arm := range g.rising {
+			v := cell(t, tbl, findRow(t, tbl, g.choice, g.measure, arm), 3)
+			if v <= prev {
+				t.Errorf("%s: %s at %q = %v, want above %v", g.choice, g.measure, arm, v, prev)
+			}
+			prev = v
+		}
+	}
+}
+
+func TestE20MigrationBeatsBothBaselines(t *testing.T) {
+	tbl, err := E20Baselines(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := findRow(t, tbl, "moving a running job")
+	if mig, ckpt := cell(t, tbl, r, 3), cell(t, tbl, r+1, 3); ckpt < 3*mig {
+		t.Errorf("checkpoint/restart (%vms) should cost several times a migration (%vms)", ckpt, mig)
+	}
+	r = findRow(t, tbl, "remote transparency")
+	if selective, all := cell(t, tbl, r, 3), cell(t, tbl, r+1, 3); all < 5*selective {
+		t.Errorf("forwarding every call (%vms) should cost many times selective forwarding (%vms)", all, selective)
+	}
+}
+
+// TestGoldenComparisonTables pins the two comparison tables byte for byte
+// at seed 42, full mode — the numbers EXPERIMENTS.md quotes. Regenerate
+// with -update-golden when a cost model change is intentional.
+func TestGoldenComparisonTables(t *testing.T) {
+	for _, id := range []string{"E19", "E20"} {
+		t.Run(id, func(t *testing.T) {
+			tbl, err := Find(id).Run(Config{Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tbl.String()
+			golden := filepath.Join("testdata", id+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("table changed vs %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+			}
+		})
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 )
 
 // runPmakeOn builds a fresh cluster with the given number of usable hosts
-// and runs one synthetic project across them, capturing metrics into t
-// when enabled.
-func runPmakeOn(cfg Config, t *Table, label string, hosts int, proj pmake.ProjectParams) (*pmake.Result, time.Duration, error) {
+// (on params; nil means the defaults) and runs one synthetic project across
+// them, capturing metrics into t when enabled.
+func runPmakeOn(cfg Config, t *Table, label string, hosts int, proj pmake.ProjectParams, params *core.Params) (*pmake.Result, time.Duration, error) {
 	seed := cfg.Seed
-	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: seed})
+	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: seed, Params: params})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -37,22 +37,13 @@ func runPmakeOn(cfg Config, t *Table, label string, hosts int, proj pmake.Projec
 		remote = append(remote, k.Host())
 	}
 	var res *pmake.Result
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := c.Workstation(0).StartProcess(env, "pmake", func(ctx *core.Ctx) error {
-			r, err := pmake.Run(ctx, mf, pmake.Options{Force: true, Hosts: remote, LocalJobs: 1})
-			res = r
-			return err
-		}, core.ProcConfig{Binary: "/bin/pmake", CodePages: 8, HeapPages: 16, StackPages: 2})
-		if err != nil {
-			return err
-		}
-		_, err = p.Exited().Wait(env)
+	if err := runProgram(cfg, t, label, c, "pmake", func(ctx *core.Ctx) error {
+		r, err := pmake.Run(ctx, mf, pmake.Options{Force: true, Hosts: remote, LocalJobs: 1})
+		res = r
 		return err
-	})
-	if err := c.Run(0); err != nil {
+	}, core.ProcConfig{Binary: "/bin/pmake", CodePages: 8, HeapPages: 16, StackPages: 2}); err != nil {
 		return nil, 0, err
 	}
-	t.CaptureMetrics(cfg, label, c)
 	return res, c.Servers()[0].CPUBusy(), nil
 }
 
@@ -76,7 +67,7 @@ func E5PmakeSpeedup(cfg Config) (*Table, error) {
 	}
 	var base time.Duration
 	for _, h := range sweep {
-		res, serverBusy, err := runPmakeOn(cfg, t, fmt.Sprintf("hosts=%d", h), h, proj)
+		res, serverBusy, err := runPmakeOn(cfg, t, fmt.Sprintf("hosts=%d", h), h, proj, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -125,59 +116,50 @@ func E6Utilization(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	var makespan time.Duration
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := c.Workstation(0).StartProcess(env, "driver", func(ctx *core.Ctx) error {
-			ws := c.Workstations()
-			t0 := ctx.Now()
-			started := 0
-			running := 0
-			for started < simJobs || running > 0 {
-				for started < simJobs && running < len(ws) {
-					target := ws[started%len(ws)]
-					cfgP := core.ProcConfig{Binary: "/bin/sim", CodePages: 8, HeapPages: 64, StackPages: 2}
-					prog := func(cc *core.Ctx) error {
-						if err := cc.TouchHeap(0, 64, true); err != nil {
-							return err
-						}
-						return cc.Compute(simCPU)
-					}
-					var err error
-					if target == ctx.Process().Current() {
-						_, err = ctx.Fork("sim", prog, cfgP)
-					} else {
-						_, err = ctx.ForkRemoteExec("sim", prog, cfgP, target.Host())
-					}
-					if err != nil {
+	if err := runProgram(cfg, t, "independent-simulations", c, "driver", func(ctx *core.Ctx) error {
+		ws := c.Workstations()
+		t0 := ctx.Now()
+		started := 0
+		running := 0
+		for started < simJobs || running > 0 {
+			for started < simJobs && running < len(ws) {
+				target := ws[started%len(ws)]
+				cfgP := core.ProcConfig{Binary: "/bin/sim", CodePages: 8, HeapPages: 64, StackPages: 2}
+				prog := func(cc *core.Ctx) error {
+					if err := cc.TouchHeap(0, 64, true); err != nil {
 						return err
 					}
-					started++
-					running++
+					return cc.Compute(simCPU)
 				}
-				if _, _, err := ctx.Wait(); err != nil {
+				var err error
+				if target == ctx.Process().Current() {
+					_, err = ctx.Fork("sim", prog, cfgP)
+				} else {
+					_, err = ctx.ForkRemoteExec("sim", prog, cfgP, target.Host())
+				}
+				if err != nil {
 					return err
 				}
-				running--
+				started++
+				running++
 			}
-			makespan = ctx.Now() - t0
-			return nil
-		}, core.ProcConfig{Binary: "/bin/sim", CodePages: 4, HeapPages: 8, StackPages: 2})
-		if err != nil {
-			return err
+			if _, _, err := ctx.Wait(); err != nil {
+				return err
+			}
+			running--
 		}
-		_, err = p.Exited().Wait(env)
-		return err
-	})
-	if err := c.Run(0); err != nil {
+		makespan = ctx.Now() - t0
+		return nil
+	}, core.ProcConfig{Binary: "/bin/sim", CodePages: 4, HeapPages: 8, StackPages: 2}); err != nil {
 		return nil, err
 	}
-	t.CaptureMetrics(cfg, "independent-simulations", c)
 	simTotalCPU := time.Duration(simJobs) * simCPU
 	simUtil := float64(simTotalCPU) / float64(makespan) * 100
 	t.AddRow("independent simulations", fmt.Sprintf("%d", simJobs), fmt.Sprintf("%d", hosts),
 		secs(simTotalCPU), secs(makespan), fmt.Sprintf("%.0f", simUtil))
 
 	// 12-way pmake on the same cluster size.
-	res, _, err := runPmakeOn(cfg, t, "parallel-compilation", hosts, proj)
+	res, _, err := runPmakeOn(cfg, t, "parallel-compilation", hosts, proj, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -22,9 +22,10 @@ func workerCfg(heapPages int) core.ProcConfig {
 	}
 }
 
-// newPairCluster builds a 2-workstation cluster with a seeded binary.
-func newPairCluster(seed int64) (*core.Cluster, error) {
-	c, err := core.NewCluster(core.Options{Workstations: 2, FileServers: 1, Seed: seed})
+// newProgCluster builds a one-server cluster (on params; nil means the
+// defaults) with workerCfg's binary seeded.
+func newProgCluster(seed int64, workstations int, params *core.Params) (*core.Cluster, error) {
+	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: 1, Seed: seed, Params: params})
 	if err != nil {
 		return nil, err
 	}
@@ -34,66 +35,84 @@ func newPairCluster(seed int64) (*core.Cluster, error) {
 	return c, nil
 }
 
-// measureMigration runs one migration with the given open files and dirty
-// heap and returns its record. When cfg.Metrics is set the cluster's
-// snapshot lands in t under the given label.
-func measureMigration(cfg Config, t *Table, label string, strategy core.TransferStrategy, files, dirtyPages int) (core.MigrationRecord, time.Duration, error) {
-	c, err := newPairCluster(cfg.Seed)
-	if err != nil {
-		return core.MigrationRecord{}, 0, err
-	}
-	c.SetStrategyAll(strategy)
-	heapPages := dirtyPages
-	if heapPages < 8 {
-		heapPages = 8
-	}
-	src, dst := c.Workstation(0), c.Workstation(1)
-	var resume time.Duration
+// newPairCluster is the default-parameter 2-workstation cluster.
+func newPairCluster(seed int64) (*core.Cluster, error) { return newProgCluster(seed, 2, nil) }
+
+// runProgram boots prog as one process on c's first workstation, runs the
+// cluster until it drains, and captures its metrics in t under label.
+func runProgram(cfg Config, t *Table, label string, c *core.Cluster, name string, prog core.Program, pc core.ProcConfig) error {
 	c.Boot("boot", func(env *sim.Env) error {
-		p, err := src.StartProcess(env, "subject", func(ctx *core.Ctx) error {
-			for i := 0; i < files; i++ {
-				path := fmt.Sprintf("/data/f%d", i)
-				if _, err := ctx.Open(path, fs.ReadMode, fs.OpenOptions{}); err != nil {
-					return err
-				}
-			}
-			if dirtyPages > 0 {
-				if err := ctx.TouchHeap(0, dirtyPages, true); err != nil {
-					return err
-				}
-			}
-			if err := ctx.Migrate(dst.Host()); err != nil {
-				return err
-			}
-			// Resume cost: touch the working set back in on the target.
-			t0 := ctx.Now()
-			if dirtyPages > 0 {
-				if err := ctx.TouchHeap(0, dirtyPages, false); err != nil {
-					return err
-				}
-			}
-			resume = ctx.Now() - t0
-			return nil
-		}, workerCfg(heapPages))
+		p, err := c.Workstation(0).StartProcess(env, name, prog, pc)
 		if err != nil {
 			return err
 		}
 		_, err = p.Exited().Wait(env)
 		return err
 	})
+	if err := c.Run(0); err != nil {
+		return err
+	}
+	t.CaptureMetrics(cfg, label, c)
+	return nil
+}
+
+// measureMigration runs one migration with the given open files and a heap
+// of residentPages, the first dirtyPages of them written, and returns its
+// record and the time to touch the resident set back in on the target. When
+// cfg.Metrics is set the cluster's snapshot lands in t under the given label.
+func measureMigration(cfg Config, t *Table, label string, strategy core.TransferStrategy, files, residentPages, dirtyPages int) (core.MigrationRecord, time.Duration, error) {
+	c, err := newPairCluster(cfg.Seed)
+	if err != nil {
+		return core.MigrationRecord{}, 0, err
+	}
+	c.SetStrategyAll(strategy)
+	heapPages := residentPages
+	if heapPages < 8 {
+		heapPages = 8
+	}
 	for i := 0; i < files; i++ {
 		if err := c.Seed(fmt.Sprintf("/data/f%d", i), []byte("file contents")); err != nil {
 			return core.MigrationRecord{}, 0, err
 		}
 	}
-	if err := c.Run(0); err != nil {
+	dst := c.Workstation(1)
+	var resume time.Duration
+	if err := runProgram(cfg, t, label, c, "subject", func(ctx *core.Ctx) error {
+		for i := 0; i < files; i++ {
+			path := fmt.Sprintf("/data/f%d", i)
+			if _, err := ctx.Open(path, fs.ReadMode, fs.OpenOptions{}); err != nil {
+				return err
+			}
+		}
+		if residentPages > dirtyPages {
+			if err := ctx.TouchHeap(0, residentPages, false); err != nil {
+				return err
+			}
+		}
+		if dirtyPages > 0 {
+			if err := ctx.TouchHeap(0, dirtyPages, true); err != nil {
+				return err
+			}
+		}
+		if err := ctx.Migrate(dst.Host()); err != nil {
+			return err
+		}
+		// Resume cost: touch the working set back in on the target.
+		t0 := ctx.Now()
+		if residentPages > 0 {
+			if err := ctx.TouchHeap(0, residentPages, false); err != nil {
+				return err
+			}
+		}
+		resume = ctx.Now() - t0
+		return nil
+	}, workerCfg(heapPages)); err != nil {
 		return core.MigrationRecord{}, 0, err
 	}
 	recs := c.MigrationRecords()
 	if len(recs) != 1 {
 		return core.MigrationRecord{}, 0, fmt.Errorf("expected 1 migration, got %d", len(recs))
 	}
-	t.CaptureMetrics(cfg, label, c)
 	return recs[0], resume, nil
 }
 
@@ -119,7 +138,7 @@ func E1MigrationBreakdown(cfg Config) (*Table, error) {
 	for _, f := range fileSweep {
 		for _, m := range vmSweep {
 			rec, _, err := measureMigration(cfg, t, fmt.Sprintf("files=%d dirtyMB=%d", f, m),
-				core.SpriteFlushStrategy{}, f, m*mb/pageSize)
+				core.SpriteFlushStrategy{}, f, m*mb/pageSize, m*mb/pageSize)
 			if err != nil {
 				return nil, err
 			}
@@ -164,41 +183,32 @@ func E2RemoteExec(cfg Config) (*Table, error) {
 		if remote {
 			variant = "remote"
 		}
-		defer t.CaptureMetrics(cfg, fmt.Sprintf("%s argKB=%d", variant, argKB), c)
-		src, dst := c.Workstation(0), c.Workstation(1)
+		dst := c.Workstation(1)
 		var elapsed time.Duration
 		args := []string{string(make([]byte, argKB*1024))}
-		c.Boot("boot", func(env *sim.Env) error {
-			p, err := src.StartProcess(env, "sh", func(ctx *core.Ctx) error {
-				cfgP := workerCfg(8)
-				cfgP.Args = args
-				prog := func(cc *core.Ctx) error { return cc.Exit(0) }
-				t0 := ctx.Now()
-				var child *core.Process
-				var err error
-				if remote {
-					child, err = ctx.ForkRemoteExec("job", prog, cfgP, dst.Host())
-				} else {
-					child, err = ctx.Fork("job", func(cc *core.Ctx) error {
-						return cc.Exec("job", prog, cfgP)
-					}, core.ProcConfig{})
-				}
-				if err != nil {
-					return err
-				}
-				if _, err := child.Exited().Wait(ctx.Env()); err != nil {
-					return err
-				}
-				elapsed = ctx.Now() - t0
-				return nil
-			}, workerCfg(8))
+		if err := runProgram(cfg, t, fmt.Sprintf("%s argKB=%d", variant, argKB), c, "sh", func(ctx *core.Ctx) error {
+			cfgP := workerCfg(8)
+			cfgP.Args = args
+			prog := func(cc *core.Ctx) error { return cc.Exit(0) }
+			t0 := ctx.Now()
+			var child *core.Process
+			var err error
+			if remote {
+				child, err = ctx.ForkRemoteExec("job", prog, cfgP, dst.Host())
+			} else {
+				child, err = ctx.Fork("job", func(cc *core.Ctx) error {
+					return cc.Exec("job", prog, cfgP)
+				}, core.ProcConfig{})
+			}
 			if err != nil {
 				return err
 			}
-			_, err = p.Exited().Wait(env)
-			return err
-		})
-		if err := c.Run(0); err != nil {
+			if _, err := child.Exited().Wait(ctx.Env()); err != nil {
+				return err
+			}
+			elapsed = ctx.Now() - t0
+			return nil
+		}, workerCfg(8)); err != nil {
 			return 0, err
 		}
 		return elapsed, nil
@@ -243,7 +253,7 @@ func E3VMStrategies(cfg Config) (*Table, error) {
 	for _, s := range strategies {
 		for _, m := range sizes {
 			rec, resume, err := measureMigration(cfg, t, fmt.Sprintf("%s dirtyMB=%d", s.Name(), m),
-				s, 1, m*mb/pageSize)
+				s, 1, m*mb/pageSize, m*mb/pageSize)
 			if err != nil {
 				return nil, err
 			}
@@ -276,7 +286,7 @@ func E4Forwarding(cfg Config) (*Table, error) {
 	if err := c.Seed("/data/f", []byte("0123456789abcdef")); err != nil {
 		return nil, err
 	}
-	src, dst := c.Workstation(0), c.Workstation(1)
+	dst := c.Workstation(1)
 	type probe struct {
 		name   string
 		policy core.HandlingPolicy
@@ -309,41 +319,32 @@ func E4Forwarding(cfg Config) (*Table, error) {
 	}
 	home := make([]time.Duration, len(probes))
 	away := make([]time.Duration, len(probes))
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := src.StartProcess(env, "probe", func(ctx *core.Ctx) error {
-			for i, pr := range probes {
-				t0 := ctx.Now()
-				for n := 0; n < iters; n++ {
-					if err := pr.run(ctx); err != nil {
-						return err
-					}
+	if err := runProgram(cfg, t, "pair", c, "probe", func(ctx *core.Ctx) error {
+		for i, pr := range probes {
+			t0 := ctx.Now()
+			for n := 0; n < iters; n++ {
+				if err := pr.run(ctx); err != nil {
+					return err
 				}
-				home[i] = (ctx.Now() - t0) / time.Duration(iters)
 			}
-			if err := ctx.Migrate(dst.Host()); err != nil {
-				return err
-			}
-			for i, pr := range probes {
-				t0 := ctx.Now()
-				for n := 0; n < iters; n++ {
-					if err := pr.run(ctx); err != nil {
-						return err
-					}
-				}
-				away[i] = (ctx.Now() - t0) / time.Duration(iters)
-			}
-			return nil
-		}, workerCfg(8))
-		if err != nil {
+			home[i] = (ctx.Now() - t0) / time.Duration(iters)
+		}
+		if err := ctx.Migrate(dst.Host()); err != nil {
 			return err
 		}
-		_, err = p.Exited().Wait(env)
-		return err
-	})
-	if err := c.Run(0); err != nil {
+		for i, pr := range probes {
+			t0 := ctx.Now()
+			for n := 0; n < iters; n++ {
+				if err := pr.run(ctx); err != nil {
+					return err
+				}
+			}
+			away[i] = (ctx.Now() - t0) / time.Duration(iters)
+		}
+		return nil
+	}, workerCfg(8)); err != nil {
 		return nil, err
 	}
-	t.CaptureMetrics(cfg, "pair", c)
 	for i, pr := range probes {
 		ratio := float64(away[i]) / float64(home[i])
 		t.AddRow(

@@ -68,7 +68,7 @@ func E13RemotePenalty(cfg Config) (*Table, error) {
 	}
 	for _, m := range mixes {
 		var times [2]time.Duration
-		for variant := 0; variant < 2; variant++ {
+		for variant, where := range []string{"home", "away"} {
 			remote := variant == 1
 			c, err := newPairCluster(cfg.Seed)
 			if err != nil {
@@ -79,34 +79,21 @@ func E13RemotePenalty(cfg Config) (*Table, error) {
 			}
 			dst := c.Workstation(1)
 			var elapsed time.Duration
-			c.Boot("boot", func(env *sim.Env) error {
-				p, err := c.Workstation(0).StartProcess(env, m.name, func(ctx *core.Ctx) error {
-					if remote {
-						if err := ctx.Migrate(dst.Host()); err != nil {
-							return err
-						}
-					}
-					t0 := ctx.Now()
-					if err := m.prog(ctx, scale); err != nil {
+			if err := runProgram(cfg, t, m.name+" "+where, c, m.name, func(ctx *core.Ctx) error {
+				if remote {
+					if err := ctx.Migrate(dst.Host()); err != nil {
 						return err
 					}
-					elapsed = ctx.Now() - t0
-					return nil
-				}, workerCfg(16))
-				if err != nil {
+				}
+				t0 := ctx.Now()
+				if err := m.prog(ctx, scale); err != nil {
 					return err
 				}
-				_, err = p.Exited().Wait(env)
-				return err
-			})
-			if err := c.Run(0); err != nil {
+				elapsed = ctx.Now() - t0
+				return nil
+			}, workerCfg(16)); err != nil {
 				return nil, err
 			}
-			where := "home"
-			if remote {
-				where = "away"
-			}
-			t.CaptureMetrics(cfg, m.name+" "+where, c)
 			times[variant] = elapsed
 		}
 		slowdown := (float64(times[1])/float64(times[0]) - 1) * 100

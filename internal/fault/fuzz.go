@@ -9,6 +9,7 @@ import (
 	"sprite/internal/core"
 	"sprite/internal/fs"
 	"sprite/internal/hostsel"
+	"sprite/internal/metrics"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 	"sprite/internal/trace"
@@ -140,9 +141,9 @@ func GenScenario(seed int64) Scenario {
 	return sc
 }
 
-// Result is the outcome of one scenario run.
+// Result is the outcome of one scenario run, of either family.
 type Result struct {
-	Scenario   Scenario
+	Scenario   fmt.Stringer  // the Scenario or FleetScenario that ran
 	Digest     string        // replay fingerprint: equal digests = identical runs
 	Violations []string      // empty = clean run
 	Tail       []trace.Event // last cluster events before the run settled; set on failure
@@ -151,10 +152,13 @@ type Result struct {
 // Failed reports whether the run violated any invariant.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// Report renders the failure for a test log.
+// Report renders the run for a test log or the spritesim replay.
 func (r *Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %v\n", r.Scenario)
+	if r.Digest != "" {
+		fmt.Fprintf(&b, "  digest: %s\n", r.Digest)
+	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  violation: %s\n", v)
 	}
@@ -235,47 +239,97 @@ type KernelObservation struct {
 // function of the scenario.
 func RunScenario(sc Scenario) *Result { return runScenario(sc, kernelCfg{}) }
 
-func runScenario(sc Scenario, kc kernelCfg) *Result {
-	res := &Result{Scenario: sc}
-	fail := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
+// harness is the run both scenario families share: a cluster on the fuzz
+// parameters under the chosen kernel, traced, run to the horizon and
+// audited.
+type harness struct {
+	res  *Result
+	obs  *KernelObservation // non-nil on equivalence runs
+	c    *core.Cluster      // nil when the build failed; res says why
+	ring *trace.Log
+	full strings.Builder // the complete event stream, kept for obs
+}
+
+func (h *harness) fail(format string, args ...any) {
+	h.res.Violations = append(h.res.Violations, fmt.Sprintf(format, args...))
+}
+
+// newHarness builds the cluster sc runs on, with binary seeded.
+func newHarness(sc fmt.Stringer, seed int64, workstations int, binary string, kc kernelCfg) *harness {
+	h := &harness{res: &Result{Scenario: sc}, obs: kc.capture, ring: trace.New(512)}
 	params := fuzzParams()
 	if kc.parallel {
 		params.Sim.Parallel = true
 		params.Sim.Workers = kc.workers
 	}
 	c, err := core.NewCluster(core.Options{
-		Workstations: sc.Workstations,
+		Workstations: workstations,
 		FileServers:  1,
 		Params:       &params,
-		Seed:         sc.Seed,
+		Seed:         seed,
 	})
 	if err != nil {
-		fail("cluster: %v", err)
-		return res
+		h.fail("cluster: %v", err)
+		return h
 	}
-	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
-		fail("seed: %v", err)
-		return res
+	if err := c.SeedBinary(binary, 64<<10); err != nil {
+		h.fail("seed: %v", err)
+		return h
 	}
-
 	// Tracing costs no simulated time, so recording unconditionally keeps
 	// the run identical to an untraced one while giving failure reports the
 	// last events before things went wrong.
-	lg := trace.New(512)
+	sink := h.ring.Func()
 	if kc.capture != nil {
 		// Equivalence runs additionally keep the complete event stream:
 		// byte-exact traces are the strongest cross-kernel comparison.
-		var full strings.Builder
-		ring := lg.Func()
-		c.SetTrace(func(at time.Duration, kind, detail string) {
-			fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
+		ring := sink
+		sink = func(at time.Duration, kind, detail string) {
+			fmt.Fprintf(&h.full, "%v %s %s\n", at, kind, detail)
 			ring(at, kind, detail)
-		})
-		defer func() { kc.capture.Trace = full.String() }()
-	} else {
-		c.SetTrace(lg.Func())
+		}
+	}
+	c.SetTrace(sink)
+	h.c = c
+	return h
+}
+
+// finish runs the cluster to the horizon and audits it: run error, hang,
+// whatever digest itself fails, then every cluster invariant. digest
+// renders the family's replay fingerprint from the settled cluster.
+func (h *harness) finish(digest func(metrics.Snapshot) string) *Result {
+	c, res := h.c, h.res
+	rerr := c.Run(fuzzMaxSim)
+	if rerr != nil {
+		h.fail("run: %v", rerr)
+	}
+	if n := c.Sim().LiveActivities(); n > 0 {
+		h.fail("hang: %d activities still live at the %v horizon", n, fuzzMaxSim)
+	}
+	snap := c.MetricsSnapshot()
+	res.Digest = digest(snap)
+	res.Violations = append(res.Violations, c.CheckInvariants(true)...)
+	if res.Failed() {
+		res.Tail = h.ring.Tail(20)
+	}
+	if obs := h.obs; obs != nil {
+		if rerr != nil {
+			obs.RunErr = rerr.Error()
+		}
+		obs.Order = c.Sim().OrderDigest()
+		obs.Digest = res.Digest
+		obs.Trace = h.full.String()
+		obs.Metrics = snap.Text()
+		obs.Violations = append([]string(nil), res.Violations...)
+	}
+	return res
+}
+
+func runScenario(sc Scenario, kc kernelCfg) *Result {
+	h := newHarness(sc, sc.Seed, sc.Workstations, "/bin/prog", kc)
+	c := h.c
+	if c == nil {
+		return h.res
 	}
 
 	// Confined background load, when requested: one daemon per bgHost on
@@ -409,44 +463,26 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 		return nil
 	})
 
-	rerr := c.Run(fuzzMaxSim)
-	if rerr != nil {
-		fail("run: %v", rerr)
-	}
-	if n := c.Sim().LiveActivities(); n > 0 {
-		fail("hang: %d activities still live at the %v horizon", n, fuzzMaxSim)
-	}
-	res.Violations = append(res.Violations, c.CheckInvariants(true)...)
-
-	var started, exited, crashed uint64
-	for _, k := range c.Workstations() {
-		st := k.Stats()
-		started += st.ProcsStarted
-		exited += st.ProcsExited
-		crashed += st.ProcsCrashed
-	}
-	res.Digest = fmt.Sprintf("t=%v calls=%d retries=%d timeouts=%d injected=%d started=%d exited=%d crashed=%d",
-		c.Sim().Now(), c.Transport().TotalCalls(), c.Transport().Retries(), c.Transport().Timeouts(),
-		plane.Injected(), started, exited, crashed)
-	if gossip != nil {
-		st := gossip.Stats()
-		res.Digest += fmt.Sprintf(" hostsel: req=%d granted=%d conflicts=%d msgs=%d",
-			st.Requests, st.Granted, st.Conflicts, st.Messages)
-	}
-	if res.Failed() {
-		res.Tail = lg.Tail(20)
-	}
-	if kc.capture != nil {
-		if rerr != nil {
-			kc.capture.RunErr = rerr.Error()
+	res := h.finish(func(metrics.Snapshot) string {
+		var started, exited, crashed uint64
+		for _, k := range c.Workstations() {
+			st := k.Stats()
+			started += st.ProcsStarted
+			exited += st.ProcsExited
+			crashed += st.ProcsCrashed
 		}
-		kc.capture.Order = c.Sim().OrderDigest()
-		kc.capture.Digest = res.Digest
-		kc.capture.Metrics = c.MetricsSnapshot().Text()
-		kc.capture.Violations = append([]string(nil), res.Violations...)
-		if bg != nil {
-			kc.capture.BgReports = bg.Received()
+		digest := fmt.Sprintf("t=%v calls=%d retries=%d timeouts=%d injected=%d started=%d exited=%d crashed=%d",
+			c.Sim().Now(), c.Transport().TotalCalls(), c.Transport().Retries(), c.Transport().Timeouts(),
+			plane.Injected(), started, exited, crashed)
+		if gossip != nil {
+			st := gossip.Stats()
+			digest += fmt.Sprintf(" hostsel: req=%d granted=%d conflicts=%d msgs=%d",
+				st.Requests, st.Granted, st.Conflicts, st.Messages)
 		}
+		return digest
+	})
+	if bg != nil && kc.capture != nil {
+		kc.capture.BgReports = bg.Received()
 	}
 	return res
 }

@@ -9,10 +9,10 @@ import (
 	"sprite/internal/core"
 	"sprite/internal/fleet"
 	"sprite/internal/hostsel"
+	"sprite/internal/metrics"
 	"sprite/internal/recovery"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
-	"sprite/internal/trace"
 )
 
 // This file is the fleet-plane scenario family: seed-derived storms of
@@ -86,25 +86,6 @@ func (sc FleetScenario) String() string {
 	fmt.Fprintf(&b, "fleet seed=%d hosts=%d jobs=%d gossip=%t", sc.Seed, sc.Hosts, sc.Jobs, sc.Gossip)
 	for _, e := range sc.Events {
 		fmt.Fprintf(&b, " [%v w%d+%d at=%v dur=%v]", e.Kind, e.Host, e.Span, e.At, e.Dur)
-	}
-	return b.String()
-}
-
-// Report renders a fleet run for a test log or the spritesim replay. The
-// base Result.Scenario field is unused by this family, so the generic
-// Result.Report would print a zero scenario; this one prints the fleet
-// scenario instead.
-func (sc FleetScenario) Report(res *Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %v\n", sc)
-	if res.Digest != "" {
-		fmt.Fprintf(&b, "  digest: %s\n", res.Digest)
-	}
-	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "  violation: %s\n", v)
-	}
-	for _, e := range res.Tail {
-		fmt.Fprintf(&b, "  trace: %s\n", e)
 	}
 	return b.String()
 }
@@ -218,42 +199,12 @@ func RunFleetScenarioKernel(sc FleetScenario, parallel bool, workers int) (*Resu
 }
 
 func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
-	res := &Result{}
-	fail := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	params := fuzzParams()
-	if kc.parallel {
-		params.Sim.Parallel = true
-		params.Sim.Workers = kc.workers
-	}
-	c, err := core.NewCluster(core.Options{
-		Workstations: sc.Hosts,
-		FileServers:  1,
-		Params:       &params,
-		Seed:         sc.Seed,
-	})
-	if err != nil {
-		fail("cluster: %v", err)
-		return res
+	h := newHarness(sc, sc.Seed, sc.Hosts, "/bin/job", kc)
+	c := h.c
+	if c == nil {
+		return h.res
 	}
 	c.SetDeferredReap(true)
-	if err := c.SeedBinary("/bin/job", 64<<10); err != nil {
-		fail("seed: %v", err)
-		return res
-	}
-	lg := trace.New(512)
-	if kc.capture != nil {
-		var full strings.Builder
-		ring := lg.Func()
-		c.SetTrace(func(at time.Duration, kind, detail string) {
-			fmt.Fprintf(&full, "%v %s %s\n", at, kind, detail)
-			ring(at, kind, detail)
-		})
-		defer func() { kc.capture.Trace = full.String() }()
-	} else {
-		c.SetTrace(lg.Func())
-	}
 
 	mon := recovery.NewMonitor(c, recovery.Params{
 		Interval:      10 * time.Millisecond,
@@ -381,41 +332,22 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 		return nil
 	})
 
-	rerr := c.Run(fuzzMaxSim)
-	if rerr != nil {
-		fail("run: %v", rerr)
-	}
-	if n := c.Sim().LiveActivities(); n > 0 {
-		fail("hang: %d activities still live at the %v horizon", n, fuzzMaxSim)
-	}
-	// Every host always comes back in this family, so a lost job means the
-	// fleet/recovery planes dropped work — the storm never justifies it.
-	if lost := sup.Lost(); len(lost) > 0 {
-		fail("jobs lost: %v", lost)
-	}
-	res.Violations = append(res.Violations, c.CheckInvariants(true)...)
-
-	snap := c.MetricsSnapshot()
-	res.Digest = fmt.Sprintf("t=%v cordons=%d drains=%d/%d remediations=%d readmissions=%d moved=%d evac=%d exited=%d lost=%d",
-		c.Sim().Now(),
-		snap.Counters["fleet.cordons"],
-		snap.Counters["fleet.drains.started"], snap.Counters["fleet.drains.completed"],
-		snap.Counters["fleet.remediations"], snap.Counters["fleet.readmissions"],
-		snap.Counters["fleet.procs.migrated"], snap.Counters["fleet.procs.evacuated"],
-		snap.Counters["fleet.procs.exited"], len(sup.Lost()))
-	if res.Failed() {
-		res.Tail = lg.Tail(20)
-	}
-	if kc.capture != nil {
-		if rerr != nil {
-			kc.capture.RunErr = rerr.Error()
+	return h.finish(func(snap metrics.Snapshot) string {
+		// Every host always comes back in this family, so a lost job means
+		// the fleet/recovery planes dropped work — the storm never
+		// justifies it.
+		lost := sup.Lost()
+		if len(lost) > 0 {
+			h.fail("jobs lost: %v", lost)
 		}
-		kc.capture.Order = c.Sim().OrderDigest()
-		kc.capture.Digest = res.Digest
-		kc.capture.Metrics = snap.Text()
-		kc.capture.Violations = append([]string(nil), res.Violations...)
-	}
-	return res
+		return fmt.Sprintf("t=%v cordons=%d drains=%d/%d remediations=%d readmissions=%d moved=%d evac=%d exited=%d lost=%d",
+			c.Sim().Now(),
+			snap.Counters["fleet.cordons"],
+			snap.Counters["fleet.drains.started"], snap.Counters["fleet.drains.completed"],
+			snap.Counters["fleet.remediations"], snap.Counters["fleet.readmissions"],
+			snap.Counters["fleet.procs.migrated"], snap.Counters["fleet.procs.evacuated"],
+			snap.Counters["fleet.procs.exited"], len(lost))
+	})
 }
 
 // ShrinkFleet greedily minimizes a failing fleet scenario: drop storm

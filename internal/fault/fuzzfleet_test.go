@@ -20,9 +20,9 @@ func runFleetSeed(t *testing.T, seed int64) {
 	t.Helper()
 	sc := GenFleetScenario(seed)
 	if res := RunFleetScenario(sc); res.Failed() {
-		min, minRes := ShrinkFleet(sc)
+		_, minRes := ShrinkFleet(sc)
 		t.Fatalf("fleet scenario failed (replay: go test ./internal/fault -run TestFleetFuzz -fleet-seed=%d):\n%sshrunk:\n%s",
-			seed, sc.Report(res), min.Report(minRes))
+			seed, res.Report(), minRes.Report())
 	}
 }
 
@@ -88,7 +88,7 @@ func TestFleetKernelEquivalence(t *testing.T) {
 		pres, pobs := RunFleetScenarioKernel(sc, true, 4)
 		if sres.Failed() || pres.Failed() {
 			t.Fatalf("seed %d: scenario failed under serial=%v parallel=%v:\n%s%s",
-				seed, sres.Failed(), pres.Failed(), sc.Report(sres), sc.Report(pres))
+				seed, sres.Failed(), pres.Failed(), sres.Report(), pres.Report())
 		}
 		if sobs.Order != pobs.Order {
 			t.Errorf("seed %d: order digests differ: serial=%x parallel=%x", seed, sobs.Order, pobs.Order)

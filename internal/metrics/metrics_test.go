@@ -174,12 +174,3 @@ func TestConcurrentCounters(t *testing.T) {
 			r.Counter("n").Value(), r.Gauge("g").Value(), r.Timing("t").N())
 	}
 }
-
-func BenchmarkCounterInc(b *testing.B) {
-	r := New()
-	c := r.Counter("hot")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}

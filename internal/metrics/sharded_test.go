@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -159,60 +158,8 @@ func TestShardedTimingMergeRollup(t *testing.T) {
 	}
 }
 
-// BenchmarkRegistryParallel contrasts the contended single-cell counter
-// with the sharded per-slot cells under concurrent writers — the number
-// that shows the parallel kernel's metrics plane does not serialize on
-// cache-line ping-pong.
-func BenchmarkRegistryParallel(b *testing.B) {
-	const slots = 8
-	b.Run("shared", func(b *testing.B) {
-		r := New()
-		c := r.Counter("hot")
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-		_ = c.Value()
-	})
-	b.Run("sharded", func(b *testing.B) {
-		r := New()
-		r.EnableSharding(slots)
-		c := r.Counter("hot")
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			slot := 1 + int(next.Add(1)-1)%slots
-			for pb.Next() {
-				c.AddSlot(slot, 1)
-			}
-		})
-		_ = c.Value()
-	})
-	b.Run("timing-shared", func(b *testing.B) {
-		r := New()
-		tm := r.Timing("hot")
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				tm.Observe(time.Millisecond)
-			}
-		})
-	})
-	b.Run("timing-sharded", func(b *testing.B) {
-		r := New()
-		r.EnableSharding(slots)
-		tm := r.Timing("hot")
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			slot := 1 + int(next.Add(1)-1)%slots
-			for pb.Next() {
-				tm.ObserveSlot(slot, time.Millisecond)
-			}
-		})
-	})
-}
-
-// TestShardedConcurrentWriters is the race-detector companion to the
-// benchmark: slot-disjoint writers plus a concurrent snapshot reader.
+// TestShardedConcurrentWriters is the race-detector check of the sharded
+// cells: slot-disjoint writers plus a concurrent snapshot reader.
 func TestShardedConcurrentWriters(t *testing.T) {
 	const slots, per = 8, 2_000
 	r := New()

@@ -37,7 +37,7 @@ func warmAllocs(t *testing.T, workers int, program func(s *Simulation)) float64 
 	})
 }
 
-// TestWindowAllocsMatchSerial pins the tentpole: on the benchConfined
+// TestWindowAllocsMatchSerial pins the tentpole: on the spawnConfinedTickers
 // program a warm parallel kernel allocates within 10% of the serial one —
 // the spawns and the per-Run worker goroutines, nothing per window or per
 // event.
