@@ -1,7 +1,7 @@
-// Golden determinism tests: the experiment drivers must produce
-// bit-identical tables for a fixed seed, run after run and process after
-// process. A change in any charged cost shows up here first — regenerate
-// EXPERIMENTS.md when that is intentional.
+// Determinism tests: the experiment drivers must produce bit-identical
+// tables for a fixed seed, run after run and process after process. The
+// tables themselves are pinned by internal/experiments'
+// TestGoldenComparisonTables.
 package sprite_test
 
 import (
@@ -10,31 +10,6 @@ import (
 
 	"sprite/internal/experiments"
 )
-
-// goldenE12 is the only experiment whose full output is stable by
-// construction (it is a census, independent of timing constants); it pins
-// the Appendix-A classification itself.
-const goldenE12 = `E12 — Kernel-call handling for migrated processes (Appendix A census)
-  [paper: thesis Appendix A]
-policy             calls  examples
------------------------------------------------------------------
-local              14     [geteuid getgid getpid getppid]
-file-system        21     [chdir chmod chown close]
-forwarded-home     12     [fork gethostname getpgrp getpriority]
-transferred-state  5      [brk exec exit sigreturn]
-denied             2      [mmap-shared ptrace]
-note: total calls classified: 54; the conformance tests exercise each modeled call before and after migration
-`
-
-func TestGoldenAppendixA(t *testing.T) {
-	tbl, err := experiments.E12SyscallTable(experiments.Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.String(); got != goldenE12 {
-		t.Fatalf("Appendix-A census changed:\n--- got ---\n%s\n--- want ---\n%s", got, goldenE12)
-	}
-}
 
 // TestExperimentsAreReproducible runs every driver twice with the same
 // seed and requires identical tables.

@@ -29,10 +29,9 @@ import (
 
 // methods are the Registry entry points that mint a named instrument.
 var methods = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"Timing":    true,
-	"StartSpan": true,
+	"Counter": true,
+	"Gauge":   true,
+	"Timing":  true,
 }
 
 const metricsPkg = "sprite/internal/metrics"

@@ -12,7 +12,7 @@ func good(r *metrics.Registry, host string) {
 	r.Counter("mig.started")
 	r.Gauge("host.load_current")
 	r.Timing("recovery.detect-latency")
-	r.StartSpan("mig.vm_copy")
+	r.Timing("mig.vm_copy")
 	r.Counter("mig.phase." + host)                 // conforming literal backbone
 	r.Timing(fmt.Sprintf("rpc.to.%s.calls", host)) // Sprintf format with verbs masked
 }
@@ -22,7 +22,7 @@ func bad(r *metrics.Registry, host string) {
 	r.Gauge("oneword")            // want `does not follow area\.noun`
 	r.Timing(host)                // want `dynamically-built metric name with no literal fragment`
 	r.Counter("Bad-Frag." + host) // want `segment "Bad-Frag" breaks the area\.noun`
-	r.StartSpan("mig..double")    // want `does not follow area\.noun`
+	r.Timing("mig..double")       // want `does not follow area\.noun`
 }
 
 func suppressed(r *metrics.Registry) {

@@ -73,7 +73,7 @@ func TestUntracedRunFormatsNoTraceDetails(t *testing.T) {
 	const procs = 16
 	run := func(sink func(time.Duration, string, string)) uint64 {
 		c := newCluster(t, 2)
-		c.trace = sink // the kernel's own events only: SetTrace would add every layer's
+		c.SetTrace(sink)
 		dst := c.Workstation(1)
 		c.Boot("boot", func(env *sim.Env) error {
 			for i := 0; i < procs; i++ {
@@ -107,5 +107,31 @@ func TestUntracedRunFormatsNoTraceDetails(t *testing.T) {
 	t.Logf("%d events: %d objects traced, %d untraced", events, traced, untraced)
 	if traced < untraced+uint64(events) {
 		t.Errorf("traced run allocated %d objects, untraced %d: %d events were formatted with nobody listening", traced, untraced, events)
+	}
+}
+
+// TestMigMeterAllocatesNothing: metering one migration — started, the five
+// phase boundaries, completed, the record's totals — builds no name and
+// heap-allocates no per-phase object once the registry holds the timings.
+func TestMigMeterAllocatesNothing(t *testing.T) {
+	c := newCluster(t, 2)
+	rec := MigrationRecord{Strategy: SpriteFlushStrategy{}.Name(), Total: time.Millisecond, Freeze: time.Millisecond}
+	var allocs float64
+	c.Boot("boot", func(env *sim.Env) error {
+		lifecycle := func() {
+			mm := newMigMeter(env, c.metrics, rec.Strategy)
+			for _, ph := range []*migPhase{phaseNegotiate, mm.names.vm, phaseStreams, phasePCB, phaseResume} {
+				mm.next(env, ph)
+			}
+			mm.complete(env)
+			mm.observeTotals(env, &rec)
+		}
+		lifecycle()
+		allocs = testing.AllocsPerRun(100, lifecycle)
+		return nil
+	})
+	runCluster(t, c)
+	if allocs != 0 {
+		t.Errorf("one migMeter lifecycle allocated %v objects, want 0", allocs)
 	}
 }

@@ -67,11 +67,13 @@ type Cluster struct {
 
 	// confined records that every host is homed on its own shard
 	// (Params.Sim.ConfineHosts): process activities spawn on their host's
-	// shard, trace events route through the sim's barrier-ordered sink, and
-	// the cross-shard bookkeeping of migration takes its RPC/rehome paths.
+	// shard and the cross-shard bookkeeping of migration takes its
+	// RPC/rehome paths.
 	confined bool
 
-	trace TraceFunc
+	// traced records that SetTrace installed a sink. Call sites check it
+	// before formatting a detail, so an untraced run formats nothing.
+	traced bool
 
 	// failpoint, when set, is consulted at named migration steps (fault
 	// injection; see SetFailpoint).
@@ -133,45 +135,14 @@ func (c *Cluster) AddReapHook(fn func(env *sim.Env, host rpc.HostID, epoch rpc.E
 // ready-made ring-buffer sink.
 type TraceFunc func(at time.Duration, kind, detail string)
 
-// SetTrace installs an event sink (nil disables tracing). Finished metric
-// spans (migration phases, etc.) land in the same sink as "span" events.
-// On a confined cluster the sink is wired through the simulation's trace
-// sink instead: confined activities emit via Env.Emit, which buffers
-// in-window events and flushes them at the barrier in committed order, so
-// the sink observes the serial sequence under any worker count. Metric
-// spans are not traced on confined clusters (their completion would call
-// the sink from confined activities directly); the span histograms
-// themselves are still recorded.
+// SetTrace installs the cluster's one event sink (nil disables tracing):
+// the simulation's. Every layer emits through Env.Emit, which delivers
+// exclusive-context events at once and buffers in-window ones to the
+// barrier, so the sink observes the serial sequence under either kernel
+// and any worker count.
 func (c *Cluster) SetTrace(fn TraceFunc) {
-	c.trace = fn
-	if c.confined {
-		c.sim.SetTraceSink(fn)
-		return
-	}
-	c.metrics.SetTrace(fn)
-}
-
-// emit records a trace event if a sink is installed. It is the exclusive-
-// context variant; paths reachable from confined activities use emitEnv.
-// Call sites that format a detail check c.trace themselves first, so an
-// untraced run formats nothing.
-func (c *Cluster) emit(at time.Duration, kind, detail string) {
-	if c.trace != nil {
-		c.trace(at, kind, detail)
-	}
-}
-
-// emitEnv records a trace event from an activity. On a confined cluster it
-// routes through Env.Emit so in-window events reach the sink barrier-ordered;
-// otherwise it is exactly emit, preserving the legacy byte-identical stream.
-func (c *Cluster) emitEnv(env *sim.Env, kind, detail string) {
-	if c.confined {
-		if c.trace != nil {
-			env.Emit(kind, detail)
-		}
-		return
-	}
-	c.emit(env.Now(), kind, detail)
+	c.traced = fn != nil
+	c.sim.SetTraceSink(fn)
 }
 
 // NewCluster builds a cluster per the options.

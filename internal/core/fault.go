@@ -85,9 +85,6 @@ func (c *Cluster) confinedNoCrash(what string, host rpc.HostID) {
 // detection, not by magic.
 func (c *Cluster) SetDeferredReap(on bool) { c.deferReap = on }
 
-// DeferredReap reports whether deferred reaping is enabled.
-func (c *Cluster) DeferredReap() bool { return c.deferReap }
-
 // HostEpoch returns the host's current boot epoch (1 until its first
 // restart).
 func (c *Cluster) HostEpoch(host rpc.HostID) rpc.Epoch {
@@ -163,8 +160,8 @@ func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 		}
 	}
 	c.fs.ScrubHostEpoch(host, epoch)
-	if c.trace != nil {
-		c.emit(env.Now(), "host-crash", fmt.Sprintf("host %v epoch %d", host, epoch))
+	if c.traced {
+		env.Emit("host-crash", fmt.Sprintf("host %v epoch %d", host, epoch))
 	}
 }
 
@@ -177,8 +174,8 @@ func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
 	if ep := c.transport.Endpoint(host); ep != nil {
 		ep.Restart()
 	}
-	if c.trace != nil {
-		c.emit(env.Now(), "host-restart", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
+	if c.traced {
+		env.Emit("host-restart", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
 	}
 }
 
@@ -210,8 +207,8 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		k.homeRecs = make(map[PID]*homeRecord)
 	}
 	c.RestartHost(env, host)
-	if c.trace != nil {
-		c.emit(env.Now(), "host-reboot", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
+	if c.traced {
+		env.Emit("host-reboot", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
 	}
 }
 
@@ -255,8 +252,8 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 			}
 			if p.home.host == host && p.homeEpoch <= epoch {
 				p.post(SigKill)
-				if c.trace != nil {
-					c.emit(env.Now(), "reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
+				if c.traced {
+					env.Emit("reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
 				}
 			}
 		}
@@ -276,8 +273,8 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 	for _, hook := range c.reapHooks {
 		hook(env, host, epoch)
 	}
-	if c.trace != nil {
-		c.emit(env.Now(), "host-reap", fmt.Sprintf("host %v epoch %d", host, epoch))
+	if c.traced {
+		env.Emit("host-reap", fmt.Sprintf("host %v epoch %d", host, epoch))
 	}
 }
 
@@ -334,8 +331,8 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	if p.env != nil {
 		p.env.Interrupt(ErrHostCrashed)
 	}
-	if c.trace != nil {
-		c.emit(env.Now(), "proc-crash", fmt.Sprintf("%v %s on %v", p.pid, p.name, crashedHost))
+	if c.traced {
+		env.Emit("proc-crash", fmt.Sprintf("%v %s on %v", p.pid, p.name, crashedHost))
 	}
 }
 

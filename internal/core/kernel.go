@@ -254,8 +254,8 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	k.procs[pid] = p
 	k.stats.ProcsStarted++
 	k.cluster.noteStart(pid)
-	if k.cluster.trace != nil {
-		k.cluster.emitEnv(env, "proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
+	if k.cluster.traced {
+		env.Emit("proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
 	}
 
 	body := func(penv *sim.Env) error {
@@ -425,8 +425,8 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	delete(k.procs, p.pid)
 	k.stats.ProcsExited++
 	k.cluster.noteEnd(p.pid)
-	if k.cluster.trace != nil {
-		k.cluster.emitEnv(env, "proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
+	if k.cluster.traced {
+		env.Emit("proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
 	}
 	if k.cluster.confined && p.Foreign() {
 		p.failPendingMigration("exited before migration")

@@ -150,6 +150,11 @@ func TestMetricsAbortRollbackUnderFault(t *testing.T) {
 	if got := snap.Counters["mig.aborted.resume"]; got != 1 {
 		t.Fatalf("mig.aborted.resume = %d", got)
 	}
+	for _, name := range []string{"mig.phase.vm.sprite-flush.aborted", "mig.phase.resume.aborted"} {
+		if got := snap.Counters[name]; got != 1 {
+			t.Fatalf("%s = %d, want 1", name, got)
+		}
+	}
 	if g := snap.Gauges["mig.inflight"]; g.Value != 0 {
 		t.Fatalf("mig.inflight = %d after aborts, want 0", g.Value)
 	}

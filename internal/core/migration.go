@@ -140,7 +140,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	p.migTarget = target
 	defer func() { p.migTarget, p.migMoved = nil, nil }()
 
-	mm := newMigMeter(env, k.cluster.metrics)
+	mm := newMigMeter(env, k.cluster.metrics, rec.Strategy)
 
 	// abort undoes a partial migration so the process resumes on the
 	// source (where an exec rebuilds the image locally instead): streams
@@ -179,7 +179,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	}
 
 	// 1. Handshake: version check and skeleton allocation at the target.
-	mm.next(env, "negotiate")
+	mm.next(env, phaseNegotiate)
 	if err := k.migInit(env, p, target); err != nil {
 		return abort(err)
 	}
@@ -191,9 +191,9 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	var tStreams time.Duration
 	var err error
 	if req.atExec {
-		moved, tStreams, err = k.transferForExec(env, p, target, &rec, mm)
+		moved, tStreams, err = k.transferForExec(env, p, target, &rec, &mm)
 	} else {
-		moved, tStreams, err = k.transferImage(env, p, target, &rec, mm)
+		moved, tStreams, err = k.transferImage(env, p, target, &rec, &mm)
 	}
 	if err != nil {
 		return abort(err)
@@ -202,7 +202,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 		return abort(err)
 	}
 	rec.FileTime = env.Now() - tStreams
-	mm.next(env, "pcb")
+	mm.next(env, phasePCB)
 
 	// 4. PCB and residual untyped state; exec arguments ride along.
 	tP := env.Now()
@@ -224,7 +224,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 		}
 	}
 	rec.PCBTime = env.Now() - tP
-	mm.next(env, "resume")
+	mm.next(env, phaseResume)
 
 	// 5. Tell the home machine where the process now lives. Confined
 	// clusters always take the RPC (even migrating home), because the home
@@ -274,14 +274,14 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	if req.atExec {
 		k.stats.RemoteExecs++
 	}
-	if k.cluster.trace == nil {
+	if !k.cluster.traced {
 		return nil
 	}
 	if req.atExec {
-		k.cluster.emitEnv(env, "exec-migration",
+		env.Emit("exec-migration",
 			fmt.Sprintf("%v %v->%v (%s) total=%v", p.pid, rec.From, rec.To, rec.Reason, rec.Total))
 	} else {
-		k.cluster.emitEnv(env, "migration",
+		env.Emit("migration",
 			fmt.Sprintf("%v %v->%v (%s, %s) total=%v vm=%dB files=%d",
 				p.pid, rec.From, rec.To, rec.Reason, rec.Strategy, rec.Total, rec.VMBytes, rec.Files))
 	}
@@ -290,13 +290,13 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 
 // transferImage is a full migration's state transfer: the VM strategy's
 // work with the open streams moving in their own activity beside it. Both
-// phases still tile Total exactly because the vm span closes retroactively
-// at the instant the VM work finished and the streams span covers only the
+// phases still tile Total exactly because the vm phase closes retroactively
+// at the instant the VM work finished and the streams phase covers only the
 // tail that outlived it (zero when the streams won the race). Like
 // transferForExec it returns the streams moved (also on error, for abort
-// recovery) and when the streams span opened.
+// recovery) and when the streams phase opened.
 func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) ([]*fs.Stream, time.Duration, error) {
-	rec.NegotiateTime = mm.next(env, "vm."+rec.Strategy)
+	rec.NegotiateTime = mm.next(env, mm.names.vm)
 	strmDone := sim.NewFuture(k.cluster.sim)
 	env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
 		mv, serr := k.transferStreams(senv, p, target, rec)
@@ -321,7 +321,7 @@ func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *Mi
 	if vmErr != nil {
 		return moved, 0, vmErr
 	}
-	rec.VMTime = mm.nextAt(env, "streams", tVMEnd)
+	rec.VMTime = mm.nextAt(env, phaseStreams, tVMEnd)
 	if serr != nil {
 		return moved, 0, fmt.Errorf("stream transfer: %w", serr)
 	}
@@ -335,7 +335,7 @@ func (k *Kernel) transferForExec(env *sim.Env, p *Process, target *Kernel, rec *
 	if err := p.discardSpace(env); err != nil {
 		return nil, 0, err
 	}
-	rec.NegotiateTime = mm.next(env, "streams")
+	rec.NegotiateTime = mm.next(env, phaseStreams)
 	tStreams := env.Now()
 	moved, err := k.transferStreams(env, p, target, rec)
 	if err != nil {
@@ -419,8 +419,8 @@ func (k *Kernel) EvictAll(env *sim.Env) error {
 		}
 		waits = append(waits, k.RequestMigration(p, target, "eviction"))
 		k.stats.Evictions++
-		if k.cluster.trace != nil {
-			k.cluster.emitEnv(env, "eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
+		if k.cluster.traced {
+			env.Emit("eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
 		}
 	}
 	for _, w := range waits {

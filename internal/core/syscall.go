@@ -133,8 +133,8 @@ func (c *Ctx) performMigration(req *migrationRequest) error {
 	if err != nil && req.atExec && !dead {
 		// An aborted exec-time migration leaves the process intact on the
 		// source; Sprite demotes it to a plain local exec.
-		if p.cur.cluster.trace != nil {
-			p.cur.cluster.emitEnv(c.env, "exec-migrate-abort",
+		if p.cur.cluster.traced {
+			c.env.Emit("exec-migrate-abort",
 				fmt.Sprintf("%v -> %v: %v", p.pid, req.target.host, err))
 		}
 		err = nil

@@ -83,7 +83,6 @@ func e18Point(cfg Config, t *Table, storm e18Storm, n, jobs int) (*e18Row, error
 	mon := recovery.NewMonitor(c, recovery.Params{
 		Interval:      50 * time.Millisecond,
 		FailThreshold: 2,
-		Reap:          true,
 	})
 	sup := recovery.NewSupervisor(c, mon, recovery.SupervisorParams{
 		MaxRestarts:     12,

@@ -209,7 +209,6 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 	mon := recovery.NewMonitor(c, recovery.Params{
 		Interval:      10 * time.Millisecond,
 		FailThreshold: 2,
-		Reap:          true,
 	})
 	sup := recovery.NewSupervisor(c, mon, recovery.SupervisorParams{
 		MaxRestarts:     6,

@@ -153,17 +153,6 @@ func (a *drainAudit) check(m *Manager, endOfRun bool) []string {
 	return out
 }
 
-// Drains returns how many drains began and how many completed.
-func (a *drainAudit) Drains() (started, completed int) {
-	for _, rec := range a.records {
-		started++
-		if rec.completed {
-			completed++
-		}
-	}
-	return
-}
-
 func sortedPIDs(m map[core.PID]*residentRec) []core.PID {
 	out := make([]core.PID, 0, len(m))
 	for pid := range m {

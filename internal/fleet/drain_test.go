@@ -528,7 +528,7 @@ func TestDrainStateMachine(t *testing.T) {
 			f.c.SetDeferredReap(true)
 			victim := f.c.Workstation(1)
 			mon := recovery.NewMonitor(f.c, recovery.Params{
-				Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true,
+				Interval: 10 * time.Millisecond, FailThreshold: 2,
 			})
 			sup := recovery.NewSupervisor(f.c, mon, recovery.SupervisorParams{
 				MaxRestarts:     3,

@@ -160,11 +160,9 @@ type Manager struct {
 	c *core.Cluster
 	p Params
 
-	mon    *recovery.Monitor
-	sel    hostsel.Selector
-	sup    *recovery.Supervisor
-	reboot func(env *sim.Env, host rpc.HostID)
-	userOf func(client rpc.HostID) string
+	mon *recovery.Monitor
+	sel hostsel.Selector
+	sup *recovery.Supervisor
 
 	pricer *Pricer
 	shares *ShareLedger
@@ -198,9 +196,8 @@ type Manager struct {
 }
 
 // New builds a fleet manager over the cluster's workstations. Wire the
-// signal sources with SetMonitor / SetSelector / SetSupervisor /
-// SetRebooter before Start; the drain-safety audit registers into
-// CheckInvariants immediately.
+// signal sources with SetMonitor / SetSelector / SetSupervisor before
+// Start; the drain-safety audit registers into CheckInvariants immediately.
 func New(c *core.Cluster, p Params) *Manager {
 	def := DefaultParams()
 	if p.Tick <= 0 {
@@ -243,8 +240,6 @@ func New(c *core.Cluster, p Params) *Manager {
 	m := &Manager{
 		c:           c,
 		p:           p,
-		reboot:      func(env *sim.Env, host rpc.HostID) { c.Reboot(env, host) },
-		userOf:      func(client rpc.HostID) string { return client.String() },
 		pricer:      NewPricer(p.PricerAlpha, p.PricerHorizon),
 		shares:      NewShareLedger(p.FairnessSlack),
 		audit:       newDrainAudit(),
@@ -281,9 +276,6 @@ func (m *Manager) Params() Params { return m.p }
 // Pricer returns the manager's time-to-eviction model.
 func (m *Manager) Pricer() *Pricer { return m.pricer }
 
-// Shares returns the manager's fairness ledger.
-func (m *Manager) Shares() *ShareLedger { return m.shares }
-
 // SetMonitor attaches the liveness monitor: its per-probe results feed the
 // missed-probe health signal and readmission probation, and its HostDown
 // declarations feed the pricer's eviction model.
@@ -305,15 +297,6 @@ func (m *Manager) SetSelector(sel hostsel.Selector) { m.sel = sel }
 // SetSupervisor attaches the checkpoint/restart supervisor used as the
 // drain fallback when no host accepts a live migration.
 func (m *Manager) SetSupervisor(sup *recovery.Supervisor) { m.sup = sup }
-
-// SetRebooter overrides how remediation power-cycles a host (default:
-// Cluster.Reboot). The fault plane's RebootHost slots in here so chaos
-// schedules and remediations share one reboot path.
-func (m *Manager) SetRebooter(fn func(env *sim.Env, host rpc.HostID)) { m.reboot = fn }
-
-// SetUserOf overrides how a requesting client maps to a fairness-ledger
-// user (default: the client host id's string form).
-func (m *Manager) SetUserOf(fn func(client rpc.HostID) string) { m.userOf = fn }
 
 // WatchGossip wires the gossip selector's eviction-hint stream into the
 // hint-rate health signal.
@@ -500,7 +483,7 @@ func (m *Manager) remediate(env *sim.Env, rec *hostRec) {
 	if err := m.c.FailAt(env, "fleet.remediate", core.NilPID); err != nil {
 		return
 	}
-	m.reboot(env, rec.host)
+	m.c.Reboot(env, rec.host)
 	m.remediations.Inc()
 	// The reboot starts a new incarnation: its health history is the old
 	// machine's, not its own.
@@ -544,7 +527,7 @@ func (m *Manager) readmitTick(env *sim.Env, rec *hostRec) {
 // by the pricer's expected time-to-eviction (longest first, host id as the
 // deterministic tiebreak); a user over its fairness share gets nothing.
 func (m *Manager) FilterHosts(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) []rpc.HostID {
-	if !m.shares.Allow(m.userOf(client)) {
+	if !m.shares.Allow(client.String()) {
 		m.deniedC.Inc()
 		return nil
 	}
@@ -585,7 +568,7 @@ func (f *fairSelector) Name() string { return f.inner.Name() }
 
 func (f *fairSelector) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
 	hosts, err := f.inner.RequestHosts(env, client, n)
-	user := f.m.userOf(client)
+	user := client.String()
 	for _, h := range hosts {
 		f.m.shares.Acquire(user, h, env.Now())
 	}
@@ -593,7 +576,7 @@ func (f *fairSelector) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]r
 }
 
 func (f *fairSelector) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
-	user := f.m.userOf(client)
+	user := client.String()
 	for _, h := range hosts {
 		f.m.shares.Release(user, h, env.Now())
 	}

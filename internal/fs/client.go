@@ -754,28 +754,6 @@ func (c *Client) FlushFile(env *sim.Env, fid FileID) error {
 	return nil
 }
 
-// SyncAll writes back every dirty block in the cache.
-func (c *Client) SyncAll(env *sim.Env) error {
-	var dirty []*cacheBlock
-	for _, b := range c.blocks {
-		if b.dirty {
-			dirty = append(dirty, b)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool {
-		if dirty[i].key.fid != dirty[j].key.fid {
-			return dirty[i].key.fid.Ino < dirty[j].key.fid.Ino
-		}
-		return dirty[i].key.block < dirty[j].key.block
-	})
-	for _, b := range dirty {
-		if err := c.flushBlock(env, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DropCaches discards every clean cached block (dirty blocks are kept so
 // no data is lost). Useful for tests and benchmarks that want cold-cache
 // behaviour.

@@ -101,15 +101,6 @@ func (c *Central) Reset() {
 	c.allocCount = make(map[rpc.HostID]int)
 }
 
-// Assignments returns a copy of the current host->client assignments.
-func (c *Central) Assignments() map[rpc.HostID]rpc.HostID {
-	out := make(map[rpc.HostID]rpc.HostID, len(c.assignments))
-	for k, v := range c.assignments {
-		out[k] = v
-	}
-	return out
-}
-
 // NotifyAvailability implements Selector: the host's load daemon reports a
 // transition with one RPC to the server.
 func (c *Central) NotifyAvailability(env *sim.Env, host rpc.HostID, available bool) error {

@@ -53,9 +53,6 @@ func WithFilter(sel Selector, f Filter, slack int) Selector {
 	return &Filtered{inner: sel, filter: f, slack: slack}
 }
 
-// Unwrap returns the underlying selector.
-func (f *Filtered) Unwrap() Selector { return f.inner }
-
 // Name identifies the wrapped architecture.
 func (f *Filtered) Name() string { return f.inner.Name() }
 

@@ -60,9 +60,6 @@ func (l *ClaimLedger) Register(c *core.Cluster) {
 	c.AddInvariantCheck(l.Check)
 }
 
-// Unwrap returns the audited selector.
-func (l *ClaimLedger) Unwrap() Selector { return l.inner }
-
 // Name implements Selector.
 func (l *ClaimLedger) Name() string { return l.inner.Name() }
 

@@ -308,10 +308,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	timings  map[string]*Timing
 	slots    int
-
-	// emit, when set, receives one trace event per finished span —
-	// the hook that layers spans onto internal/trace.
-	emit func(at time.Duration, kind, detail string)
 }
 
 // New returns an empty registry.
@@ -321,14 +317,6 @@ func New() *Registry {
 		gauges:   make(map[string]*Gauge),
 		timings:  make(map[string]*Timing),
 	}
-}
-
-// SetTrace installs (or with nil removes) the trace sink that finished
-// spans report to. See internal/trace.Log.Func for a ready-made sink.
-func (r *Registry) SetTrace(fn func(at time.Duration, kind, detail string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.emit = fn
 }
 
 // EnableSharding equips every instrument — existing and future — with

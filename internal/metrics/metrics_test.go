@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"sprite/internal/trace"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -111,43 +109,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if round.Counters["c"] != 1 || round.Gauges["g"].Value != 2 || round.Timings["t"].N != 1 {
 		t.Fatalf("round-trip = %+v", round)
-	}
-}
-
-func TestSpanRecordsAndTraces(t *testing.T) {
-	r := New()
-	log := trace.New(16)
-	r.SetTrace(log.Func())
-	sp := r.StartSpan("mig.phase.vm", 10*time.Millisecond)
-	if d := sp.End(35 * time.Millisecond); d != 25*time.Millisecond {
-		t.Fatalf("span duration = %v", d)
-	}
-	if d := sp.End(99 * time.Millisecond); d != 0 {
-		t.Fatal("double End must be a no-op")
-	}
-	if n := r.Timing("mig.phase.vm").N(); n != 1 {
-		t.Fatalf("timing n = %d", n)
-	}
-	if log.CountKind("span") != 1 {
-		t.Fatalf("trace events:\n%s", log.String())
-	}
-}
-
-func TestSpanAbort(t *testing.T) {
-	r := New()
-	sp := r.StartSpan("mig.phase.streams", 0)
-	sp.Abort(4 * time.Millisecond)
-	sp.End(9 * time.Millisecond) // no-op after abort
-	if n := r.Timing("mig.phase.streams").N(); n != 0 {
-		t.Fatalf("aborted span recorded a duration (n=%d)", n)
-	}
-	if got := r.Counter("mig.phase.streams.aborted").Value(); got != 1 {
-		t.Fatalf("abort counter = %d", got)
-	}
-	var nilSpan *Span
-	nilSpan.Abort(0) // nil-safe
-	if d := nilSpan.End(0); d != 0 {
-		t.Fatal("nil span End must return 0")
 	}
 }
 

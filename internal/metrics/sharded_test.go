@@ -61,7 +61,7 @@ func TestShardedTimingExact(t *testing.T) {
 	}
 }
 
-// TestShardedSpanTiling checks the invariant the migration spans rely on:
+// TestShardedSpanTiling checks the invariant the migration phases rely on:
 // when per-phase durations tile a total (total = sum of phases), the
 // sharded timings preserve it exactly — Sum over the phase timing equals
 // Sum over the total timing even when phases land on different worker
@@ -88,7 +88,7 @@ func TestShardedSpanTiling(t *testing.T) {
 		phaseSum += p.Sum()
 	}
 	if phaseSum != wantTotal || total.Sum() != wantTotal {
-		t.Fatalf("span tiling broken: phases=%v total=%v want=%v", phaseSum, total.Sum(), wantTotal)
+		t.Fatalf("phase tiling broken: phases=%v total=%v want=%v", phaseSum, total.Sum(), wantTotal)
 	}
 	if total.N() != migrations {
 		t.Fatalf("total n=%d want %d", total.N(), migrations)

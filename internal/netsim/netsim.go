@@ -61,7 +61,6 @@ type Network struct {
 
 	messages atomic.Uint64
 	bytes    atomic.Uint64
-	delayed  atomic.Uint64
 	dropped  atomic.Uint64
 }
 
@@ -142,9 +141,6 @@ func (n *Network) account(env *sim.Env, bytes int) (extra time.Duration, drop bo
 	}
 	if n.hook != nil {
 		extra, drop = n.hook(env, bytes)
-		if extra > 0 {
-			n.delayed.Add(1)
-		}
 	}
 	return extra, drop
 }
@@ -188,9 +184,6 @@ func (n *Network) Bytes() uint64 { return n.bytes.Load() }
 
 // Dropped returns the number of messages the fault hook discarded.
 func (n *Network) Dropped() uint64 { return n.dropped.Load() }
-
-// Delayed returns the number of messages the fault hook slowed down.
-func (n *Network) Delayed() uint64 { return n.delayed.Load() }
 
 // Params returns the network's configuration.
 func (n *Network) Params() Params { return n.params }

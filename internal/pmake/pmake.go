@@ -86,15 +86,6 @@ func (m *Makefile) add(t *Target) {
 // Target returns a target by name, or nil.
 func (m *Makefile) Target(name string) *Target { return m.targets[name] }
 
-// Targets returns all targets in insertion order.
-func (m *Makefile) Targets() []*Target {
-	out := make([]*Target, 0, len(m.names))
-	for _, n := range m.names {
-		out = append(out, m.targets[n])
-	}
-	return out
-}
-
 // BuildOrder returns the buildable targets in a valid topological order,
 // or ErrCycle / ErrUnknownDep.
 func (m *Makefile) BuildOrder() ([]*Target, error) {

@@ -61,11 +61,6 @@ type Params struct {
 	// FailThreshold is how many consecutive failed pings it takes to
 	// suspect a host enough to declare it down.
 	FailThreshold int
-	// Reap, when set, makes the monitor call Cluster.ReapDeadHost for every
-	// incarnation it declares dead — the full Sprite recovery matrix runs as
-	// a consequence of detection, which is the normal configuration. Tests
-	// that want to drive reaping by hand leave it off.
-	Reap bool
 }
 
 // DefaultParams returns a monitor configuration suited to the cluster's
@@ -75,7 +70,6 @@ func DefaultParams() Params {
 	return Params{
 		Interval:      20 * time.Millisecond,
 		FailThreshold: 2,
-		Reap:          true,
 	}
 }
 
@@ -275,8 +269,9 @@ func (m *Monitor) tick(env *sim.Env, host rpc.HostID) {
 }
 
 // declareDown marks one boot incarnation of host dead (idempotent per
-// epoch): metrics, the optional reaping pass, selector withdrawal, and
-// subscriber events all fire here.
+// epoch): metrics, the reaping pass (Cluster.ReapDeadHost — the full Sprite
+// recovery matrix runs as a consequence of detection), selector withdrawal,
+// and subscriber events all fire here.
 func (m *Monitor) declareDown(env *sim.Env, host rpc.HostID, dead rpc.Epoch) {
 	if dead == 0 || m.declaredDown[host] >= dead {
 		return
@@ -287,9 +282,7 @@ func (m *Monitor) declareDown(env *sim.Env, host rpc.HostID, dead rpc.Epoch) {
 	if at, ok := m.c.DownSince(host); ok {
 		m.detect.Observe(env.Now() - at)
 	}
-	if m.p.Reap {
-		m.c.ReapDeadHost(env, host, dead)
-	}
+	m.c.ReapDeadHost(env, host, dead)
 	if m.sel != nil && m.c.KernelOn(host) != nil {
 		_ = m.sel.NotifyAvailability(env, host, false)
 	}

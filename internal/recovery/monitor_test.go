@@ -48,7 +48,7 @@ func runWithMonitor(t *testing.T, c *core.Cluster, mon *recovery.Monitor, fn fun
 func TestMonitorDetectsCrash(t *testing.T) {
 	c := newCluster(t, 3)
 	c.SetDeferredReap(true)
-	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true})
+	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
 	mon.Start()
@@ -91,7 +91,7 @@ func TestMonitorDetectsCrash(t *testing.T) {
 func TestMonitorDetectsInstantReboot(t *testing.T) {
 	c := newCluster(t, 3)
 	c.SetDeferredReap(true)
-	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 3, Reap: true})
+	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 3})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
 	mon.Start()
@@ -123,7 +123,7 @@ func TestMonitorIgnoresMessageLoss(t *testing.T) {
 	victim := c.Workstation(1).Host()
 	plane.DropMessages(0, 300*time.Millisecond, 1.0, victim)
 
-	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true})
+	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
 	mon.Start()
@@ -150,7 +150,7 @@ func TestMonitorIgnoresMessageLoss(t *testing.T) {
 func TestMonitorSurvivesVantageCrash(t *testing.T) {
 	c := newCluster(t, 3)
 	c.SetDeferredReap(true)
-	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true})
+	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
 	mon.Start()

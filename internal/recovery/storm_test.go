@@ -30,7 +30,7 @@ func stormRun(t *testing.T, strategy core.TransferStrategy) {
 		t.Fatal(err)
 	}
 
-	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true})
+	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	sup := recovery.NewSupervisor(c, mon, recovery.SupervisorParams{
 		MaxRestarts:     6,
 		CheckpointEvery: 15 * time.Millisecond,

@@ -77,7 +77,7 @@ func acceptanceRun(t *testing.T, role string, point string) {
 	if err := c.SeedBinary("/bin/job", 128<<10); err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor(c, Params{Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true})
+	mon := NewMonitor(c, Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	sup := NewSupervisor(c, mon, SupervisorParams{
 		MaxRestarts:     3,
 		CheckpointEvery: 20 * time.Millisecond,
@@ -191,7 +191,7 @@ func TestSupervisorRecoversCheckpointProgress(t *testing.T) {
 	if err := c.SeedBinary("/bin/job", 64<<10); err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor(c, Params{Interval: 10 * time.Millisecond, FailThreshold: 2, Reap: true})
+	mon := NewMonitor(c, Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	sup := NewSupervisor(c, mon, SupervisorParams{MaxRestarts: 3, CheckpointEvery: 10 * time.Millisecond, Dir: "/ckpt"})
 	mon.Start()
 	victim := c.Workstation(1).Host()

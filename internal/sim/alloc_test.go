@@ -37,6 +37,33 @@ func warmAllocs(t *testing.T, workers int, program func(s *Simulation)) float64 
 	})
 }
 
+// Shape of the confined-daemon program the allocation tests run.
+const (
+	confinedShards = 64
+	confinedTicks  = 200
+)
+
+// spawnConfinedTickers starts a population of shard-confined daemons whose
+// ticks carry real CPU work (a small hash loop standing in for per-host load
+// accounting); each exits after confinedTicks ticks.
+func spawnConfinedTickers(s *Simulation) {
+	for sh := 1; sh <= confinedShards; sh++ {
+		s.SpawnOn(sh, fmt.Sprintf("w%d", sh), func(env *Env) error {
+			h := uint64(env.Shard())
+			for k := 0; k < confinedTicks; k++ {
+				if err := env.Sleep(10 * time.Microsecond); err != nil {
+					return err
+				}
+				for j := 0; j < 4000; j++ { // per-tick bookkeeping work
+					h = (h ^ uint64(j)) * 1099511628211
+				}
+			}
+			_ = h
+			return nil
+		})
+	}
+}
+
 // TestWindowAllocsMatchSerial pins the tentpole: on the spawnConfinedTickers
 // program a warm parallel kernel allocates within 10% of the serial one —
 // the spawns and the per-Run worker goroutines, nothing per window or per

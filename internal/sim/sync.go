@@ -311,12 +311,8 @@ func (r *Resource) Use(env *Env, d time.Duration) error {
 }
 
 // BusyTime returns the total virtual time during which at least one slot was
-// held. QueueLen returns the number of blocked acquirers. WaitTime returns
-// cumulative time spent waiting to acquire.
+// held.
 func (r *Resource) BusyTime() time.Duration { return r.busy }
-
-// QueueLen returns the number of activities currently blocked in Acquire.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // WaitTime returns the cumulative virtual time acquirers spent queued.
 func (r *Resource) WaitTime() time.Duration { return r.waited }

@@ -180,10 +180,3 @@ func TestSketchQuantileMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkSketchAdd(b *testing.B) {
-	s := NewSketch(0.01)
-	for i := 0; i < b.N; i++ {
-		s.Add(float64(i%10000) + 0.5)
-	}
-}

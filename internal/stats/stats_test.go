@@ -133,29 +133,3 @@ func TestMomentsMemoized(t *testing.T) {
 		t.Fatalf("mean after invalidation = %v", s.Mean())
 	}
 }
-
-// BenchmarkSampleStd backs the memoization: repeated Std calls on a settled
-// sample must be O(1), not a rescan of the values.
-func BenchmarkSampleStd(b *testing.B) {
-	var s Sample
-	for i := 0; i < 100000; i++ {
-		s.Add(float64(i))
-	}
-	s.Std() // warm the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Std()
-	}
-}
-
-func BenchmarkSampleStdUncached(b *testing.B) {
-	var s Sample
-	for i := 0; i < 100000; i++ {
-		s.Add(float64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.momentsValid = false
-		_ = s.Std()
-	}
-}

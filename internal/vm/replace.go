@@ -17,9 +17,6 @@ type PageOuter interface {
 // beyond the cap evicts another first (clock order). Zero means unlimited.
 func (as *AddressSpace) SetMaxResident(pages int) { as.maxResident = pages }
 
-// MaxResident returns the resident-set cap (0 = unlimited).
-func (as *AddressSpace) MaxResident() int { return as.maxResident }
-
 // evictOne frees one resident page using a simple clock sweep across the
 // segments. Dirty pages are written back through the segment's pager
 // first; clean pages are dropped for free.
