@@ -9,7 +9,6 @@
 //	spritesim -experiment E16 [-hosts 10000] [-snapshot HOSTSEL_shootout.json]
 //	spritesim -experiment E17 [-hosts 1000]
 //	spritesim -experiment E18 [-quick] [-snapshot FLEET_storms.json]
-//	spritesim -fleet-storm 5007
 //	spritesim -confined-scale [-hosts 10000] [-snapshot SCALE_confined.json]
 //	spritesim -all [-quick] [-parallel] [-workers N]
 //
@@ -43,7 +42,6 @@ import (
 	"strconv"
 
 	"sprite/internal/experiments"
-	"sprite/internal/fault"
 	"sprite/internal/recovery"
 )
 
@@ -81,18 +79,17 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spritesim", flag.ContinueOnError)
 	var (
-		list       = fs.Bool("list", false, "list available experiments")
-		expID      = fs.String("experiment", "", "experiment id to run (see -list)")
-		all        = fs.Bool("all", false, "run every experiment")
-		seed       = fs.Int64("seed", 42, "simulation seed")
-		quick      = fs.Bool("quick", false, "smaller parameter sweeps")
-		metrics    = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
-		snapshot   = fs.String("snapshot", "", "write the table's typed rows as JSON to this file (E15, E16, E17, E18, -confined-scale)")
-		hosts      = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 and E18 fleet size, E17 load daemons, -confined-scale workstations)")
-		confScale  = fs.Bool("confined-scale", false, "run the confined-hosts scale tier: serial vs parallel migration plane (default 10000 hosts; -hosts overrides)")
-		fleetStorm = fs.Int64("fleet-storm", 0, "replay one fleet eviction-storm fuzz scenario by seed and print its report")
-		parallel   = fs.Bool("parallel", false, "run every cluster on the conservative parallel kernel (identical results, less wallclock)")
-		workers    = fs.Int("workers", 0, "parallel kernel worker count (0 = GOMAXPROCS; implies -parallel)")
+		list      = fs.Bool("list", false, "list available experiments")
+		expID     = fs.String("experiment", "", "experiment id to run (see -list)")
+		all       = fs.Bool("all", false, "run every experiment")
+		seed      = fs.Int64("seed", 42, "simulation seed")
+		quick     = fs.Bool("quick", false, "smaller parameter sweeps")
+		metrics   = fs.Bool("metrics", false, "append each cluster's metrics snapshot to the tables")
+		snapshot  = fs.String("snapshot", "", "write the table's typed rows as JSON to this file (E15, E16, E17, E18, -confined-scale)")
+		hosts     = fs.Int("hosts", 0, "override the scale-aware experiments' host count (E16 and E18 fleet size, E17 load daemons, -confined-scale workstations)")
+		confScale = fs.Bool("confined-scale", false, "run the confined-hosts scale tier: serial vs parallel migration plane (default 10000 hosts; -hosts overrides)")
+		parallel  = fs.Bool("parallel", false, "run every cluster on the conservative parallel kernel (identical results, less wallclock)")
+		workers   = fs.Int("workers", 0, "parallel kernel worker count (0 = GOMAXPROCS; implies -parallel)")
 	)
 	var crashes crashFlags
 	fs.Var(&crashes, "crash", "recovery-experiment fault: host@at[+dur], e.g. ws1@250ms+200ms (repeatable; no +dur = instant reboot)")
@@ -130,20 +127,6 @@ func run(args []string, stdout io.Writer) error {
 		return os.WriteFile(*snapshot, data, 0o644)
 	}
 	switch {
-	case *fleetStorm != 0:
-		// Replay one seed of the fleet fuzzer's eviction-storm family (the
-		// same scenarios TestFleetFuzz sweeps) and print its verdict — the
-		// debugging entry point a failure report names.
-		sc := fault.GenFleetScenario(*fleetStorm)
-		res := fault.RunFleetScenario(sc)
-		fmt.Fprint(stdout, res.Report())
-		if res.Failed() {
-			_, minRes := fault.ShrinkFleet(sc)
-			fmt.Fprintf(stdout, "shrunk:\n%s", minRes.Report())
-			return fmt.Errorf("fleet storm seed %d failed", *fleetStorm)
-		}
-		fmt.Fprintln(stdout, "ok")
-		return nil
 	case *confScale:
 		// The tier runs its own serial and parallel legs, so it must not be
 		// combined with -parallel (which forces every cluster parallel and

@@ -173,7 +173,6 @@ const (
 	simPkg     = "sprite/internal/sim"
 	tracePkg   = "sprite/internal/trace"
 	metricsPkg = "sprite/internal/metrics"
-	statsPkg   = "sprite/internal/stats"
 )
 
 // Trusted reports whether a package's interior is exempt from analysis:
@@ -183,7 +182,7 @@ const (
 // legal, not a violation of it.
 func Trusted(importPath string) bool {
 	switch importPath {
-	case simPkg, tracePkg, metricsPkg, statsPkg:
+	case simPkg, tracePkg, metricsPkg:
 		return true
 	}
 	return strings.HasPrefix(importPath, "sprite/internal/analysis")

@@ -39,7 +39,7 @@ var e18Intensities = []e18Storm{
 
 // e18Row is one (intensity, fleet size) measurement; the rows are the
 // table's Data (the FLEET_storms.json CI artifact), gated by
-// bench/BENCH_fleet.json.
+// TestFleetEconomyGate.
 type e18Row struct {
 	Intensity       string  `json:"intensity"`
 	Hosts           int     `json:"hosts"`

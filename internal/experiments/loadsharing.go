@@ -7,10 +7,10 @@ import (
 
 	"sprite/internal/core"
 	"sprite/internal/hostsel"
+	"sprite/internal/metrics"
 	"sprite/internal/pmake"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
-	"sprite/internal/stats"
 	"sprite/internal/workload"
 )
 
@@ -211,7 +211,7 @@ func E7SelectionLatency(cfg Config) (*Table, error) {
 	}
 	type row struct {
 		name   string
-		sample stats.Sample
+		sample metrics.Sample
 		msgs   uint64
 	}
 	rows := make([]*row, len(sels))
@@ -298,7 +298,7 @@ func E8SelectionArchitectures(cfg Config) (*Table, error) {
 			profile := workload.DefaultDayProfile()
 			profile.SessionMean = 2 * time.Minute // brisk churn
 			users := workload.NewUserPool(c, profile, sel.NotifyAvailability)
-			var sample stats.Sample
+			var sample metrics.Sample
 			c.Boot("boot", func(env *sim.Env) error {
 				users.Start(env)
 				if p, ok := sel.(*hostsel.Probabilistic); ok {

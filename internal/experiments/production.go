@@ -7,9 +7,9 @@ import (
 
 	"sprite/internal/core"
 	"sprite/internal/hostsel"
+	"sprite/internal/metrics"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
-	"sprite/internal/stats"
 	"sprite/internal/workload"
 )
 
@@ -206,7 +206,7 @@ func E10IdleFraction(cfg Config) (*Table, error) {
 	t.CaptureMetrics(cfg, "day", c)
 
 	summarize := func(name string, vals []float64) {
-		var s stats.Sample
+		var s metrics.Sample
 		for _, v := range vals {
 			s.Add(v)
 		}
@@ -246,7 +246,7 @@ func E11PlacementVsMigration(cfg Config) (*Table, error) {
 		policyPlacement
 		policyBoth
 	)
-	runPolicy := func(pol policy, label string) (*stats.Sample, time.Duration, int, error) {
+	runPolicy := func(pol policy, label string) (*metrics.Sample, time.Duration, int, error) {
 		c, err := core.NewCluster(core.Options{Workstations: 8, FileServers: 1, Seed: cfg.Seed})
 		if err != nil {
 			return nil, 0, 0, err
@@ -255,7 +255,7 @@ func E11PlacementVsMigration(cfg Config) (*Table, error) {
 			return nil, 0, 0, err
 		}
 		submit := c.Workstation(0)
-		var sample stats.Sample
+		var sample metrics.Sample
 		var makespan time.Duration
 		done := sim.NewWaitGroup(c.Sim())
 		done.Add(jobs)

@@ -7,9 +7,9 @@ import (
 
 	"sprite/internal/fault"
 	"sprite/internal/hostsel"
+	"sprite/internal/metrics"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
-	"sprite/internal/stats"
 )
 
 // E16 timeline (simulated time). Warmup lets every host idle past the
@@ -162,7 +162,7 @@ func e16Point(cfg Config, t *Table, n, which int) (*e16Row, error) {
 		})
 	}
 
-	var sample stats.Sample
+	var sample metrics.Sample
 	for r := 0; r < requesters; r++ {
 		r := r
 		client := c.Workstation(r).Host()

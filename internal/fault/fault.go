@@ -141,49 +141,34 @@ func (p *Plane) FailMigration(point string, pid core.PID, from, until time.Durat
 	})
 }
 
-// CrashHost fail-stops a host immediately (see core.Cluster.CrashHost for
-// the semantics: processes destroyed, home dependents killed, FS recovery).
-func (p *Plane) CrashHost(env *sim.Env, host rpc.HostID) {
-	p.cluster.CrashHost(env, host)
-}
-
-// RestartHost brings a crashed host back with empty tables.
-func (p *Plane) RestartHost(env *sim.Env, host rpc.HostID) {
-	p.cluster.RestartHost(env, host)
-}
-
-// RebootHost crash-restarts a host in one step: the old incarnation's state
-// is lost but the machine answers pings again immediately, under a bumped
-// epoch. Detection has no down-time window to observe — only the epoch.
-func (p *Plane) RebootHost(env *sim.Env, host rpc.HostID) {
-	p.cluster.Reboot(env, host)
-}
-
-// ScheduleReboot spawns an activity that reboots host at `at`.
-// Call before the cluster runs.
+// ScheduleReboot spawns an activity that reboots host at `at` (see
+// core.Cluster.Reboot: the old incarnation's state is lost but the machine
+// answers pings again immediately, under a bumped epoch). Call before the
+// cluster runs.
 func (p *Plane) ScheduleReboot(host rpc.HostID, at time.Duration) {
 	p.cluster.Boot(fmt.Sprintf("fault-reboot-%v", host), func(env *sim.Env) error {
 		if err := env.Sleep(at); err != nil {
 			return err
 		}
-		p.RebootHost(env, host)
+		p.cluster.Reboot(env, host)
 		return nil
 	})
 }
 
 // ScheduleCrash spawns an activity that crashes host at `at` and, when dur >
-// 0, restarts it dur later. Call before the cluster runs.
+// 0, restarts it dur later (see core.Cluster.CrashHost and RestartHost).
+// Call before the cluster runs.
 func (p *Plane) ScheduleCrash(host rpc.HostID, at, dur time.Duration) {
 	p.cluster.Boot(fmt.Sprintf("fault-crash-%v", host), func(env *sim.Env) error {
 		if err := env.Sleep(at); err != nil {
 			return err
 		}
-		p.CrashHost(env, host)
+		p.cluster.CrashHost(env, host)
 		if dur > 0 {
 			if err := env.Sleep(dur); err != nil {
 				return err
 			}
-			p.RestartHost(env, host)
+			p.cluster.RestartHost(env, host)
 		}
 		return nil
 	})

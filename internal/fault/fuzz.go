@@ -152,7 +152,7 @@ type Result struct {
 // Failed reports whether the run violated any invariant.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// Report renders the run for a test log or the spritesim replay.
+// Report renders the run for a test log.
 func (r *Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %v\n", r.Scenario)
@@ -206,39 +206,6 @@ type procPlan struct {
 	shared  bool // filer uses the contended path
 }
 
-// kernelCfg selects the event kernel one scenario run executes under and
-// what extra observables the run captures. The zero value is the serial
-// oracle with ring-buffer tracing — exactly the historical RunScenario.
-type kernelCfg struct {
-	// parallel/workers configure the conservative parallel kernel.
-	parallel bool
-	workers  int
-	// bgHosts rides confined background-load daemons (internal/workload)
-	// along with the process workload, so cross-kernel comparisons cover
-	// worker-committed events, sharded metrics, and mailbox traffic.
-	bgHosts int
-	// capture, when set, receives the run's full observable surface.
-	capture *KernelObservation
-}
-
-// KernelObservation is everything externally visible about one scenario
-// run: if any field differs between the serial oracle and the parallel
-// kernel, determinism is broken. Trace is the byte-exact event stream, not
-// a digest, so divergences point at the first differing event.
-type KernelObservation struct {
-	RunErr     string
-	Order      uint64 // sim.OrderDigest: FNV over the committed (at, seq) stream
-	Digest     string // the fuzzer's coarse replay fingerprint
-	Trace      string
-	Metrics    string
-	Violations []string
-	BgReports  int
-}
-
-// RunScenario executes one scenario and checks every invariant. It is a pure
-// function of the scenario.
-func RunScenario(sc Scenario) *Result { return runScenario(sc, kernelCfg{}) }
-
 // harness is the run both scenario families share: a cluster on the fuzz
 // parameters under the chosen kernel, traced, run to the horizon and
 // audited.
@@ -258,7 +225,7 @@ func (h *harness) fail(format string, args ...any) {
 func newHarness(sc fmt.Stringer, seed int64, workstations int, binary string, kc kernelCfg) *harness {
 	h := &harness{res: &Result{Scenario: sc}, obs: kc.capture, ring: trace.New(512)}
 	params := fuzzParams()
-	if kc.parallel {
+	if kc.workers > 0 {
 		params.Sim.Parallel = true
 		params.Sim.Workers = kc.workers
 	}
@@ -325,6 +292,14 @@ func (h *harness) finish(digest func(metrics.Snapshot) string) *Result {
 	return res
 }
 
+// equivBgHosts is how many confined background-load daemons (internal/
+// workload) ride along with the process workload on equivalence runs, so
+// cross-kernel comparisons cover worker-committed events, sharded metrics,
+// and mailbox traffic.
+const equivBgHosts = 6
+
+// runScenario executes one process scenario and checks every invariant. It
+// is a pure function of the scenario and the kernel configuration.
 func runScenario(sc Scenario, kc kernelCfg) *Result {
 	h := newHarness(sc, sc.Seed, sc.Workstations, "/bin/prog", kc)
 	c := h.c
@@ -332,12 +307,12 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 		return h.res
 	}
 
-	// Confined background load, when requested: one daemon per bgHost on
+	// Confined background load on equivalence runs: one daemon per host on
 	// its own shard, bounded so the run still quiesces.
 	var bg *workload.BgLoad
-	if kc.bgHosts > 0 {
+	if kc.capture != nil {
 		bg = workload.StartBgLoad(c.Sim(), c.Metrics(), workload.BgLoadConfig{
-			Hosts:       kc.bgHosts,
+			Hosts:       equivBgHosts,
 			Tick:        5 * time.Millisecond,
 			WorkPerTick: 300,
 			ReportEvery: 4,
@@ -481,7 +456,7 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 		}
 		return digest
 	})
-	if bg != nil && kc.capture != nil {
+	if bg != nil {
 		kc.capture.BgReports = bg.Received()
 	}
 	return res
@@ -590,58 +565,4 @@ func fuzzProgram(c *core.Cluster, i int, pl procPlan) core.Program {
 			return nil
 		}
 	}
-}
-
-// Shrink greedily minimizes a failing scenario: drop fault events one at a
-// time, drop gossip, then halve the process count, keeping every step that
-// still fails. Because runs are deterministic, "still fails" is exact, not
-// statistical.
-func Shrink(sc Scenario) (Scenario, *Result) {
-	return shrink(sc, scenarioKnobs, func(cand Scenario) (*Result, bool) {
-		res := RunScenario(cand)
-		return res, res.Failed()
-	})
-}
-
-func scenarioKnobs(sc *Scenario) (*[]Event, *bool, *int) {
-	return &sc.Events, &sc.Gossip, &sc.Procs
-}
-
-// shrink is the greedy loop behind Shrink, ShrinkFleet and ShrinkEquiv.
-// probe runs a scenario and reports whether it still fails, with the
-// evidence; a scenario that passes to begin with comes straight back. The
-// moves, in order — drop one event, switch gossip off, halve the population
-// — are each tried on a copy of cur and kept when the probe still fails; a
-// kept move restarts from the first. knobs points at the three fields of a
-// scenario that the moves edit.
-func shrink[S, E, R any](cur S, knobs func(*S) (events *[]E, gossip *bool, population *int), probe func(S) (R, bool)) (S, R) {
-	res, failing := probe(cur)
-	keep := func(cand S) bool {
-		r, fails := probe(cand)
-		if fails {
-			cur, res = cand, r
-		}
-		return fails
-	}
-	for changed := failing; changed; {
-		changed = false
-		events, _, _ := knobs(&cur)
-		for i := 0; i < len(*events) && !changed; i++ {
-			cand := cur
-			rest, _, _ := knobs(&cand)
-			*rest = append(append(make([]E, 0, len(*events)-1), (*events)[:i]...), (*events)[i+1:]...)
-			changed = keep(cand)
-		}
-		cand := cur
-		if _, gossip, _ := knobs(&cand); !changed && *gossip {
-			*gossip = false
-			changed = keep(cand)
-		}
-		cand = cur
-		if _, _, population := knobs(&cand); !changed && *population > 1 {
-			*population /= 2
-			changed = keep(cand)
-		}
-	}
-	return cur, res
 }

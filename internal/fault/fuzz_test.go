@@ -1,65 +1,22 @@
 package fault
 
-import (
-	"flag"
-	"os"
-	"strconv"
-	"testing"
-)
-
-// Replay a single scenario:
-//
-//	go test ./internal/fault -run TestClusterFuzz -seed=<seed>
-//
-// The seed printed in a failure report reproduces the failing run bit for
-// bit, including its shrunk form.
-var fuzzSeed = flag.Int64("seed", 0, "replay one fuzz scenario by seed")
+import "testing"
 
 // fuzzSmokeN is the default scenario budget for the plain `go test` smoke
 // run; set SPRITE_FUZZ=<n> for a longer sweep.
 const fuzzSmokeN = 30
 
-// sweepN is the scenario budget of a seed sweep: smoke by default, and
-// SPRITE_FUZZ=<n> lengthens every sweep in this package (cluster fuzz,
-// fleet fuzz, kernel equivalence). A value that is not a positive integer
-// fails the test instead of quietly running the smoke count.
-func sweepN(t *testing.T, smoke int) int {
-	t.Helper()
-	s := os.Getenv("SPRITE_FUZZ")
-	if s == "" {
-		return smoke
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		t.Fatalf("SPRITE_FUZZ=%q: want a positive scenario count", s)
-	}
-	return n
-}
-
 // TestClusterFuzz runs randomized fault scenarios and fails on the first
 // invariant violation, after shrinking it to a minimal reproduction.
 func TestClusterFuzz(t *testing.T) {
-	if *fuzzSeed != 0 {
-		sc := GenScenario(*fuzzSeed)
-		t.Logf("replaying %v", sc)
-		if res := RunScenario(sc); res.Failed() {
-			min, minRes := Shrink(sc)
-			t.Fatalf("seed %d failed:\n%sshrunk to %v:\n%s", *fuzzSeed, res.Report(), min, minRes.Report())
-		}
+	swept := sweep(t, processes, 1000, fuzzSmokeN, processes.failing)
+	if *replaySeed != 0 {
 		return
 	}
-	n := sweepN(t, fuzzSmokeN)
 	kinds := make(map[Kind]int)
-	for i := 0; i < n; i++ {
-		seed := int64(1000 + i)
-		sc := GenScenario(seed)
+	for _, sc := range swept {
 		for _, e := range sc.Events {
 			kinds[e.Kind]++
-		}
-		if res := RunScenario(sc); res.Failed() {
-			min, minRes := Shrink(sc)
-			t.Fatalf("scenario failed (replay: go test ./internal/fault -run TestClusterFuzz -seed=%d):\n%sshrunk to %v:\n%s",
-				seed, res.Report(), min, minRes.Report())
 		}
 	}
 	// The smoke run must actually exercise fault diversity, not just pass.
@@ -73,7 +30,7 @@ func TestClusterFuzz(t *testing.T) {
 func TestScenarioDeterminism(t *testing.T) {
 	for _, seed := range []int64{7, 42, 1009} {
 		sc := GenScenario(seed)
-		a, b := RunScenario(sc), RunScenario(sc)
+		a, b := runScenario(sc, kernelCfg{}), runScenario(sc, kernelCfg{})
 		if a.Digest != b.Digest {
 			t.Errorf("seed %d: digests differ:\n  %s\n  %s", seed, a.Digest, b.Digest)
 		}
@@ -83,7 +40,7 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestShrinkGreedyMoves pins the loop the three shrinkers share, with a
+// TestShrinkGreedyMoves pins the loop every sweep's shrink runs, with a
 // synthetic predicate in place of a run: "fails" while the crash event
 // survives and at least 3 processes remain. Every other event and gossip
 // must go, the population halves 8 → 4 and stops (2 would pass), and the
@@ -105,7 +62,7 @@ func TestShrinkGreedyMoves(t *testing.T) {
 		}
 		return probes, false
 	}
-	min, evidence := shrink(sc, scenarioKnobs, fails)
+	min, evidence := shrink(sc, processes.knobs, fails)
 	want := Scenario{Seed: 9, Workstations: 4, Procs: 4, Events: []Event{crash}}
 	if min.String() != want.String() {
 		t.Fatalf("shrunk to %v, want %v", min, want)
@@ -115,7 +72,7 @@ func TestShrinkGreedyMoves(t *testing.T) {
 	}
 
 	probes = 0
-	same, _ := shrink(sc, scenarioKnobs, func(c Scenario) (int, bool) { probes++; return 0, false })
+	same, _ := shrink(sc, processes.knobs, func(c Scenario) (int, bool) { probes++; return 0, false })
 	if same.String() != sc.String() || probes != 1 {
 		t.Fatalf("passing scenario: got %v after %d probes, want it untouched after 1", same, probes)
 	}

@@ -185,19 +185,8 @@ func (s *fleetHarnessSel) NotifyAvailability(env *sim.Env, host rpc.HostID, avai
 
 func (s *fleetHarnessSel) Stats() hostsel.Stats { return s.stats }
 
-// RunFleetScenario executes one fleet scenario on the serial kernel.
-func RunFleetScenario(sc FleetScenario) *Result {
-	return runFleetScenario(sc, kernelCfg{})
-}
-
-// RunFleetScenarioKernel executes one fleet scenario under the chosen
-// kernel, capturing the observable surface for equivalence checks.
-func RunFleetScenarioKernel(sc FleetScenario, parallel bool, workers int) (*Result, *KernelObservation) {
-	obs := &KernelObservation{}
-	res := runFleetScenario(sc, kernelCfg{parallel: parallel, workers: workers, capture: obs})
-	return res, obs
-}
-
+// runFleetScenario executes one fleet scenario under the chosen kernel and
+// audits drain safety, lost jobs and every cluster invariant.
 func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 	h := newHarness(sc, sc.Seed, sc.Hosts, "/bin/job", kc)
 	c := h.c
@@ -254,7 +243,7 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 			events[j], events[j-1] = events[j-1], events[j]
 		}
 	}
-	c.Boot("fleet-storm", func(env *sim.Env) error {
+	c.Boot("storm-scheduler", func(env *sim.Env) error {
 		for _, e := range events {
 			if wait := e.At - env.Now(); wait > 0 {
 				if err := env.Sleep(wait); err != nil {
@@ -346,18 +335,5 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 			snap.Counters["fleet.remediations"], snap.Counters["fleet.readmissions"],
 			snap.Counters["fleet.procs.migrated"], snap.Counters["fleet.procs.evacuated"],
 			snap.Counters["fleet.procs.exited"], len(lost))
-	})
-}
-
-// ShrinkFleet greedily minimizes a failing fleet scenario: drop storm
-// events one at a time, drop gossip, then halve the job count, keeping
-// every step that still fails. Deterministic runs make "still fails"
-// exact.
-func ShrinkFleet(sc FleetScenario) (FleetScenario, *Result) {
-	return shrink(sc, func(sc *FleetScenario) (*[]FleetEvent, *bool, *int) {
-		return &sc.Events, &sc.Gossip, &sc.Jobs
-	}, func(cand FleetScenario) (*Result, bool) {
-		res := RunFleetScenario(cand)
-		return res, res.Failed()
 	})
 }

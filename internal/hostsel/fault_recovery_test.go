@@ -84,13 +84,13 @@ func TestCentralUnderFaultPlane(t *testing.T) {
 		}
 
 		// migd's host fail-stops.
-		plane.CrashHost(env, migd)
+		c.CrashHost(env, migd)
 		if _, err := sel.RequestHosts(env, client, 1); !errors.Is(err, rpc.ErrHostDown) {
 			t.Errorf("request during crash err = %v, want ErrHostDown", err)
 		}
 
 		// Restart: soft state is gone until hosts re-announce.
-		plane.RestartHost(env, migd)
+		c.RestartHost(env, migd)
 		sel.Reset()
 		got, err := sel.RequestHosts(env, client, 1)
 		if err != nil {

@@ -11,9 +11,9 @@
 //   - Deterministic when read. Snapshot output is sorted by name and every
 //     rendered value is a pure function of the recorded observations, so
 //     two same-seed runs produce byte-identical snapshots.
-//   - Mergeable. Timings carry quantile sketches (internal/stats.Sketch)
-//     whose merge keeps the relative-error bound, so per-host timings can
-//     roll up into cluster ones.
+//   - Mergeable. Timings carry quantile sketches (sketch.go) whose merge
+//     keeps the relative-error bound, so per-host timings can roll up into
+//     cluster ones.
 package metrics
 
 import (
@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sprite/internal/stats"
 )
 
 // counterCell is one worker's private counter slot, padded out to a cache
@@ -126,7 +124,7 @@ type timingAcc struct {
 	n        uint64
 	sum      time.Duration
 	min, max time.Duration
-	sketch   *stats.Sketch
+	sketch   *sketch
 }
 
 func (a *timingAcc) observe(d time.Duration) {
@@ -138,7 +136,7 @@ func (a *timingAcc) observe(d time.Duration) {
 	}
 	a.n++
 	a.sum += d
-	a.sketch.Add(d.Seconds())
+	a.sketch.add(d.Seconds())
 }
 
 // timingCell is one worker's private timing slot. Cells are separately
@@ -169,7 +167,7 @@ func newTiming() *Timing {
 }
 
 func newTimingAcc() timingAcc {
-	return timingAcc{sketch: stats.NewSketch(stats.DefaultSketchAccuracy)}
+	return timingAcc{sketch: newSketch()}
 }
 
 // shard equips the timing with private cells for slots 1..n. Called under
@@ -209,17 +207,11 @@ func (t *Timing) ObserveSlot(slot int, d time.Duration) {
 // fold merges the base cell and every worker cell (in slot order) into one
 // view: scalar accumulators plus a freshly merged sketch that the caller
 // owns. With no cells this is just a copy of the base state.
-func (t *Timing) fold() (acc timingAcc, sketch *stats.Sketch) {
+func (t *Timing) fold() (acc timingAcc, sk *sketch) {
 	t.mu.Lock()
 	acc = t.timingAcc
-	if len(t.cells) == 0 {
-		sk := stats.NewSketch(acc.sketch.Alpha())
-		_ = sk.Merge(acc.sketch)
-		t.mu.Unlock()
-		return acc, sk
-	}
-	sketch = stats.NewSketch(acc.sketch.Alpha())
-	_ = sketch.Merge(acc.sketch)
+	sk = newSketch()
+	sk.merge(acc.sketch)
 	t.mu.Unlock()
 	for _, c := range t.cells {
 		c.mu.Lock()
@@ -232,11 +224,11 @@ func (t *Timing) fold() (acc timingAcc, sketch *stats.Sketch) {
 			}
 			acc.n += c.n
 			acc.sum += c.sum
-			_ = sketch.Merge(c.sketch)
+			sk.merge(c.sketch)
 		}
 		c.mu.Unlock()
 	}
-	return acc, sketch
+	return acc, sk
 }
 
 // N returns the number of observations.
@@ -251,20 +243,20 @@ func (t *Timing) Sum() time.Duration {
 	return acc.sum
 }
 
-// Quantile returns the approximate q-th quantile (see stats.Sketch).
+// Quantile returns the approximate q-th quantile (see sketch).
 func (t *Timing) Quantile(q float64) time.Duration {
 	_, sk := t.fold()
-	return time.Duration(sk.Quantile(q) * float64(time.Second))
+	return time.Duration(sk.quantile(q) * float64(time.Second))
 }
 
 // Merge folds other into t (cluster roll-ups of per-host timings).
-func (t *Timing) Merge(other *Timing) error {
+func (t *Timing) Merge(other *Timing) {
 	if other == nil || t == other {
-		return nil
+		return
 	}
 	oacc, osketch := other.fold()
 	if oacc.n == 0 {
-		return nil
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -276,7 +268,7 @@ func (t *Timing) Merge(other *Timing) error {
 	}
 	t.n += oacc.n
 	t.sum += oacc.sum
-	return t.sketch.Merge(osketch)
+	t.sketch.merge(osketch)
 }
 
 // summary renders the timing's merged state.
@@ -284,9 +276,9 @@ func (t *Timing) summary() TimingSummary {
 	acc, sk := t.fold()
 	s := TimingSummary{N: acc.n, Sum: acc.sum, Min: acc.min, Max: acc.max}
 	if acc.n > 0 {
-		s.P50 = time.Duration(sk.Quantile(0.50) * float64(time.Second))
-		s.P95 = time.Duration(sk.Quantile(0.95) * float64(time.Second))
-		s.P99 = time.Duration(sk.Quantile(0.99) * float64(time.Second))
+		s.P50 = time.Duration(sk.quantile(0.50) * float64(time.Second))
+		s.P95 = time.Duration(sk.quantile(0.95) * float64(time.Second))
+		s.P99 = time.Duration(sk.quantile(0.99) * float64(time.Second))
 	}
 	return s
 }

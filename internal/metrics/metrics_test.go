@@ -61,15 +61,11 @@ func TestTimingMerge(t *testing.T) {
 	for i := 51; i <= 100; i++ {
 		b.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
+	a.Merge(b)
 	if a.N() != 100 || a.Sum() != 5050*time.Millisecond {
 		t.Fatalf("merged n=%d sum=%v", a.N(), a.Sum())
 	}
-	if err := a.Merge(a); err != nil {
-		t.Fatal("self-merge must be a no-op")
-	}
+	a.Merge(a) // self-merge is a no-op
 	if a.N() != 100 {
 		t.Fatalf("self-merge changed n=%d", a.N())
 	}

@@ -7,14 +7,14 @@ import (
 	"time"
 
 	"sprite/internal/core"
+	"sprite/internal/metrics"
 	"sprite/internal/sim"
-	"sprite/internal/stats"
 )
 
 func TestZhouLifetimeMoments(t *testing.T) {
 	d := ZhouLifetimes()
 	rng := rand.New(rand.NewSource(42))
-	var s stats.Sample
+	var s metrics.Sample
 	short := 0
 	n := 200000
 	for i := 0; i < n; i++ {
@@ -101,7 +101,7 @@ func TestUserPoolProducesIdleBand(t *testing.T) {
 	}
 	c.Stop()
 	_ = c.Run(0)
-	var s stats.Sample
+	var s metrics.Sample
 	for _, v := range samples {
 		s.Add(v)
 	}
