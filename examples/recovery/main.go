@@ -26,10 +26,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Deferred reaping: a crash leaves stale state on the survivors until the
-	// monitor's reaping pass cleans it up — the realistic mode, where nobody
-	// learns of a death except by detecting it.
-	cluster.SetDeferredReap(true)
 	if err := cluster.SeedBinary("/bin/job", 128<<10); err != nil {
 		return err
 	}

@@ -31,7 +31,6 @@ type site struct {
 // sites are the fault-plane entry points audited for this registry.
 var sites = []site{
 	{pkg: "sprite/internal/core", typ: "Cluster", method: "FailAt", arg: 1},
-	{pkg: "sprite/internal/core", typ: "Cluster", method: "failAt", arg: 1},
 	{pkg: "sprite/internal/fault", typ: "Plane", method: "FailMigration", arg: 0},
 }
 

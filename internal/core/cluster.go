@@ -89,11 +89,6 @@ type Cluster struct {
 	ledgerStarted map[PID]int
 	ledgerEnded   map[PID]int
 
-	// deferReap switches host crashes from the omniscient legacy semantics
-	// (every kernel reacts the instant the crash happens) to Sprite's real
-	// ones: surviving kernels keep running on stale state until a detector
-	// calls ReapDeadHost. See SetDeferredReap.
-	deferReap bool
 	// reapedEpochs records, per host, the highest boot epoch whose death has
 	// been reaped cluster-wide (ReapDeadHost idempotence + invariant checks).
 	reapedEpochs map[rpc.HostID]rpc.Epoch

@@ -475,6 +475,7 @@ func TestPendingMigrationDiesWithItsProcess(t *testing.T) {
 				return err
 			}
 			c.CrashHost(env, src.Host())
+			c.ReapDeadHost(env, src.Host(), c.HostEpoch(src.Host()))
 			_, merr = pending.Wait(env)
 			return nil
 		})
@@ -538,5 +539,54 @@ func TestPendingMigrationDiesWithItsProcess(t *testing.T) {
 				t.Fatalf("invariants: %v", v)
 			}
 		})
+	}
+}
+
+// TestCrashLeavesSurvivorsStaleUntilReaped pins the crash-knowledge model: a
+// crash destroys only what lived on the dead host. Right after the home
+// crashes, its migrated-away child keeps running as an orphan and the dead
+// home still holds the family's records; only ReapDeadHost — a detector's
+// verdict — kills the orphan and discards the records.
+func TestCrashLeavesSurvivorsStaleUntilReaped(t *testing.T) {
+	c := newCluster(t, 2)
+	home, away := c.Workstation(0), c.Workstation(1)
+	var child *Process
+	c.Boot("boot", func(env *sim.Env) error {
+		if _, err := home.StartProcess(env, "parent", func(ctx *Ctx) error {
+			var err error
+			if child, err = ctx.Fork("orphan", func(cc *Ctx) error {
+				if err := cc.Migrate(away.Host()); err != nil {
+					return err
+				}
+				return cc.Compute(2 * time.Second)
+			}, smallProc); err != nil {
+				return err
+			}
+			_, _, err = ctx.Wait()
+			return err
+		}, smallProc); err != nil {
+			return err
+		}
+		if err := env.Sleep(500 * time.Millisecond); err != nil {
+			return err
+		}
+		c.CrashHost(env, home.Host())
+		if child.killed || child.State() != StateRunning || child.Current() != away || len(home.homeRecs) == 0 {
+			t.Errorf("before reap: orphan killed=%t state=%v on %v, dead home holds %d records; want it running on %v and the records kept",
+				child.killed, child.State(), child.Current().Host(), len(home.homeRecs), away.Host())
+		}
+		c.ReapDeadHost(env, home.Host(), c.HostEpoch(home.Host()))
+		if !child.killed || len(home.homeRecs) != 0 {
+			t.Errorf("after reap: orphan killed=%t, dead home holds %d records; want it killed and none", child.killed, len(home.homeRecs))
+		}
+		status, err := child.Exited().Wait(env)
+		if status != -1 {
+			t.Errorf("orphan exit status %v, want -1 (killed)", status)
+		}
+		return err
+	})
+	runCluster(t, c)
+	if v := c.CheckInvariants(true); len(v) != 0 {
+		t.Errorf("invariants: %v", v)
 	}
 }

@@ -25,19 +25,16 @@ type FailpointFunc func(env *sim.Env, name string, pid PID) error
 // SetFailpoint installs (or with nil removes) the migration failpoint hook.
 func (c *Cluster) SetFailpoint(fn FailpointFunc) { c.failpoint = fn }
 
-func (c *Cluster) failAt(env *sim.Env, name string, pid PID) error {
+// FailAt consults the installed failpoint hook at a named point. The
+// migration path consults it at its steps; the recovery and fleet planes at
+// their own points ("recovery.ping", "recovery.restart", "fleet.drain", …)
+// so the fault plane can perturb detection and failover with the same
+// machinery that aborts migrations.
+func (c *Cluster) FailAt(env *sim.Env, name string, pid PID) error {
 	if c.failpoint == nil {
 		return nil
 	}
 	return c.failpoint(env, name, pid)
-}
-
-// FailAt consults the installed failpoint hook at a named point outside the
-// migration path. The recovery plane uses it for its own points
-// ("recovery.ping", "recovery.restart") so the fault plane can perturb
-// detection and failover with the same machinery that aborts migrations.
-func (c *Cluster) FailAt(env *sim.Env, name string, pid PID) error {
-	return c.failAt(env, name, pid)
 }
 
 // --- process ledger ---
@@ -74,17 +71,6 @@ func (c *Cluster) confinedNoCrash(what string, host rpc.HostID) {
 
 // --- host crash, restart, reboot, and reaping ---
 
-// SetDeferredReap selects the crash-knowledge model. Off (the default, and
-// the legacy behaviour every existing test pins down), CrashHost is
-// omniscient: surviving kernels react to the crash the instant it happens.
-// On, a crash destroys only the state that physically lived on the dead
-// host; every surviving kernel keeps its stale view — remote children stay
-// in process tables, parents stay blocked in Wait — until a failure
-// detector (internal/recovery's monitor, or a test directly) calls
-// ReapDeadHost. That is Sprite's real model: crash knowledge spreads by
-// detection, not by magic.
-func (c *Cluster) SetDeferredReap(on bool) { c.deferReap = on }
-
 // HostEpoch returns the host's current boot epoch (1 until its first
 // restart).
 func (c *Cluster) HostEpoch(host rpc.HostID) rpc.Epoch {
@@ -112,17 +98,13 @@ func (c *Cluster) ReapedEpoch(host rpc.HostID) rpc.Epoch { return c.reapedEpochs
 // detect a dead client as soon as the RPC channel breaks, so their half of
 // recovery is never deferred).
 //
-// In the default (omniscient) mode, every process whose *home* the host is
-// also dies wherever it runs — home records are the soft state that makes
-// migration transparent; without a home machine the process has no identity
-// (Sprite's home-dependency semantics) — and parents blocked in Wait here
-// are woken with ErrHostCrashed. With deferred reaping (SetDeferredReap),
-// that surviving-kernel half waits for ReapDeadHost.
-//
-// Processes executing ON the crashed host unwind immediately without
-// running any more simulated work. Processes merely HOMED there die through
-// the ordinary kill path at their next migration point, closing their
-// descriptors for real — their kernels are still alive.
+// Only what lived on the dead host is destroyed. Every surviving kernel
+// keeps its stale view — orphans homed on the dead host keep running,
+// parents stay blocked in Wait on its home records, homes still hold their
+// crashed remote children — until a failure detector (internal/recovery's
+// monitor, or a test directly) calls ReapDeadHost: crash knowledge spreads
+// by detection, as in Sprite. Processes executing on the crashed host
+// unwind immediately without running any more simulated work.
 func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 	c.confinedNoCrash("CrashHost", host)
 	epoch := rpc.Epoch(0)
@@ -141,22 +123,6 @@ func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 				continue
 			}
 			c.destroyProcess(env, p, host, epoch)
-		}
-		if !c.deferReap {
-			for _, rec := range k.homeRecords() {
-				p := rec.proc
-				if w := rec.waiter; w != nil {
-					// A parent blocked in Wait at this (its home) machine:
-					// wake it with the crash so it can unwind.
-					rec.waiter = nil
-					w.Complete(nil, ErrHostCrashed)
-				}
-				if p.state == StateExited || p.crashed || p.cur == k {
-					continue
-				}
-				p.post(SigKill)
-			}
-			k.homeRecs = make(map[PID]*homeRecord)
 		}
 	}
 	c.fs.ScrubHostEpoch(host, epoch)
@@ -179,12 +145,11 @@ func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
 	}
 }
 
-// Reboot power-cycles a host: if it is up it crashes first (same semantics
-// as CrashHost, including deferred reaping of the surviving kernels'
-// state), its own volatile tables are cleared — waking any remote waiter
-// still blocked on one of its home records — and it comes back registered
-// under the next boot epoch. Detectors tell the reboot from an unbroken run
-// by the epoch carried in RPC replies.
+// Reboot power-cycles a host: if it is up it crashes first (CrashHost), its
+// own volatile tables are cleared — waking any remote waiter still blocked
+// on one of its home records — and it comes back registered under the next
+// boot epoch. Detectors tell the reboot from an unbroken run by the epoch
+// carried in RPC replies.
 func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 	c.confinedNoCrash("Reboot", host)
 	ep := c.transport.Endpoint(host)
@@ -195,9 +160,9 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		c.CrashHost(env, host)
 	}
 	if k := c.kernels[host]; k != nil {
-		// The machine's memory is gone regardless of reap mode: deferred
-		// reaping keeps these records *visible* for the detector's sake, but
-		// a reboot destroys them before any detector can act.
+		// The machine's memory is gone: a crash alone keeps these records
+		// visible for the detector's sake, but a reboot destroys them before
+		// any detector can act.
 		for _, rec := range k.homeRecords() {
 			if w := rec.waiter; w != nil {
 				rec.waiter = nil
@@ -316,12 +281,6 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	c.noteEnd(p.pid)
 	p.state = StateExited
 	p.exitStatus = CrashStatus
-	if p.home != cur && p.home.host != crashedHost && !c.deferReap {
-		// The home machine survives: record the crash so a waiting parent
-		// learns the child's fate. Under deferred reaping the home does not
-		// yet know — ReapDeadHost settles the record once a detector fires.
-		p.home.recordExit(p.pid, CrashStatus)
-	}
 	p.failPendingMigration(fmt.Sprintf("%v crashed", p.pid))
 	if w := p.contWaiter; w != nil {
 		p.contWaiter = nil

@@ -179,6 +179,7 @@ func TestPipeEOFWhenWriterHostCrashes(t *testing.T) {
 			return err
 		}
 		c.CrashHost(env, h1.Host())
+		c.ReapDeadHost(env, h1.Host(), c.HostEpoch(h1.Host()))
 		_, err = parent.Exited().Wait(env)
 		return err
 	})
@@ -260,6 +261,7 @@ func TestPipeEPIPEWhenReaderHostCrashes(t *testing.T) {
 			return err
 		}
 		c.CrashHost(env, h1.Host())
+		c.ReapDeadHost(env, h1.Host(), c.HostEpoch(h1.Host()))
 		_, err = parent.Exited().Wait(env)
 		return err
 	})

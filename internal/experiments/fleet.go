@@ -75,7 +75,6 @@ func e18Point(cfg Config, t *Table, storm e18Storm, n, jobs int) (*e18Row, error
 	if err != nil {
 		return nil, err
 	}
-	c.SetDeferredReap(true)
 	if err := c.SeedBinary("/bin/job", 64<<10); err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 // E15CrashRecovery goes beyond the thesis' performance tables into the
 // availability story Sprite's design leans on: host liveness epochs, orphan
 // reaping, and checkpoint-backed failover. It runs the canonical demo — a
-// deferred-reap cluster, a liveness monitor, and three supervised jobs whose
-// host dies mid-run — and reports what the recovery plane observed. The
+// cluster, a liveness monitor, and three supervised jobs whose host dies
+// mid-run — and reports what the recovery plane observed. The
 // fault schedule is overridable from the CLI (-crash host@t[+dur]); the
 // table's Data is the full metrics snapshot (the RECOVERY_demo.json CI
 // artifact).

@@ -10,6 +10,7 @@ import (
 	"sprite/internal/fs"
 	"sprite/internal/hostsel"
 	"sprite/internal/metrics"
+	"sprite/internal/recovery"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 	"sprite/internal/trace"
@@ -207,12 +208,13 @@ type procPlan struct {
 }
 
 // harness is the run both scenario families share: a cluster on the fuzz
-// parameters under the chosen kernel, traced, run to the horizon and
-// audited.
+// parameters under the chosen kernel, traced, watched by the liveness
+// monitor, run to the horizon and audited.
 type harness struct {
 	res  *Result
 	obs  *KernelObservation // non-nil on equivalence runs
 	c    *core.Cluster      // nil when the build failed; res says why
+	mon  *recovery.Monitor  // how survivors learn of a crash; each family starts and stops it
 	ring *trace.Log
 	full strings.Builder // the complete event stream, kept for obs
 }
@@ -258,6 +260,10 @@ func newHarness(sc fmt.Stringer, seed int64, workstations int, binary string, kc
 	}
 	c.SetTrace(sink)
 	h.c = c
+	h.mon = recovery.NewMonitor(c, recovery.Params{
+		Interval:      10 * time.Millisecond,
+		FailThreshold: 2,
+	})
 	return h
 }
 
@@ -323,8 +329,12 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 	// The plane's private stream is derived from the scenario seed so the
 	// whole run replays from one number.
 	plane := NewPlane(c, sc.Seed^0x5eedfa17)
+	var lastCrash time.Duration
 	for _, e := range sc.Events {
 		host := c.Workstation(e.Host).Host()
+		if e.Kind == KindCrash || e.Kind == KindReboot {
+			lastCrash = max(lastCrash, e.At)
+		}
 		switch e.Kind {
 		case KindCrash:
 			plane.ScheduleCrash(host, e.At, e.Dur)
@@ -410,6 +420,7 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 		plans[i] = pl
 	}
 
+	h.mon.Start()
 	c.Boot("fuzz-driver", func(env *sim.Env) error {
 		var procs []*core.Process
 		for i, pl := range plans {
@@ -435,6 +446,14 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 				return fmt.Errorf("join %v: %w", p.PID(), err)
 			}
 		}
+		// Keep the detector up until the last crash or reboot is four
+		// intervals old, so every one of them is detected and reaped.
+		if wait := lastCrash + 4*h.mon.Params().Interval - env.Now(); wait > 0 {
+			if err := env.Sleep(wait); err != nil {
+				return err
+			}
+		}
+		h.mon.Stop()
 		return nil
 	})
 

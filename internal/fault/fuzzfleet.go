@@ -193,12 +193,7 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 	if c == nil {
 		return h.res
 	}
-	c.SetDeferredReap(true)
-
-	mon := recovery.NewMonitor(c, recovery.Params{
-		Interval:      10 * time.Millisecond,
-		FailThreshold: 2,
-	})
+	mon := h.mon
 	sup := recovery.NewSupervisor(c, mon, recovery.SupervisorParams{
 		MaxRestarts:     6,
 		CheckpointEvery: 20 * time.Millisecond,

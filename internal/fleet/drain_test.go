@@ -525,7 +525,6 @@ func TestDrainStateMachine(t *testing.T) {
 			// supervisor's checkpoint/restart evacuation and the work
 			// survives the reboot.
 			f := newFix(t, 3, fastParams())
-			f.c.SetDeferredReap(true)
 			victim := f.c.Workstation(1)
 			mon := recovery.NewMonitor(f.c, recovery.Params{
 				Interval: 10 * time.Millisecond, FailThreshold: 2,

@@ -19,7 +19,6 @@ func TestReapDeadClaimantReleasesClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetDeferredReap(true)
 	params := hostsel.DefaultProbabilisticParams()
 	params.Fanout = 8
 	params.ClaimLease = 0 // no lease: only the scrub can release the claim

@@ -11,8 +11,8 @@ import (
 	"sprite/internal/sim"
 )
 
-// DemoResult is what RunDemo hands back: enough to print a report, assert
-// determinism, or ship a metrics artifact from CI.
+// DemoResult is what RunDemoWith hands back: enough to print a report,
+// assert determinism, or write a metrics artifact.
 type DemoResult struct {
 	// Snapshot is the cluster metrics at the end of the run (recovery.*
 	// counters and latency quantiles included).
@@ -101,30 +101,21 @@ func resolveHost(c *core.Cluster, name string) (rpc.HostID, error) {
 	return rpc.NoHost, fmt.Errorf("bad host %q: want ws<N> or fs<N>", name)
 }
 
-// RunDemo runs the canonical crash-recovery scenario: a deferred-reap
-// cluster of four workstations and a file server, a liveness monitor with
-// reaping on, a supervisor running three checkpointed compute jobs on a
-// remote host — and that host crashing mid-run, staying dead long enough
-// for timeout detection, then coming back under a new epoch. Every job must
-// run to completion, restarted from its checkpoint on a surviving host.
+// RunDemoWith runs the canonical crash-recovery scenario: a cluster of four
+// workstations and a file server, a liveness monitor with reaping on, a
+// supervisor running three checkpointed compute jobs on a remote host — and
+// a fault schedule against it. Every job must run to completion, restarted
+// from its checkpoint on a surviving host. It backs the spritesim
+// "recovery" experiment and its -crash flags.
 //
-// The same function backs the spritesim "recovery" experiment, the
-// examples/recovery walkthrough, and the CI chaos artifact, so the story
-// printed in the docs is the code path the tests pin down.
-func RunDemo(seed int64) (DemoResult, error) {
-	return RunDemoWith(seed, nil)
-}
-
-// RunDemoWith runs the demo under a caller-supplied fault schedule (the
-// spritesim -crash flags). An empty schedule falls back to the canonical
-// one: the jobs' target host crashing at 250 ms and restarting 200 ms
-// later.
+// An empty schedule falls back to the canonical one: the jobs' target host
+// crashing at 250 ms, staying dead long enough for timeout detection, and
+// restarting 200 ms later under a new epoch.
 func RunDemoWith(seed int64, crashes []CrashSpec) (DemoResult, error) {
 	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: seed})
 	if err != nil {
 		return DemoResult{}, err
 	}
-	c.SetDeferredReap(true)
 	if err := c.SeedBinary("/bin/job", 128<<10); err != nil {
 		return DemoResult{}, err
 	}

@@ -80,7 +80,6 @@ func targetCrashSnapshot(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetDeferredReap(true)
 	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,6 @@ func homeCrashSnapshot(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetDeferredReap(true)
 	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func runWithMonitor(t *testing.T, c *core.Cluster, mon *recovery.Monitor, fn fun
 // restart.
 func TestMonitorDetectsCrash(t *testing.T) {
 	c := newCluster(t, 3)
-	c.SetDeferredReap(true)
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
@@ -90,7 +89,6 @@ func TestMonitorDetectsCrash(t *testing.T) {
 // detection via boot timestamps).
 func TestMonitorDetectsInstantReboot(t *testing.T) {
 	c := newCluster(t, 3)
-	c.SetDeferredReap(true)
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 3})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
@@ -149,7 +147,6 @@ func TestMonitorIgnoresMessageLoss(t *testing.T) {
 // re-route through the next live peer.
 func TestMonitorSurvivesVantageCrash(t *testing.T) {
 	c := newCluster(t, 3)
-	c.SetDeferredReap(true)
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	var events []recovery.Event
 	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })

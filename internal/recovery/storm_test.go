@@ -13,8 +13,8 @@ import (
 	"sprite/internal/sim"
 )
 
-// stormRun drives one crash storm: a deferred-reap cluster under a monitor
-// and supervisor, three checkpointed jobs, and a staggered schedule of
+// stormRun drives one crash storm: a cluster under a monitor and
+// supervisor, three checkpointed jobs, and a staggered schedule of
 // crash+restart and instant-reboot faults across every host the jobs can
 // land on. The home workstation stays up so "no job may be lost" is an
 // unconditional assertion. The recovery counters go to the test log.
@@ -25,7 +25,6 @@ func stormRun(t *testing.T, strategy core.TransferStrategy) {
 		t.Fatal(err)
 	}
 	c.SetStrategyAll(strategy)
-	c.SetDeferredReap(true)
 	if err := c.SeedBinary("/bin/job", 128<<10); err != nil {
 		t.Fatal(err)
 	}
