@@ -249,7 +249,7 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	// Every fold below iterates its source map in sorted key order: gauge
 	// registration order feeds the snapshot's rendering contract, so the
 	// first snapshot of a run must see identical key sequences run to run.
-	for _, host := range sortedHosts(c.kernels) {
+	for _, host := range hostsInOrder(c.kernels) {
 		pre := fmt.Sprintf("kernel.%v.", host)
 		st := c.kernels[host].Stats()
 		r.Gauge(pre + "migrations_out").Set(int64(st.MigrationsOut))
@@ -262,7 +262,7 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 		r.Gauge(pre + "procs_crashed").Set(int64(st.ProcsCrashed))
 	}
 	servers := c.fs.Servers()
-	for _, host := range sortedHosts(servers) {
+	for _, host := range hostsInOrder(servers) {
 		pre := fmt.Sprintf("fsserver.%v.", host)
 		st := servers[host].Stats()
 		r.Gauge(pre + "lookups").Set(int64(st.Lookups))
@@ -288,8 +288,8 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	return r.Snapshot()
 }
 
-// sortedHosts returns m's keys in ascending host order.
-func sortedHosts[V any](m map[rpc.HostID]V) []rpc.HostID {
+// hostsInOrder returns m's keys in ascending host order.
+func hostsInOrder[V any](m map[rpc.HostID]V) []rpc.HostID {
 	hosts := make([]rpc.HostID, 0, len(m))
 	for h := range m {
 		hosts = append(hosts, h)

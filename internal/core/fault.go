@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sprite/internal/fs"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 )
@@ -267,14 +266,13 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	}
 	cur.stats.ProcsCrashed++
 	// A process dying mid-migration may already have moved stream
-	// references to a surviving target host; release those one by one —
-	// the crash scrub below only covers the dead host itself.
-	if p.migTarget != nil && p.migTarget.host != crashedHost {
-		for i := len(p.migMoved) - 1; i >= 0; i-- {
-			c.fs.DropRef(p.migMoved[i], p.migTarget.host)
-		}
+	// references to a surviving target host; release those — the crash
+	// scrub below only covers the dead host itself. A move still in flight
+	// is released by its mover once the call returns (transferStreams).
+	if t := p.migTarget; t != nil && t.host != crashedHost {
+		c.releaseMoved(p, t)
 	}
-	p.migTarget, p.migMoved = nil, nil
+	p.migTarget = nil
 	for _, st := range p.allStreams() {
 		st.ScrubHost(crashedHost)
 	}
@@ -295,15 +293,35 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	}
 }
 
+// releaseMoved drops the references p's migration has moved to target,
+// newest first, and forgets them, so a later release drops only what was
+// moved since.
+func (c *Cluster) releaseMoved(p *Process, target *Kernel) {
+	for i := len(p.migMoved) - 1; i >= 0; i-- {
+		c.fs.DropRef(p.migMoved[i], target.host)
+	}
+	p.migMoved = nil
+}
+
 // recoverStreams undoes a partial stream transfer when a migration aborts:
 // every stream already moved is moved back, newest first. If the normal RPC
 // move-back is impossible (the target host crashed — the usual reason for
 // the abort), the source kernel repairs the stream state directly, mirroring
-// Sprite's post-crash RPC recovery.
-func (k *Kernel) recoverStreams(env *sim.Env, moved []*fs.Stream, target *Kernel) {
-	for i := len(moved) - 1; i >= 0; i-- {
-		st := moved[i]
-		if err := target.fsc.MoveStream(env, st, k.host); err != nil {
+// Sprite's post-crash RPC recovery. A stream leaves p.migMoved as its move
+// back starts, so a crash of this host meanwhile releases (destroyProcess)
+// only the streams still at the target.
+func (k *Kernel) recoverStreams(env *sim.Env, p *Process, target *Kernel) {
+	for n := len(p.migMoved); n > 0 && !p.crashed; n = len(p.migMoved) {
+		st := p.migMoved[n-1]
+		p.migMoved = p.migMoved[:n-1]
+		err := target.fsc.MoveStream(env, st, k.host)
+		switch {
+		case p.crashed:
+			// This host died during the move back, scrubbing the reference
+			// already shifted here: align both hosts' server entries with
+			// what the clients still hold, whether or not the call ran.
+			k.cluster.fs.RecoverStream(st, k.host, target.host)
+		case err != nil:
 			k.cluster.fs.RecoverStream(st, target.host, k.host)
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,10 +24,10 @@ import (
 //     crashed, exactly once — never zero times (with endOfRun), never twice;
 //   - process-table consistency: a table entry belongs to its kernel (or is
 //     a migration skeleton), is not exited, and is ledger-live;
-//   - stream/server reference conservation: for every file, the open counts
-//     in the server's table equal what surviving processes' streams imply,
-//     host by host — migration and eviction must neither leak nor lose
-//     references; pipe ends must likewise match host for host;
+//   - stream/server reference conservation: the servers' open entries —
+//     one per (stream, host), files and pipe ends alike — are exactly those
+//     surviving processes' streams imply; migration and eviction must
+//     neither leak nor lose a reference;
 //   - migration-metrics conservation: every migration the metrics plane
 //     saw start was retired exactly once (completed or aborted, phase
 //     counters included), and at a quiesce point none is still in flight —
@@ -55,12 +57,7 @@ func (c *Cluster) CheckInvariants(endOfRun bool) []string {
 // conditions are epoch-guarded, so post-reboot processes are exempt.)
 func (c *Cluster) checkRecovery() []string {
 	var out []string
-	hosts := make([]rpc.HostID, 0, len(c.reapedEpochs))
-	for h := range c.reapedEpochs {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	for _, host := range hosts {
+	for _, host := range hostsInOrder(c.reapedEpochs) {
 		reaped := c.reapedEpochs[host]
 		for _, k := range c.workstations {
 			for _, p := range k.Processes() {
@@ -173,16 +170,13 @@ func (c *Cluster) checkTables(endOfRun bool) []string {
 	return out
 }
 
-// checkStreamRefs rebuilds, from surviving processes, the open-reference
-// table every file server should hold, and diffs it against the real one.
+// checkStreamRefs rebuilds, from surviving processes, the open entries the
+// file servers should hold — one per (stream, host) pair with a positive
+// client refcount — and diffs them against the servers' tables.
 func (c *Cluster) checkStreamRefs() []string {
-	var out []string
-
-	// One server-side open reference exists per (stream, host) pair with a
-	// positive client refcount, counted under the stream's mode class.
-	expected := make(map[refKey]fs.OpenCount)
-	expReaders := make(map[refKey]bool) // pipe ends expected per host
-	expWriters := make(map[refKey]bool)
+	// Each entry gets bit 1 when a live stream implies it and bit 2 when a
+	// server holds it; anything but both is a violation.
+	where := make(map[refKey]int)
 	seen := make(map[fs.StreamID]bool)
 	for _, k := range c.workstations {
 		for _, p := range k.Processes() {
@@ -195,101 +189,43 @@ func (c *Cluster) checkStreamRefs() []string {
 				}
 				seen[st.ID] = true
 				for h, n := range st.Owners() {
-					if n <= 0 {
-						continue
+					if n > 0 {
+						where[refKey{fid: st.FID, stream: st.ID, host: h}] |= 1
 					}
-					key := refKey{fid: st.FID, host: h}
-					if st.Pipe() {
-						if st.Mode.CanWrite() {
-							expWriters[key] = true
-						} else {
-							expReaders[key] = true
-						}
-						continue
-					}
-					oc := expected[key]
-					if st.Mode.CanWrite() {
-						oc.Writers++
-					} else {
-						oc.Readers++
-					}
-					expected[key] = oc
 				}
 			}
 		}
 	}
-
-	actual := make(map[refKey]fs.OpenCount)
-	actReaders := make(map[refKey]bool)
-	actWriters := make(map[refKey]bool)
-	for _, srv := range c.servers {
-		for fid, hosts := range srv.OpenRefs() {
-			for h, oc := range hosts {
-				actual[refKey{fid: fid, host: h}] = oc
-			}
-		}
-		for _, pi := range srv.Pipes() {
-			fid := fs.FileID{Server: srv.Host(), Ino: pi.Ino}
-			for _, h := range pi.ReaderHosts {
-				actReaders[refKey{fid: fid, host: h}] = true
-			}
-			for _, h := range pi.WriterHosts {
-				actWriters[refKey{fid: fid, host: h}] = true
-			}
+	for id, hosts := range c.fs.OpenRefs() {
+		for h, fid := range hosts {
+			where[refKey{fid: fid, stream: id, host: h}] |= 2
 		}
 	}
-
-	for _, k := range sortedRefKeys(expected, actual) {
-		if e, a := expected[k], actual[k]; e != a {
-			out = append(out, fmt.Sprintf("refs: file %v host %v: server holds r=%d w=%d, live streams imply r=%d w=%d",
-				k.fid, k.host, a.Readers, a.Writers, e.Readers, e.Writers))
+	var bad []refKey
+	for k, w := range where {
+		if w != 3 {
+			bad = append(bad, k)
 		}
 	}
-
-	diffEnds := func(exp, act map[refKey]bool, end string) {
-		for _, k := range sortedRefKeys(exp, act) {
-			switch {
-			case exp[k] && !act[k]:
-				out = append(out, fmt.Sprintf("refs: pipe %v: live %s stream on host %v but server lost the end", k.fid, end, k.host))
-			case !exp[k] && act[k]:
-				out = append(out, fmt.Sprintf("refs: pipe %v: server holds a %s end for host %v with no live stream", k.fid, end, k.host))
-			}
+	// Report in (server, inode, stream, host) order, so runs replay.
+	slices.SortFunc(bad, func(a, b refKey) int {
+		return cmp.Or(cmp.Compare(a.fid.Server, b.fid.Server), cmp.Compare(a.fid.Ino, b.fid.Ino),
+			cmp.Compare(a.stream, b.stream), cmp.Compare(a.host, b.host))
+	})
+	var out []string
+	for _, k := range bad {
+		what := "live stream but the server holds no entry"
+		if where[k] == 2 {
+			what = "server holds an entry no live stream implies"
 		}
+		out = append(out, fmt.Sprintf("refs: file %v stream %#x host %v: %s", k.fid, k.stream, k.host, what))
 	}
-	diffEnds(expReaders, actReaders, "reader")
-	diffEnds(expWriters, actWriters, "writer")
 	return out
 }
 
-// refKey names one host's server-side open reference to one file.
+// refKey names one server-side open entry: stream open on host.
 type refKey struct {
-	fid  fs.FileID
-	host rpc.HostID
-}
-
-// sortedRefKeys returns the union of the two maps' keys in (server, inode,
-// host) order, so a comparison of the maps reports in a replayable order.
-func sortedRefKeys[V any](a, b map[refKey]V) []refKey {
-	keys := make(map[refKey]bool, len(a)+len(b))
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	sorted := make([]refKey, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.fid.Server != b.fid.Server {
-			return a.fid.Server < b.fid.Server
-		}
-		if a.fid.Ino != b.fid.Ino {
-			return a.fid.Ino < b.fid.Ino
-		}
-		return a.host < b.host
-	})
-	return sorted
+	fid    fs.FileID
+	stream fs.StreamID
+	host   rpc.HostID
 }

@@ -347,10 +347,9 @@ func (p *Process) discardSpace(env *sim.Env) error {
 			if err := c.Close(env, st); err != nil {
 				if errors.Is(err, rpc.ErrHostDown) || errors.Is(err, rpc.ErrTimeout) {
 					// The I/O server is down. Sprite servers rebuild their
-					// open tables from the clients during recovery, so a ref
-					// dropped now is simply never re-registered: repair the
-					// shared tables directly and move on.
-					p.cur.cluster.fs.DropRef(st, c.Host())
+					// open tables from the clients during recovery, and the
+					// client dropped the ref before calling, so it is simply
+					// never re-registered.
 					continue
 				}
 				return err
@@ -380,10 +379,9 @@ func (p *Process) exitCleanup(env *sim.Env) error {
 		p.files[fd] = nil
 		if err := k.fsc.Close(env, st); err != nil {
 			if errors.Is(err, rpc.ErrHostDown) || errors.Is(err, rpc.ErrTimeout) {
-				// The stream's I/O server is down; drop the ref directly (the
-				// server rebuilds open tables from surviving clients on
-				// recovery, so this ref just won't be re-registered).
-				k.cluster.fs.DropRef(st, k.host)
+				// The stream's I/O server is down. The client dropped the ref
+				// before calling, and the server rebuilds open tables from
+				// surviving clients on recovery, so it won't be re-registered.
 				continue
 			}
 			return fmt.Errorf("proc %v: close fd %d: %w", p.pid, fd, err)

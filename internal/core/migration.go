@@ -139,6 +139,9 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// references already moved to the target if this host dies mid-flight.
 	p.migTarget = target
 	defer func() { p.migTarget, p.migMoved = nil, nil }()
+	// The target incarnation this migration negotiates with: a reboot
+	// mid-migration lands on a new one whose tables never saw it.
+	epoch := k.cluster.HostEpoch(target.host)
 
 	mm := newMigMeter(env, k.cluster.metrics, rec.Strategy)
 
@@ -149,7 +152,6 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// recovery — there is nothing left to resume. The metrics rollback
 	// always runs: an aborted migration must not leave a phase timing or a
 	// dangling in-flight count behind.
-	var moved []*fs.Stream
 	abort := func(err error) error {
 		if k.cluster.confined {
 			// Abort recovery repairs target-side tables from the source
@@ -167,9 +169,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 		if p.crashed {
 			return err
 		}
-		if len(moved) > 0 {
-			k.recoverStreams(env, moved, target)
-		}
+		k.recoverStreams(env, p, target)
 		if _, installed := target.procs[p.pid]; installed {
 			delete(target.procs, p.pid)
 			target.stats.MigrationsIn--
@@ -191,9 +191,9 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	var tStreams time.Duration
 	var err error
 	if req.atExec {
-		moved, tStreams, err = k.transferForExec(env, p, target, &rec, &mm)
+		tStreams, err = k.transferForExec(env, p, target, &rec, &mm)
 	} else {
-		moved, tStreams, err = k.transferImage(env, p, target, &rec, &mm)
+		tStreams, err = k.transferImage(env, p, target, &rec, &mm)
 	}
 	if err != nil {
 		return abort(err)
@@ -207,7 +207,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// 4. PCB and residual untyped state; exec arguments ride along.
 	tP := env.Now()
 	if err := k.transferPCB(env, p, target); err != nil {
-		return abort(fmt.Errorf("pcb transfer: %w", err))
+		return abort(err)
 	}
 	if err := k.cluster.FailAt(env, "mig.pcb", p.pid); err != nil {
 		return abort(err)
@@ -241,8 +241,9 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	}
 
 	// The target may have crashed after the PCB landed; resuming there
-	// would run the process on a dead host.
-	if k.cluster.HostDown(target.host) {
+	// would run the process on a dead host, or on a rebooted incarnation
+	// that has already scrubbed the streams moved to it.
+	if k.cluster.HostDown(target.host) || k.cluster.HostEpoch(target.host) != epoch {
 		if hr := p.home.homeRecs[p.pid]; hr != nil {
 			hr.location = k.host
 		}
@@ -293,14 +294,12 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 // phases still tile Total exactly because the vm phase closes retroactively
 // at the instant the VM work finished and the streams phase covers only the
 // tail that outlived it (zero when the streams won the race). Like
-// transferForExec it returns the streams moved (also on error, for abort
-// recovery) and when the streams phase opened.
-func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) ([]*fs.Stream, time.Duration, error) {
+// transferForExec it returns when the streams phase opened.
+func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) (time.Duration, error) {
 	rec.NegotiateTime = mm.next(env, mm.names.vm)
 	strmDone := sim.NewFuture(k.cluster.sim)
 	env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
-		mv, serr := k.transferStreams(senv, p, target, rec)
-		strmDone.Complete(mv, serr)
+		strmDone.Complete(nil, k.transferStreams(senv, p, target, rec))
 		return nil
 	})
 	var vmErr error
@@ -315,33 +314,32 @@ func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *Mi
 	tVMEnd := env.Now()
 	// Join the stream mover before acting on any error: abort recovery
 	// needs the final moved list, and the mover must not outlive the
-	// migration it belongs to.
-	mv, serr := strmDone.Wait(env)
-	moved, _ := mv.([]*fs.Stream)
+	// migration it belongs to. (A crash interrupts this wait; the mover
+	// then releases what it moves itself.)
+	_, serr := strmDone.Wait(env)
 	if vmErr != nil {
-		return moved, 0, vmErr
+		return 0, vmErr
 	}
 	rec.VMTime = mm.nextAt(env, phaseStreams, tVMEnd)
 	if serr != nil {
-		return moved, 0, fmt.Errorf("stream transfer: %w", serr)
+		return 0, fmt.Errorf("stream transfer: %w", serr)
 	}
-	return moved, tVMEnd, nil
+	return tVMEnd, nil
 }
 
 // transferForExec is the exec-time state transfer: no VM moves at all — the
 // old image is discarded here and the new one is built on the target — so
 // only the open streams travel, inline.
-func (k *Kernel) transferForExec(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) ([]*fs.Stream, time.Duration, error) {
+func (k *Kernel) transferForExec(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) (time.Duration, error) {
 	if err := p.discardSpace(env); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	rec.NegotiateTime = mm.next(env, phaseStreams)
 	tStreams := env.Now()
-	moved, err := k.transferStreams(env, p, target, rec)
-	if err != nil {
-		err = fmt.Errorf("stream transfer: %w", err)
+	if err := k.transferStreams(env, p, target, rec); err != nil {
+		return tStreams, fmt.Errorf("stream transfer: %w", err)
 	}
-	return moved, tStreams, err
+	return tStreams, nil
 }
 
 func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
@@ -358,17 +356,29 @@ func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
 
 // transferStreams moves every open stream (including VM backing streams) to
 // the target host, with per-file kernel bookkeeping cost on top of the I/O
-// server coordination performed by the file system. It returns the streams
-// actually moved so an aborting migration can move them back — on error the
-// partial list covers everything transferred before the failure.
-func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord) ([]*fs.Stream, error) {
-	var moved []*fs.Stream
+// server coordination performed by the file system. Each stream whose
+// reference now sits at the target joins p.migMoved, so an aborting
+// migration can move it back — on error the list covers everything
+// transferred before the failure.
+func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord) error {
 	for _, st := range p.allStreams() {
 		if err := k.cpu.Compute(env, k.params.MigPerFileCPU); err != nil {
-			return moved, err
+			return err
 		}
-		if err := k.fsc.MoveStream(env, st, target.host); err != nil {
-			return moved, fmt.Errorf("move %s: %w", st.Path, err)
+		err := k.fsc.MoveStream(env, st, target.host)
+		if err == nil || p.crashed && !errors.Is(err, fs.ErrBadStream) {
+			p.migMoved = append(p.migMoved, st)
+		}
+		if p.crashed {
+			// The source died during the move. MoveStream never puts a
+			// reference back on a dead host, and the crash has already
+			// released what moved before; release the rest now that the
+			// call is over and no server entry can still appear behind us.
+			k.cluster.releaseMoved(p, target)
+			return ErrHostCrashed
+		}
+		if err != nil {
+			return fmt.Errorf("move %s: %w", st.Path, err)
 		}
 		if k.cluster.confined {
 			// The destination client's version/size updates for this move are
@@ -379,11 +389,9 @@ func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *
 			// MoveStream cannot yield between pending and returning.
 			p.migRecon = append(p.migRecon, k.fsc.TakeReconciles()...)
 		}
-		moved = append(moved, st)
-		p.migMoved = moved
 		rec.Files++
 	}
-	return moved, nil
+	return nil
 }
 
 // transferPCB ships the process control block and installs the process in

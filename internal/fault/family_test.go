@@ -34,9 +34,10 @@ func sweepN(t *testing.T, smoke int) int {
 }
 
 // sweep probes the family's scenarios for seeds first, first+1, … (the
-// sweepN budget), or the -seed scenario alone, and fails on the first
-// scenario the probe reports failing, after shrinking it. It returns the
-// scenarios it swept for the caller's coverage checks, or nil on a replay.
+// sweepN budget), or the -seed scenario alone, and reports every scenario
+// the probe finds failing — shrunk, with its replay line — and keeps going,
+// so a long sweep is a census. It returns the scenarios it swept for the
+// caller's coverage checks, or nil on a replay.
 func sweep[S, E any](t *testing.T, f family[S, E], first int64, smoke int, probe func(S) (string, bool)) []S {
 	t.Helper()
 	var seeds []int64
@@ -55,7 +56,7 @@ func sweep[S, E any](t *testing.T, f family[S, E], first int64, smoke int, probe
 		}
 		if evidence, failed := probe(sc); failed {
 			min, minEvidence := shrink(sc, f.knobs, probe)
-			t.Fatalf("seed %d failed (replay: go test ./internal/fault -run '^%s$' -seed=%d):\n%s\nshrunk to %v:\n%s",
+			t.Errorf("seed %d failed (replay: go test ./internal/fault -run '^%s$' -seed=%d):\n%s\nshrunk to %v:\n%s",
 				seed, t.Name(), seed, strings.TrimSuffix(evidence, "\n"), min, strings.TrimSuffix(minEvidence, "\n"))
 		}
 		swept = append(swept, sc)
@@ -64,6 +65,24 @@ func sweep[S, E any](t *testing.T, f family[S, E], first int64, smoke int, probe
 		return nil
 	}
 	return swept
+}
+
+// TestFuzzRegressions replays, on every run, the seeds long sweeps found
+// failing and that now pass: a source crash with a stream move in flight,
+// a migration straddling a reboot of its target, and an abort recovery
+// racing a crash of its own source.
+func TestFuzzRegressions(t *testing.T) {
+	regress(t, processes, 1108, 1131, 1455, 1477, 1777)
+	regress(t, fleets, 5053, 5081, 5101, 5103, 5111, 5152, 5183, 5272, 5280, 5533, 5744, 5754, 5788, 5790)
+}
+
+func regress[S, E any](t *testing.T, f family[S, E], seeds ...int64) {
+	t.Helper()
+	for _, seed := range seeds {
+		if evidence, failed := f.failing(f.gen(seed)); failed {
+			t.Errorf("seed %d regressed:\n%s", seed, evidence)
+		}
+	}
 }
 
 // equivWorkers are the parallel worker counts every scenario is checked at.

@@ -59,11 +59,9 @@ type Client struct {
 	// scrub, and a host that never reboots never gets scrubbed.
 	pendingCloses []pendingClose
 
-	// streamSeq allocates stream IDs host-locally when the transport is
-	// confined: the global FS sequence would be a cross-shard write on every
-	// Open, and its allocation order would differ between the serial and
-	// parallel kernels. The host id is folded into the high bits so the IDs
-	// stay unique cluster-wide.
+	// streamSeq allocates stream IDs host-locally, so an Open never writes
+	// state another shard owns. The host id is folded into the high bits so
+	// the IDs stay unique cluster-wide.
 	streamSeq uint64
 
 	// pendingRec queues destination-cache reconciliations deferred by
@@ -224,7 +222,9 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 	if err != nil {
 		return nil, fmt.Errorf("open %s: %w", path, err)
 	}
+	id := c.nextStreamID()
 	reply, err := c.ep.Call(env, srvHost, "fs.open", openArgs{
+		Stream:      id,
 		Path:        path,
 		Mode:        mode,
 		Host:        c.host,
@@ -253,7 +253,7 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 		c.fileSize[r.FID] = r.Size
 	}
 	st := &Stream{
-		ID:        c.nextStreamID(),
+		ID:        id,
 		FID:       r.FID,
 		Path:      path,
 		Mode:      mode,
@@ -264,17 +264,10 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 	return st, nil
 }
 
-// nextStreamID allocates a stream ID. Confined transports use a host-local
-// sequence (tagged with the host in the high bits) so concurrent Opens on
-// different shards neither race on the global counter nor depend on
-// cross-shard allocation order; the serial oracle takes the same branch, so
-// the IDs are identical under both kernels.
+// nextStreamID allocates a stream ID from this host's own sequence.
 func (c *Client) nextStreamID() StreamID {
-	if c.fs.transport.Confined() {
-		c.streamSeq++
-		return StreamID(uint64(c.host)<<32 | c.streamSeq)
-	}
-	return c.fs.nextStreamID()
+	c.streamSeq++
+	return StreamID(uint64(c.host)<<32 | c.streamSeq)
 }
 
 // TakeReconciles drains the destination-cache updates deferred by confined
@@ -316,29 +309,25 @@ func (c *Client) Close(env *sim.Env, st *Stream) error {
 	if st.closed || st.owners[c.host] <= 0 {
 		return ErrBadStream
 	}
-	st.owners[c.host]--
-	if st.owners[c.host] == 0 {
-		delete(st.owners, c.host)
+	if st.shift(c.host, rpc.NoHost, 1); st.owners[c.host] == 0 {
 		if st.pipe {
 			if err := c.pipeClose(env, st); err != nil {
 				return fmt.Errorf("close %s: %w", st.Path, err)
 			}
 		} else if _, err := c.ep.Call(env, st.FID.Server, "fs.close", closeArgs{
-			FID: st.FID, Mode: st.Mode, Host: c.host, Dirty: c.hasDirty(st.FID),
+			Stream: st.ID, FID: st.FID, Mode: st.Mode, Host: c.host, Dirty: c.hasDirty(st.FID),
 		}, 32); err != nil {
 			if transportFailed(err) {
-				// The server never saw the close; queue it so the open
-				// entry doesn't leak server-side (retried at next Open).
+				// The server may never have seen the close; queue it so the
+				// open entry doesn't leak server-side (retried at next Open;
+				// a retry of a close the server did see drops nothing).
 				c.pendingCloses = append(c.pendingCloses, pendingClose{
-					args:  closeArgs{FID: st.FID, Mode: st.Mode, Host: c.host},
+					args:  closeArgs{Stream: st.ID, FID: st.FID, Mode: st.Mode, Host: c.host},
 					epoch: c.ep.Epoch(),
 				})
 			}
 			return fmt.Errorf("close %s: %w", st.Path, err)
 		}
-	}
-	if st.Refs() == 0 {
-		st.closed = true
 	}
 	return nil
 }
@@ -944,8 +933,16 @@ func (c *Client) ReadFile(env *sim.Env, path string) ([]byte, error) {
 // MoveStream transfers one of this host's references on st to host `to`,
 // performing the I/O-server coordination Sprite does during migration:
 // dirty blocks for the file are flushed from the source cache, the server
-// moves the open reference, and if the stream now spans hosts its access
-// position is shadowed at the server.
+// moves the stream's open entry, and if the stream now spans hosts its
+// access position is shadowed at the server. A pipe end's buffer stays at
+// its I/O server, so moving one is bookkeeping there alone.
+//
+// The reference moves before anything can block, so ErrBadStream (this
+// host holds no reference) is the one failure that moved nothing. Any other
+// failure moves the reference back to this host, and the server's entries
+// with it, unless this host died (or rebooted) meanwhile: a reference is
+// never put back onto a dead incarnation, so it stays at `to` for the crash
+// release of the process that owned it.
 func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 	if st.closed || st.owners[c.host] <= 0 {
 		return ErrBadStream
@@ -953,48 +950,19 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 	if to == c.host {
 		return nil
 	}
-	if st.pipe {
-		// A pipe's buffer lives at its I/O server; moving an end is pure
-		// bookkeeping there. The server tracks which hosts hold each end,
-		// so report which hosts joined or left the set.
-		migFrom, migTo := rpc.NoHost, rpc.NoHost
-		st.owners[to]++
-		if st.owners[to] == 1 {
-			migTo = to
-		}
-		st.owners[c.host]--
-		if st.owners[c.host] == 0 {
-			delete(st.owners, c.host)
-			migFrom = c.host
-		}
-		if err := c.pipeMigrate(env, st, migFrom, migTo); err != nil {
-			// Undo the local move so abort recovery sees counts that still
-			// match the server's end sets.
-			st.owners[to]--
-			if st.owners[to] == 0 {
-				delete(st.owners, to)
-			}
-			st.owners[c.host]++
-			return err
-		}
-		if m := c.fs.m; m != nil {
-			m.pipeMoves.IncSlot(sim.WorkerSlot(env))
-		}
-		return nil
-	}
-	if err := c.FlushFile(env, st.FID); err != nil {
-		return err
-	}
 	keepSource := st.owners[c.host] > 1
 	addTarget := st.owners[to] == 0
-	st.owners[c.host]--
-	if st.owners[c.host] == 0 {
-		delete(st.owners, c.host)
-	}
-	st.owners[to]++
+	epoch := c.ep.Epoch()
+	st.shift(c.host, to, 1)
 	share := st.shared || st.hostsWithRefs() > 1
-	if !keepSource || addTarget {
-		reply, err := c.ep.Call(env, st.FID.Server, "fs.migrateStream", migrateStreamArgs{
+	var reply any
+	var err error
+	if st.pipe {
+		_, err = c.ep.Call(env, st.FID.Server, "fs.pipeMigrate", pipeAdjustArgs{
+			Ino: st.FID.Ino, Stream: st.ID, Mode: st.Mode, From: sourceForMove(c.host, keepSource), To: to,
+		}, 24)
+	} else if err = c.FlushFile(env, st.FID); err == nil && (!keepSource || addTarget) {
+		reply, err = c.ep.Call(env, st.FID.Server, "fs.migrateStream", migrateStreamArgs{
 			Stream: st.ID,
 			FID:    st.FID,
 			Mode:   st.Mode,
@@ -1003,33 +971,42 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 			Offset: st.offset,
 			Share:  share,
 		}, 72)
-		if err != nil {
-			// Undo the local move: abort recovery repairs state from the
-			// stream's reference counts, so they must still say the
-			// reference sits where the server believes it does.
-			st.owners[to]--
-			if st.owners[to] == 0 {
-				delete(st.owners, to)
-			}
-			st.owners[c.host]++
-			return fmt.Errorf("migrate stream %s: %w", st.Path, err)
+	}
+	if err != nil {
+		if !c.ep.Down() && c.ep.Epoch() == epoch {
+			// Undo the move: abort recovery repairs state from the stream's
+			// reference counts, so the server's entries for both hosts must
+			// agree with them. The request may or may not have run (a lost
+			// reply times out a move the server made); the entries are
+			// idempotent, so resyncing holds either way. The source is
+			// resynced first so a pipe end never looks unreferenced.
+			st.shift(to, c.host, 1)
+			c.fs.resync(st, c.host)
+			c.fs.resync(st, to)
 		}
-		if r, ok := reply.(openReply); ok {
-			st.cacheable = r.Cacheable
-			// Let the destination host reconcile its cache. Under host
-			// confinement the destination client's tables belong to another
-			// shard, so the update is deferred: the migrating process carries
-			// it and applies it after rehoming (ApplyReconciles).
-			if c.fs.transport.Confined() {
-				c.pendingRec = append(c.pendingRec, Reconcile{
-					FID: st.FID, Version: r.Version, Cacheable: r.Cacheable, Size: r.Size,
-				})
-			} else if dst := c.fs.Client(to); dst != nil {
-				dst.noteVersion(st.FID, r.Version, r.Cacheable)
-				dst.fileSize[st.FID] = r.Size
-			}
-			st.size = r.Size
+		return fmt.Errorf("migrate stream %s: %w", st.Path, err)
+	}
+	if st.pipe {
+		if m := c.fs.m; m != nil {
+			m.pipeMoves.IncSlot(sim.WorkerSlot(env))
 		}
+		return nil
+	}
+	if r, ok := reply.(openReply); ok {
+		st.cacheable = r.Cacheable
+		// Let the destination host reconcile its cache. Under host
+		// confinement the destination client's tables belong to another
+		// shard, so the update is deferred: the migrating process carries
+		// it and applies it after rehoming (ApplyReconciles).
+		if c.fs.transport.Confined() {
+			c.pendingRec = append(c.pendingRec, Reconcile{
+				FID: st.FID, Version: r.Version, Cacheable: r.Cacheable, Size: r.Size,
+			})
+		} else if dst := c.fs.Client(to); dst != nil {
+			dst.noteVersion(st.FID, r.Version, r.Cacheable)
+			dst.fileSize[st.FID] = r.Size
+		}
+		st.size = r.Size
 	}
 	if share {
 		st.shared = true
@@ -1040,8 +1017,8 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 	return nil
 }
 
-// sourceForMove returns the host whose open reference the server should
-// drop, or NoHost when the source keeps other references.
+// sourceForMove returns the host whose open entry the server should drop,
+// or NoHost when the source keeps other references.
 func sourceForMove(host rpc.HostID, keepSource bool) rpc.HostID {
 	if keepSource {
 		return rpc.NoHost

@@ -1,8 +1,9 @@
 package fs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sprite/internal/rpc"
@@ -17,12 +18,7 @@ import (
 // ScrubHost discards one end of every piece of per-host state this stream
 // holds: the crashed host's references vanish wholesale. Used by crash
 // injection; a stream with no remaining references anywhere is closed.
-func (st *Stream) ScrubHost(host rpc.HostID) {
-	delete(st.owners, host)
-	if st.Refs() == 0 {
-		st.closed = true
-	}
-}
+func (st *Stream) ScrubHost(host rpc.HostID) { st.shift(host, rpc.NoHost, st.owners[host]) }
 
 // CrashReset discards all soft state a host's client keeps in memory: the
 // block cache (dirty blocks are lost — that is what a crash means), version
@@ -39,35 +35,21 @@ func (c *Client) CrashReset() {
 }
 
 // ScrubHost runs this server's recovery for a crashed host: every open
-// reference the host held is discarded, dirty-cache bookkeeping naming the
-// host is cleared, and the host disappears from every pipe end — delivering
-// EOF (no writers left) or EPIPE (no readers left) to blocked survivors.
+// entry the host held is discarded, dirty-cache bookkeeping naming the host
+// is cleared, and the host disappears from every pipe end — delivering EOF
+// (no writers left) or EPIPE (no readers left) to blocked survivors.
 func (s *Server) ScrubHost(host rpc.HostID) {
 	for _, fl := range s.files {
-		delete(fl.opens, host)
+		fl.opens.dropHost(host)
 		if fl.lastWriter == host {
 			fl.lastWriter = rpc.NoHost
 		}
 	}
 	// Pipes wake blocked waiters, so scrub them in a deterministic order.
-	inos := make([]int, 0, len(s.pipes))
-	for ino := range s.pipes {
-		inos = append(inos, ino)
-	}
-	sort.Ints(inos)
-	for _, ino := range inos {
+	for _, ino := range sortedKeys(s.pipes) {
 		p := s.pipes[ino]
-		delete(p.writerHosts, host)
-		if len(p.writerHosts) == 0 {
-			wakeAll(&p.readWaiters)
-		}
-		delete(p.readerHosts, host)
-		if len(p.readerHosts) == 0 {
-			wakeAll(&p.writeWaiters)
-		}
-		if len(p.readerHosts) == 0 && len(p.writerHosts) == 0 {
-			delete(s.pipes, ino)
-		}
+		p.opens.dropHost(host)
+		s.retireIfClosed(p)
 	}
 }
 
@@ -75,13 +57,8 @@ func (s *Server) ScrubHost(host rpc.HostID) {
 // server discards the host's open state, and the host's own client forgets
 // its caches.
 func (f *FS) ScrubHost(host rpc.HostID) {
-	hosts := make([]int, 0, len(f.servers))
-	for h := range f.servers {
-		hosts = append(hosts, int(h))
-	}
-	sort.Ints(hosts)
-	for _, h := range hosts {
-		f.servers[rpc.HostID(h)].ScrubHost(host)
+	for _, h := range sortedKeys(f.servers) {
+		f.servers[h].ScrubHost(host)
 	}
 	if c := f.clients[host]; c != nil {
 		c.CrashReset()
@@ -106,126 +83,48 @@ func (f *FS) ScrubHostEpoch(host rpc.HostID, epoch rpc.Epoch) {
 }
 
 // RecoverStream repairs a stream whose reference was stranded on a crashed
-// host mid-migration: the client-side references move from -> to, and the
-// owning server's open table is adjusted to match, directly and without
-// charging time (the source kernel's recovery runs against a server that has
-// already scrubbed the crashed host). It is only used by migration abort
-// recovery when the normal RPC path to the stranded host is gone.
+// host mid-migration: the client-side references left on from move to to,
+// and the owning server's entries for both hosts are made to match, directly
+// and without charging time (the source kernel's recovery runs against a
+// server that has already scrubbed the crashed host). The repair is
+// idempotent, so it holds whether or not the failed move back reached the
+// server. It is only used by migration abort recovery when the normal RPC
+// path to the stranded host is gone.
 func (f *FS) RecoverStream(st *Stream, from, to rpc.HostID) {
-	n := st.owners[from]
-	if n <= 0 {
-		return
-	}
-	delete(st.owners, from)
-	hadTo := st.owners[to] > 0
-	st.owners[to] += n
-	srv := f.servers[st.FID.Server]
-	if srv == nil || st.pipe {
-		if srv != nil {
-			if p, ok := srv.pipes[st.FID.Ino]; ok {
-				hosts := p.readerHosts
-				if st.Mode.canWrite() {
-					hosts = p.writerHosts
-				}
-				hosts[to] = true
-				delete(hosts, from)
-			}
-		}
-		return
-	}
-	fl, ok := srv.byID[st.FID]
-	if !ok {
-		return
-	}
-	// One server-side open reference per (stream, host) pair: drop the
-	// stranded host's, add the recovering host's if it had none.
-	if o := fl.opens[from]; o != nil {
-		if st.Mode.canWrite() {
-			o.writers--
-		} else {
-			o.readers--
-		}
-		if o.total() <= 0 {
-			delete(fl.opens, from)
-		}
-	}
-	if !hadTo {
-		o := fl.opens[to]
-		if o == nil {
-			o = &openState{}
-			fl.opens[to] = o
-		}
-		if st.Mode.canWrite() {
-			o.writers++
-		} else {
-			o.readers++
-		}
-	}
+	st.shift(from, to, st.owners[from])
+	f.resync(st, to)
+	f.resync(st, from)
 }
 
 // DropRef releases one of host's references to st directly, without RPC or
-// simulated time: the client-side count drops by one, and if that was the
-// host's last reference the owning server's open table (or pipe end set)
-// drops the host too, waking pipe waiters exactly as a normal close would.
-// Crash injection uses it to release references a process that died
-// mid-migration had already moved to a surviving target host.
+// simulated time: the client-side count drops by one, and once host holds
+// none the server drops the (stream, host) entry, waking pipe waiters
+// exactly as a normal close would. The crash path uses it to release
+// references a process that died mid-migration had already moved to a
+// surviving target host.
 func (f *FS) DropRef(st *Stream, host rpc.HostID) {
-	if st.owners[host] <= 0 {
-		return
-	}
-	st.owners[host]--
-	last := st.owners[host] == 0
-	if last {
-		delete(st.owners, host)
-	}
-	if st.Refs() == 0 {
-		st.closed = true
-	}
-	if !last {
-		return
-	}
+	st.shift(host, rpc.NoHost, 1)
+	f.resync(st, host)
+}
+
+// resync makes the server's (st, host) entry agree with the client: present
+// while host holds a reference, absent otherwise. A pipe whose last entry
+// goes is retired, as a close would retire it; an object already gone is
+// left alone.
+func (f *FS) resync(st *Stream, host rpc.HostID) {
 	srv := f.servers[st.FID.Server]
 	if srv == nil {
 		return
 	}
 	if st.pipe {
-		p, ok := srv.pipes[st.FID.Ino]
-		if !ok {
-			return
+		if p, ok := srv.pipes[st.FID.Ino]; ok {
+			p.opens.sync(st, host)
+			srv.retireIfClosed(p)
 		}
-		if st.Mode.canWrite() {
-			delete(p.writerHosts, host)
-			if len(p.writerHosts) == 0 {
-				wakeAll(&p.readWaiters)
-			}
-		} else {
-			delete(p.readerHosts, host)
-			if len(p.readerHosts) == 0 {
-				wakeAll(&p.writeWaiters)
-			}
-		}
-		if len(p.readerHosts) == 0 && len(p.writerHosts) == 0 {
-			delete(srv.pipes, st.FID.Ino)
-		}
-		return
-	}
-	if fl, ok := srv.byID[st.FID]; ok {
-		if o := fl.opens[host]; o != nil {
-			if st.Mode.canWrite() {
-				o.writers--
-			} else {
-				o.readers--
-			}
-			if o.total() <= 0 {
-				delete(fl.opens, host)
-			}
-		}
+	} else if fl, ok := srv.byID[st.FID]; ok {
+		fl.opens.sync(st, host)
 	}
 }
-
-// CanWrite reports whether the mode opens the file for writing (the mode
-// class the server's open table counts it under).
-func (m OpenMode) CanWrite() bool { return m.canWrite() }
 
 // Owners returns a copy of the stream's per-host reference counts, for
 // invariant checking.
@@ -237,61 +136,38 @@ func (st *Stream) Owners() map[rpc.HostID]int {
 	return out
 }
 
-// OpenCount is one host's open-reference counts for a file, as the server
-// sees them.
-type OpenCount struct {
-	Readers int
-	Writers int
-}
-
-// OpenRefs exports the server's open table for invariant checking.
-func (s *Server) OpenRefs() map[FileID]map[rpc.HostID]OpenCount {
-	out := make(map[FileID]map[rpc.HostID]OpenCount)
-	for _, fl := range s.files {
-		if len(fl.opens) == 0 {
-			continue
+// OpenRefs exports every server's open tables for invariant checking: for
+// each stream, the hosts holding an entry and the object it is open on.
+func (f *FS) OpenRefs() map[StreamID]map[rpc.HostID]FileID {
+	out := make(map[StreamID]map[rpc.HostID]FileID)
+	note := func(fid FileID, t *openTable) {
+		for _, r := range t.refs {
+			if out[r.stream] == nil {
+				out[r.stream] = make(map[rpc.HostID]FileID)
+			}
+			out[r.stream][r.host] = fid
 		}
-		fid := FileID{Server: s.host, Ino: fl.ino}
-		m := make(map[rpc.HostID]OpenCount, len(fl.opens))
-		for h, o := range fl.opens {
-			m[h] = OpenCount{Readers: o.readers, Writers: o.writers}
+	}
+	for h, srv := range f.servers {
+		for fid, fl := range srv.byID {
+			note(fid, &fl.opens)
 		}
-		out[fid] = m
+		for ino, p := range srv.pipes {
+			note(FileID{Server: h, Ino: ino}, &p.opens)
+		}
 	}
 	return out
 }
 
-// PipeInfo describes one live pipe for invariant checking.
-type PipeInfo struct {
-	Ino         int
-	ReaderHosts []rpc.HostID
-	WriterHosts []rpc.HostID
-	Buffered    int
-}
-
-// Pipes exports the server's live pipes, hosts sorted, for invariant
-// checking.
-func (s *Server) Pipes() []PipeInfo {
-	out := make([]PipeInfo, 0, len(s.pipes))
-	for ino, p := range s.pipes {
-		out = append(out, PipeInfo{
-			Ino:         ino,
-			ReaderHosts: sortedHosts(p.readerHosts),
-			WriterHosts: sortedHosts(p.writerHosts),
-			Buffered:    len(p.buf),
-		})
+// sortedKeys returns m's keys in ascending order, for walks whose order
+// shows in results.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ino < out[j].Ino })
-	return out
-}
-
-func sortedHosts(set map[rpc.HostID]bool) []rpc.HostID {
-	out := make([]rpc.HostID, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(keys)
+	return keys
 }
 
 // CheckInvariants verifies the file system's own consistency rules and
@@ -301,50 +177,22 @@ func sortedHosts(set map[rpc.HostID]bool) []rpc.HostID {
 //     still believes its cache is valid: the file must be cacheable and the
 //     host must be its last writer or hold it open for writing (the "no
 //     stale dirty blocks after a conflicting remote open" rule);
-//   - no server open entry may have a non-positive total (zombie opens);
-//   - with endOfRun set, every open table and every pipe must be empty.
+//   - with endOfRun set, every open table must be empty and no pipe alive.
 func (f *FS) CheckInvariants(endOfRun bool) []string {
 	var out []string
-	srvHosts := make([]int, 0, len(f.servers))
-	for h := range f.servers {
-		srvHosts = append(srvHosts, int(h))
-	}
-	sort.Ints(srvHosts)
-	for _, sh := range srvHosts {
-		srv := f.servers[rpc.HostID(sh)]
-		paths := make([]string, 0, len(srv.files))
-		for p := range srv.files {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			fl := srv.files[path]
-			openHosts := make([]int, 0, len(fl.opens))
-			for h := range fl.opens {
-				openHosts = append(openHosts, int(h))
-			}
-			sort.Ints(openHosts)
-			for _, oh := range openHosts {
-				o := fl.opens[rpc.HostID(oh)]
-				if o.total() <= 0 {
-					out = append(out, fmt.Sprintf("fs: server %d file %s: zombie open entry for host %v (r=%d w=%d)", sh, path, rpc.HostID(oh), o.readers, o.writers))
-				}
-			}
-			if endOfRun && len(fl.opens) > 0 {
-				out = append(out, fmt.Sprintf("fs: server %d file %s: %d open entries at end of run", sh, path, len(fl.opens)))
+	for _, sh := range sortedKeys(f.servers) {
+		srv := f.servers[sh]
+		for _, path := range sortedKeys(srv.files) {
+			if n := len(srv.files[path].opens.refs); endOfRun && n > 0 {
+				out = append(out, fmt.Sprintf("fs: server %d file %s: %d open entries at end of run", sh, path, n))
 			}
 		}
 		if endOfRun && len(srv.pipes) > 0 {
 			out = append(out, fmt.Sprintf("fs: server %d: %d pipes alive at end of run", sh, len(srv.pipes)))
 		}
 	}
-	cliHosts := make([]int, 0, len(f.clients))
-	for h := range f.clients {
-		cliHosts = append(cliHosts, int(h))
-	}
-	sort.Ints(cliHosts)
-	for _, ch := range cliHosts {
-		c := f.clients[rpc.HostID(ch)]
+	for _, ch := range sortedKeys(f.clients) {
+		c := f.clients[ch]
 		dirty := make(map[FileID]bool)
 		for _, b := range c.blocks {
 			if b.dirty {
@@ -355,11 +203,8 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 		for fid := range dirty {
 			fids = append(fids, fid)
 		}
-		sort.Slice(fids, func(i, j int) bool {
-			if fids[i].Server != fids[j].Server {
-				return fids[i].Server < fids[j].Server
-			}
-			return fids[i].Ino < fids[j].Ino
+		slices.SortFunc(fids, func(a, b FileID) int {
+			return cmp.Or(cmp.Compare(a.Server, b.Server), cmp.Compare(a.Ino, b.Ino))
 		})
 		for _, fid := range fids {
 			srv := f.servers[fid.Server]
@@ -376,8 +221,7 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 				out = append(out, fmt.Sprintf("fs: host %d: stale dirty blocks for uncacheable %s", ch, fl.path))
 				continue
 			}
-			o := fl.opens[rpc.HostID(ch)]
-			if fl.lastWriter != rpc.HostID(ch) && (o == nil || o.writers == 0) {
+			if fl.lastWriter != ch && !fl.opens.writing(ch) {
 				out = append(out, fmt.Sprintf("fs: host %d: dirty blocks for %s but host is neither last writer nor an open writer", ch, fl.path))
 			}
 		}

@@ -134,7 +134,6 @@ type FS struct {
 	ns        *Namespace
 	servers   map[rpc.HostID]*Server
 	clients   map[rpc.HostID]*Client
-	streamSeq StreamID
 
 	// scrubbed records the highest boot epoch per host for which crash
 	// recovery (ScrubHost) has already run, making ScrubHostEpoch idempotent
@@ -264,11 +263,6 @@ func (f *FS) seed(path string, neverCache bool) (FileID, *file, error) {
 	// Seeded data is considered on disk: first reads pay the disk cost.
 	fl.touched = make(map[int]bool)
 	return FileID{Server: srvHost, Ino: fl.ino}, fl, nil
-}
-
-func (f *FS) nextStreamID() StreamID {
-	f.streamSeq++
-	return f.streamSeq
 }
 
 // blockCount returns the number of blocks covering n bytes.

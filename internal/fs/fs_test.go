@@ -356,6 +356,61 @@ func TestMoveStreamFlushesSourceDirtyBlocks(t *testing.T) {
 	})
 }
 
+// dropReplies loses every reply of one service: each call runs its handler
+// and then times out.
+type dropReplies string
+
+func (d dropReplies) Intercept(env *sim.Env, from, to rpc.HostID, service string, attempt int) rpc.Verdict {
+	return rpc.Verdict{DropReply: service == string(d)}
+}
+
+// TestMoveStreamUndoneWhenReplyLost: a move whose replies are all lost has
+// run at the server, yet MoveStream fails and puts the reference back on the
+// source. The server's entries must follow it back, or the target keeps one
+// that no stream owns. The moved stream is its object's only entry, so the
+// pipe must not be retired while its entry moves back.
+func TestMoveStreamUndoneWhenReplyLost(t *testing.T) {
+	for _, service := range []string{"fs.migrateStream", "fs.pipeMigrate"} {
+		t.Run(service, func(t *testing.T) {
+			h := newHarness(t, 2)
+			a := h.fs.Client(2)
+			h.run(t, func(env *sim.Env) error {
+				var st *Stream
+				var err error
+				if service == "fs.pipeMigrate" {
+					var w *Stream
+					if st, w, err = a.CreatePipe(env); err == nil {
+						err = a.Close(env, w)
+					}
+				} else {
+					st, err = a.Open(env, "/f", WriteMode, OpenOptions{Create: true})
+				}
+				if err != nil {
+					return err
+				}
+				h.fs.transport.SetInjector(dropReplies(service))
+				if err := a.MoveStream(env, st, 3); !errors.Is(err, rpc.ErrTimeout) {
+					t.Errorf("move with every reply lost: err = %v, want a timeout", err)
+				}
+				h.fs.transport.SetInjector(nil)
+				if got := st.Owners(); len(got) != 1 || got[2] != 1 {
+					t.Errorf("client references after the failed move = %v, want one on host 2", got)
+				}
+				if got := h.fs.OpenRefs()[st.ID]; len(got) != 1 || got[2] != st.FID {
+					t.Errorf("server entries after the failed move = %v, want one on host 2", got)
+				}
+				if err := a.Close(env, st); err != nil {
+					return err
+				}
+				if v := h.fs.CheckInvariants(true); len(v) > 0 {
+					t.Errorf("after closing: %v", v)
+				}
+				return nil
+			})
+		})
+	}
+}
+
 func TestSharedOffsetAfterForkAndMigrate(t *testing.T) {
 	h := newHarness(t, 2)
 	a, b := h.fs.Client(2), h.fs.Client(3)

@@ -17,22 +17,21 @@ import (
 // pipeDefaultCapacity bounds a pipe's in-kernel buffer.
 const pipeDefaultCapacity = 16 * 1024
 
-// pipeState is the server-side representation of one pipe. Each end tracks
-// the set of hosts holding references to it, so that a host crash can scrub
+// pipeState is the server-side representation of one pipe. Its open table
+// holds an entry per (end stream, host), so that a host crash can scrub
 // exactly that host's ends and deliver EOF/EPIPE to survivors.
 type pipeState struct {
-	ino         int
-	buf         []byte
-	capacity    int
-	readerHosts map[rpc.HostID]bool
-	writerHosts map[rpc.HostID]bool
-
-	readWaiters  []*sim.Future
-	writeWaiters []*sim.Future
+	ino      int
+	buf      []byte
+	capacity int
+	opens    openTable
 }
 
 // wire formats for the pipe services.
 type (
+	pipeCreateArgs struct {
+		R, W StreamID // the client-allocated ids of the two ends
+	}
 	pipeCreateReply struct {
 		Ino int
 	}
@@ -43,15 +42,15 @@ type (
 	}
 	pipeCloseArgs struct {
 		Ino    int
-		Writer bool
+		Stream StreamID
 		Host   rpc.HostID
 	}
 	pipeAdjustArgs struct {
 		Ino    int
-		Writer bool
-		// From loses its reference to this end and To gains one; either may
-		// be NoHost when migration does not change that side (the end keeps
-		// or already has references there).
+		Stream StreamID
+		Mode   OpenMode
+		// To gains the end stream's entry and From loses it; From is NoHost
+		// when the source keeps other references to the stream.
 		From rpc.HostID
 		To   rpc.HostID
 	}
@@ -65,17 +64,26 @@ func (s *Server) pipe(ino int) (*pipeState, error) {
 	return p, nil
 }
 
+// retireIfClosed forgets a pipe once its open table is empty: with neither
+// end open anywhere, nothing can reach its buffer again.
+func (s *Server) retireIfClosed(p *pipeState) {
+	if len(p.opens.refs) == 0 {
+		delete(s.pipes, p.ino)
+	}
+}
+
 func (s *Server) handlePipeCreate(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
+	a, ok := arg.(pipeCreateArgs)
+	if !ok {
+		return nil, 0, fmt.Errorf("fs.pipeCreate: bad args %T", arg)
+	}
 	if err := s.chargeCPU(env, s.fs.params.NameLookupCPU); err != nil {
 		return nil, 0, err
 	}
 	s.inoSeq++
-	p := &pipeState{
-		ino:         s.inoSeq,
-		capacity:    pipeDefaultCapacity,
-		readerHosts: map[rpc.HostID]bool{from: true},
-		writerHosts: map[rpc.HostID]bool{from: true},
-	}
+	p := &pipeState{ino: s.inoSeq, capacity: pipeDefaultCapacity}
+	p.opens.add(a.R, from, ReadMode)
+	p.opens.add(a.W, from, WriteMode)
 	s.pipes[p.ino] = p
 	return pipeCreateReply{Ino: p.ino}, 16, nil
 }
@@ -94,11 +102,11 @@ func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, arg any) (any, in
 		return nil, 0, err
 	}
 	for len(p.buf) == 0 {
-		if len(p.writerHosts) == 0 {
+		if !p.opens.holds(true) {
 			return readReply{}, 16, nil // EOF
 		}
 		w := sim.NewFuture(s.fs.sim)
-		p.readWaiters = append(p.readWaiters, w)
+		p.opens.readWaiters = append(p.opens.readWaiters, w)
 		if _, err := w.Wait(env); err != nil {
 			return nil, 0, err
 		}
@@ -110,7 +118,7 @@ func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, arg any) (any, in
 	data := make([]byte, n)
 	copy(data, p.buf[:n])
 	p.buf = p.buf[n:]
-	wakeAll(&p.writeWaiters)
+	wakeAll(&p.opens.writeWaiters)
 	return readReply{Data: data}, 16 + n, nil
 }
 
@@ -131,13 +139,13 @@ func (s *Server) handlePipeWrite(env *sim.Env, from rpc.HostID, arg any) (any, i
 	written := 0
 	data := a.Data
 	for len(data) > 0 {
-		if len(p.readerHosts) == 0 {
+		if !p.opens.holds(false) {
 			return nil, 0, fmt.Errorf("%w: pipe %d has no readers", ErrBadStream, a.Ino)
 		}
 		space := p.capacity - len(p.buf)
 		if space == 0 {
 			w := sim.NewFuture(s.fs.sim)
-			p.writeWaiters = append(p.writeWaiters, w)
+			p.opens.writeWaiters = append(p.opens.writeWaiters, w)
 			if _, err := w.Wait(env); err != nil {
 				return nil, 0, err
 			}
@@ -150,7 +158,7 @@ func (s *Server) handlePipeWrite(env *sim.Env, from rpc.HostID, arg any) (any, i
 		p.buf = append(p.buf, data[:n]...)
 		data = data[n:]
 		written += n
-		wakeAll(&p.readWaiters)
+		wakeAll(&p.opens.readWaiters)
 	}
 	return writeReply{Size: written}, 16, nil
 }
@@ -164,26 +172,14 @@ func (s *Server) handlePipeClose(env *sim.Env, from rpc.HostID, arg any) (any, i
 	if err != nil {
 		return nil, 0, err
 	}
-	if a.Writer {
-		delete(p.writerHosts, a.Host)
-		if len(p.writerHosts) == 0 {
-			wakeAll(&p.readWaiters) // deliver EOF
-		}
-	} else {
-		delete(p.readerHosts, a.Host)
-		if len(p.readerHosts) == 0 {
-			wakeAll(&p.writeWaiters) // deliver EPIPE
-		}
-	}
-	if len(p.readerHosts) == 0 && len(p.writerHosts) == 0 {
-		delete(s.pipes, a.Ino)
-	}
+	p.opens.drop(a.Stream, a.Host)
+	s.retireIfClosed(p)
 	return nil, 8, nil
 }
 
 // handlePipeMigrate accounts a pipe stream's move between hosts; the
 // buffer stays here at the I/O server, so only reference bookkeeping
-// happens. The target host is added before the source is removed so the
+// happens. The target entry is added before the source's is dropped so the
 // end never looks transiently unreferenced (which would deliver a
 // spurious EOF/EPIPE to waiters mid-migration).
 func (s *Server) handlePipeMigrate(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
@@ -195,31 +191,9 @@ func (s *Server) handlePipeMigrate(env *sim.Env, from rpc.HostID, arg any) (any,
 	if err != nil {
 		return nil, 0, err
 	}
-	hosts := p.readerHosts
-	if a.Writer {
-		hosts = p.writerHosts
-	}
-	if a.To != rpc.NoHost {
-		hosts[a.To] = true
-	}
-	if a.From != rpc.NoHost {
-		delete(hosts, a.From)
-	}
-	if len(hosts) == 0 {
-		if a.Writer {
-			wakeAll(&p.readWaiters)
-		} else {
-			wakeAll(&p.writeWaiters)
-		}
-	}
+	p.opens.add(a.Stream, a.To, a.Mode)
+	p.opens.drop(a.Stream, a.From)
 	return nil, 8, nil
-}
-
-func wakeAll(waiters *[]*sim.Future) {
-	for _, w := range *waiters {
-		w.Complete(nil, nil)
-	}
-	*waiters = nil
 }
 
 // --- client side ---
@@ -231,7 +205,8 @@ func (c *Client) CreatePipe(env *sim.Env) (r, w *Stream, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	reply, err := c.ep.Call(env, srvHost, "fs.pipeCreate", nil, 16)
+	rid, wid := c.nextStreamID(), c.nextStreamID()
+	reply, err := c.ep.Call(env, srvHost, "fs.pipeCreate", pipeCreateArgs{R: rid, W: wid}, 16)
 	if err != nil {
 		return nil, nil, fmt.Errorf("create pipe: %w", err)
 	}
@@ -241,11 +216,11 @@ func (c *Client) CreatePipe(env *sim.Env) (r, w *Stream, err error) {
 	}
 	fid := FileID{Server: srvHost, Ino: pr.Ino}
 	r = &Stream{
-		ID: c.nextStreamID(), FID: fid, Path: fmt.Sprintf("<pipe %d r>", pr.Ino),
+		ID: rid, FID: fid, Path: fmt.Sprintf("<pipe %d r>", pr.Ino),
 		Mode: ReadMode, pipe: true, owners: map[rpc.HostID]int{c.host: 1},
 	}
 	w = &Stream{
-		ID: c.nextStreamID(), FID: fid, Path: fmt.Sprintf("<pipe %d w>", pr.Ino),
+		ID: wid, FID: fid, Path: fmt.Sprintf("<pipe %d w>", pr.Ino),
 		Mode: WriteMode, pipe: true, owners: map[rpc.HostID]int{c.host: 1},
 	}
 	return r, w, nil
@@ -286,18 +261,9 @@ func (c *Client) pipeWrite(env *sim.Env, st *Stream, data []byte) (int, error) {
 	return r.Size, nil
 }
 
-// pipeClose drops this host's reference to one pipe end.
+// pipeClose drops this host's entry for one pipe end.
 func (c *Client) pipeClose(env *sim.Env, st *Stream) error {
 	_, err := c.ep.Call(env, st.FID.Server, "fs.pipeClose",
-		pipeCloseArgs{Ino: st.FID.Ino, Writer: st.Mode.canWrite(), Host: c.host}, 16)
-	return err
-}
-
-// pipeMigrate informs the I/O server that one reference moved hosts. From
-// and To name the hosts whose membership in the end's host set changed
-// (NoHost for a side that kept or already had references).
-func (c *Client) pipeMigrate(env *sim.Env, st *Stream, from, to rpc.HostID) error {
-	_, err := c.ep.Call(env, st.FID.Server, "fs.pipeMigrate",
-		pipeAdjustArgs{Ino: st.FID.Ino, Writer: st.Mode.canWrite(), From: from, To: to}, 24)
+		pipeCloseArgs{Ino: st.FID.Ino, Stream: st.ID, Host: c.host}, 16)
 	return err
 }

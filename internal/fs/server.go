@@ -3,7 +3,6 @@ package fs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sprite/internal/rpc"
@@ -14,6 +13,7 @@ import (
 // package speaks the protocol.
 type (
 	openArgs struct {
+		Stream      StreamID // the client-allocated id of the stream being opened
 		Path        string
 		Mode        OpenMode
 		Host        rpc.HostID
@@ -28,9 +28,10 @@ type (
 		Cacheable bool
 	}
 	closeArgs struct {
-		FID  FileID
-		Mode OpenMode
-		Host rpc.HostID
+		Stream StreamID
+		FID    FileID
+		Mode   OpenMode
+		Host   rpc.HostID
 		// Dirty reports whether the closing client retains dirty blocks
 		// under delayed write-back; the server must recall them before
 		// another host reads the file.
@@ -115,14 +116,6 @@ type (
 	}
 )
 
-// openState tracks one host's open references to a file.
-type openState struct {
-	readers int
-	writers int
-}
-
-func (o *openState) total() int { return o.readers + o.writers }
-
 // file is the server-side state of one file. Its contents are the stored
 // prefix data plus a logical size: bytes in [len(data), size) are zero and
 // take no memory, so a swap file of flushed pages or a SeedSized input costs
@@ -136,7 +129,7 @@ type file struct {
 	mtime      time.Duration // virtual time of the last server-side change
 	neverCache bool          // backing-store and similar files are never client-cached
 	cacheable  bool
-	opens      map[rpc.HostID]*openState
+	opens      openTable
 	lastWriter rpc.HostID // host that may hold dirty blocks in its cache
 	touched    map[int]bool
 	// mu serializes open/close/migrate consistency actions on this file.
@@ -199,30 +192,6 @@ func (fl *file) applyWrite(now time.Duration, off int, data []byte, n, newSize i
 	fl.version++
 	fl.mtime = now
 	return writeReply{Version: fl.version, Size: fl.size}
-}
-
-func (fl *file) writersOn(except rpc.HostID) int {
-	n := 0
-	for h, o := range fl.opens {
-		if h != except {
-			n += o.writers
-		}
-	}
-	return n
-}
-
-// openHostsOther returns the hosts (other than except) with the file open,
-// in host order: callers fire consistency RPCs (recalls, shoot-downs) down
-// this list, so its order is part of the deterministic event schedule.
-func (fl *file) openHostsOther(except rpc.HostID) []rpc.HostID {
-	var out []rpc.HostID
-	for h := range fl.opens {
-		if h != except {
-			out = append(out, h)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ServerStats summarizes one server's activity.
@@ -329,7 +298,6 @@ func (s *Server) create(path string, neverCache bool) *file {
 		version:    1,
 		neverCache: neverCache,
 		cacheable:  !neverCache,
-		opens:      make(map[rpc.HostID]*openState),
 		touched:    make(map[int]bool),
 		mu:         sim.NewResource(s.fs.sim, 1),
 	}
@@ -375,16 +343,7 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 		fl.mtime = env.Now()
 	}
 
-	st := fl.opens[a.Host]
-	if st == nil {
-		st = &openState{}
-		fl.opens[a.Host] = st
-	}
-	if a.Mode.canWrite() {
-		st.writers++
-	} else {
-		st.readers++
-	}
+	fl.opens.add(a.Stream, a.Host, a.Mode)
 	reply := openReply{
 		FID:       FileID{Server: s.host, Ino: fl.ino},
 		Size:      fl.size,
@@ -399,11 +358,11 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, mode OpenMode) error {
 	conflict := false
 	if !fl.neverCache {
-		others := fl.openHostsOther(host)
+		others := fl.opens.hostsOther(host)
 		if mode.canWrite() && len(others) > 0 {
 			conflict = true
 		}
-		if fl.writersOn(host) > 0 {
+		if fl.opens.writersOn(host) > 0 {
 			conflict = true
 		}
 	}
@@ -417,7 +376,7 @@ func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, m
 		fl.cacheable = false
 		// Recall dirty data and shoot down every cache that may hold the
 		// file, including the opener's own.
-		targets := fl.openHostsOther(rpc.NoHost)
+		targets := fl.opens.hostsOther(rpc.NoHost)
 		if fl.lastWriter != rpc.NoHost {
 			targets = appendUnique(targets, fl.lastWriter)
 		}
@@ -471,22 +430,12 @@ func (s *Server) handleClose(env *sim.Env, from rpc.HostID, arg any) (any, int, 
 		return nil, 0, err
 	}
 	defer fl.mu.Release()
-	st := fl.opens[a.Host]
-	if st != nil {
-		if a.Mode.canWrite() {
-			st.writers--
-			// The closing writer's cache may retain dirty blocks under
-			// delayed write-back.
-			if !fl.neverCache && a.Dirty {
-				fl.lastWriter = a.Host
-			}
-		} else {
-			st.readers--
-		}
-		if st.total() <= 0 {
-			delete(fl.opens, a.Host)
-		}
+	// The closing writer's cache may retain dirty blocks under delayed
+	// write-back.
+	if _, open := fl.opens.search(a.Stream, a.Host); open && a.Mode.canWrite() && !fl.neverCache && a.Dirty {
+		fl.lastWriter = a.Host
 	}
+	fl.opens.drop(a.Stream, a.Host)
 	return nil, 16, nil
 }
 
@@ -713,30 +662,13 @@ func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, arg any) (an
 		return nil, 0, err
 	}
 	defer fl.mu.Release()
-	// Move one open reference from the source to the target host.
-	if st := fl.opens[a.From]; st != nil {
-		if a.Mode.canWrite() {
-			st.writers--
-		} else {
-			st.readers--
-		}
-		if st.total() <= 0 {
-			delete(fl.opens, a.From)
-		}
-	}
+	// Move the stream's entry from the source (NoHost when the source keeps
+	// references) to the target host.
+	fl.opens.drop(a.Stream, a.From)
 	if err := s.ensureConsistentOpen(env, fl, a.To, a.Mode); err != nil {
 		return nil, 0, err
 	}
-	st := fl.opens[a.To]
-	if st == nil {
-		st = &openState{}
-		fl.opens[a.To] = st
-	}
-	if a.Mode.canWrite() {
-		st.writers++
-	} else {
-		st.readers++
-	}
+	fl.opens.add(a.Stream, a.To, a.Mode)
 	if a.Share {
 		// The access position is now shared across hosts: the server
 		// becomes its home (a shadow stream) [Wel90].

@@ -54,6 +54,24 @@ func (st *Stream) Refs() int {
 // RefsOn returns the reference count on one host.
 func (st *Stream) RefsOn(host rpc.HostID) int { return st.owners[host] }
 
+// shift moves n of from's references (as many as it has) to host to, or
+// drops them when to is NoHost; a stream left with no reference anywhere is
+// closed.
+func (st *Stream) shift(from, to rpc.HostID, n int) {
+	if n = min(n, st.owners[from]); n <= 0 {
+		return
+	}
+	if st.owners[from] -= n; st.owners[from] <= 0 {
+		delete(st.owners, from)
+	}
+	if to != rpc.NoHost {
+		st.owners[to] += n
+	}
+	if st.Refs() == 0 {
+		st.closed = true
+	}
+}
+
 // hostsWithRefs returns how many distinct hosts hold references.
 func (st *Stream) hostsWithRefs() int {
 	n := 0
