@@ -112,18 +112,12 @@ func SaveFrom(ctx *core.Ctx, path string, base time.Duration) (Header, error) {
 	}
 	// The memory payload: every resident page, dirty or clean — a
 	// checkpointer cannot tell which pages the backing store already has.
+	// Page contents are not modelled, so the payload is zeros.
 	pageSize := space.Params().PageSize
-	payload := (h.ResidentHeap + h.ResidentStack) * pageSize
-	zeros := make([]byte, 16*1024)
-	for payload > 0 {
-		n := len(zeros)
-		if payload < n {
-			n = payload
-		}
-		if _, err := ctx.Write(fd, zeros[:n]); err != nil {
+	for payload := (h.ResidentHeap + h.ResidentStack) * pageSize; payload > 0; payload -= 16 * 1024 {
+		if _, err := ctx.WriteZeros(fd, min(payload, 16*1024)); err != nil {
 			return Header{}, err
 		}
-		payload -= n
 	}
 	// The image must survive the writer's own host crashing — that is its
 	// entire purpose — so it cannot sit in the client cache waiting for the
@@ -162,18 +156,14 @@ func Restore(ctx *core.Ctx, path string) (Header, error) {
 	pageSize := space.Params().PageSize
 	remaining := (h.ResidentHeap + h.ResidentStack) * pageSize
 	for remaining > 0 {
-		n := 16 * 1024
-		if remaining < n {
-			n = remaining
-		}
-		data, err := ctx.Read(fd, n)
+		got, err := ctx.ReadCount(fd, min(remaining, 16*1024))
 		if err != nil {
 			return Header{}, err
 		}
-		if len(data) == 0 {
+		if got == 0 {
 			return Header{}, fmt.Errorf("%w: truncated payload", ErrBadImage)
 		}
-		remaining -= len(data)
+		remaining -= got
 	}
 	if err := ctx.Close(fd); err != nil {
 		return Header{}, err

@@ -154,6 +154,11 @@ func (c *Ctx) performMigration(req *migrationRequest) error {
 	if !dead {
 		return nil
 	}
+	if !p.crashed {
+		// Killed mid-flight: the abort still rolled the process back onto
+		// the source, so it unwinds by its kill, not by the failed transfer.
+		return ErrKilled
+	}
 	kind := "migrate"
 	if req.atExec {
 		kind = "exec-migrate"
@@ -317,6 +322,19 @@ func (c *Ctx) Read(fd, n int) ([]byte, error) {
 	return c.proc.cur.fsc.Read(c.env, st, n)
 }
 
+// ReadCount is Read for a caller that discards the contents: the same call,
+// with the same costs, returning only how many bytes were read.
+func (c *Ctx) ReadCount(fd, n int) (int, error) {
+	if err := c.enter("read"); err != nil {
+		return 0, err
+	}
+	st, err := c.proc.stream(fd)
+	if err != nil {
+		return 0, err
+	}
+	return c.proc.cur.fsc.ReadCount(c.env, st, n)
+}
+
 // Write writes data to fd.
 func (c *Ctx) Write(fd int, data []byte) (int, error) {
 	if err := c.enter("write"); err != nil {
@@ -327,6 +345,19 @@ func (c *Ctx) Write(fd int, data []byte) (int, error) {
 		return 0, err
 	}
 	return c.proc.cur.fsc.Write(c.env, st, data)
+}
+
+// WriteZeros is Write of n zero bytes for a caller whose contents do not
+// matter: the same call, with the same costs, but the zeros are a length.
+func (c *Ctx) WriteZeros(fd, n int) (int, error) {
+	if err := c.enter("write"); err != nil {
+		return 0, err
+	}
+	st, err := c.proc.stream(fd)
+	if err != nil {
+		return 0, err
+	}
+	return c.proc.cur.fsc.WriteZeros(c.env, st, n)
 }
 
 // Fsync forces fd's dirty blocks through to its file server, overriding

@@ -38,7 +38,7 @@ func E13RemotePenalty(cfg Config) (*Table, error) {
 				if err != nil {
 					return err
 				}
-				if _, err := ctx.Read(fd, 8192); err != nil {
+				if _, err := ctx.ReadCount(fd, 8192); err != nil {
 					return err
 				}
 				if err := ctx.Close(fd); err != nil {

@@ -150,7 +150,7 @@ func e17MigMeasure(seed int64, workers int, shape e17MigShape) (time.Duration, u
 						if err := ctx.TouchHeap(0, 16, true); err != nil {
 							return err
 						}
-						if _, err := ctx.Read(fd, 2048); err != nil {
+						if _, err := ctx.ReadCount(fd, 2048); err != nil {
 							return err
 						}
 						if err := ctx.Compute(25 * time.Millisecond); err != nil {

@@ -69,11 +69,12 @@ func sweep[S, E any](t *testing.T, f family[S, E], first int64, smoke int, probe
 
 // TestFuzzRegressions replays, on every run, the seeds long sweeps found
 // failing and that now pass: a source crash with a stream move in flight,
-// a migration straddling a reboot of its target, and an abort recovery
-// racing a crash of its own source.
+// a migration straddling a reboot of its target, an abort recovery racing a
+// crash of its own source, and an orphan killed while its migration aborts
+// on a target that died (5345).
 func TestFuzzRegressions(t *testing.T) {
 	regress(t, processes, 1108, 1131, 1455, 1477, 1777)
-	regress(t, fleets, 5053, 5081, 5101, 5103, 5111, 5152, 5183, 5272, 5280, 5533, 5744, 5754, 5788, 5790)
+	regress(t, fleets, 5053, 5081, 5101, 5103, 5111, 5152, 5183, 5272, 5280, 5345, 5533, 5744, 5754, 5788, 5790)
 }
 
 func regress[S, E any](t *testing.T, f family[S, E], seeds ...int64) {

@@ -50,27 +50,18 @@ func (c *Client) WriteAtBatch(env *sim.Env, st *Stream, runs []PageRun, maxRunBy
 		return bs, fmt.Errorf("bulk write %s: %w", st.Path, ErrBadStream)
 	}
 	for _, ext := range splitRuns(coalesceRuns(runs), maxRunBytes) {
-		n := ext.size()
 		if c.cacheEnabled(st) {
-			// The block cache holds bytes, so a zero run is materialised here.
-			data := ext.Data
-			if data == nil {
-				data = make([]byte, n)
-			}
-			if err := c.writeRange(env, st, ext.Off, data); err != nil {
+			if err := c.writeRun(env, st, ext); err != nil {
 				return bs, err
 			}
-		} else {
-			one, err := c.writeBulk(env, st, ext)
-			if err != nil {
-				return bs, err
-			}
-			bs.Add(one)
+			continue
 		}
-		c.stats.BytesWritten += uint64(n)
-		if m := c.fs.m; m != nil {
-			m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(n))
+		one, err := c.writeBulk(env, st, ext)
+		if err != nil {
+			return bs, err
 		}
+		bs.Add(one)
+		c.countWritten(env, ext.size())
 	}
 	return bs, nil
 }
@@ -119,22 +110,18 @@ func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) (int, rp
 		return 0, bs, nil
 	}
 	if c.cacheEnabled(st) {
-		if _, err := c.readRange(env, st, off, avail); err != nil {
+		if err := c.readInto(env, st, off, avail, nil); err != nil {
 			return 0, bs, err
 		}
-	} else {
-		var err error
-		_, bs, err = c.ep.CallBulk(env, st.FID.Server, "fs.readBulk", readBulkArgs{
-			FID: st.FID, Off: off, N: avail,
-		}, 40, 0, rpc.BulkIn)
-		if err != nil {
-			return 0, bs, fmt.Errorf("bulk read %s at %d: %w", st.Path, off, err)
-		}
+		return avail, bs, nil
 	}
-	c.stats.BytesRead += uint64(avail)
-	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(avail))
+	_, bs, err := c.ep.CallBulk(env, st.FID.Server, "fs.readBulk", readBulkArgs{
+		FID: st.FID, Off: off, N: avail,
+	}, 40, 0, rpc.BulkIn)
+	if err != nil {
+		return 0, bs, fmt.Errorf("bulk read %s at %d: %w", st.Path, off, err)
 	}
+	c.countRead(env, avail)
 	return avail, bs, nil
 }
 
@@ -148,8 +135,7 @@ func (c *Client) dropRange(fid FileID, off int64, n int) {
 	last := (int(off) + n - 1) / bs
 	for b := first; b <= last; b++ {
 		if cb, ok := c.blocks[cacheKey{fid: fid, block: b}]; ok {
-			c.lru.Remove(cb.elem)
-			delete(c.blocks, cb.key)
+			c.removeBlock(cb)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type cacheKey struct {
 
 type cacheBlock struct {
 	key   cacheKey
-	data  []byte // always BlockSize long
+	data  []byte // BlockSize bytes, or nil: the block is all zeros
 	dirty bool
 	elem  *list.Element
 }
@@ -43,7 +43,8 @@ type Client struct {
 	ep   *rpc.Endpoint
 
 	blocks    map[cacheKey]*cacheBlock
-	lru       *list.List // front = most recently used
+	lru       *list.List     // front = most recently used
+	dirty     map[FileID]int // dirty blocks per file among blocks; see setDirty
 	fileVer   map[FileID]uint64
 	fileSize  map[FileID]int
 	fileMTime map[FileID]time.Duration // last local cached write per file
@@ -100,6 +101,7 @@ func newClient(f *FS, host rpc.HostID) *Client {
 		ep:        f.transport.Register(host),
 		blocks:    make(map[cacheKey]*cacheBlock),
 		lru:       list.New(),
+		dirty:     make(map[FileID]int),
 		fileVer:   make(map[FileID]uint64),
 		fileSize:  make(map[FileID]int),
 		fileMTime: make(map[FileID]time.Duration),
@@ -120,10 +122,8 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // DirtyBlocks returns the number of dirty blocks held in the cache.
 func (c *Client) DirtyBlocks() int {
 	n := 0
-	for _, b := range c.blocks {
-		if b.dirty {
-			n++
-		}
+	for _, k := range c.dirty {
+		n += k
 	}
 	return n
 }
@@ -349,35 +349,46 @@ func (c *Client) cacheEnabled(st *Stream) bool {
 
 // Read reads up to n bytes at the stream's access position, advancing it.
 func (c *Client) Read(env *sim.Env, st *Stream, n int) ([]byte, error) {
+	data, _, err := c.read(env, st, n, true)
+	return data, err
+}
+
+// ReadCount is Read for callers that discard the contents: the same cache
+// decisions, server traffic and charges, but only the number of bytes read
+// comes back, and a file block holding only zeros is never materialised.
+func (c *Client) ReadCount(env *sim.Env, st *Stream, n int) (int, error) {
+	_, got, err := c.read(env, st, n, false)
+	return got, err
+}
+
+// read is Read's body; the bytes come back only when keep is set.
+func (c *Client) read(env *sim.Env, st *Stream, n int, keep bool) ([]byte, int, error) {
 	if st.closed || st.owners[c.host] <= 0 {
-		return nil, ErrBadStream
+		return nil, 0, ErrBadStream
 	}
 	if !st.Mode.canRead() {
-		return nil, fmt.Errorf("read %s: %w", st.Path, ErrBadStream)
+		return nil, 0, fmt.Errorf("read %s: %w", st.Path, ErrBadStream)
 	}
 	if st.pipe {
-		return c.pipeRead(env, st, n)
+		data, err := c.pipeRead(env, st, n)
+		return data, len(data), err
 	}
 	off, size, err := c.advanceOffset(env, st, int64(n))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	avail := int64(size) - off
+	avail := int(min(int64(n), int64(size)-off))
 	if avail <= 0 {
-		return nil, nil // EOF
+		return nil, 0, nil // EOF
 	}
-	if int64(n) < avail {
-		avail = int64(n)
+	var out []byte
+	if keep {
+		out = make([]byte, avail)
 	}
-	data, err := c.readRange(env, st, off, int(avail))
-	if err != nil {
-		return nil, err
+	if err := c.readInto(env, st, off, avail, out); err != nil {
+		return nil, 0, err
 	}
-	c.stats.BytesRead += uint64(len(data))
-	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(data)))
-	}
-	return data, nil
+	return out, avail, nil
 }
 
 // ReadAt reads n bytes at an explicit offset without moving the access
@@ -386,27 +397,40 @@ func (c *Client) ReadAt(env *sim.Env, st *Stream, off int64, n int) ([]byte, err
 	if st.closed {
 		return nil, ErrBadStream
 	}
-	size := c.knownSize(st)
-	avail := int64(size) - off
+	avail := int(min(int64(n), int64(c.knownSize(st))-off))
 	if avail <= 0 {
 		return nil, nil
 	}
-	if int64(n) < avail {
-		avail = int64(n)
-	}
-	data, err := c.readRange(env, st, off, int(avail))
-	if err != nil {
+	out := make([]byte, avail)
+	if err := c.readInto(env, st, off, avail, out); err != nil {
 		return nil, err
 	}
-	c.stats.BytesRead += uint64(len(data))
+	return out, nil
+}
+
+// countRead adds n to the bytes-read statistics.
+func (c *Client) countRead(env *sim.Env, n int) {
+	c.stats.BytesRead += uint64(n)
 	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(n))
 	}
-	return data, nil
 }
 
 // Write writes data at the stream's access position, advancing it.
 func (c *Client) Write(env *sim.Env, st *Stream, data []byte) (int, error) {
+	return c.write(env, st, PageRun{Data: data})
+}
+
+// WriteZeros is Write for callers whose contents do not matter: n zero
+// bytes go through the same cache decisions, server traffic and charges as
+// Write, but as a length — nothing is materialised in the cache, on the
+// wire or at the server.
+func (c *Client) WriteZeros(env *sim.Env, st *Stream, n int) (int, error) {
+	return c.write(env, st, PageRun{Zeros: n})
+}
+
+// write is Write's body: run, placed at the access position.
+func (c *Client) write(env *sim.Env, st *Stream, run PageRun) (int, error) {
 	if st.closed || st.owners[c.host] <= 0 {
 		return 0, ErrBadStream
 	}
@@ -414,20 +438,20 @@ func (c *Client) Write(env *sim.Env, st *Stream, data []byte) (int, error) {
 		return 0, fmt.Errorf("write %s: %w", st.Path, ErrReadOnly)
 	}
 	if st.pipe {
-		return c.pipeWrite(env, st, data)
+		if run.Data == nil {
+			run.Data = make([]byte, run.Zeros) // a pipe buffer holds bytes
+		}
+		return c.pipeWrite(env, st, run.Data)
 	}
-	off, _, err := c.advanceOffset(env, st, int64(len(data)))
+	off, _, err := c.advanceOffset(env, st, int64(run.size()))
 	if err != nil {
 		return 0, err
 	}
-	if err := c.writeRange(env, st, off, data); err != nil {
+	run.Off = off
+	if err := c.writeRun(env, st, run); err != nil {
 		return 0, err
 	}
-	c.stats.BytesWritten += uint64(len(data))
-	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(len(data)))
-	}
-	return len(data), nil
+	return run.size(), nil
 }
 
 // WriteAt writes data at an explicit offset without moving the access
@@ -436,14 +460,15 @@ func (c *Client) WriteAt(env *sim.Env, st *Stream, off int64, data []byte) error
 	if st.closed {
 		return ErrBadStream
 	}
-	if err := c.writeRange(env, st, off, data); err != nil {
-		return err
-	}
-	c.stats.BytesWritten += uint64(len(data))
+	return c.writeRun(env, st, PageRun{Off: off, Data: data})
+}
+
+// countWritten adds n to the bytes-written statistics.
+func (c *Client) countWritten(env *sim.Env, n int) {
+	c.stats.BytesWritten += uint64(n)
 	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(len(data)))
+		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(n))
 	}
-	return nil
 }
 
 // Seek sets the access position.
@@ -511,27 +536,30 @@ func (c *Client) bumpSize(st *Stream, size int) {
 	}
 }
 
-// readRange returns file bytes [off, off+n), via the cache when permitted.
-func (c *Client) readRange(env *sim.Env, st *Stream, off int64, n int) ([]byte, error) {
+// readInto reads file bytes [off, off+n) via the cache when permitted, into
+// out when it is non-nil (a fresh buffer: zeros need no copy), or counting
+// only when it is nil, and counts the bytes read.
+func (c *Client) readInto(env *sim.Env, st *Stream, off int64, n int, out []byte) error {
 	bs := c.fs.params.BlockSize
-	out := make([]byte, n)
 	for pos := 0; pos < n; {
 		block := (int(off) + pos) / bs
 		inOff := (int(off) + pos) % bs
 		want := min(bs-inOff, n-pos)
 		data, err := c.readBlock(env, st, block)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if inOff < len(data) {
+		if out != nil && inOff < len(data) {
 			copy(out[pos:pos+want], data[inOff:])
 		}
 		pos += want
 	}
-	return out, nil
+	c.countRead(env, n)
+	return nil
 }
 
-// readBlock returns one block's data (len <= BlockSize).
+// readBlock returns one block's stored bytes: at most BlockSize of them,
+// the rest of the block being zeros (nil for a block of zeros).
 func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) {
 	key := cacheKey{fid: st.FID, block: block}
 	if c.cacheEnabled(st) {
@@ -556,39 +584,52 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 	if !ok {
 		return nil, fmt.Errorf("fs.read: bad reply %T", reply)
 	}
-	data := make([]byte, c.fs.params.BlockSize)
-	copy(data, r.Data)
+	data := r.Data
 	if c.cacheEnabled(st) {
+		data = c.blockData(data)
 		c.insertBlock(env, key, data, false)
 	}
 	return data, nil
 }
 
-// writeRange writes data at [off, off+len(data)).
-func (c *Client) writeRange(env *sim.Env, st *Stream, off int64, data []byte) error {
+// blockData returns stored bytes as a cache block's data: BlockSize bytes,
+// or nil when nothing is stored.
+func (c *Client) blockData(stored []byte) []byte {
+	if len(stored) == 0 {
+		return nil
+	}
+	data := make([]byte, c.fs.params.BlockSize)
+	copy(data, stored)
+	return data
+}
+
+// writeRun writes run at run.Off, block by block — through the cache when
+// permitted, otherwise as one fs.write per block — and counts the bytes
+// written.
+func (c *Client) writeRun(env *sim.Env, st *Stream, run PageRun) error {
 	bs := c.fs.params.BlockSize
-	newSize := int(off) + len(data)
+	n := run.size()
+	newSize := int(run.Off) + n
 	// Record the new size first so that any eviction write-back triggered
 	// mid-loop flushes with the correct size.
 	defer c.bumpSize(st, newSize)
 	if newSize > c.fileSize[st.FID] {
 		c.fileSize[st.FID] = newSize
 	}
-	pos := 0
 	anyCached := false
-	for pos < len(data) {
-		block := (int(off) + pos) / bs
-		inOff := (int(off) + pos) % bs
-		want := bs - inOff
-		if want > len(data)-pos {
-			want = len(data) - pos
+	for pos := 0; pos < n; {
+		block := (int(run.Off) + pos) / bs
+		inOff := (int(run.Off) + pos) % bs
+		want := min(bs-inOff, n-pos)
+		var chunk []byte // nil: want zeros
+		if run.Data != nil {
+			chunk = run.Data[pos : pos+want]
 		}
-		chunk := data[pos : pos+want]
 		// Re-decide per block: a consistency callback can disable caching
 		// for this file while an earlier iteration blocked on the network.
 		cached := false
 		if c.cacheEnabled(st) {
-			ok, err := c.writeBlockCached(env, st, block, inOff, chunk)
+			ok, err := c.writeBlockCached(env, st, block, inOff, chunk, want)
 			if err != nil {
 				return err
 			}
@@ -603,8 +644,8 @@ func (c *Client) writeRange(env *sim.Env, st *Stream, off int64, data []byte) er
 		}
 		if !cached {
 			reply, err := c.ep.Call(env, st.FID.Server, "fs.write", writeArgs{
-				FID: st.FID, Block: block, Data: chunk, Offset: inOff, NewSize: -1,
-			}, 48+len(chunk))
+				FID: st.FID, Block: block, Data: chunk, N: want, Offset: inOff, NewSize: -1,
+			}, 48+want)
 			if err != nil {
 				return fmt.Errorf("write %s block %d: %w", st.Path, block, err)
 			}
@@ -620,32 +661,66 @@ func (c *Client) writeRange(env *sim.Env, st *Stream, off int64, data []byte) er
 	if anyCached {
 		c.fileMTime[st.FID] = env.Now()
 	}
+	c.countWritten(env, n)
 	return nil
 }
 
 // hasDirty reports whether the cache holds dirty blocks for fid.
-func (c *Client) hasDirty(fid FileID) bool {
-	for _, b := range c.blocks {
-		if b.key.fid == fid && b.dirty {
-			return true
-		}
+func (c *Client) hasDirty(fid FileID) bool { return c.dirty[fid] > 0 }
+
+// setDirty flips b's dirty bit, keeping the per-file dirty count in step.
+// The count covers the blocks in c.blocks only: a block displaced from the
+// map (a racing miss cached the same key again) stays on the LRU list until
+// evicted but no longer counts.
+func (c *Client) setDirty(b *cacheBlock, dirty bool) {
+	if b.dirty == dirty {
+		return
 	}
-	return false
+	b.dirty = dirty
+	if c.blocks[b.key] == b {
+		c.countDirty(b.key.fid, dirty)
+	}
 }
 
-// writeBlockCached applies a write to the cache (delayed write-back),
-// fetching the block first for a partial overwrite of existing data. It
-// reports false, leaving the cache untouched, if caching was disabled while
-// the fetch blocked — the caller must then write through to the server;
-// dirtying the cache after the disable callback would strand blocks that no
-// flush recall knows about.
-func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, chunk []byte) (bool, error) {
+// countDirty adds (dirty) or removes one dirty block of fid from the count.
+func (c *Client) countDirty(fid FileID, dirty bool) {
+	if dirty {
+		c.dirty[fid]++
+	} else if c.dirty[fid]--; c.dirty[fid] == 0 {
+		delete(c.dirty, fid)
+	}
+}
+
+// removeBlock takes b off the LRU list and drops b's key from the cache.
+func (c *Client) removeBlock(b *cacheBlock) {
+	c.lru.Remove(b.elem)
+	c.unmap(b.key)
+}
+
+// unmap drops whatever block key maps to, keeping the dirty count in step.
+func (c *Client) unmap(key cacheKey) {
+	if b, ok := c.blocks[key]; ok {
+		if b.dirty {
+			c.countDirty(key.fid, false)
+		}
+		delete(c.blocks, key)
+	}
+}
+
+// writeBlockCached applies a write of n bytes — chunk, or zeros when chunk
+// is nil — to the cache (delayed write-back), fetching the block first for
+// a partial overwrite of existing data. A block of zeros stays nil until
+// bytes are written into it. It reports false, leaving the cache untouched,
+// if caching was disabled while the fetch blocked — the caller must then
+// write through to the server; dirtying the cache after the disable
+// callback would strand blocks that no flush recall knows about.
+func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, chunk []byte, n int) (bool, error) {
 	bs := c.fs.params.BlockSize
 	key := cacheKey{fid: st.FID, block: block}
 	b, ok := c.blocks[key]
 	if !ok {
-		data := make([]byte, bs)
-		partial := inOff > 0 || len(chunk) < bs
+		var data []byte
+		partial := inOff > 0 || n < bs
 		existsOnServer := block*bs < c.knownSize(st)
 		if partial && existsOnServer {
 			fetched, err := c.readBlock(env, st, block)
@@ -655,7 +730,7 @@ func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, ch
 			if !c.cacheEnabled(st) {
 				return false, nil
 			}
-			copy(data, fetched)
+			data = c.blockData(fetched)
 			// readBlock may have inserted the block already.
 			if cached, ok2 := c.blocks[key]; ok2 {
 				b = cached
@@ -665,17 +740,27 @@ func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, ch
 			b = c.insertBlock(env, key, data, true)
 		}
 	}
-	copy(b.data[inOff:], chunk)
-	b.dirty = true
+	switch {
+	case chunk != nil:
+		if b.data == nil {
+			b.data = make([]byte, bs)
+		}
+		copy(b.data[inOff:], chunk)
+	case b.data != nil:
+		clear(b.data[inOff : inOff+n])
+	}
+	c.setDirty(b, true)
 	c.lru.MoveToFront(b.elem)
 	return true, nil
 }
 
 // insertBlock adds a block to the cache, evicting as needed.
 func (c *Client) insertBlock(env *sim.Env, key cacheKey, data []byte, dirty bool) *cacheBlock {
-	b := &cacheBlock{key: key, data: data, dirty: dirty}
+	c.unmap(key)
+	b := &cacheBlock{key: key, data: data}
 	b.elem = c.lru.PushFront(b)
 	c.blocks[key] = b
+	c.setDirty(b, dirty)
 	for len(c.blocks) > c.fs.params.ClientCacheBlocks {
 		tail := c.lru.Back()
 		if tail == nil {
@@ -690,32 +775,33 @@ func (c *Client) insertBlock(env *sim.Env, key cacheKey, data []byte, dirty bool
 			// dropped, matching a best-effort cache.
 			_ = c.flushBlock(env, victim)
 		}
-		c.lru.Remove(tail)
-		delete(c.blocks, victim.key)
+		c.removeBlock(victim)
 	}
 	return b
 }
 
-// flushBlock writes one dirty block through to the server.
+// flushBlock writes one dirty block through to the server; a block of
+// zeros travels as a length.
 func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	size := c.fileSize[b.key.fid]
 	bs := c.fs.params.BlockSize
 	lo := b.key.block * bs
-	hi := lo + bs
-	if hi > size {
-		hi = size
-	}
+	hi := min(lo+bs, size)
 	if hi <= lo {
-		b.dirty = false
+		c.setDirty(b, false)
 		return nil
 	}
+	var data []byte
+	if b.data != nil {
+		data = b.data[:hi-lo]
+	}
 	reply, err := c.ep.Call(env, b.key.fid.Server, "fs.write", writeArgs{
-		FID: b.key.fid, Block: b.key.block, Data: b.data[:hi-lo], Offset: 0, NewSize: size,
+		FID: b.key.fid, Block: b.key.block, Data: data, N: hi - lo, Offset: 0, NewSize: size,
 	}, 48+(hi-lo))
 	if err != nil {
 		return fmt.Errorf("flush block: %w", err)
 	}
-	b.dirty = false
+	c.setDirty(b, false)
 	c.stats.BlockFlushes++
 	if m := c.fs.m; m != nil {
 		m.flushes.IncSlot(sim.WorkerSlot(env))
@@ -728,6 +814,9 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 
 // FlushFile writes back all dirty blocks of one file.
 func (c *Client) FlushFile(env *sim.Env, fid FileID) error {
+	if !c.hasDirty(fid) {
+		return nil
+	}
 	var dirty []*cacheBlock
 	for _, b := range c.blocks {
 		if b.key.fid == fid && b.dirty {
@@ -747,12 +836,10 @@ func (c *Client) FlushFile(env *sim.Env, fid FileID) error {
 // no data is lost). Useful for tests and benchmarks that want cold-cache
 // behaviour.
 func (c *Client) DropCaches() {
-	for key, b := range c.blocks {
-		if b.dirty {
-			continue
+	for _, b := range c.blocks {
+		if !b.dirty {
+			c.removeBlock(b)
 		}
-		c.lru.Remove(b.elem)
-		delete(c.blocks, key)
 	}
 }
 
@@ -761,8 +848,7 @@ func (c *Client) DropCaches() {
 func (c *Client) dropFile(fid FileID) {
 	for key, b := range c.blocks {
 		if key.fid == fid {
-			c.lru.Remove(b.elem)
-			delete(c.blocks, key)
+			c.removeBlock(b)
 		}
 	}
 }

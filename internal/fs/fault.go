@@ -3,6 +3,7 @@ package fs
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -25,8 +26,9 @@ func (st *Stream) ScrubHost(host rpc.HostID) { st.shift(host, rpc.NoHost, st.own
 // and attribute caches, and the prefix table (repopulated by broadcast after
 // restart, as in Sprite).
 func (c *Client) CrashReset() {
-	c.blocks = make(map[cacheKey]*cacheBlock)
-	c.lru.Init()
+	for e := c.lru.Front(); e != nil; e = c.lru.Front() {
+		c.removeBlock(e.Value.(*cacheBlock))
+	}
 	c.fileVer = make(map[FileID]uint64)
 	c.fileSize = make(map[FileID]int)
 	c.fileMTime = make(map[FileID]time.Duration)
@@ -177,6 +179,8 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 //     still believes its cache is valid: the file must be cacheable and the
 //     host must be its last writer or hold it open for writing (the "no
 //     stale dirty blocks after a conflicting remote open" rule);
+//   - each client's per-file dirty count must equal the dirty blocks its
+//     cache holds;
 //   - with endOfRun set, every open table must be empty and no pipe alive.
 func (f *FS) CheckInvariants(endOfRun bool) []string {
 	var out []string
@@ -193,11 +197,14 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 	}
 	for _, ch := range sortedKeys(f.clients) {
 		c := f.clients[ch]
-		dirty := make(map[FileID]bool)
+		dirty := make(map[FileID]int)
 		for _, b := range c.blocks {
 			if b.dirty {
-				dirty[b.key.fid] = true
+				dirty[b.key.fid]++
 			}
+		}
+		if !maps.Equal(c.dirty, dirty) {
+			out = append(out, fmt.Sprintf("fs: host %d: dirty counts %v, cache holds %v", ch, c.dirty, dirty))
 		}
 		fids := make([]FileID, 0, len(dirty))
 		for fid := range dirty {

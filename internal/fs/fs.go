@@ -261,7 +261,7 @@ func (f *FS) seed(path string, neverCache bool) (FileID, *file, error) {
 	fl.version++
 	fl.mtime = f.sim.Now()
 	// Seeded data is considered on disk: first reads pay the disk cost.
-	fl.touched = make(map[int]bool)
+	fl.touched = nil
 	return FileID{Server: srvHost, Ino: fl.ino}, fl, nil
 }
 

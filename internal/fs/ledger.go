@@ -144,6 +144,16 @@ func (t *openTable) writersOn(except rpc.HostID) int {
 	return n
 }
 
+// heldOther reports whether a host other than except holds an entry.
+func (t *openTable) heldOther(except rpc.HostID) bool {
+	for _, r := range t.refs {
+		if r.host != except {
+			return true
+		}
+	}
+	return false
+}
+
 // hostsOther returns the hosts (other than except) holding an entry, in
 // host order: callers fire consistency RPCs (recalls, shoot-downs) down this
 // list, so its order is part of the deterministic event schedule.

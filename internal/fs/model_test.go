@@ -128,7 +128,7 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 			c := clients[rng.Intn(len(clients))]
 			path := paths[rng.Intn(len(paths))]
 			mf, exists := model[path]
-			switch rng.Intn(7) {
+			switch rng.Intn(9) {
 			case 0, 1: // write a random range
 				if !exists {
 					mf = &modelFile{}
@@ -214,12 +214,63 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 				bs := params.BlockSize
 				block, data, newSize := rng.Intn(8), randBytes(1+rng.Intn(bs)), rng.Intn(50000)
 				if _, err := c.ep.Call(env, fid.Server, "fs.write", writeArgs{
-					FID: fid, Block: block, Data: data, NewSize: newSize,
+					FID: fid, Block: block, Data: data, N: len(data), NewSize: newSize,
 				}, 48+len(data)); err != nil {
 					return fmt.Errorf("op %d sized flush %s: %w", op, swapPath, err)
 				}
 				mf.writeAt(int64(block*bs), data)
 				mf.setSize(newSize)
+			case 7: // zeros at the access position, as a length
+				if !exists {
+					mf = &modelFile{}
+					model[path] = mf
+				}
+				off := int64(rng.Intn(20000))
+				n := 1 + rng.Intn(6000)
+				st, err := c.Open(env, path, ReadWriteMode, OpenOptions{Create: true})
+				if err != nil {
+					return fmt.Errorf("op %d open-z %s: %w", op, path, err)
+				}
+				if err := c.Seek(env, st, off); err != nil {
+					return err
+				}
+				if got, err := c.WriteZeros(env, st, n); err != nil || got != n {
+					return fmt.Errorf("op %d zeros %s@%d+%d: wrote %d: %v", op, path, off, n, got, err)
+				}
+				mf.writeAt(off, make([]byte, n))
+				if err := c.Close(env, st); err != nil {
+					return err
+				}
+			case 8: // a counted read, then the same range's bytes
+				if !exists {
+					continue
+				}
+				off := int64(rng.Intn(20000))
+				n := 1 + rng.Intn(6000)
+				st, err := c.Open(env, path, ReadMode, OpenOptions{})
+				if err != nil {
+					return fmt.Errorf("op %d open-rc %s: %w", op, path, err)
+				}
+				if err := c.Seek(env, st, off); err != nil {
+					return err
+				}
+				want := mf.readAt(off, n)
+				if got, err := c.ReadCount(env, st, n); err != nil || got != len(want) {
+					return fmt.Errorf("op %d: count read %s@%d+%d = %d, %v; want %d", op, path, off, n, got, err, len(want))
+				}
+				got, err := c.ReadAt(env, st, off, n)
+				if err != nil {
+					return fmt.Errorf("op %d read %s: %w", op, path, err)
+				}
+				if !bytes.Equal(got, want) {
+					return fmt.Errorf("op %d: read %s@%d+%d after count diverged (first diff at %d)", op, path, off, n, firstDiff(got, want))
+				}
+				if err := c.Close(env, st); err != nil {
+					return err
+				}
+			}
+			if v := f.CheckInvariants(false); len(v) > 0 {
+				return fmt.Errorf("op %d: %s", op, v[0])
 			}
 			if err := env.Sleep(time.Millisecond); err != nil {
 				return err
@@ -263,4 +314,208 @@ func firstDiff(a, b []byte) int {
 		return n
 	}
 	return -1
+}
+
+// TestZeroBlocksAgainstModel pins, at the model tests' 8-block cache, each
+// transition of a cache block between bytes and zeros, and checks the file
+// against the flat model from both hosts afterwards.
+func TestZeroBlocksAgainstModel(t *testing.T) {
+	const bs = 4096
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	cases := []struct {
+		name string
+		// seed is the file's initial contents on the server.
+		seed []byte
+		run  func(env *sim.Env, z *zeroCase) error
+	}{
+		{"zeros into a byte block", nil, func(env *sim.Env, z *zeroCase) error {
+			if err := z.writeAt(env, z.a, 0, fill(bs, 7)); err != nil {
+				return err
+			}
+			if err := z.expectBlock(z.a, 0, true, true); err != nil {
+				return err
+			}
+			if err := z.zeros(env, z.a, 100, 200); err != nil {
+				return err
+			}
+			return z.expectBlock(z.a, 0, true, true)
+		}},
+		{"bytes into a zero block", nil, func(env *sim.Env, z *zeroCase) error {
+			if err := z.zeros(env, z.a, 0, 2*bs); err != nil {
+				return err
+			}
+			if err := z.expectBlock(z.a, 1, false, true); err != nil {
+				return err
+			}
+			if err := z.writeAt(env, z.a, bs+904, fill(10, 9)); err != nil {
+				return err
+			}
+			if err := z.expectBlock(z.a, 1, true, true); err != nil {
+				return err
+			}
+			return z.expectBlock(z.a, 0, false, true)
+		}},
+		{"a zero block evicted dirty", fill(2*bs, 5), func(env *sim.Env, z *zeroCase) error {
+			if err := z.zeros(env, z.a, 0, bs); err != nil {
+				return err
+			}
+			if err := z.expectBlock(z.a, 0, false, true); err != nil {
+				return err
+			}
+			flushes := z.a.Stats().BlockFlushes
+			st, err := z.a.Open(env, "/other", WriteMode, OpenOptions{Create: true})
+			if err != nil {
+				return err
+			}
+			if _, err := z.a.Write(env, st, fill(8*bs, 1)); err != nil {
+				return err
+			}
+			if err := z.a.Close(env, st); err != nil {
+				return err
+			}
+			if _, ok := z.a.blocks[z.key(0)]; ok || z.a.Stats().BlockFlushes == flushes {
+				return fmt.Errorf("block 0 cached=%t after filling the cache, flushes %d -> %d; want it evicted dirty",
+					ok, flushes, z.a.Stats().BlockFlushes)
+			}
+			return nil
+		}},
+		{"a zero block recalled by fsc.flush", fill(3*bs, 5), func(env *sim.Env, z *zeroCase) error {
+			if err := z.zeros(env, z.a, bs-10, bs+20); err != nil {
+				return err
+			}
+			if err := z.expectBlock(z.a, 1, false, true); err != nil {
+				return err
+			}
+			recalls := z.srv.Stats().FlushRecall
+			st, err := z.b.Open(env, "/z", ReadMode, OpenOptions{})
+			if err != nil {
+				return err
+			}
+			if z.srv.Stats().FlushRecall == recalls || z.a.DirtyBlocks() != 0 {
+				return fmt.Errorf("open by another host: flush recalls %d -> %d, %d dirty left; want one recall, none left",
+					recalls, z.srv.Stats().FlushRecall, z.a.DirtyBlocks())
+			}
+			return z.b.Close(env, st)
+		}},
+		{"a zero block recalled by fsc.disable", fill(3*bs, 5), func(env *sim.Env, z *zeroCase) error {
+			st, err := z.a.Open(env, "/z", WriteMode, OpenOptions{})
+			if err != nil {
+				return err
+			}
+			if _, err := z.a.WriteZeros(env, st, bs+20); err != nil {
+				return err
+			}
+			z.model.writeAt(0, make([]byte, bs+20))
+			if err := z.expectBlock(z.a, 0, false, true); err != nil {
+				return err
+			}
+			disables := z.srv.Stats().Disables
+			sb, err := z.b.Open(env, "/z", WriteMode, OpenOptions{})
+			if err != nil {
+				return err
+			}
+			if z.srv.Stats().Disables == disables || z.a.CachedBlocks() != 0 {
+				return fmt.Errorf("write-shared open: disables %d -> %d, %d blocks left cached; want one disable, none cached",
+					disables, z.srv.Stats().Disables, z.a.CachedBlocks())
+			}
+			if err := z.b.Close(env, sb); err != nil {
+				return err
+			}
+			return z.a.Close(env, st)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			net := netsim.New(s, netsim.DefaultParams())
+			tr := rpc.NewTransport(s, net, rpc.DefaultParams())
+			params := DefaultParams()
+			params.ClientCacheBlocks = 8
+			f := New(s, tr, params)
+			z := &zeroCase{srv: f.AddServer(1, "/"), a: f.AddClient(2), b: f.AddClient(3), model: &modelFile{}}
+			fid, err := f.Seed("/z", tc.seed, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			z.fid = fid
+			z.model.writeAt(0, tc.seed)
+			s.Spawn("driver", func(env *sim.Env) error {
+				if err := tc.run(env, z); err != nil {
+					return err
+				}
+				if v := f.CheckInvariants(false); len(v) > 0 {
+					return fmt.Errorf("invariant: %s", v[0])
+				}
+				for _, c := range []*Client{z.a, z.b} {
+					got, err := c.ReadFile(env, "/z")
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(got, z.model.data) {
+						return fmt.Errorf("host %v reads %d bytes, model %d; first diff at %d",
+							c.Host(), len(got), len(z.model.data), firstDiff(got, z.model.data))
+					}
+				}
+				return nil
+			})
+			if err := s.Run(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// zeroCase is one TestZeroBlocksAgainstModel scenario's fabric: file /z on
+// server srv, written through clients a and b, mirrored in model.
+type zeroCase struct {
+	srv   *Server
+	a, b  *Client
+	fid   FileID
+	model *modelFile
+}
+
+func (z *zeroCase) key(block int) cacheKey { return cacheKey{fid: z.fid, block: block} }
+
+// writeAt writes data to /z at off through c, and to the model.
+func (z *zeroCase) writeAt(env *sim.Env, c *Client, off int64, data []byte) error {
+	st, err := c.Open(env, "/z", WriteMode, OpenOptions{})
+	if err != nil {
+		return err
+	}
+	if err := c.WriteAt(env, st, off, data); err != nil {
+		return err
+	}
+	z.model.writeAt(off, data)
+	return c.Close(env, st)
+}
+
+// zeros writes n zeros to /z at off through c's stream position, and to the
+// model.
+func (z *zeroCase) zeros(env *sim.Env, c *Client, off int64, n int) error {
+	st, err := c.Open(env, "/z", WriteMode, OpenOptions{})
+	if err != nil {
+		return err
+	}
+	if err := c.Seek(env, st, off); err != nil {
+		return err
+	}
+	if _, err := c.WriteZeros(env, st, n); err != nil {
+		return err
+	}
+	z.model.writeAt(off, make([]byte, n))
+	return c.Close(env, st)
+}
+
+// expectBlock checks that c caches /z's block, holding bytes or (nil) zeros
+// as hasBytes says, dirty as dirty says.
+func (z *zeroCase) expectBlock(c *Client, block int, hasBytes, dirty bool) error {
+	b, ok := c.blocks[z.key(block)]
+	if !ok {
+		return fmt.Errorf("block %d not cached on host %v", block, c.Host())
+	}
+	if (b.data != nil) != hasBytes || b.dirty != dirty {
+		return fmt.Errorf("block %d on host %v: bytes=%t dirty=%t, want bytes=%t dirty=%t",
+			block, c.Host(), b.data != nil, b.dirty, hasBytes, dirty)
+	}
+	return nil
 }

@@ -47,8 +47,9 @@ type (
 	writeArgs struct {
 		FID     FileID
 		Block   int
-		Data    []byte
-		Offset  int // byte offset of Data within the block
+		Data    []byte // nil: the N bytes are zeros and travel as a length only
+		N       int
+		Offset  int // byte offset of the write within the block
 		NewSize int // -1 to keep current size
 	}
 	writeReply struct {
@@ -131,7 +132,7 @@ type file struct {
 	cacheable  bool
 	opens      openTable
 	lastWriter rpc.HostID // host that may hold dirty blocks in its cache
-	touched    map[int]bool
+	touched    []uint64   // bitset of blocks read or written since seeding (nil: none yet)
 	// mu serializes open/close/migrate consistency actions on this file.
 	// An open that blocks mid-handler issuing cache callbacks has not yet
 	// registered its reference; without the monitor lock a concurrent open
@@ -171,6 +172,18 @@ func (fl *file) writeAt(off int, data []byte, n int) {
 	if end > fl.size {
 		fl.size = end
 	}
+}
+
+// touch marks block as touched and reports whether it was cold (never yet
+// touched: still on disk).
+func (fl *file) touch(block int) bool {
+	w, bit := block/64, uint64(1)<<(block%64)
+	if w >= len(fl.touched) {
+		fl.touched = append(fl.touched, make([]uint64, w+1-len(fl.touched))...)
+	}
+	cold := fl.touched[w]&bit == 0
+	fl.touched[w] |= bit
+	return cold
 }
 
 // setSize truncates or extends the file to n bytes; an extension stores
@@ -298,7 +311,6 @@ func (s *Server) create(path string, neverCache bool) *file {
 		version:    1,
 		neverCache: neverCache,
 		cacheable:  !neverCache,
-		touched:    make(map[int]bool),
 		mu:         sim.NewResource(s.fs.sim, 1),
 	}
 	s.files[path] = fl
@@ -358,8 +370,7 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, mode OpenMode) error {
 	conflict := false
 	if !fl.neverCache {
-		others := fl.opens.hostsOther(host)
-		if mode.canWrite() && len(others) > 0 {
+		if mode.canWrite() && fl.opens.heldOther(host) {
 			conflict = true
 		}
 		if fl.opens.writersOn(host) > 0 {
@@ -451,10 +462,9 @@ func (s *Server) handleRead(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	if err := s.chargeCPU(env, s.fs.params.BlockServerCPU); err != nil {
 		return nil, 0, err
 	}
-	if !fl.touched[a.Block] {
+	if fl.touch(a.Block) {
 		// Cold block: charge a disk transfer.
 		s.stats.ColdReads++
-		fl.touched[a.Block] = true
 		if s.fs.params.DiskPerBlock > 0 {
 			if err := s.disk.Use(env, s.fs.params.DiskPerBlock); err != nil {
 				return nil, 0, err
@@ -480,9 +490,9 @@ func (s *Server) handleWrite(env *sim.Env, from rpc.HostID, arg any) (any, int, 
 		return nil, 0, err
 	}
 	s.stats.BlocksWrite++
-	fl.touched[a.Block] = true
+	fl.touch(a.Block)
 	lo := a.Block*s.fs.params.BlockSize + a.Offset
-	return fl.applyWrite(env.Now(), lo, a.Data, len(a.Data), a.NewSize), 32, nil
+	return fl.applyWrite(env.Now(), lo, a.Data, a.N, a.NewSize), 32, nil
 }
 
 // bulkCPU charges the per-batch server cost for a bulk transfer covering
@@ -522,7 +532,7 @@ func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, arg any) (any, i
 	}
 	s.stats.BulkWrites++
 	for b := first; b <= last; b++ {
-		fl.touched[b] = true
+		fl.touch(b)
 	}
 	s.stats.BlocksWrite += uint64(last - first + 1)
 	return fl.applyWrite(env.Now(), lo, a.Data, a.N, a.NewSize), 32, nil
@@ -557,9 +567,8 @@ func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, in
 	// of untouched data is one long sequential disk run.
 	var cold int
 	for b := first; b <= last; b++ {
-		if !fl.touched[b] {
+		if fl.touch(b) {
 			cold++
-			fl.touched[b] = true
 		}
 	}
 	if cold > 0 {

@@ -334,11 +334,11 @@ func jobProgram(job *Job) core.Program {
 				return err
 			}
 			for {
-				data, err := ctx.Read(fd, 16*1024)
+				n, err := ctx.ReadCount(fd, 16*1024)
 				if err != nil {
 					return err
 				}
-				if len(data) == 0 {
+				if n == 0 {
 					break
 				}
 			}
@@ -359,17 +359,10 @@ func jobProgram(job *Job) core.Program {
 			if err != nil {
 				return err
 			}
-			remaining := job.OutputSize
-			chunk := make([]byte, 16*1024)
-			for remaining > 0 {
-				n := len(chunk)
-				if remaining < n {
-					n = remaining
-				}
-				if _, err := ctx.Write(fd, chunk[:n]); err != nil {
+			for remaining := job.OutputSize; remaining > 0; remaining -= 16 * 1024 {
+				if _, err := ctx.WriteZeros(fd, min(remaining, 16*1024)); err != nil {
 					return err
 				}
-				remaining -= n
 			}
 			if err := ctx.Close(fd); err != nil {
 				return err
