@@ -70,10 +70,13 @@ func sweep[S, E any](t *testing.T, f family[S, E], first int64, smoke int, probe
 // TestFuzzRegressions replays, on every run, the seeds long sweeps found
 // failing and that now pass: a source crash with a stream move in flight,
 // a migration straddling a reboot of its target, an abort recovery racing a
-// crash of its own source, and an orphan killed while its migration aborts
-// on a target that died (5345).
+// crash of its own source, an orphan killed while its migration aborts on a
+// target that died (5345), and a client cache left holding a second block
+// for one key — a read miss that re-cached a key while its fs.read blocked
+// (1003 under dropped messages, 1463 around a crash, 1723 around a reboot
+// and partitions).
 func TestFuzzRegressions(t *testing.T) {
-	regress(t, processes, 1108, 1131, 1455, 1477, 1777)
+	regress(t, processes, 1003, 1108, 1131, 1455, 1463, 1477, 1723, 1777)
 	regress(t, fleets, 5053, 5081, 5101, 5103, 5111, 5152, 5183, 5272, 5280, 5345, 5533, 5744, 5754, 5788, 5790)
 }
 

@@ -31,6 +31,7 @@ type cacheBlock struct {
 	key   cacheKey
 	data  []byte // BlockSize bytes, or nil: the block is all zeros
 	dirty bool
+	gen   uint32 // writes applied, wrapping; see flushBlock
 	elem  *list.Element
 }
 
@@ -43,8 +44,8 @@ type Client struct {
 	ep   *rpc.Endpoint
 
 	blocks    map[cacheKey]*cacheBlock
-	lru       *list.List     // front = most recently used
-	dirty     map[FileID]int // dirty blocks per file among blocks; see setDirty
+	lru       *list.List     // the blocks in c.blocks; front = most recently used
+	dirty     map[FileID]int // dirty blocks per file; see setDirty
 	fileVer   map[FileID]uint64
 	fileSize  map[FileID]int
 	fileMTime map[FileID]time.Duration // last local cached write per file
@@ -586,8 +587,15 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 	}
 	data := r.Data
 	if c.cacheEnabled(st) {
+		// A block cached while the fetch blocked (another activity's miss or
+		// write on this host) is at least as new as the reply.
+		if b, ok := c.blocks[key]; ok {
+			c.lru.MoveToFront(b.elem)
+			return b.data, nil
+		}
 		data = c.blockData(data)
-		c.insertBlock(env, key, data, false)
+		c.insertBlock(key, data)
+		c.evict(env)
 	}
 	return data, nil
 }
@@ -669,42 +677,26 @@ func (c *Client) writeRun(env *sim.Env, st *Stream, run PageRun) error {
 func (c *Client) hasDirty(fid FileID) bool { return c.dirty[fid] > 0 }
 
 // setDirty flips b's dirty bit, keeping the per-file dirty count in step.
-// The count covers the blocks in c.blocks only: a block displaced from the
-// map (a racing miss cached the same key again) stays on the LRU list until
-// evicted but no longer counts.
 func (c *Client) setDirty(b *cacheBlock, dirty bool) {
 	if b.dirty == dirty {
 		return
 	}
-	b.dirty = dirty
-	if c.blocks[b.key] == b {
-		c.countDirty(b.key.fid, dirty)
+	if b.dirty = dirty; dirty {
+		c.dirty[b.key.fid]++
+	} else if c.dirty[b.key.fid]--; c.dirty[b.key.fid] == 0 {
+		delete(c.dirty, b.key.fid)
 	}
 }
 
-// countDirty adds (dirty) or removes one dirty block of fid from the count.
-func (c *Client) countDirty(fid FileID, dirty bool) {
-	if dirty {
-		c.dirty[fid]++
-	} else if c.dirty[fid]--; c.dirty[fid] == 0 {
-		delete(c.dirty, fid)
-	}
-}
-
-// removeBlock takes b off the LRU list and drops b's key from the cache.
+// removeBlock drops b from the cache if it is still resident. A dropped
+// block is clean, so only resident blocks are ever dirty.
 func (c *Client) removeBlock(b *cacheBlock) {
-	c.lru.Remove(b.elem)
-	c.unmap(b.key)
-}
-
-// unmap drops whatever block key maps to, keeping the dirty count in step.
-func (c *Client) unmap(key cacheKey) {
-	if b, ok := c.blocks[key]; ok {
-		if b.dirty {
-			c.countDirty(key.fid, false)
-		}
-		delete(c.blocks, key)
+	if c.blocks[b.key] != b {
+		return
 	}
+	c.setDirty(b, false)
+	c.lru.Remove(b.elem)
+	delete(c.blocks, b.key)
 }
 
 // writeBlockCached applies a write of n bytes — chunk, or zeros when chunk
@@ -719,25 +711,20 @@ func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, ch
 	key := cacheKey{fid: st.FID, block: block}
 	b, ok := c.blocks[key]
 	if !ok {
-		var data []byte
+		var fetched []byte
 		partial := inOff > 0 || n < bs
 		existsOnServer := block*bs < c.knownSize(st)
 		if partial && existsOnServer {
-			fetched, err := c.readBlock(env, st, block)
-			if err != nil {
+			var err error
+			if fetched, err = c.readBlock(env, st, block); err != nil {
 				return false, err
 			}
 			if !c.cacheEnabled(st) {
 				return false, nil
 			}
-			data = c.blockData(fetched)
-			// readBlock may have inserted the block already.
-			if cached, ok2 := c.blocks[key]; ok2 {
-				b = cached
-			}
 		}
-		if b == nil {
-			b = c.insertBlock(env, key, data, true)
+		if b, ok = c.blocks[key]; !ok {
+			b = c.insertBlock(key, c.blockData(fetched))
 		}
 	}
 	switch {
@@ -749,39 +736,39 @@ func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, ch
 	case b.data != nil:
 		clear(b.data[inOff : inOff+n])
 	}
+	b.gen++
 	c.setDirty(b, true)
 	c.lru.MoveToFront(b.elem)
+	c.evict(env)
 	return true, nil
 }
 
-// insertBlock adds a block to the cache, evicting as needed.
-func (c *Client) insertBlock(env *sim.Env, key cacheKey, data []byte, dirty bool) *cacheBlock {
-	c.unmap(key)
+// insertBlock caches a clean block for key, which must not be resident.
+func (c *Client) insertBlock(key cacheKey, data []byte) *cacheBlock {
 	b := &cacheBlock{key: key, data: data}
 	b.elem = c.lru.PushFront(b)
 	c.blocks[key] = b
-	c.setDirty(b, dirty)
-	for len(c.blocks) > c.fs.params.ClientCacheBlocks {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		victim, ok := tail.Value.(*cacheBlock)
-		if !ok {
-			break
-		}
-		if victim.dirty {
-			// Ignore eviction write-back failures: the block is still
-			// dropped, matching a best-effort cache.
-			_ = c.flushBlock(env, victim)
-		}
-		c.removeBlock(victim)
-	}
 	return b
 }
 
+// evict drops least recently used blocks until the cache is within
+// capacity, writing dirty ones back first. A write-back blocks, so after
+// each one the tail is read again.
+func (c *Client) evict(env *sim.Env) {
+	for len(c.blocks) > c.fs.params.ClientCacheBlocks {
+		victim := c.lru.Back().Value.(*cacheBlock)
+		// A failed write-back still drops the block, matching a
+		// best-effort cache.
+		if victim.dirty && c.flushBlock(env, victim) == nil {
+			continue
+		}
+		c.removeBlock(victim)
+	}
+}
+
 // flushBlock writes one dirty block through to the server; a block of
-// zeros travels as a length.
+// zeros travels as a length. The block stays dirty if a write landed while
+// the call was in flight.
 func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	size := c.fileSize[b.key.fid]
 	bs := c.fs.params.BlockSize
@@ -795,13 +782,16 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	if b.data != nil {
 		data = b.data[:hi-lo]
 	}
+	gen := b.gen
 	reply, err := c.ep.Call(env, b.key.fid.Server, "fs.write", writeArgs{
 		FID: b.key.fid, Block: b.key.block, Data: data, N: hi - lo, Offset: 0, NewSize: size,
 	}, 48+(hi-lo))
 	if err != nil {
 		return fmt.Errorf("flush block: %w", err)
 	}
-	c.setDirty(b, false)
+	if b.gen == gen {
+		c.setDirty(b, false)
+	}
 	c.stats.BlockFlushes++
 	if m := c.fs.m; m != nil {
 		m.flushes.IncSlot(sim.WorkerSlot(env))
@@ -922,6 +912,8 @@ func (c *Client) StatFull(env *sim.Env, path string) (StatInfo, error) {
 	}
 	size := r.Size
 	mtime := r.MTime
+	// This host's dirty blocks may extend the file, and date it, beyond
+	// what the server has seen.
 	if c.hasDirty(r.FID) {
 		if local, ok := c.fileSize[r.FID]; ok && local > size {
 			size = local
@@ -933,27 +925,10 @@ func (c *Client) StatFull(env *sim.Env, path string) (StatInfo, error) {
 	return StatInfo{FID: r.FID, Size: size, MTime: mtime}, nil
 }
 
-// Stat returns a file's id, size and version.
+// Stat returns a file's id and size: StatFull without the time.
 func (c *Client) Stat(env *sim.Env, path string) (FileID, int, error) {
-	srvHost, err := c.server(path)
-	if err != nil {
-		return FileID{}, 0, err
-	}
-	reply, err := c.ep.Call(env, srvHost, "fs.stat", statArgs{Path: path}, 16+len(path))
-	if err != nil {
-		return FileID{}, 0, err
-	}
-	r, ok := reply.(statReply)
-	if !ok {
-		return FileID{}, 0, fmt.Errorf("fs.stat: bad reply %T", reply)
-	}
-	size := r.Size
-	// Reconcile with this host's own cached attributes: our dirty blocks
-	// may extend the file beyond what the server has seen.
-	if local, ok := c.fileSize[r.FID]; ok && c.hasDirty(r.FID) && local > size {
-		size = local
-	}
-	return r.FID, size, nil
+	info, err := c.StatFull(env, path)
+	return info.FID, info.Size, err
 }
 
 // Remove deletes a file.

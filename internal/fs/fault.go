@@ -26,8 +26,8 @@ func (st *Stream) ScrubHost(host rpc.HostID) { st.shift(host, rpc.NoHost, st.own
 // and attribute caches, and the prefix table (repopulated by broadcast after
 // restart, as in Sprite).
 func (c *Client) CrashReset() {
-	for e := c.lru.Front(); e != nil; e = c.lru.Front() {
-		c.removeBlock(e.Value.(*cacheBlock))
+	for _, b := range c.blocks {
+		c.removeBlock(b)
 	}
 	c.fileVer = make(map[FileID]uint64)
 	c.fileSize = make(map[FileID]int)
@@ -179,6 +179,9 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 //     still believes its cache is valid: the file must be cacheable and the
 //     host must be its last writer or hold it open for writing (the "no
 //     stale dirty blocks after a conflicting remote open" rule);
+//   - each client's cache holds at most one block per key: every LRU list
+//     element is the block mapped for its key, and the list is as long as
+//     the map;
 //   - each client's per-file dirty count must equal the dirty blocks its
 //     cache holds;
 //   - with endOfRun set, every open table must be empty and no pipe alive.
@@ -197,6 +200,14 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 	}
 	for _, ch := range sortedKeys(f.clients) {
 		c := f.clients[ch]
+		if c.lru.Len() != len(c.blocks) {
+			out = append(out, fmt.Sprintf("fs: host %d: LRU list holds %d blocks, map %d", ch, c.lru.Len(), len(c.blocks)))
+		}
+		for e := c.lru.Front(); e != nil; e = e.Next() {
+			if b := e.Value.(*cacheBlock); c.blocks[b.key] != b {
+				out = append(out, fmt.Sprintf("fs: host %d: LRU list holds %v block %d, which is not the block mapped for its key", ch, b.key.fid, b.key.block))
+			}
+		}
 		dirty := make(map[FileID]int)
 		for _, b := range c.blocks {
 			if b.dirty {

@@ -97,9 +97,6 @@ type Params struct {
 	DiskPerBlock time.Duration
 	// ClientCacheBlocks is the client block cache capacity.
 	ClientCacheBlocks int
-	// WriteBackDelay is the age at which a client's background flusher
-	// pushes dirty blocks to the server (Sprite used 30 s).
-	WriteBackDelay time.Duration
 	// WriteThrough disables delayed write-back: every cached write is
 	// pushed to the server synchronously (an ablation of Sprite's delayed
 	// writes; costs server traffic but removes dirty-cache recalls).
@@ -120,7 +117,6 @@ func DefaultParams() Params {
 		BlockServerCPU:    400 * time.Microsecond,
 		DiskPerBlock:      15 * time.Millisecond,
 		ClientCacheBlocks: 1024, // 4 MB of cache
-		WriteBackDelay:    30 * time.Second,
 		BulkPerBlockCPU:   100 * time.Microsecond,
 	}
 }
@@ -263,12 +259,4 @@ func (f *FS) seed(path string, neverCache bool) (FileID, *file, error) {
 	// Seeded data is considered on disk: first reads pay the disk cost.
 	fl.touched = nil
 	return FileID{Server: srvHost, Ino: fl.ino}, fl, nil
-}
-
-// blockCount returns the number of blocks covering n bytes.
-func (f *FS) blockCount(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + f.params.BlockSize - 1) / f.params.BlockSize
 }

@@ -21,10 +21,16 @@ type harness struct {
 
 func newHarness(t *testing.T, clients int) *harness {
 	t.Helper()
+	return newHarnessWith(t, clients, DefaultParams())
+}
+
+// newHarnessWith is newHarness with the given file system parameters.
+func newHarnessWith(t *testing.T, clients int, params Params) *harness {
+	t.Helper()
 	s := sim.New(1)
 	net := netsim.New(s, netsim.Params{Latency: 500 * time.Microsecond, BandwidthBytesPerSec: 1e6})
 	tr := rpc.NewTransport(s, net, rpc.Params{ClientOverhead: time.Millisecond})
-	f := New(s, tr, DefaultParams())
+	f := New(s, tr, params)
 	srv := f.AddServer(1, "/")
 	for i := 0; i < clients; i++ {
 		f.AddClient(rpc.HostID(2 + i))

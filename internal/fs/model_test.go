@@ -300,6 +300,107 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 	}
 }
 
+// TestModelStripedActivities runs two activities on one host against one
+// cacheable file through a 4-block cache. The file is cut into 512-byte
+// stripes, and each activity owns every other one: it writes only its own
+// stripes, checks every read of them against its own model, and sleeps a
+// random time between operations, so its misses, write-backs and evictions
+// interleave with the other's on the same blocks.
+func TestModelStripedActivities(t *testing.T) {
+	for seed := int64(0); seed < 16; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runStripedTest(t, seed, 150)
+		})
+	}
+}
+
+func runStripedTest(t *testing.T, seed int64, ops int) {
+	t.Helper()
+	const (
+		stripe = 512
+		span   = 8 * 4096
+		path   = "/striped"
+	)
+	s := sim.New(seed)
+	net := netsim.New(s, netsim.DefaultParams())
+	tr := rpc.NewTransport(s, net, rpc.DefaultParams())
+	params := DefaultParams()
+	params.ClientCacheBlocks = 4
+	f := New(s, tr, params)
+	f.AddServer(1, "/")
+	c := f.AddClient(2)
+	if _, err := f.SeedSized(path, span, false); err != nil {
+		t.Fatal(err)
+	}
+	models := [2]*modelFile{{data: make([]byte, span)}, {data: make([]byte, span)}}
+	for i := range models {
+		mf := models[i]
+		rng := rand.New(rand.NewSource(2*seed + int64(i)))
+		s.Spawn(fmt.Sprintf("striper%d", i), func(env *sim.Env) error {
+			st, err := c.Open(env, path, ReadWriteMode, OpenOptions{})
+			if err != nil {
+				return err
+			}
+			// own picks one of this activity's stripes, and a range inside it.
+			own := func() (int64, int) {
+				lo := (2*rng.Intn(span/stripe/2) + i) * stripe
+				off := rng.Intn(stripe)
+				return int64(lo + off), 1 + rng.Intn(stripe-off)
+			}
+			for op := 0; op < ops; op++ {
+				off, n := own()
+				switch rng.Intn(8) {
+				case 0, 1, 2: // bytes into the stripe
+					data := make([]byte, n)
+					rng.Read(data)
+					if err := c.WriteAt(env, st, off, data); err != nil {
+						return fmt.Errorf("striper %d op %d write: %w", i, op, err)
+					}
+					mf.writeAt(off, data)
+				case 3: // zeros into the stripe, as a length
+					if err := c.Seek(env, st, off); err != nil {
+						return err
+					}
+					if _, err := c.WriteZeros(env, st, n); err != nil {
+						return fmt.Errorf("striper %d op %d zeros: %w", i, op, err)
+					}
+					mf.writeAt(off, make([]byte, n))
+				case 4, 5, 6:
+					got, err := c.ReadAt(env, st, off, n)
+					if err != nil {
+						return fmt.Errorf("striper %d op %d read: %w", i, op, err)
+					}
+					if want := mf.readAt(off, n); !bytes.Equal(got, want) {
+						return fmt.Errorf("striper %d op %d: read @%d+%d diverged (first diff at %d)", i, op, off, n, firstDiff(got, want))
+					}
+				case 7:
+					c.DropCaches()
+				}
+				if v := f.CheckInvariants(false); len(v) > 0 {
+					return fmt.Errorf("striper %d op %d: %s", i, op, v[0])
+				}
+				if err := env.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond); err != nil {
+					return err
+				}
+			}
+			// Final audit of every stripe this activity owns.
+			got, err := c.ReadAt(env, st, 0, span)
+			if err != nil {
+				return err
+			}
+			for lo := i * stripe; lo < span; lo += 2 * stripe {
+				if !bytes.Equal(got[lo:lo+stripe], mf.data[lo:lo+stripe]) {
+					return fmt.Errorf("striper %d audit: stripe @%d diverged", i, lo)
+				}
+			}
+			return c.Close(env, st)
+		})
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	n := len(a)
 	if len(b) < n {
