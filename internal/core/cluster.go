@@ -348,9 +348,6 @@ func (c *Cluster) BootOn(host rpc.HostID, name string, fn func(env *sim.Env) err
 	c.sim.SpawnOn(int(host), name, fn)
 }
 
-// Confined reports whether the cluster homes each host on its own shard.
-func (c *Cluster) Confined() bool { return c.confined }
-
 // Seed creates a file in the shared FS without charging virtual time
 // (scenario setup).
 func (c *Cluster) Seed(path string, data []byte) error {

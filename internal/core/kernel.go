@@ -121,9 +121,6 @@ func (k *Kernel) CPU() *sim.CPU { return k.cpu }
 // FSClient returns the host's file system client.
 func (k *Kernel) FSClient() *fs.Client { return k.fsc }
 
-// Cluster returns the owning cluster.
-func (k *Kernel) Cluster() *Cluster { return k.cluster }
-
 // Stats returns a copy of the kernel's counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 

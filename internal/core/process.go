@@ -153,9 +153,6 @@ type Process struct {
 // PID returns the process id.
 func (p *Process) PID() PID { return p.pid }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
 // State returns the lifecycle state.
 func (p *Process) State() ProcessState { return p.state }
 

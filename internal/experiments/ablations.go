@@ -27,9 +27,7 @@ func E19Ablations(cfg Config) (*Table, error) {
 	proj.CompileCPU = 2 * time.Second
 	proj.LinkCPU = 2 * time.Second
 	makespan := func(label string, hosts int, tune func(*core.Params)) (time.Duration, error) {
-		params := core.DefaultParams()
-		tune(&params)
-		res, _, err := runPmakeOn(cfg, t, label, hosts, proj, &params)
+		res, _, err := runPmakeOn(cfg, t, label, hosts, proj, tune)
 		if err != nil {
 			return 0, err
 		}
@@ -109,9 +107,7 @@ func E19Ablations(cfg Config) (*Table, error) {
 // third host keeps re-reading a large uncached file, and returns the
 // migration total.
 func migrateUnderTraffic(cfg Config, t *Table, label string, contended bool) (time.Duration, error) {
-	params := core.DefaultParams()
-	params.Net.Contended = contended
-	c, err := newProgCluster(cfg.Seed, 3, &params)
+	c, err := cfg.cluster(cfg.Seed, 3, 1, func(p *core.Params) { p.Net.Contended = contended }, progBinary)
 	if err != nil {
 		return 0, err
 	}
@@ -119,7 +115,7 @@ func migrateUnderTraffic(cfg Config, t *Table, label string, contended bool) (ti
 		return 0, err
 	}
 	dst := c.Workstation(1)
-	dirtyPages := 4 * mb / params.VM.PageSize
+	dirtyPages := 4 * mb / c.Params().VM.PageSize
 	moved := false
 	c.Boot("bulk", func(env *sim.Env) error {
 		cl := c.FS().Client(c.Workstation(2).Host())
@@ -147,7 +143,7 @@ func migrateUnderTraffic(cfg Config, t *Table, label string, contended bool) (ti
 // with its owner's work, evicts the guest after 5 s — home as Sprite does,
 // or to a spare idle host — and returns when the guest finished.
 func evictedGuestCompletion(cfg Config, t *Table, label string, reselect bool) (time.Duration, error) {
-	c, err := newProgCluster(cfg.Seed, 3, nil)
+	c, err := cfg.cluster(cfg.Seed, 3, 1, nil, progBinary)
 	if err != nil {
 		return 0, err
 	}
@@ -194,9 +190,7 @@ func evictedGuestCompletion(cfg Config, t *Table, label string, reselect bool) (
 // offset into its run, on hosts scheduling with the given quantum, and
 // returns the time from the request to the completed migration.
 func requestToDone(cfg Config, t *Table, label string, quantum, offset time.Duration) (time.Duration, error) {
-	params := core.DefaultParams()
-	params.CPUQuantum = quantum
-	c, err := newProgCluster(cfg.Seed, 2, &params)
+	c, err := cfg.cluster(cfg.Seed, 2, 1, func(p *core.Params) { p.CPUQuantum = quantum }, progBinary)
 	if err != nil {
 		return 0, err
 	}

@@ -30,7 +30,7 @@ func E20Baselines(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		resident, dirty, calls = 64, 8, 50
 	}
-	pageKB := core.DefaultParams().VM.PageSize >> 10
+	pageKB := cfg.params().VM.PageSize >> 10
 	move := fmt.Sprintf("move ms, %d KB resident of which %d KB dirty", resident*pageKB, dirty*pageKB)
 	rec, resume, err := measureMigration(cfg, t, "sprite-migration", core.SpriteFlushStrategy{}, 0, resident, dirty)
 	if err != nil {
@@ -62,7 +62,7 @@ func E20Baselines(cfg Config) (*Table, error) {
 // save the image, exit, start afresh on the target, restore, touch the
 // resident set back in. Returns the time from the save to full speed.
 func moveViaCheckpoint(cfg Config, t *Table, resident, dirty int) (time.Duration, error) {
-	c, err := newPairCluster(cfg.Seed)
+	c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 	if err != nil {
 		return 0, err
 	}
@@ -112,7 +112,7 @@ func moveViaCheckpoint(cfg Config, t *Table, resident, dirty int) (time.Duration
 // remoteGetPIDs migrates a process away from home and times n getpid calls
 // there — a call Sprite runs locally and Remote UNIX forwards home.
 func remoteGetPIDs(cfg Config, t *Table, label string, forwardAll bool, n int) (time.Duration, error) {
-	c, err := newPairCluster(cfg.Seed)
+	c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 	if err != nil {
 		return 0, err
 	}

@@ -35,6 +35,41 @@ type Config struct {
 	Hosts int
 }
 
+// params is the calibration every experiment runs on: the Sun-3 / 10 Mbit
+// constants of EXPERIMENTS.md's "Calibration constants that matter". It is
+// the package's one core.DefaultParams call; every cluster and every page
+// size a driver reports comes from it.
+func (cfg Config) params() core.Params { return core.DefaultParams() }
+
+// binary is a program image seeded into a new cluster.
+type binary struct {
+	path string
+	size int
+}
+
+// progBinary backs workerCfg's standard test process.
+var progBinary = binary{"/bin/prog", 128 << 10}
+
+// cluster is the package's one cluster constructor: workstations and file
+// servers on cfg.params(), adjusted by tune when it is non-nil, with bins
+// seeded in order.
+func (cfg Config) cluster(seed int64, workstations, servers int, tune func(*core.Params), bins ...binary) (*core.Cluster, error) {
+	params := cfg.params()
+	if tune != nil {
+		tune(&params)
+	}
+	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: servers, Seed: seed, Params: &params})
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bins {
+		if err := c.SeedBinary(b.path, b.size); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // Table is one reproduced table or figure, as labeled rows.
 type Table struct {
 	ID       string

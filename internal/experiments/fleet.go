@@ -64,18 +64,8 @@ func e18Point(cfg Config, t *Table, storm e18Storm, n, jobs int) (*e18Row, error
 	// A compressed idle threshold keeps the harvesting loop inside a short
 	// virtual horizon: hosts advertise as idle after 150ms without input,
 	// so placement spreads jobs across the pool before the storms land.
-	params := core.DefaultParams()
-	params.IdleInputAge = 150 * time.Millisecond
-	c, err := core.NewCluster(core.Options{
-		Workstations: n,
-		FileServers:  1,
-		Params:       &params,
-		Seed:         cfg.Seed + int64(n),
-	})
+	c, err := cfg.cluster(cfg.Seed+int64(n), n, 1, func(p *core.Params) { p.IdleInputAge = 150 * time.Millisecond }, binary{"/bin/job", 64 << 10})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.SeedBinary("/bin/job", 64<<10); err != nil {
 		return nil, err
 	}
 

@@ -15,20 +15,14 @@ import (
 )
 
 // runPmakeOn builds a fresh cluster with the given number of usable hosts
-// (on params; nil means the defaults) and runs one synthetic project across
-// them, capturing metrics into t when enabled.
-func runPmakeOn(cfg Config, t *Table, label string, hosts int, proj pmake.ProjectParams, params *core.Params) (*pmake.Result, time.Duration, error) {
-	seed := cfg.Seed
-	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: seed, Params: params})
+// (its calibration adjusted by tune when non-nil) and runs one synthetic
+// project across them, capturing metrics into t when enabled.
+func runPmakeOn(cfg Config, t *Table, label string, hosts int, proj pmake.ProjectParams, tune func(*core.Params)) (*pmake.Result, time.Duration, error) {
+	c, err := cfg.cluster(cfg.Seed, hosts, 1, tune, binary{"/bin/cc", 256 << 10}, binary{"/bin/pmake", 256 << 10})
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, bin := range []string{"/bin/cc", "/bin/pmake"} {
-		if err := c.SeedBinary(bin, 256*1024); err != nil {
-			return nil, 0, err
-		}
-	}
-	mf, err := pmake.SyntheticProject(c, rand.New(rand.NewSource(seed)), proj)
+	mf, err := pmake.SyntheticProject(c, rand.New(rand.NewSource(cfg.Seed)), proj)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -108,11 +102,8 @@ func E6Utilization(cfg Config) (*Table, error) {
 	}
 
 	// Independent simulations fanned out over idle hosts.
-	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: cfg.Seed})
+	c, err := cfg.cluster(cfg.Seed, hosts, 1, nil, binary{"/bin/sim", 256 << 10})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.SeedBinary("/bin/sim", 256*1024); err != nil {
 		return nil, err
 	}
 	var makespan time.Duration
@@ -170,24 +161,28 @@ func E6Utilization(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// selectionCluster builds an idle cluster and all four selectors.
-func selectionCluster(seed int64, hosts int) (*core.Cluster, []hostsel.Selector, error) {
-	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
+// newMigd is the central host-selection server, migd, on the first file
+// server at its default CPU cost.
+func newMigd(c *core.Cluster) *hostsel.Central {
+	return hostsel.NewCentral(c, rpc.HostID(1), hostsel.DefaultCentralParams())
+}
+
+// selectors builds all four host-selection architectures on c (central,
+// shared file, gossip, multicast) and returns them with the claim lease
+// the gossip selector was built with.
+func selectors(c *core.Cluster) ([]hostsel.Selector, time.Duration, error) {
 	sf, err := hostsel.NewSharedFile(c, "")
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	probParams := hostsel.DefaultProbabilisticParams()
 	sels := []hostsel.Selector{
-		hostsel.NewCentral(c, rpc.HostID(1), hostsel.DefaultCentralParams()),
+		newMigd(c),
 		sf,
 		hostsel.NewProbabilistic(c, probParams),
 		hostsel.NewMulticast(c),
 	}
-	return c, sels, nil
+	return sels, probParams.ClaimLease, nil
 }
 
 // E7SelectionLatency reproduces the select+release latency measurement
@@ -205,7 +200,11 @@ func E7SelectionLatency(cfg Config) (*Table, error) {
 		hosts = 8
 		iters = 5
 	}
-	c, sels, err := selectionCluster(cfg.Seed, hosts)
+	c, err := cfg.cluster(cfg.Seed, hosts, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	sels, _, err := selectors(c)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +289,11 @@ func E8SelectionArchitectures(cfg Config) (*Table, error) {
 	}
 	for _, n := range sizes {
 		for which := 0; which < 4; which++ {
-			c, sels, err := selectionCluster(cfg.Seed+int64(which), n)
+			c, err := cfg.cluster(cfg.Seed+int64(which), n, 1, nil)
+			if err != nil {
+				return nil, err
+			}
+			sels, _, err := selectors(c)
 			if err != nil {
 				return nil, err
 			}

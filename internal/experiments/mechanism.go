@@ -22,22 +22,6 @@ func workerCfg(heapPages int) core.ProcConfig {
 	}
 }
 
-// newProgCluster builds a one-server cluster (on params; nil means the
-// defaults) with workerCfg's binary seeded.
-func newProgCluster(seed int64, workstations int, params *core.Params) (*core.Cluster, error) {
-	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: 1, Seed: seed, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.SeedBinary("/bin/prog", 128*1024); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// newPairCluster is the default-parameter 2-workstation cluster.
-func newPairCluster(seed int64) (*core.Cluster, error) { return newProgCluster(seed, 2, nil) }
-
 // runProgram boots prog as one process on c's first workstation, runs the
 // cluster until it drains, and captures its metrics in t under label.
 func runProgram(cfg Config, t *Table, label string, c *core.Cluster, name string, prog core.Program, pc core.ProcConfig) error {
@@ -61,7 +45,7 @@ func runProgram(cfg Config, t *Table, label string, c *core.Cluster, name string
 // record and the time to touch the resident set back in on the target. When
 // cfg.Metrics is set the cluster's snapshot lands in t under the given label.
 func measureMigration(cfg Config, t *Table, label string, strategy core.TransferStrategy, files, residentPages, dirtyPages int) (core.MigrationRecord, time.Duration, error) {
-	c, err := newPairCluster(cfg.Seed)
+	c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 	if err != nil {
 		return core.MigrationRecord{}, 0, err
 	}
@@ -126,7 +110,7 @@ func E1MigrationBreakdown(cfg Config) (*Table, error) {
 		PaperRef: "thesis Ch. 7: cost of migration vs open files and dirty VM",
 		Columns:  []string{"open files", "dirty MB", "total ms", "vm ms", "files ms", "pcb ms"},
 	}
-	pageSize := core.DefaultParams().VM.PageSize
+	pageSize := cfg.params().VM.PageSize
 	fileSweep := []int{0, 2, 4, 8}
 	vmSweep := []int{0, 1, 2, 4, 8}
 	if cfg.Quick {
@@ -175,7 +159,7 @@ func E2RemoteExec(cfg Config) (*Table, error) {
 		argSweep = []int{0, 16}
 	}
 	measure := func(remote bool, argKB int) (time.Duration, error) {
-		c, err := newPairCluster(cfg.Seed)
+		c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 		if err != nil {
 			return 0, err
 		}
@@ -239,7 +223,7 @@ func E3VMStrategies(cfg Config) (*Table, error) {
 		PaperRef: "thesis Ch. 2/4: Sprite flush vs full copy (LOCUS/Charlotte), copy-on-reference (Accent), pre-copy (V)",
 		Columns:  []string{"strategy", "dirty MB", "total ms", "freeze ms", "resume ms", "residual"},
 	}
-	pageSize := core.DefaultParams().VM.PageSize
+	pageSize := cfg.params().VM.PageSize
 	sizes := []int{1, 2, 4, 8, 16}
 	if cfg.Quick {
 		sizes = []int{1, 4}
@@ -279,7 +263,7 @@ func E4Forwarding(cfg Config) (*Table, error) {
 		PaperRef: "thesis Ch. 4 + Appendix A: location-dependent calls are forwarded to the home machine",
 		Columns:  []string{"call", "policy", "home us", "away us", "ratio"},
 	}
-	c, err := newPairCluster(cfg.Seed)
+	c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 	if err != nil {
 		return nil, err
 	}

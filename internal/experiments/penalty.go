@@ -6,7 +6,6 @@ import (
 
 	"sprite/internal/core"
 	"sprite/internal/fs"
-	"sprite/internal/hostsel"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 	"sprite/internal/workload"
@@ -70,7 +69,7 @@ func E13RemotePenalty(cfg Config) (*Table, error) {
 		var times [2]time.Duration
 		for variant, where := range []string{"home", "away"} {
 			remote := variant == 1
-			c, err := newPairCluster(cfg.Seed)
+			c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 			if err != nil {
 				return nil, err
 			}
@@ -124,14 +123,11 @@ func E14DayInTheLife(cfg Config) (*Table, error) {
 		jobCPU = time.Minute
 		dayLen = 3 * time.Hour
 	}
-	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: cfg.Seed})
+	c, err := cfg.cluster(cfg.Seed, hosts, 1, nil, binary{"/bin/sim", 256 << 10})
 	if err != nil {
 		return nil, err
 	}
-	if err := c.SeedBinary("/bin/sim", 256<<10); err != nil {
-		return nil, err
-	}
-	migd := hostsel.NewCentral(c, rpc.HostID(1), hostsel.DefaultCentralParams())
+	migd := newMigd(c)
 	users := workload.NewUserPool(c, workload.DefaultDayProfile(), migd.NotifyAvailability)
 	submit := c.Workstation(0)
 

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"sprite/internal/core"
-	"sprite/internal/hostsel"
 	"sprite/internal/metrics"
-	"sprite/internal/rpc"
 	"sprite/internal/sim"
 	"sprite/internal/workload"
 )
@@ -23,17 +21,17 @@ func E9Eviction(cfg Config) (*Table, error) {
 		PaperRef: "thesis Ch. 8: process eviction when a user returns",
 		Columns:  []string{"dirty MB", "reclaim ms", "migration total ms", "vm ms"},
 	}
-	pageSize := core.DefaultParams().VM.PageSize
+	pageSize := cfg.params().VM.PageSize
 	sizes := []int{0, 1, 2, 4, 8, 16}
 	if cfg.Quick {
 		sizes = []int{0, 4}
 	}
 	for _, m := range sizes {
-		c, err := newPairCluster(cfg.Seed)
+		c, err := cfg.cluster(cfg.Seed, 2, 1, nil, progBinary)
 		if err != nil {
 			return nil, err
 		}
-		sel := hostsel.NewCentral(c, rpc.HostID(1), hostsel.DefaultCentralParams())
+		sel := newMigd(c)
 		home, lent := c.Workstation(0), c.Workstation(1)
 		dirtyPages := m * mb / pageSize
 		heap := dirtyPages
@@ -123,11 +121,8 @@ func E10IdleFraction(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		hosts = 12
 	}
-	c, err := core.NewCluster(core.Options{Workstations: hosts, FileServers: 1, Seed: cfg.Seed})
+	c, err := cfg.cluster(cfg.Seed, hosts, 1, nil, binary{"/bin/sh", 64 << 10})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.SeedBinary("/bin/sh", 64*1024); err != nil {
 		return nil, err
 	}
 	users := workload.NewUserPool(c, workload.DefaultDayProfile(), nil)
@@ -247,11 +242,8 @@ func E11PlacementVsMigration(cfg Config) (*Table, error) {
 		policyBoth
 	)
 	runPolicy := func(pol policy, label string) (*metrics.Sample, time.Duration, int, error) {
-		c, err := core.NewCluster(core.Options{Workstations: 8, FileServers: 1, Seed: cfg.Seed})
+		c, err := cfg.cluster(cfg.Seed, 8, 1, nil, binary{"/bin/job", 64 << 10})
 		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := c.SeedBinary("/bin/job", 64*1024); err != nil {
 			return nil, 0, 0, err
 		}
 		submit := c.Workstation(0)

@@ -17,7 +17,11 @@ import (
 // table's Data is the full metrics snapshot (the RECOVERY_demo.json CI
 // artifact).
 func E15CrashRecovery(cfg Config) (*Table, error) {
-	res, err := recovery.RunDemoWith(cfg.Seed, cfg.Crashes)
+	c, err := cfg.cluster(cfg.Seed, 4, 1, nil, binary{"/bin/job", 128 << 10})
+	if err != nil {
+		return nil, err
+	}
+	res, err := recovery.RunDemoWith(c, cfg.Crashes)
 	if err != nil {
 		return nil, err
 	}

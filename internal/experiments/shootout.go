@@ -53,14 +53,18 @@ type e16Row struct {
 // combined churn schedule: a reboot storm, flapping hosts, and two network
 // partitions, all drawn from the fault plane.
 func e16Point(cfg Config, t *Table, n, which int) (*e16Row, error) {
-	c, sels, err := selectionCluster(cfg.Seed+int64(which), n)
+	c, err := cfg.cluster(cfg.Seed+int64(which), n, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	sels, gossipLease, err := selectors(c)
 	if err != nil {
 		return nil, err
 	}
 	sel := sels[which]
 	lease := time.Duration(0)
 	if _, ok := sel.(*hostsel.Probabilistic); ok {
-		lease = hostsel.DefaultProbabilisticParams().ClaimLease
+		lease = gossipLease
 	}
 	ledger := hostsel.NewClaimLedger(sel, c, lease)
 	ledger.Register(c)

@@ -48,16 +48,13 @@ type e17Shape struct {
 // e17Measure runs the fixed workload once under the given kernel
 // (workers == 0 selects the serial oracle) and returns the wallclock and
 // the committed-order digest.
-func e17Measure(seed int64, workers int, shape e17Shape) (time.Duration, uint64, error) {
-	params := core.DefaultParams()
-	if workers > 0 {
-		params.Sim = core.SimParams{Parallel: true, Workers: workers}
-	}
-	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: seed, Params: &params})
+func e17Measure(cfg Config, workers int, shape e17Shape) (time.Duration, uint64, error) {
+	c, err := cfg.cluster(cfg.Seed, 4, 1, func(p *core.Params) {
+		if workers > 0 {
+			p.Sim = core.SimParams{Parallel: true, Workers: workers}
+		}
+	}, binary{"/bin/prog", 64 << 10})
 	if err != nil {
-		return 0, 0, err
-	}
-	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
 		return 0, 0, err
 	}
 	workload.StartBgLoad(c.Sim(), c.Metrics(), workload.BgLoadConfig{
@@ -109,18 +106,15 @@ type e17MigShape struct {
 // migrations themselves all execute inside lookahead windows. The VM
 // strategies round-robin across hosts so each one's source- and target-side
 // work is part of the measurement.
-func e17MigMeasure(seed int64, workers int, shape e17MigShape) (time.Duration, uint64, error) {
-	params := core.DefaultParams()
-	params.Sim.ConfineHosts = true
-	if workers > 0 {
-		params.Sim.Parallel = true
-		params.Sim.Workers = workers
-	}
-	c, err := core.NewCluster(core.Options{Workstations: shape.hosts, FileServers: 2, Seed: seed, Params: &params})
+func e17MigMeasure(cfg Config, workers int, shape e17MigShape) (time.Duration, uint64, error) {
+	c, err := cfg.cluster(cfg.Seed, shape.hosts, 2, func(p *core.Params) {
+		p.Sim.ConfineHosts = true
+		if workers > 0 {
+			p.Sim.Parallel = true
+			p.Sim.Workers = workers
+		}
+	}, binary{"/bin/prog", 32 << 10})
 	if err != nil {
-		return 0, 0, err
-	}
-	if err := c.SeedBinary("/bin/prog", 32<<10); err != nil {
 		return 0, 0, err
 	}
 	if _, err := c.FS().SeedSized("/data/shared", 64<<10, false); err != nil {
@@ -269,12 +263,12 @@ func E17ParallelWallclock(cfg Config) (*Table, error) {
 	}
 
 	rows, err := e17Sweep("daemons", shape.hosts, reps, workerCounts,
-		func(workers int) (time.Duration, uint64, error) { return e17Measure(cfg.Seed, workers, shape) })
+		func(workers int) (time.Duration, uint64, error) { return e17Measure(cfg, workers, shape) })
 	if err != nil {
 		return nil, err
 	}
 	migRows, err := e17Sweep("migration", migShape.hosts, reps, workerCounts,
-		func(workers int) (time.Duration, uint64, error) { return e17MigMeasure(cfg.Seed, workers, migShape) })
+		func(workers int) (time.Duration, uint64, error) { return e17MigMeasure(cfg, workers, migShape) })
 	if err != nil {
 		return nil, err
 	}
@@ -312,12 +306,12 @@ func E17ConfinedScale(cfg Config) (*Table, error) {
 		hosts = 200
 	}
 	shape := e17MigShape{hosts: hosts, procs: 2, rounds: 3}
-	serialWall, serialDigest, err := e17MigMeasure(cfg.Seed, 0, shape)
+	serialWall, serialDigest, err := e17MigMeasure(cfg, 0, shape)
 	if err != nil {
 		return nil, err
 	}
 	const workers = 4
-	parWall, parDigest, err := e17MigMeasure(cfg.Seed, workers, shape)
+	parWall, parDigest, err := e17MigMeasure(cfg, workers, shape)
 	if err != nil {
 		return nil, err
 	}

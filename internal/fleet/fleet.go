@@ -273,9 +273,6 @@ func New(c *core.Cluster, p Params) *Manager {
 // Params returns the manager's configuration.
 func (m *Manager) Params() Params { return m.p }
 
-// Pricer returns the manager's time-to-eviction model.
-func (m *Manager) Pricer() *Pricer { return m.pricer }
-
 // SetMonitor attaches the liveness monitor: its per-probe results feed the
 // missed-probe health signal and readmission probation, and its HostDown
 // declarations feed the pricer's eviction model.
@@ -523,7 +520,7 @@ func (m *Manager) readmitTick(env *sim.Env, rec *hostRec) {
 
 // --- placement filter + fairness accounting ---
 
-// FilterHosts implements hostsel.Filter: only Active hosts pass, ordered
+// FilterHosts vets a selector's grant: only Active hosts pass, ordered
 // by the pricer's expected time-to-eviction (longest first, host id as the
 // deterministic tiebreak); a user over its fairness share gets nothing.
 func (m *Manager) FilterHosts(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) []rpc.HostID {
@@ -552,39 +549,72 @@ func (m *Manager) FilterHosts(env *sim.Env, client rpc.HostID, hosts []rpc.HostI
 // through FilterHosts (state + pricer + fairness) and charged to the
 // fairness ledger until released.
 func (m *Manager) WrapSelector(sel hostsel.Selector) hostsel.Selector {
-	return &fairSelector{m: m, inner: hostsel.WithFilter(sel, m, m.p.PlacementSlack)}
+	return &placementSelector{m: m, inner: sel}
 }
 
-// fairSelector charges the fairness ledger for the hold time of every
-// granted host.
-type fairSelector struct {
+// placementSelector is the fleet plane's one selector wrapper. It asks the
+// inner selector for PlacementSlack extra candidates, so vetoes do not
+// starve the caller, keeps up to n of the hosts FilterHosts passes, hands
+// the rejects and the overshoot straight back so a vetoed grant never
+// leaks a claim, and charges each kept host to the share ledger.
+type placementSelector struct {
 	m     *Manager
 	inner hostsel.Selector
 }
 
-var _ hostsel.Selector = (*fairSelector)(nil)
+var _ hostsel.Selector = (*placementSelector)(nil)
 
-func (f *fairSelector) Name() string { return f.inner.Name() }
+func (s *placementSelector) Name() string { return s.inner.Name() }
 
-func (f *fairSelector) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
-	hosts, err := f.inner.RequestHosts(env, client, n)
+func (s *placementSelector) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
+	got, err := s.inner.RequestHosts(env, client, n+s.m.p.PlacementSlack)
+	if len(got) == 0 {
+		return nil, err
+	}
+	kept := s.m.FilterHosts(env, client, got)
+	if len(kept) > n {
+		kept = kept[:n]
+	}
+	keep := make(map[rpc.HostID]bool, len(kept))
+	for _, h := range kept {
+		keep[h] = true
+	}
+	var rejects []rpc.HostID
+	for _, h := range got {
+		if !keep[h] {
+			rejects = append(rejects, h)
+		}
+	}
+	if len(rejects) > 0 {
+		if rerr := s.inner.Release(env, client, rejects); rerr != nil && err == nil {
+			err = rerr
+		}
+	}
+	if len(kept) == 0 {
+		if err == nil {
+			err = hostsel.ErrNoHosts
+		}
+		return nil, err
+	}
+	user := client.String()
+	for _, h := range kept {
+		s.m.shares.Acquire(user, h, env.Now())
+	}
+	// A partial grant is a grant: suppress the inner selector's shortfall
+	// error the way callers of the raw interface expect.
+	return kept, nil
+}
+
+func (s *placementSelector) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
 	user := client.String()
 	for _, h := range hosts {
-		f.m.shares.Acquire(user, h, env.Now())
+		s.m.shares.Release(user, h, env.Now())
 	}
-	return hosts, err
+	return s.inner.Release(env, client, hosts)
 }
 
-func (f *fairSelector) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
-	user := client.String()
-	for _, h := range hosts {
-		f.m.shares.Release(user, h, env.Now())
-	}
-	return f.inner.Release(env, client, hosts)
+func (s *placementSelector) NotifyAvailability(env *sim.Env, host rpc.HostID, available bool) error {
+	return s.inner.NotifyAvailability(env, host, available)
 }
 
-func (f *fairSelector) NotifyAvailability(env *sim.Env, host rpc.HostID, available bool) error {
-	return f.inner.NotifyAvailability(env, host, available)
-}
-
-func (f *fairSelector) Stats() hostsel.Stats { return f.inner.Stats() }
+func (s *placementSelector) Stats() hostsel.Stats { return s.inner.Stats() }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sprite/internal/core"
+	"sprite/internal/hostsel"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
 )
@@ -193,6 +194,56 @@ func TestWrapSelectorFairness(t *testing.T) {
 	if got := f.counter("fleet.fairness.denied"); got == 0 {
 		t.Error("fleet.fairness.denied = 0, want > 0")
 	}
+}
+
+// TestWrapSelectorReleasesRejects: the wrapped selector over-requests by
+// PlacementSlack, hands the host its filter rejects (a cordoned host the
+// inner selector still offers) and the overshoot back to the inner
+// selector, and charges the share ledger for the kept hosts only. A claim
+// ledger under it sees no leaked grant at the end of the run.
+func TestWrapSelectorReleasesRejects(t *testing.T) {
+	p := fastParams()
+	p.PlacementSlack = 2
+	f := newFix(t, 6, p)
+	ledger := hostsel.NewClaimLedger(f.sel, f.c, 0)
+	ledger.Register(f.c)
+	wrapped := f.m.WrapSelector(ledger)
+	client := f.c.Workstation(0).Host()
+	cordoned := f.c.Workstation(1).Host()
+	f.run(func(env *sim.Env) error {
+		f.m.Cordon(env, cordoned, "operator")
+		// A stale inner view still offers the cordoned host.
+		if err := f.sel.NotifyAvailability(env, cordoned, true); err != nil {
+			return err
+		}
+		// The inner selector grants ws1..ws4; ws1 is filtered out, ws4 is
+		// the overshoot.
+		got, err := wrapped.RequestHosts(env, client, 2)
+		if err != nil {
+			return err
+		}
+		want := []rpc.HostID{f.c.Workstation(2).Host(), f.c.Workstation(3).Host()}
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("granted %v, want %v", got, want)
+		}
+		if n := ledger.Outstanding(); n != len(got) {
+			t.Errorf("inner selector holds %d grants after the request, want %d (rejects and overshoot released)", n, len(got))
+		}
+		if err := env.Sleep(10 * time.Millisecond); err != nil {
+			return err
+		}
+		user := client.String()
+		if u := f.m.shares.Usage(user, env.Now()); u != 20*time.Millisecond {
+			t.Errorf("share usage = %v, want 20ms (two kept hosts for 10ms)", u)
+		}
+		if err := wrapped.Release(env, client, got); err != nil {
+			return err
+		}
+		if n := ledger.Outstanding(); n != 0 {
+			t.Errorf("inner selector holds %d grants after release, want 0", n)
+		}
+		return nil
+	})
 }
 
 // TestManagerDeterministic: the same scenario twice produces the same

@@ -35,8 +35,6 @@ import (
 var (
 	// ErrNotFound is returned for operations on paths that do not exist.
 	ErrNotFound = errors.New("fs: file not found")
-	// ErrExists is returned when creating a path that already exists.
-	ErrExists = errors.New("fs: file exists")
 	// ErrBadStream is returned for operations on closed or invalid streams.
 	ErrBadStream = errors.New("fs: bad stream")
 	// ErrReadOnly is returned for writes through a read-only stream.
@@ -185,9 +183,6 @@ func New(s *sim.Simulation, transport *rpc.Transport, params Params) *FS {
 		clients:   make(map[rpc.HostID]*Client),
 	}
 }
-
-// Params returns the file system configuration.
-func (f *FS) Params() Params { return f.params }
 
 // AddServer creates a file server on the given host serving the given path
 // prefix (e.g. "/" or "/b").

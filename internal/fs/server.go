@@ -273,9 +273,6 @@ func newServer(f *FS, host rpc.HostID) *Server {
 	return srv
 }
 
-// Host returns the server's host id.
-func (s *Server) Host() rpc.HostID { return s.host }
-
 // Stats returns a copy of the server's counters.
 func (s *Server) Stats() ServerStats { return s.stats }
 

@@ -26,15 +26,9 @@ type Stream struct {
 	owners    map[rpc.HostID]int
 }
 
-// Pipe reports whether the stream is one end of a pipe.
-func (st *Stream) Pipe() bool { return st.pipe }
-
 // Offset returns the stream's local access position. For a shared stream the
 // authoritative position is at the server and this value is a snapshot.
 func (st *Stream) Offset() int64 { return st.offset }
-
-// Size returns the stream's last known file size.
-func (st *Stream) Size() int { return st.size }
 
 // Shared reports whether the access position is shadowed at the I/O server.
 func (st *Stream) Shared() bool { return st.shared }

@@ -78,9 +78,6 @@ func NewLoadVector(bound int) *LoadVector {
 // Len returns the number of entries.
 func (v *LoadVector) Len() int { return len(v.entries) }
 
-// Bound returns the maximum number of entries.
-func (v *LoadVector) Bound() int { return v.bound }
-
 // Get returns the entry for host, if present.
 func (v *LoadVector) Get(host rpc.HostID) (VectorEntry, bool) {
 	e, ok := v.entries[host]

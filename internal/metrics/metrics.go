@@ -243,12 +243,6 @@ func (t *Timing) Sum() time.Duration {
 	return acc.sum
 }
 
-// Quantile returns the approximate q-th quantile (see sketch).
-func (t *Timing) Quantile(q float64) time.Duration {
-	_, sk := t.fold()
-	return time.Duration(sk.quantile(q) * float64(time.Second))
-}
-
 // Merge folds other into t (cluster roll-ups of per-host timings).
 func (t *Timing) Merge(other *Timing) {
 	if other == nil || t == other {

@@ -61,7 +61,6 @@ type Network struct {
 
 	messages atomic.Uint64
 	bytes    atomic.Uint64
-	dropped  atomic.Uint64
 }
 
 // New returns a network bound to the simulation.
@@ -98,7 +97,6 @@ func (n *Network) Send(env *sim.Env, bytes int) error {
 		return err
 	}
 	if drop {
-		n.dropped.Add(1)
 		return ErrDropped
 	}
 	return nil
@@ -126,7 +124,6 @@ func (n *Network) SendPipelined(env *sim.Env, bytes int) error {
 		return err
 	}
 	if drop {
-		n.dropped.Add(1)
 		return ErrDropped
 	}
 	return nil
@@ -147,14 +144,10 @@ func (n *Network) account(env *sim.Env, bytes int) (extra time.Duration, drop bo
 
 // Account books one message without charging any virtual time and returns
 // the delay components a mailbox-routed delivery must carry: the transfer
-// time, any hook-injected extra, and whether the hook dropped the message
-// (already counted). The confined RPC path uses it where Send would have
-// slept in the caller.
+// time, any hook-injected extra, and whether the hook dropped the message.
+// The confined RPC path uses it where Send would have slept in the caller.
 func (n *Network) Account(env *sim.Env, bytes int) (xfer, extra time.Duration, drop bool) {
 	extra, drop = n.account(env, bytes)
-	if drop {
-		n.dropped.Add(1)
-	}
 	return n.TransferTime(bytes), extra, drop
 }
 
@@ -181,9 +174,6 @@ func (n *Network) Messages() uint64 { return n.messages.Load() }
 
 // Bytes returns the cumulative payload bytes sent so far.
 func (n *Network) Bytes() uint64 { return n.bytes.Load() }
-
-// Dropped returns the number of messages the fault hook discarded.
-func (n *Network) Dropped() uint64 { return n.dropped.Load() }
 
 // Params returns the network's configuration.
 func (n *Network) Params() Params { return n.params }

@@ -177,9 +177,6 @@ func (d *Device) Close() {
 	d.queue.Close()
 }
 
-// Path returns the device's name.
-func (d *Device) Path() string { return d.path }
-
 // Call sends data to the process serving path and waits for its reply.
 // The request travels client host -> owning file server -> server-process
 // host; a stale rendezvous costs one extra forwarding hop.

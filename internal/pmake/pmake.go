@@ -83,9 +83,6 @@ func (m *Makefile) add(t *Target) {
 	m.targets[t.Name] = t
 }
 
-// Target returns a target by name, or nil.
-func (m *Makefile) Target(name string) *Target { return m.targets[name] }
-
 // BuildOrder returns the buildable targets in a valid topological order,
 // or ErrCycle / ErrUnknownDep.
 func (m *Makefile) BuildOrder() ([]*Target, error) {

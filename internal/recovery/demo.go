@@ -101,25 +101,18 @@ func resolveHost(c *core.Cluster, name string) (rpc.HostID, error) {
 	return rpc.NoHost, fmt.Errorf("bad host %q: want ws<N> or fs<N>", name)
 }
 
-// RunDemoWith runs the canonical crash-recovery scenario: a cluster of four
-// workstations and a file server, a liveness monitor with reaping on, a
-// supervisor running three checkpointed compute jobs on a remote host — and
-// a fault schedule against it. Every job must run to completion, restarted
-// from its checkpoint on a surviving host. It backs the spritesim
-// "recovery" experiment and its -crash flags.
+// RunDemoWith runs the canonical crash-recovery scenario on c, a fresh
+// cluster of four workstations and a file server with /bin/job seeded: a
+// liveness monitor with reaping on, a supervisor running three
+// checkpointed compute jobs on a remote host — and a fault schedule
+// against it. Every job must run to completion, restarted from its
+// checkpoint on a surviving host. It backs the spritesim "recovery"
+// experiment and its -crash flags.
 //
 // An empty schedule falls back to the canonical one: the jobs' target host
 // crashing at 250 ms, staying dead long enough for timeout detection, and
 // restarting 200 ms later under a new epoch.
-func RunDemoWith(seed int64, crashes []CrashSpec) (DemoResult, error) {
-	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: seed})
-	if err != nil {
-		return DemoResult{}, err
-	}
-	if err := c.SeedBinary("/bin/job", 128<<10); err != nil {
-		return DemoResult{}, err
-	}
-
+func RunDemoWith(c *core.Cluster, crashes []CrashSpec) (DemoResult, error) {
 	mon := NewMonitor(c, DefaultParams())
 	sup := NewSupervisor(c, mon, DefaultSupervisorParams())
 	mon.Start()

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"sprite/internal/core"
-	"sprite/internal/hostsel"
 	"sprite/internal/metrics"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -79,9 +78,8 @@ func DefaultParams() Params {
 // real Sprite ran: each watched host is pinged from the first live peer, so
 // detection keeps working whichever single host is down.
 type Monitor struct {
-	c   *core.Cluster
-	p   Params
-	sel hostsel.Selector
+	c *core.Cluster
+	p Params
 
 	// lastEpoch is the newest epoch each host has been seen alive under.
 	lastEpoch map[rpc.HostID]rpc.Epoch
@@ -131,11 +129,6 @@ func NewMonitor(c *core.Cluster, p Params) *Monitor {
 
 // Params returns the monitor's configuration.
 func (m *Monitor) Params() Params { return m.p }
-
-// SetSelector attaches a host-selection architecture: declared-dead hosts
-// are withdrawn from the idle pool (NotifyAvailability false) and rebooted
-// workstations are offered back.
-func (m *Monitor) SetSelector(sel hostsel.Selector) { m.sel = sel }
 
 // Subscribe registers a liveness event callback. Callbacks run inside the
 // declaring watcher's activity, in subscription order.
@@ -270,8 +263,8 @@ func (m *Monitor) tick(env *sim.Env, host rpc.HostID) {
 
 // declareDown marks one boot incarnation of host dead (idempotent per
 // epoch): metrics, the reaping pass (Cluster.ReapDeadHost — the full Sprite
-// recovery matrix runs as a consequence of detection), selector withdrawal,
-// and subscriber events all fire here.
+// recovery matrix runs as a consequence of detection) and subscriber
+// events all fire here.
 func (m *Monitor) declareDown(env *sim.Env, host rpc.HostID, dead rpc.Epoch) {
 	if dead == 0 || m.declaredDown[host] >= dead {
 		return
@@ -283,9 +276,6 @@ func (m *Monitor) declareDown(env *sim.Env, host rpc.HostID, dead rpc.Epoch) {
 		m.detect.Observe(env.Now() - at)
 	}
 	m.c.ReapDeadHost(env, host, dead)
-	if m.sel != nil && m.c.KernelOn(host) != nil {
-		_ = m.sel.NotifyAvailability(env, host, false)
-	}
 	ev := Event{Kind: HostDown, Host: host, Epoch: dead, At: env.Now()}
 	for _, fn := range m.subs {
 		fn(ev)
@@ -302,9 +292,6 @@ func (m *Monitor) declareUp(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 	}
 	m.isDown[host] = false
 	m.hostUp.Inc()
-	if m.sel != nil && m.c.KernelOn(host) != nil {
-		_ = m.sel.NotifyAvailability(env, host, true)
-	}
 	ev := Event{Kind: HostUp, Host: host, Epoch: epoch, At: env.Now()}
 	for _, fn := range m.subs {
 		fn(ev)

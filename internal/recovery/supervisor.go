@@ -208,9 +208,6 @@ func NewSupervisor(c *core.Cluster, mon *Monitor, p SupervisorParams) *Superviso
 	}
 }
 
-// Params returns the supervisor's configuration.
-func (s *Supervisor) Params() SupervisorParams { return s.p }
-
 // SetSelector attaches a host-selection architecture used to pick restart
 // targets (default: first live workstation other than the job's home).
 func (s *Supervisor) SetSelector(sel hostsel.Selector) { s.sel = sel }

@@ -12,14 +12,29 @@ import (
 
 var jobCfg = core.ProcConfig{Binary: "/bin/job", CodePages: 16, HeapPages: 32, StackPages: 4}
 
+// runDemo runs the canonical demo on its cluster shape: four workstations,
+// one file server, /bin/job seeded.
+func runDemo(t *testing.T, seed int64) DemoResult {
+	t.Helper()
+	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SeedBinary("/bin/job", 128<<10); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunDemoWith(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestRunDemo pins down the canonical failover story: three checkpointed
 // jobs, one host crash, every job completes, restarted work resumes from
 // its checkpoint, and the cluster invariants hold.
 func TestRunDemo(t *testing.T) {
-	res, err := RunDemoWith(42, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDemo(t, 42)
 	if res.Completed != 3 {
 		t.Errorf("completed = %d, want 3", res.Completed)
 	}
@@ -46,14 +61,7 @@ func TestRunDemo(t *testing.T) {
 // TestRunDemoDeterministic: same seed, byte-identical outcome — digest,
 // event stream, and the full metrics snapshot text.
 func TestRunDemoDeterministic(t *testing.T) {
-	a, err := RunDemoWith(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunDemoWith(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runDemo(t, 7), runDemo(t, 7)
 	if a.Digest() != b.Digest() {
 		t.Fatalf("digest mismatch:\n  %s\n  %s", a.Digest(), b.Digest())
 	}

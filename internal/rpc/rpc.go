@@ -444,9 +444,6 @@ type Endpoint struct {
 	replyBoxes   []*sim.Mailbox
 }
 
-// Host returns the endpoint's host id.
-func (e *Endpoint) Host() HostID { return e.host }
-
 // Handle registers a service handler, replacing any previous registration.
 func (e *Endpoint) Handle(service string, h Handler) { e.services[service] = h }
 

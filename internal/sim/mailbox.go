@@ -52,9 +52,6 @@ func NewMailboxOn(s *Simulation, shard int, delay time.Duration) *Mailbox {
 	return &Mailbox{sim: s, q: Queue{sim: s}, delay: delay, shard: shard}
 }
 
-// Delay returns the mailbox's default delivery delay.
-func (m *Mailbox) Delay() time.Duration { return m.delay }
-
 // HomeShard returns the shard deliveries are homed on.
 func (m *Mailbox) HomeShard() int { return m.shard }
 

@@ -108,14 +108,6 @@ func (s *Simulation) ConfigureParallel(workers int) {
 // Parallel reports whether the parallel kernel is configured.
 func (s *Simulation) Parallel() bool { return s.par != nil }
 
-// Workers returns the configured worker count (0 under the serial kernel).
-func (s *Simulation) Workers() int {
-	if s.par == nil {
-		return 0
-	}
-	return s.par.nworkers
-}
-
 // WorkerSlot returns a stable 1-based index of the worker currently
 // dispatching env's activity, or 0 when the activity is running exclusively
 // (serial kernel, shard 0, or scheduler context). Sharded metrics use it to

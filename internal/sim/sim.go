@@ -231,9 +231,6 @@ func (s *Simulation) Rand() *rand.Rand {
 	return s.rng
 }
 
-// Seed returns the seed the simulation was constructed with.
-func (s *Simulation) Seed() int64 { return s.seed }
-
 // OrderDigest returns an FNV-1a hash over the committed (time, sequence)
 // event order so far. Two runs of the same program and seed — serial or
 // parallel, any worker count — produce the same digest; the equivalence

@@ -98,9 +98,6 @@ type Segment struct {
 // Pages returns the segment's size in pages.
 func (s *Segment) Pages() int { return s.pages }
 
-// Bytes returns the segment's size in bytes.
-func (s *Segment) Bytes() int { return s.pages * s.space.params.PageSize }
-
 // Resident reports whether page i is resident.
 func (s *Segment) Resident(i int) bool { return i >= 0 && i < s.pages && s.resident[i] }
 
@@ -250,9 +247,6 @@ func (as *AddressSpace) newSegment(kind SegmentKind, pages int) *Segment {
 		space:    as,
 	}
 }
-
-// Name returns the address space's owner name.
-func (as *AddressSpace) Name() string { return as.name }
 
 // Params returns the VM parameters.
 func (as *AddressSpace) Params() Params { return as.params }

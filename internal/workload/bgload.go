@@ -172,7 +172,3 @@ func (b *BgLoad) LastLoad(host int) (uint64, bool) {
 	v, ok := b.lastLoad[host]
 	return v, ok
 }
-
-// Mailbox returns the report mailbox (nil when reporting is off); tests
-// close it to unwind the collector.
-func (b *BgLoad) Mailbox() *sim.Mailbox { return b.mbox }
