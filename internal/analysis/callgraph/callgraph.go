@@ -301,7 +301,7 @@ func (g *Graph) addLits(pkg *load.Package, parent FuncID, root ast.Node) {
 // walked recursively, so every node's edges reflect only its own body.
 func (g *Graph) walkEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
 	// Pass 1: calls, spawn points, and enclosed literals.
-	inspectShallow(body, func(n ast.Node) bool {
+	InspectShallow(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
 			if e2 := g.litOf[e]; e2 != nil && e2.ID != owner.ID {
@@ -320,7 +320,7 @@ func (g *Graph) walkEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
 	// selector and its Sel ident are excluded.
 	callees := make(map[ast.Node]bool)
 	sels := make(map[*ast.Ident]bool)
-	inspectShallow(body, func(n ast.Node) bool {
+	InspectShallow(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -341,7 +341,7 @@ func (g *Graph) walkEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
 	// Pass 3: function values referenced without a call (method values,
 	// functions passed as arguments). Reachability treats a Ref from live
 	// code as live — the value exists to be called later.
-	inspectShallow(body, func(n ast.Node) bool {
+	InspectShallow(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -560,8 +560,9 @@ func litBoundTo(pkg *load.Package, v *types.Var) *ast.FuncLit {
 	return nil
 }
 
-// inspectShallow walks n without descending into nested function literals.
-func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
+// InspectShallow walks n without descending into nested function literals
+// (they are separate graph nodes with their own facts).
+func InspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok && m != n {
 			return fn(m) && false

@@ -80,7 +80,7 @@ func (st *unitState) extractNode(n *callgraph.Node) {
 		*list = append(*list, Fact{Pos: fset.Position(pos), What: what})
 	}
 
-	inspectShallow(body, func(nd ast.Node) bool {
+	callgraph.InspectShallow(body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.FuncLit:
 			return false
@@ -404,15 +404,4 @@ func (st *unitState) sortAfter(pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// inspectShallow walks n without descending into nested function literals
-// (they are separate graph nodes with their own facts).
-func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok && m != n {
-			return fn(m) && false
-		}
-		return fn(m)
-	})
 }

@@ -116,7 +116,7 @@ func localRangeSinks(pkg *load.Package, body *ast.BlockStmt) []SinkHit {
 	}
 	sortedAfter := func(rng *ast.RangeStmt) bool {
 		found := false
-		inspectShallow(body, func(n ast.Node) bool {
+		callgraph.InspectShallow(body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok && call.Pos() >= rng.End() && isSortCall(call) {
 				found = true
 			}
@@ -124,12 +124,12 @@ func localRangeSinks(pkg *load.Package, body *ast.BlockStmt) []SinkHit {
 		})
 		return found
 	}
-	inspectShallow(body, func(n ast.Node) bool {
+	callgraph.InspectShallow(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok || !isMapRange(pkg.Info, rng) {
 			return true
 		}
-		inspectShallow(rng.Body, func(n ast.Node) bool {
+		callgraph.InspectShallow(rng.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SendStmt:
 				hit(n.Pos(), "a channel send")

@@ -381,17 +381,5 @@ func (c *Cluster) MigrationRecords() []MigrationRecord {
 // endpoint — the daemon-context counterpart of Ctx.Kill. The fleet drain
 // path uses it to evacuate a resident no host will accept alive.
 func (c *Cluster) Kill(env *sim.Env, via *Kernel, target PID) error {
-	return c.killPID(env, via, target)
-}
-
-// killPID routes a kill through the target's home machine.
-func (c *Cluster) killPID(env *sim.Env, via *Kernel, target PID) error {
-	homeK := c.kernels[target.Home]
-	if homeK == nil {
-		return fmt.Errorf("%w: %v", ErrNoSuchProcess, target)
-	}
-	if _, err := via.ep.Call(env, homeK.host, "k.kill", killArgs{PID: target}, 32); err != nil {
-		return err
-	}
-	return nil
+	return c.signalPID(env, via, target, SigKill)
 }

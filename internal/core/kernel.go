@@ -708,15 +708,17 @@ func normalizeSig(s Signal) Signal {
 	return s
 }
 
-// handleKillLocal delivers a routed kill at the process's current location.
+// handleKillLocal delivers a routed signal at the process's current location.
 func (k *Kernel) handleKillLocal(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
 	a, ok := arg.(killArgs)
 	if !ok {
 		return nil, 0, fmt.Errorf("k.kill2: bad args %T", arg)
 	}
-	if err := k.routeSignalLocal(a.PID, normalizeSig(a.Sig)); err != nil {
-		return nil, 0, err
+	p := k.procs[a.PID]
+	if p == nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
 	}
+	p.post(normalizeSig(a.Sig))
 	return nil, 8, nil
 }
 

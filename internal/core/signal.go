@@ -320,15 +320,3 @@ func (c *Ctx) Nap(d time.Duration) error {
 	}
 	return c.env.Sleep(d)
 }
-
-// --- host-id aware signal extension of the kill wire protocol ---
-
-// routeSignalLocal delivers a routed signal at the process's current host.
-func (k *Kernel) routeSignalLocal(pid PID, sig Signal) error {
-	p := k.procs[pid]
-	if p == nil {
-		return fmt.Errorf("%w: %v", ErrNoSuchProcess, pid)
-	}
-	p.post(sig)
-	return nil
-}

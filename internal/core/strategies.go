@@ -162,12 +162,14 @@ type PreCopyStrategy struct {
 	// RedirtyPagesPerSec models how fast the still-running process dirties
 	// pages during the background copy passes.
 	RedirtyPagesPerSec float64
-	// FreezeThresholdPages ends pre-copying when the dirty set is at most
-	// this many pages (default 16).
-	FreezeThresholdPages int
-	// MaxPasses bounds the number of pre-copy passes (default 5).
-	MaxPasses int
 }
+
+// preCopyFreezePages ends pre-copying when the dirty set is at most this
+// many pages; preCopyMaxPasses bounds the number of pre-copy passes.
+const (
+	preCopyFreezePages = 16
+	preCopyMaxPasses   = 5
+)
 
 var _ TransferStrategy = PreCopyStrategy{}
 
@@ -176,14 +178,6 @@ func (PreCopyStrategy) Name() string { return "pre-copy" }
 
 // Transfer implements TransferStrategy.
 func (s PreCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error {
-	threshold := s.FreezeThresholdPages
-	if threshold <= 0 {
-		threshold = 16
-	}
-	maxPasses := s.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 5
-	}
 	pageBytes := src.params.VM.PageSize + src.params.PageWireOverhead
 
 	// First pass: all resident pages, while the process "runs".
@@ -192,7 +186,7 @@ func (s PreCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, re
 		toCopy += seg.ResidentCount()
 	}
 	copied := 0
-	for pass := 0; pass < maxPasses && toCopy > threshold; pass++ {
+	for pass := 0; pass < preCopyMaxPasses && toCopy > preCopyFreezePages; pass++ {
 		t0 := env.Now()
 		if err := sendPages(env, src, dst, p, rec, toCopy, pageBytes); err != nil {
 			return err

@@ -538,7 +538,7 @@ func (c *Ctx) Kill(target PID) error {
 	if err := c.enterHome("kill"); err != nil {
 		return err
 	}
-	return c.proc.cur.cluster.killPID(c.env, c.proc.cur, target)
+	return c.proc.cur.cluster.signalPID(c.env, c.proc.cur, target, SigKill)
 }
 
 // Exit terminates the calling program with the given status. It unwinds the

@@ -100,23 +100,29 @@ type Params struct {
 	CleanProbes int
 	// HalfLife is the health signals' exponential-decay half-life.
 	HalfLife time.Duration
-	// ProbeWeight, HintWeight, AbortWeight scale the three signals into
-	// score penalties.
-	ProbeWeight float64
-	HintWeight  float64
-	AbortWeight float64
 	// FairnessSlack is the per-user usage spread tolerated before the
 	// ledger denies further grants (0 disables fairness throttling).
 	FairnessSlack time.Duration
-	// PricerAlpha is the EMA gain for eviction inter-arrival learning.
-	PricerAlpha float64
-	// PricerHorizon is the optimistic time-to-eviction assumed for host
-	// classes with no observed eviction yet.
-	PricerHorizon time.Duration
 	// PlacementSlack is how many extra candidates each filtered selection
 	// requests so vetoes do not starve the caller.
 	PlacementSlack int
 }
+
+// probeWeight, hintWeight and abortWeight scale the three health signals
+// into score penalties.
+const (
+	probeWeight = 18
+	hintWeight  = 3
+	abortWeight = 12
+)
+
+// pricerAlpha is the EMA gain for eviction inter-arrival learning;
+// pricerHorizon is the optimistic time-to-eviction assumed for host classes
+// with no observed eviction yet.
+const (
+	pricerAlpha   = 0.3
+	pricerHorizon = 10 * time.Minute
+)
 
 // DefaultParams returns a configuration matched to the default monitor
 // cadence (20 ms probes).
@@ -128,11 +134,6 @@ func DefaultParams() Params {
 		DrainPassTimeout: 100 * time.Millisecond,
 		CleanProbes:      3,
 		HalfLife:         250 * time.Millisecond,
-		ProbeWeight:      18,
-		HintWeight:       3,
-		AbortWeight:      12,
-		PricerAlpha:      0.3,
-		PricerHorizon:    10 * time.Minute,
 		PlacementSlack:   2,
 	}
 }
@@ -218,21 +219,6 @@ func New(c *core.Cluster, p Params) *Manager {
 	if p.HalfLife <= 0 {
 		p.HalfLife = def.HalfLife
 	}
-	if p.ProbeWeight <= 0 {
-		p.ProbeWeight = def.ProbeWeight
-	}
-	if p.HintWeight <= 0 {
-		p.HintWeight = def.HintWeight
-	}
-	if p.AbortWeight <= 0 {
-		p.AbortWeight = def.AbortWeight
-	}
-	if p.PricerAlpha <= 0 || p.PricerAlpha > 1 {
-		p.PricerAlpha = def.PricerAlpha
-	}
-	if p.PricerHorizon <= 0 {
-		p.PricerHorizon = def.PricerHorizon
-	}
 	if p.PlacementSlack < 0 {
 		p.PlacementSlack = def.PlacementSlack
 	}
@@ -240,7 +226,7 @@ func New(c *core.Cluster, p Params) *Manager {
 	m := &Manager{
 		c:           c,
 		p:           p,
-		pricer:      NewPricer(p.PricerAlpha, p.PricerHorizon),
+		pricer:      NewPricer(pricerAlpha, pricerHorizon),
 		shares:      NewShareLedger(p.FairnessSlack),
 		audit:       newDrainAudit(),
 		recs:        make(map[rpc.HostID]*hostRec),
@@ -320,9 +306,9 @@ func (m *Manager) Score(host rpc.HostID, now time.Duration) float64 {
 		return 100
 	}
 	score := 100 -
-		m.p.ProbeWeight*rec.probes.at(now, m.p.HalfLife) -
-		m.p.HintWeight*rec.hints.at(now, m.p.HalfLife) -
-		m.p.AbortWeight*rec.aborts.at(now, m.p.HalfLife)
+		probeWeight*rec.probes.at(now, m.p.HalfLife) -
+		hintWeight*rec.hints.at(now, m.p.HalfLife) -
+		abortWeight*rec.aborts.at(now, m.p.HalfLife)
 	if score < 0 {
 		return 0
 	}

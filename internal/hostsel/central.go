@@ -18,9 +18,6 @@ type CentralParams struct {
 	ReleaseCPU time.Duration
 	// UpdateCPU is server processing per availability update.
 	UpdateCPU time.Duration
-	// EvictOnOwnerReturn revokes assignments (and triggers eviction at the
-	// borrowed host) when the host's owner returns.
-	EvictOnOwnerReturn bool
 }
 
 // DefaultCentralParams calibrates the request path so that one
@@ -28,10 +25,9 @@ type CentralParams struct {
 // for migd on DECstation 3100s.
 func DefaultCentralParams() CentralParams {
 	return CentralParams{
-		RequestCPU:         40 * time.Millisecond,
-		ReleaseCPU:         8 * time.Millisecond,
-		UpdateCPU:          2 * time.Millisecond,
-		EvictOnOwnerReturn: true,
+		RequestCPU: 40 * time.Millisecond,
+		ReleaseCPU: 8 * time.Millisecond,
+		UpdateCPU:  2 * time.Millisecond,
 	}
 }
 
@@ -164,11 +160,9 @@ func (c *Central) handleUpdate(env *sim.Env, from rpc.HostID, arg any) (any, int
 			delete(c.assignments, a.Host)
 			c.allocCount[client]--
 			c.stats.Evictions++
-			if c.params.EvictOnOwnerReturn {
-				srvEP := c.cluster.Transport().Endpoint(c.host)
-				if _, err := srvEP.Call(env, a.Host, "k.evict", nil, 16); err != nil {
-					return nil, 0, fmt.Errorf("evict %v: %w", a.Host, err)
-				}
+			srvEP := c.cluster.Transport().Endpoint(c.host)
+			if _, err := srvEP.Call(env, a.Host, "k.evict", nil, 16); err != nil {
+				return nil, 0, fmt.Errorf("evict %v: %w", a.Host, err)
 			}
 		}
 	}

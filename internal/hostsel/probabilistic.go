@@ -19,13 +19,6 @@ type ProbabilisticParams struct {
 	Fanout int
 	// Interval is the periodic gossip period (MOSIX used one second).
 	Interval time.Duration
-	// StaleAfter ages out view entries older than this.
-	StaleAfter time.Duration
-	// VectorBound caps each host's partial load vector, keeping views and
-	// gossip messages O(1) in the cluster size.
-	VectorBound int
-	// HintBound caps the eviction hints piggybacked on one RPC reply.
-	HintBound int
 	// ClaimLease bounds how long a claim can sit unreleased before a new
 	// claimer may take the host anyway. It is the backstop for claims whose
 	// holder became unreachable without the host itself rebooting (a reboot
@@ -33,16 +26,23 @@ type ProbabilisticParams struct {
 	ClaimLease time.Duration
 }
 
+// staleAfter ages out view entries older than this; vectorBound caps each
+// host's partial load vector, keeping views and gossip messages O(1) in the
+// cluster size; hintBound caps the eviction hints piggybacked on one RPC
+// reply.
+const (
+	staleAfter  = 10 * time.Second
+	vectorBound = 32
+	hintBound   = 4
+)
+
 // DefaultProbabilisticParams mirrors the MOSIX description: one-second
 // gossip of a small bounded load vector to a few random peers.
 func DefaultProbabilisticParams() ProbabilisticParams {
 	return ProbabilisticParams{
-		Fanout:      3,
-		Interval:    time.Second,
-		StaleAfter:  10 * time.Second,
-		VectorBound: 32,
-		HintBound:   4,
-		ClaimLease:  time.Minute,
+		Fanout:     3,
+		Interval:   time.Second,
+		ClaimLease: time.Minute,
 	}
 }
 
@@ -142,12 +142,6 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 	if params.Interval <= 0 {
 		params.Interval = time.Second
 	}
-	if params.VectorBound <= 0 {
-		params.VectorBound = 32
-	}
-	if params.HintBound <= 0 {
-		params.HintBound = 4
-	}
 	p := &Probabilistic{
 		cluster: cluster,
 		params:  params,
@@ -165,7 +159,7 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 	for _, k := range cluster.Workstations() {
 		h := k.Host()
 		p.hosts = append(p.hosts, h)
-		p.views[h] = NewLoadVector(params.VectorBound)
+		p.views[h] = NewLoadVector(vectorBound)
 		ep := cluster.Transport().Endpoint(h)
 		ep.Handle("hs.gossip", p.makeGossipHandler(h))
 		ep.Handle("hs.claim", p.makeClaimHandler(h))
@@ -213,7 +207,7 @@ func (p *Probabilistic) view(host rpc.HostID, now time.Duration) *LoadVector {
 		return nil
 	}
 	if last, ok := p.viewAt[host]; ok && now > last {
-		if n := v.Decay(now-last, p.params.StaleAfter); n > 0 {
+		if n := v.Decay(now-last, staleAfter); n > 0 {
 			p.stats.Evictions += uint64(n)
 			p.gstats.StaleEvicted += uint64(n)
 			if p.evictC != nil {
@@ -227,7 +221,7 @@ func (p *Probabilistic) view(host rpc.HostID, now time.Duration) *LoadVector {
 
 // resetView discards host's volatile view state (a reboot lost it).
 func (p *Probabilistic) resetView(host rpc.HostID, now time.Duration) {
-	p.views[host] = NewLoadVector(p.params.VectorBound)
+	p.views[host] = NewLoadVector(vectorBound)
 	p.viewAt[host] = now
 	delete(p.hints, host)
 }
@@ -469,7 +463,7 @@ func (p *Probabilistic) pushHint(host rpc.HostID, h EvictHint) {
 			return
 		}
 	}
-	if limit := p.params.HintBound * 4; len(q) >= limit {
+	if limit := hintBound * 4; len(q) >= limit {
 		q = q[1:]
 	}
 	p.hints[host] = append(q, h)
@@ -479,14 +473,14 @@ func (p *Probabilistic) pushHint(host rpc.HostID, h EvictHint) {
 	}
 }
 
-// takeHints drains up to HintBound hints from host's queue (the reply
+// takeHints drains up to hintBound hints from host's queue (the reply
 // piggyback provider).
 func (p *Probabilistic) takeHints(host rpc.HostID) []EvictHint {
 	q := p.hints[host]
 	if len(q) == 0 {
 		return nil
 	}
-	n := p.params.HintBound
+	n := hintBound
 	if n > len(q) {
 		n = len(q)
 	}

@@ -385,11 +385,8 @@ func (s *Simulation) replay(window []*event) {
 		if ev.dispatched {
 			if ev.act != nil {
 				// Mailbox deliveries are not activity dispatches: the serial
-				// kernel neither traces nor counts a context switch for them,
-				// so replay must not either.
-				if s.Trace != nil {
-					s.Trace("t=%v run %s", ev.at, ev.act.name)
-				}
+				// kernel counts no context switch for them, so replay must
+				// not either.
 				s.stats.ContextSwitches++
 			}
 			for i := range ev.children {

@@ -186,10 +186,6 @@ type Simulation struct {
 	shards    map[int]*shardMeta
 	par       *parKernel // nil = serial kernel
 	traceSink func(at time.Duration, kind, detail string)
-
-	// Trace, when non-nil, receives one line per scheduler decision. It is
-	// intended for debugging tests, not production use.
-	Trace func(format string, args ...any)
 }
 
 // shardMeta carries per-shard deterministic state. Only the spawn ordinal
@@ -529,9 +525,6 @@ func (s *Simulation) commitExclusive(ev *event) {
 func (s *Simulation) dispatch(a *activity) {
 	if a.state == stateDone {
 		return
-	}
-	if s.Trace != nil {
-		s.Trace("t=%v run %s", s.now, a.name)
 	}
 	s.stats.ContextSwitches++
 	a.wake = nil

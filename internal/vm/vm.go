@@ -193,9 +193,10 @@ type Config struct {
 	StackPages int
 	// BinaryPath is the program file backing the code segment.
 	BinaryPath string
-	// SwapDir is the directory for backing-store files (default "/swap").
-	SwapDir string
 }
+
+// swapDir is the directory for backing-store files.
+const swapDir = "/swap"
 
 // New creates an address space for a named process, opening its backing
 // store through the given file system client. The code segment pages from
@@ -203,10 +204,6 @@ type Config struct {
 func New(env *sim.Env, client *fs.Client, name string, cfg Config, params Params) (*AddressSpace, error) {
 	if params.PageSize <= 0 {
 		params.PageSize = 8192
-	}
-	swapDir := cfg.SwapDir
-	if swapDir == "" {
-		swapDir = "/swap"
 	}
 	as := &AddressSpace{params: params, name: name}
 	as.Code = as.newSegment(CodeSegment, cfg.CodePages)

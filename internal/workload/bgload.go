@@ -17,10 +17,8 @@ import (
 // conservative parallel kernel can dispatch them concurrently while
 // committing exactly the serial order.
 type BgLoadConfig struct {
-	// Hosts is the daemon count; daemon i runs on shard FirstShard+i.
+	// Hosts is the daemon count; daemon i runs on shard 1+i.
 	Hosts int
-	// FirstShard is the first confined shard to use (default 1).
-	FirstShard int
 	// Tick is the mean sampling period (default 50ms); each daemon jitters
 	// its ticks from its shard-local deterministic stream.
 	Tick time.Duration
@@ -37,9 +35,6 @@ type BgLoadConfig struct {
 }
 
 func (c BgLoadConfig) withDefaults() BgLoadConfig {
-	if c.FirstShard <= 0 {
-		c.FirstShard = 1
-	}
 	if c.Tick <= 0 {
 		c.Tick = 50 * time.Millisecond
 	}
@@ -120,7 +115,7 @@ func StartBgLoad(s *sim.Simulation, reg *metrics.Registry, cfg BgLoadConfig) *Bg
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		host := i
-		s.SpawnOn(cfg.FirstShard+i, fmt.Sprintf("bgload.%d", host), b.daemon(host))
+		s.SpawnOn(1+i, fmt.Sprintf("bgload.%d", host), b.daemon(host))
 	}
 	return b
 }
