@@ -31,8 +31,9 @@ lint-graph:
 test:
 	$(GO) test ./...
 
-# The simulator parks goroutines and hands control across channels, so the
-# race detector is the test that the one-activity-at-a-time discipline holds.
+# The simulator parks activities on coroutines that the coordinator and any
+# worker goroutine may resume, so the race detector is the test that the
+# one-activity-at-a-time discipline holds.
 # The second leg reruns every package that builds clusters with the
 # conservative parallel kernel forced (SPRITE_SIM_PARALLEL): worker
 # handoffs, mailbox delivery, and sharded metrics cells must be clean under

@@ -125,7 +125,7 @@ func TestConfinedCallAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const ceiling = 9
+	const ceiling = 5
 	allocs := func(calls int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			s := sim.New(1)

@@ -78,13 +78,13 @@ func TestWindowAllocsMatchSerial(t *testing.T) {
 	}
 }
 
-// perOpAllocs runs program at two sizes on warm simulations and returns the
-// allocations each additional operation cost.
-func perOpAllocs(t *testing.T, program func(s *Simulation, ops int)) float64 {
+// perOpAllocs runs program at two sizes on warm simulations under the given
+// kernel and returns the allocations each additional operation cost.
+func perOpAllocs(t *testing.T, workers int, program func(s *Simulation, ops int)) float64 {
 	t.Helper()
 	const small, large = 200, 4200
 	at := func(ops int) float64 {
-		return warmAllocs(t, 0, func(s *Simulation) { program(s, ops) })
+		return warmAllocs(t, workers, func(s *Simulation) { program(s, ops) })
 	}
 	return (at(large) - at(small)) / (large - small)
 }
@@ -95,7 +95,7 @@ func perOpAllocs(t *testing.T, program func(s *Simulation, ops int)) float64 {
 func TestQueueHandoffAllocFree(t *testing.T) {
 	skipAllocCounts(t)
 	token := any("token") // boxed once, so the payload itself is free
-	got := perOpAllocs(t, func(s *Simulation, ops int) {
+	got := perOpAllocs(t, 0, func(s *Simulation, ops int) {
 		ping, pong := NewQueue(s), NewQueue(s)
 		s.Spawn("ping", func(env *Env) error {
 			for i := 0; i < ops/2; i++ {
@@ -125,7 +125,7 @@ func TestQueueHandoffAllocFree(t *testing.T) {
 // activities — three always queued — costs nothing per Acquire/Release.
 func TestResourceContendedAllocFree(t *testing.T) {
 	skipAllocCounts(t)
-	got := perOpAllocs(t, func(s *Simulation, ops int) {
+	got := perOpAllocs(t, 0, func(s *Simulation, ops int) {
 		r := NewResource(s, 1)
 		for u := 0; u < 4; u++ {
 			s.Spawn(fmt.Sprintf("u%d", u), func(env *Env) error {

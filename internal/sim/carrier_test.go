@@ -1,0 +1,123 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// Tests for the carrier contract: activities run on pooled runtime
+// coroutines, a warm spawn reuses an idle one, the idle ones a run leaves
+// behind are bounded process-wide, and runtime.Goexit inside an activity
+// ends Run's caller instead of hanging it. TestRehomeEquivalence covers an
+// activity resumed from the coordinator and from different workers.
+
+// spawnExitOn is the spawn-and-exit program: a parent on shard spawns ops
+// children onto its own shard one at a time, yielding so each child runs
+// and exits before the next spawn.
+func spawnExitOn(shard int) func(s *Simulation, ops int) {
+	return func(s *Simulation, ops int) {
+		s.SpawnOn(shard, "parent", func(env *Env) error {
+			for i := 0; i < ops; i++ {
+				env.Spawn("child", func(*Env) error { return nil })
+				if err := env.Yield(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestSpawnReusesCarrier: a warm spawn-and-exit allocates the activity and
+// nothing else — no coroutine — on the serial kernel and inside a 2-worker
+// window, where the parent is confined and its children finish on the
+// worker that spawned them.
+func TestSpawnReusesCarrier(t *testing.T) {
+	skipAllocCounts(t)
+	for _, tc := range []struct {
+		workers, shard int
+	}{{0, 0}, {2, 1}} {
+		got := perOpAllocs(t, tc.workers, spawnExitOn(tc.shard))
+		t.Logf("workers=%d: %.3f allocs per spawn-and-exit", tc.workers, got)
+		if got > 1.001 {
+			t.Errorf("workers=%d: a warm spawn-and-exit allocates %.3f, want <= 1", tc.workers, got)
+		}
+	}
+}
+
+// TestIdleCarriersBounded: a run that needs 2×maxSpareCarriers carriers at
+// once leaves at most maxSpareCarriers of them parked, and a second
+// simulation in the process starts on those instead of new coroutines.
+func TestIdleCarriersBounded(t *testing.T) {
+	const acts = 2 * maxSpareCarriers
+	sleeper := func(env *Env) error { return env.Sleep(time.Millisecond) }
+	before := runtime.NumGoroutine()
+	s := New(1)
+	for i := 0; i < acts; i++ {
+		s.Spawn("sleeper", sleeper)
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if grew := runtime.NumGoroutine() - before; grew > maxSpareCarriers {
+		t.Fatalf("%d concurrent activities left %d more goroutines, want <= %d", acts, grew, maxSpareCarriers)
+	}
+
+	skipAllocCounts(t)
+	// A fresh simulation's spawn costs the activity, its first event and
+	// its share of the queue and live-set growth; a new coroutine would
+	// add about nine objects more.
+	const n = maxSpareCarriers
+	perSpawn := testing.AllocsPerRun(2, func() {
+		s := New(2)
+		for i := 0; i < n; i++ {
+			s.Spawn("sleeper", sleeper)
+		}
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+	t.Logf("fresh simulation: %.2f allocs per spawn", perSpawn)
+	if perSpawn > 3 {
+		t.Fatalf("a fresh simulation allocates %.2f per spawn, want <= 3 (spare carriers reused)", perSpawn)
+	}
+}
+
+// TestGoexitInActivityEndsRun: runtime.Goexit inside an activity (as
+// t.FailNow would call) ends the goroutine that called Run, under both
+// kernels, instead of leaving it blocked forever.
+func TestGoexitInActivityEndsRun(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		s := New(1)
+		s.SetLookahead(time.Millisecond)
+		if workers > 0 {
+			s.ConfigureParallel(workers)
+		}
+		for sh := 1; sh <= 2; sh++ {
+			s.SpawnOn(sh, "sleeper", func(env *Env) error { return env.Sleep(3 * time.Millisecond) })
+		}
+		s.SpawnOn(1, "quitter", func(env *Env) error {
+			if err := env.Sleep(time.Millisecond); err != nil {
+				return err
+			}
+			runtime.Goexit()
+			return nil
+		})
+		ended, returned := make(chan struct{}), false
+		go func() {
+			defer close(ended)
+			_ = s.Run(0)
+			returned = true
+		}()
+		timeout := time.After(10 * time.Second) //spritelint:allow simtaint a hang is the failure under test; the wall-clock bound never reaches the simulation
+		select {
+		case <-ended:
+		case <-timeout:
+			t.Fatalf("workers=%d: Run still blocked 10s after an activity called runtime.Goexit", workers)
+		}
+		if returned {
+			t.Errorf("workers=%d: Run returned normally; want the Goexit to end its caller", workers)
+		}
+	}
+}

@@ -195,6 +195,8 @@ func TestMailboxBoundaryDelayEqualsLookahead(t *testing.T) {
 // runRehomeProg: activities hop between shards with Env.Rehome, doing
 // shard-local work (LocalRand sleeps, child spawns, trace emissions) at each
 // stop. A hop's wake must commit on the new shard in the serial position.
+// The ring includes exclusive shard 0, so under the parallel kernel a
+// hopper is resumed by the coordinator as well as by different workers.
 func runRehomeProg(seed int64, shards, workers int, lookahead time.Duration) kernelFP {
 	s := New(seed)
 	s.SetLookahead(lookahead)
@@ -237,7 +239,7 @@ func runRehomeProg(seed int64, shards, workers int, lookahead time.Duration) ker
 				if _, err := f.Wait(env); err != nil {
 					return nil
 				}
-				next := env.Shard()%shards + 1
+				next := (env.Shard() + 1) % (shards + 1)
 				if err := env.Rehome(next, lookahead+time.Duration(hop%3)*100*time.Microsecond); err != nil {
 					return nil
 				}

@@ -34,6 +34,7 @@ package sim
 
 import (
 	"container/heap"
+	"runtime"
 	"time"
 )
 
@@ -92,6 +93,20 @@ type worker struct {
 	// Simulation.free itself.
 	pool []*event
 	want int
+
+	// carriers holds the idle carriers this worker's spawns take inside a
+	// window, and the ones its finished activities leave. Between windows
+	// the coordinator tops it up from, and trims it back to,
+	// Simulation.carriers at wantCarriers — the most spawns the worker made
+	// in one window — so activities that finish on another worker than they
+	// started on do not strand carriers.
+	carriers     []*carrier
+	spawned      int
+	wantCarriers int
+
+	// goexited is set when an activity called runtime.Goexit: its carrier
+	// passed the exit on to this goroutine, which ends mid-window.
+	goexited bool
 }
 
 // ConfigureParallel switches the simulation to the conservative parallel
@@ -232,6 +247,11 @@ func (p *parKernel) runWindow(limit time.Duration) {
 	}
 	p.inWindow = false
 	for _, w := range p.workers {
+		if w.goexited {
+			// Re-raise on Run's caller, where the serial kernel's carrier
+			// would have delivered it.
+			runtime.Goexit()
+		}
 		// Whatever a worker did not consume was locally created past the
 		// horizon; replay re-homes those through the effect logs. Scratch is
 		// cleared, not just truncated: events are recycled, and a stale
@@ -240,26 +260,24 @@ func (p *parKernel) runWindow(limit time.Duration) {
 		w.local = w.local[:0]
 		w.want = max(w.want, int(w.counter))
 		w.counter = 0
+		w.wantCarriers = max(w.wantCarriers, w.spawned)
+		w.spawned = 0
+		moveTail(&s.carriers, &w.carriers, len(w.carriers)-w.wantCarriers)
 	}
 	s.replay(window)
 	clear(window)
 	p.window = window[:0]
 }
 
-// topUp refills w's event pool from the global freelist up to w.want. It runs
-// on the coordinator between windows, the only time both are quiescent; if
-// the freelist runs short the worker allocates the difference, and those
-// events join the freelist when replay releases them.
+// topUp refills w's event pool from the global freelist up to w.want, and its
+// carrier list up to w.wantCarriers. It runs on the coordinator between
+// windows, the only time both are quiescent; if the freelist runs short the
+// worker allocates the difference, and those events join the freelist when
+// replay releases them.
 func (p *parKernel) topUp(w *worker) {
 	s := p.s
-	n := min(w.want-len(w.pool), len(s.free))
-	if n <= 0 {
-		return
-	}
-	cut := len(s.free) - n
-	w.pool = append(w.pool, s.free[cut:]...)
-	clear(s.free[cut:])
-	s.free = s.free[:cut]
+	moveTail(&w.pool, &s.free, w.want-len(w.pool))
+	moveTail(&w.carriers, &s.carriers, w.wantCarriers-len(w.carriers))
 }
 
 // pushInitial assigns a committed window event to the worker that owns its
@@ -272,6 +290,13 @@ func (w *worker) pushInitial(ev *event) {
 // (at, seq) order, following locally created events while they stay below
 // the horizon.
 func (w *worker) run(work <-chan struct{}) {
+	returned := false
+	defer func() {
+		if !returned {
+			w.goexited = true
+			w.p.done <- struct{}{}
+		}
+	}()
 	for range work {
 		for len(w.local) > 0 {
 			top := w.local[0]
@@ -309,14 +334,17 @@ func (w *worker) run(work <-chan struct{}) {
 			a.state = stateRunning
 			a.ctxw = w
 			w.cur = ev
-			a.resume <- struct{}{}
-			<-a.yield
+			a.car.next()
 			a.ctxw = nil
 			w.cur = nil
-			ev.finished = a.state == stateDone
+			if a.state == stateDone {
+				ev.finished = true
+				a.freeCarrier(&w.carriers)
+			}
 		}
 		w.p.done <- struct{}{}
 	}
+	returned = true
 }
 
 // newEvent hands out an event for activity a inside a window, from the pool

@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulator whose
-// activities are ordinary goroutines.
+// activities run on pooled runtime coroutines.
 //
 // Exactly one activity runs at any instant under the serial kernel. An
 // activity blocks only through the primitives on its Env (Sleep, Future.Wait,
@@ -27,8 +27,10 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -142,9 +144,9 @@ type activity struct {
 	spawnOrd uint64 // per-shard spawn ordinal, seeds LocalRand
 	name     string
 	state    activityState
-	resume   chan struct{} // scheduler -> activity handoff
-	yield    chan struct{} // activity -> scheduler handoff
-	env      *Env
+	fn       func(env *Env) error // body, run once by the carrier
+	car      *carrier             // coroutine running fn; nil once finished
+	env      Env
 	wake     *event     // pending timer event, cancelled on early wake
 	woken    bool       // a wake event is already queued for this block
 	err      error      // set if the activity's function returned an error
@@ -171,7 +173,8 @@ type Stats struct {
 type Simulation struct {
 	now       time.Duration
 	queue     eventHeap
-	free      []*event // recycled event structs, reused by schedule
+	free      []*event   // recycled event structs, reused by schedule
+	carriers  []*carrier // idle carriers, reused by exclusive spawns
 	seq       uint64
 	actSeq    uint64
 	current   *activity
@@ -328,26 +331,136 @@ func (s *Simulation) spawnOn(w *worker, shard int, name string, fn func(env *Env
 		spawnOrd: meta.spawnSeq,
 		name:     name,
 		state:    stateReady,
-		resume:   make(chan struct{}),
-		yield:    make(chan struct{}),
+		fn:       fn,
 	}
 	meta.spawnSeq++
-	a.env = &Env{sim: s, act: a}
-	go func() {
-		<-a.resume // wait for first scheduling
-		err := safeRun(fn, a.env)
-		a.err = err
-		a.state = stateDone
-		a.yield <- struct{}{}
-	}()
+	a.env = Env{sim: s, act: a}
 	if w != nil {
+		a.car = takeCarrier(&w.carriers)
+		w.spawned++
 		ev := w.scheduleLocal(w.now, a)
 		w.noteSpawn(ev, a)
 	} else {
+		a.car = takeCarrier(&s.carriers)
 		s.admit(a)
 		s.schedule(s.now, a, nil)
 	}
-	return a.env
+	a.car.act = a
+	return &a.env
+}
+
+// carrier is a runtime coroutine (iter.Pull) that runs activities one after
+// another: it runs an activity's fn, marks the activity done and parks idle
+// until a spawn hands it the next one. Resuming an activity is one switch
+// into its carrier (next), blocking one switch back (park), and a warm spawn
+// pays no coroutine setup. Idle carriers wait on the simulation's list, on a
+// worker's list inside a window (topped up and trimmed between windows, like
+// the event pools), and between runs on the process-wide spare list.
+type carrier struct {
+	act   *activity // the activity to start; set by spawn, cleared on start
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// maxSpareCarriers caps the idle carriers parked process-wide between runs;
+// Run stops the ones beyond it.
+const maxSpareCarriers = 1024
+
+// spare holds the idle carriers of finished runs, shared by every
+// Simulation in the process, so a fresh simulation starts warm. It is not a
+// sync.Pool: a carrier the pool dropped at a collection would stay parked,
+// its goroutine never stopped.
+var spare struct {
+	sync.Mutex
+	list []*carrier
+}
+
+func newCarrier() *carrier {
+	c := new(carrier)
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			a := c.act
+			c.act = nil
+			a.err = safeRun(a.fn, &a.env)
+			a.fn, a.state = nil, stateDone
+			if !yield(struct{}{}) {
+				return // stopped while idle
+			}
+		}
+	})
+	return c
+}
+
+// park suspends the running activity: control returns to whoever called
+// next, and comes back here when the activity is next dispatched.
+func (c *carrier) park() { c.yield(struct{}{}) }
+
+// takeCarrier pops an idle carrier off list, else off the spare list, else
+// starts a new one.
+func takeCarrier(list *[]*carrier) *carrier {
+	if c := pop(list); c != nil {
+		return c
+	}
+	spare.Lock()
+	c := pop(&spare.list)
+	spare.Unlock()
+	if c == nil {
+		c = newCarrier()
+	}
+	return c
+}
+
+// freeCarrier hands a finished activity's idle carrier to list.
+func (a *activity) freeCarrier(list *[]*carrier) {
+	*list = append(*list, a.car)
+	a.car = nil
+}
+
+// parkCarriers ends a run: the idle carriers on the simulation's and the
+// workers' lists go to the spare list up to maxSpareCarriers, and the rest
+// are stopped.
+func (s *Simulation) parkCarriers() {
+	if p := s.par; p != nil {
+		for _, w := range p.workers {
+			moveTail(&s.carriers, &w.carriers, len(w.carriers))
+		}
+	}
+	spare.Lock()
+	moveTail(&spare.list, &s.carriers, maxSpareCarriers-len(spare.list))
+	spare.Unlock()
+	for _, c := range s.carriers {
+		c.stop()
+	}
+	clear(s.carriers)
+	s.carriers = s.carriers[:0]
+}
+
+// pop removes and returns the last element of list, or nil when it is empty.
+func pop[T any](list *[]*T) *T {
+	l := *list
+	n := len(l)
+	if n == 0 {
+		return nil
+	}
+	x := l[n-1]
+	l[n-1] = nil
+	*list = l[:n-1]
+	return x
+}
+
+// moveTail moves the last n elements of src (all of them if it holds fewer;
+// none if n <= 0) onto dst.
+func moveTail[T any](dst, src *[]*T, n int) {
+	n = min(n, len(*src))
+	if n <= 0 {
+		return
+	}
+	cut := len(*src) - n
+	*dst = append(*dst, (*src)[cut:]...)
+	clear((*src)[cut:])
+	*src = (*src)[:cut]
 }
 
 // admit performs the globally ordered half of spawning: id assignment and
@@ -417,15 +530,10 @@ func (s *Simulation) schedule(at time.Duration, a *activity, fn func()) *event {
 // empty. Recycled events are always zero apart from their (empty) effect-log
 // arrays: release resets them on the way in.
 func takeEvent(list *[]*event) *event {
-	l := *list
-	n := len(l)
-	if n == 0 {
-		return new(event)
+	if ev := pop(list); ev != nil {
+		return ev
 	}
-	ev := l[n-1]
-	l[n-1] = nil
-	*list = l[:n-1]
-	return ev
+	return new(event)
 }
 
 // newEvent allocates an event, reusing the freelist when possible.
@@ -449,6 +557,7 @@ func (s *Simulation) release(ev *event) {
 // (limit <= 0 means no limit), or until Stop is called. It returns the first
 // error of: an activity error, a detected deadlock, or nil.
 func (s *Simulation) Run(limit time.Duration) error {
+	defer s.parkCarriers()
 	if s.par != nil {
 		s.runParallel(limit)
 	} else {
@@ -469,7 +578,7 @@ func (s *Simulation) Run(limit time.Duration) error {
 		}
 		if len(names) == 0 {
 			// Only daemon service loops remain: the run has quiesced. Unwind
-			// them (they see ErrStopped) so no goroutines leak; the drain
+			// them (they see ErrStopped) so every carrier goes idle; the drain
 			// happens after the last commit, so it cannot perturb the digest.
 			s.drain()
 			if len(s.errs) > 0 {
@@ -530,16 +639,16 @@ func (s *Simulation) dispatch(a *activity) {
 	a.wake = nil
 	a.state = stateRunning
 	s.current = a
-	a.resume <- struct{}{}
-	<-a.yield
+	a.car.next()
 	s.current = nil
 	if a.state == stateDone {
+		a.freeCarrier(&s.carriers)
 		s.reap(a)
 	}
 }
 
 // Stop aborts the simulation: all blocked activities are woken with
-// ErrStopped so their goroutines exit, and Run returns. Stop is an exclusive
+// ErrStopped so they finish, and Run returns. Stop is an exclusive
 // primitive.
 func (s *Simulation) Stop() {
 	s.exclusiveOnly("Stop")
@@ -547,7 +656,7 @@ func (s *Simulation) Stop() {
 }
 
 // drain wakes every remaining blocked activity with ErrStopped so that no
-// goroutines are leaked after Run returns.
+// activity is left parked on its carrier after Run returns.
 func (s *Simulation) drain() {
 	// Wake the blocked activities in id order. Dispatching one can unblock
 	// or spawn others, so sweep over a snapshot sorted once per pass and
@@ -574,7 +683,7 @@ func (s *Simulation) drain() {
 		}
 	}
 	// Ready activities (spawned but never run) still hold queued events;
-	// run them so their goroutines exit too.
+	// run them so they finish too.
 	for len(s.queue) > 0 {
 		ev := heap.Pop(&s.queue).(*event)
 		act := ev.act
@@ -739,8 +848,7 @@ func (e *Env) Emit(kind, detail string) {
 // wake error (ErrStopped or ErrTimeout) set by the waker.
 func (e *Env) block() error {
 	e.act.state = stateBlocked
-	e.act.yield <- struct{}{}
-	<-e.act.resume
+	e.act.car.park()
 	e.act.state = stateRunning
 	e.act.woken = false
 	err := e.wakeErr
