@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench artifacts scale experiments examples clean
+.PHONY: all build vet lint test fuzz race cover bench artifacts scale experiments examples clean
 
 all: build vet lint test
 
@@ -13,10 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # spritelint (DESIGN.md §11): the project's own go/analysis-style suite —
-# five analyzers (simtaint, confine, sharded, failpointreg, metricname)
-# over one whole-tree call graph and its function summaries. Built into
-# bin/ first; the whole-tree pattern also enables the dead-failpoint
-# audit, and -deadallow the stale-allow audit.
+# four analyzers (simtaint, confine, sharded, metricname) over one
+# whole-tree call graph and its function summaries. Built into bin/ first;
+# -deadallow adds the stale-allow audit.
 lint:
 	$(GO) build -o bin/spritelint ./cmd/spritelint
 	./bin/spritelint -deadallow ./...
@@ -30,6 +29,14 @@ lint-graph:
 
 test:
 	$(GO) test ./...
+
+# Coverage-guided search over process-fault scenarios (FuzzProcesses in
+# internal/fault): input bytes make the scenario generator's choices. The
+# checked-in corpus under internal/fault/testdata/fuzz replays in `make
+# test`; a failing input the search finds is written there too.
+FUZZTIME ?= 60s
+fuzz:
+	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzProcesses -fuzztime $(FUZZTIME)
 
 # The simulator parks activities on coroutines that the coordinator and any
 # worker goroutine may resume, so the race detector is the test that the

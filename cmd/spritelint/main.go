@@ -1,29 +1,25 @@
 // Command spritelint is the project's multichecker: it loads the requested
 // packages as one tree, computes the whole-tree call graph and function
-// summaries once (internal/analysis/dataflow), runs the five analyzers
-// over them — simtaint, confine, sharded, failpointreg, metricname — and
-// fails (exit 1) on any violation. The analyzers statically enforce the
-// contracts everything else in this repo only promises: byte-identical
-// goldens, seed-replayable fuzzing, the exact virtual-time regression gate,
-// the parallel kernel's confined-activity discipline (DESIGN.md §13), and
-// a failpoint/metric namespace shared by code, tests, and DESIGN.md §11.
+// summaries once (internal/analysis/dataflow), runs the four analyzers
+// over them — simtaint, confine, sharded, metricname — and fails (exit 1)
+// on any violation. The analyzers statically enforce the contracts
+// everything else in this repo only promises: byte-identical goldens,
+// seed-replayable fuzzing, the exact virtual-time regression gate, the
+// parallel kernel's confined-activity discipline (DESIGN.md §13), and a
+// metric namespace shared by code, tests, and DESIGN.md §11.
 //
 // Usage:
 //
 //	spritelint [flags] [packages]
 //
-// With no packages, ./... is linted. After a whole-tree run (a ./...
-// pattern) the driver additionally cross-checks the failpoint registry for
-// dead entries — registered names no code references.
+// With no packages, ./... is linted.
 //
-//	-list              print the analyzers and exit
-//	-json              emit diagnostics and run metadata as JSON
-//	-graph             dump the whole-tree call graph (roots included) and exit
-//	-deadallow         report //spritelint:allow comments that suppressed
-//	                   nothing this run (run whole-tree so every analyzer votes)
-//	-audit-failpoints  print every constant failpoint name found at a
-//	                   fault-plane call site (the registry audit) and exit
-//	-debug             print per-package load/type-check diagnostics
+//	-list       print the analyzers and exit
+//	-json       emit diagnostics and run metadata as JSON
+//	-graph      dump the whole-tree call graph (roots included) and exit
+//	-deadallow  report //spritelint:allow comments that suppressed
+//	            nothing this run (run whole-tree so every analyzer votes)
+//	-debug      print per-package load/type-check diagnostics
 //
 // Violations are suppressed line by line with
 //
@@ -39,11 +35,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"sprite/internal/analysis/confine"
 	"sprite/internal/analysis/dataflow"
-	"sprite/internal/analysis/failpointreg"
 	"sprite/internal/analysis/lint"
 	"sprite/internal/analysis/load"
 	"sprite/internal/analysis/metricname"
@@ -55,7 +49,6 @@ var analyzers = []*dataflow.TreeAnalyzer{
 	simtaint.Analyzer,
 	confine.Analyzer,
 	sharded.Analyzer,
-	failpointreg.Analyzer,
 	metricname.Analyzer,
 }
 
@@ -80,7 +73,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics and run metadata as JSON")
 	graph := fs.Bool("graph", false, "dump the whole-tree call graph and exit")
 	deadallow := fs.Bool("deadallow", false, "report allow comments that suppressed nothing this run")
-	audit := fs.Bool("audit-failpoints", false, "print every constant failpoint name at a fault-plane call site and exit")
 	debug := fs.Bool("debug", false, "print per-package load/type-check diagnostics")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -98,12 +90,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	wholeTree := false
-	for _, p := range patterns {
-		if p == "./..." || p == "all" {
-			wholeTree = true
-		}
 	}
 
 	pkgs, err := load.Packages(dir, patterns...)
@@ -136,18 +122,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, tree.Graph.Dump())
 		return 0
 	}
-	if *audit {
-		sites := failpointreg.Sites(tree)
-		sort.SliceStable(sites, func(i, j int) bool { return sites[i].Name < sites[j].Name })
-		for _, s := range sites {
-			status := "registered"
-			if !s.Registered {
-				status = "UNREGISTERED"
-			}
-			fmt.Fprintf(stdout, "%-20s %-13s %s\n", s.Name, status, s.Pos)
-		}
-		return 0
-	}
 
 	var all []lint.Diagnostic
 	for _, a := range analyzers {
@@ -159,9 +133,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		all = append(all, diags...)
 	}
 	all = supp.Filter(all)
-	if wholeTree {
-		all = append(all, failpointreg.DeadEntries(tree)...)
-	}
 	var stale []lint.StaleAllow
 	if *deadallow {
 		stale = supp.Stale()

@@ -1,6 +1,6 @@
 // Stub of sprite/internal/core shared by every analyzer fixture: only the
-// Cluster receiver type, the fault-plane entry point's name-argument
-// position and the BootOn signature must match the real package.
+// Cluster receiver type and the BootOn signature must match the real
+// package.
 package core
 
 import "sprite/internal/sim"
@@ -8,7 +8,5 @@ import "sprite/internal/sim"
 type PID int
 
 type Cluster struct{}
-
-func (c *Cluster) FailAt(env any, name string, pid PID) error { return nil }
 
 func (c *Cluster) BootOn(host int, name string, fn func(env *sim.Env) error) {}

@@ -75,7 +75,7 @@ type Cluster struct {
 	// before formatting a detail, so an untraced run formats nothing.
 	traced bool
 
-	// failpoint, when set, is consulted at named migration steps (fault
+	// failpoint, when set, is consulted at every Failpoint (fault
 	// injection; see SetFailpoint).
 	failpoint FailpointFunc
 

@@ -312,8 +312,8 @@ func TestConfinedContract(t *testing.T) {
 		if err := c.SeedBinary("/bin/prog", 8<<10); err != nil {
 			t.Fatal(err)
 		}
-		c.SetFailpoint(func(env *sim.Env, name string, pid PID) error {
-			if name == "mig.init" {
+		c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
+			if fp == FailMigInit {
 				return fmt.Errorf("injected")
 			}
 			return nil

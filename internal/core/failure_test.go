@@ -298,24 +298,27 @@ func TestConcurrentMigrationsDoNotInterfere(t *testing.T) {
 // to the source host.
 func TestMigrationAbortRollsBack(t *testing.T) {
 	injected := errors.New("injected fault")
-	points := []struct{ point, phase string }{
-		{"mig.init", "negotiate"},
-		{"mig.streams", "streams"},
-		{"mig.pcb", "pcb"},
+	points := []struct {
+		point Failpoint
+		phase string
+	}{
+		{FailMigInit, "negotiate"},
+		{FailMigStreams, "streams"},
+		{FailMigPCB, "pcb"},
 	}
 	for _, atExec := range []bool{false, true} {
 		for _, tc := range points {
 			atExec, tc := atExec, tc
-			name := "full/" + tc.point
+			name := "full/" + tc.point.String()
 			if atExec {
-				name = "exec/" + tc.point
+				name = "exec/" + tc.point.String()
 			}
 			t.Run(name, func(t *testing.T) {
 				c := newCluster(t, 2)
 				src, dst := c.Workstation(0), c.Workstation(1)
 				armed := true
-				c.SetFailpoint(func(env *sim.Env, name string, pid PID) error {
-					if armed && name == tc.point {
+				c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
+					if armed && fp == tc.point {
 						armed = false
 						return injected
 					}

@@ -14,26 +14,85 @@ import (
 // crash injected, nothing here perturbs a run — golden outputs stay
 // bit-identical.
 
-// FailpointFunc decides whether a named migration step fails. It runs in
-// the migrating process's activity at the end of the step; a non-nil error
-// aborts the migration there and drives the real abort-recovery path.
-// Points: "mig.init", "mig.vm", "mig.streams", "mig.pcb" (the exec-time
-// variant skips "mig.vm").
-type FailpointFunc func(env *sim.Env, name string, pid PID) error
+// Failpoint names one place where the kernel, the recovery plane or the
+// fleet controller consults the installed FailpointFunc, so that a
+// triggered fault drives the real abort or recovery path there. The
+// constants below are the registry: a misspelt point does not compile.
+// The zero value names no point.
+type Failpoint uint8
 
-// SetFailpoint installs (or with nil removes) the migration failpoint hook.
+// The failpoints, area-grouped and in pipeline order.
+const (
+	_ Failpoint = iota
+	// FailMigInit: after migration negotiation, before any state moves;
+	// failing here aborts with nothing to undo.
+	FailMigInit
+	// FailMigVM: after the address-space transfer (skipped by exec-time
+	// migration); failing here exercises VM rollback.
+	FailMigVM
+	// FailMigStreams: during per-stream I/O handoff; failing here exercises
+	// move-back of partially transferred streams.
+	FailMigStreams
+	// FailMigPCB: at the process-control-block switch-over, the migration's
+	// commit point.
+	FailMigPCB
+	// FailRecoveryPing: the failure detector's liveness probe; failing here
+	// fakes a missed ping and perturbs detection latency.
+	FailRecoveryPing
+	// FailRecoveryRestart: the supervisor's checkpointed job restart;
+	// failing here exercises restart retry and job-loss accounting.
+	FailRecoveryRestart
+	// FailFleetDrain: the fleet controller's per-tick drain pass; failing
+	// here stalls a drain without losing residents.
+	FailFleetDrain
+	// FailFleetRemediate: the post-drain reboot of a sick host; failing here
+	// retries remediation on later ticks.
+	FailFleetRemediate
+	// FailFleetReadmit: the readmission probation gate; failing here resets
+	// the clean-probe count and keeps the host quarantined.
+	FailFleetReadmit
+	numFailpoints
+)
+
+var failpointNames = [numFailpoints]string{
+	FailMigInit:         "mig.init",
+	FailMigVM:           "mig.vm",
+	FailMigStreams:      "mig.streams",
+	FailMigPCB:          "mig.pcb",
+	FailRecoveryPing:    "recovery.ping",
+	FailRecoveryRestart: "recovery.restart",
+	FailFleetDrain:      "fleet.drain",
+	FailFleetRemediate:  "fleet.remediate",
+	FailFleetReadmit:    "fleet.readmit",
+}
+
+// String returns the point's name, area-first ("mig.vm"). The zero value,
+// and any value past the last point, renders as "".
+func (fp Failpoint) String() string {
+	if fp >= numFailpoints {
+		return ""
+	}
+	return failpointNames[fp]
+}
+
+// FailpointFunc decides whether the step at a failpoint fails. On the
+// migration path it runs in the migrating process's activity at the end of
+// the step; a non-nil error aborts the migration there and drives the real
+// abort-recovery path.
+type FailpointFunc func(env *sim.Env, fp Failpoint, pid PID) error
+
+// SetFailpoint installs (or with nil removes) the failpoint hook.
 func (c *Cluster) SetFailpoint(fn FailpointFunc) { c.failpoint = fn }
 
-// FailAt consults the installed failpoint hook at a named point. The
-// migration path consults it at its steps; the recovery and fleet planes at
-// their own points ("recovery.ping", "recovery.restart", "fleet.drain", …)
-// so the fault plane can perturb detection and failover with the same
-// machinery that aborts migrations.
-func (c *Cluster) FailAt(env *sim.Env, name string, pid PID) error {
+// FailAt consults the installed failpoint hook at fp. The migration path
+// consults it at its steps; the recovery and fleet planes at their own
+// points, so the fault plane can perturb detection and failover with the
+// same machinery that aborts migrations.
+func (c *Cluster) FailAt(env *sim.Env, fp Failpoint, pid PID) error {
 	if c.failpoint == nil {
 		return nil
 	}
-	return c.failpoint(env, name, pid)
+	return c.failpoint(env, fp, pid)
 }
 
 // --- process ledger ---

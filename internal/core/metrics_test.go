@@ -96,12 +96,12 @@ func TestMetricsAbortRollbackUnderFault(t *testing.T) {
 	src, dstA, dstB := c.Workstation(0), c.Workstation(1), c.Workstation(2)
 	injected := errors.New("injected vm fault")
 	vmFault := true
-	c.SetFailpoint(func(env *sim.Env, name string, pid PID) error {
+	c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
 		switch {
-		case vmFault && name == "mig.vm":
+		case vmFault && fp == FailMigVM:
 			vmFault = false
 			return injected
-		case name == "mig.pcb" && c.KernelOn(dstB.Host()) != nil && !c.HostDown(dstB.Host()):
+		case fp == FailMigPCB && c.KernelOn(dstB.Host()) != nil && !c.HostDown(dstB.Host()):
 			// Crash the second target after its PCB landed: the migration
 			// must detect the dead host and abort during resume.
 			c.CrashHost(env, dstB.Host())

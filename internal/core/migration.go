@@ -183,7 +183,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	if err := k.migInit(env, p, target); err != nil {
 		return abort(err)
 	}
-	if err := k.cluster.FailAt(env, "mig.init", p.pid); err != nil {
+	if err := k.cluster.FailAt(env, FailMigInit, p.pid); err != nil {
 		return abort(err)
 	}
 
@@ -198,7 +198,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	if err != nil {
 		return abort(err)
 	}
-	if err := k.cluster.FailAt(env, "mig.streams", p.pid); err != nil {
+	if err := k.cluster.FailAt(env, FailMigStreams, p.pid); err != nil {
 		return abort(err)
 	}
 	rec.FileTime = env.Now() - tStreams
@@ -209,7 +209,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	if err := k.transferPCB(env, p, target); err != nil {
 		return abort(err)
 	}
-	if err := k.cluster.FailAt(env, "mig.pcb", p.pid); err != nil {
+	if err := k.cluster.FailAt(env, FailMigPCB, p.pid); err != nil {
 		return abort(err)
 	}
 	if req.atExec {
@@ -309,7 +309,7 @@ func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *Mi
 	if vmErr != nil {
 		vmErr = fmt.Errorf("vm transfer: %w", vmErr)
 	} else {
-		vmErr = k.cluster.FailAt(env, "mig.vm", p.pid)
+		vmErr = k.cluster.FailAt(env, FailMigVM, p.pid)
 	}
 	tVMEnd := env.Now()
 	// Join the stream mover before acting on any error: abort recovery

@@ -8,19 +8,19 @@ import (
 )
 
 // These tests race signal delivery against an in-flight migration: the
-// "mig.pcb" failpoint holds the PCB between hosts while a signal is routed
+// FailMigPCB failpoint holds the PCB between hosts while a signal is routed
 // through the victim's home machine. Whatever host the signal lands on, it
 // must take effect exactly once — one exit in the ledger for SIGKILL, one
 // suspension (resumable by SIGCONT) for SIGSTOP.
 
 // transitHarness starts a process on home that migrates to target, holding
-// the PCB transfer at "mig.pcb" until hold elapses. inTransit completes the
+// the PCB transfer at FailMigPCB until hold elapses. inTransit completes the
 // moment the transfer begins to hang, so the boot activity can race a
 // signal against it.
 func transitHarness(c *Cluster, victim *PID, hold time.Duration) *sim.Future {
 	inTransit := sim.NewFuture(c.Sim())
-	c.SetFailpoint(func(env *sim.Env, name string, pid PID) error {
-		if name != "mig.pcb" || pid != *victim {
+	c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
+		if fp != FailMigPCB || pid != *victim {
 			return nil
 		}
 		inTransit.Complete(nil, nil)

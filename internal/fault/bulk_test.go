@@ -79,7 +79,7 @@ func TestBulkMigrationRetransmitsUnderDrops(t *testing.T) {
 func TestBulkAbortMidBatchRollsBack(t *testing.T) {
 	c := bulkCluster(t, 2, 11)
 	plane := NewPlane(c, 5)
-	plane.FailMigration("mig.vm", core.PID{}, 0, time.Hour, 1, 1)
+	plane.FailMigration(core.FailMigVM, core.PID{}, 0, time.Hour, 1, 1)
 	src, dst := c.Workstation(0), c.Workstation(1)
 	var firstErr, retryErr error
 	c.Boot("boot", func(env *sim.Env) error {

@@ -1,44 +1,69 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"sprite/internal/core"
+)
 
 // The fuzzer draws a fault kind by indexing a seeded random value into
-// MigrationFailpoints(), so the registry's mig.* order is part of the
-// replay contract: reordering it changes every recorded scenario digest.
-// This pin makes such a change an explicit, test-visible decision.
+// migPoints, so its order is part of the replay contract: reordering it
+// changes every recorded scenario digest. This pin makes such a change an
+// explicit, test-visible decision.
 func TestMigrationFailpointOrderPinned(t *testing.T) {
-	want := []string{"mig.init", "mig.vm", "mig.streams", "mig.pcb"}
-	got := MigrationFailpoints()
-	if len(got) != len(want) {
-		t.Fatalf("MigrationFailpoints() = %v, want %v", got, want)
+	want := []core.Failpoint{core.FailMigInit, core.FailMigVM, core.FailMigStreams, core.FailMigPCB}
+	if len(migPoints) != len(want) {
+		t.Fatalf("migPoints = %v, want %v", migPoints, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("MigrationFailpoints()[%d] = %q, want %q (order is replay-significant)", i, got[i], want[i])
+		if migPoints[i] != want[i] {
+			t.Errorf("migPoints[%d] = %v, want %v (order is replay-significant)", i, migPoints[i], want[i])
 		}
 	}
 }
 
-func TestRegisteredFailpoint(t *testing.T) {
-	for _, fp := range Failpoints {
-		if !RegisteredFailpoint(fp.Name) {
-			t.Errorf("RegisteredFailpoint(%q) = false for a registry entry", fp.Name)
-		}
-		if fp.Package == "" || fp.Doc == "" {
-			t.Errorf("registry entry %q missing package or doc", fp.Name)
-		}
+// allFailpoints lists every named point in declaration order.
+func allFailpoints() []core.Failpoint {
+	var all []core.Failpoint
+	for fp := core.Failpoint(1); fp.String() != ""; fp++ {
+		all = append(all, fp)
 	}
-	if RegisteredFailpoint("mig.bogus") {
-		t.Error(`RegisteredFailpoint("mig.bogus") = true, want false`)
-	}
+	return all
 }
 
 func TestFailpointNamesUnique(t *testing.T) {
+	if name := core.Failpoint(0).String(); name != "" {
+		t.Errorf("the zero Failpoint renders as %q, want \"\"", name)
+	}
 	seen := make(map[string]bool)
-	for _, name := range FailpointNames() {
-		if seen[name] {
-			t.Errorf("duplicate failpoint name %q", name)
+	for _, fp := range allFailpoints() {
+		if seen[fp.String()] {
+			t.Errorf("duplicate failpoint name %q", fp)
 		}
-		seen[name] = true
+		seen[fp.String()] = true
+	}
+}
+
+// TestEveryFailpointConsulted runs the smoke seeds of TestClusterFuzz and
+// TestFleetFuzz and requires that between them they reach every failpoint:
+// a point whose last consult site is deleted still compiles, but fails
+// here.
+func TestEveryFailpointConsulted(t *testing.T) {
+	seen := make(map[core.Failpoint]bool)
+	note := func(res *Result) {
+		for fp := range res.Consulted {
+			seen[fp] = true
+		}
+	}
+	for i := int64(0); i < fuzzSmokeN; i++ {
+		note(runScenario(GenScenario(1000+i), kernelCfg{}))
+	}
+	for i := int64(0); i < fleetSmokeN; i++ {
+		note(runFleetScenario(GenFleetScenario(5000+i), kernelCfg{}))
+	}
+	for _, fp := range allFailpoints() {
+		if !seen[fp] {
+			t.Errorf("no smoke seed consults failpoint %v: restore its consult site or delete the constant", fp)
+		}
 	}
 }

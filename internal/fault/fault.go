@@ -48,9 +48,9 @@ type partition struct {
 	group       map[rpc.HostID]bool
 }
 
-// migFail arms a named migration failpoint within a time window.
+// migFail arms a migration failpoint within a time window.
 type migFail struct {
-	point       string
+	point       core.Failpoint
 	pid         core.PID // zero value matches any process
 	from, until time.Duration
 	prob        float64
@@ -130,12 +130,12 @@ func (p *Plane) Partition(from, until time.Duration, group ...rpc.HostID) {
 	p.parts = append(p.parts, &partition{from: from, until: until, group: hostSet(group)})
 }
 
-// FailMigration arms the named migration failpoint ("mig.init", "mig.vm",
-// "mig.streams", "mig.pcb") for a process (zero PID matches any) during
+// FailMigration arms a migration failpoint (core.FailMigInit, FailMigVM,
+// FailMigStreams, FailMigPCB) for a process (zero PID matches any) during
 // [from, until), firing with probability prob at most `times` times
 // (times < 0 = unlimited). The aborted migration exercises the kernel's
 // abort-recovery path: the process must resume intact on the source.
-func (p *Plane) FailMigration(point string, pid core.PID, from, until time.Duration, prob float64, times int) {
+func (p *Plane) FailMigration(point core.Failpoint, pid core.PID, from, until time.Duration, prob float64, times int) {
 	p.migFails = append(p.migFails, &migFail{
 		point: point, pid: pid, from: from, until: until, prob: prob, remaining: times,
 	})
@@ -209,10 +209,10 @@ func (p *Plane) Intercept(env *sim.Env, from, to rpc.HostID, service string, att
 }
 
 // failpoint implements core.FailpointFunc.
-func (p *Plane) failpoint(env *sim.Env, name string, pid core.PID) error {
+func (p *Plane) failpoint(env *sim.Env, fp core.Failpoint, pid core.PID) error {
 	now := env.Now()
 	for _, f := range p.migFails {
-		if f.point != name || f.remaining == 0 {
+		if f.point != fp || f.remaining == 0 {
 			continue
 		}
 		if now < f.from || now >= f.until {
@@ -227,7 +227,7 @@ func (p *Plane) failpoint(env *sim.Env, name string, pid core.PID) error {
 		if f.remaining > 0 {
 			f.remaining--
 		}
-		return fmt.Errorf("%w: %s for %v at %v", ErrInjected, name, pid, now)
+		return fmt.Errorf("%w: %v for %v at %v", ErrInjected, fp, pid, now)
 	}
 	return nil
 }

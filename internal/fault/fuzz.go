@@ -66,7 +66,7 @@ type Event struct {
 	At    time.Duration
 	Dur   time.Duration // crash: 0 = never restarts
 	Prob  float64
-	Point string // migration failpoint name for KindMigFail
+	Point core.Failpoint // migration failpoint for KindMigFail
 }
 
 // Scenario is a complete, self-describing fuzz case.
@@ -91,15 +91,27 @@ func (sc Scenario) String() string {
 	return b.String()
 }
 
-// migPoints is the fault-kind pool for KindMigFail, read from the
-// failpoint registry (failpoints.go) so the fuzzer can never arm a point
-// the kernel does not consult. Registry order is replay-significant: the
-// scenario generator indexes into this slice with a seeded draw.
-var migPoints = MigrationFailpoints()
+// migPoints is the fault-kind pool for KindMigFail. Its order is
+// replay-significant: the scenario generator indexes into this slice with a
+// seeded draw.
+var migPoints = []core.Failpoint{core.FailMigInit, core.FailMigVM, core.FailMigStreams, core.FailMigPCB}
+
+// draws is the source of a scenario's random choices: a seeded
+// *rand.Rand for GenScenario, fuzz input bytes for FuzzProcesses.
+type draws interface {
+	Intn(n int) int
+	Float64() float64
+}
 
 // GenScenario derives a scenario from a seed. Same seed, same scenario.
 func GenScenario(seed int64) Scenario {
-	rng := rand.New(rand.NewSource(seed))
+	return decodeScenario(seed, rand.New(rand.NewSource(seed)))
+}
+
+// decodeScenario builds the scenario that seed and the choices rng makes
+// describe. The seed also drives the workload and the fault plane's own
+// draws at run time.
+func decodeScenario(seed int64, rng draws) Scenario {
 	sc := Scenario{
 		Seed:         seed,
 		Workstations: 3 + rng.Intn(3),
@@ -148,6 +160,8 @@ type Result struct {
 	Digest     string        // replay fingerprint: equal digests = identical runs
 	Violations []string      // empty = clean run
 	Tail       []trace.Event // last cluster events before the run settled; set on failure
+	// Consulted holds every failpoint the run's code reached.
+	Consulted map[core.Failpoint]bool
 }
 
 // Failed reports whether the run violated any invariant.
@@ -205,6 +219,7 @@ type procPlan struct {
 	targets []int // migration / remote-exec destinations (may be down: abort path)
 	pages   int
 	shared  bool // filer uses the contended path
+	skip    bool // every workstation is down at startAt
 }
 
 // harness is the run both scenario families share: a cluster on the fuzz
@@ -217,6 +232,19 @@ type harness struct {
 	mon  *recovery.Monitor  // how survivors learn of a crash; each family starts and stops it
 	ring *trace.Log
 	full strings.Builder // the complete event stream, kept for obs
+}
+
+// hook installs fn (nil: no point fails) as the cluster's failpoint hook,
+// recording each point the run consults.
+func (h *harness) hook(fn core.FailpointFunc) {
+	h.res.Consulted = make(map[core.Failpoint]bool)
+	h.c.SetFailpoint(func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+		h.res.Consulted[fp] = true
+		if fn == nil {
+			return nil
+		}
+		return fn(env, fp, pid)
+	})
 }
 
 func (h *harness) fail(format string, args ...any) {
@@ -329,6 +357,7 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 	// The plane's private stream is derived from the scenario seed so the
 	// whole run replays from one number.
 	plane := NewPlane(c, sc.Seed^0x5eedfa17)
+	h.hook(plane.failpoint)
 	var lastCrash time.Duration
 	for _, e := range sc.Events {
 		host := c.Workstation(e.Host).Host()
@@ -410,7 +439,13 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 			pages:   2 + wrng.Intn(8),
 			shared:  wrng.Intn(3) == 0,
 		}
-		for sc.downDuring(pl.home, pl.startAt) {
+		// Start on the first workstation from home on that is up; with
+		// none up, skip the process as the driver does for drift.
+		for tries := 0; sc.downDuring(pl.home, pl.startAt); tries++ {
+			if tries == sc.Workstations {
+				pl.skip = true
+				break
+			}
 			pl.home = (pl.home + 1) % sc.Workstations
 		}
 		nt := 1 + wrng.Intn(2)
@@ -429,8 +464,8 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 					return err
 				}
 			}
-			if sc.downDuring(pl.home, env.Now()) {
-				continue // start-time drift landed in a down window; skip
+			if pl.skip || sc.downDuring(pl.home, env.Now()) {
+				continue // no host up, or start-time drift landed in a down window
 			}
 			k := c.Workstation(pl.home)
 			p, err := k.StartProcess(env, fmt.Sprintf("fuzz%d", i), fuzzProgram(c, i, pl), core.ProcConfig{

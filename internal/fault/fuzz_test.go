@@ -1,6 +1,11 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"sprite/internal/core"
+)
 
 // fuzzSmokeN is the default scenario budget for the plain `go test` smoke
 // run; set SPRITE_FUZZ=<n> for a longer sweep.
@@ -49,7 +54,7 @@ func TestScenarioDeterminism(t *testing.T) {
 func TestShrinkGreedyMoves(t *testing.T) {
 	crash := Event{Kind: KindCrash, Host: 2, At: 5}
 	sc := Scenario{Seed: 9, Workstations: 4, Procs: 8, Gossip: true, Events: []Event{
-		{Kind: KindPartition, Host: 1}, crash, {Kind: KindDrop, Prob: 0.5}, {Kind: KindMigFail, Point: "mig.vm"},
+		{Kind: KindPartition, Host: 1}, crash, {Kind: KindDrop, Prob: 0.5}, {Kind: KindMigFail, Point: core.FailMigVM},
 	}}
 	probes, lastFailing := 0, 0
 	fails := func(c Scenario) (int, bool) {
@@ -76,4 +81,52 @@ func TestShrinkGreedyMoves(t *testing.T) {
 	if same.String() != sc.String() || probes != 1 {
 		t.Fatalf("passing scenario: got %v after %d probes, want it untouched after 1", same, probes)
 	}
+}
+
+// TestEveryWorkstationDownSkipsProcess: a process whose start finds every
+// workstation crashed for good is skipped, and the run still settles
+// clean.
+func TestEveryWorkstationDownSkipsProcess(t *testing.T) {
+	sc := Scenario{Seed: 1, Workstations: 3, Procs: 4}
+	for w := 0; w < sc.Workstations; w++ {
+		sc.Events = append(sc.Events, Event{Kind: KindCrash, Host: w, At: 50 * time.Millisecond})
+	}
+	if res := runScenario(sc, kernelCfg{}); res.Failed() {
+		t.Fatal(res.Report())
+	}
+}
+
+// fuzzDraws decodes fuzz input into a scenario's random choices: each draw
+// reads the next two bytes, big-endian, with zeros past the end, so every
+// input decodes to a scenario inside the generator's bounds.
+type fuzzDraws []byte
+
+func (d *fuzzDraws) next() int {
+	v := 0
+	for i := 0; i < 2; i++ {
+		v <<= 8
+		if len(*d) > 0 {
+			v |= int((*d)[0])
+			*d = (*d)[1:]
+		}
+	}
+	return v
+}
+
+func (d *fuzzDraws) Intn(n int) int { return d.next() % n }
+
+func (d *fuzzDraws) Float64() float64 { return float64(d.next()) / (1 << 16) }
+
+// FuzzProcesses is the coverage-guided form of TestClusterFuzz: the input
+// bytes make the scenario generator's choices and the seed drives the
+// workload and the fault plane, and any invariant violation fails. The
+// corpus under testdata/fuzz/FuzzProcesses replays on every `go test`;
+// `make fuzz` searches for new inputs.
+func FuzzProcesses(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		d := fuzzDraws(data)
+		if res := runScenario(decodeScenario(seed, &d), kernelCfg{}); res.Failed() {
+			t.Fatal(res.Report())
+		}
+	})
 }

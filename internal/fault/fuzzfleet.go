@@ -193,6 +193,7 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 	if c == nil {
 		return h.res
 	}
+	h.hook(nil)
 	mon := h.mon
 	sup := recovery.NewSupervisor(c, mon, recovery.SupervisorParams{
 		MaxRestarts:     6,

@@ -37,7 +37,7 @@ func (m *Manager) drainPass(env *sim.Env, rec *hostRec) {
 		m.finishDrain(env, rec)
 		return
 	}
-	if err := m.c.FailAt(env, "fleet.drain", core.NilPID); err != nil {
+	if err := m.c.FailAt(env, core.FailFleetDrain, core.NilPID); err != nil {
 		m.stallsC.Inc()
 		return
 	}

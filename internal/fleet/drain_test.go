@@ -344,8 +344,8 @@ func TestDrainStateMachine(t *testing.T) {
 			f := newFix(t, 3, fastParams())
 			victim := f.c.Workstation(1)
 			armed := true
-			f.c.SetFailpoint(func(env *sim.Env, name string, pid core.PID) error {
-				if armed && name == "fleet.drain" {
+			f.c.SetFailpoint(func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+				if armed && fp == core.FailFleetDrain {
 					return errors.New("injected drain stall")
 				}
 				return nil
@@ -384,8 +384,8 @@ func TestDrainStateMachine(t *testing.T) {
 			f := newFix(t, 3, fastParams())
 			victim := f.c.Workstation(1)
 			armed := true
-			f.c.SetFailpoint(func(env *sim.Env, name string, pid core.PID) error {
-				if armed && name == "fleet.remediate" {
+			f.c.SetFailpoint(func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+				if armed && fp == core.FailFleetRemediate {
 					return errors.New("injected remediation failure")
 				}
 				return nil
@@ -417,8 +417,8 @@ func TestDrainStateMachine(t *testing.T) {
 			f := newFix(t, 3, fastParams())
 			victim := f.c.Workstation(1)
 			armed := true
-			f.c.SetFailpoint(func(env *sim.Env, name string, pid core.PID) error {
-				if armed && name == "fleet.readmit" {
+			f.c.SetFailpoint(func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+				if armed && fp == core.FailFleetReadmit {
 					return errors.New("injected readmission failure")
 				}
 				return nil

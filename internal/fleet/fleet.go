@@ -463,7 +463,7 @@ func (m *Manager) offer(env *sim.Env, host rpc.HostID) {
 // remediate power-cycles an empty drained host, gated by the
 // fleet.remediate failpoint (an injected failure retries next tick).
 func (m *Manager) remediate(env *sim.Env, rec *hostRec) {
-	if err := m.c.FailAt(env, "fleet.remediate", core.NilPID); err != nil {
+	if err := m.c.FailAt(env, core.FailFleetRemediate, core.NilPID); err != nil {
 		return
 	}
 	m.c.Reboot(env, rec.host)
@@ -490,7 +490,7 @@ func (m *Manager) readmitTick(env *sim.Env, rec *hostRec) {
 		}
 		return
 	}
-	if err := m.c.FailAt(env, "fleet.readmit", core.NilPID); err != nil {
+	if err := m.c.FailAt(env, core.FailFleetReadmit, core.NilPID); err != nil {
 		if rec.cleanProbes > 0 {
 			rec.cleanProbes = 0
 			m.probationResets.Inc()

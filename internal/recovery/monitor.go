@@ -227,7 +227,7 @@ func (m *Monitor) tick(env *sim.Env, host rpc.HostID) {
 	}
 	m.pings.Inc()
 	var reply any
-	err := m.c.FailAt(env, "recovery.ping", core.NilPID)
+	err := m.c.FailAt(env, core.FailRecoveryPing, core.NilPID)
 	if err == nil {
 		reply, err = v.Call(env, host, "recovery.ping", nil, 16)
 	}

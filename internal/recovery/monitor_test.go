@@ -4,6 +4,7 @@
 package recovery_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -139,6 +140,33 @@ func TestMonitorIgnoresMessageLoss(t *testing.T) {
 	snap := c.MetricsSnapshot()
 	if snap.Counters["recovery.ping.failures"] == 0 {
 		t.Fatal("drop window did not starve any pings — test exercised nothing")
+	}
+}
+
+// TestMonitorPingFailpoint: failing the recovery.ping failpoint for a
+// window on a healthy cluster fails probes, and failed probes alone never
+// declare a live host down.
+func TestMonitorPingFailpoint(t *testing.T) {
+	c := newCluster(t, 3)
+	c.SetFailpoint(func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+		if fp == core.FailRecoveryPing && env.Now() >= 50*time.Millisecond && env.Now() < 150*time.Millisecond {
+			return errors.New("injected ping failure")
+		}
+		return nil
+	})
+	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
+	mon.Start()
+
+	runWithMonitor(t, c, mon, func(env *sim.Env) error {
+		return env.Sleep(250 * time.Millisecond)
+	})
+
+	snap := c.MetricsSnapshot()
+	if snap.Counters["recovery.ping.failures"] == 0 {
+		t.Fatal("recovery.ping.failures = 0: the failpoint failed no probe")
+	}
+	if n := snap.Counters["recovery.host_down"]; n != 0 {
+		t.Fatalf("recovery.host_down = %d, want 0 (no host crashed)", n)
 	}
 }
 

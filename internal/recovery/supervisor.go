@@ -435,7 +435,7 @@ func (s *Supervisor) watch(env *sim.Env, j *job) error {
 	// The recovery.restart failpoint lets the fault plane delay or starve
 	// failover just like any migration step.
 	for {
-		ferr := s.c.FailAt(env, "recovery.restart", p.PID())
+		ferr := s.c.FailAt(env, core.FailRecoveryRestart, p.PID())
 		if ferr == nil {
 			break
 		}

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestRunDemoDeterministic(t *testing.T) {
 // named migration failpoint, then rebooting shortly after the monitor
 // declares it dead. Every job must run to completion and the invariants
 // must hold — whichever host died, at whichever point.
-func acceptanceRun(t *testing.T, role string, point string) {
+func acceptanceRun(t *testing.T, role string, point core.Failpoint) {
 	t.Helper()
 	c, err := core.NewCluster(core.Options{Workstations: 4, FileServers: 1, Seed: 11})
 	if err != nil {
@@ -110,8 +111,8 @@ func acceptanceRun(t *testing.T, role string, point string) {
 	// The crash fires exactly once, from a spawned activity so the
 	// migrating process is interrupted at (not inside) the failpoint call.
 	fired := false
-	c.SetFailpoint(func(env *sim.Env, name string, pid core.PID) error {
-		if name != point || fired {
+	c.SetFailpoint(func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+		if fp != point || fired {
 			return nil
 		}
 		fired = true
@@ -175,21 +176,22 @@ func acceptanceRun(t *testing.T, role string, point string) {
 // attached) every workload process runs to completion.
 func TestCrashAnyHostAtAnyFailpoint(t *testing.T) {
 	roles := []string{"home", "target", "fs"}
-	points := []string{"mig.init", "mig.vm", "mig.streams", "mig.pcb"}
+	points := []core.Failpoint{core.FailMigInit, core.FailMigVM, core.FailMigStreams, core.FailMigPCB}
 	for _, role := range roles {
 		for _, point := range points {
 			role, point := role, point
-			t.Run(role+"/"+point, func(t *testing.T) {
+			t.Run(role+"/"+point.String(), func(t *testing.T) {
 				acceptanceRun(t, role, point)
 			})
 		}
 	}
 }
 
-// TestSupervisorRecoversCheckpointProgress: the restarted incarnation's
-// image carries cumulative progress, so total compute across incarnations
-// tracks the job size rather than doubling.
-func TestSupervisorRecoversCheckpointProgress(t *testing.T) {
+// supervisedCrash runs one checkpointed job on a three-workstation cluster
+// with hook as the failpoint hook (nil for none), crashing the job's host
+// mid-run and restarting it; the job must complete.
+func supervisedCrash(t *testing.T, hook core.FailpointFunc) (*core.Cluster, *Handle) {
+	t.Helper()
 	c, err := core.NewCluster(core.Options{Workstations: 3, FileServers: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +199,7 @@ func TestSupervisorRecoversCheckpointProgress(t *testing.T) {
 	if err := c.SeedBinary("/bin/job", 64<<10); err != nil {
 		t.Fatal(err)
 	}
+	c.SetFailpoint(hook)
 	mon := NewMonitor(c, Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
 	sup := NewSupervisor(c, mon, SupervisorParams{MaxRestarts: 3, CheckpointEvery: 10 * time.Millisecond, Dir: "/ckpt"})
 	mon.Start()
@@ -229,10 +232,20 @@ func TestSupervisorRecoversCheckpointProgress(t *testing.T) {
 	if err := c.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-
 	if h.Restarts() != 1 {
 		t.Fatalf("restarts = %d, want 1", h.Restarts())
 	}
+	if v := c.CheckInvariants(true); len(v) != 0 {
+		t.Errorf("invariants: %v", v)
+	}
+	return c, h
+}
+
+// TestSupervisorRecoversCheckpointProgress: the restarted incarnation's
+// image carries cumulative progress, so total compute across incarnations
+// tracks the job size rather than doubling.
+func TestSupervisorRecoversCheckpointProgress(t *testing.T) {
+	c, h := supervisedCrash(t, nil)
 	resumed := time.Duration(h.Resumed().CPUUsedNanos)
 	if resumed <= 0 || resumed >= 200*time.Millisecond {
 		t.Errorf("resumed progress = %v, want in (0, 200ms)", resumed)
@@ -241,8 +254,21 @@ func TestSupervisorRecoversCheckpointProgress(t *testing.T) {
 	if snap.Counters["recovery.cpu_recovered_ns"] != int64(resumed) {
 		t.Errorf("cpu_recovered_ns = %d, want %d", snap.Counters["recovery.cpu_recovered_ns"], resumed)
 	}
-	if v := c.CheckInvariants(true); len(v) != 0 {
-		t.Errorf("invariants: %v", v)
+}
+
+// TestSupervisorRestartFailpoint: failing the recovery.restart failpoint
+// once is counted and retried, and the job still completes.
+func TestSupervisorRestartFailpoint(t *testing.T) {
+	armed := true
+	c, _ := supervisedCrash(t, func(env *sim.Env, fp core.Failpoint, pid core.PID) error {
+		if armed && fp == core.FailRecoveryRestart {
+			armed = false
+			return errors.New("injected restart failure")
+		}
+		return nil
+	})
+	if n := c.MetricsSnapshot().Counters["recovery.restart.failures"]; n != 1 {
+		t.Errorf("recovery.restart.failures = %d, want 1", n)
 	}
 }
 

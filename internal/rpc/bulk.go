@@ -245,10 +245,6 @@ func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service strin
 				}
 				continue
 			}
-			if v.Duplicate {
-				_ = t.net.SendPipelined(env, size)
-				wire += size
-			}
 			break
 		}
 		bs.Fragments++

@@ -79,9 +79,6 @@ type confReq struct {
 	arg     any
 	reply   *sim.Mailbox // homed on the caller's shard
 
-	// dup marks the wasted wire image of a Duplicate verdict; the server's
-	// transaction check discards it without touching the call.
-	dup bool
 	// dropReply marks this attempt's reply as eaten by the injector: the
 	// server executes (and caches) but withholds the answer.
 	dropReply bool
@@ -131,11 +128,6 @@ func (ep *Endpoint) dispatchLoop(env *sim.Env) error {
 			return nil
 		}
 		req := v.(*confReq)
-		if req.dup {
-			// The duplicate occupied the wire; the transaction check
-			// discards it.
-			continue
-		}
 		if ep.down {
 			// A down host answers with a channel reset rather than
 			// leaving the caller to hang on an internal hop.
@@ -314,15 +306,6 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 				}, t.net.Latency()+xfer+extra)
 				sent = true
 				sends++
-				if v.Duplicate {
-					// The duplicate occupies the wire; the server's
-					// transaction check discards it on arrival.
-					if dxfer, dextra, ddrop := t.net.Account(env, argSize); !ddrop {
-						target.reqBox.SendAfter(env, &confReq{
-							from: e.host, xid: xid, service: service, dup: true, reply: replyBox,
-						}, t.net.Latency()+dxfer+dextra)
-					}
-				}
 			}
 		}
 		if sent {

@@ -32,7 +32,7 @@ func (fp confFP) String() string {
 		fp.digest, fp.now, fp.calls, fp.retries, fp.timeouts, fp.messages, fp.bytes, fp.runErr, fp.execs, fp.replies)
 }
 
-// pureInjector drops/duplicates/delays messages as a pure function of
+// pureInjector drops/delays messages as a pure function of
 // (from, to, service, attempt), so verdicts are identical no matter which
 // worker asks, in which order.
 type pureInjector struct{}
@@ -45,7 +45,6 @@ func (pureInjector) Intercept(env *sim.Env, from, to HostID, service string, att
 	return Verdict{
 		DropRequest: k%5 == 0,
 		DropReply:   k%5 != 0 && k%3 == 0,
-		Duplicate:   k%4 == 0,
 		Delay:       time.Duration(k%3) * 100 * time.Microsecond,
 	}
 }

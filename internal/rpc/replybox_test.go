@@ -8,14 +8,12 @@ import (
 	"sprite/internal/sim"
 )
 
-// dupFirstAttempt duplicates every first transmission on the wire. The
-// server's transaction check discards the copies unanswered, so they must not
-// keep a call from recycling its reply box; being installed at all is also
-// what arms the client's reply timeout.
-type dupFirstAttempt struct{}
+// armTimeout perturbs nothing: being installed at all is what arms the
+// client's reply timeout, which the late replies below need.
+type armTimeout struct{}
 
-func (dupFirstAttempt) Intercept(env *sim.Env, from, to HostID, service string, attempt int) Verdict {
-	return Verdict{Duplicate: attempt == 0}
+func (armTimeout) Intercept(env *sim.Env, from, to HostID, service string, attempt int) Verdict {
+	return Verdict{}
 }
 
 // lateMark is the reply size that marks a reply for the network hook below.
@@ -52,7 +50,7 @@ func TestReplyBoxReuseDropsLateReplies(t *testing.T) {
 		net := netsim.New(s, netsim.Params{Latency: latency, BandwidthBytesPerSec: 1e7})
 		params := DefaultParams()
 		tr := NewTransport(s, net, params)
-		tr.SetInjector(dupFirstAttempt{})
+		tr.SetInjector(armTimeout{})
 		// Marked replies all leave from the server's shard, so the counter
 		// is shard-local state: every other one is held up past the timeout.
 		marked := 0

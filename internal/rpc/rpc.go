@@ -85,9 +85,6 @@ type Verdict struct {
 	// then resends the cached reply without re-executing the handler
 	// (Sprite RPC's at-most-once semantics, after Birrell & Nelson).
 	DropReply bool
-	// Duplicate delivers the request twice; the server discards the
-	// duplicate but the extra packet is charged to the network.
-	Duplicate bool
 	// Delay adds one-way latency to the request leg.
 	Delay time.Duration
 }
@@ -601,12 +598,6 @@ func (e *Endpoint) roundTrip(env *sim.Env, target *Endpoint, service string, req
 			if serve != nil && !served {
 				replySize = serve()
 				served = true
-			}
-			if v.Duplicate {
-				// The duplicate request occupies the wire but is discarded
-				// by the server's transaction check; the error (if the
-				// medium is perturbed again) does not affect the call.
-				_ = t.net.Send(env, reqSize)
 			}
 			if replySize == noReply {
 				return false, nil
