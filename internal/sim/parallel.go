@@ -33,7 +33,6 @@ package sim
 // does escapes its buffers until replay.
 
 import (
-	"container/heap"
 	"runtime"
 	"time"
 )
@@ -68,8 +67,8 @@ type parKernel struct {
 	workers  []*worker
 	done     chan struct{}
 	inWindow bool
-	window   []*event  // scratch: the current committed prefix
-	frontier eventHeap // scratch: replay ordering heap
+	window   []*event   // scratch: the current committed prefix
+	frontier eventQueue // scratch: replay ordering heap
 }
 
 // worker dispatches the confined shards mapped to it. Each shard maps to
@@ -79,8 +78,8 @@ type parKernel struct {
 type worker struct {
 	p       *parKernel
 	idx     int
-	local   eventHeap // assigned window events + locally created ones
-	counter uint64    // events created this window: provisional sequence counter
+	local   eventQueue // assigned window events + locally created ones
+	counter uint64     // events created this window: provisional sequence counter
 	horizon time.Duration
 	now     time.Duration // timestamp of the event being dispatched
 	cur     *event        // the event being dispatched, logging its effects
@@ -169,20 +168,20 @@ func (s *Simulation) runParallel(limit time.Duration) {
 	p.start()
 	defer p.stopWorkers()
 	for len(s.queue) > 0 && !s.stopped {
-		head := s.queue[0]
+		head := s.queue.peek()
 		if head.cancelled() {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			s.release(head)
 			continue
 		}
 		if limit > 0 && head.at > limit {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			s.release(head)
 			s.now = limit
 			return
 		}
 		if head.homeShard() == 0 {
-			s.commitExclusive(heap.Pop(&s.queue).(*event))
+			s.commitExclusive(s.queue.pop())
 			continue
 		}
 		p.runWindow(limit)
@@ -193,7 +192,7 @@ func (s *Simulation) runParallel(limit time.Duration) {
 // queue, dispatches it across the workers, and replays the buffered effects.
 func (p *parKernel) runWindow(limit time.Duration) {
 	s := p.s
-	head := heap.Pop(&s.queue).(*event)
+	head := s.queue.pop()
 	window := append(p.window[:0], head)
 	horizon := head.at + s.lookahead
 	if limit > 0 && horizon > limit+1 {
@@ -202,7 +201,7 @@ func (p *parKernel) runWindow(limit time.Duration) {
 		horizon = limit + 1
 	}
 	for len(s.queue) > 0 {
-		h := s.queue[0]
+		h := s.queue.peek()
 		if h.at >= horizon {
 			break
 		}
@@ -218,7 +217,7 @@ func (p *parKernel) runWindow(limit time.Duration) {
 				break
 			}
 		}
-		window = append(window, heap.Pop(&s.queue).(*event))
+		window = append(window, s.queue.pop())
 	}
 
 	for _, ev := range window {
@@ -226,7 +225,7 @@ func (p *parKernel) runWindow(limit time.Duration) {
 			ev.consumed = true // cancelled before the window formed
 			continue
 		}
-		p.workerFor(ev.homeShard()).pushInitial(ev)
+		p.workerFor(ev.homeShard()).local.push(ev)
 	}
 	p.inWindow = true
 	active := 0
@@ -280,12 +279,6 @@ func (p *parKernel) topUp(w *worker) {
 	moveTail(&w.carriers, &s.carriers, w.wantCarriers-len(w.carriers))
 }
 
-// pushInitial assigns a committed window event to the worker that owns its
-// shard.
-func (w *worker) pushInitial(ev *event) {
-	heap.Push(&w.local, ev)
-}
-
 // run is the worker loop: dispatch this worker's share of the window in
 // (at, seq) order, following locally created events while they stay below
 // the horizon.
@@ -299,7 +292,7 @@ func (w *worker) run(work <-chan struct{}) {
 	}()
 	for range work {
 		for len(w.local) > 0 {
-			top := w.local[0]
+			top := w.local.peek()
 			if top.seq >= provSeqBase && top.at >= w.horizon {
 				// A locally created event at or past the horizon: its real
 				// sequence number will sort it after the window's boundary
@@ -308,7 +301,7 @@ func (w *worker) run(work <-chan struct{}) {
 				// events (real seq, at <= horizon) have all been popped.
 				break
 			}
-			ev := heap.Pop(&w.local).(*event)
+			ev := w.local.pop()
 			ev.consumed = true
 			if ev.mbox != nil {
 				// A shard-homed mailbox delivery: it runs on this worker so
@@ -361,7 +354,7 @@ func (w *worker) newEvent(at time.Duration, a *activity) *event {
 // window if it stays below the horizon) and is recorded for replay.
 func (w *worker) scheduleLocal(at time.Duration, a *activity) *event {
 	ev := w.newEvent(at, a)
-	heap.Push(&w.local, ev)
+	w.local.push(ev)
 	w.cur.children = append(w.cur.children, childEntry{ev: ev})
 	return ev
 }
@@ -394,12 +387,12 @@ func (w *worker) noteSpawn(ev *event, a *activity) {
 // window so MaxQueueDepth matches bit for bit.
 func (s *Simulation) replay(window []*event) {
 	p := s.par
-	fr := append(p.frontier[:0], window...)
-	p.frontier = fr
-	heap.Init(&p.frontier)
+	// The window left the queue in (at, seq) order, and a sorted slice is
+	// already a heap.
+	p.frontier = append(p.frontier[:0], window...)
 	pending := len(s.queue) + len(p.frontier)
 	for len(p.frontier) > 0 {
-		ev := heap.Pop(&p.frontier).(*event)
+		ev := p.frontier.pop()
 		pending--
 		if ev.cancelled() {
 			s.release(ev)
@@ -435,9 +428,9 @@ func (s *Simulation) replay(window []*event) {
 					s.stats.MaxQueueDepth = pending
 				}
 				if ch.ev.consumed {
-					heap.Push(&p.frontier, ch.ev)
+					p.frontier.push(ch.ev)
 				} else {
-					heap.Push(&s.queue, ch.ev)
+					s.queue.push(ch.ev)
 				}
 			}
 			if s.traceSink != nil {
@@ -451,5 +444,5 @@ func (s *Simulation) replay(window []*event) {
 		}
 		s.release(ev)
 	}
-	// The frontier is empty again, and heap.Pop nilled every slot it vacated.
+	// The frontier is empty again, and pop nilled every slot it vacated.
 }

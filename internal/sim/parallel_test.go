@@ -44,15 +44,7 @@ type progCfg struct {
 // cross-shard mailbox sends into an exclusive supervisor that itself wakes
 // periodically (so exclusive blockers interleave with parallel windows).
 func runConfinedProg(cfg progCfg, workers int) kernelFP {
-	s := New(cfg.seed)
-	s.SetLookahead(cfg.lookahead)
-	if workers > 0 {
-		s.ConfigureParallel(workers)
-	}
-	var traceB strings.Builder
-	s.SetTraceSink(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(&traceB, "%d %s %s\n", at, kind, detail)
-	})
+	s, traceB := newProgSim(cfg, workers)
 
 	mbox := NewMailbox(s, cfg.lookahead+time.Millisecond)
 	var inboxB strings.Builder
@@ -128,21 +120,39 @@ func runConfinedProg(cfg progCfg, workers int) kernelFP {
 		}
 	}
 
-	err := s.Run(cfg.limit)
-	fp := kernelFP{
-		digest: s.OrderDigest(),
-		stats:  s.Stats(),
-		now:    s.Now(),
+	fp := runProg(s, cfg.limit, traceB)
+	fp.inbox = inboxB.String()
+	return fp
+}
+
+// newProgSim builds the simulation an equivalence program runs on: seeded
+// and with the lookahead from cfg, on the serial kernel (workers 0) or the
+// parallel one, with a trace sink that writes into the returned builder.
+func newProgSim(cfg progCfg, workers int) (*Simulation, *strings.Builder) {
+	s := New(cfg.seed)
+	s.SetLookahead(cfg.lookahead)
+	if workers > 0 {
+		s.ConfigureParallel(workers)
 	}
+	traceB := new(strings.Builder)
+	s.SetTraceSink(func(at time.Duration, kind, detail string) {
+		fmt.Fprintf(traceB, "%d %s %s\n", at, kind, detail)
+	})
+	return s, traceB
+}
+
+// runProg runs s to limit and fingerprints it. It then stops s and drains it,
+// so every activity finishes and completion errors are collected in the same
+// deterministic order under both kernels, before it reads the trace.
+func runProg(s *Simulation, limit time.Duration, traceB *strings.Builder) kernelFP {
+	err := s.Run(limit)
+	fp := kernelFP{digest: s.OrderDigest(), stats: s.Stats(), now: s.Now()}
 	if err != nil {
 		fp.runErr = err.Error()
 	}
-	// Drain so goroutines exit and completion errors are collected in the
-	// same deterministic order under both kernels.
 	s.Stop()
 	_ = s.Run(0)
 	fp.trace = traceB.String()
-	fp.inbox = inboxB.String()
 	if s.LiveActivities() != 0 {
 		fp.errs = fmt.Sprintf("leaked %d activities", s.LiveActivities())
 	}
@@ -163,15 +173,7 @@ var errPoke = errors.New("poke")
 // while still referenced, or by the wrong owner, shows as a fingerprint
 // mismatch here or as a report under -race.
 func runCancelProg(cfg progCfg, workers int) kernelFP {
-	s := New(cfg.seed)
-	s.SetLookahead(cfg.lookahead)
-	if workers > 0 {
-		s.ConfigureParallel(workers)
-	}
-	var traceB strings.Builder
-	s.SetTraceSink(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(&traceB, "%d %s %s\n", at, kind, detail)
-	})
+	s, traceB := newProgSim(cfg, workers)
 	us := func(r interface{ Intn(int) int }, n int) time.Duration {
 		return time.Duration(r.Intn(n)+1) * time.Microsecond
 	}
@@ -264,18 +266,33 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 		})
 	}
 
-	err := s.Run(cfg.limit)
-	fp := kernelFP{digest: s.OrderDigest(), stats: s.Stats(), now: s.Now()}
-	if err != nil {
-		fp.runErr = err.Error()
-	}
-	s.Stop()
-	_ = s.Run(0)
-	fp.trace = traceB.String()
-	if s.LiveActivities() != 0 {
-		fp.errs = fmt.Sprintf("leaked %d activities", s.LiveActivities())
-	}
-	return fp
+	return runProg(s, cfg.limit, traceB)
+}
+
+// runLoneSleeperProg is one exclusive activity sleeping alone, with no
+// shards at all. On the serial kernel each of its wakes that is the next
+// event commits in place (sleepInPlace), Yields included; the parallel
+// kernel schedules and dispatches every one. The sleeper also queues
+// callbacks due past the run limit, so the queue it commits past keeps
+// growing and each in-place commit sets MaxQueueDepth; it stops well before
+// the limit, so no scheduled wake sets it instead. Stats and the order
+// digest must not tell the kernels apart.
+func runLoneSleeperProg(cfg progCfg, workers int) kernelFP {
+	s, traceB := newProgSim(cfg, workers)
+	s.Spawn("sleeper", func(env *Env) error {
+		r := env.Rand()
+		for step := 0; env.Now() < cfg.limit/2; step++ {
+			if step%8 == 0 {
+				s.After(cfg.limit, func() {})
+			}
+			if err := env.Sleep(time.Duration(r.Intn(4)*r.Intn(1000)) * time.Microsecond); err != nil {
+				return nil
+			}
+			env.Emit("tick", fmt.Sprint(step))
+		}
+		return nil
+	})
+	return runProg(s, cfg.limit, traceB)
 }
 
 func TestParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
@@ -320,7 +337,7 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 		for _, p := range []struct {
 			name string
 			run  func(progCfg, int) kernelFP
-		}{{"confined", runConfinedProg}, {"cancel-heavy", runCancelProg}} {
+		}{{"confined", runConfinedProg}, {"cancel-heavy", runCancelProg}, {"lone-sleeper", runLoneSleeperProg}} {
 			name, prog := p.name, p.run
 			want := prog(cfg, 0)
 			if want.runErr != "" || want.errs != "" {

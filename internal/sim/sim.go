@@ -24,7 +24,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"iter"
@@ -105,26 +104,67 @@ func (ev *event) homeShard() int {
 	return 0
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether ev commits ahead of o: earlier virtual time first,
+// then the lower sequence number. Keys are unique, so the order is total.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+// eventQueue is a binary min-heap of events in (at, seq) order. Both sifts
+// move a hole instead of swapping, and pop nils the slot it vacates, so the
+// backing array never pins a recycled event.
+type eventQueue []*event
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// push adds ev.
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, nil)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	*q = h
+}
+
+// peek returns the earliest event without removing it; the queue must not
+// be empty.
+func (q eventQueue) peek() *event { return q[0] }
+
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // activityState tracks where an activity is in its lifecycle.
@@ -157,10 +197,15 @@ type activity struct {
 }
 
 // Stats counts scheduler work: how many events the loop dispatched, how
-// many activity context switches it performed, the deepest the event queue
-// ever got, and how many activities were spawned. The counters never affect
-// virtual time, and both kernels produce identical values for the same
-// program and seed.
+// many times it resumed an activity, the deepest the event queue ever got,
+// and how many activities were spawned. The counters never affect virtual
+// time, and both kernels produce identical values for the same program and
+// seed.
+//
+// ContextSwitches counts activity resumptions, not coroutine switches: a
+// Sleep committed in place (sleepInPlace) resumes its activity without
+// switching at all, and counts as one, exactly as the dispatch it stands in
+// for would have.
 type Stats struct {
 	EventsDispatched uint64
 	ContextSwitches  uint64
@@ -172,7 +217,7 @@ type Stats struct {
 // not usable; construct with New.
 type Simulation struct {
 	now       time.Duration
-	queue     eventHeap
+	queue     eventQueue
 	free      []*event   // recycled event structs, reused by schedule
 	carriers  []*carrier // idle carriers, reused by exclusive spawns
 	seq       uint64
@@ -180,6 +225,8 @@ type Simulation struct {
 	current   *activity
 	live      map[uint64]*activity
 	stopped   bool
+	stepping  bool          // runSerial's loop is running; see sleepInPlace
+	limit     time.Duration // the running Run's limit (<= 0: none)
 	rng       *rand.Rand
 	seed      int64
 	errs      []error
@@ -519,7 +566,7 @@ func (s *Simulation) After(d time.Duration, fn func()) {
 func (s *Simulation) schedule(at time.Duration, a *activity, fn func()) *event {
 	s.seq++
 	ev := s.newEvent(at, s.seq, a, fn)
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	if n := len(s.queue); n > s.stats.MaxQueueDepth {
 		s.stats.MaxQueueDepth = n
 	}
@@ -594,8 +641,10 @@ func (s *Simulation) Run(limit time.Duration) error {
 
 // runSerial is the classic one-event-at-a-time loop: the oracle kernel.
 func (s *Simulation) runSerial(limit time.Duration) {
+	s.stepping, s.limit = true, limit
+	defer func() { s.stepping = false }()
 	for len(s.queue) > 0 && !s.stopped {
-		ev := heap.Pop(&s.queue).(*event)
+		ev := s.queue.pop()
 		if ev.cancelled() {
 			s.release(ev)
 			continue
@@ -685,7 +734,7 @@ func (s *Simulation) drain() {
 	// Ready activities (spawned but never run) still hold queued events;
 	// run them so they finish too.
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
+		ev := s.queue.pop()
 		act := ev.act
 		s.release(ev)
 		if act != nil && act.state != stateDone {
@@ -871,8 +920,40 @@ func (e *Env) scheduleWake(d time.Duration) *event {
 
 // Sleep advances the activity's virtual time by d.
 func (e *Env) Sleep(d time.Duration) error {
-	e.act.wake = e.scheduleWake(d)
-	return e.block()
+	if !e.sim.sleepInPlace(max(d, 0)) {
+		e.act.wake = e.scheduleWake(d)
+		return e.block()
+	}
+	err := e.wakeErr
+	e.wakeErr = nil
+	return err
+}
+
+// sleepInPlace commits the wake of the running activity's Sleep(d) without
+// leaving it, when that wake is the event runSerial would commit next: it
+// does to the kernel exactly what schedule, runSerial, commitExclusive and
+// dispatch would have done, minus the two coroutine switches. The guards:
+// runSerial's loop is running (not drain, not the parallel kernel), the
+// simulation is not stopped, the wake (now+d, seq+1) sorts before the queue
+// head — so the head must be strictly later — and it is within Run's limit.
+// It reports false, having changed nothing, when any guard fails.
+func (s *Simulation) sleepInPlace(d time.Duration) bool {
+	if !s.stepping || s.stopped {
+		return false
+	}
+	at := s.now + d
+	if len(s.queue) > 0 && s.queue.peek().at <= at || s.limit > 0 && at > s.limit {
+		return false
+	}
+	s.seq++
+	if n := len(s.queue) + 1; n > s.stats.MaxQueueDepth {
+		s.stats.MaxQueueDepth = n
+	}
+	s.now = at
+	s.stats.EventsDispatched++
+	s.noteCommit(at, s.seq)
+	s.stats.ContextSwitches++
+	return true
 }
 
 // Yield reschedules the activity at the current time, letting any other
