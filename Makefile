@@ -46,9 +46,14 @@ fuzz:
 # handoffs, mailbox delivery, and sharded metrics cells must be clean under
 # the race detector. Tests that compare kernels clear the variable for
 # their own run, so their serial baselines stay serial in this leg too.
+# The third leg reruns the window-barrier tests with GOMAXPROCS below and
+# above the worker count: at -cpu 1 a waiting helper or coordinator only
+# makes progress by yielding or parking. TestParallelEquivalenceProperty is
+# left out; it takes half a minute per -cpu value under -race.
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/experiments
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers' ./internal/sim
 
 # Minimum total coverage enforced; raise as the suite grows.
 COVER_MIN ?= 75

@@ -66,7 +66,7 @@ func spawnConfinedTickers(s *Simulation) {
 
 // TestWindowAllocsMatchSerial pins the tentpole: on the spawnConfinedTickers
 // program a warm parallel kernel allocates within 10% of the serial one —
-// the spawns and the per-Run worker goroutines, nothing per window or per
+// the spawns and the per-Run helper goroutines, nothing per window or per
 // event.
 func TestWindowAllocsMatchSerial(t *testing.T) {
 	skipAllocCounts(t)

@@ -86,21 +86,32 @@ func TestIdleCarriersBounded(t *testing.T) {
 
 // TestGoexitInActivityEndsRun: runtime.Goexit inside an activity (as
 // t.FailNow would call) ends the goroutine that called Run, under both
-// kernels, instead of leaving it blocked forever.
+// kernels, instead of leaving it blocked forever. Under the parallel kernel
+// it fires once in a share the coordinator runs (shard 1, worker 0's) and
+// once in a helper's (shard 2): at 1ms both shards have events, so both
+// workers are active in the quitter's window. Either way no helper
+// goroutine outlives the Run.
 func TestGoexitInActivityEndsRun(t *testing.T) {
-	for _, workers := range []int{0, 2} {
+	for _, tc := range []struct{ workers, shard, slot int }{{0, 1, 0}, {2, 1, 1}, {2, 2, 2}} {
 		s := New(1)
 		s.SetLookahead(time.Millisecond)
-		if workers > 0 {
-			s.ConfigureParallel(workers)
+		if tc.workers > 0 {
+			s.ConfigureParallel(tc.workers)
 		}
 		for sh := 1; sh <= 2; sh++ {
-			s.SpawnOn(sh, "sleeper", func(env *Env) error { return env.Sleep(3 * time.Millisecond) })
+			s.SpawnOn(sh, "sleeper", func(env *Env) error {
+				if err := env.Sleep(time.Millisecond); err != nil {
+					return err
+				}
+				return env.Sleep(3 * time.Millisecond)
+			})
 		}
-		s.SpawnOn(1, "quitter", func(env *Env) error {
+		slot := -1
+		s.SpawnOn(tc.shard, "quitter", func(env *Env) error {
 			if err := env.Sleep(time.Millisecond); err != nil {
 				return err
 			}
+			slot = WorkerSlot(env)
 			runtime.Goexit()
 			return nil
 		})
@@ -114,10 +125,16 @@ func TestGoexitInActivityEndsRun(t *testing.T) {
 		select {
 		case <-ended:
 		case <-timeout:
-			t.Fatalf("workers=%d: Run still blocked 10s after an activity called runtime.Goexit", workers)
+			t.Fatalf("%+v: Run still blocked 10s after an activity called runtime.Goexit", tc)
 		}
 		if returned {
-			t.Errorf("workers=%d: Run returned normally; want the Goexit to end its caller", workers)
+			t.Errorf("%+v: Run returned normally; want the Goexit to end its caller", tc)
+		}
+		if slot != tc.slot {
+			t.Errorf("%+v: quitter ran in worker slot %d", tc, slot)
+		}
+		if n := liveHelpers(); n > 0 {
+			t.Errorf("%+v: %d helper goroutines outlived the Run", tc, n)
 		}
 	}
 }

@@ -34,6 +34,8 @@ package sim
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,16 +61,98 @@ type traceEntry struct {
 	kind, detail string
 }
 
+// spinYields is how many times a waiter at the window barrier yields the
+// processor before it parks. A window holds a few events, so the other side
+// usually answers within a few yields; parking and waking a goroutine costs
+// far more than that.
+const spinYields = 256
+
 // parKernel is the parallel dispatcher attached to a Simulation by
 // ConfigureParallel.
 type parKernel struct {
 	s        *Simulation
 	nworkers int
 	workers  []*worker
-	done     chan struct{}
 	inWindow bool
 	window   []*event   // scratch: the current committed prefix
 	frontier eventQueue // scratch: replay ordering heap
+	stats    WindowStats
+
+	// The window barrier. The coordinator runs the first active worker's
+	// share itself and posts the others to their helpers (one goroutine per
+	// worker but the first, for the duration of a Run); pending counts the
+	// posted shares still running, and the helper that finishes the last one
+	// wakes the coordinator if it parked. stopping tells the helpers that
+	// the post they see is the end of the Run; helpers joins them.
+	pending  atomic.Int32
+	barrier  parker
+	stopping bool
+	helpers  sync.WaitGroup
+}
+
+// WindowStats counts how the parallel kernel formed its windows: how many,
+// how many queued events they took, how many had one active worker, why each
+// closed, and how many events it committed exclusively between them. Only
+// the coordinator writes the counters, and they never affect the
+// simulation; they stay out of Stats, which both kernels must produce
+// identically. Under the serial kernel every counter is zero.
+type WindowStats struct {
+	Windows          uint64 // windows formed
+	WindowEvents     uint64 // queued events windows took (not the ones they created and ran)
+	SingleWorker     uint64 // windows whose events all went to one worker
+	ClosedHorizon    uint64 // formation stopped at the lookahead horizon or the Run limit
+	ClosedExclusive  uint64 // formation stopped at an exclusive (shard 0) event
+	ClosedEmpty      uint64 // formation emptied the queue
+	ExclusiveCommits uint64 // events committed exclusively by the parallel loop
+}
+
+// WindowStats returns a copy of the parallel kernel's window counters.
+func (s *Simulation) WindowStats() WindowStats {
+	if s.par == nil {
+		return WindowStats{}
+	}
+	return s.par.stats
+}
+
+// parker is one waiting side of the window barrier. A waiter yields up to
+// spinYields times for its condition, then announces itself in parked and
+// sleeps on wake. A signaller that swaps parked from true to false owns the
+// wake and sends it; a waiter that finds its condition met after announcing
+// takes its announcement back with the same swap. Whichever swap wins
+// decides, so no wake is lost and none is left over for a later wait.
+//
+// A wake says only that the condition held when it was sent, and not
+// necessarily for this wait: a signaller can be delayed between making its
+// condition true and swapping, until the waiter has moved on to its next
+// wait. So a woken waiter checks again and parks again if it must.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // one slot: the signaller never blocks
+}
+
+// wait returns once ready reports true. The signaller must make ready true
+// before it calls signal.
+func (k *parker) wait(ready func() bool) {
+	for i := 0; i < spinYields; i++ {
+		if ready() {
+			return
+		}
+		runtime.Gosched()
+	}
+	for !ready() {
+		k.parked.Store(true)
+		if ready() && k.parked.Swap(false) {
+			return // no signaller saw the announcement, so none will send
+		}
+		<-k.wake
+	}
+}
+
+// signal wakes the waiter if it parked.
+func (k *parker) signal() {
+	if k.parked.Swap(false) {
+		k.wake <- struct{}{}
+	}
 }
 
 // worker dispatches the confined shards mapped to it. Each shard maps to
@@ -83,7 +167,11 @@ type worker struct {
 	horizon time.Duration
 	now     time.Duration // timestamp of the event being dispatched
 	cur     *event        // the event being dispatched, logging its effects
-	work    chan struct{}
+
+	// posted counts the shares the coordinator has posted to this worker's
+	// helper; the helper waits on idle for the next one.
+	posted atomic.Uint64
+	idle   parker
 
 	// pool holds the recycled events this worker hands out inside a window.
 	// The coordinator tops it up from Simulation.free between windows, to
@@ -103,8 +191,9 @@ type worker struct {
 	spawned      int
 	wantCarriers int
 
-	// goexited is set when an activity called runtime.Goexit: its carrier
-	// passed the exit on to this goroutine, which ends mid-window.
+	// goexited is set when an activity called runtime.Goexit in a share
+	// this worker's helper ran: its carrier passed the exit on to the
+	// helper, which ends mid-window.
 	goexited bool
 }
 
@@ -138,27 +227,54 @@ func (p *parKernel) workerFor(shard int) *worker {
 	return p.workers[(shard-1)%len(p.workers)]
 }
 
-// start launches one goroutine per worker for the duration of a Run. The
-// worker structs themselves — and with them the event pools and their
-// high-water marks — live as long as the kernel, so a simulation advanced by
-// repeated Run calls does not warm its pools up again each time.
+// start launches a helper goroutine for every worker but the first, for
+// the duration of a Run. The worker structs themselves — and with them the
+// event pools and their high-water marks — live as long as the kernel, so a
+// simulation advanced by repeated Run calls does not warm its pools up again
+// each time.
 func (p *parKernel) start() {
 	if p.workers == nil {
 		p.workers = make([]*worker, p.nworkers)
 		for i := range p.workers {
-			p.workers[i] = &worker{p: p, idx: i}
+			p.workers[i] = &worker{p: p, idx: i, idle: parker{wake: make(chan struct{}, 1)}}
 		}
-		p.done = make(chan struct{}, p.nworkers)
+		p.barrier.wake = make(chan struct{}, 1)
 	}
-	for _, w := range p.workers {
-		w.work = make(chan struct{})
-		go w.run(w.work)
+	p.stopping = false
+	for _, w := range p.workers[1:] {
+		// The previous Run's helper is joined, so nothing else reads posted.
+		w.posted.Store(0)
+		p.helpers.Add(1)
+		go w.help()
 	}
 }
 
+// stopWorkers ends the Run's helpers and joins them. Without the join a
+// helper could still be spinning when the next Run starts another for the
+// same worker, and the two would take its shares between them. After a
+// Goexit in the coordinator's own share, posted shares may still be
+// running; they finish first.
 func (p *parKernel) stopWorkers() {
-	for _, w := range p.workers {
-		close(w.work)
+	p.barrier.wait(func() bool { return p.pending.Load() == 0 })
+	p.stopping = true
+	for _, w := range p.workers[1:] {
+		w.post()
+	}
+	p.helpers.Wait()
+}
+
+// post hands the worker's helper its next share, or with p.stopping set the
+// end of the Run.
+func (w *worker) post() {
+	w.posted.Add(1)
+	w.idle.signal()
+}
+
+// shareDone reports a posted share finished; the last one of a window
+// releases the coordinator.
+func (p *parKernel) shareDone() {
+	if p.pending.Add(-1) == 0 {
+		p.barrier.signal()
 	}
 }
 
@@ -181,6 +297,7 @@ func (s *Simulation) runParallel(limit time.Duration) {
 			return
 		}
 		if head.homeShard() == 0 {
+			p.stats.ExclusiveCommits++
 			s.commitExclusive(s.queue.pop())
 			continue
 		}
@@ -200,9 +317,12 @@ func (p *parKernel) runWindow(limit time.Duration) {
 		// not run ahead of it either.
 		horizon = limit + 1
 	}
+	p.stats.Windows++
+	closed := &p.stats.ClosedEmpty
 	for len(s.queue) > 0 {
 		h := s.queue.peek()
 		if h.at >= horizon {
+			closed = &p.stats.ClosedHorizon
 			break
 		}
 		if !h.cancelled() {
@@ -214,11 +334,14 @@ func (p *parKernel) runWindow(limit time.Duration) {
 				// run; same-timestamp locally created ones sort after the
 				// blocker and wait.
 				horizon = h.at
+				closed = &p.stats.ClosedExclusive
 				break
 			}
 		}
 		window = append(window, s.queue.pop())
 	}
+	*closed++
+	p.stats.WindowEvents += uint64(len(window))
 
 	for _, ev := range window {
 		if ev.cancelled() {
@@ -228,21 +351,32 @@ func (p *parKernel) runWindow(limit time.Duration) {
 		p.workerFor(ev.homeShard()).local.push(ev)
 	}
 	p.inWindow = true
+	var first *worker
 	active := 0
 	for _, w := range p.workers {
-		if len(w.local) > 0 {
-			w.horizon = horizon
-			p.topUp(w)
-			active++
+		if len(w.local) == 0 {
+			continue
 		}
-	}
-	for _, w := range p.workers {
-		if len(w.local) > 0 {
-			w.work <- struct{}{}
+		w.horizon = horizon
+		p.topUp(w)
+		active++
+		if first == nil {
+			first = w
+			continue
 		}
+		p.pending.Add(1)
+		w.post()
 	}
-	for i := 0; i < active; i++ {
-		<-p.done
+	if active == 1 {
+		p.stats.SingleWorker++
+	}
+	if first != nil {
+		// A Goexit here ends Run's caller directly, as under the serial
+		// kernel; runParallel's deferred stopWorkers joins the helpers.
+		first.runShare()
+	}
+	if active > 1 {
+		p.barrier.wait(func() bool { return p.pending.Load() == 0 })
 	}
 	p.inWindow = false
 	for _, w := range p.workers {
@@ -279,65 +413,78 @@ func (p *parKernel) topUp(w *worker) {
 	moveTail(&w.carriers, &s.carriers, w.wantCarriers-len(w.carriers))
 }
 
-// run is the worker loop: dispatch this worker's share of the window in
-// (at, seq) order, following locally created events while they stay below
-// the horizon.
-func (w *worker) run(work <-chan struct{}) {
+// help is the helper loop: wait for a posted share, run it, report it done,
+// until the post that ends the Run.
+func (w *worker) help() {
+	p := w.p
+	defer p.helpers.Done()
 	returned := false
 	defer func() {
 		if !returned {
 			w.goexited = true
-			w.p.done <- struct{}{}
+			p.shareDone()
 		}
 	}()
-	for range work {
-		for len(w.local) > 0 {
-			top := w.local.peek()
-			if top.seq >= provSeqBase && top.at >= w.horizon {
-				// A locally created event at or past the horizon: its real
-				// sequence number will sort it after the window's boundary
-				// event, so it must wait for a later window. Everything
-				// still queued locally sorts after it; committed window
-				// events (real seq, at <= horizon) have all been popped.
-				break
-			}
-			ev := w.local.pop()
-			ev.consumed = true
-			if ev.mbox != nil {
-				// A shard-homed mailbox delivery: it runs on this worker so
-				// its wakes land in this shard's local order, logging its
-				// effects like any dispatch.
-				ev.dispatched = true
-				w.now = ev.at
-				w.cur = ev
-				ev.mbox.deliver(ev.mval)
-				w.cur = nil
-				continue
-			}
-			if ev.act == nil {
-				continue // cancelled while queued
-			}
-			a := ev.act
-			if a.state == stateDone {
-				continue
-			}
+	var taken uint64 // posts seen; start zeroed posted before this helper began
+	for {
+		w.idle.wait(func() bool { return w.posted.Load() != taken })
+		taken++
+		if p.stopping {
+			returned = true
+			return
+		}
+		w.runShare()
+		p.shareDone()
+	}
+}
+
+// runShare dispatches this worker's share of the window in (at, seq) order,
+// following locally created events while they stay below the horizon.
+func (w *worker) runShare() {
+	for len(w.local) > 0 {
+		top := w.local.peek()
+		if top.seq >= provSeqBase && top.at >= w.horizon {
+			// A locally created event at or past the horizon: its real
+			// sequence number will sort it after the window's boundary
+			// event, so it must wait for a later window. Everything
+			// still queued locally sorts after it; committed window
+			// events (real seq, at <= horizon) have all been popped.
+			break
+		}
+		ev := w.local.pop()
+		ev.consumed = true
+		if ev.mbox != nil {
+			// A shard-homed mailbox delivery: it runs on this worker so
+			// its wakes land in this shard's local order, logging its
+			// effects like any dispatch.
 			ev.dispatched = true
 			w.now = ev.at
-			a.wake = nil
-			a.state = stateRunning
-			a.ctxw = w
 			w.cur = ev
-			a.car.next()
-			a.ctxw = nil
+			ev.mbox.deliver(ev.mval)
 			w.cur = nil
-			if a.state == stateDone {
-				ev.finished = true
-				a.freeCarrier(&w.carriers)
-			}
+			continue
 		}
-		w.p.done <- struct{}{}
+		if ev.act == nil {
+			continue // cancelled while queued
+		}
+		a := ev.act
+		if a.state == stateDone {
+			continue
+		}
+		ev.dispatched = true
+		w.now = ev.at
+		a.wake = nil
+		a.state = stateRunning
+		a.ctxw = w
+		w.cur = ev
+		a.car.next()
+		a.ctxw = nil
+		w.cur = nil
+		if a.state == stateDone {
+			ev.finished = true
+			a.freeCarrier(&w.carriers)
+		}
 	}
-	returned = true
 }
 
 // newEvent hands out an event for activity a inside a window, from the pool

@@ -36,6 +36,9 @@ type progCfg struct {
 	daemons   int // daemons per shard
 	lookahead time.Duration
 	limit     time.Duration
+	// slices, when > 0, advances the run to limit in that many Run calls
+	// of equal length instead of one.
+	slices int
 }
 
 // confinedProg builds a workload exercising every confined-contract
@@ -120,7 +123,7 @@ func runConfinedProg(cfg progCfg, workers int) kernelFP {
 		}
 	}
 
-	fp := runProg(s, cfg.limit, traceB)
+	fp := runProg(s, cfg, traceB)
 	fp.inbox = inboxB.String()
 	return fp
 }
@@ -141,20 +144,33 @@ func newProgSim(cfg progCfg, workers int) (*Simulation, *strings.Builder) {
 	return s, traceB
 }
 
-// runProg runs s to limit and fingerprints it. It then stops s and drains it,
-// so every activity finishes and completion errors are collected in the same
+// runProg runs s to cfg.limit and fingerprints it. With cfg.slices set it
+// runs in that many Run calls and checks after each that no helper
+// goroutine outlived it (liveHelpers reads every goroutine's stack, which
+// is too slow for every run). It then stops s and drains it, so every
+// activity finishes and completion errors are collected in the same
 // deterministic order under both kernels, before it reads the trace.
-func runProg(s *Simulation, limit time.Duration, traceB *strings.Builder) kernelFP {
-	err := s.Run(limit)
-	fp := kernelFP{digest: s.OrderDigest(), stats: s.Stats(), now: s.Now()}
-	if err != nil {
-		fp.runErr = err.Error()
+func runProg(s *Simulation, cfg progCfg, traceB *strings.Builder) kernelFP {
+	var fp kernelFP
+	slices := max(cfg.slices, 1)
+	for i := 1; i <= slices; i++ {
+		err := s.Run(cfg.limit * time.Duration(i) / time.Duration(slices))
+		if err != nil && fp.runErr == "" {
+			fp.runErr = err.Error()
+		}
+		if cfg.slices == 0 {
+			continue
+		}
+		if n := liveHelpers(); n > 0 && fp.errs == "" {
+			fp.errs = fmt.Sprintf("%d helper goroutines outlived Run %d", n, i)
+		}
 	}
+	fp.digest, fp.stats, fp.now = s.OrderDigest(), s.Stats(), s.Now()
 	s.Stop()
 	_ = s.Run(0)
 	fp.trace = traceB.String()
 	if s.LiveActivities() != 0 {
-		fp.errs = fmt.Sprintf("leaked %d activities", s.LiveActivities())
+		fp.errs += fmt.Sprintf("leaked %d activities", s.LiveActivities())
 	}
 	return fp
 }
@@ -266,7 +282,7 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 		})
 	}
 
-	return runProg(s, cfg.limit, traceB)
+	return runProg(s, cfg, traceB)
 }
 
 // runLoneSleeperProg is one exclusive activity sleeping alone, with no
@@ -292,7 +308,7 @@ func runLoneSleeperProg(cfg progCfg, workers int) kernelFP {
 		}
 		return nil
 	})
-	return runProg(s, cfg.limit, traceB)
+	return runProg(s, cfg, traceB)
 }
 
 func TestParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
