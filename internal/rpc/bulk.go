@@ -144,19 +144,21 @@ func (e *Endpoint) runBulkHandler(env *sim.Env, target *Endpoint, h Handler, ser
 		reply, size, herr := h(env, e.host, arg)
 		return reply, size, herr, nil
 	}
-	replyBox := e.takeReplyBox(env)
+	rec := e.takeCall(env)
 	e.xidSeq++
-	target.reqBox.SendAfter(env, &confReq{
+	rec.req = confReq{
 		from: e.host, xid: e.xidSeq, service: service, arg: arg,
-		reply: replyBox, internal: true,
-	}, t.net.Latency())
-	rv, err := replyBox.Recv(env)
+		reply: rec.box, rep: &rec.rep, internal: true,
+	}
+	target.reqBox.SendAfter(env, &rec.req, t.net.Latency())
+	rv, err := rec.box.Recv(env)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	e.recycleReplyBox(replyBox) // one reliable request, its one reply consumed
 	rep := rv.(*confReply)
-	return rep.value, rep.size, rep.err, nil
+	value, size, herr := rep.value, rep.size, rep.err
+	e.recycleCall(rec) // one reliable request, its one reply consumed
+	return value, size, herr, nil
 }
 
 // recordBulk folds one transfer's stats into the bulk metrics counters.

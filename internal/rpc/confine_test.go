@@ -188,7 +188,11 @@ func (dropFirstReply) Intercept(env *sim.Env, from, to HostID, service string, a
 
 // TestConfinedSlowHandlerRetransmit parks a retransmission behind a handler
 // still executing (slower than the call timeout): the duplicate must wait for
-// the first execution instead of starting a second one.
+// the first execution instead of starting a second one. The wire carries
+// three requests and two replies (the parked retransmission's, and the
+// cached one the third attempt draws): the first attempt's reply stays
+// eaten although the handler finishes after a retransmission, because each
+// attempt of a faulty call is its own request.
 func TestConfinedSlowHandlerRetransmit(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		s := sim.New(1)
@@ -223,6 +227,9 @@ func TestConfinedSlowHandlerRetransmit(t *testing.T) {
 		}
 		if execs != 1 {
 			t.Fatalf("workers %d: handler ran %d times, want exactly once", workers, execs)
+		}
+		if n := net.Messages(); n != 5 {
+			t.Fatalf("workers %d: %d messages on the wire, want three requests and two replies", workers, n)
 		}
 	}
 }

@@ -71,6 +71,8 @@ func TestParkerOutlastsEarlyWake(t *testing.T) {
 //
 //	X, Y (shard 0) commit exclusively at 0; X sleeps to 2000µs, Y to 1020µs
 //	window 1 @0:    A, B, C (shards 1–3); closes at the horizon (100µs)
+//	                and runs three events it creates: C @30µs, which spawns
+//	                D and sleeps to 3000µs, D @30µs and D @40µs
 //	window 2 @1000: A; closes at the exclusive Y @1020
 //	Y commits exclusively
 //	window 3 @1050: B; closes at the horizon (1150µs) before X @2000
@@ -79,7 +81,8 @@ func TestParkerOutlastsEarlyWake(t *testing.T) {
 //
 // Only window 1 spans two workers, and only when there are two. Window
 // formation does not depend on the worker count, and the serial kernel
-// counts nothing.
+// counts nothing. No timer is cancelled, so the window, chain and exclusive
+// counts add up to every committed event.
 func TestWindowStats(t *testing.T) {
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	run := func(workers int) (WindowStats, uint64, Stats) {
@@ -95,7 +98,13 @@ func TestWindowStats(t *testing.T) {
 		s.Spawn("Y", sleeper(us(1020)))
 		s.SpawnOn(1, "A", sleeper(us(1000)))
 		s.SpawnOn(2, "B", sleeper(us(1050)))
-		s.SpawnOn(3, "C", sleeper(us(3000)))
+		s.SpawnOn(3, "C", func(env *Env) error {
+			if err := env.Sleep(us(30)); err != nil {
+				return err
+			}
+			env.Spawn("D", sleeper(us(10)))
+			return env.Sleep(us(2970))
+		})
 		if err := s.Run(0); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -106,7 +115,10 @@ func TestWindowStats(t *testing.T) {
 	if serial != (WindowStats{}) {
 		t.Fatalf("serial kernel counted windows: %+v", serial)
 	}
-	formation := WindowStats{Windows: 4, WindowEvents: 6, ClosedHorizon: 2, ClosedExclusive: 1, ClosedEmpty: 1, ExclusiveCommits: 4}
+	if wantStats.EventsDispatched != 13 {
+		t.Fatalf("serial kernel committed %d events, want 13", wantStats.EventsDispatched)
+	}
+	formation := WindowStats{Windows: 4, WindowEvents: 6, ChainEvents: 3, ClosedHorizon: 2, ClosedExclusive: 1, ClosedEmpty: 1, ExclusiveCommits: 4}
 	for _, tc := range []struct{ workers, single int }{{1, 4}, {2, 3}, {4, 3}} {
 		got, digest, stats := run(tc.workers)
 		if digest != wantDigest || stats != wantStats {
@@ -114,6 +126,9 @@ func TestWindowStats(t *testing.T) {
 		}
 		if got.SingleWorker != uint64(tc.single) {
 			t.Errorf("workers=%d: %d single-worker windows, want %d", tc.workers, got.SingleWorker, tc.single)
+		}
+		if sum := got.WindowEvents + got.ChainEvents + got.ExclusiveCommits; sum != stats.EventsDispatched {
+			t.Errorf("workers=%d: %d window + %d chain + %d exclusive events, but %d committed", tc.workers, got.WindowEvents, got.ChainEvents, got.ExclusiveCommits, stats.EventsDispatched)
 		}
 		got.SingleWorker = 0
 		if got != formation {

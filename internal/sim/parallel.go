@@ -91,14 +91,19 @@ type parKernel struct {
 }
 
 // WindowStats counts how the parallel kernel formed its windows: how many,
-// how many queued events they took, how many had one active worker, why each
-// closed, and how many events it committed exclusively between them. Only
-// the coordinator writes the counters, and they never affect the
-// simulation; they stay out of Stats, which both kernels must produce
-// identically. Under the serial kernel every counter is zero.
+// how many queued events they took, how many events they created and
+// committed themselves, how many had one active worker, why each closed, and
+// how many events it committed exclusively between them. Only the
+// coordinator writes the counters, and they never affect the simulation;
+// they stay out of Stats, which both kernels must produce identically. Under
+// the serial kernel every counter is zero.
+//
+// When no window takes a cancelled timer, WindowEvents + ChainEvents +
+// ExclusiveCommits is Stats.EventsDispatched.
 type WindowStats struct {
 	Windows          uint64 // windows formed
 	WindowEvents     uint64 // queued events windows took (not the ones they created and ran)
+	ChainEvents      uint64 // events windows created and committed themselves
 	SingleWorker     uint64 // windows whose events all went to one worker
 	ClosedHorizon    uint64 // formation stopped at the lookahead horizon or the Run limit
 	ClosedExclusive  uint64 // formation stopped at an exclusive (shard 0) event
@@ -538,6 +543,9 @@ func (s *Simulation) replay(window []*event) {
 	// already a heap.
 	p.frontier = append(p.frontier[:0], window...)
 	pending := len(s.queue) + len(p.frontier)
+	// Every event the window took was numbered before replay began; every one
+	// it created is numbered after.
+	taken := s.seq
 	for len(p.frontier) > 0 {
 		ev := p.frontier.pop()
 		pending--
@@ -547,6 +555,9 @@ func (s *Simulation) replay(window []*event) {
 		}
 		if ev.at > s.now {
 			s.now = ev.at
+		}
+		if ev.seq > taken {
+			p.stats.ChainEvents++
 		}
 		s.stats.EventsDispatched++
 		s.noteCommit(ev.at, ev.seq)
