@@ -52,12 +52,14 @@ fuzz:
 # left out; it takes half a minute per -cpu value under -race.
 # The fourth leg does the same for the confined RPC plane: pooled handler
 # activities and recycled call records are state shared by the activities of
-# one shard, and must never be touched from another shard's worker.
+# one shard, and must never be touched from another shard's worker. The
+# typed-service tests ride along, so typed values carried in the pooled
+# records run under the race detector too.
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/experiments
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers' ./internal/sim
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox' ./internal/rpc
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 
 # Minimum total coverage enforced; raise as the suite grows.
 COVER_MIN ?= 75

@@ -326,7 +326,7 @@ func (g *Graph) walkEdges(pkg *load.Package, owner *Node, body *ast.BlockStmt) {
 		}
 		switch e := n.(type) {
 		case *ast.CallExpr:
-			fun := ast.Unparen(e.Fun)
+			fun := lint.Callee(e)
 			callees[fun] = true
 			if s, ok := fun.(*ast.SelectorExpr); ok {
 				callees[s.Sel] = true

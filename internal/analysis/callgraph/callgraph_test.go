@@ -201,6 +201,49 @@ func f() {
 	}
 }
 
+// TestExplicitInstantiationEdges checks that a call naming its type
+// arguments — pop[int](s), q.Pair[int, string](1, "a") — is a call edge to
+// the generic function, like the inferred form, and not a value reference.
+func TestExplicitInstantiationEdges(t *testing.T) {
+	fset := token.NewFileSet()
+	imp := mapImporter{}
+	checkPkg(t, fset, imp, "q", `package q
+
+func Pair[A, B any](a A, b B) (A, B) { return a, b }
+`)
+	pkg := checkPkg(t, fset, imp, "p", `package p
+
+import "q"
+
+func pop[T any](s []T) T { return s[len(s)-1] }
+
+func f() {
+	_ = pop[int]([]int{1})
+	_, _ = q.Pair[int, string](1, "a")
+	_ = (pop[string])([]string{"x"})
+}
+
+func g() {
+	_ = pop([]int{1})
+	_, _ = q.Pair(1, "a")
+}
+`)
+	g := Build([]*load.Package{pkg})
+	for _, fn := range []FuncID{"p.f", "p.g"} {
+		edges := edgeSet(g, fn)
+		for _, want := range []string{"p.pop/call", "q.Pair/call"} {
+			if !edges[want] {
+				t.Errorf("%s: missing edge %s, got %v", fn, want, edges)
+			}
+		}
+		for _, bad := range []string{"p.pop/ref", "q.Pair/ref"} {
+			if edges[bad] {
+				t.Errorf("%s: a call reported as a value reference %s: %v", fn, bad, edges)
+			}
+		}
+	}
+}
+
 func TestSpawnRootResolution(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := mapImporter{}

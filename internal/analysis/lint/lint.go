@@ -262,7 +262,7 @@ func (s *Suppressor) Filter(diags []Diagnostic) []Diagnostic {
 // values).
 func FuncObjOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := Callee(call).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -272,6 +272,19 @@ func FuncObjOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// Callee returns a call's callee, unparenthesized and with explicit type
+// arguments stripped: pop[T](x) and q.F[A, B](x) call pop and q.F.
+func Callee(call *ast.CallExpr) ast.Expr {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		return ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		return ast.Unparen(ix.X)
+	}
+	return fun
 }
 
 // IsPkgFunc reports whether obj is the package-level function (or method —

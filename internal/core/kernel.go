@@ -98,17 +98,17 @@ func newKernel(c *Cluster, host rpc.HostID) *Kernel {
 		migrationVersion: 1,
 		strategy:         SpriteFlushStrategy{},
 	}
-	k.ep.Handle("k.forward", k.handleForward)
-	k.ep.Handle("k.migInit", k.handleMigInit)
-	k.ep.Handle("k.migPCB", k.handleMigPCB)
-	k.ep.Handle("k.updateLoc", k.handleUpdateLoc)
-	k.ep.Handle("k.exitNotify", k.handleExitNotify)
-	k.ep.Handle("k.kill", k.handleKill)
-	k.ep.Handle("k.kill2", k.handleKillLocal)
-	k.ep.Handle("k.killpg", k.handleKillpg)
-	k.ep.Handle("k.evict", k.handleEvict)
-	k.ep.Handle("k.fetchPage", k.handleFetchPage)
-	k.ep.Handle("k.migPages", k.handleMigPages)
+	kForward.Handle(k.ep, k.handleForward)
+	kMigInit.Handle(k.ep, k.handleMigInit)
+	kMigPCB.Handle(k.ep, k.handleMigPCB)
+	kUpdateLoc.Handle(k.ep, k.handleUpdateLoc)
+	kExitNotify.Handle(k.ep, k.handleExitNotify)
+	kKill.Handle(k.ep, k.handleKill)
+	kKillLocal.Handle(k.ep, k.handleKillLocal)
+	kKillpg.Handle(k.ep, k.handleKillpg)
+	EvictService.Handle(k.ep, k.handleEvict)
+	kFetchPage.Handle(k.ep, k.handleFetchPage)
+	kMigPages.Handle(k.ep, k.handleMigPages)
 	return k
 }
 
@@ -395,7 +395,7 @@ func (p *Process) exitCleanup(env *sim.Env) error {
 	if p.Foreign() && !k.cluster.confined {
 		// Confined clusters skip this: finishExit itself sends the notify, so
 		// error-path exits (which bypass exitCleanup) also settle the home.
-		if _, err := k.ep.Call(env, p.home.host, "k.exitNotify", exitNotifyArgs{
+		if _, err := kExitNotify.Call(k.ep, env, p.home.host, exitNotifyArgs{
 			PID: p.pid, Status: p.exitStatus,
 		}, 32); err != nil {
 			// A crashed home machine cannot take the notification; the exit
@@ -425,7 +425,7 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	}
 	if k.cluster.confined && p.Foreign() {
 		p.failPendingMigration("exited before migration")
-		if _, err := k.ep.Call(env, p.home.host, "k.exitNotify", exitNotifyArgs{
+		if _, err := kExitNotify.Call(k.ep, env, p.home.host, exitNotifyArgs{
 			PID: p.pid, Status: status,
 		}, 32); err != nil {
 			// No crashes under confinement, so the home is reachable by
@@ -603,68 +603,66 @@ type (
 	}
 )
 
-func (k *Kernel) handleForward(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	if _, ok := arg.(forwardArgs); !ok {
-		return nil, 0, fmt.Errorf("k.forward: bad args %T", arg)
-	}
+// The k.* kernel-to-kernel services.
+var (
+	kMigInit    = rpc.NewService[migInitArgs, struct{}]("k.migInit")
+	kMigPCB     = rpc.NewService[migPCBArgs, struct{}]("k.migPCB")
+	kUpdateLoc  = rpc.NewService[updateLocArgs, struct{}]("k.updateLoc")
+	kExitNotify = rpc.NewService[exitNotifyArgs, struct{}]("k.exitNotify")
+	kKill       = rpc.NewService[killArgs, struct{}]("k.kill")
+	kKillLocal  = rpc.NewService[killArgs, struct{}]("k.kill2")
+	kKillpg     = rpc.NewService[killArgs, int]("k.killpg") // replies with the members signalled
+	kFetchPage  = rpc.NewService[fetchPageArgs, struct{}]("k.fetchPage")
+	kMigPages   = rpc.NewService[migPagesArgs, struct{}]("k.migPages")
+
+	// EvictService asks a host's kernel to evict every foreign process
+	// (Kernel.EvictAll): the central host selector's reclaim path.
+	EvictService = rpc.NewService[struct{}, struct{}]("k.evict")
+)
+
+func (k *Kernel) handleForward(env *sim.Env, from rpc.HostID, _ forwardArgs) (struct{}, int, error) {
 	// The forwarded call's home-side work is modeled as one kernel-call
 	// dispatch on the home CPU.
 	if err := k.cpu.Compute(env, k.params.SyscallCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, 32, nil
+	return struct{}{}, 32, nil
 }
 
-func (k *Kernel) handleMigInit(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(migInitArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.migInit: bad args %T", arg)
-	}
+func (k *Kernel) handleMigInit(env *sim.Env, from rpc.HostID, a migInitArgs) (struct{}, int, error) {
 	if a.Version != k.migrationVersion {
-		return nil, 0, fmt.Errorf("%w: source %d, target %d", ErrVersionMismatch, a.Version, k.migrationVersion)
+		return struct{}{}, 0, fmt.Errorf("%w: source %d, target %d", ErrVersionMismatch, a.Version, k.migrationVersion)
 	}
 	if err := k.cpu.Compute(env, k.params.MigInitCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, 16, nil
+	return struct{}{}, 16, nil
 }
 
-func (k *Kernel) handleMigPCB(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(migPCBArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.migPCB: bad args %T", arg)
-	}
+func (k *Kernel) handleMigPCB(env *sim.Env, from rpc.HostID, a migPCBArgs) (struct{}, int, error) {
 	if err := k.cpu.Compute(env, k.params.MigPCBCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	k.procs[a.PID] = a.Proc
 	k.stats.MigrationsIn++
-	return nil, 16, nil
+	return struct{}{}, 16, nil
 }
 
-func (k *Kernel) handleUpdateLoc(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(updateLocArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.updateLoc: bad args %T", arg)
-	}
+func (k *Kernel) handleUpdateLoc(env *sim.Env, from rpc.HostID, a updateLocArgs) (struct{}, int, error) {
 	if rec := k.homeRecs[a.PID]; rec != nil {
 		rec.location = a.Loc
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
-func (k *Kernel) handleExitNotify(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(exitNotifyArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.exitNotify: bad args %T", arg)
-	}
+func (k *Kernel) handleExitNotify(env *sim.Env, from rpc.HostID, a exitNotifyArgs) (struct{}, int, error) {
 	// On ordinary clusters this is bookkeeping cost only; recordExit is
 	// invoked by finishExit on the process side (shared memory in the
 	// simulator). On a confined cluster the notification IS the settlement:
 	// the dispatcher runs on this (home) shard, so the record, the process's
 	// visible state, and the exited future resolve here.
 	if err := k.cpu.Compute(env, k.params.SyscallCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	if k.cluster.confined {
 		rec := k.homeRecs[a.PID]
@@ -677,27 +675,23 @@ func (k *Kernel) handleExitNotify(env *sim.Env, from rpc.HostID, arg any) (any, 
 		k.recordExit(a.PID, a.Status)
 		p.exited.Complete(a.Status, nil)
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
-func (k *Kernel) handleKill(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(killArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.kill: bad args %T", arg)
-	}
+func (k *Kernel) handleKill(env *sim.Env, from rpc.HostID, a killArgs) (struct{}, int, error) {
 	rec := k.homeRecs[a.PID]
 	if rec == nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
+		return struct{}{}, 0, fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
 	}
 	if rec.location != k.host {
 		// Route onward to the process's current location.
-		if _, err := k.ep.Call(env, rec.location, "k.kill2", a, 16); err != nil {
-			return nil, 0, err
+		if _, err := kKillLocal.Call(k.ep, env, rec.location, a, 16); err != nil {
+			return struct{}{}, 0, err
 		}
-		return nil, 8, nil
+		return struct{}{}, 8, nil
 	}
 	rec.proc.post(normalizeSig(a.Sig))
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 // normalizeSig maps the zero value to SIGKILL (the plain-kill wire format).
@@ -709,47 +703,37 @@ func normalizeSig(s Signal) Signal {
 }
 
 // handleKillLocal delivers a routed signal at the process's current location.
-func (k *Kernel) handleKillLocal(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(killArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.kill2: bad args %T", arg)
-	}
+func (k *Kernel) handleKillLocal(env *sim.Env, from rpc.HostID, a killArgs) (struct{}, int, error) {
 	p := k.procs[a.PID]
 	if p == nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
+		return struct{}{}, 0, fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
 	}
 	p.post(normalizeSig(a.Sig))
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
-func (k *Kernel) handleEvict(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
+func (k *Kernel) handleEvict(env *sim.Env, from rpc.HostID, _ struct{}) (struct{}, int, error) {
 	if err := k.EvictAll(env); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 // handleFetchPage serves copy-on-reference pulls from this (source) host.
-func (k *Kernel) handleFetchPage(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	if _, ok := arg.(fetchPageArgs); !ok {
-		return nil, 0, fmt.Errorf("k.fetchPage: bad args %T", arg)
-	}
+func (k *Kernel) handleFetchPage(env *sim.Env, from rpc.HostID, _ fetchPageArgs) (struct{}, int, error) {
 	if err := k.cpu.Compute(env, k.params.VM.FaultCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, k.params.VM.PageSize + k.params.PageWireOverhead, nil
+	return struct{}{}, k.params.VM.PageSize + k.params.PageWireOverhead, nil
 }
 
 // handleMigPages accepts a bulk page shipment at the target of a direct-copy
 // migration (full-copy, pre-copy). The pages landed via the bulk fragment
 // stream, whose wire cost the caller already paid; installing them costs one
 // fault's worth of CPU for the mapping batch.
-func (k *Kernel) handleMigPages(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	if _, ok := arg.(migPagesArgs); !ok {
-		return nil, 0, fmt.Errorf("k.migPages: bad args %T", arg)
-	}
+func (k *Kernel) handleMigPages(env *sim.Env, from rpc.HostID, _ migPagesArgs) (struct{}, int, error) {
 	if err := k.cpu.Compute(env, k.params.VM.FaultCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, 16, nil
+	return struct{}{}, 16, nil
 }

@@ -231,7 +231,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// record lives on the home host's shard and this activity is still on
 	// the source shard.
 	if p.home != target || k.cluster.confined {
-		if _, err := k.ep.Call(env, p.home.host, "k.updateLoc", updateLocArgs{
+		if _, err := kUpdateLoc.Call(k.ep, env, p.home.host, updateLocArgs{
 			PID: p.pid, Loc: target.host,
 		}, 32); err != nil {
 			return abort(fmt.Errorf("update home: %w", err))
@@ -346,7 +346,7 @@ func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
 	if err := k.cpu.Compute(env, k.params.MigInitCPU); err != nil {
 		return err
 	}
-	if _, err := k.ep.Call(env, target.host, "k.migInit", migInitArgs{
+	if _, err := kMigInit.Call(k.ep, env, target.host, migInitArgs{
 		PID: p.pid, Version: k.migrationVersion,
 	}, k.params.MigInitBytes); err != nil {
 		return fmt.Errorf("migration handshake: %w", err)
@@ -400,7 +400,7 @@ func (k *Kernel) transferPCB(env *sim.Env, p *Process, target *Kernel) error {
 	if err := k.cpu.Compute(env, k.params.MigPCBCPU); err != nil {
 		return err
 	}
-	if _, err := k.ep.Call(env, target.host, "k.migPCB", migPCBArgs{
+	if _, err := kMigPCB.Call(k.ep, env, target.host, migPCBArgs{
 		PID: p.pid, Proc: p,
 	}, k.params.MigPCBBytes); err != nil {
 		return fmt.Errorf("pcb transfer: %w", err)
@@ -486,6 +486,6 @@ type corPager struct {
 var _ vm.Pager = (*corPager)(nil)
 
 func (p *corPager) PageIn(env *sim.Env, seg *vm.Segment, page int) error {
-	_, err := p.dst.ep.Call(env, p.src.host, "k.fetchPage", fetchPageArgs{PID: p.pid, Page: page}, 32)
+	_, err := kFetchPage.Call(p.dst.ep, env, p.src.host, fetchPageArgs{PID: p.pid, Page: page}, 32)
 	return err
 }

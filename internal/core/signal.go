@@ -87,10 +87,8 @@ func (c *Cluster) signalPID(env *sim.Env, via *Kernel, target PID, sig Signal) e
 	if homeK == nil {
 		return fmt.Errorf("%w: %v", ErrNoSuchProcess, target)
 	}
-	if _, err := via.ep.Call(env, homeK.host, "k.kill", killArgs{PID: target, Sig: sig}, 32); err != nil {
-		return err
-	}
-	return nil
+	_, err := kKill.Call(via.ep, env, homeK.host, killArgs{PID: target, Sig: sig}, 32)
+	return err
 }
 
 // post records a signal against the process and wakes it if it is stopped
@@ -205,18 +203,12 @@ func (c *Ctx) SignalGroup(pgrp PID, sig Signal) error {
 		return fmt.Errorf("%w: group %v", ErrNoSuchProcess, pgrp)
 	}
 	// One RPC to the home machine carries the group signal...
-	if _, err := c.proc.cur.ep.Call(c.env, homeK.host, "k.killpg", killArgs{PID: pgrp, Sig: sig}, 32); err != nil {
-		return err
-	}
-	return nil
+	_, err := kKillpg.Call(c.proc.cur.ep, c.env, homeK.host, killArgs{PID: pgrp, Sig: sig}, 32)
+	return err
 }
 
 // handleKillpg delivers a signal to every member of a local group.
-func (k *Kernel) handleKillpg(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(killArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("k.killpg: bad args %T", arg)
-	}
+func (k *Kernel) handleKillpg(env *sim.Env, from rpc.HostID, a killArgs) (int, int, error) {
 	sig := normalizeSig(a.Sig)
 	delivered := 0
 	for _, rec := range k.homeRecords() {
@@ -229,12 +221,12 @@ func (k *Kernel) handleKillpg(env *sim.Env, from rpc.HostID, arg any) (any, int,
 			continue
 		}
 		// ...and one onward RPC per remote member.
-		if _, err := k.ep.Call(env, rec.location, "k.kill2", killArgs{PID: rec.pid, Sig: sig}, 16); err != nil {
-			return nil, 0, err
+		if _, err := kKillLocal.Call(k.ep, env, rec.location, killArgs{PID: rec.pid, Sig: sig}, 16); err != nil {
+			return 0, 0, err
 		}
 	}
 	if delivered == 0 {
-		return nil, 0, fmt.Errorf("%w: group %v", ErrNoSuchProcess, a.PID)
+		return 0, 0, fmt.Errorf("%w: group %v", ErrNoSuchProcess, a.PID)
 	}
 	return delivered, 8, nil
 }

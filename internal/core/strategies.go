@@ -74,7 +74,7 @@ func noteBatch(rec *MigrationRecord, bs rpc.BulkStats) {
 // sendPages ships a block of pages from src to dst as one k.migPages bulk
 // transfer of pipelined fragments.
 func sendPages(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord, pages, pageBytes int) error {
-	_, bs, err := src.ep.CallBulk(env, dst.host, "k.migPages", migPagesArgs{
+	_, bs, err := kMigPages.CallBulk(src.ep, env, dst.host, migPagesArgs{
 		PID: p.pid, Pages: pages,
 	}, 32, pages*pageBytes, rpc.BulkOut)
 	if err != nil {

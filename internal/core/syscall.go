@@ -101,6 +101,8 @@ type forwardArgs struct {
 	Call string
 }
 
+var kForward = rpc.NewService[forwardArgs, struct{}]("k.forward")
+
 // migrationPoint is what every kernel-call entry and every compute quantum
 // boundary does first: it is the kill point, the point where a pending
 // migration is performed, and the signal-delivery point.
@@ -199,7 +201,7 @@ func (c *Ctx) forwardHome(call string) error {
 	if !p.Foreign() || c.forwarded {
 		return nil
 	}
-	_, err := p.cur.ep.Call(c.env, p.home.host, "k.forward", forwardArgs{PID: p.pid, Call: call}, 64)
+	_, err := kForward.Call(p.cur.ep, c.env, p.home.host, forwardArgs{PID: p.pid, Call: call}, 64)
 	if err != nil {
 		return fmt.Errorf("forward %s home: %w", call, err)
 	}

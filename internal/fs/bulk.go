@@ -74,16 +74,14 @@ func (c *Client) writeBulk(env *sim.Env, st *Stream, ext PageRun) (rpc.BulkStats
 	if newSize > c.fileSize[st.FID] {
 		c.fileSize[st.FID] = newSize
 	}
-	reply, bs, err := c.ep.CallBulk(env, st.FID.Server, "fs.writeBulk", writeBulkArgs{
+	r, bs, err := fsWriteBulk.CallBulk(c.ep, env, st.FID.Server, writeBulkArgs{
 		FID: st.FID, Off: ext.Off, Data: ext.Data, N: n, NewSize: -1,
 	}, 48, n, rpc.BulkOut)
 	if err != nil {
 		return bs, fmt.Errorf("bulk write %s at %d: %w", st.Path, ext.Off, err)
 	}
-	if r, ok := reply.(writeReply); ok {
-		c.fileVer[st.FID] = r.Version
-		c.bumpSize(st, r.Size)
-	}
+	c.fileVer[st.FID] = r.Version
+	c.bumpSize(st, r.Size)
 	// Any cached blocks overlapping the extent predate this write and are
 	// now stale; drop them rather than patching.
 	c.dropRange(st.FID, ext.Off, n)
@@ -110,12 +108,12 @@ func (c *Client) ReadAtBulk(env *sim.Env, st *Stream, off int64, n int) (int, rp
 		return 0, bs, nil
 	}
 	if c.cacheEnabled(st) {
-		if err := c.readInto(env, st, off, avail, nil); err != nil {
+		if _, _, err := c.readRange(env, st, off, avail, false); err != nil {
 			return 0, bs, err
 		}
 		return avail, bs, nil
 	}
-	_, bs, err := c.ep.CallBulk(env, st.FID.Server, "fs.readBulk", readBulkArgs{
+	_, bs, err := fsReadBulk.CallBulk(c.ep, env, st.FID.Server, readBulkArgs{
 		FID: st.FID, Off: off, N: avail,
 	}, 40, 0, rpc.BulkIn)
 	if err != nil {

@@ -108,9 +108,9 @@ func newClient(f *FS, host rpc.HostID) *Client {
 		fileMTime: make(map[FileID]time.Duration),
 		noCache:   make(map[FileID]bool),
 	}
-	c.ep.Handle("fsc.flush", c.handleFlushCallback)
-	c.ep.Handle("fsc.disable", c.handleDisableCallback)
-	c.ep.Handle("fsc.attr", c.handleAttrCallback)
+	fscFlush.Handle(c.ep, c.handleFlushCallback)
+	fscDisable.Handle(c.ep, c.handleDisableCallback)
+	fscAttr.Handle(c.ep, c.handleAttrCallback)
 	return c
 }
 
@@ -204,7 +204,7 @@ func (c *Client) drainCloses(env *sim.Env) {
 			continue
 		}
 		p.args.Dirty = c.hasDirty(p.args.FID)
-		if _, err := c.ep.Call(env, p.args.FID.Server, "fs.close", p.args, 32); err != nil && transportFailed(err) {
+		if _, err := fsClose.Call(c.ep, env, p.args.FID.Server, p.args, 32); err != nil && transportFailed(err) {
 			keep = append(keep, p)
 		}
 	}
@@ -224,7 +224,7 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 		return nil, fmt.Errorf("open %s: %w", path, err)
 	}
 	id := c.nextStreamID()
-	reply, err := c.ep.Call(env, srvHost, "fs.open", openArgs{
+	r, err := fsOpen.Call(c.ep, env, srvHost, openArgs{
 		Stream:      id,
 		Path:        path,
 		Mode:        mode,
@@ -235,10 +235,6 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 	}, 64+len(path))
 	if err != nil {
 		return nil, fmt.Errorf("open %s: %w", path, err)
-	}
-	r, ok := reply.(openReply)
-	if !ok {
-		return nil, fmt.Errorf("open %s: bad reply %T", path, reply)
 	}
 	sameVersion := c.fileVer[r.FID] == r.Version
 	c.noteVersion(r.FID, r.Version, r.Cacheable)
@@ -315,7 +311,7 @@ func (c *Client) Close(env *sim.Env, st *Stream) error {
 			if err := c.pipeClose(env, st); err != nil {
 				return fmt.Errorf("close %s: %w", st.Path, err)
 			}
-		} else if _, err := c.ep.Call(env, st.FID.Server, "fs.close", closeArgs{
+		} else if _, err := fsClose.Call(c.ep, env, st.FID.Server, closeArgs{
 			Stream: st.ID, FID: st.FID, Mode: st.Mode, Host: c.host, Dirty: c.hasDirty(st.FID),
 		}, 32); err != nil {
 			if transportFailed(err) {
@@ -382,31 +378,33 @@ func (c *Client) read(env *sim.Env, st *Stream, n int, keep bool) ([]byte, int, 
 	if avail <= 0 {
 		return nil, 0, nil // EOF
 	}
-	var out []byte
-	if keep {
-		out = make([]byte, avail)
-	}
-	if err := c.readInto(env, st, off, avail, out); err != nil {
-		return nil, 0, err
-	}
-	return out, avail, nil
+	return c.readRange(env, st, off, avail, keep)
 }
 
 // ReadAt reads n bytes at an explicit offset without moving the access
-// position (used by the VM system for paging).
+// position.
 func (c *Client) ReadAt(env *sim.Env, st *Stream, off int64, n int) ([]byte, error) {
+	data, _, err := c.readAt(env, st, off, n, true)
+	return data, err
+}
+
+// ReadCountAt is to ReadAt what ReadCount is to Read: the same cache
+// decisions, traffic, charges and byte counts, returning only the count.
+func (c *Client) ReadCountAt(env *sim.Env, st *Stream, off int64, n int) (int, error) {
+	_, got, err := c.readAt(env, st, off, n, false)
+	return got, err
+}
+
+// readAt is ReadAt's body; the bytes come back only when keep is set.
+func (c *Client) readAt(env *sim.Env, st *Stream, off int64, n int, keep bool) ([]byte, int, error) {
 	if st.closed {
-		return nil, ErrBadStream
+		return nil, 0, ErrBadStream
 	}
 	avail := int(min(int64(n), int64(c.knownSize(st))-off))
 	if avail <= 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
-	out := make([]byte, avail)
-	if err := c.readInto(env, st, off, avail, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.readRange(env, st, off, avail, keep)
 }
 
 // countRead adds n to the bytes-read statistics.
@@ -481,7 +479,7 @@ func (c *Client) Seek(env *sim.Env, st *Stream, off int64) error {
 		return fmt.Errorf("seek %s: %w", st.Path, ErrBadStream)
 	}
 	if st.shared {
-		_, err := c.ep.Call(env, st.FID.Server, "fs.offset", offsetArgs{
+		_, err := fsOffset.Call(c.ep, env, st.FID.Server, offsetArgs{
 			Stream: st.ID, FID: st.FID, Set: off, Delta: 0,
 		}, 40)
 		return err
@@ -499,15 +497,11 @@ func (c *Client) advanceOffset(env *sim.Env, st *Stream, delta int64) (int64, in
 		st.offset += delta
 		return old, c.knownSize(st), nil
 	}
-	reply, err := c.ep.Call(env, st.FID.Server, "fs.offset", offsetArgs{
+	r, err := fsOffset.Call(c.ep, env, st.FID.Server, offsetArgs{
 		Stream: st.ID, FID: st.FID, Delta: delta, Set: -1,
 	}, 40)
 	if err != nil {
 		return 0, 0, err
-	}
-	r, ok := reply.(offsetReply)
-	if !ok {
-		return 0, 0, fmt.Errorf("fs.offset: bad reply %T", reply)
 	}
 	st.offset = r.Old + delta
 	// The server's size is authoritative for shared streams, but local
@@ -537,10 +531,14 @@ func (c *Client) bumpSize(st *Stream, size int) {
 	}
 }
 
-// readInto reads file bytes [off, off+n) via the cache when permitted, into
-// out when it is non-nil (a fresh buffer: zeros need no copy), or counting
-// only when it is nil, and counts the bytes read.
-func (c *Client) readInto(env *sim.Env, st *Stream, off int64, n int, out []byte) error {
+// readRange reads file bytes [off, off+n) via the cache when permitted and
+// counts them. The bytes come back, in a fresh buffer (zeros need no copy),
+// only when keep is set; either way the count comes back.
+func (c *Client) readRange(env *sim.Env, st *Stream, off int64, n int, keep bool) ([]byte, int, error) {
+	var out []byte
+	if keep {
+		out = make([]byte, n)
+	}
 	bs := c.fs.params.BlockSize
 	for pos := 0; pos < n; {
 		block := (int(off) + pos) / bs
@@ -548,7 +546,7 @@ func (c *Client) readInto(env *sim.Env, st *Stream, off int64, n int, out []byte
 		want := min(bs-inOff, n-pos)
 		data, err := c.readBlock(env, st, block)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		if out != nil && inOff < len(data) {
 			copy(out[pos:pos+want], data[inOff:])
@@ -556,7 +554,7 @@ func (c *Client) readInto(env *sim.Env, st *Stream, off int64, n int, out []byte
 		pos += want
 	}
 	c.countRead(env, n)
-	return nil
+	return out, n, nil
 }
 
 // readBlock returns one block's stored bytes: at most BlockSize of them,
@@ -577,13 +575,9 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 			m.misses.IncSlot(sim.WorkerSlot(env))
 		}
 	}
-	reply, err := c.ep.Call(env, st.FID.Server, "fs.read", readArgs{FID: st.FID, Block: block}, 32)
+	r, err := fsRead.Call(c.ep, env, st.FID.Server, readArgs{FID: st.FID, Block: block}, 32)
 	if err != nil {
 		return nil, fmt.Errorf("read %s block %d: %w", st.Path, block, err)
-	}
-	r, ok := reply.(readReply)
-	if !ok {
-		return nil, fmt.Errorf("fs.read: bad reply %T", reply)
 	}
 	data := r.Data
 	if c.cacheEnabled(st) {
@@ -651,16 +645,14 @@ func (c *Client) writeRun(env *sim.Env, st *Stream, run PageRun) error {
 			}
 		}
 		if !cached {
-			reply, err := c.ep.Call(env, st.FID.Server, "fs.write", writeArgs{
+			r, err := fsWrite.Call(c.ep, env, st.FID.Server, writeArgs{
 				FID: st.FID, Block: block, Data: chunk, N: want, Offset: inOff, NewSize: -1,
 			}, 48+want)
 			if err != nil {
 				return fmt.Errorf("write %s block %d: %w", st.Path, block, err)
 			}
-			if r, ok := reply.(writeReply); ok {
-				c.fileVer[st.FID] = r.Version
-				c.bumpSize(st, r.Size)
-			}
+			c.fileVer[st.FID] = r.Version
+			c.bumpSize(st, r.Size)
 		} else {
 			anyCached = true
 		}
@@ -783,7 +775,7 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 		data = b.data[:hi-lo]
 	}
 	gen := b.gen
-	reply, err := c.ep.Call(env, b.key.fid.Server, "fs.write", writeArgs{
+	r, err := fsWrite.Call(c.ep, env, b.key.fid.Server, writeArgs{
 		FID: b.key.fid, Block: b.key.block, Data: data, N: hi - lo, Offset: 0, NewSize: size,
 	}, 48+(hi-lo))
 	if err != nil {
@@ -796,9 +788,7 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	if m := c.fs.m; m != nil {
 		m.flushes.IncSlot(sim.WorkerSlot(env))
 	}
-	if r, ok := reply.(writeReply); ok {
-		c.fileVer[b.key.fid] = r.Version
-	}
+	c.fileVer[b.key.fid] = r.Version
 	return nil
 }
 
@@ -845,47 +835,35 @@ func (c *Client) dropFile(fid FileID) {
 
 // handleFlushCallback serves the server's "write back your dirty blocks"
 // consistency recall.
-func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(cacheCallbackArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fsc.flush: bad args %T", arg)
-	}
+func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (struct{}, int, error) {
 	c.stats.Recalls++
 	if m := c.fs.m; m != nil {
 		m.recalls.IncSlot(sim.WorkerSlot(env))
 	}
 	if err := c.FlushFile(env, a.FID); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 // handleDisableCallback serves the server's "stop caching this file"
 // consistency action: flush dirty blocks, then drop the file from the cache.
-func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(cacheCallbackArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fsc.disable: bad args %T", arg)
-	}
+func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (struct{}, int, error) {
 	c.stats.Recalls++
 	if m := c.fs.m; m != nil {
 		m.recalls.IncSlot(sim.WorkerSlot(env))
 	}
 	if err := c.FlushFile(env, a.FID); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	c.dropFile(a.FID)
 	c.noCache[a.FID] = true
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 // handleAttrCallback serves the server's cached-attribute fetch: the size
 // and modification time this client's cache implies for the file.
-func (c *Client) handleAttrCallback(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(cacheCallbackArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fsc.attr: bad args %T", arg)
-	}
+func (c *Client) handleAttrCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (attrReply, int, error) {
 	return attrReply{Size: c.fileSize[a.FID], MTime: c.fileMTime[a.FID]}, 24, nil
 }
 
@@ -902,13 +880,9 @@ func (c *Client) StatFull(env *sim.Env, path string) (StatInfo, error) {
 	if err != nil {
 		return StatInfo{}, err
 	}
-	reply, err := c.ep.Call(env, srvHost, "fs.stat", statArgs{Path: path}, 16+len(path))
+	r, err := fsStat.Call(c.ep, env, srvHost, statArgs{Path: path}, 16+len(path))
 	if err != nil {
 		return StatInfo{}, err
-	}
-	r, ok := reply.(statReply)
-	if !ok {
-		return StatInfo{}, fmt.Errorf("fs.stat: bad reply %T", reply)
 	}
 	size := r.Size
 	mtime := r.MTime
@@ -937,7 +911,7 @@ func (c *Client) Remove(env *sim.Env, path string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.Call(env, srvHost, "fs.remove", removeArgs{Path: path}, 16+len(path))
+	_, err = fsRemove.Call(c.ep, env, srvHost, removeArgs{Path: path}, 16+len(path))
 	return err
 }
 
@@ -948,7 +922,7 @@ func (c *Client) Lock(env *sim.Env, path string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.Call(env, srvHost, "fs.lock", lockArgs{Path: path}, 16+len(path))
+	_, err = fsLock.Call(c.ep, env, srvHost, lockArgs{Path: path}, 16+len(path))
 	return err
 }
 
@@ -958,7 +932,7 @@ func (c *Client) Unlock(env *sim.Env, path string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.Call(env, srvHost, "fs.unlock", lockArgs{Path: path}, 16+len(path))
+	_, err = fsUnlock.Call(c.ep, env, srvHost, lockArgs{Path: path}, 16+len(path))
 	return err
 }
 
@@ -1016,14 +990,14 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 	epoch := c.ep.Epoch()
 	st.shift(c.host, to, 1)
 	share := st.shared || st.hostsWithRefs() > 1
-	var reply any
+	var r openReply
 	var err error
 	if st.pipe {
-		_, err = c.ep.Call(env, st.FID.Server, "fs.pipeMigrate", pipeAdjustArgs{
+		_, err = fsPipeMigrate.Call(c.ep, env, st.FID.Server, pipeAdjustArgs{
 			Ino: st.FID.Ino, Stream: st.ID, Mode: st.Mode, From: sourceForMove(c.host, keepSource), To: to,
 		}, 24)
 	} else if err = c.FlushFile(env, st.FID); err == nil && (!keepSource || addTarget) {
-		reply, err = c.ep.Call(env, st.FID.Server, "fs.migrateStream", migrateStreamArgs{
+		r, err = fsMigrateStream.Call(c.ep, env, st.FID.Server, migrateStreamArgs{
 			Stream: st.ID,
 			FID:    st.FID,
 			Mode:   st.Mode,
@@ -1053,7 +1027,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 		}
 		return nil
 	}
-	if r, ok := reply.(openReply); ok {
+	if !keepSource || addTarget { // the server moved the entry and replied
 		st.cacheable = r.Cacheable
 		// Let the destination host reconcile its cache. Under host
 		// confinement the destination client's tables belong to another

@@ -52,6 +52,86 @@ func TestCountedCallsAllocateNothing(t *testing.T) {
 	})
 }
 
+// TestStatAllocatesNothing pins a stat's cost: the fs.stat call passes its
+// argument and reply by value through its typed descriptor, so a Stat
+// allocates nothing on the client, the wire or the server.
+func TestStatAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	h := newHarness(t, 1)
+	c := h.fs.Client(2)
+	if _, err := h.fs.Seed("/d/file", bytes.Repeat([]byte{1}, 100), false); err != nil {
+		t.Fatal(err)
+	}
+	h.run(t, func(env *sim.Env) error {
+		stat := func() {
+			if _, size, err := c.Stat(env, "/d/file"); err != nil || size != 100 {
+				t.Errorf("Stat = %d, %v; want size 100", size, err)
+			}
+		}
+		stat() // warm the server's stats table and the client's prefix cache
+		if a := testing.AllocsPerRun(100, stat); a != 0 {
+			t.Errorf("Stat allocates %.1f objects, want 0", a)
+		}
+		return nil
+	})
+}
+
+// TestReadCountAtMatchesReadAt checks the paging path's counting read
+// against ReadAt: on a cold and then a warm cache, both return the same
+// count and move the client's statistics the same way, and a warm
+// ReadCountAt allocates nothing.
+func TestReadCountAtMatchesReadAt(t *testing.T) {
+	const n = 2*4096 + 100
+	run := func(counting bool) (got []int, stats []ClientStats, warmAllocs float64) {
+		h := newHarness(t, 1)
+		c := h.fs.Client(2)
+		if _, err := h.fs.Seed("/swap", bytes.Repeat([]byte{7}, n), false); err != nil {
+			t.Fatal(err)
+		}
+		h.run(t, func(env *sim.Env) error {
+			st, err := c.Open(env, "/swap", ReadMode, OpenOptions{})
+			if err != nil {
+				return err
+			}
+			read := func() {
+				var k int
+				if counting {
+					k, err = c.ReadCountAt(env, st, 4000, 4096)
+				} else {
+					var data []byte
+					data, err = c.ReadAt(env, st, 4000, 4096)
+					k = len(data)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				got = append(got, k)
+				stats = append(stats, c.Stats())
+			}
+			read() // cold
+			read() // warm
+			if counting && !raceEnabled {
+				warmAllocs = testing.AllocsPerRun(100, read)
+			}
+			return c.Close(env, st)
+		})
+		return got[:2], stats[:2], warmAllocs
+	}
+	gotAt, statsAt, _ := run(false)
+	gotCount, statsCount, allocs := run(true)
+	for i := range gotAt {
+		if gotCount[i] != gotAt[i] || statsCount[i] != statsAt[i] {
+			t.Errorf("read %d: ReadCountAt = %d with stats %+v; ReadAt read %d with %+v",
+				i, gotCount[i], statsCount[i], gotAt[i], statsAt[i])
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("warm ReadCountAt allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestRecalledZerosStoreNothing writes a file only through WriteZeros,
 // recalls it to the server by opening it on another host, and checks the
 // server holds its length and no bytes — while the other host reads zeros.

@@ -213,7 +213,7 @@ func runModelTest(t *testing.T, seed int64, nClients, ops int) {
 				}
 				bs := params.BlockSize
 				block, data, newSize := rng.Intn(8), randBytes(1+rng.Intn(bs)), rng.Intn(50000)
-				if _, err := c.ep.Call(env, fid.Server, "fs.write", writeArgs{
+				if _, err := fsWrite.Call(c.ep, env, fid.Server, writeArgs{
 					FID: fid, Block: block, Data: data, N: len(data), NewSize: newSize,
 				}, 48+len(data)); err != nil {
 					return fmt.Errorf("op %d sized flush %s: %w", op, swapPath, err)

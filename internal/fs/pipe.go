@@ -56,6 +56,14 @@ type (
 	}
 )
 
+var (
+	fsPipeCreate  = rpc.NewService[pipeCreateArgs, pipeCreateReply]("fs.pipeCreate")
+	fsPipeRead    = rpc.NewService[pipeIOArgs, readReply]("fs.pipeRead")
+	fsPipeWrite   = rpc.NewService[pipeIOArgs, writeReply]("fs.pipeWrite")
+	fsPipeClose   = rpc.NewService[pipeCloseArgs, struct{}]("fs.pipeClose")
+	fsPipeMigrate = rpc.NewService[pipeAdjustArgs, struct{}]("fs.pipeMigrate")
+)
+
 func (s *Server) pipe(ino int) (*pipeState, error) {
 	p, ok := s.pipes[ino]
 	if !ok {
@@ -72,13 +80,9 @@ func (s *Server) retireIfClosed(p *pipeState) {
 	}
 }
 
-func (s *Server) handlePipeCreate(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(pipeCreateArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.pipeCreate: bad args %T", arg)
-	}
+func (s *Server) handlePipeCreate(env *sim.Env, from rpc.HostID, a pipeCreateArgs) (pipeCreateReply, int, error) {
 	if err := s.chargeCPU(env, s.fs.params.NameLookupCPU); err != nil {
-		return nil, 0, err
+		return pipeCreateReply{}, 0, err
 	}
 	s.inoSeq++
 	p := &pipeState{ino: s.inoSeq, capacity: pipeDefaultCapacity}
@@ -89,17 +93,13 @@ func (s *Server) handlePipeCreate(env *sim.Env, from rpc.HostID, arg any) (any, 
 }
 
 // handlePipeRead blocks the calling (client) activity until data or EOF.
-func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(pipeIOArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.pipeRead: bad args %T", arg)
-	}
+func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, a pipeIOArgs) (readReply, int, error) {
 	p, err := s.pipe(a.Ino)
 	if err != nil {
-		return nil, 0, err
+		return readReply{}, 0, err
 	}
 	if err := s.chargeCPU(env, s.fs.params.BlockServerCPU); err != nil {
-		return nil, 0, err
+		return readReply{}, 0, err
 	}
 	for len(p.buf) == 0 {
 		if !p.opens.holds(true) {
@@ -108,7 +108,7 @@ func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, arg any) (any, in
 		w := sim.NewFuture(s.fs.sim)
 		p.opens.readWaiters = append(p.opens.readWaiters, w)
 		if _, err := w.Wait(env); err != nil {
-			return nil, 0, err
+			return readReply{}, 0, err
 		}
 	}
 	n := a.N
@@ -124,30 +124,26 @@ func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, arg any) (any, in
 
 // handlePipeWrite blocks while the buffer is full; fails with ErrBadStream
 // when no readers remain (EPIPE).
-func (s *Server) handlePipeWrite(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(pipeIOArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.pipeWrite: bad args %T", arg)
-	}
+func (s *Server) handlePipeWrite(env *sim.Env, from rpc.HostID, a pipeIOArgs) (writeReply, int, error) {
 	p, err := s.pipe(a.Ino)
 	if err != nil {
-		return nil, 0, err
+		return writeReply{}, 0, err
 	}
 	if err := s.chargeCPU(env, s.fs.params.BlockServerCPU); err != nil {
-		return nil, 0, err
+		return writeReply{}, 0, err
 	}
 	written := 0
 	data := a.Data
 	for len(data) > 0 {
 		if !p.opens.holds(false) {
-			return nil, 0, fmt.Errorf("%w: pipe %d has no readers", ErrBadStream, a.Ino)
+			return writeReply{}, 0, fmt.Errorf("%w: pipe %d has no readers", ErrBadStream, a.Ino)
 		}
 		space := p.capacity - len(p.buf)
 		if space == 0 {
 			w := sim.NewFuture(s.fs.sim)
 			p.opens.writeWaiters = append(p.opens.writeWaiters, w)
 			if _, err := w.Wait(env); err != nil {
-				return nil, 0, err
+				return writeReply{}, 0, err
 			}
 			continue
 		}
@@ -163,18 +159,14 @@ func (s *Server) handlePipeWrite(env *sim.Env, from rpc.HostID, arg any) (any, i
 	return writeReply{Size: written}, 16, nil
 }
 
-func (s *Server) handlePipeClose(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(pipeCloseArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.pipeClose: bad args %T", arg)
-	}
+func (s *Server) handlePipeClose(env *sim.Env, from rpc.HostID, a pipeCloseArgs) (struct{}, int, error) {
 	p, err := s.pipe(a.Ino)
 	if err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	p.opens.drop(a.Stream, a.Host)
 	s.retireIfClosed(p)
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 // handlePipeMigrate accounts a pipe stream's move between hosts; the
@@ -182,18 +174,14 @@ func (s *Server) handlePipeClose(env *sim.Env, from rpc.HostID, arg any) (any, i
 // happens. The target entry is added before the source's is dropped so the
 // end never looks transiently unreferenced (which would deliver a
 // spurious EOF/EPIPE to waiters mid-migration).
-func (s *Server) handlePipeMigrate(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(pipeAdjustArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.pipeMigrate: bad args %T", arg)
-	}
+func (s *Server) handlePipeMigrate(env *sim.Env, from rpc.HostID, a pipeAdjustArgs) (struct{}, int, error) {
 	p, err := s.pipe(a.Ino)
 	if err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	p.opens.add(a.Stream, a.To, a.Mode)
 	p.opens.drop(a.Stream, a.From)
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 // --- client side ---
@@ -206,13 +194,9 @@ func (c *Client) CreatePipe(env *sim.Env) (r, w *Stream, err error) {
 		return nil, nil, err
 	}
 	rid, wid := c.nextStreamID(), c.nextStreamID()
-	reply, err := c.ep.Call(env, srvHost, "fs.pipeCreate", pipeCreateArgs{R: rid, W: wid}, 16)
+	pr, err := fsPipeCreate.Call(c.ep, env, srvHost, pipeCreateArgs{R: rid, W: wid}, 16)
 	if err != nil {
 		return nil, nil, fmt.Errorf("create pipe: %w", err)
-	}
-	pr, ok := reply.(pipeCreateReply)
-	if !ok {
-		return nil, nil, fmt.Errorf("fs.pipeCreate: bad reply %T", reply)
 	}
 	fid := FileID{Server: srvHost, Ino: pr.Ino}
 	r = &Stream{
@@ -228,13 +212,9 @@ func (c *Client) CreatePipe(env *sim.Env) (r, w *Stream, err error) {
 
 // pipeRead reads up to n bytes from the pipe, blocking until data or EOF.
 func (c *Client) pipeRead(env *sim.Env, st *Stream, n int) ([]byte, error) {
-	reply, err := c.ep.Call(env, st.FID.Server, "fs.pipeRead", pipeIOArgs{Ino: st.FID.Ino, N: n}, 24)
+	r, err := fsPipeRead.Call(c.ep, env, st.FID.Server, pipeIOArgs{Ino: st.FID.Ino, N: n}, 24)
 	if err != nil {
 		return nil, err
-	}
-	r, ok := reply.(readReply)
-	if !ok {
-		return nil, fmt.Errorf("fs.pipeRead: bad reply %T", reply)
 	}
 	c.stats.BytesRead += uint64(len(r.Data))
 	if m := c.fs.m; m != nil {
@@ -245,14 +225,9 @@ func (c *Client) pipeRead(env *sim.Env, st *Stream, n int) ([]byte, error) {
 
 // pipeWrite writes data into the pipe, blocking while it is full.
 func (c *Client) pipeWrite(env *sim.Env, st *Stream, data []byte) (int, error) {
-	reply, err := c.ep.Call(env, st.FID.Server, "fs.pipeWrite",
-		pipeIOArgs{Ino: st.FID.Ino, Data: append([]byte(nil), data...)}, 24+len(data))
+	r, err := fsPipeWrite.Call(c.ep, env, st.FID.Server, pipeIOArgs{Ino: st.FID.Ino, Data: append([]byte(nil), data...)}, 24+len(data))
 	if err != nil {
 		return 0, err
-	}
-	r, ok := reply.(writeReply)
-	if !ok {
-		return 0, fmt.Errorf("fs.pipeWrite: bad reply %T", reply)
 	}
 	c.stats.BytesWritten += uint64(r.Size)
 	if m := c.fs.m; m != nil {
@@ -263,7 +238,6 @@ func (c *Client) pipeWrite(env *sim.Env, st *Stream, data []byte) (int, error) {
 
 // pipeClose drops this host's entry for one pipe end.
 func (c *Client) pipeClose(env *sim.Env, st *Stream) error {
-	_, err := c.ep.Call(env, st.FID.Server, "fs.pipeClose",
-		pipeCloseArgs{Ino: st.FID.Ino, Stream: st.ID, Host: c.host}, 16)
+	_, err := fsPipeClose.Call(c.ep, env, st.FID.Server, pipeCloseArgs{Ino: st.FID.Ino, Stream: st.ID, Host: c.host}, 16)
 	return err
 }

@@ -27,21 +27,22 @@ type (
 	}
 )
 
+var (
+	fsRename  = rpc.NewService[renameArgs, struct{}]("fs.rename")
+	fsReadDir = rpc.NewService[readDirArgs, readDirReply]("fs.readdir")
+)
+
 // handleRename atomically renames From to To within this server's domain.
 // The file id is preserved, so open streams and cached blocks stay valid.
-func (s *Server) handleRename(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(renameArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.rename: bad args %T", arg)
-	}
+func (s *Server) handleRename(env *sim.Env, from rpc.HostID, a renameArgs) (struct{}, int, error) {
 	// Two name lookups: source and target directories.
 	if err := s.chargeCPU(env, 2*s.fs.params.NameLookupCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	s.stats.Lookups += 2
 	fl, ok := s.files[a.From]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, a.From)
+		return struct{}{}, 0, fmt.Errorf("%w: %s", ErrNotFound, a.From)
 	}
 	if old, exists := s.files[a.To]; exists {
 		// Rename replaces the target, as in UNIX.
@@ -50,17 +51,13 @@ func (s *Server) handleRename(env *sim.Env, from rpc.HostID, arg any) (any, int,
 	delete(s.files, a.From)
 	s.files[a.To] = fl
 	fl.path = a.To
-	return nil, 16, nil
+	return struct{}{}, 16, nil
 }
 
 // handleReadDir lists the immediate children of a directory.
-func (s *Server) handleReadDir(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(readDirArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.readdir: bad args %T", arg)
-	}
+func (s *Server) handleReadDir(env *sim.Env, from rpc.HostID, a readDirArgs) (readDirReply, int, error) {
 	if err := s.chargeCPU(env, s.fs.params.NameLookupCPU); err != nil {
-		return nil, 0, err
+		return readDirReply{}, 0, err
 	}
 	s.stats.Lookups++
 	prefix := a.Dir
@@ -106,7 +103,7 @@ func (c *Client) Rename(env *sim.Env, from, to string) error {
 	if sFrom != sTo {
 		return fmt.Errorf("%w: %s -> %s", ErrCrossDomain, from, to)
 	}
-	_, err = c.ep.Call(env, sFrom, "fs.rename", renameArgs{From: from, To: to}, 32+len(from)+len(to))
+	_, err = fsRename.Call(c.ep, env, sFrom, renameArgs{From: from, To: to}, 32+len(from)+len(to))
 	return err
 }
 
@@ -117,13 +114,6 @@ func (c *Client) ReadDir(env *sim.Env, dir string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply, err := c.ep.Call(env, srvHost, "fs.readdir", readDirArgs{Dir: dir}, 16+len(dir))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := reply.(readDirReply)
-	if !ok {
-		return nil, fmt.Errorf("fs.readdir: bad reply %T", reply)
-	}
-	return r.Names, nil
+	r, err := fsReadDir.Call(c.ep, env, srvHost, readDirArgs{Dir: dir}, 16+len(dir))
+	return r.Names, err
 }

@@ -117,6 +117,25 @@ type (
 	}
 )
 
+// The fs.* services, and the callbacks a server makes to client caches.
+var (
+	fsOpen          = rpc.NewService[openArgs, openReply]("fs.open")
+	fsClose         = rpc.NewService[closeArgs, struct{}]("fs.close")
+	fsRead          = rpc.NewService[readArgs, readReply]("fs.read")
+	fsWrite         = rpc.NewService[writeArgs, writeReply]("fs.write")
+	fsReadBulk      = rpc.NewService[readBulkArgs, struct{}]("fs.readBulk")
+	fsWriteBulk     = rpc.NewService[writeBulkArgs, writeReply]("fs.writeBulk")
+	fsStat          = rpc.NewService[statArgs, statReply]("fs.stat")
+	fsRemove        = rpc.NewService[removeArgs, struct{}]("fs.remove")
+	fsOffset        = rpc.NewService[offsetArgs, offsetReply]("fs.offset")
+	fsMigrateStream = rpc.NewService[migrateStreamArgs, openReply]("fs.migrateStream")
+	fsLock          = rpc.NewService[lockArgs, struct{}]("fs.lock")
+	fsUnlock        = rpc.NewService[lockArgs, struct{}]("fs.unlock")
+	fscFlush        = rpc.NewService[cacheCallbackArgs, struct{}]("fsc.flush")
+	fscDisable      = rpc.NewService[cacheCallbackArgs, struct{}]("fsc.disable")
+	fscAttr         = rpc.NewService[cacheCallbackArgs, attrReply]("fsc.attr")
+)
+
 // file is the server-side state of one file. Its contents are the stored
 // prefix data plus a logical size: bytes in [len(data), size) are zero and
 // take no memory, so a swap file of flushed pages or a SeedSized input costs
@@ -225,6 +244,7 @@ type ServerStats struct {
 type Server struct {
 	fs   *FS
 	host rpc.HostID
+	ep   *rpc.Endpoint // the caller of consistency callbacks to client caches
 	cpu  *sim.Resource
 	disk *sim.Resource
 
@@ -239,9 +259,11 @@ type Server struct {
 }
 
 func newServer(f *FS, host rpc.HostID) *Server {
+	ep := f.transport.Register(host)
 	srv := &Server{
 		fs:      f,
 		host:    host,
+		ep:      ep,
 		cpu:     sim.NewResource(f.sim, 1),
 		disk:    sim.NewResource(f.sim, 1),
 		files:   make(map[string]*file),
@@ -250,26 +272,25 @@ func newServer(f *FS, host rpc.HostID) *Server {
 		locks:   make(map[string]*sim.Resource),
 		pipes:   make(map[int]*pipeState),
 	}
-	ep := f.transport.Register(host)
-	ep.Handle("fs.open", srv.handleOpen)
-	ep.Handle("fs.close", srv.handleClose)
-	ep.Handle("fs.read", srv.handleRead)
-	ep.Handle("fs.write", srv.handleWrite)
-	ep.Handle("fs.readBulk", srv.handleReadBulk)
-	ep.Handle("fs.writeBulk", srv.handleWriteBulk)
-	ep.Handle("fs.stat", srv.handleStat)
-	ep.Handle("fs.remove", srv.handleRemove)
-	ep.Handle("fs.offset", srv.handleOffset)
-	ep.Handle("fs.migrateStream", srv.handleMigrateStream)
-	ep.Handle("fs.lock", srv.handleLock)
-	ep.Handle("fs.unlock", srv.handleUnlock)
-	ep.Handle("fs.rename", srv.handleRename)
-	ep.Handle("fs.readdir", srv.handleReadDir)
-	ep.Handle("fs.pipeCreate", srv.handlePipeCreate)
-	ep.Handle("fs.pipeRead", srv.handlePipeRead)
-	ep.Handle("fs.pipeWrite", srv.handlePipeWrite)
-	ep.Handle("fs.pipeClose", srv.handlePipeClose)
-	ep.Handle("fs.pipeMigrate", srv.handlePipeMigrate)
+	fsOpen.Handle(ep, srv.handleOpen)
+	fsClose.Handle(ep, srv.handleClose)
+	fsRead.Handle(ep, srv.handleRead)
+	fsWrite.Handle(ep, srv.handleWrite)
+	fsReadBulk.Handle(ep, srv.handleReadBulk)
+	fsWriteBulk.Handle(ep, srv.handleWriteBulk)
+	fsStat.Handle(ep, srv.handleStat)
+	fsRemove.Handle(ep, srv.handleRemove)
+	fsOffset.Handle(ep, srv.handleOffset)
+	fsMigrateStream.Handle(ep, srv.handleMigrateStream)
+	fsLock.Handle(ep, srv.handleLock)
+	fsUnlock.Handle(ep, srv.handleUnlock)
+	fsRename.Handle(ep, srv.handleRename)
+	fsReadDir.Handle(ep, srv.handleReadDir)
+	fsPipeCreate.Handle(ep, srv.handlePipeCreate)
+	fsPipeRead.Handle(ep, srv.handlePipeRead)
+	fsPipeWrite.Handle(ep, srv.handlePipeWrite)
+	fsPipeClose.Handle(ep, srv.handlePipeClose)
+	fsPipeMigrate.Handle(ep, srv.handlePipeMigrate)
 	return srv
 }
 
@@ -315,13 +336,9 @@ func (s *Server) create(path string, neverCache bool) *file {
 	return fl
 }
 
-func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(openArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.open: bad args %T", arg)
-	}
+func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, a openArgs) (openReply, int, error) {
 	if err := s.chargeCPU(env, s.fs.params.NameLookupCPU); err != nil {
-		return nil, 0, err
+		return openReply{}, 0, err
 	}
 	s.stats.Lookups++
 	fl, exists := s.files[a.Path]
@@ -329,11 +346,11 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	case !exists && a.Create:
 		fl = s.create(a.Path, a.Uncacheable)
 	case !exists:
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
+		return openReply{}, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
 	}
 
 	if err := fl.mu.Acquire(env); err != nil {
-		return nil, 0, err
+		return openReply{}, 0, err
 	}
 	defer fl.mu.Release()
 	// Consistency first: recall dirty blocks or disable caches as needed
@@ -341,7 +358,7 @@ func (s *Server) handleOpen(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	// previous writer's dirty blocks must not resurrect data into the
 	// freshly truncated file.
 	if err := s.ensureConsistentOpen(env, fl, a.Host, a.Mode); err != nil {
-		return nil, 0, err
+		return openReply{}, 0, err
 	}
 	if exists && a.Create && a.Truncate {
 		fl.setSize(0)
@@ -391,7 +408,7 @@ func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, m
 		targets = appendUnique(targets, host)
 		fid := FileID{Server: s.host, Ino: fl.ino}
 		for _, t := range targets {
-			if _, err := s.callback(env, t, "fsc.disable", fid); err != nil {
+			if _, err := fscDisable.Call(s.ep, env, t, cacheCallbackArgs{FID: fid}, 32); err != nil {
 				// A crashed target has no cache left to disable; its open
 				// state is scrubbed by the crash path.
 				if errors.Is(err, rpc.ErrHostDown) {
@@ -408,7 +425,7 @@ func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, m
 			// this open observes it.
 			s.stats.FlushRecall++
 			fid := FileID{Server: s.host, Ino: fl.ino}
-			if _, err := s.callback(env, fl.lastWriter, "fsc.flush", fid); err != nil {
+			if _, err := fscFlush.Call(s.ep, env, fl.lastWriter, cacheCallbackArgs{FID: fid}, 32); err != nil {
 				if !errors.Is(err, rpc.ErrHostDown) {
 					return err
 				}
@@ -419,23 +436,13 @@ func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, m
 	return nil
 }
 
-// callback performs a server-to-client consistency RPC.
-func (s *Server) callback(env *sim.Env, to rpc.HostID, service string, fid FileID) (any, error) {
-	ep := s.fs.transport.Endpoint(s.host)
-	return ep.Call(env, to, service, cacheCallbackArgs{FID: fid}, 32)
-}
-
-func (s *Server) handleClose(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(closeArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.close: bad args %T", arg)
-	}
+func (s *Server) handleClose(env *sim.Env, from rpc.HostID, a closeArgs) (struct{}, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	if err := fl.mu.Acquire(env); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	defer fl.mu.Release()
 	// The closing writer's cache may retain dirty blocks under delayed
@@ -444,27 +451,23 @@ func (s *Server) handleClose(env *sim.Env, from rpc.HostID, arg any) (any, int, 
 		fl.lastWriter = a.Host
 	}
 	fl.opens.drop(a.Stream, a.Host)
-	return nil, 16, nil
+	return struct{}{}, 16, nil
 }
 
-func (s *Server) handleRead(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(readArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.read: bad args %T", arg)
-	}
+func (s *Server) handleRead(env *sim.Env, from rpc.HostID, a readArgs) (readReply, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return readReply{}, 0, err
 	}
 	if err := s.chargeCPU(env, s.fs.params.BlockServerCPU); err != nil {
-		return nil, 0, err
+		return readReply{}, 0, err
 	}
 	if fl.touch(a.Block) {
 		// Cold block: charge a disk transfer.
 		s.stats.ColdReads++
 		if s.fs.params.DiskPerBlock > 0 {
 			if err := s.disk.Use(env, s.fs.params.DiskPerBlock); err != nil {
-				return nil, 0, err
+				return readReply{}, 0, err
 			}
 		}
 	}
@@ -474,17 +477,13 @@ func (s *Server) handleRead(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	return readReply{Data: data}, 16 + n, nil
 }
 
-func (s *Server) handleWrite(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(writeArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.write: bad args %T", arg)
-	}
+func (s *Server) handleWrite(env *sim.Env, from rpc.HostID, a writeArgs) (writeReply, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return writeReply{}, 0, err
 	}
 	if err := s.chargeCPU(env, s.fs.params.BlockServerCPU); err != nil {
-		return nil, 0, err
+		return writeReply{}, 0, err
 	}
 	s.stats.BlocksWrite++
 	fl.touch(a.Block)
@@ -507,14 +506,10 @@ func (s *Server) bulkCPU(env *sim.Env, blocks int) error {
 
 // handleWriteBulk applies one contiguous multi-block write delivered through
 // the bulk-transfer path.
-func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(writeBulkArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.writeBulk: bad args %T", arg)
-	}
+func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, a writeBulkArgs) (writeReply, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return writeReply{}, 0, err
 	}
 	bs := s.fs.params.BlockSize
 	lo := int(a.Off)
@@ -525,7 +520,7 @@ func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, arg any) (any, i
 		last = first
 	}
 	if err := s.bulkCPU(env, last-first+1); err != nil {
-		return nil, 0, err
+		return writeReply{}, 0, err
 	}
 	s.stats.BulkWrites++
 	for b := first; b <= last; b++ {
@@ -539,14 +534,10 @@ func (s *Server) handleWriteBulk(env *sim.Env, from rpc.HostID, arg any) (any, i
 // streams back to the caller as pipelined fragments and is a length only:
 // page contents are not modelled, so the one caller (the readahead pager)
 // needs the transfer charged, not the bytes.
-func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(readBulkArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.readBulk: bad args %T", arg)
-	}
+func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, a readBulkArgs) (struct{}, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	bs := s.fs.params.BlockSize
 	lo := int(a.Off)
@@ -557,7 +548,7 @@ func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, in
 		last = (hi - 1) / bs
 	}
 	if err := s.bulkCPU(env, last-first+1); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	s.stats.BulkReads++
 	// Cold blocks still pay their disk transfers, back to back: a bulk read
@@ -572,26 +563,22 @@ func (s *Server) handleReadBulk(env *sim.Env, from rpc.HostID, arg any) (any, in
 		s.stats.ColdReads += uint64(cold)
 		if s.fs.params.DiskPerBlock > 0 {
 			if err := s.disk.Use(env, time.Duration(cold)*s.fs.params.DiskPerBlock); err != nil {
-				return nil, 0, err
+				return struct{}{}, 0, err
 			}
 		}
 	}
 	s.stats.BlocksRead += uint64(last - first + 1)
-	return nil, 16 + hi - lo, nil
+	return struct{}{}, 16 + hi - lo, nil
 }
 
-func (s *Server) handleStat(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(statArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.stat: bad args %T", arg)
-	}
+func (s *Server) handleStat(env *sim.Env, from rpc.HostID, a statArgs) (statReply, int, error) {
 	if err := s.chargeCPU(env, s.fs.params.NameLookupCPU); err != nil {
-		return nil, 0, err
+		return statReply{}, 0, err
 	}
 	s.stats.Lookups++
 	fl, ok := s.files[a.Path]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
+		return statReply{}, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
 	}
 	size := fl.size
 	mtime := fl.mtime
@@ -600,15 +587,9 @@ func (s *Server) handleStat(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	// from that client on stat.
 	if fl.lastWriter != rpc.NoHost && fl.lastWriter != from {
 		fid := FileID{Server: s.host, Ino: fl.ino}
-		if reply, err := s.callback(env, fl.lastWriter, "fsc.attr", fid); err == nil {
-			if ar, ok := reply.(attrReply); ok {
-				if ar.Size > size {
-					size = ar.Size
-				}
-				if ar.MTime > mtime {
-					mtime = ar.MTime
-				}
-			}
+		if ar, err := fscAttr.Call(s.ep, env, fl.lastWriter, cacheCallbackArgs{FID: fid}, 32); err == nil {
+			size = max(size, ar.Size)
+			mtime = max(mtime, ar.MTime)
 		}
 	}
 	return statReply{
@@ -619,32 +600,24 @@ func (s *Server) handleStat(env *sim.Env, from rpc.HostID, arg any) (any, int, e
 	}, 48, nil
 }
 
-func (s *Server) handleRemove(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(removeArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.remove: bad args %T", arg)
-	}
+func (s *Server) handleRemove(env *sim.Env, from rpc.HostID, a removeArgs) (struct{}, int, error) {
 	if err := s.chargeCPU(env, s.fs.params.NameLookupCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	s.stats.Lookups++
 	fl, ok := s.files[a.Path]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
+		return struct{}{}, 0, fmt.Errorf("%w: %s", ErrNotFound, a.Path)
 	}
 	delete(s.files, a.Path)
 	delete(s.byID, FileID{Server: s.host, Ino: fl.ino})
-	return nil, 16, nil
+	return struct{}{}, 16, nil
 }
 
-func (s *Server) handleOffset(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(offsetArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.offset: bad args %T", arg)
-	}
+func (s *Server) handleOffset(env *sim.Env, from rpc.HostID, a offsetArgs) (offsetReply, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return offsetReply{}, 0, err
 	}
 	old := s.offsets[a.Stream]
 	if a.Set >= 0 {
@@ -655,24 +628,20 @@ func (s *Server) handleOffset(env *sim.Env, from rpc.HostID, arg any) (any, int,
 	return offsetReply{Old: old, Size: fl.size}, 32, nil
 }
 
-func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(migrateStreamArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.migrateStream: bad args %T", arg)
-	}
+func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, a migrateStreamArgs) (openReply, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return nil, 0, err
+		return openReply{}, 0, err
 	}
 	if err := fl.mu.Acquire(env); err != nil {
-		return nil, 0, err
+		return openReply{}, 0, err
 	}
 	defer fl.mu.Release()
 	// Move the stream's entry from the source (NoHost when the source keeps
 	// references) to the target host.
 	fl.opens.drop(a.Stream, a.From)
 	if err := s.ensureConsistentOpen(env, fl, a.To, a.Mode); err != nil {
-		return nil, 0, err
+		return openReply{}, 0, err
 	}
 	fl.opens.add(a.Stream, a.To, a.Mode)
 	if a.Share {
@@ -690,31 +659,23 @@ func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, arg any) (an
 	}, 64, nil
 }
 
-func (s *Server) handleLock(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(lockArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.lock: bad args %T", arg)
-	}
+func (s *Server) handleLock(env *sim.Env, from rpc.HostID, a lockArgs) (struct{}, int, error) {
 	res, ok := s.locks[a.Path]
 	if !ok {
 		res = sim.NewResource(s.fs.sim, 1)
 		s.locks[a.Path] = res
 	}
 	if err := res.Acquire(env); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
-func (s *Server) handleUnlock(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(lockArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("fs.unlock: bad args %T", arg)
-	}
+func (s *Server) handleUnlock(env *sim.Env, from rpc.HostID, a lockArgs) (struct{}, int, error) {
 	if res, ok := s.locks[a.Path]; ok {
 		res.Release()
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
 func appendUnique(hosts []rpc.HostID, h rpc.HostID) []rpc.HostID {

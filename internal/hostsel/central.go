@@ -62,6 +62,13 @@ type (
 	}
 )
 
+// The migd services of the central host selector.
+var (
+	migdUpdate  = rpc.NewService[migdUpdateArgs, struct{}]("migd.update")
+	migdRequest = rpc.NewService[migdRequestArgs, []rpc.HostID]("migd.request") // replies with the hosts granted
+	migdRelease = rpc.NewService[migdReleaseArgs, struct{}]("migd.release")
+)
+
 // NewCentral creates the central selector with its server on the given host
 // (commonly a file server or any ordinary machine).
 func NewCentral(cluster *core.Cluster, host rpc.HostID, params CentralParams) *Central {
@@ -74,9 +81,9 @@ func NewCentral(cluster *core.Cluster, host rpc.HostID, params CentralParams) *C
 		allocCount:  make(map[rpc.HostID]int),
 	}
 	ep := cluster.Transport().Register(host)
-	ep.Handle("migd.update", c.handleUpdate)
-	ep.Handle("migd.request", c.handleRequest)
-	ep.Handle("migd.release", c.handleRelease)
+	migdUpdate.Handle(ep, c.handleUpdate)
+	migdRequest.Handle(ep, c.handleRequest)
+	migdRelease.Handle(ep, c.handleRelease)
 	return c
 }
 
@@ -105,7 +112,7 @@ func (c *Central) NotifyAvailability(env *sim.Env, host rpc.HostID, available bo
 	if ep == nil {
 		return fmt.Errorf("hostsel: %w: %v", rpc.ErrNoHost, host)
 	}
-	_, err := ep.Call(env, c.host, "migd.update", migdUpdateArgs{Host: host, Available: available}, 32)
+	_, err := migdUpdate.Call(ep, env, c.host, migdUpdateArgs{Host: host, Available: available}, 32)
 	return err
 }
 
@@ -113,15 +120,7 @@ func (c *Central) NotifyAvailability(env *sim.Env, host rpc.HostID, available bo
 func (c *Central) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
 	c.stats.Messages++
 	ep := c.cluster.Transport().Endpoint(client)
-	reply, err := ep.Call(env, c.host, "migd.request", migdRequestArgs{Client: client, N: n}, 32)
-	if err != nil {
-		return nil, err
-	}
-	hosts, ok := reply.([]rpc.HostID)
-	if !ok {
-		return nil, fmt.Errorf("migd.request: bad reply %T", reply)
-	}
-	return hosts, nil
+	return migdRequest.Call(ep, env, c.host, migdRequestArgs{Client: client, N: n}, 32)
 }
 
 // Release implements Selector.
@@ -131,17 +130,13 @@ func (c *Central) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) e
 	}
 	c.stats.Messages++
 	ep := c.cluster.Transport().Endpoint(client)
-	_, err := ep.Call(env, c.host, "migd.release", migdReleaseArgs{Client: client, Hosts: hosts}, 32+8*len(hosts))
+	_, err := migdRelease.Call(ep, env, c.host, migdReleaseArgs{Client: client, Hosts: hosts}, 32+8*len(hosts))
 	return err
 }
 
-func (c *Central) handleUpdate(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(migdUpdateArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("migd.update: bad args %T", arg)
-	}
+func (c *Central) handleUpdate(env *sim.Env, from rpc.HostID, a migdUpdateArgs) (struct{}, int, error) {
 	if err := env.Sleep(c.params.UpdateCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	prev := c.info[a.Host]
 	info := availInfo{available: a.Available, updatedAt: env.Now()}
@@ -161,19 +156,15 @@ func (c *Central) handleUpdate(env *sim.Env, from rpc.HostID, arg any) (any, int
 			c.allocCount[client]--
 			c.stats.Evictions++
 			srvEP := c.cluster.Transport().Endpoint(c.host)
-			if _, err := srvEP.Call(env, a.Host, "k.evict", nil, 16); err != nil {
-				return nil, 0, fmt.Errorf("evict %v: %w", a.Host, err)
+			if _, err := core.EvictService.Call(srvEP, env, a.Host, struct{}{}, 16); err != nil {
+				return struct{}{}, 0, fmt.Errorf("evict %v: %w", a.Host, err)
 			}
 		}
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }
 
-func (c *Central) handleRequest(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(migdRequestArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("migd.request: bad args %T", arg)
-	}
+func (c *Central) handleRequest(env *sim.Env, from rpc.HostID, a migdRequestArgs) ([]rpc.HostID, int, error) {
 	if err := env.Sleep(c.params.RequestCPU); err != nil {
 		return nil, 0, err
 	}
@@ -223,13 +214,9 @@ func (c *Central) handleRequest(env *sim.Env, from rpc.HostID, arg any) (any, in
 	return picked, 16 + 8*len(picked), nil
 }
 
-func (c *Central) handleRelease(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-	a, ok := arg.(migdReleaseArgs)
-	if !ok {
-		return nil, 0, fmt.Errorf("migd.release: bad args %T", arg)
-	}
+func (c *Central) handleRelease(env *sim.Env, from rpc.HostID, a migdReleaseArgs) (struct{}, int, error) {
 	if err := env.Sleep(c.params.ReleaseCPU); err != nil {
-		return nil, 0, err
+		return struct{}{}, 0, err
 	}
 	for _, h := range a.Hosts {
 		if c.assignments[h] == a.Client {
@@ -237,5 +224,5 @@ func (c *Central) handleRelease(env *sim.Env, from rpc.HostID, arg any) (any, in
 			c.allocCount[a.Client]--
 		}
 	}
-	return nil, 8, nil
+	return struct{}{}, 8, nil
 }

@@ -1,7 +1,6 @@
 package hostsel
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -26,6 +25,14 @@ type queryReply struct {
 	IdleSince time.Duration
 }
 
+// The multicast selector's services; hs.mclaim replies whether the claim
+// was granted.
+var (
+	hsQuery    = rpc.NewService[struct{}, queryReply]("hs.query")
+	hsMClaim   = rpc.NewService[claimArgs, bool]("hs.mclaim")
+	hsMRelease = rpc.NewService[claimArgs, struct{}]("hs.mrelease")
+)
+
 // NewMulticast creates the multicast selector and registers its services on
 // every workstation.
 func NewMulticast(cluster *core.Cluster) *Multicast {
@@ -36,9 +43,9 @@ func NewMulticast(cluster *core.Cluster) *Multicast {
 	for _, k := range cluster.Workstations() {
 		owner := k.Host()
 		ep := cluster.Transport().Endpoint(owner)
-		ep.Handle("hs.query", m.makeQueryHandler(owner))
-		ep.Handle("hs.mclaim", m.makeClaimHandler(owner))
-		ep.Handle("hs.mrelease", m.makeReleaseHandler(owner))
+		hsQuery.Handle(ep, m.makeQueryHandler(owner))
+		hsMClaim.Handle(ep, m.makeClaimHandler(owner))
+		hsMRelease.Handle(ep, m.makeReleaseHandler(owner))
 	}
 	return m
 }
@@ -49,22 +56,18 @@ func (m *Multicast) Name() string { return "multicast" }
 // Stats implements Selector.
 func (m *Multicast) Stats() Stats { return m.stats }
 
-func (m *Multicast) makeQueryHandler(owner rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
+func (m *Multicast) makeQueryHandler(owner rpc.HostID) rpc.HandlerFunc[struct{}, queryReply] {
+	return func(env *sim.Env, from rpc.HostID, _ struct{}) (queryReply, int, error) {
 		k := m.cluster.KernelOn(owner)
 		if _, taken := m.claims[owner]; taken || k == nil || !k.Available(env.Now()) {
-			return nil, 0, ErrNoHosts // non-responders stay silent
+			return queryReply{}, 0, ErrNoHosts // non-responders stay silent
 		}
 		return queryReply{IdleSince: k.LastInput()}, 16, nil
 	}
 }
 
-func (m *Multicast) makeClaimHandler(owner rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(claimArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("hs.mclaim: bad args %T", arg)
-		}
+func (m *Multicast) makeClaimHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, bool] {
+	return func(env *sim.Env, from rpc.HostID, a claimArgs) (bool, int, error) {
 		k := m.cluster.KernelOn(owner)
 		if _, taken := m.claims[owner]; taken || k == nil || !k.Available(env.Now()) {
 			return false, 8, nil
@@ -74,16 +77,12 @@ func (m *Multicast) makeClaimHandler(owner rpc.HostID) rpc.Handler {
 	}
 }
 
-func (m *Multicast) makeReleaseHandler(owner rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(claimArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("hs.mrelease: bad args %T", arg)
-		}
+func (m *Multicast) makeReleaseHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, struct{}] {
+	return func(env *sim.Env, from rpc.HostID, a claimArgs) (struct{}, int, error) {
 		if m.claims[owner] == a.Client {
 			delete(m.claims, owner)
 		}
-		return nil, 8, nil
+		return struct{}{}, 8, nil
 	}
 }
 
@@ -98,7 +97,7 @@ func (m *Multicast) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.
 	m.stats.Requests++
 	ep := m.cluster.Transport().Endpoint(client)
 	m.stats.Messages++ // the multicast itself
-	replies, err := ep.Broadcast(env, "hs.query", nil, 16)
+	replies, err := hsQuery.Broadcast(ep, env, struct{}{}, 16)
 	if err != nil {
 		return nil, err
 	}
@@ -108,10 +107,8 @@ func (m *Multicast) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.
 		idle time.Duration
 	}
 	var cands []cand
-	for h, r := range replies {
-		if qr, ok := r.(queryReply); ok && h != client {
-			cands = append(cands, cand{host: h, idle: qr.IdleSince})
-		}
+	for h, qr := range replies { // never the client's own host
+		cands = append(cands, cand{host: h, idle: qr.IdleSince})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].idle != cands[j].idle {
@@ -125,11 +122,11 @@ func (m *Multicast) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.
 			break
 		}
 		m.stats.Messages++
-		reply, err := ep.Call(env, cd.host, "hs.mclaim", claimArgs{Client: client}, 16)
+		granted, err := hsMClaim.Call(ep, env, cd.host, claimArgs{Client: client}, 16)
 		if err != nil {
 			return got, err
 		}
-		if ok, _ := reply.(bool); ok {
+		if granted {
 			got = append(got, cd.host)
 		} else {
 			m.stats.Conflicts++
@@ -147,7 +144,7 @@ func (m *Multicast) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID)
 	ep := m.cluster.Transport().Endpoint(client)
 	for _, h := range hosts {
 		m.stats.Messages++
-		if _, err := ep.Call(env, h, "hs.mrelease", claimArgs{Client: client}, 16); err != nil {
+		if _, err := hsMRelease.Call(ep, env, h, claimArgs{Client: client}, 16); err != nil {
 			return err
 		}
 	}

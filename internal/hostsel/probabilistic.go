@@ -128,6 +128,13 @@ type claimReply struct {
 	State VectorEntry
 }
 
+// The gossip selector's services.
+var (
+	hsGossip  = rpc.NewService[gossipArgs, struct{}]("hs.gossip")
+	hsClaim   = rpc.NewService[claimArgs, claimReply]("hs.claim")
+	hsRelease = rpc.NewService[claimArgs, claimReply]("hs.release")
+)
+
 // hintBatch is the reply-piggyback payload: pending eviction hints.
 type hintBatch struct {
 	Hints []EvictHint
@@ -161,9 +168,9 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 		p.hosts = append(p.hosts, h)
 		p.views[h] = NewLoadVector(vectorBound)
 		ep := cluster.Transport().Endpoint(h)
-		ep.Handle("hs.gossip", p.makeGossipHandler(h))
-		ep.Handle("hs.claim", p.makeClaimHandler(h))
-		ep.Handle("hs.release", p.makeReleaseHandler(h))
+		hsGossip.Handle(ep, p.makeGossipHandler(h))
+		hsClaim.Handle(ep, p.makeClaimHandler(h))
+		hsRelease.Handle(ep, p.makeReleaseHandler(h))
 		host := h
 		ep.SetHintProvider(func() (any, int) {
 			hints := p.takeHints(host)
@@ -370,7 +377,7 @@ func (p *Probabilistic) gossipFrom(env *sim.Env, host rpc.HostID) error {
 		p.gstats.Sent++
 		p.gstats.EntriesSent += uint64(len(payload))
 		p.gstats.Bytes += uint64(size)
-		if _, err := ep.Call(env, peer, "hs.gossip", gossipArgs{From: host, Entries: payload}, size); err != nil {
+		if _, err := hsGossip.Call(ep, env, peer, gossipArgs{From: host, Entries: payload}, size); err != nil {
 			if tolerable(err) {
 				p.gstats.Unreachable++
 				continue
@@ -381,15 +388,11 @@ func (p *Probabilistic) gossipFrom(env *sim.Env, host rpc.HostID) error {
 	return nil
 }
 
-func (p *Probabilistic) makeGossipHandler(owner rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(gossipArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("hs.gossip: bad args %T", arg)
-		}
+func (p *Probabilistic) makeGossipHandler(owner rpc.HostID) rpc.HandlerFunc[gossipArgs, struct{}] {
+	return func(env *sim.Env, from rpc.HostID, a gossipArgs) (struct{}, int, error) {
 		v := p.view(owner, env.Now())
 		if v == nil {
-			return nil, 8, nil
+			return struct{}{}, 8, nil
 		}
 		for _, e := range a.Entries {
 			if e.Host == owner {
@@ -399,16 +402,12 @@ func (p *Probabilistic) makeGossipHandler(owner rpc.HostID) rpc.Handler {
 				p.gstats.Merged++
 			}
 		}
-		return nil, 8, nil
+		return struct{}{}, 8, nil
 	}
 }
 
-func (p *Probabilistic) makeClaimHandler(owner rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(claimArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("hs.claim: bad args %T", arg)
-		}
+func (p *Probabilistic) makeClaimHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, claimReply] {
+	return func(env *sim.Env, from rpc.HostID, a claimArgs) (claimReply, int, error) {
 		now := env.Now()
 		k := p.cluster.KernelOn(owner)
 		state := p.sample(owner, now)
@@ -428,12 +427,8 @@ func (p *Probabilistic) makeClaimHandler(owner rpc.HostID) rpc.Handler {
 	}
 }
 
-func (p *Probabilistic) makeReleaseHandler(owner rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(claimArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("hs.release: bad args %T", arg)
-		}
+func (p *Probabilistic) makeReleaseHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, claimReply] {
+	return func(env *sim.Env, from rpc.HostID, a claimArgs) (claimReply, int, error) {
 		now := env.Now()
 		if rec, ok := p.claims[owner]; ok {
 			if rec.client == a.Client || rec.epoch != p.epochOf(owner) {
@@ -556,7 +551,7 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 		if p.ageT != nil {
 			p.ageT.ObserveSlot(sim.WorkerSlot(env), cd.Age)
 		}
-		reply, err := ep.Call(env, cd.Host, "hs.claim", claimArgs{Client: client}, 16)
+		cr, err := hsClaim.Call(ep, env, cd.Host, claimArgs{Client: client}, 16)
 		if err != nil {
 			if tolerable(err) {
 				// The candidate is down, rebooting, or partitioned away:
@@ -565,10 +560,6 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 				continue
 			}
 			return got, err
-		}
-		cr, ok := reply.(claimReply)
-		if !ok {
-			return got, fmt.Errorf("hs.claim: bad reply %T", reply)
 		}
 		v.Put(cr.State)
 		if cr.OK {
@@ -607,7 +598,7 @@ func (p *Probabilistic) Release(env *sim.Env, client rpc.HostID, hosts []rpc.Hos
 	ep := p.cluster.Transport().Endpoint(client)
 	for _, h := range hosts {
 		p.stats.Messages++
-		reply, err := ep.Call(env, h, "hs.release", claimArgs{Client: client}, 16)
+		cr, err := hsRelease.Call(ep, env, h, claimArgs{Client: client}, 16)
 		if err != nil {
 			if tolerable(err) {
 				if v != nil {
@@ -617,7 +608,7 @@ func (p *Probabilistic) Release(env *sim.Env, client rpc.HostID, hosts []rpc.Hos
 			}
 			return err
 		}
-		if cr, ok := reply.(claimReply); ok && v != nil {
+		if v != nil {
 			v.Put(cr.State)
 		}
 	}

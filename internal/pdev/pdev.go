@@ -17,6 +17,8 @@ package pdev
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"sprite/internal/core"
 	"sprite/internal/rpc"
@@ -55,11 +57,11 @@ func NewSystem(cluster *core.Cluster) *System {
 	for _, k := range cluster.Workstations() {
 		host := k.Host()
 		ep := cluster.Transport().Endpoint(host)
-		ep.Handle("pdev.deliver", s.makeDeliverHandler(host))
+		pdevDeliver.Handle(ep, s.makeDeliverHandler(host))
 	}
-	for srvHost := range cluster.FS().Servers() {
+	for _, srvHost := range slices.Sorted(maps.Keys(cluster.FS().Servers())) {
 		ep := cluster.Transport().Endpoint(srvHost)
-		ep.Handle("pdev.route", s.makeRouteHandler(srvHost))
+		pdevRoute.Handle(ep, s.makeRouteHandler(srvHost))
 	}
 	return s
 }
@@ -96,6 +98,11 @@ type (
 	deliverReply struct {
 		Data []byte
 	}
+)
+
+var (
+	pdevRoute   = rpc.NewService[routeArgs, deliverReply]("pdev.route")
+	pdevDeliver = rpc.NewService[deliverArgs, deliverReply]("pdev.deliver")
 )
 
 // Serve registers the calling process as the server for path. The path's
@@ -187,52 +194,37 @@ func (s *System) Call(ctx *core.Ctx, path string, data []byte) ([]byte, error) {
 	}
 	from := ctx.Process()
 	ep := s.cluster.Transport().Endpoint(from.Current().Host())
-	reply, err := ep.Call(ctx.Env(), srvHost, "pdev.route", routeArgs{
+	r, err := pdevRoute.Call(ep, ctx.Env(), srvHost, routeArgs{
 		Path: path,
 		From: from.PID(),
 		Data: data,
 	}, 48+len(data))
-	if err != nil {
-		return nil, err
-	}
-	r, ok := reply.(deliverReply)
-	if !ok {
-		return nil, fmt.Errorf("pdev call %s: bad reply %T", path, reply)
-	}
-	return r.Data, nil
+	return r.Data, err
 }
 
 // makeRouteHandler serves "pdev.route" at a file server: resolve the
 // rendezvous and forward to the serving process's host, healing stale
 // locations.
-func (s *System) makeRouteHandler(srvHost rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(routeArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("pdev.route: bad args %T", arg)
-		}
+func (s *System) makeRouteHandler(srvHost rpc.HostID) rpc.HandlerFunc[routeArgs, deliverReply] {
+	return func(env *sim.Env, from rpc.HostID, a routeArgs) (deliverReply, int, error) {
 		reg, ok := s.registry[a.Path]
 		if !ok || reg.dev.closed {
-			return nil, 0, fmt.Errorf("%w: %s", ErrNotServed, a.Path)
+			return deliverReply{}, 0, fmt.Errorf("%w: %s", ErrNotServed, a.Path)
 		}
 		ep := s.cluster.Transport().Endpoint(srvHost)
 		for hops := 0; hops < 2; hops++ {
-			reply, err := ep.Call(env, reg.host, "pdev.deliver", deliverArgs(a), 48+len(a.Data))
+			r, err := pdevDeliver.Call(ep, env, reg.host, deliverArgs(a), 48+len(a.Data))
 			if err == nil {
-				r, ok := reply.(deliverReply)
-				if !ok {
-					return nil, 0, fmt.Errorf("pdev.route: bad reply %T", reply)
-				}
 				return r, 16 + len(r.Data), nil
 			}
 			if !errors.Is(err, errStaleLocation) {
-				return nil, 0, err
+				return deliverReply{}, 0, err
 			}
 			// Stale rendezvous: the server process migrated. Update and
 			// retry once.
 			reg.host = reg.dev.owner.Current().Host()
 		}
-		return nil, 0, fmt.Errorf("%w: %s (location thrashing)", ErrNotServed, a.Path)
+		return deliverReply{}, 0, fmt.Errorf("%w: %s (location thrashing)", ErrNotServed, a.Path)
 	}
 }
 
@@ -242,19 +234,15 @@ var errStaleLocation = errors.New("pdev: server process not at this host")
 
 // makeDeliverHandler serves "pdev.deliver" at a workstation: enqueue for
 // the serving process if it is actually here, then wait for its reply.
-func (s *System) makeDeliverHandler(host rpc.HostID) rpc.Handler {
-	return func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
-		a, ok := arg.(deliverArgs)
-		if !ok {
-			return nil, 0, fmt.Errorf("pdev.deliver: bad args %T", arg)
-		}
+func (s *System) makeDeliverHandler(host rpc.HostID) rpc.HandlerFunc[deliverArgs, deliverReply] {
+	return func(env *sim.Env, from rpc.HostID, a deliverArgs) (deliverReply, int, error) {
 		reg, ok := s.registry[a.Path]
 		if !ok || reg.dev.closed {
-			return nil, 0, fmt.Errorf("%w: %s", ErrNotServed, a.Path)
+			return deliverReply{}, 0, fmt.Errorf("%w: %s", ErrNotServed, a.Path)
 		}
 		dev := reg.dev
 		if dev.owner.Current().Host() != host {
-			return nil, 0, errStaleLocation
+			return deliverReply{}, 0, errStaleLocation
 		}
 		req := &Request{
 			From:  a.From,
@@ -264,7 +252,7 @@ func (s *System) makeDeliverHandler(host rpc.HostID) rpc.Handler {
 		dev.queue.Send(req)
 		v, err := req.reply.Wait(env)
 		if err != nil {
-			return nil, 0, err
+			return deliverReply{}, 0, err
 		}
 		data, _ := v.([]byte)
 		return deliverReply{Data: data}, 16 + len(data), nil

@@ -159,6 +159,9 @@ func (m *Monitor) hosts() []rpc.HostID {
 	return hs
 }
 
+// recoveryPing is the liveness probe; a host replies with its boot epoch.
+var recoveryPing = rpc.NewService[struct{}, rpc.Epoch]("recovery.ping")
+
 // Start arms the monitor: it registers the recovery.ping service on every
 // endpoint, installs the transport's epoch observer, seeds the epoch table
 // from the hosts' current epochs, and spawns one watcher activity per host.
@@ -170,7 +173,7 @@ func (m *Monitor) Start() {
 			continue
 		}
 		m.lastEpoch[h] = ep.Epoch()
-		ep.Handle("recovery.ping", func(env *sim.Env, from rpc.HostID, arg any) (any, int, error) {
+		recoveryPing.Handle(ep, func(*sim.Env, rpc.HostID, struct{}) (rpc.Epoch, int, error) {
 			return ep.Epoch(), 8, nil
 		})
 	}
@@ -226,10 +229,10 @@ func (m *Monitor) tick(env *sim.Env, host rpc.HostID) {
 		return // no live peer to ping from; try again next interval
 	}
 	m.pings.Inc()
-	var reply any
+	var epoch rpc.Epoch
 	err := m.c.FailAt(env, core.FailRecoveryPing, core.NilPID)
 	if err == nil {
-		reply, err = v.Call(env, host, "recovery.ping", nil, 16)
+		epoch, err = recoveryPing.Call(v, env, host, struct{}{}, 16)
 	}
 	if m.probeObs != nil {
 		m.probeObs(host, err == nil, env.Now())
@@ -248,7 +251,6 @@ func (m *Monitor) tick(env *sim.Env, host rpc.HostID) {
 		return
 	}
 	m.suspect[host] = 0
-	epoch, _ := reply.(rpc.Epoch)
 	if epoch > m.lastEpoch[host] {
 		// The host answered under a newer incarnation: the old one died,
 		// however briefly the outage was.

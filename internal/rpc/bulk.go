@@ -59,75 +59,78 @@ func (s *BulkStats) Add(o BulkStats) {
 // into BulkStats.Retransmits and the rpc.bulk.retransmits metric. The
 // handshake and the final reply use the ordinary per-attempt retry loop
 // under the plain service name.
-func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, argSize, payloadBytes int, dir BulkDir) (any, BulkStats, error) {
-	t := e.transport
+func (s *Service[A, R]) CallBulk(e *Endpoint, env *sim.Env, to HostID, arg A, argSize, payloadBytes int, dir BulkDir) (R, BulkStats, error) {
+	var reply R
 	var bs BulkStats
-	target, h, reply, done, err := e.resolve(env, to, service, arg, argSize)
-	if done {
-		if h != nil {
-			bs.Calls = 1 // the local shortcut ran it
-		}
+	t := e.transport
+	target, h, err := e.resolve(env, to, &s.svc, argSize)
+	switch {
+	case err != nil:
+		return reply, bs, err
+	case to == e.host:
+		bs.Calls = 1 // the local shortcut runs it
+		reply, err = s.local(e, env, h, arg)
 		return reply, bs, err
 	}
 	// Per-host shard delivery: the handler hops to the server's shard.
-	if s := env.Shard(); t.confined && s != 0 && s != e.shard {
-		panic(fmt.Sprintf("rpc: bulk call via %v's endpoint from foreign shard %d (home %d)", e.host, s, e.shard))
+	if sh := env.Shard(); t.confined && sh != 0 && sh != e.shard {
+		panic(fmt.Sprintf("rpc: bulk call via %v's endpoint from foreign shard %d (home %d)", e.host, sh, e.shard))
 	}
 	bs.Calls = 1
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
-		return nil, bs, err
+		return reply, bs, err
 	}
 	wire := argSize + t.params.BulkFragOverhead
-	if _, err := e.roundTrip(env, target, service, argSize, t.params.BulkFragOverhead, nil); err != nil {
-		t.record(env, to, service, wire, true)
-		return nil, bs, err
+	if _, err := e.roundTrip(env, target, s.name, argSize, t.params.BulkFragOverhead, nil); err != nil {
+		t.record(env, to, s.id, wire, true)
+		return reply, bs, err
 	}
 	// failed books a transfer that died after its handshake.
-	failed := func(wire int, err error) (any, BulkStats, error) {
-		t.record(env, to, service, wire, true)
+	failed := func(wire int, err error) (R, BulkStats, error) {
+		t.record(env, to, s.id, wire, true)
 		t.recordBulk(env, &bs)
-		return nil, bs, err
+		return *new(R), bs, err
 	}
 	var replySize int
 	var herr error
 	switch dir {
 	case BulkOut:
-		w, err := e.streamFragments(env, target, service, payloadBytes, &bs)
+		w, err := e.streamFragments(env, target, s.frag, payloadBytes, &bs)
 		wire += w
 		if err != nil {
 			return failed(wire, err)
 		}
-		reply, replySize, herr, err = e.runBulkHandler(env, target, h, service, arg)
+		reply, replySize, herr, err = s.runBulkHandler(e, env, target, h, arg)
 		if err != nil {
 			return failed(wire, err)
 		}
 		// Reply leg: a small control message, retried on loss like a
 		// normal reply (the server answers retransmissions from its
 		// cached reply without re-running the handler).
-		if _, err := e.roundTrip(env, target, service, replySize, noReply, nil); err != nil {
+		if _, err := e.roundTrip(env, target, s.name, replySize, noReply, nil); err != nil {
 			return failed(wire+replySize, err)
 		}
 		wire += replySize
 	case BulkIn:
-		reply, replySize, herr, err = e.runBulkHandler(env, target, h, service, arg)
+		reply, replySize, herr, err = s.runBulkHandler(e, env, target, h, arg)
 		if err != nil {
 			return failed(wire, err)
 		}
 		if herr == nil {
-			w, err := e.streamFragments(env, target, service, replySize, &bs)
+			w, err := e.streamFragments(env, target, s.frag, replySize, &bs)
 			wire += w
 			if err != nil {
 				return failed(wire, err)
 			}
-		} else if _, err := e.roundTrip(env, target, service, t.params.BulkFragOverhead, noReply, nil); err != nil {
+		} else if _, err := e.roundTrip(env, target, s.name, t.params.BulkFragOverhead, noReply, nil); err != nil {
 			// The error reply is a plain small message.
-			t.record(env, to, service, wire, true)
-			return nil, bs, err
+			t.record(env, to, s.id, wire, true)
+			return *new(R), bs, err
 		}
 	default:
-		return nil, bs, fmt.Errorf("rpc: unknown bulk direction %d", dir)
+		return reply, bs, fmt.Errorf("rpc: unknown bulk direction %d", dir)
 	}
-	t.record(env, to, service, wire, herr != nil)
+	t.record(env, to, s.id, wire, herr != nil)
 	t.recordBulk(env, &bs)
 	return reply, bs, herr
 }
@@ -138,27 +141,27 @@ func (e *Endpoint) CallBulk(env *sim.Env, to HostID, service string, arg any, ar
 // and the fragment stream) that runs the handler on the server's shard; the
 // payload bytes were charged by the stream, so both legs ride bare latency.
 // The last result is a failure of that hop, not of the handler.
-func (e *Endpoint) runBulkHandler(env *sim.Env, target *Endpoint, h Handler, service string, arg any) (any, int, error, error) {
-	t := e.transport
-	if !t.confined {
-		reply, size, herr := h(env, e.host, arg)
+func (s *Service[A, R]) runBulkHandler(e *Endpoint, env *sim.Env, target *Endpoint, h any, arg A) (R, int, error, error) {
+	if !e.transport.confined {
+		reply, size, herr := h.(HandlerFunc[A, R])(env, e.host, arg)
 		return reply, size, herr, nil
 	}
 	rec := e.takeCall(env)
 	e.xidSeq++
 	rec.req = confReq{
-		from: e.host, xid: e.xidSeq, service: service, arg: arg,
+		from: e.host, xid: e.xidSeq, svc: &s.svc, arg: arg,
 		reply: rec.box, rep: &rec.rep, internal: true,
 	}
-	target.reqBox.SendAfter(env, &rec.req, t.net.Latency())
+	target.reqBox.SendAfter(env, &rec.req, e.transport.net.Latency())
 	rv, err := rec.box.Recv(env)
 	if err != nil {
-		return nil, 0, nil, err
+		return *new(R), 0, nil, err
 	}
 	rep := rv.(*confReply)
-	value, size, herr := rep.value, rep.size, rep.err
+	reply, _ := rep.value.(R)
+	size, herr := rep.size, rep.err
 	e.recycleCall(rec) // one reliable request, its one reply consumed
-	return value, size, herr, nil
+	return reply, size, herr, nil
 }
 
 // recordBulk folds one transfer's stats into the bulk metrics counters.
@@ -178,7 +181,7 @@ func (t *Transport) recordBulk(env *sim.Env, bs *BulkStats) {
 // included). A lost fragment (injector drop or network drop) waits out the
 // retransmission timeout and is selectively resent; the resend restarts the
 // pipeline, so it pays the one-way latency again.
-func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service string, payload int, bs *BulkStats) (int, error) {
+func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, fragService string, payload int, bs *BulkStats) (int, error) {
 	t := e.transport
 	fragSize := t.params.BulkFragmentBytes
 	window := t.params.BulkWindow
@@ -199,7 +202,6 @@ func (e *Endpoint) streamFragments(env *sim.Env, target *Endpoint, service strin
 	if err := env.Sleep(latency); err != nil {
 		return 0, err
 	}
-	fragService := service + ".frag"
 	wire := 0
 	remaining := payload
 	for i := 0; i < frags; i++ {

@@ -88,11 +88,11 @@ func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
 // confReq is one request message: everything the server needs to execute the
 // call and route the reply home.
 type confReq struct {
-	from    HostID
-	xid     uint64
-	service string
-	arg     any
-	reply   *sim.Mailbox // homed on the caller's shard
+	from  HostID
+	xid   uint64
+	svc   *svc
+	arg   any
+	reply *sim.Mailbox // homed on the caller's shard
 	// rep, when set, is the caller's call record's reply: the server writes an
 	// uncached reply there instead of allocating one.
 	rep *confReply
@@ -236,7 +236,7 @@ func (ep *Endpoint) execAsync(env *sim.Env, req *confReq, ent *confEntry) {
 		return
 	}
 	h := &handler{ep: ep, wake: sim.NewQueue(env.Sim()), req: req, ent: ent}
-	env.Spawn(ep.handlerName(req.service), h.serve)
+	env.Spawn(ep.handlerName(req.svc), h.serve)
 }
 
 // serve is a handler activity's body. A woken handler takes the name of the
@@ -270,21 +270,26 @@ func (h *handler) serve(env *sim.Env) error {
 			return nil // unwound at quiesce or Stop, with the dispatcher
 		}
 		env.ClearDaemon()
-		env.SetName(ep.handlerName(h.req.service))
+		env.SetName(ep.handlerName(h.req.svc))
 	}
 }
 
-// handlerName names the activity that executes a request for service,
+// svcName is one handlerNames entry.
+type svcName struct {
+	svc  *svc
+	name string
+}
+
+// handlerName names the activity that executes a request for service s,
 // formatting it on the first request only.
-func (ep *Endpoint) handlerName(service string) string {
-	name, ok := ep.handlerNames[service]
-	if !ok {
-		if ep.handlerNames == nil {
-			ep.handlerNames = make(map[string]string)
+func (ep *Endpoint) handlerName(s *svc) string {
+	for _, n := range ep.handlerNames {
+		if n.svc == s {
+			return n.name
 		}
-		name = fmt.Sprintf("rpc-%v-%s", ep.host, service)
-		ep.handlerNames[service] = name
 	}
+	name := fmt.Sprintf("rpc-%v-%s", ep.host, s.name)
+	ep.handlerNames = append(ep.handlerNames, svcName{s, name})
 	return name
 }
 
@@ -292,15 +297,15 @@ func (ep *Endpoint) handlerName(service string) string {
 // writes the reply into rep, capturing the reply piggybacks at execution time
 // so a retransmitted (cached) reply carries the same epoch and hints.
 func (ep *Endpoint) execConfined(env *sim.Env, req *confReq, rep *confReply) {
-	h, ok := ep.services[req.service]
-	if !ok {
+	h := ep.handler(req.svc.id)
+	if h == nil {
 		*rep = confReply{
-			err:   fmt.Errorf("%w: %s on %v", ErrNoService, req.service, ep.host),
+			err:   fmt.Errorf("%w: %s on %v", ErrNoService, req.svc.name, ep.host),
 			epoch: ep.epoch,
 		}
 		return
 	}
-	value, size, herr := h(env, req.from, req.arg)
+	value, size, herr := req.svc.serveBoxed(env, req.from, h, req.arg)
 	*rep = confReply{value: value, size: size, err: herr, epoch: ep.epoch}
 	if !req.internal && ep.hints != nil {
 		var hs int
@@ -359,11 +364,11 @@ func (e *Endpoint) recycleCall(rec *callRec) {
 // client loop with the handler execution moved to the server's shard. The
 // injector's verdicts are still taken client-side, once per attempt, in the
 // same order as the inline path.
-func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, arg any, argSize int) (any, error) {
+func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, s *svc, arg any, argSize int) (any, error) {
 	t := e.transport
 	to := target.host
-	if s := env.Shard(); s != 0 && s != e.shard {
-		panic(fmt.Sprintf("rpc: call via %v's endpoint from foreign shard %d (home %d)", e.host, s, e.shard))
+	if sh := env.Shard(); sh != 0 && sh != e.shard {
+		panic(fmt.Sprintf("rpc: call via %v's endpoint from foreign shard %d (home %d)", e.host, sh, e.shard))
 	}
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
 		return nil, err
@@ -376,12 +381,12 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 		// A host that went down between attempts fails fast, like a channel
 		// reset in Sprite RPC.
 		if target.down || e.down {
-			t.record(env, to, service, argSize, true)
+			t.record(env, to, s.id, argSize, true)
 			return nil, fmt.Errorf("%w: %v", ErrHostDown, to)
 		}
 		var v Verdict
 		if t.injector != nil {
-			v = t.injector.Intercept(env, e.host, to, service, attempt)
+			v = t.injector.Intercept(env, e.host, to, s.name, attempt)
 		}
 		if v.Delay > 0 {
 			if err := env.Sleep(v.Delay); err != nil {
@@ -403,7 +408,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 					req = new(confReq)
 				}
 				*req = confReq{
-					from: e.host, xid: xid, service: service, arg: arg,
+					from: e.host, xid: xid, svc: s, arg: arg,
 					reply: rec.box, rep: lent, dropReply: v.DropReply,
 				}
 				target.reqBox.SendAfter(env, req, t.net.Latency()+xfer+extra)
@@ -423,13 +428,8 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 			}
 			if rerr == nil {
 				rep := rv.(*confReply)
-				t.record(env, to, service, argSize+rep.size, rep.err != nil)
-				if t.observer != nil {
-					t.observer(to, rep.epoch)
-				}
-				if t.hintObs != nil && rep.hint != nil {
-					t.hintObs(e.host, to, rep.hint)
-				}
+				t.record(env, to, s.id, argSize+rep.size, rep.err != nil)
+				e.replied(to, rep.epoch, rep.hint)
 				value, err := rep.value, rep.err
 				if sends == 1 {
 					e.recycleCall(rec) // clears rep when it is the record's own
@@ -444,8 +444,8 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, service string, 
 			// the client still waits the full timeout.
 			return nil, err
 		}
-		if err := e.retryBookkeeping(env, to, service, attempt); err != nil {
-			t.record(env, to, service, argSize, true)
+		if err := e.retryBookkeeping(env, to, s.name, attempt); err != nil {
+			t.record(env, to, s.id, argSize, true)
 			return nil, err
 		}
 	}

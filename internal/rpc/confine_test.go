@@ -385,7 +385,7 @@ func TestConfinedBroadcastPanics(t *testing.T) {
 				panicked = true
 			}
 		}()
-		_, _ = tr.Endpoint(1).Broadcast(env, "svc", nil, 8)
+		_, _ = NewService[any, any]("svc").Broadcast(tr.Endpoint(1), env, nil, 8)
 		return nil
 	})
 	if err := s.Run(0); err != nil {

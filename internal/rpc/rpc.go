@@ -2,11 +2,15 @@
 // that Sprite kernels use to cooperate (modeled on Welch's Sprite RPC
 // [Wel86], itself in the style of Birrell & Nelson [BN84]).
 //
-// Every host owns one Endpoint with a set of named services. A call charges
+// Every host owns one Endpoint. A service is a typed descriptor,
+// Service[A, R], declared once beside its wire types; handlers register on
+// endpoints through it, and calls go through it, so arguments and replies
+// pass by value with their types checked by the compiler. A call charges
 // the caller for client-side software overhead, the network for the request
 // and reply payloads, and then executes the service handler synchronously in
 // the caller's activity; handlers charge any server-side costs to the
-// server's own resources (CPU, disk) explicitly.
+// server's own resources (CPU, disk) explicitly. Endpoint.Handle, Call and
+// CallBulk are the untyped, by-name face of the same path.
 package rpc
 
 import (
@@ -96,10 +100,6 @@ type Injector interface {
 	Intercept(env *sim.Env, from, to HostID, service string, attempt int) Verdict
 }
 
-// Handler is a service implementation. It runs synchronously in the calling
-// activity; reply is the result value and replySize its wire size in bytes.
-type Handler func(env *sim.Env, from HostID, arg any) (reply any, replySize int, err error)
-
 // Params configures per-call software overheads and loss recovery.
 type Params struct {
 	// ClientOverhead is CPU time charged to the caller per call (marshal,
@@ -159,18 +159,25 @@ type svcStats struct {
 	errs  atomic.Uint64
 }
 
+// svcCounters is one service's entry in the stats table: its calls, and
+// its broadcasts, reported as "<name>.bcast".
+type svcCounters struct{ call, bcast svcStats }
+
 // Transport is the RPC fabric connecting all hosts.
 type Transport struct {
 	sim       *sim.Simulation
 	net       *netsim.Network
 	params    Params
 	endpoints map[HostID]*Endpoint
-	stats     sync.Map // service name -> *svcStats
-	injector  Injector
-	observer  EpochObserver
-	hintObs   HintObserver
-	retries   atomic.Uint64
-	timeouts  atomic.Uint64
+	// stats is indexed by service id and grown under statsMu; calls on
+	// concurrent workers read it through the atomic pointer.
+	stats    atomic.Pointer[[]*svcCounters]
+	statsMu  sync.Mutex
+	injector Injector
+	observer EpochObserver
+	hintObs  HintObserver
+	retries  atomic.Uint64
+	timeouts atomic.Uint64
 
 	// confined is set by ConfineHosts: every remote call is routed through
 	// per-host shard mailboxes instead of executing the handler inline in
@@ -317,12 +324,14 @@ func NewTransport(s *sim.Simulation, net *netsim.Network, params Params) *Transp
 	if params.BulkFragOverhead <= 0 {
 		params.BulkFragOverhead = def.BulkFragOverhead
 	}
-	return &Transport{
+	t := &Transport{
 		sim:       s,
 		net:       net,
 		params:    params,
 		endpoints: make(map[HostID]*Endpoint),
 	}
+	t.stats.Store(new([]*svcCounters))
+	return t
 }
 
 // Register creates (or returns) the endpoint for a host. Registration must
@@ -335,7 +344,7 @@ func (t *Transport) Register(host HostID) *Endpoint {
 	if t.confined {
 		panic(fmt.Sprintf("rpc: Register(%v) after ConfineHosts; confined transports have a frozen host set", host))
 	}
-	ep := &Endpoint{host: host, transport: t, services: make(map[string]Handler), epoch: 1}
+	ep := &Endpoint{host: host, transport: t, epoch: 1}
 	t.endpoints[host] = ep
 	return ep
 }
@@ -356,41 +365,60 @@ func (t *Transport) Hosts() []HostID {
 // Network returns the underlying network model.
 func (t *Transport) Network() *netsim.Network { return t.net }
 
-// Stats returns a copy of the per-service call statistics.
+// Stats returns a copy of the per-service call statistics, keyed by service
+// name for calls and "<name>.bcast" for broadcasts. A service appears once
+// it has been called.
 func (t *Transport) Stats() map[string]CallStats {
 	out := make(map[string]CallStats)
-	t.stats.Range(func(k, v any) bool {
-		st := v.(*svcStats)
-		out[k.(string)] = CallStats{
-			Calls: st.calls.Load(),
-			Bytes: st.bytes.Load(),
-			Errs:  st.errs.Load(),
+	add := func(name string, st *svcStats) {
+		if n := st.calls.Load(); n > 0 {
+			c := out[name]
+			out[name] = CallStats{Calls: c.Calls + n, Bytes: c.Bytes + st.bytes.Load(), Errs: c.Errs + st.errs.Load()}
 		}
-		return true
-	})
+	}
+	tab := *t.stats.Load()
+	names := serviceNames() // loaded second: it covers every id in tab
+	for id, c := range tab {
+		add(names[id], &c.call)
+		add(names[id]+".bcast", &c.bcast)
+	}
 	return out
 }
 
 // TotalCalls returns the total number of RPCs issued.
-func (t *Transport) TotalCalls() uint64 {
-	var n uint64
-	t.stats.Range(func(_, v any) bool {
-		n += v.(*svcStats).calls.Load()
-		return true
-	})
+func (t *Transport) TotalCalls() (n uint64) {
+	for _, c := range *t.stats.Load() {
+		n += c.call.calls.Load() + c.bcast.calls.Load()
+	}
 	return n
 }
 
-func (t *Transport) svc(service string) *svcStats {
-	if v, ok := t.stats.Load(service); ok {
-		return v.(*svcStats)
+// counters returns the stats table entry of service id, first growing the
+// table to cover every service declared so far if it does not cover id.
+func (t *Transport) counters(id int) *svcCounters {
+	if tab := *t.stats.Load(); id < len(tab) {
+		return tab[id]
 	}
-	v, _ := t.stats.LoadOrStore(service, &svcStats{})
-	return v.(*svcStats)
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	tab := *t.stats.Load()
+	if n := len(serviceNames()); n > len(tab) {
+		grown, block := make([]*svcCounters, n), make([]svcCounters, n-len(tab))
+		for i := copy(grown, tab); i < n; i++ {
+			grown[i] = &block[i-len(tab)]
+		}
+		t.stats.Store(&grown)
+		tab = grown
+	}
+	return tab[id]
 }
 
-func (t *Transport) record(env *sim.Env, to HostID, service string, bytes int, failed bool) {
-	st := t.svc(service)
+// record books one call of service id to host `to`.
+func (t *Transport) record(env *sim.Env, to HostID, id int, bytes int, failed bool) {
+	t.recordStats(env, to, &t.counters(id).call, bytes, failed)
+}
+
+func (t *Transport) recordStats(env *sim.Env, to HostID, st *svcStats, bytes int, failed bool) {
 	st.calls.Add(1)
 	st.bytes.Add(uint64(bytes))
 	if failed {
@@ -419,7 +447,7 @@ func (t *Transport) record(env *sim.Env, to HostID, service string, bytes int, f
 type Endpoint struct {
 	host      HostID
 	transport *Transport
-	services  map[string]Handler
+	handlers  []any // HandlerFunc[A, R] by service id, nil where unregistered
 	down      bool
 	epoch     Epoch
 	hints     HintProvider
@@ -432,19 +460,18 @@ type Endpoint struct {
 	reqBox *sim.Mailbox
 	xidSeq uint64
 
-	// handlerNames caches each service's handler activity name, so the
-	// dispatcher formats each once instead of once per request. idle holds
-	// the parked handler activities, at most maxIdleHandlers of them, and
-	// calls is the free list of call records homed on the endpoint's shard
-	// (confine.go says when a record may return to it). Like xidSeq, all
-	// three are only touched from that shard.
-	handlerNames map[string]string
+	// handlerNames caches the handler activity name of each service the
+	// endpoint has served, so the dispatcher formats each once instead of
+	// once per request; an endpoint serves a handful of services, so it is
+	// a short list. idle holds the parked handler activities, at most
+	// maxIdleHandlers of them, and calls is the free list of call records
+	// homed on the endpoint's shard (confine.go says when a record may
+	// return to it). Like xidSeq, all three are only touched from that
+	// shard.
+	handlerNames []svcName
 	idle         []*handler
 	calls        []*callRec
 }
-
-// Handle registers a service handler, replacing any previous registration.
-func (e *Endpoint) Handle(service string, h Handler) { e.services[service] = h }
 
 // SetDown marks the host unreachable (failure injection); calls to it fail
 // with ErrHostDown.
@@ -472,88 +499,49 @@ func (e *Endpoint) Restart() {
 	e.epoch++
 }
 
-// Call performs a synchronous RPC from this endpoint's host to the named
-// service on host `to`. argSize and the handler's replySize are charged to
-// the network.
-//
-// Under fault injection a request or reply message can be lost; the client
-// then waits CallTimeout, backs off, and retransmits, up to MaxRetries
-// times. The server executes the handler at most once per call: a
-// retransmission of an already-executed call is answered from the cached
-// reply (duplicate suppression by transaction id, as in Sprite RPC).
-func (e *Endpoint) Call(env *sim.Env, to HostID, service string, arg any, argSize int) (any, error) {
-	t := e.transport
-	target, h, reply, done, err := e.resolve(env, to, service, arg, argSize)
-	if done {
-		return reply, err
+// handler returns the endpoint's handler for service id, or nil.
+func (e *Endpoint) handler(id int) any {
+	if id < len(e.handlers) {
+		return e.handlers[id]
 	}
-	if t.confined {
-		// Per-host shard delivery: the handler runs on the server's shard,
-		// reached through its request mailbox.
-		return e.callConfined(env, target, service, arg, argSize)
-	}
-	if err := env.Sleep(t.params.ClientOverhead); err != nil {
-		return nil, err
-	}
-	var replySize int
-	var herr error
-	var hintPayload any
-	lost, err := e.roundTrip(env, target, service, argSize, 0, func() int {
-		reply, replySize, herr = h(env, e.host, arg)
-		if target.hints != nil {
-			var hintSize int
-			hintPayload, hintSize = target.hints()
-			replySize += hintSize
-		}
-		return replySize
-	})
-	if err != nil {
-		if lost {
-			t.record(env, to, service, argSize, true)
-		}
-		return nil, err
-	}
-	t.record(env, to, service, argSize+replySize, herr != nil)
-	if t.observer != nil {
-		t.observer(to, target.epoch)
-	}
-	if t.hintObs != nil && hintPayload != nil {
-		t.hintObs(e.host, to, hintPayload)
-	}
-	return reply, herr
+	return nil
 }
 
-// resolve is the step Call and CallBulk share before anything touches the
-// wire: an unknown or down host fails the call, a call to the caller's own
-// host runs the handler on the spot (no network, no protocol overhead, no
-// faults), and otherwise the service is looked up. done reports that the
-// call is over, with reply and err its outcome. Under confinement a remote
-// lookup happens server-side instead — the services table is shard-local
-// state — so h comes back nil.
-func (e *Endpoint) resolve(env *sim.Env, to HostID, service string, arg any, argSize int) (target *Endpoint, h Handler, reply any, done bool, err error) {
+// resolve is the step every call shares before anything touches the wire:
+// an unknown or down host fails the call, and so does a service the target
+// does not implement. Under confinement a remote call's handler is looked up
+// server-side instead — the handler table is shard-local state — so h comes
+// back nil. A failure is recorded.
+func (e *Endpoint) resolve(env *sim.Env, to HostID, s *svc, argSize int) (target *Endpoint, h any, err error) {
 	t := e.transport
 	target, ok := t.endpoints[to]
-	if !ok {
-		t.record(env, to, service, argSize, true)
-		return nil, nil, nil, true, fmt.Errorf("%w: %v", ErrNoHost, to)
-	}
-	if target.down || e.down {
-		t.record(env, to, service, argSize, true)
-		return nil, nil, nil, true, fmt.Errorf("%w: %v", ErrHostDown, to)
-	}
-	local := e.host == to
-	if local || !t.confined {
-		if h, ok = target.services[service]; !ok {
-			t.record(env, to, service, argSize, true)
-			return nil, nil, nil, true, fmt.Errorf("%w: %s on %v", ErrNoService, service, to)
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w: %v", ErrNoHost, to)
+	case target.down || e.down:
+		err = fmt.Errorf("%w: %v", ErrHostDown, to)
+	case e.host == to || !t.confined:
+		if h = target.handler(s.id); h == nil {
+			err = fmt.Errorf("%w: %s on %v", ErrNoService, s.name, to)
 		}
 	}
-	if local {
-		reply, _, err = h(env, e.host, arg)
-		t.record(env, to, service, 0, err != nil)
-		return target, h, reply, true, err
+	if err != nil {
+		t.record(env, to, s.id, argSize, true)
+		return nil, nil, err
 	}
-	return target, h, nil, false, nil
+	return target, h, nil
+}
+
+// replied delivers a remote reply's piggybacks, its server's boot epoch and
+// hint payload, to the transport's observers.
+func (e *Endpoint) replied(to HostID, epoch Epoch, hint any) {
+	t := e.transport
+	if t.observer != nil {
+		t.observer(to, epoch)
+	}
+	if t.hintObs != nil && hint != nil {
+		t.hintObs(e.host, to, hint)
+	}
 }
 
 // noReply is the roundTrip reply size of a one-way control message.
@@ -651,64 +639,4 @@ func (e *Endpoint) retryBookkeeping(env *sim.Env, to HostID, service string, att
 		return env.Sleep(b << uint(attempt))
 	}
 	return nil
-}
-
-// Broadcast delivers arg to the named service on every other registered host
-// that is up and implements it, returning the replies keyed by host. It
-// models one multicast packet on the wire plus one reply message per
-// responder.
-// Broadcasts are unreliable datagrams: a host that misses the multicast or
-// whose reply is lost simply looks like a non-responder, so fault injection
-// prunes responders instead of triggering retransmission.
-func (e *Endpoint) Broadcast(env *sim.Env, service string, arg any, argSize int) (map[HostID]any, error) {
-	t := e.transport
-	if t.confined && env.Shard() != 0 {
-		panic(fmt.Sprintf("rpc: Broadcast(%s) from confined shard %d; broadcasts touch every host's state and are exclusive-only under confinement", service, env.Shard()))
-	}
-	if err := env.Sleep(t.params.ClientOverhead); err != nil {
-		return nil, err
-	}
-	if err := t.net.Send(env, argSize); err != nil {
-		if errors.Is(err, netsim.ErrDropped) {
-			// The multicast itself was lost; nobody answers.
-			return make(map[HostID]any), nil
-		}
-		return nil, err
-	}
-	replies := make(map[HostID]any)
-	for _, id := range t.Hosts() {
-		if id == e.host {
-			continue
-		}
-		target := t.endpoints[id]
-		if target.down {
-			continue
-		}
-		h, ok := target.services[service]
-		if !ok {
-			continue
-		}
-		if t.injector != nil {
-			v := t.injector.Intercept(env, e.host, id, service, 0)
-			if v.DropRequest || v.DropReply {
-				continue
-			}
-		}
-		reply, replySize, err := h(env, e.host, arg)
-		if err != nil {
-			continue
-		}
-		if nerr := t.net.Send(env, replySize); nerr != nil {
-			if errors.Is(nerr, netsim.ErrDropped) {
-				continue
-			}
-			return nil, nerr
-		}
-		t.record(env, id, service+".bcast", argSize+replySize, false)
-		if t.observer != nil {
-			t.observer(id, target.epoch)
-		}
-		replies[id] = reply
-	}
-	return replies, nil
 }

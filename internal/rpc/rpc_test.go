@@ -125,19 +125,20 @@ func TestHandlerErrorPropagates(t *testing.T) {
 
 func TestBroadcastCollectsReplies(t *testing.T) {
 	s, tr := newFabric(t, 4)
+	idle := NewService[struct{}, HostID]("idle?")
 	for i := 2; i <= 4; i++ {
 		id := HostID(i)
-		tr.Endpoint(id).Handle("idle?", func(env *sim.Env, from HostID, arg any) (any, int, error) {
+		idle.Handle(tr.Endpoint(id), func(env *sim.Env, from HostID, _ struct{}) (HostID, int, error) {
 			if id == 3 {
-				return nil, 0, errors.New("busy")
+				return 0, 0, errors.New("busy")
 			}
 			return id, 8, nil
 		})
 	}
-	var replies map[HostID]any
+	var replies map[HostID]HostID
 	s.Spawn("caller", func(env *sim.Env) error {
 		var err error
-		replies, err = tr.Endpoint(1).Broadcast(env, "idle?", nil, 16)
+		replies, err = idle.Broadcast(tr.Endpoint(1), env, struct{}{}, 16)
 		return err
 	})
 	if err := s.Run(0); err != nil {
@@ -148,6 +149,14 @@ func TestBroadcastCollectsReplies(t *testing.T) {
 	}
 	if replies[2] != HostID(2) || replies[4] != HostID(4) {
 		t.Fatalf("replies = %v", replies)
+	}
+	// Broadcast replies are booked under "<service>.bcast", not the service.
+	st := tr.Stats()
+	if got := st["idle?.bcast"]; got.Calls != 2 || got.Bytes != 2*(16+8) {
+		t.Fatalf("idle?.bcast stats = %+v", got)
+	}
+	if _, ok := st["idle?"]; ok {
+		t.Fatalf("broadcast booked as a call: %v", st)
 	}
 }
 

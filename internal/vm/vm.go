@@ -336,13 +336,14 @@ type FilePager struct {
 
 var _ Pager = (*FilePager)(nil)
 
-// PageIn reads the page from the backing stream.
+// PageIn reads the page from the backing stream, counting only: page
+// contents are not modelled, so nothing is materialised.
 func (p *FilePager) PageIn(env *sim.Env, seg *Segment, page int) error {
 	if seg.Backing == nil {
 		return nil // anonymous zero-fill page
 	}
 	ps := seg.space.params.PageSize
 	off := int64(page) * int64(ps)
-	_, err := p.Client.ReadAt(env, seg.Backing, off, ps)
+	_, err := p.Client.ReadCountAt(env, seg.Backing, off, ps)
 	return err
 }
