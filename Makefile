@@ -51,10 +51,11 @@ fuzz:
 # makes progress by yielding or parking. TestParallelEquivalenceProperty is
 # left out; it takes half a minute per -cpu value under -race.
 # The fourth leg does the same for the confined RPC plane: pooled handler
-# activities and recycled call records are state shared by the activities of
-# one shard, and must never be touched from another shard's worker. The
-# typed-service tests ride along, so typed values carried in the pooled
-# records run under the race detector too.
+# activities, their spare shells and recycled call records are state shared
+# by the activities of one shard, and must never be touched from another
+# shard's worker. The typed-service tests ride along, so the typed call
+# slots, which the services' pools hand across shards, run under the race
+# detector too.
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/experiments

@@ -384,7 +384,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 					if _, ghost := dst.procs[p.pid]; ghost {
 						t.Error("target still holds the aborted process's PCB")
 					}
-					for _, st := range p.allStreams() {
+					for _, st := range p.allStreams(nil) {
 						if st.RefsOn(src.Host()) == 0 || st.RefsOn(dst.Host()) != 0 {
 							t.Errorf("stream %s: refs source=%d target=%d, want all back on the source",
 								st.Path, st.RefsOn(src.Host()), st.RefsOn(dst.Host()))

@@ -332,7 +332,7 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 		c.releaseMoved(p, t)
 	}
 	p.migTarget = nil
-	for _, st := range p.allStreams() {
+	for _, st := range p.allStreams(nil) {
 		st.ScrubHost(crashedHost)
 	}
 	c.noteEnd(p.pid)

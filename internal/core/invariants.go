@@ -183,7 +183,7 @@ func (c *Cluster) checkStreamRefs() []string {
 			if p.cur != k || p.state == StateExited {
 				continue
 			}
-			for _, st := range p.allStreams() {
+			for _, st := range p.allStreams(nil) {
 				if seen[st.ID] {
 					continue
 				}

@@ -27,7 +27,7 @@ func TestInvariantCheckerCatchesInjectedRefLeak(t *testing.T) {
 			// Mutation: scrub this host's reference from the stream without
 			// telling the server, exactly the imbalance a lost migrateStream
 			// or a missed close would leave behind.
-			sts := ctx.Process().openStreams()
+			sts := ctx.Process().openStreams(nil)
 			sts[len(sts)-1].ScrubHost(ws.Host())
 			midRun = c.CheckInvariants(false)
 			// The leaked stream is unusable now; drop the fd regardless.

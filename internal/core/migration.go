@@ -138,7 +138,11 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// Expose in-flight progress so crash injection can release stream
 	// references already moved to the target if this host dies mid-flight.
 	p.migTarget = target
-	defer func() { p.migTarget, p.migMoved = nil, nil }()
+	defer func() { // the stream lists keep their arrays, pinning no stream
+		clear(p.migMoved[:cap(p.migMoved)])
+		clear(p.migStreams)
+		p.migTarget, p.migMoved, p.migStreams = nil, p.migMoved[:0], p.migStreams[:0]
+	}()
 	// The target incarnation this migration negotiates with: a reboot
 	// mid-migration lands on a new one whose tables never saw it.
 	epoch := k.cluster.HostEpoch(target.host)
@@ -361,7 +365,8 @@ func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
 // migration can move it back — on error the list covers everything
 // transferred before the failure.
 func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord) error {
-	for _, st := range p.allStreams() {
+	p.migStreams = p.allStreams(p.migStreams[:0])
+	for _, st := range p.migStreams {
 		if err := k.cpu.Compute(env, k.params.MigPerFileCPU); err != nil {
 			return err
 		}
@@ -387,7 +392,7 @@ func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *
 			// after it rehomes onto the target shard. Harvesting per call
 			// keeps concurrent migrations from the same source untangled —
 			// MoveStream cannot yield between pending and returning.
-			p.migRecon = append(p.migRecon, k.fsc.TakeReconciles()...)
+			p.migRecon = k.fsc.AppendReconciles(p.migRecon)
 		}
 		rec.Files++
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sprite/internal/fs"
@@ -134,6 +135,8 @@ type Process struct {
 	// to a surviving target host.
 	migTarget *Kernel
 	migMoved  []*fs.Stream
+	// migStreams is transferStreams' list of the streams to move.
+	migStreams []*fs.Stream
 	// migRecon carries the destination fs client's stream-move bookkeeping
 	// across a confined migration: MoveStream on the source shard cannot
 	// write the target client's tables, so the updates ride here until
@@ -208,30 +211,28 @@ func (p *Process) confinedResume(env *sim.Env) error {
 		}
 	}
 	if rs := p.migRecon; len(rs) > 0 {
-		p.migRecon = nil
 		p.cur.fsc.ApplyReconciles(rs)
+		p.migRecon = rs[:0]
 	}
 	return nil
 }
 
-// openStreams returns the distinct open streams in the descriptor table.
-func (p *Process) openStreams() []*fs.Stream {
-	seen := make(map[*fs.Stream]bool)
-	var out []*fs.Stream
+// openStreams appends the descriptor table's distinct open streams to dst.
+func (p *Process) openStreams(dst []*fs.Stream) []*fs.Stream {
+	n := len(dst)
 	for _, st := range p.files {
-		if st != nil && !seen[st] {
-			seen[st] = true
-			out = append(out, st)
+		if st != nil && !slices.Contains(dst[n:], st) {
+			dst = append(dst, st)
 		}
 	}
-	return out
+	return dst
 }
 
-// allStreams returns every stream the process holds a reference through:
-// the open descriptors plus the VM segments' backing streams — what a
-// migration moves and a crash scrubs.
-func (p *Process) allStreams() []*fs.Stream {
-	streams := p.openStreams()
+// allStreams appends to dst every stream the process holds a reference
+// through: the open descriptors plus the VM segments' backing streams — what
+// a migration moves and a crash scrubs.
+func (p *Process) allStreams(dst []*fs.Stream) []*fs.Stream {
+	streams := p.openStreams(dst)
 	if p.space != nil {
 		for _, seg := range p.space.Segments() {
 			if seg.Backing != nil {

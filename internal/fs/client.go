@@ -267,13 +267,14 @@ func (c *Client) nextStreamID() StreamID {
 	return StreamID(uint64(c.host)<<32 | c.streamSeq)
 }
 
-// TakeReconciles drains the destination-cache updates deferred by confined
-// stream moves. The migration path harvests them on the source shard right
-// after each MoveStream and carries them with the process.
-func (c *Client) TakeReconciles() []Reconcile {
-	rs := c.pendingRec
-	c.pendingRec = nil
-	return rs
+// AppendReconciles drains the destination-cache updates deferred by
+// confined stream moves into dst. The migration path harvests them on the
+// source shard right after each MoveStream and carries them with the
+// process; both lists keep their arrays for the next migration.
+func (c *Client) AppendReconciles(dst []Reconcile) []Reconcile {
+	dst = append(dst, c.pendingRec...)
+	c.pendingRec = c.pendingRec[:0]
+	return dst
 }
 
 // ApplyReconciles applies deferred destination-cache updates. It must run on

@@ -147,9 +147,11 @@ func (s *Service[A, R]) runBulkHandler(e *Endpoint, env *sim.Env, target *Endpoi
 		return reply, size, herr, nil
 	}
 	rec := e.takeCall(env)
+	sl := s.takeSlot()
+	sl.arg = arg
 	e.xidSeq++
 	rec.req = confReq{
-		from: e.host, xid: e.xidSeq, svc: &s.svc, arg: arg,
+		from: e.host, xid: e.xidSeq, svc: &s.svc, slot: sl,
 		reply: rec.box, rep: &rec.rep, internal: true,
 	}
 	target.reqBox.SendAfter(env, &rec.req, e.transport.net.Latency())
@@ -158,9 +160,8 @@ func (s *Service[A, R]) runBulkHandler(e *Endpoint, env *sim.Env, target *Endpoi
 		return *new(R), 0, nil, err
 	}
 	rep := rv.(*confReply)
-	reply, _ := rep.value.(R)
-	size, herr := rep.size, rep.err
-	e.recycleCall(rec) // one reliable request, its one reply consumed
+	reply, size, herr := rep.slot.(*slot[A, R]).rep, rep.size, rep.err
+	s.recycleCall(e, rec, sl) // one reliable request, its one reply consumed
 	return reply, size, herr, nil
 }
 

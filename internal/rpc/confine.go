@@ -21,10 +21,12 @@
 // nothing, so the committed order is the same either way. What does shift is
 // each shard's spawn ordinal, which seeds Env.LocalRand: an activity spawned
 // on a server's shard after RPC traffic gets a lower ordinal, and so a
-// different stream, than under a spawn per request. The caller's side is
-// pooled too: each call takes a call record — its reply mailbox, and the
-// request and reply a reliable exchange sends in place — from the calling
-// endpoint's free list, and returns it once the one reply is consumed.
+// different stream, than under a spawn per request; an ended handler's shell
+// serves the next spawn. The caller's side is pooled too: a call takes a
+// record — its reply mailbox, the request and reply a reliable exchange sends
+// in place — from the calling endpoint's free list and a slot carrying A and
+// R by pointer, unboxed, from the service's pool, and returns both once its
+// reply is consumed.
 //
 // Loss recovery keeps Sprite RPC's shape: the client retransmits after
 // CallTimeout with exponential backoff, and the server suppresses duplicates
@@ -91,7 +93,7 @@ type confReq struct {
 	from  HostID
 	xid   uint64
 	svc   *svc
-	arg   any
+	slot  callSlot     // the argument, and where an uncached reply goes
 	reply *sim.Mailbox // homed on the caller's shard
 	// rep, when set, is the caller's call record's reply: the server writes an
 	// uncached reply there instead of allocating one.
@@ -118,13 +120,38 @@ func (req *confReq) replySlot(cached bool) *confReply {
 }
 
 // confReply is the server's answer, carrying the reply piggybacks that
-// ordinary traffic spreads: the boot epoch and the hint payload.
+// ordinary traffic spreads: the boot epoch and the hint payload. slot holds
+// the reply (still zero in the request's own slot if no handler ran).
 type confReply struct {
-	value any
+	slot  callSlot
 	size  int
 	err   error
 	epoch Epoch
 	hint  any
+}
+
+// slot is a call's typed slot: the argument the caller writes and the reply
+// the handler writes back.
+type slot[A, R any] struct {
+	arg A
+	rep R
+}
+
+// callSlot is a *slot[A, R] as the untyped request and reply carry it: an
+// interface holding a pointer, so carrying it allocates nothing.
+type callSlot interface {
+	// serve runs h, a HandlerFunc[A, R], on the slot's argument, replying into
+	// the slot, or into a fresh one if cached: that reply outlives the call.
+	serve(env *sim.Env, from HostID, h any, cached bool) (into callSlot, size int, err error)
+}
+
+func (sl *slot[A, R]) serve(env *sim.Env, from HostID, h any, cached bool) (into callSlot, size int, err error) {
+	dst := sl
+	if cached {
+		dst = new(slot[A, R])
+	}
+	dst.rep, size, err = h.(HandlerFunc[A, R])(env, from, sl.arg)
+	return dst, size, err
 }
 
 // callRec is one confined call's record, homed on the caller's shard: the
@@ -134,6 +161,14 @@ type callRec struct {
 	box *sim.Mailbox
 	req confReq
 	rep confReply
+}
+
+// takeSlot returns one of the service's free slots, or a new one.
+func (s *Service[A, R]) takeSlot() *slot[A, R] {
+	if sl, ok := s.slots.Get().(*slot[A, R]); ok {
+		return sl
+	}
+	return new(slot[A, R])
 }
 
 // confKey identifies a transaction for duplicate suppression. Transaction
@@ -170,7 +205,7 @@ func (ep *Endpoint) dispatchLoop(env *sim.Env) error {
 			// A down host answers with a channel reset rather than
 			// leaving the caller to hang on an internal hop.
 			rep := req.replySlot(false)
-			*rep = confReply{err: fmt.Errorf("%w: %v", ErrHostDown, ep.host), epoch: ep.epoch}
+			*rep = confReply{slot: req.slot, err: fmt.Errorf("%w: %v", ErrHostDown, ep.host), epoch: ep.epoch}
 			ep.sendConfReply(env, req, rep)
 			continue
 		}
@@ -211,21 +246,28 @@ func (ep *Endpoint) dispatchLoop(env *sim.Env) error {
 // other activity together (DESIGN.md §14).
 const maxIdleHandlers = 2
 
+// maxSpareHandlers caps the shells of ended handlers an endpoint keeps for
+// its next pool misses: enough for a burst beyond the idle handlers, while
+// a file server that once ran thousands of handlers at once does not keep
+// all their shells for the rest of the run (DESIGN.md §14).
+const maxSpareHandlers = 8
+
 // handler is one pooled handler activity: it executes requests one at a
 // time, of whichever service the dispatcher hands it, and between them
 // parks on wake as an idle daemon. The dispatcher sets req and ent before
-// waking it.
+// waking it. An ended handler's shell is spawned again through run (serve).
 type handler struct {
 	ep   *Endpoint
 	wake *sim.Queue
+	run  func(*sim.Env) error
 	req  *confReq
 	ent  *confEntry
 }
 
 // execAsync hands the request to one of the endpoint's idle handlers on the
-// server's shard, or to a new one when none is idle, so a slow handler
-// never head-of-line-blocks the endpoint. The handler routes the reply (and
-// any parked retransmissions') back to the caller.
+// server's shard, or to one spawned (in a spare shell, if any) when none is
+// idle, so a slow handler never head-of-line-blocks the endpoint. The
+// handler routes the reply (and any parked retransmissions') back.
 func (ep *Endpoint) execAsync(env *sim.Env, req *confReq, ent *confEntry) {
 	if n := len(ep.idle); n > 0 {
 		h := ep.idle[n-1]
@@ -235,8 +277,16 @@ func (ep *Endpoint) execAsync(env *sim.Env, req *confReq, ent *confEntry) {
 		h.wake.Send(nil)
 		return
 	}
-	h := &handler{ep: ep, wake: sim.NewQueue(env.Sim()), req: req, ent: ent}
-	env.Spawn(ep.handlerName(req.svc), h.serve)
+	var h *handler
+	if n := len(ep.spare); n > 0 {
+		h = ep.spare[n-1]
+		ep.spare = ep.spare[:n-1]
+	} else {
+		h = &handler{ep: ep, wake: sim.NewQueue(env.Sim())}
+		h.run = h.serve
+	}
+	h.req, h.ent = req, ent
+	env.Spawn(ep.handlerName(req.svc), h.run)
 }
 
 // serve is a handler activity's body. A woken handler takes the name of the
@@ -250,7 +300,7 @@ func (h *handler) serve(env *sim.Env) error {
 		req, ent := h.req, h.ent
 		h.req, h.ent = nil, nil
 		rep := req.replySlot(ent != nil)
-		ep.execConfined(env, req, rep)
+		ep.execConfined(env, req, rep, ent != nil)
 		if ent != nil {
 			ent.rep = rep
 			pending := ent.pending
@@ -262,6 +312,9 @@ func (h *handler) serve(env *sim.Env) error {
 		ep.sendConfReply(env, req, rep)
 
 		if len(ep.idle) >= maxIdleHandlers {
+			if len(ep.spare) < maxSpareHandlers {
+				ep.spare = append(ep.spare, h)
+			}
 			return nil
 		}
 		ep.idle = append(ep.idle, h)
@@ -296,17 +349,14 @@ func (ep *Endpoint) handlerName(s *svc) string {
 // execConfined looks the service up, runs it on the server's shard and
 // writes the reply into rep, capturing the reply piggybacks at execution time
 // so a retransmitted (cached) reply carries the same epoch and hints.
-func (ep *Endpoint) execConfined(env *sim.Env, req *confReq, rep *confReply) {
+func (ep *Endpoint) execConfined(env *sim.Env, req *confReq, rep *confReply, cached bool) {
 	h := ep.handler(req.svc.id)
 	if h == nil {
-		*rep = confReply{
-			err:   fmt.Errorf("%w: %s on %v", ErrNoService, req.svc.name, ep.host),
-			epoch: ep.epoch,
-		}
+		*rep = confReply{slot: req.slot, err: fmt.Errorf("%w: %s on %v", ErrNoService, req.svc.name, ep.host), epoch: ep.epoch}
 		return
 	}
-	value, size, herr := req.svc.serveBoxed(env, req.from, h, req.arg)
-	*rep = confReply{value: value, size: size, err: herr, epoch: ep.epoch}
+	sl, size, herr := req.slot.serve(env, req.from, h, cached)
+	*rep = confReply{slot: sl, size: size, err: herr, epoch: ep.epoch}
 	if !req.internal && ep.hints != nil {
 		var hs int
 		rep.hint, hs = ep.hints()
@@ -346,14 +396,17 @@ func (e *Endpoint) takeCall(env *sim.Env) *callRec {
 	return &callRec{box: sim.NewMailboxOn(e.transport.sim, env.Shard(), 0)}
 }
 
-// recycleCall returns a call record to the free list, cleared. The caller
-// must have consumed every reply the record's box can ever receive — one
-// request sent, its one reply received — because a reply still in flight (a
-// retransmission's, or one the network delayed past the timeout) would
+// recycleCall returns sl, the call's slot, to the service's pool and the
+// call record to the endpoint's free list, both cleared. The caller must have
+// read its reply and consumed every reply the record's box can ever receive —
+// one request sent, its one reply received — because a reply still in flight
+// (a retransmission's, or one the network delayed past the timeout) would
 // otherwise land in the next call's box, and a server still holding the
 // request could read the next call's. Calls that sent more than one request,
-// or gave up, leave their record to the garbage collector instead.
-func (e *Endpoint) recycleCall(rec *callRec) {
+// or gave up, leave their record and slot to the garbage collector instead.
+func (s *Service[A, R]) recycleCall(e *Endpoint, rec *callRec, sl *slot[A, R]) {
+	*sl = slot[A, R]{}
+	s.slots.Put(sl)
 	if rec.box.HomeShard() == e.shard {
 		rec.req, rec.rep = confReq{}, confReply{}
 		e.calls = append(e.calls, rec)
@@ -364,16 +417,18 @@ func (e *Endpoint) recycleCall(rec *callRec) {
 // client loop with the handler execution moved to the server's shard. The
 // injector's verdicts are still taken client-side, once per attempt, in the
 // same order as the inline path.
-func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, s *svc, arg any, argSize int) (any, error) {
+func (s *Service[A, R]) callConfined(e *Endpoint, env *sim.Env, target *Endpoint, arg A, argSize int) (reply R, err error) {
 	t := e.transport
 	to := target.host
 	if sh := env.Shard(); sh != 0 && sh != e.shard {
 		panic(fmt.Sprintf("rpc: call via %v's endpoint from foreign shard %d (home %d)", e.host, sh, e.shard))
 	}
-	if err := env.Sleep(t.params.ClientOverhead); err != nil {
-		return nil, err
+	if err = env.Sleep(t.params.ClientOverhead); err != nil {
+		return reply, err
 	}
 	rec := e.takeCall(env)
+	sl := s.takeSlot()
+	sl.arg = arg
 	e.xidSeq++
 	xid := e.xidSeq
 	sends := 0 // requests that can each draw one reply into rec.box
@@ -382,7 +437,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, s *svc, arg any,
 		// reset in Sprite RPC.
 		if target.down || e.down {
 			t.record(env, to, s.id, argSize, true)
-			return nil, fmt.Errorf("%w: %v", ErrHostDown, to)
+			return reply, fmt.Errorf("%w: %v", ErrHostDown, to)
 		}
 		var v Verdict
 		if t.injector != nil {
@@ -390,7 +445,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, s *svc, arg any,
 		}
 		if v.Delay > 0 {
 			if err := env.Sleep(v.Delay); err != nil {
-				return nil, err
+				return reply, err
 			}
 		}
 		sent := false
@@ -408,7 +463,7 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, s *svc, arg any,
 					req = new(confReq)
 				}
 				*req = confReq{
-					from: e.host, xid: xid, svc: s, arg: arg,
+					from: e.host, xid: xid, svc: &s.svc, slot: sl,
 					reply: rec.box, rep: lent, dropReply: v.DropReply,
 				}
 				target.reqBox.SendAfter(env, req, t.net.Latency()+xfer+extra)
@@ -430,23 +485,23 @@ func (e *Endpoint) callConfined(env *sim.Env, target *Endpoint, s *svc, arg any,
 				rep := rv.(*confReply)
 				t.record(env, to, s.id, argSize+rep.size, rep.err != nil)
 				e.replied(to, rep.epoch, rep.hint)
-				value, err := rep.value, rep.err
+				reply, err = rep.slot.(*slot[A, R]).rep, rep.err
 				if sends == 1 {
-					e.recycleCall(rec) // clears rep when it is the record's own
+					s.recycleCall(e, rec, sl) // clears rep when it is the record's own
 				}
-				return value, err
+				return reply, err
 			}
 			if !errors.Is(rerr, sim.ErrTimeout) {
-				return nil, rerr
+				return reply, rerr
 			}
 		} else if err := env.Sleep(t.params.CallTimeout); err != nil {
 			// The request (or its wire image) was lost before arriving;
 			// the client still waits the full timeout.
-			return nil, err
+			return reply, err
 		}
 		if err := e.retryBookkeeping(env, to, s.name, attempt); err != nil {
 			t.record(env, to, s.id, argSize, true)
-			return nil, err
+			return reply, err
 		}
 	}
 }

@@ -195,3 +195,73 @@ func TestConfinedPooledHandlersUnwindAtQuiesce(t *testing.T) {
 		}
 	}
 }
+
+// TestConfinedHandlerShellsReused issues two bursts of four overlapping calls
+// at one endpoint. The first burst spawns four handlers: two park, and two
+// find the idle list full and end, leaving their shells spare. The second
+// burst wakes the two idle handlers and spawns the other two in the spare
+// shells, so it allocates no handler and no wake queue, while spawning
+// exactly what a fresh handler per pool miss would.
+func TestConfinedHandlerShellsReused(t *testing.T) {
+	const callers = 4
+	for _, workers := range []int{0, 2} {
+		s, tr := pooledFabric(workers)
+		server := tr.Endpoint(2)
+		server.Handle("slow", func(env *sim.Env, _ HostID, _ any) (any, int, error) {
+			return nil, 16, env.Sleep(10 * time.Millisecond)
+		})
+		// shells maps each handler left after a burst to its wake queue.
+		shells := func() map[*handler]*sim.Queue {
+			m := make(map[*handler]*sim.Queue)
+			for _, h := range append(append([]*handler(nil), server.idle...), server.spare...) {
+				m[h] = h.wake
+			}
+			return m
+		}
+		var after [2]map[*handler]*sim.Queue
+		for c := 0; c < callers; c++ {
+			s.SpawnOn(1, fmt.Sprintf("caller-%d", c), func(env *sim.Env) error {
+				for burst := 0; burst < 2; burst++ {
+					if _, err := tr.Endpoint(1).Call(env, 2, "slow", nil, 64); err != nil {
+						return err
+					}
+					if err := env.Sleep(time.Duration(burst+1)*50*time.Millisecond - env.Now()); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		// The probe reads the server's lists from the server's shard, between
+		// the bursts and after the second.
+		s.SpawnOn(2, "probe", func(env *sim.Env) error {
+			for burst := range after {
+				if err := env.Sleep(time.Duration(burst)*50*time.Millisecond + 40*time.Millisecond - env.Now()); err != nil {
+					return err
+				}
+				after[burst] = shells()
+				if n := len(server.spare); n != callers-maxIdleHandlers {
+					t.Errorf("workers %d: burst %d left %d spare shells, want %d", workers, burst, n, callers-maxIdleHandlers)
+				}
+			}
+			return nil
+		})
+		if err := s.Run(0); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if len(after[0]) != callers || len(after[1]) != callers {
+			t.Fatalf("workers %d: %d then %d handlers left, want %d after each burst", workers, len(after[0]), len(after[1]), callers)
+		}
+		for h, wake := range after[1] {
+			if after[0][h] != wake {
+				t.Errorf("workers %d: the second burst allocated a handler shell or its wake queue", workers)
+			}
+		}
+		// Callers, the probe, dispatchers, the first burst's handlers and
+		// the second burst's beyond the idle ones: a spawn per pool miss,
+		// shell or no shell.
+		if want := callers + 1 + 2 + callers + (callers - maxIdleHandlers); s.Stats().Spawned != uint64(want) {
+			t.Errorf("workers %d: %d activities spawned, want %d", workers, s.Stats().Spawned, want)
+		}
+	}
+}

@@ -36,8 +36,8 @@ const lateMark = 999
 // record's own request and has its reply written into the record's own
 // reply even on a faulty transport. Each call must get its own reply, every
 // recycled box must be empty, no recycled record may still point at its
-// last call's argument, value or reply box, and both kernels must commit
-// the same order.
+// last call's slot or reply box (TestConfinedRecycledSlotPinsNothing checks
+// the slot itself), and both kernels must commit the same order.
 func TestReplyBoxReuseDropsLateReplies(t *testing.T) {
 	const calls = 30
 	type result struct {
@@ -113,7 +113,7 @@ func TestReplyBoxReuseDropsLateReplies(t *testing.T) {
 			if n := rec.box.Len(); n != 0 {
 				t.Errorf("workers %d: a recycled call record's box holds %d stale replies", workers, n)
 			}
-			if rec.req.arg != nil || rec.req.reply != nil || rec.req.rep != nil || rec.rep.value != nil {
+			if rec.req.slot != nil || rec.req.reply != nil || rec.req.rep != nil || rec.rep.slot != nil {
 				t.Errorf("workers %d: a recycled call record still holds its last call: req %+v, rep %+v", workers, rec.req, rec.rep)
 			}
 		}
@@ -128,22 +128,63 @@ func TestReplyBoxReuseDropsLateReplies(t *testing.T) {
 	}
 }
 
+var ptrPair = NewService[*pairArgs, *pairReply]("test.ptrPair")
+
+// TestConfinedRecycledSlotPinsNothing makes confined calls whose argument
+// and reply are pointers, and finds the typed slot a call carried zeroed
+// once the call has returned: back in the service's pool, it pins neither.
+// The handler reads the slot out of the caller's call record, so the fabric
+// runs on the serial kernel.
+func TestConfinedRecycledSlotPinsNothing(t *testing.T) {
+	s, tr := pooledFabric(0)
+	client := tr.Endpoint(1)
+	var next *callRec // the recycled record the next call takes
+	var carried *slot[*pairArgs, *pairReply]
+	ptrPair.Handle(tr.Endpoint(2), func(*sim.Env, HostID, *pairArgs) (*pairReply, int, error) {
+		if next != nil {
+			carried = next.req.slot.(*slot[*pairArgs, *pairReply])
+		}
+		return new(pairReply), 16, nil
+	})
+	s.SpawnOn(1, "client", func(env *sim.Env) error {
+		for i := 0; i < 2; i++ {
+			if _, err := ptrPair.Call(client, env, 2, &pairArgs{A: i}, 64); err != nil {
+				return err
+			}
+			next = client.calls[len(client.calls)-1]
+		}
+		return nil
+	})
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if carried == nil {
+		t.Fatal("the second call did not go out in the first call's recycled record")
+	}
+	if *carried != (slot[*pairArgs, *pairReply]{}) {
+		t.Errorf("a returned call's slot still holds argument %+v, reply %+v", carried.arg, carried.rep)
+	}
+}
+
 // TestConfinedCallAllocCeiling bounds what one no-fault confined call
-// allocates in steady state: nothing. The request and reply ride in the
-// caller's recycled call record, the handler activity is a parked one woken
-// again, and there is no mailbox, delivery closure or formatted name per
-// call. Dispatcher daemons end with the run, so each measurement builds a
-// fresh fabric and the per-call cost is the slope between two call counts —
-// for activities spawned as for allocations. The ceiling is half an
-// allocation: any one object a call allocates every time, such as a reply
-// the server allocates instead of filling the caller's slot, takes the
+// allocates in steady state: nothing, through the untyped by-name wrapper
+// with nil values and through a typed service whose argument and reply are
+// two-word structs. The request and reply ride in the caller's recycled call
+// record, the argument and the reply in its typed slot, the handler activity
+// is a parked one woken again, and there is no mailbox, delivery closure,
+// box or formatted name per call. Dispatcher daemons end with the run, so
+// each measurement builds a fresh fabric and the per-call cost is the slope
+// between two call counts — for activities spawned as for allocations. The
+// ceiling is half an allocation: any one object a call allocates every
+// time, such as a reply the server allocates instead of filling the
+// caller's slot, or an argument or reply boxed into an interface, takes the
 // slope to 1.
 func TestConfinedCallAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const ceiling = 0.5
-	measure := func(calls int) (allocs float64, spawned uint64) {
+	measure := func(calls int, typed bool) (allocs float64, spawned uint64) {
 		allocs = testing.AllocsPerRun(3, func() {
 			s := sim.New(1)
 			s.SetLookahead(time.Millisecond)
@@ -151,10 +192,21 @@ func TestConfinedCallAllocCeiling(t *testing.T) {
 			tr := NewTransport(s, net, DefaultParams())
 			client := tr.Register(1)
 			tr.Register(2).Handle("unit", func(*sim.Env, HostID, any) (any, int, error) { return nil, 16, nil })
+			typedPair.Handle(tr.Endpoint(2), servePair)
 			tr.ConfineHosts(func(h HostID) int { return int(h) })
 			s.SpawnOn(1, "client", func(env *sim.Env) error {
 				for i := 0; i < calls; i++ {
-					if _, err := client.Call(env, 2, "unit", nil, 64); err != nil {
+					var err error
+					if typed {
+						var r pairReply
+						r, err = typedPair.Call(client, env, 2, pairArgs{i, 1}, 64)
+						if err == nil && r != (pairReply{i + 1, i - 1}) {
+							t.Errorf("typed call %d replied %+v", i, r)
+						}
+					} else {
+						_, err = client.Call(env, 2, "unit", nil, 64)
+					}
+					if err != nil {
 						return err
 					}
 				}
@@ -168,15 +220,17 @@ func TestConfinedCallAllocCeiling(t *testing.T) {
 		return allocs, spawned
 	}
 	const small, large = 100, 1100
-	allocsSmall, spawnedSmall := measure(small)
-	allocsLarge, spawnedLarge := measure(large)
-	perCall := (allocsLarge - allocsSmall) / (large - small)
-	t.Logf("%.2f allocations per confined call", perCall)
-	if perCall > ceiling {
-		t.Fatalf("a confined call allocates %.2f, ceiling %.1f", perCall, ceiling)
-	}
-	if spawnedLarge != spawnedSmall {
-		t.Fatalf("%d calls spawned %d activities, %d calls %d: steady-state calls must reuse their handler",
-			small, spawnedSmall, large, spawnedLarge)
+	for _, typed := range []bool{false, true} {
+		allocsSmall, spawnedSmall := measure(small, typed)
+		allocsLarge, spawnedLarge := measure(large, typed)
+		perCall := (allocsLarge - allocsSmall) / (large - small)
+		t.Logf("typed=%v: %.2f allocations per confined call", typed, perCall)
+		if perCall > ceiling {
+			t.Errorf("typed=%v: a confined call allocates %.2f, ceiling %.1f", typed, perCall, ceiling)
+		}
+		if spawnedLarge != spawnedSmall {
+			t.Errorf("typed=%v: %d calls spawned %d activities, %d calls %d: steady-state calls must reuse their handler",
+				typed, small, spawnedSmall, large, spawnedLarge)
+		}
 	}
 }

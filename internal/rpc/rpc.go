@@ -464,12 +464,13 @@ type Endpoint struct {
 	// endpoint has served, so the dispatcher formats each once instead of
 	// once per request; an endpoint serves a handful of services, so it is
 	// a short list. idle holds the parked handler activities, at most
-	// maxIdleHandlers of them, and calls is the free list of call records
-	// homed on the endpoint's shard (confine.go says when a record may
-	// return to it). Like xidSeq, all three are only touched from that
-	// shard.
+	// maxIdleHandlers of them, spare the shells of ended ones, calls the
+	// free list of call records homed on the endpoint's shard (confine.go
+	// says when one may return). Like xidSeq, all four are only touched
+	// from that shard.
 	handlerNames []svcName
 	idle         []*handler
+	spare        []*handler
 	calls        []*callRec
 }
 

@@ -24,17 +24,16 @@ type HandlerFunc[A, R any] func(env *sim.Env, from HostID, arg A) (reply R, repl
 // nothing up by name. Declare each service once, beside its wire types:
 //
 //	var fsStat = rpc.NewService[statArgs, statReply]("fs.stat")
-type Service[A, R any] struct{ svc }
+type Service[A, R any] struct {
+	svc
+	slots sync.Pool // free confined call slots, *slot[A, R]
+}
 
 // svc is a descriptor's untyped half, what the transport's shared paths use.
 type svc struct {
 	name string
 	id   int    // index of the endpoints' handler tables and the stats table
 	frag string // the injector's name for the service's bulk fragments
-
-	// serveBoxed runs a handler of the service with its argument and reply
-	// boxed: the confined path, where they travel as mailbox messages.
-	serveBoxed func(env *sim.Env, from HostID, h, arg any) (any, int, error)
 }
 
 // services is the process-wide descriptor registry. Ids are dense and
@@ -53,7 +52,7 @@ func NewService[A, R any](name string) *Service[A, R] {
 	defer services.Unlock()
 	d, ok := services.byName[name]
 	if !ok {
-		d = &Service[A, R]{svc{name: name, id: len(services.names), frag: name + ".frag", serveBoxed: serveBoxed[A, R]}}
+		d = &Service[A, R]{svc: svc{name: name, id: len(services.names), frag: name + ".frag"}}
 		services.byName[name] = d
 		services.names = append(services.names, name)
 	}
@@ -69,11 +68,6 @@ func serviceNames() []string {
 	services.Lock()
 	defer services.Unlock()
 	return services.names[:len(services.names):len(services.names)]
-}
-
-func serveBoxed[A, R any](env *sim.Env, from HostID, h, arg any) (any, int, error) {
-	a, _ := arg.(A) // a nil interface argument of an untyped service
-	return h.(HandlerFunc[A, R])(env, from, a)
 }
 
 // Handle registers h as the service's handler on endpoint e, replacing any
@@ -105,9 +99,7 @@ func (s *Service[A, R]) Call(e *Endpoint, env *sim.Env, to HostID, arg A, argSiz
 	case t.confined:
 		// Per-host shard delivery: the handler runs on the server's shard,
 		// reached through its request mailbox.
-		v, err := e.callConfined(env, target, &s.svc, arg, argSize)
-		reply, _ = v.(R)
-		return reply, err
+		return s.callConfined(e, env, target, arg, argSize)
 	}
 	if err := env.Sleep(t.params.ClientOverhead); err != nil {
 		return reply, err

@@ -154,3 +154,56 @@ func TestTypedServiceSignatureClash(t *testing.T) {
 	}()
 	NewService[any, any]("typed.pair")
 }
+
+// TestTypedAtMostOnceCachedReply answers a retransmission from the server's
+// at-most-once cache after the caller's call record has been reused. Over a
+// faulty transport a cached reply lives in a slot of its own, so it must
+// still read the first call's typed reply once the caller's slot has been
+// recycled, cleared and perhaps reused; a reply cached in the caller's slot
+// would read the zero reply instead. The handler runs once per call.
+func TestTypedAtMostOnceCachedReply(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		s, tr := pooledFabric(workers)
+		tr.SetInjector(armTimeout{}) // a faulty transport: replies are cached
+		execs := 0
+		typedPair.Handle(tr.Endpoint(2), func(env *sim.Env, from HostID, a pairArgs) (pairReply, int, error) {
+			execs++
+			return servePair(env, from, a)
+		})
+		var late pairReply
+		s.SpawnOn(1, "client", func(env *sim.Env) error {
+			client := tr.Endpoint(1)
+			if _, err := typedPair.Call(client, env, 2, pairArgs{5, 3}, 16); err != nil {
+				return err
+			}
+			rec := client.calls[len(client.calls)-1]
+			if r, err := typedPair.Call(client, env, 2, pairArgs{10, 1}, 16); err != nil || r != (pairReply{11, 9}) {
+				return fmt.Errorf("second call: reply %+v, err %v", r, err)
+			}
+			if len(client.calls) != 1 || client.calls[0] != rec {
+				return errors.New("the second call did not reuse the first call's record")
+			}
+			// Retransmit the first call (transaction 1); the server answers
+			// from its cache without reading the argument.
+			box := sim.NewMailboxOn(env.Sim(), env.Shard(), 0)
+			tr.Endpoint(2).reqBox.SendAfter(env, &confReq{
+				from: 1, xid: 1, svc: &typedPair.svc, slot: new(slot[pairArgs, pairReply]), reply: box,
+			}, time.Millisecond)
+			v, err := box.Recv(env)
+			if err != nil {
+				return err
+			}
+			late = v.(*confReply).slot.(*slot[pairArgs, pairReply]).rep
+			return nil
+		})
+		if err := s.Run(0); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if want := (pairReply{8, 2}); late != want {
+			t.Errorf("workers %d: the retransmission was answered with %+v, want the cached %+v", workers, late, want)
+		}
+		if execs != 2 {
+			t.Errorf("workers %d: the handler ran %d times for 2 calls and a retransmission", workers, execs)
+		}
+	}
+}
