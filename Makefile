@@ -44,8 +44,9 @@ fuzz:
 # The second leg reruns every package that builds clusters with the
 # conservative parallel kernel forced (SPRITE_SIM_PARALLEL): worker
 # handoffs, mailbox delivery, and sharded metrics cells must be clean under
-# the race detector. Tests that compare kernels clear the variable for
-# their own run, so their serial baselines stay serial in this leg too.
+# the race detector. internal/pmake, the parallel make's program, is among
+# them. Tests that compare kernels clear the variable for their own run, so
+# their serial baselines stay serial in this leg too.
 # The third leg reruns the window-barrier tests with GOMAXPROCS below and
 # above the worker count: at -cpu 1 a waiting helper or coordinator only
 # makes progress by yielding or parking. TestParallelEquivalenceProperty is
@@ -58,7 +59,7 @@ fuzz:
 # detector too.
 race:
 	$(GO) test -race ./...
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/experiments
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/experiments
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers' ./internal/sim
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 

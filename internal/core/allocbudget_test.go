@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sprite/internal/sim"
+	"sprite/internal/vm"
 )
 
 // TestSpriteFlushMovesPagesAsCounts is the allocation budget of Sprite's own
@@ -133,5 +134,57 @@ func TestMigMeterAllocatesNothing(t *testing.T) {
 	runCluster(t, c)
 	if allocs != 0 {
 		t.Errorf("one migMeter lifecycle allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestBuildSpaceInstallsNoPager: building a process's address space costs
+// what vm.New costs plus three objects: the pid's string, the space's name
+// built from it and the CPU-charge closure. vm.New already installs a
+// FilePager on the process's client, so buildSpace adds none of its own.
+func TestBuildSpaceInstallsNoPager(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	c := newCluster(t, 1)
+	var vmNew, build float64
+	c.Boot("boot", func(env *sim.Env) error {
+		p, err := c.Workstation(0).StartProcess(env, "p", func(ctx *Ctx) error {
+			p := ctx.proc
+			closeAll := func(as *vm.AddressSpace) {
+				for _, seg := range as.Segments() {
+					if err := p.cur.fsc.Close(ctx.env, seg.Backing); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			orig := p.space
+			vmNew = testing.AllocsPerRun(50, func() {
+				as, err := vm.New(ctx.env, p.cur.fsc, "other", vm.Config{
+					CodePages: smallProc.CodePages, HeapPages: smallProc.HeapPages,
+					StackPages: smallProc.StackPages, BinaryPath: smallProc.Binary,
+				}, p.cur.params.VM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				closeAll(as)
+			})
+			build = testing.AllocsPerRun(50, func() {
+				if err := p.buildSpace(ctx.env, p.name, smallProc); err != nil {
+					t.Fatal(err)
+				}
+				closeAll(p.space)
+			})
+			p.space = orig
+			return nil
+		}, smallProc)
+		if err != nil {
+			return err
+		}
+		_, err = p.Exited().Wait(env)
+		return err
+	})
+	runCluster(t, c)
+	if build != vmNew+3 {
+		t.Errorf("buildSpace allocates %v objects, vm.New %v: want vm.New's plus 3", build, vmNew)
 	}
 }

@@ -263,9 +263,9 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 		// inherit the caller's shard, which is right when the driver booted
 		// via BootOn — pinning explicitly makes a misplaced driver fail at
 		// spawn time instead of at the first cross-shard wake.
-		env.SpawnOn(int(k.host), fmt.Sprintf("proc-%v-%s", pid, name), body)
+		env.SpawnOn(int(k.host), "proc-"+pid.String()+"-"+name, body)
 	} else {
-		env.Spawn(fmt.Sprintf("proc-%v-%s", pid, name), body)
+		env.Spawn("proc-"+pid.String()+"-"+name, body)
 	}
 	return p, nil
 }
@@ -308,8 +308,7 @@ func (k *Kernel) runProcess(env *sim.Env, p *Process, cfg ProcConfig) error {
 
 // buildSpace creates the process's address space on its current host.
 func (p *Process) buildSpace(env *sim.Env, name string, cfg ProcConfig) error {
-	vmName := fmt.Sprintf("%v-%s", p.pid, name)
-	space, err := vm.New(env, p.cur.fsc, vmName, vm.Config{
+	space, err := vm.New(env, p.cur.fsc, p.pid.String()+"-"+name, vm.Config{
 		CodePages:  cfg.CodePages,
 		HeapPages:  cfg.HeapPages,
 		StackPages: cfg.StackPages,
@@ -322,7 +321,6 @@ func (p *Process) buildSpace(env *sim.Env, name string, cfg ProcConfig) error {
 		p.cpuUsed += d
 		return p.cur.cpu.Compute(e, d)
 	})
-	space.SetPagerAll(&vm.FilePager{Client: p.cur.fsc})
 	p.space = space
 	return nil
 }

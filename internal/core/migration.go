@@ -302,7 +302,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) (time.Duration, error) {
 	rec.NegotiateTime = mm.next(env, mm.names.vm)
 	strmDone := sim.NewFuture(k.cluster.sim)
-	env.Spawn(fmt.Sprintf("mig-streams-%v", p.pid), func(senv *sim.Env) error {
+	env.Spawn("mig-streams-"+p.pid.String(), func(senv *sim.Env) error {
 		strmDone.Complete(nil, k.transferStreams(senv, p, target, rec))
 		return nil
 	})

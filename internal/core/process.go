@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"sprite/internal/fs"
@@ -49,7 +49,7 @@ type PID struct {
 }
 
 // String renders the pid in "host.seq" form.
-func (p PID) String() string { return fmt.Sprintf("%v.%d", p.Home, p.Seq) }
+func (p PID) String() string { return p.Home.String() + "." + strconv.Itoa(p.Seq) }
 
 // NilPID is the zero PID.
 var NilPID = PID{}

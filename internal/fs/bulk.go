@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sprite/internal/rpc"
@@ -142,8 +143,12 @@ func (c *Client) dropRange(fid FileID, off int64, n int) {
 // bulk path sees the longest possible contiguous transfers. A group of zero
 // runs merges by adding lengths; a group holding any bytes is materialised.
 func coalesceRuns(runs []PageRun) []PageRun {
-	if len(runs) <= 1 {
-		return runs
+	i := 1
+	for i < len(runs) && runs[i-1].Off+int64(runs[i-1].size()) < runs[i].Off {
+		i++
+	}
+	if i >= len(runs) {
+		return runs // in order with gaps between: nothing to merge
 	}
 	sorted := make([]PageRun, len(runs))
 	copy(sorted, runs)
@@ -177,7 +182,7 @@ func coalesceRuns(runs []PageRun) []PageRun {
 
 // splitRuns cuts extents longer than maxBytes into maxBytes-sized pieces.
 func splitRuns(runs []PageRun, maxBytes int) []PageRun {
-	if maxBytes <= 0 {
+	if maxBytes <= 0 || !slices.ContainsFunc(runs, func(r PageRun) bool { return r.size() > maxBytes }) {
 		return runs
 	}
 	var out []PageRun

@@ -1,10 +1,10 @@
 package fs
 
 import (
-	"container/list"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sprite/internal/rpc"
@@ -31,8 +31,9 @@ type cacheBlock struct {
 	key   cacheKey
 	data  []byte // BlockSize bytes, or nil: the block is all zeros
 	dirty bool
-	gen   uint32 // writes applied, wrapping; see flushBlock
-	elem  *list.Element
+	gen   uint32      // writes applied, wrapping; see flushBlock
+	prev  *cacheBlock // LRU ring links; nil once the block leaves the cache
+	next  *cacheBlock
 }
 
 // Client is one host's window onto the shared file system: it resolves
@@ -44,7 +45,7 @@ type Client struct {
 	ep   *rpc.Endpoint
 
 	blocks    map[cacheKey]*cacheBlock
-	lru       *list.List     // the blocks in c.blocks; front = most recently used
+	lru       cacheBlock     // sentinel of the ring of c.blocks; lru.next = most recently used
 	dirty     map[FileID]int // dirty blocks per file; see setDirty
 	fileVer   map[FileID]uint64
 	fileSize  map[FileID]int
@@ -101,13 +102,13 @@ func newClient(f *FS, host rpc.HostID) *Client {
 		host:      host,
 		ep:        f.transport.Register(host),
 		blocks:    make(map[cacheKey]*cacheBlock),
-		lru:       list.New(),
 		dirty:     make(map[FileID]int),
 		fileVer:   make(map[FileID]uint64),
 		fileSize:  make(map[FileID]int),
 		fileMTime: make(map[FileID]time.Duration),
 		noCache:   make(map[FileID]bool),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	fscFlush.Handle(c.ep, c.handleFlushCallback)
 	fscDisable.Handle(c.ep, c.handleDisableCallback)
 	fscAttr.Handle(c.ep, c.handleAttrCallback)
@@ -256,8 +257,8 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 		Mode:      mode,
 		size:      c.fileSize[r.FID],
 		cacheable: r.Cacheable,
-		owners:    map[rpc.HostID]int{c.host: 1},
 	}
+	st.addRefs(c.host, 1)
 	return st, nil
 }
 
@@ -304,10 +305,10 @@ func (c *Client) noteVersion(fid FileID, version uint64, cacheable bool) {
 // Close drops one reference held by this host. The last reference on the
 // host notifies the server; the last reference anywhere closes the stream.
 func (c *Client) Close(env *sim.Env, st *Stream) error {
-	if st.closed || st.owners[c.host] <= 0 {
+	if st.closed || st.RefsOn(c.host) <= 0 {
 		return ErrBadStream
 	}
-	if st.shift(c.host, rpc.NoHost, 1); st.owners[c.host] == 0 {
+	if st.shift(c.host, rpc.NoHost, 1); st.RefsOn(c.host) == 0 {
 		if st.pipe {
 			if err := c.pipeClose(env, st); err != nil {
 				return fmt.Errorf("close %s: %w", st.Path, err)
@@ -336,7 +337,7 @@ func (c *Client) Dup(st *Stream) error {
 	if st.closed {
 		return ErrBadStream
 	}
-	st.owners[c.host]++
+	st.addRefs(c.host, 1)
 	return nil
 }
 
@@ -361,7 +362,7 @@ func (c *Client) ReadCount(env *sim.Env, st *Stream, n int) (int, error) {
 
 // read is Read's body; the bytes come back only when keep is set.
 func (c *Client) read(env *sim.Env, st *Stream, n int, keep bool) ([]byte, int, error) {
-	if st.closed || st.owners[c.host] <= 0 {
+	if st.closed || st.RefsOn(c.host) <= 0 {
 		return nil, 0, ErrBadStream
 	}
 	if !st.Mode.canRead() {
@@ -431,7 +432,7 @@ func (c *Client) WriteZeros(env *sim.Env, st *Stream, n int) (int, error) {
 
 // write is Write's body: run, placed at the access position.
 func (c *Client) write(env *sim.Env, st *Stream, run PageRun) (int, error) {
-	if st.closed || st.owners[c.host] <= 0 {
+	if st.closed || st.RefsOn(c.host) <= 0 {
 		return 0, ErrBadStream
 	}
 	if !st.Mode.canWrite() {
@@ -568,7 +569,7 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 			if m := c.fs.m; m != nil {
 				m.hits.IncSlot(sim.WorkerSlot(env))
 			}
-			c.lru.MoveToFront(b.elem)
+			c.toFront(b)
 			return b.data, nil
 		}
 		c.stats.Misses++
@@ -585,7 +586,7 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 		// A block cached while the fetch blocked (another activity's miss or
 		// write on this host) is at least as new as the reply.
 		if b, ok := c.blocks[key]; ok {
-			c.lru.MoveToFront(b.elem)
+			c.toFront(b)
 			return b.data, nil
 		}
 		data = c.blockData(data)
@@ -688,8 +689,23 @@ func (c *Client) removeBlock(b *cacheBlock) {
 		return
 	}
 	c.setDirty(b, false)
-	c.lru.Remove(b.elem)
+	b.unlink()
 	delete(c.blocks, b.key)
+}
+
+// toFront makes b the most recently used block, linking it in if need be.
+func (c *Client) toFront(b *cacheBlock) {
+	if b.next != nil {
+		b.unlink()
+	}
+	b.prev, b.next = &c.lru, c.lru.next
+	b.prev.next, b.next.prev = b, b
+}
+
+// unlink takes b out of the LRU ring.
+func (b *cacheBlock) unlink() {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
 }
 
 // writeBlockCached applies a write of n bytes — chunk, or zeros when chunk
@@ -731,7 +747,7 @@ func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, ch
 	}
 	b.gen++
 	c.setDirty(b, true)
-	c.lru.MoveToFront(b.elem)
+	c.toFront(b)
 	c.evict(env)
 	return true, nil
 }
@@ -739,7 +755,7 @@ func (c *Client) writeBlockCached(env *sim.Env, st *Stream, block, inOff int, ch
 // insertBlock caches a clean block for key, which must not be resident.
 func (c *Client) insertBlock(key cacheKey, data []byte) *cacheBlock {
 	b := &cacheBlock{key: key, data: data}
-	b.elem = c.lru.PushFront(b)
+	c.toFront(b)
 	c.blocks[key] = b
 	return b
 }
@@ -749,7 +765,7 @@ func (c *Client) insertBlock(key cacheKey, data []byte) *cacheBlock {
 // each one the tail is read again.
 func (c *Client) evict(env *sim.Env) {
 	for len(c.blocks) > c.fs.params.ClientCacheBlocks {
-		victim := c.lru.Back().Value.(*cacheBlock)
+		victim := c.lru.prev
 		// A failed write-back still drops the block, matching a
 		// best-effort cache.
 		if victim.dirty && c.flushBlock(env, victim) == nil {
@@ -798,13 +814,14 @@ func (c *Client) FlushFile(env *sim.Env, fid FileID) error {
 	if !c.hasDirty(fid) {
 		return nil
 	}
-	var dirty []*cacheBlock
+	// A buffer per call: a recall and an fsync can flush one client at once.
+	dirty := make([]*cacheBlock, 0, 16)
 	for _, b := range c.blocks {
 		if b.key.fid == fid && b.dirty {
 			dirty = append(dirty, b)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].key.block < dirty[j].key.block })
+	slices.SortFunc(dirty, func(a, b *cacheBlock) int { return cmp.Compare(a.key.block, b.key.block) })
 	for _, b := range dirty {
 		if err := c.flushBlock(env, b); err != nil {
 			return err
@@ -980,14 +997,14 @@ func (c *Client) ReadFile(env *sim.Env, path string) ([]byte, error) {
 // never put back onto a dead incarnation, so it stays at `to` for the crash
 // release of the process that owned it.
 func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
-	if st.closed || st.owners[c.host] <= 0 {
+	if st.closed || st.RefsOn(c.host) <= 0 {
 		return ErrBadStream
 	}
 	if to == c.host {
 		return nil
 	}
-	keepSource := st.owners[c.host] > 1
-	addTarget := st.owners[to] == 0
+	keepSource := st.RefsOn(c.host) > 1
+	addTarget := st.RefsOn(to) == 0
 	epoch := c.ep.Epoch()
 	st.shift(c.host, to, 1)
 	share := st.shared || st.hostsWithRefs() > 1

@@ -189,3 +189,64 @@ func TestCheckInvariantsCatchesDirtyCountDrift(t *testing.T) {
 		t.Errorf("drifted count reports %v, want one dirty-count violation", v)
 	}
 }
+
+// TestOpenCloseAllocatesOneObject pins a warm Open+Close pair at one
+// object, the Stream: its first owner lives in the Stream itself. With the
+// owners held in a map the pair allocated 3.
+func TestOpenCloseAllocatesOneObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	h := newHarness(t, 1)
+	c := h.fs.Client(2)
+	if _, err := h.fs.Seed("/d/file", []byte("data"), false); err != nil {
+		t.Fatal(err)
+	}
+	h.run(t, func(env *sim.Env) error {
+		openClose := func() {
+			st, err := c.Open(env, "/d/file", ReadMode, OpenOptions{})
+			if err == nil {
+				err = c.Close(env, st)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		openClose() // warm the prefix cache and the server's tables
+		if a := testing.AllocsPerRun(100, openClose); a != 1 {
+			t.Errorf("warm Open+Close allocates %.1f objects, want 1", a)
+		}
+		return nil
+	})
+}
+
+// TestZeroBlockMissAllocatesOneObject pins a cache miss on a block of zeros
+// at one object, the cacheBlock: the block links itself into the LRU ring.
+// With a container/list element per block the miss allocated 2.
+func TestZeroBlockMissAllocatesOneObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	h := newHarness(t, 1)
+	c := h.fs.Client(2)
+	if _, err := h.fs.SeedSized("/hole", 4096, false); err != nil {
+		t.Fatal(err)
+	}
+	h.run(t, func(env *sim.Env) error {
+		st, err := c.Open(env, "/hole", ReadMode, OpenOptions{})
+		if err != nil {
+			return err
+		}
+		miss := func() {
+			c.DropCaches()
+			if n, err := c.ReadCountAt(env, st, 0, 4096); err != nil || n != 4096 || c.CachedBlocks() != 1 {
+				t.Errorf("ReadCountAt = %d, %v with %d blocks cached; want 4096 and 1", n, err, c.CachedBlocks())
+			}
+		}
+		miss() // warm the server's tables
+		if a := testing.AllocsPerRun(100, miss); a != 1 {
+			t.Errorf("a zero-block miss allocates %.1f objects, want 1", a)
+		}
+		return c.Close(env, st)
+	})
+}

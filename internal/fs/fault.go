@@ -19,7 +19,7 @@ import (
 // ScrubHost discards one end of every piece of per-host state this stream
 // holds: the crashed host's references vanish wholesale. Used by crash
 // injection; a stream with no remaining references anywhere is closed.
-func (st *Stream) ScrubHost(host rpc.HostID) { st.shift(host, rpc.NoHost, st.owners[host]) }
+func (st *Stream) ScrubHost(host rpc.HostID) { st.shift(host, rpc.NoHost, st.RefsOn(host)) }
 
 // CrashReset discards all soft state a host's client keeps in memory: the
 // block cache (dirty blocks are lost — that is what a crash means), version
@@ -93,7 +93,7 @@ func (f *FS) ScrubHostEpoch(host rpc.HostID, epoch rpc.Epoch) {
 // server. It is only used by migration abort recovery when the normal RPC
 // path to the stranded host is gone.
 func (f *FS) RecoverStream(st *Stream, from, to rpc.HostID) {
-	st.shift(from, to, st.owners[from])
+	st.shift(from, to, st.RefsOn(from))
 	f.resync(st, to)
 	f.resync(st, from)
 }
@@ -132,8 +132,8 @@ func (f *FS) resync(st *Stream, host rpc.HostID) {
 // invariant checking.
 func (st *Stream) Owners() map[rpc.HostID]int {
 	out := make(map[rpc.HostID]int, len(st.owners))
-	for h, n := range st.owners {
-		out[h] = n
+	for _, o := range st.owners {
+		out[o.host] = o.n
 	}
 	return out
 }
@@ -179,9 +179,9 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 //     still believes its cache is valid: the file must be cacheable and the
 //     host must be its last writer or hold it open for writing (the "no
 //     stale dirty blocks after a conflicting remote open" rule);
-//   - each client's cache holds at most one block per key: every LRU list
-//     element is the block mapped for its key, and the list is as long as
-//     the map;
+//   - each client's cache holds at most one block per key: every block on
+//     the LRU ring is the block mapped for its key, and the ring is as long
+//     as the map;
 //   - each client's per-file dirty count must equal the dirty blocks its
 //     cache holds;
 //   - with endOfRun set, every open table must be empty and no pipe alive.
@@ -200,13 +200,14 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 	}
 	for _, ch := range sortedKeys(f.clients) {
 		c := f.clients[ch]
-		if c.lru.Len() != len(c.blocks) {
-			out = append(out, fmt.Sprintf("fs: host %d: LRU list holds %d blocks, map %d", ch, c.lru.Len(), len(c.blocks)))
-		}
-		for e := c.lru.Front(); e != nil; e = e.Next() {
-			if b := e.Value.(*cacheBlock); c.blocks[b.key] != b {
+		lenAt, n := len(out), 0 // n stops one past the map's size on a broken ring
+		for b := c.lru.next; b != nil && b != &c.lru && n <= len(c.blocks); b = b.next {
+			if n++; c.blocks[b.key] != b {
 				out = append(out, fmt.Sprintf("fs: host %d: LRU list holds %v block %d, which is not the block mapped for its key", ch, b.key.fid, b.key.block))
 			}
+		}
+		if n != len(c.blocks) {
+			out = slices.Insert(out, lenAt, fmt.Sprintf("fs: host %d: LRU list holds %d blocks, map %d", ch, n, len(c.blocks)))
 		}
 		dirty := make(map[FileID]int)
 		for _, b := range c.blocks {

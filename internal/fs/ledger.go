@@ -92,7 +92,7 @@ func (t *openTable) dropHost(host rpc.HostID) {
 // sync makes st's entry for host agree with the client: present while host
 // holds a reference to st, absent otherwise.
 func (t *openTable) sync(st *Stream, host rpc.HostID) {
-	if st.owners[host] > 0 {
+	if st.RefsOn(host) > 0 {
 		t.add(st.ID, host, st.Mode)
 	} else {
 		t.drop(st.ID, host)

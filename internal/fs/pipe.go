@@ -201,12 +201,14 @@ func (c *Client) CreatePipe(env *sim.Env) (r, w *Stream, err error) {
 	fid := FileID{Server: srvHost, Ino: pr.Ino}
 	r = &Stream{
 		ID: rid, FID: fid, Path: fmt.Sprintf("<pipe %d r>", pr.Ino),
-		Mode: ReadMode, pipe: true, owners: map[rpc.HostID]int{c.host: 1},
+		Mode: ReadMode, pipe: true,
 	}
 	w = &Stream{
 		ID: wid, FID: fid, Path: fmt.Sprintf("<pipe %d w>", pr.Ino),
-		Mode: WriteMode, pipe: true, owners: map[rpc.HostID]int{c.host: 1},
+		Mode: WriteMode, pipe: true,
 	}
+	r.addRefs(c.host, 1)
+	w.addRefs(c.host, 1)
 	return r, w, nil
 }
 

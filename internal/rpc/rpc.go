@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,7 @@ import (
 type HostID int
 
 // String renders the host id in the conventional "host<N>" form.
-func (h HostID) String() string { return fmt.Sprintf("host%d", int(h)) }
+func (h HostID) String() string { return "host" + strconv.Itoa(int(h)) }
 
 // NoHost is the zero HostID; valid hosts are numbered from 1.
 const NoHost HostID = 0

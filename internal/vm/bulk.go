@@ -22,27 +22,32 @@ func (as *AddressSpace) FlushDirtyBulk(env *sim.Env, client *fs.Client, maxRunPa
 	if maxRunPages > 0 {
 		maxRunBytes = maxRunPages * ps
 	}
-	for _, seg := range []*Segment{as.Heap, as.Stack} {
+	for _, seg := range [2]*Segment{as.Heap, as.Stack} {
 		if seg.Backing == nil {
 			continue
 		}
-		dirty := seg.DirtyList()
-		if len(dirty) == 0 {
-			continue
+		// Each maximal span of dirty pages is one zero run.
+		runs := make([]fs.PageRun, 0, 8)
+		for lo, hi := 0, 0; lo < seg.pages; lo = hi + 1 {
+			for hi = lo; hi < seg.pages && seg.dirty[hi]; hi++ {
+			}
+			if hi > lo {
+				runs = append(runs, fs.PageRun{Off: int64(lo) * int64(ps), Zeros: (hi - lo) * ps})
+			}
 		}
-		runs := make([]fs.PageRun, 0, len(dirty))
-		for _, page := range dirty {
-			runs = append(runs, fs.PageRun{Off: int64(page) * int64(ps), Zeros: ps})
+		if len(runs) == 0 {
+			continue
 		}
 		segStats, err := client.WriteAtBatch(env, seg.Backing, runs, maxRunBytes)
 		bs.Add(segStats)
 		if err != nil {
 			return written, bs, fmt.Errorf("vm: bulk flush %s: %w", seg.Kind, err)
 		}
-		for _, page := range dirty {
-			seg.dirty[page] = false
-			written++
-			as.stats.PageOuts++
+		for _, r := range runs {
+			lo, n := int(r.Off)/ps, r.Zeros/ps
+			clear(seg.dirty[lo : lo+n])
+			written += n
+			as.stats.PageOuts += uint64(n)
 		}
 	}
 	return written, bs, nil

@@ -110,9 +110,6 @@ func (s *Segment) ResidentCount() int { return countTrue(s.resident) }
 // DirtyCount returns the number of dirty pages.
 func (s *Segment) DirtyCount() int { return countTrue(s.dirty) }
 
-// DirtyList returns the indexes of dirty pages in ascending order.
-func (s *Segment) DirtyList() []int { return listTrue(s.dirty) }
-
 // SetPager replaces the segment's pager (used by migration strategies).
 func (s *Segment) SetPager(p Pager) { s.pager = p }
 
@@ -153,16 +150,6 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-func listTrue(bs []bool) []int {
-	var out []int
-	for i, b := range bs {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // AddressSpace is a process's memory image.
 type AddressSpace struct {
 	params Params
@@ -171,6 +158,7 @@ type AddressSpace struct {
 	Code  *Segment
 	Heap  *Segment
 	Stack *Segment
+	segs  [3]Segment // Code, Heap and Stack point here
 
 	stats Stats
 
@@ -205,10 +193,19 @@ func New(env *sim.Env, client *fs.Client, name string, cfg Config, params Params
 	if params.PageSize <= 0 {
 		params.PageSize = 8192
 	}
+	// The space holds its segments, and one array all their bitmaps.
 	as := &AddressSpace{params: params, name: name}
-	as.Code = as.newSegment(CodeSegment, cfg.CodePages)
-	as.Heap = as.newSegment(HeapSegment, cfg.HeapPages)
-	as.Stack = as.newSegment(StackSegment, cfg.StackPages)
+	fsp := &FilePager{Client: client}
+	pages := [3]int{cfg.CodePages, cfg.HeapPages, cfg.StackPages}
+	bits := make([]bool, 2*(pages[0]+pages[1]+pages[2]))
+	for i, n := range pages {
+		as.segs[i] = Segment{
+			Kind: CodeSegment + SegmentKind(i), pages: n, pager: fsp, space: as,
+			resident: bits[:n:n], dirty: bits[n : 2*n : 2*n],
+		}
+		bits = bits[2*n:]
+	}
+	as.Code, as.Heap, as.Stack = &as.segs[0], &as.segs[1], &as.segs[2]
 
 	if cfg.BinaryPath != "" && cfg.CodePages > 0 {
 		st, err := client.Open(env, cfg.BinaryPath, fs.ReadMode, fs.OpenOptions{})
@@ -221,28 +218,14 @@ func New(env *sim.Env, client *fs.Client, name string, cfg Config, params Params
 		if seg.pages == 0 {
 			continue
 		}
-		path := fmt.Sprintf("%s/%s.%s", swapDir, name, seg.Kind)
+		path := swapDir + "/" + name + "." + seg.Kind.String()
 		st, err := client.Open(env, path, fs.ReadWriteMode, fs.OpenOptions{Create: true, Uncacheable: true})
 		if err != nil {
 			return nil, fmt.Errorf("vm: open backing store: %w", err)
 		}
 		seg.Backing = st
 	}
-	fsp := &FilePager{Client: client}
-	as.Code.pager = fsp
-	as.Heap.pager = fsp
-	as.Stack.pager = fsp
 	return as, nil
-}
-
-func (as *AddressSpace) newSegment(kind SegmentKind, pages int) *Segment {
-	return &Segment{
-		Kind:     kind,
-		pages:    pages,
-		resident: make([]bool, pages),
-		dirty:    make([]bool, pages),
-		space:    as,
-	}
 }
 
 // Params returns the VM parameters.

@@ -209,11 +209,40 @@ func TestTouchRangeAndCounts(t *testing.T) {
 		if got := as.Heap.ResidentCount(); got != 8 {
 			t.Errorf("resident = %d, want 8", got)
 		}
-		if got := len(as.Heap.DirtyList()); got != 8 {
-			t.Errorf("dirty list = %d, want 8", got)
+		if got := as.Heap.DirtyCount(); got != 8 {
+			t.Errorf("dirty = %d, want 8", got)
 		}
 		if as.TotalPages() != 8+32+2 {
 			t.Errorf("total = %d", as.TotalPages())
+		}
+		return nil
+	})
+}
+
+// TestNewAllocations pins what building an address space costs on the heap,
+// its three backing streams opened and closed again: one object for the
+// space and its segments, one for every segment's bitmaps, the FilePager,
+// a Stream per backing file and the two swap paths — 8 objects. Allocated
+// segment by segment, with a bitmap per segment and page state, an owner
+// map per stream and the swap paths built by fmt, the same build cost 24.
+func TestNewAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	h := newHarness(t)
+	c := h.fs.Client(2)
+	h.run(t, func(env *sim.Env) error {
+		build := func() {
+			as := newSpace(t, env, h, "p1", 16)
+			for _, seg := range as.Segments() {
+				if err := c.Close(env, seg.Backing); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		build() // create the swap files and warm the server's tables
+		if a := testing.AllocsPerRun(100, build); a != 8 {
+			t.Errorf("vm.New allocates %.1f objects, want 8", a)
 		}
 		return nil
 	})
