@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/fs"
 	"sprite/internal/sim"
 	"sprite/internal/vm"
 )
@@ -186,5 +187,77 @@ func TestBuildSpaceInstallsNoPager(t *testing.T) {
 	runCluster(t, c)
 	if build != vmNew+3 {
 		t.Errorf("buildSpace allocates %v objects, vm.New %v: want vm.New's plus 3", build, vmNew)
+	}
+}
+
+// hopAllocs runs one process, which opens a file, under strategy: two
+// warm-up hops between two workstations, then hops more, of which it
+// returns the objects allocated per hop. atExec makes every hop an
+// exec-time migration (after the first discards the image, there is no
+// address space to move).
+func hopAllocs(t *testing.T, strategy TransferStrategy, atExec bool, hops int) float64 {
+	t.Helper()
+	c := newCluster(t, 2)
+	c.SetStrategyAll(strategy)
+	ws := [2]*Kernel{c.Workstation(0), c.Workstation(1)}
+	var mallocs uint64
+	c.Boot("boot", func(env *sim.Env) error {
+		p, err := ws[0].StartProcess(env, "hop", func(ctx *Ctx) error {
+			if _, err := ctx.Open("/bin/prog", fs.ReadMode, fs.OpenOptions{}); err != nil {
+				return err
+			}
+			var m0, m1 runtime.MemStats
+			for i := 0; i < 2+hops; i++ {
+				req := &migrationRequest{target: ws[(i+1)%2], atExec: atExec, reason: "hop"}
+				if !atExec {
+					if err := ctx.TouchHeap(0, smallProc.HeapPages, true); err != nil {
+						return err
+					}
+				}
+				runtime.ReadMemStats(&m0)
+				if err := ctx.performMigration(req); err != nil {
+					return err
+				}
+				runtime.ReadMemStats(&m1)
+				if i >= 2 {
+					mallocs += m1.Mallocs - m0.Mallocs
+				}
+			}
+			return nil
+		}, smallProc)
+		if err != nil {
+			return err
+		}
+		_, err = p.Exited().Wait(env)
+		return err
+	})
+	runCluster(t, c)
+	if n := len(c.MigrationRecords()); n != 2+hops {
+		t.Fatalf("%s: %d migration records, want %d", strategy.Name(), n, 2+hops)
+	}
+	return float64(mallocs) / float64(hops)
+}
+
+// TestMigrationAllocations: a warm migration hop allocates its stream
+// mover's activity and little else. Sixteen hops of a process with an open
+// file between two workstations average at most 2.5 objects under every
+// strategy (about 1.5: the activity, plus the kernels' record lists
+// growing). Building the record, the mover's name, body and join and the
+// target pager on every hop cost 7.5 objects here, 8.5 under
+// copy-on-reference (7.8 and 8.8 per op on the benchmark's ladder). An
+// exec-time hop, which moves the streams inline,
+// averages at most one object (0.5, the record lists again; 1.5 when the
+// record escaped to the heap).
+func TestMigrationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	for _, s := range allStrategies {
+		if a := hopAllocs(t, s, false, 16); a > 2.5 {
+			t.Errorf("%s: a warm hop allocates %.2f objects, want at most 2.5", s.Name(), a)
+		}
+	}
+	if a := hopAllocs(t, SpriteFlushStrategy{}, true, 16); a > 1 {
+		t.Errorf("a warm exec-time hop allocates %.2f objects, want at most 1", a)
 	}
 }

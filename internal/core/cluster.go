@@ -71,10 +71,6 @@ type Cluster struct {
 	// RPC/rehome paths.
 	confined bool
 
-	// traced records that SetTrace installed a sink. Call sites check it
-	// before formatting a detail, so an untraced run formats nothing.
-	traced bool
-
 	// failpoint, when set, is consulted at every Failpoint (fault
 	// injection; see SetFailpoint).
 	failpoint FailpointFunc
@@ -136,7 +132,6 @@ type TraceFunc func(at time.Duration, kind, detail string)
 // barrier, so the sink observes the serial sequence under either kernel
 // and any worker count.
 func (c *Cluster) SetTrace(fn TraceFunc) {
-	c.traced = fn != nil
 	c.sim.SetTraceSink(fn)
 }
 

@@ -184,7 +184,7 @@ func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 		}
 	}
 	c.fs.ScrubHostEpoch(host, epoch)
-	if c.traced {
+	if c.sim.Traced() {
 		env.Emit("host-crash", fmt.Sprintf("host %v epoch %d", host, epoch))
 	}
 }
@@ -198,7 +198,7 @@ func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
 	if ep := c.transport.Endpoint(host); ep != nil {
 		ep.Restart()
 	}
-	if c.traced {
+	if c.sim.Traced() {
 		env.Emit("host-restart", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
 	}
 }
@@ -230,7 +230,7 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		k.homeRecs = make(map[PID]*homeRecord)
 	}
 	c.RestartHost(env, host)
-	if c.traced {
+	if c.sim.Traced() {
 		env.Emit("host-reboot", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
 	}
 }
@@ -275,7 +275,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 			}
 			if p.home.host == host && p.homeEpoch <= epoch {
 				p.post(SigKill)
-				if c.traced {
+				if c.sim.Traced() {
 					env.Emit("reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
 				}
 			}
@@ -296,7 +296,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 	for _, hook := range c.reapHooks {
 		hook(env, host, epoch)
 	}
-	if c.traced {
+	if c.sim.Traced() {
 		env.Emit("host-reap", fmt.Sprintf("host %v epoch %d", host, epoch))
 	}
 }
@@ -347,7 +347,7 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	if p.env != nil {
 		p.env.Interrupt(ErrHostCrashed)
 	}
-	if c.traced {
+	if c.sim.Traced() {
 		env.Emit("proc-crash", fmt.Sprintf("%v %s on %v", p.pid, p.name, crashedHost))
 	}
 }

@@ -68,6 +68,7 @@ type Kernel struct {
 	// kernels (the thesis's antidote to migration fragility).
 	migrationVersion int
 	strategy         TransferStrategy
+	readahead        vm.ReadaheadPager // installed by SpriteFlushStrategy
 
 	lastInput   time.Duration
 	records     []MigrationRecord
@@ -98,6 +99,7 @@ func newKernel(c *Cluster, host rpc.HostID) *Kernel {
 		migrationVersion: 1,
 		strategy:         SpriteFlushStrategy{},
 	}
+	k.readahead = vm.ReadaheadPager{Client: k.fsc, Window: prefetchPages}
 	kForward.Handle(k.ep, k.handleForward)
 	kMigInit.Handle(k.ep, k.handleMigInit)
 	kMigPCB.Handle(k.ep, k.handleMigPCB)
@@ -251,7 +253,7 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	k.procs[pid] = p
 	k.stats.ProcsStarted++
 	k.cluster.noteStart(pid)
-	if k.cluster.traced {
+	if k.cluster.sim.Traced() {
 		env.Emit("proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
 	}
 
@@ -418,7 +420,7 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	delete(k.procs, p.pid)
 	k.stats.ProcsExited++
 	k.cluster.noteEnd(p.pid)
-	if k.cluster.traced {
+	if k.cluster.sim.Traced() {
 		env.Emit("proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
 	}
 	if k.cluster.confined && p.Foreign() {

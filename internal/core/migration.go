@@ -122,7 +122,8 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	if target == k {
 		return nil
 	}
-	rec := MigrationRecord{
+	rec := &p.mig.rec
+	*rec = MigrationRecord{
 		PID:      p.pid,
 		From:     k.host,
 		To:       target.host,
@@ -195,9 +196,9 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	var tStreams time.Duration
 	var err error
 	if req.atExec {
-		tStreams, err = k.transferForExec(env, p, target, &rec, &mm)
+		tStreams, err = k.transferForExec(env, p, target, rec, &mm)
 	} else {
-		tStreams, err = k.transferImage(env, p, target, &rec, &mm)
+		tStreams, err = k.transferImage(env, p, target, rec, &mm)
 	}
 	if err != nil {
 		return abort(err)
@@ -262,7 +263,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	p.migrations++
 	p.state = StateRunning
 	if p.space != nil {
-		p.space.SetPagerAll(k.strategy.TargetPager(k, target))
+		p.space.SetPagerAll(k.strategy.TargetPager(k, target, p))
 	}
 
 	rec.ResumeTime = mm.complete(env)
@@ -274,12 +275,12 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 		// only for its final pass; stream and PCB transfer freeze it too.
 		rec.Freeze += rec.FileTime + rec.PCBTime
 	}
-	mm.observeTotals(env, &rec)
-	k.records = append(k.records, rec)
+	mm.observeTotals(env, rec)
+	k.records = append(k.records, *rec)
 	if req.atExec {
 		k.stats.RemoteExecs++
 	}
-	if !k.cluster.traced {
+	if !k.cluster.sim.Traced() {
 		return nil
 	}
 	if req.atExec {
@@ -293,6 +294,26 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	return nil
 }
 
+// migScratch is what a migration hop works in, kept on the process so a
+// warm hop allocates only its stream mover's activity (DESIGN.md §17). A
+// hop reuses it only once the last hop's mover has completed the join;
+// Future.Reset panics otherwise.
+type migScratch struct {
+	rec       MigrationRecord
+	moverName string
+	mover     func(*sim.Env) error
+	src, dst  *Kernel
+	join      sim.Future
+	cor       corPager
+}
+
+// moveStreams is the body of p's stream mover for the hop in p.mig.
+func (p *Process) moveStreams(env *sim.Env) error {
+	m := &p.mig
+	m.join.Complete(nil, m.src.transferStreams(env, p, m.dst, &m.rec))
+	return nil
+}
+
 // transferImage is a full migration's state transfer: the VM strategy's
 // work with the open streams moving in their own activity beside it. Both
 // phases still tile Total exactly because the vm phase closes retroactively
@@ -301,11 +322,14 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 // transferForExec it returns when the streams phase opened.
 func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord, mm *migMeter) (time.Duration, error) {
 	rec.NegotiateTime = mm.next(env, mm.names.vm)
-	strmDone := sim.NewFuture(k.cluster.sim)
-	env.Spawn("mig-streams-"+p.pid.String(), func(senv *sim.Env) error {
-		strmDone.Complete(nil, k.transferStreams(senv, p, target, rec))
-		return nil
-	})
+	m := &p.mig
+	if m.mover == nil {
+		m.moverName, m.mover = "mig-streams-"+p.pid.String(), p.moveStreams
+	} else {
+		m.join.Reset()
+	}
+	m.src, m.dst = k, target
+	env.Spawn(m.moverName, m.mover)
 	var vmErr error
 	if p.space != nil {
 		vmErr = k.strategy.Transfer(env, k, target, p, rec)
@@ -320,7 +344,7 @@ func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *Mi
 	// needs the final moved list, and the mover must not outlive the
 	// migration it belongs to. (A crash interrupts this wait; the mover
 	// then releases what it moves itself.)
-	_, serr := strmDone.Wait(env)
+	_, serr := m.join.Wait(env)
 	if vmErr != nil {
 		return 0, vmErr
 	}
@@ -432,7 +456,7 @@ func (k *Kernel) EvictAll(env *sim.Env) error {
 		}
 		waits = append(waits, k.RequestMigration(p, target, "eviction"))
 		k.stats.Evictions++
-		if k.cluster.traced {
+		if k.cluster.sim.Traced() {
 			env.Emit("eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
 		}
 	}
@@ -487,8 +511,6 @@ type corPager struct {
 	dst *Kernel
 	pid PID
 }
-
-var _ vm.Pager = (*corPager)(nil)
 
 func (p *corPager) PageIn(env *sim.Env, seg *vm.Segment, page int) error {
 	_, err := kFetchPage.Call(p.dst.ep, env, p.src.host, fetchPageArgs{PID: p.pid, Page: page}, 32)

@@ -142,6 +142,8 @@ type Process struct {
 	// write the target client's tables, so the updates ride here until
 	// confinedResume applies them on the target's shard.
 	migRecon []fs.Reconcile
+	// mig is the scratch each migration hop works in (see migScratch).
+	mig migScratch
 	// sharedMemory marks the process as using shared writable memory,
 	// which Sprite refuses to migrate.
 	sharedMemory bool

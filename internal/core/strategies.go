@@ -15,9 +15,8 @@ type TransferStrategy interface {
 	// Transfer moves p's address space (never nil) from src to dst,
 	// charging costs and filling in rec.
 	Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec *MigrationRecord) error
-	// TargetPager returns the pager the process uses on the target after
-	// migration.
-	TargetPager(src, dst *Kernel) vm.Pager
+	// TargetPager returns the pager p uses on the target after migration.
+	TargetPager(src, dst *Kernel, p *Process) vm.Pager
 }
 
 // SpriteFlushStrategy is Sprite's design: write dirty pages to the shared
@@ -59,8 +58,8 @@ const prefetchPages = 16
 // TargetPager implements TransferStrategy: file-system paging on the target
 // through the readahead pager, so the process repopulates its resident set
 // in runs.
-func (SpriteFlushStrategy) TargetPager(src, dst *Kernel) vm.Pager {
-	return &vm.ReadaheadPager{Client: dst.fsc, Window: prefetchPages}
+func (SpriteFlushStrategy) TargetPager(src, dst *Kernel, p *Process) vm.Pager {
+	return &dst.readahead
 }
 
 // noteBatch folds one bulk transfer's wire stats into the record.
@@ -115,8 +114,8 @@ func (FullCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, rec
 }
 
 // TargetPager implements TransferStrategy.
-func (FullCopyStrategy) TargetPager(src, dst *Kernel) vm.Pager {
-	return &vm.FilePager{Client: dst.fsc}
+func (FullCopyStrategy) TargetPager(src, dst *Kernel, p *Process) vm.Pager {
+	return vm.FilePager{Client: dst.fsc}
 }
 
 // CopyOnReferenceStrategy transfers only the page tables; the target pulls
@@ -149,8 +148,9 @@ func (CopyOnReferenceStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Proce
 
 // TargetPager implements TransferStrategy: faults pull pages from the
 // source host.
-func (CopyOnReferenceStrategy) TargetPager(src, dst *Kernel) vm.Pager {
-	return &corPager{src: src, dst: dst}
+func (CopyOnReferenceStrategy) TargetPager(src, dst *Kernel, p *Process) vm.Pager {
+	p.mig.cor = corPager{src: src, dst: dst, pid: p.pid}
+	return &p.mig.cor
 }
 
 // PreCopyStrategy is the V System's design: copy the address space while
@@ -215,6 +215,6 @@ func (s PreCopyStrategy) Transfer(env *sim.Env, src, dst *Kernel, p *Process, re
 }
 
 // TargetPager implements TransferStrategy.
-func (PreCopyStrategy) TargetPager(src, dst *Kernel) vm.Pager {
-	return &vm.FilePager{Client: dst.fsc}
+func (PreCopyStrategy) TargetPager(src, dst *Kernel, p *Process) vm.Pager {
+	return vm.FilePager{Client: dst.fsc}
 }

@@ -135,7 +135,7 @@ func (c *Ctx) performMigration(req *migrationRequest) error {
 	if err != nil && req.atExec && !dead {
 		// An aborted exec-time migration leaves the process intact on the
 		// source; Sprite demotes it to a plain local exec.
-		if p.cur.cluster.traced {
+		if p.cur.cluster.sim.Traced() {
 			c.env.Emit("exec-migrate-abort",
 				fmt.Sprintf("%v -> %v: %v", p.pid, req.target.host, err))
 		}

@@ -44,13 +44,10 @@ type Client struct {
 	host rpc.HostID
 	ep   *rpc.Endpoint
 
-	blocks    map[cacheKey]*cacheBlock
-	lru       cacheBlock     // sentinel of the ring of c.blocks; lru.next = most recently used
-	dirty     map[FileID]int // dirty blocks per file; see setDirty
-	fileVer   map[FileID]uint64
-	fileSize  map[FileID]int
-	fileMTime map[FileID]time.Duration // last local cached write per file
-	noCache   map[FileID]bool
+	blocks map[cacheKey]*cacheBlock
+	lru    cacheBlock     // sentinel of the ring of c.blocks; lru.next = most recently used
+	dirty  map[FileID]int // dirty blocks per file; see setDirty
+	files  map[FileID]fileMeta
 
 	// prefixCache is the client's own prefix table, filled by broadcast on
 	// the first lookup of each domain (Sprite's prefix-table protocol).
@@ -87,6 +84,16 @@ type Reconcile struct {
 	Size      int
 }
 
+// fileMeta is what a client knows of one file. Servers number versions
+// from 1, so a zero version means none was seen; an unknown size reads as
+// zero, which never exceeds a real one, so no presence bit is needed.
+type fileMeta struct {
+	ver     uint64
+	size    int
+	mtime   time.Duration // last local cached write
+	noCache bool
+}
+
 // pendingClose is one queued close retry, tagged with the client's boot
 // epoch at failure time: a reboot voids the retry (the server scrubs the
 // dead epoch's entries itself, and a late close must not debit a fresh
@@ -98,15 +105,12 @@ type pendingClose struct {
 
 func newClient(f *FS, host rpc.HostID) *Client {
 	c := &Client{
-		fs:        f,
-		host:      host,
-		ep:        f.transport.Register(host),
-		blocks:    make(map[cacheKey]*cacheBlock),
-		dirty:     make(map[FileID]int),
-		fileVer:   make(map[FileID]uint64),
-		fileSize:  make(map[FileID]int),
-		fileMTime: make(map[FileID]time.Duration),
-		noCache:   make(map[FileID]bool),
+		fs:     f,
+		host:   host,
+		ep:     f.transport.Register(host),
+		blocks: make(map[cacheKey]*cacheBlock),
+		dirty:  make(map[FileID]int),
+		files:  make(map[FileID]fileMeta),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	fscFlush.Handle(c.ep, c.handleFlushCallback)
@@ -237,25 +241,23 @@ func (c *Client) Open(env *sim.Env, path string, mode OpenMode, opts OpenOptions
 	if err != nil {
 		return nil, fmt.Errorf("open %s: %w", path, err)
 	}
-	sameVersion := c.fileVer[r.FID] == r.Version
+	sameVersion := c.files[r.FID].ver == r.Version
 	c.noteVersion(r.FID, r.Version, r.Cacheable)
 	// Under delayed write-back this client may hold dirty blocks that
 	// extend the file beyond the server's idea of its size; keep the larger
 	// size in that case. Any version change already dropped the cache, so
 	// the server is then authoritative.
 	if sameVersion && c.hasDirty(r.FID) {
-		if r.Size > c.fileSize[r.FID] {
-			c.fileSize[r.FID] = r.Size
-		}
+		c.edit(r.FID, func(m *fileMeta) { m.size = max(m.size, r.Size) })
 	} else {
-		c.fileSize[r.FID] = r.Size
+		c.edit(r.FID, func(m *fileMeta) { m.size = r.Size })
 	}
 	st := &Stream{
 		ID:        id,
 		FID:       r.FID,
 		Path:      path,
 		Mode:      mode,
-		size:      c.fileSize[r.FID],
+		size:      c.files[r.FID].size,
 		cacheable: r.Cacheable,
 	}
 	st.addRefs(c.host, 1)
@@ -284,22 +286,26 @@ func (c *Client) AppendReconciles(dst []Reconcile) []Reconcile {
 func (c *Client) ApplyReconciles(rs []Reconcile) {
 	for _, r := range rs {
 		c.noteVersion(r.FID, r.Version, r.Cacheable)
-		c.fileSize[r.FID] = r.Size
+		c.edit(r.FID, func(m *fileMeta) { m.size = r.Size })
 	}
 }
 
 // noteVersion reconciles the client's cache with the server's version: a
 // version change invalidates all cached blocks for the file.
 func (c *Client) noteVersion(fid FileID, version uint64, cacheable bool) {
-	if old, ok := c.fileVer[fid]; ok && old != version {
+	m := c.files[fid]
+	if m.ver != 0 && m.ver != version {
 		c.dropFile(fid)
 	}
-	c.fileVer[fid] = version
-	if cacheable {
-		delete(c.noCache, fid)
-	} else {
-		c.noCache[fid] = true
-	}
+	m.ver, m.noCache = version, !cacheable
+	c.files[fid] = m
+}
+
+// edit applies f to fid's entry in c.files.
+func (c *Client) edit(fid FileID, f func(*fileMeta)) {
+	m := c.files[fid]
+	f(&m)
+	c.files[fid] = m
 }
 
 // Close drops one reference held by this host. The last reference on the
@@ -343,7 +349,7 @@ func (c *Client) Dup(st *Stream) error {
 
 // cacheEnabled reports whether reads/writes of the file may use the cache.
 func (c *Client) cacheEnabled(st *Stream) bool {
-	return st.cacheable && !c.noCache[st.FID]
+	return st.cacheable && !c.files[st.FID].noCache
 }
 
 // Read reads up to n bytes at the stream's access position, advancing it.
@@ -516,21 +522,14 @@ func (c *Client) advanceOffset(env *sim.Env, st *Stream, delta int64) (int64, in
 }
 
 func (c *Client) knownSize(st *Stream) int {
-	if s, ok := c.fileSize[st.FID]; ok {
-		if s > st.size {
-			return s
-		}
-	}
-	return st.size
+	return max(c.files[st.FID].size, st.size)
 }
 
 func (c *Client) bumpSize(st *Stream, size int) {
 	if size > st.size {
 		st.size = size
 	}
-	if size > c.fileSize[st.FID] {
-		c.fileSize[st.FID] = size
-	}
+	c.edit(st.FID, func(m *fileMeta) { m.size = max(m.size, size) })
 }
 
 // readRange reads file bytes [off, off+n) via the cache when permitted and
@@ -617,9 +616,7 @@ func (c *Client) writeRun(env *sim.Env, st *Stream, run PageRun) error {
 	// Record the new size first so that any eviction write-back triggered
 	// mid-loop flushes with the correct size.
 	defer c.bumpSize(st, newSize)
-	if newSize > c.fileSize[st.FID] {
-		c.fileSize[st.FID] = newSize
-	}
+	c.edit(st.FID, func(m *fileMeta) { m.size = max(m.size, newSize) })
 	anyCached := false
 	for pos := 0; pos < n; {
 		block := (int(run.Off) + pos) / bs
@@ -653,7 +650,7 @@ func (c *Client) writeRun(env *sim.Env, st *Stream, run PageRun) error {
 			if err != nil {
 				return fmt.Errorf("write %s block %d: %w", st.Path, block, err)
 			}
-			c.fileVer[st.FID] = r.Version
+			c.edit(st.FID, func(m *fileMeta) { m.ver = r.Version })
 			c.bumpSize(st, r.Size)
 		} else {
 			anyCached = true
@@ -661,7 +658,7 @@ func (c *Client) writeRun(env *sim.Env, st *Stream, run PageRun) error {
 		pos += want
 	}
 	if anyCached {
-		c.fileMTime[st.FID] = env.Now()
+		c.edit(st.FID, func(m *fileMeta) { m.mtime = env.Now() })
 	}
 	c.countWritten(env, n)
 	return nil
@@ -779,7 +776,7 @@ func (c *Client) evict(env *sim.Env) {
 // zeros travels as a length. The block stays dirty if a write landed while
 // the call was in flight.
 func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
-	size := c.fileSize[b.key.fid]
+	size := c.files[b.key.fid].size
 	bs := c.fs.params.BlockSize
 	lo := b.key.block * bs
 	hi := min(lo+bs, size)
@@ -805,7 +802,7 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	if m := c.fs.m; m != nil {
 		m.flushes.IncSlot(sim.WorkerSlot(env))
 	}
-	c.fileVer[b.key.fid] = r.Version
+	c.edit(b.key.fid, func(m *fileMeta) { m.ver = r.Version })
 	return nil
 }
 
@@ -875,14 +872,15 @@ func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, a cacheCal
 		return struct{}{}, 0, err
 	}
 	c.dropFile(a.FID)
-	c.noCache[a.FID] = true
+	c.edit(a.FID, func(m *fileMeta) { m.noCache = true })
 	return struct{}{}, 8, nil
 }
 
 // handleAttrCallback serves the server's cached-attribute fetch: the size
 // and modification time this client's cache implies for the file.
 func (c *Client) handleAttrCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (attrReply, int, error) {
-	return attrReply{Size: c.fileSize[a.FID], MTime: c.fileMTime[a.FID]}, 24, nil
+	m := c.files[a.FID]
+	return attrReply{Size: m.size, MTime: m.mtime}, 24, nil
 }
 
 // StatInfo is the attribute record returned by StatFull.
@@ -907,12 +905,8 @@ func (c *Client) StatFull(env *sim.Env, path string) (StatInfo, error) {
 	// This host's dirty blocks may extend the file, and date it, beyond
 	// what the server has seen.
 	if c.hasDirty(r.FID) {
-		if local, ok := c.fileSize[r.FID]; ok && local > size {
-			size = local
-		}
-		if lm := c.fileMTime[r.FID]; lm > mtime {
-			mtime = lm
-		}
+		m := c.files[r.FID]
+		size, mtime = max(size, m.size), max(mtime, m.mtime)
 	}
 	return StatInfo{FID: r.FID, Size: size, MTime: mtime}, nil
 }
@@ -1057,7 +1051,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 			})
 		} else if dst := c.fs.Client(to); dst != nil {
 			dst.noteVersion(st.FID, r.Version, r.Cacheable)
-			dst.fileSize[st.FID] = r.Size
+			dst.edit(st.FID, func(m *fileMeta) { m.size = r.Size })
 		}
 		st.size = r.Size
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"time"
 
 	"sprite/internal/rpc"
 )
@@ -29,10 +28,7 @@ func (c *Client) CrashReset() {
 	for _, b := range c.blocks {
 		c.removeBlock(b)
 	}
-	c.fileVer = make(map[FileID]uint64)
-	c.fileSize = make(map[FileID]int)
-	c.fileMTime = make(map[FileID]time.Duration)
-	c.noCache = make(map[FileID]bool)
+	clear(c.files)
 	c.prefixCache = nil
 }
 

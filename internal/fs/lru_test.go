@@ -137,7 +137,7 @@ func TestLRUAgainstModel(t *testing.T) {
 						}
 					case r < 19:
 						op = "version change"
-						c.noteVersion(st.FID, c.fileVer[st.FID]+1, true)
+						c.noteVersion(st.FID, c.files[st.FID].ver+1, true)
 						model.drop(func(k cacheKey) bool { return k.fid == st.FID })
 					default:
 						op = "drop caches"

@@ -430,7 +430,13 @@ func SyntheticProject(c *core.Cluster, rng *rand.Rand, p ProjectParams) (*Makefi
 		}
 		mf.AddSource(headers[i])
 	}
-	var objs []string
+	// Every unit searches the same include path; jobs only read it.
+	lookups := make([]string, p.LookupsPerUnit)
+	for l := range lookups {
+		lookups[l] = headers[l%len(headers)]
+	}
+	read := min(p.HeadersRead, len(headers))
+	objs := make([]string, 0, p.Units)
 	for i := 0; i < p.Units; i++ {
 		src := fmt.Sprintf("%s/u%d.c", p.Dir, i)
 		obj := fmt.Sprintf("%s/u%d.o", p.Dir, i)
@@ -438,16 +444,12 @@ func SyntheticProject(c *core.Cluster, rng *rand.Rand, p ProjectParams) (*Makefi
 			return nil, err
 		}
 		mf.AddSource(src)
-		inputs := []string{src}
-		deps := []string{src}
-		for h := 0; h < p.HeadersRead && h < len(headers); h++ {
+		inputs := append(make([]string, 0, 1+read), src)
+		deps := append(make([]string, 0, 1+read), src)
+		for h := 0; h < read; h++ {
 			hdr := headers[(i+h)%len(headers)]
 			inputs = append(inputs, hdr)
 			deps = append(deps, hdr)
-		}
-		var lookups []string
-		for l := 0; l < p.LookupsPerUnit; l++ {
-			lookups = append(lookups, headers[l%len(headers)])
 		}
 		cpu := p.CompileCPU
 		if p.CPUJitter > 0 && rng != nil {

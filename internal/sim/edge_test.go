@@ -47,6 +47,45 @@ func TestFutureDoubleCompleteIsNoop(t *testing.T) {
 	}
 }
 
+// TestFutureReset: a zero Future joins one event, and after Reset a
+// second; the waiter sees each value in turn. Resetting an unresolved
+// future panics, since whatever was to complete it still may.
+func TestFutureReset(t *testing.T) {
+	s := New(1)
+	var f Future
+	var got []any
+	s.Spawn("w", func(env *Env) error {
+		for i := 0; i < 2; i++ {
+			v, err := f.Wait(env)
+			if err != nil {
+				return err
+			}
+			got = append(got, v)
+			f.Reset()
+		}
+		return nil
+	})
+	s.Spawn("c", func(env *Env) error {
+		for i := 1; i <= 2; i++ {
+			if err := env.Sleep(time.Second); err != nil {
+				return err
+			}
+			f.Complete(i, nil)
+		}
+		return nil
+	})
+	run(t, s)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("waiter saw %v, want [1 2]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of an unresolved future did not panic")
+		}
+	}()
+	f.Reset()
+}
+
 func TestQueueLenAndSendAfterClose(t *testing.T) {
 	s := New(1)
 	q := NewQueue(s)

@@ -321,6 +321,10 @@ func (s *Simulation) SetTraceSink(fn func(at time.Duration, kind, detail string)
 	s.traceSink = fn
 }
 
+// Traced reports whether a trace sink is installed. Emitters check it
+// before formatting a detail, so an untraced run formats nothing.
+func (s *Simulation) Traced() bool { return s.traceSink != nil }
+
 // exclusiveOnly panics when called from a shard-confined context. The two
 // kernels detect the same misuse: the serial oracle checks the running
 // activity's shard, the parallel kernel additionally refuses any call that

@@ -36,7 +36,18 @@ func (f *Future) Complete(value any, err error) {
 	for _, w := range f.waiters {
 		w.wakeNow(nil)
 	}
-	f.waiters = nil
+	clear(f.waiters[:cap(f.waiters)]) // dropWaiter leaves copies past len
+	f.waiters = f.waiters[:0]
+}
+
+// Reset re-arms a completed future, keeping its waiter array, once every
+// waiter it woke has resumed (a waiter reads the value when it runs).
+// Resetting an unresolved future panics: something may still complete it.
+func (f *Future) Reset() {
+	if !f.done {
+		panic("sim: Reset of an unresolved future")
+	}
+	f.done, f.value, f.err = false, nil, nil
 }
 
 // Wait blocks the calling activity until the future completes, then returns

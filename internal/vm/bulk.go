@@ -65,8 +65,6 @@ type ReadaheadPager struct {
 	Window int
 }
 
-var _ Pager = (*ReadaheadPager)(nil)
-
 // PageIn reads the faulting page and its readahead run from backing store.
 func (p *ReadaheadPager) PageIn(env *sim.Env, seg *Segment, page int) error {
 	if seg.Backing == nil {

@@ -76,7 +76,7 @@ func (as *AddressSpace) advanceClock() {
 
 // PageOut implements PageOuter for the file-system pager: the page is
 // written to its backing stream.
-func (p *FilePager) PageOut(env *sim.Env, seg *Segment, page int) error {
+func (p FilePager) PageOut(env *sim.Env, seg *Segment, page int) error {
 	if seg.Backing == nil {
 		return nil
 	}
@@ -85,4 +85,4 @@ func (p *FilePager) PageOut(env *sim.Env, seg *Segment, page int) error {
 	return p.Client.WriteAt(env, seg.Backing, off, make([]byte, ps))
 }
 
-var _ PageOuter = (*FilePager)(nil)
+var _ PageOuter = FilePager{}

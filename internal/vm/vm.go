@@ -195,7 +195,7 @@ func New(env *sim.Env, client *fs.Client, name string, cfg Config, params Params
 	}
 	// The space holds its segments, and one array all their bitmaps.
 	as := &AddressSpace{params: params, name: name}
-	fsp := &FilePager{Client: client}
+	fsp := FilePager{Client: client}
 	pages := [3]int{cfg.CodePages, cfg.HeapPages, cfg.StackPages}
 	bits := make([]bool, 2*(pages[0]+pages[1]+pages[2]))
 	for i, n := range pages {
@@ -311,17 +311,16 @@ func (as *AddressSpace) TouchRange(env *sim.Env, seg *Segment, lo, hi int, write
 }
 
 // FilePager pages from the segment's backing stream through the file
-// system — Sprite's normal paging path.
+// system — Sprite's normal paging path. It is passed by value: an
+// interface holds its one pointer without allocating.
 type FilePager struct {
 	// Client is the FS client of the host where the process currently runs.
 	Client *fs.Client
 }
 
-var _ Pager = (*FilePager)(nil)
-
 // PageIn reads the page from the backing stream, counting only: page
 // contents are not modelled, so nothing is materialised.
-func (p *FilePager) PageIn(env *sim.Env, seg *Segment, page int) error {
+func (p FilePager) PageIn(env *sim.Env, seg *Segment, page int) error {
 	if seg.Backing == nil {
 		return nil // anonymous zero-fill page
 	}

@@ -145,7 +145,9 @@ func (b *BgLoad) daemon(host int) func(env *sim.Env) error {
 			}
 			last = env.Now()
 			if b.mbox != nil && b.cfg.ReportEvery > 0 && (tick+1)%b.cfg.ReportEvery == 0 {
-				env.Emit("bgload.report", fmt.Sprintf("host=%d tick=%d", host, tick))
+				if env.Sim().Traced() {
+					env.Emit("bgload.report", fmt.Sprintf("host=%d tick=%d", host, tick))
+				}
 				b.mbox.Send(env, BgLoadReport{Host: host, Tick: tick, Load: load})
 				if b.reports != nil {
 					b.reports.IncSlot(slot)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -93,5 +94,44 @@ func TestBgLoadMetricsCount(t *testing.T) {
 	}
 	if got := reg.Timing("bgload.tick_gap").N(); got != 8*25 {
 		t.Fatalf("bgload.tick_gap n = %d, want %d", got, 8*25)
+	}
+}
+
+// TestBgLoadUntracedReportsFormatNothing: a report's trace detail is built
+// only when a sink is installed. The same bounded plane runs untraced and
+// then into a sink that keeps nothing; the traced run must allocate at
+// least one object per report more than the untraced one. Formatting ahead
+// of the sink check made the two runs allocate alike.
+func TestBgLoadUntracedReportsFormatNothing(t *testing.T) {
+	const hosts, ticks, every = 8, 25, 5
+	run := func(sink func(time.Duration, string, string)) uint64 {
+		s := sim.New(3)
+		s.SetTraceSink(sink)
+		StartBgLoad(s, nil, BgLoadConfig{Hosts: hosts, Tick: time.Millisecond, WorkPerTick: 50, Ticks: ticks, ReportEvery: every})
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	run(nil) // first-run costs (fmt's printer pool, runtime caches) land here
+	reports := 0
+	untraced := run(nil)
+	traced := run(func(_ time.Duration, kind, _ string) {
+		if kind == "bgload.report" {
+			reports++
+		}
+	})
+	if want := hosts * ticks / every; reports != want {
+		t.Fatalf("sink saw %d reports, want %d", reports, want)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	t.Logf("%d reports: %d objects traced, %d untraced", reports, traced, untraced)
+	if traced < untraced+uint64(reports) {
+		t.Errorf("traced run allocated %d objects, untraced %d: %d reports were formatted with nobody listening", traced, untraced, reports)
 	}
 }
