@@ -13,7 +13,7 @@ vet:
 	$(GO) vet ./...
 
 # spritelint (DESIGN.md §11): the project's own go/analysis-style suite —
-# four analyzers (simtaint, confine, sharded, metricname) over one
+# three analyzers (simtaint, confine, sharded) over one
 # whole-tree call graph and its function summaries. Built into bin/ first;
 # -deadallow adds the stale-allow audit.
 lint:

@@ -1,12 +1,11 @@
 // Command spritelint is the project's multichecker: it loads the requested
 // packages as one tree, computes the whole-tree call graph and function
-// summaries once (internal/analysis/dataflow), runs the four analyzers
-// over them — simtaint, confine, sharded, metricname — and fails (exit 1)
-// on any violation. The analyzers statically enforce the contracts
-// everything else in this repo only promises: byte-identical goldens,
-// seed-replayable fuzzing, the exact virtual-time regression gate, the
-// parallel kernel's confined-activity discipline (DESIGN.md §13), and a
-// metric namespace shared by code, tests, and DESIGN.md §11.
+// summaries once (internal/analysis/dataflow), runs the three analyzers
+// over them — simtaint, confine, sharded — and fails (exit 1) on any
+// violation. The analyzers statically enforce the contracts everything
+// else in this repo only promises: byte-identical goldens, seed-replayable
+// fuzzing, the exact virtual-time regression gate, and the parallel
+// kernel's confined-activity discipline (DESIGN.md §13).
 //
 // Usage:
 //
@@ -40,7 +39,6 @@ import (
 	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/lint"
 	"sprite/internal/analysis/load"
-	"sprite/internal/analysis/metricname"
 	"sprite/internal/analysis/sharded"
 	"sprite/internal/analysis/simtaint"
 )
@@ -49,7 +47,6 @@ var analyzers = []*dataflow.TreeAnalyzer{
 	simtaint.Analyzer,
 	confine.Analyzer,
 	sharded.Analyzer,
-	metricname.Analyzer,
 }
 
 // jsonReport is the -json output schema, kept stable for CI artifacts.

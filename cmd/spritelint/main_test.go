@@ -18,13 +18,13 @@ func spritelint(t *testing.T, dir string, args ...string) (int, string) {
 	return code, stdout.String()
 }
 
-func TestListNamesTheFourAnalyzers(t *testing.T) {
+func TestListNamesTheThreeAnalyzers(t *testing.T) {
 	code, out := spritelint(t, ".", "-list")
 	var names []string
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "simtaint confine sharded metricname"; code != 0 || got != want {
+	if got, want := strings.Join(names, " "), "simtaint confine sharded"; code != 0 || got != want {
 		t.Errorf("-list = exit %d, analyzers %q; want exit 0, %q", code, got, want)
 	}
 }
@@ -57,7 +57,7 @@ func TestExitCodesAndStableOutput(t *testing.T) {
 
 	write("clock.go", "package fixture\n\nfunc Stamp() int64 { return 0 }\n")
 	write("keys.go", "package fixture\n\nfunc Count(m map[string]int) int { return len(m) }\n")
-	if code, out := spritelint(t, dir, "-deadallow", "."); code != 0 || out != "spritelint: 1 packages clean under 4 analyzers\n" {
+	if code, out := spritelint(t, dir, "-deadallow", "."); code != 0 || out != "spritelint: 1 packages clean under 3 analyzers\n" {
 		t.Errorf("after fixing both files: exit %d, output %q", code, out)
 	}
 }

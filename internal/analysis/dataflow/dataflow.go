@@ -201,6 +201,7 @@ var models = map[callgraph.FuncID]*Summary{
 	metricsPkg + ".(Timing).ObserveSlot": {SinkParams: pbits(2)},
 	metricsPkg + ".(Gauge).Set":          {SinkParams: pbits(1)},
 	metricsPkg + ".(Gauge).Add":          {SinkParams: pbits(1)},
+	metricsPkg + ".(Registry).SetGauges": {SinkParams: pbits(2)},
 	// Deterministic clocks/randomness: returns are clean.
 	simPkg + ".(Env).Now":       {},
 	simPkg + ".(Env).Rand":      {},

@@ -59,6 +59,10 @@ var unshardedMetrics = map[string]string{
 	"Timing.Observe": "Timing.ObserveSlot",
 }
 
+// gaugeSetters are the metrics calls that set gauges, which have no
+// slot-sharded form.
+var gaugeSetters = []string{"Gauge.Set", "Gauge.Add", "Registry.SetGauges"}
+
 // emitMethodNames are the order-sensitive output methods: stream
 // writers, hashes, and the cluster's event/trace emitters. A call on an
 // escaping receiver makes the function an emitter; a call written in a
@@ -275,9 +279,11 @@ func (st *unitState) extractCall(n *callgraph.Node, sum *Summary, call *ast.Call
 					"metrics."+m+" contends across shards (use "+repl+" with sim.WorkerSlot)")
 			}
 		}
-		if lint.IsMethod(fn, metricsPkg, "Gauge", "Set") || lint.IsMethod(fn, metricsPkg, "Gauge", "Add") {
-			fact(&sum.UnshardedMetrics, call.Pos(),
-				"metrics.Gauge."+fn.Name()+" is deliberately unsharded; gauges must be driven from the exclusive shard")
+		for _, m := range gaugeSetters {
+			if typ, meth, _ := strings.Cut(m, "."); lint.IsMethod(fn, metricsPkg, typ, meth) {
+				fact(&sum.UnshardedMetrics, call.Pos(),
+					"metrics."+m+" is deliberately unsharded; gauges must be driven from the exclusive shard")
+			}
 		}
 		// Output emission: every printed operand is sink-reaching (the
 		// writer argument of Fprint* is not printed).

@@ -12,7 +12,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -287,13 +286,6 @@ func Callee(call *ast.CallExpr) ast.Expr {
 	return fun
 }
 
-// IsPkgFunc reports whether obj is the package-level function (or method —
-// recvName "" matches only package-level) path.name.
-func IsPkgFunc(fn *types.Func, path, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == path && fn.Name() == name &&
-		fn.Type().(*types.Signature).Recv() == nil
-}
-
 // IsMethod reports whether fn is a method named name whose receiver's named
 // type (after pointer indirection) is path.typeName.
 func IsMethod(fn *types.Func, path, typeName, name string) bool {
@@ -314,13 +306,4 @@ func IsMethod(fn *types.Func, path, typeName, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == path && obj.Name() == typeName
-}
-
-// ConstString returns the compile-time string value of e, if it has one.
-func ConstString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

@@ -1,15 +1,8 @@
 // Stub of sprite/internal/metrics shared by every analyzer fixture: the
-// Registry accessors' name argument and the instruments' sharded/unsharded
-// mutator pairs must match the real package.
+// instruments' sharded/unsharded mutator pairs must match the real package.
 package metrics
 
 import "time"
-
-type Registry struct{}
-
-func (r *Registry) Counter(name string) *Counter { return nil }
-func (r *Registry) Gauge(name string) *Gauge     { return nil }
-func (r *Registry) Timing(name string) *Timing   { return nil }
 
 type Counter struct{}
 
@@ -22,6 +15,10 @@ type Timing struct{}
 
 func (t *Timing) Observe(d time.Duration)               {}
 func (t *Timing) ObserveSlot(slot int, d time.Duration) {}
+
+type Registry struct{}
+
+func (r *Registry) SetGauges(prefix string, stats any) {}
 
 type Gauge struct{}
 

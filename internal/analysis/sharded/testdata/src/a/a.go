@@ -13,6 +13,7 @@ type meter struct {
 	served  *metrics.Counter
 	latency *metrics.Timing
 	depth   *metrics.Gauge
+	reg     *metrics.Registry
 }
 
 func Boot(s *sim.Simulation, m *meter) {
@@ -31,6 +32,7 @@ func (m *meter) bump(env *sim.Env) {
 	m.served.Inc()               // want `metrics\.Counter\.Inc contends across shards \(use Counter\.IncSlot with sim\.WorkerSlot\) — reachable from confined spawn: SpawnOn -> a\.Boot\$1 -> a\.\(meter\)\.serve -> a\.\(meter\)\.bump`
 	m.latency.Observe(env.Now()) // want `metrics\.Timing\.Observe contends across shards \(use Timing\.ObserveSlot with sim\.WorkerSlot\) — reachable from confined spawn`
 	m.depth.Add(1)               // want `metrics\.Gauge\.Add is deliberately unsharded; gauges must be driven from the exclusive shard — reachable from confined spawn`
+	m.reg.SetGauges("a.", *m)    // want `metrics\.Registry\.SetGauges is deliberately unsharded; gauges must be driven from the exclusive shard — reachable from confined spawn`
 }
 
 // bumpSlot is the compliant path: slot-sharded mutators keyed by the

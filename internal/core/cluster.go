@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -224,16 +225,14 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }
 
 // MetricsSnapshot folds every derived statistic the cluster keeps outside
 // the registry — scheduler counters, per-kernel migration tallies, per-file-
-// server activity, per-RPC-service traffic — into gauges, then returns a
+// server activity, per-RPC-service traffic — into gauges, one per
+// metric-tagged stats field (Registry.SetGauges), then returns a
 // deterministic point-in-time snapshot. Two same-seed runs produce
-// byte-identical Text()/JSON() renderings.
+// byte-identical renderings: the snapshot sorts every name, whatever order
+// the gauges were set in.
 func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	r := c.metrics
-	ss := c.sim.Stats()
-	r.Gauge("sim.events_dispatched").Set(int64(ss.EventsDispatched))
-	r.Gauge("sim.context_switches").Set(int64(ss.ContextSwitches))
-	r.Gauge("sim.max_queue_depth").Set(int64(ss.MaxQueueDepth))
-	r.Gauge("sim.activities_spawned").Set(int64(ss.Spawned))
+	r.SetGauges("sim.", c.sim.Stats())
 	// mig.inflight is derived, not tracked live: the migration hot path runs
 	// confined, where a shared gauge's high-water mark would depend on the
 	// cross-shard interleaving. The identity started == completed + aborted
@@ -241,56 +240,32 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	// counters at any exclusive point.
 	r.Gauge("mig.inflight").Set(r.Counter("mig.started").Value() -
 		r.Counter("mig.completed").Value() - r.Counter("mig.aborted").Value())
-	// Every fold below iterates its source map in sorted key order: gauge
-	// registration order feeds the snapshot's rendering contract, so the
-	// first snapshot of a run must see identical key sequences run to run.
-	for _, host := range hostsInOrder(c.kernels) {
-		pre := fmt.Sprintf("kernel.%v.", host)
-		st := c.kernels[host].Stats()
-		r.Gauge(pre + "migrations_out").Set(int64(st.MigrationsOut))
-		r.Gauge(pre + "migrations_in").Set(int64(st.MigrationsIn))
-		r.Gauge(pre + "evictions").Set(int64(st.Evictions))
-		r.Gauge(pre + "forwarded_calls").Set(int64(st.ForwardedCalls))
-		r.Gauge(pre + "remote_execs").Set(int64(st.RemoteExecs))
-		r.Gauge(pre + "procs_started").Set(int64(st.ProcsStarted))
-		r.Gauge(pre + "procs_exited").Set(int64(st.ProcsExited))
-		r.Gauge(pre + "procs_crashed").Set(int64(st.ProcsCrashed))
+	// The folds visit hosts and services in sorted order, though the
+	// snapshot sorts names anyway and the order gauges are set in reaches no
+	// rendering: simtaint cannot tell a map-ordered gauge write that
+	// commutes from one that does not.
+	for _, k := range c.workstations {
+		r.SetGauges(fmt.Sprintf("kernel.%v.", k.host), k.Stats())
 	}
 	servers := c.fs.Servers()
-	for _, host := range hostsInOrder(servers) {
-		pre := fmt.Sprintf("fsserver.%v.", host)
-		st := servers[host].Stats()
-		r.Gauge(pre + "lookups").Set(int64(st.Lookups))
-		r.Gauge(pre + "blocks_read").Set(int64(st.BlocksRead))
-		r.Gauge(pre + "blocks_written").Set(int64(st.BlocksWrite))
-		r.Gauge(pre + "cold_reads").Set(int64(st.ColdReads))
-		r.Gauge(pre + "flush_recalls").Set(int64(st.FlushRecall))
-		r.Gauge(pre + "cache_disables").Set(int64(st.Disables))
+	for _, host := range keysInOrder(servers) {
+		r.SetGauges(fmt.Sprintf("fsserver.%v.", host), servers[host].Stats())
 	}
-	svcStats := c.transport.Stats()
-	svcs := make([]string, 0, len(svcStats))
-	for svc := range svcStats {
-		svcs = append(svcs, svc)
-	}
-	sort.Strings(svcs)
-	for _, svc := range svcs {
-		st := svcStats[svc]
-		pre := "rpc.service." + svc + "."
-		r.Gauge(pre + "calls").Set(int64(st.Calls))
-		r.Gauge(pre + "bytes").Set(int64(st.Bytes))
-		r.Gauge(pre + "errs").Set(int64(st.Errs))
+	svcs := c.transport.Stats()
+	for _, svc := range keysInOrder(svcs) {
+		r.SetGauges("rpc.service."+svc+".", svcs[svc])
 	}
 	return r.Snapshot()
 }
 
-// hostsInOrder returns m's keys in ascending host order.
-func hostsInOrder[V any](m map[rpc.HostID]V) []rpc.HostID {
-	hosts := make([]rpc.HostID, 0, len(m))
-	for h := range m {
-		hosts = append(hosts, h)
+// keysInOrder returns m's keys in ascending order.
+func keysInOrder[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	return hosts
+	slices.Sort(keys)
+	return keys
 }
 
 // Workstations returns the workstation kernels in host order.

@@ -57,7 +57,7 @@ func (c *Cluster) CheckInvariants(endOfRun bool) []string {
 // conditions are epoch-guarded, so post-reboot processes are exempt.)
 func (c *Cluster) checkRecovery() []string {
 	var out []string
-	for _, host := range hostsInOrder(c.reapedEpochs) {
+	for _, host := range keysInOrder(c.reapedEpochs) {
 		reaped := c.reapedEpochs[host]
 		for _, k := range c.workstations {
 			for _, p := range k.Processes() {

@@ -12,20 +12,21 @@ import (
 	"sprite/internal/vm"
 )
 
-// KernelStats counts migration-related kernel events.
+// KernelStats counts migration-related kernel events. Cluster.MetricsSnapshot
+// publishes each tagged field as the gauge kernel.<host>.<tag>.
 type KernelStats struct {
-	MigrationsOut uint64
-	MigrationsIn  uint64
+	MigrationsOut uint64 `metric:"migrations_out"`
+	MigrationsIn  uint64 `metric:"migrations_in"`
 	// MigrationsAborted counts outbound migrations from this host that hit
 	// the abort-recovery path (target crash, failpoint, version skew). The
 	// fleet health plane reads it as a per-host sickness signal.
 	MigrationsAborted uint64
-	Evictions         uint64
-	ForwardedCalls    uint64
-	RemoteExecs       uint64
-	ProcsStarted      uint64
-	ProcsExited       uint64
-	ProcsCrashed      uint64
+	Evictions         uint64 `metric:"evictions"`
+	ForwardedCalls    uint64 `metric:"forwarded_calls"`
+	RemoteExecs       uint64 `metric:"remote_execs"`
+	ProcsStarted      uint64 `metric:"procs_started"`
+	ProcsExited       uint64 `metric:"procs_exited"`
+	ProcsCrashed      uint64 `metric:"procs_crashed"`
 }
 
 // homeRecord is the state a home kernel keeps for every process whose home

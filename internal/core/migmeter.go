@@ -116,7 +116,7 @@ func (m *migMeter) end(env *sim.Env, at time.Duration) time.Duration {
 		return 0
 	}
 	d := at - m.start
-	m.reg.Timing(m.phase.timing).ObserveSlot(sim.WorkerSlot(env), d) //spritelint:allow metricname built by newMigPhase on the literal mig.phase. backbone
+	m.reg.Timing(m.phase.timing).ObserveSlot(sim.WorkerSlot(env), d)
 	return d
 }
 
@@ -145,8 +145,7 @@ func (m *migMeter) abort(env *sim.Env) {
 	slot := sim.WorkerSlot(env)
 	m.reg.Counter("mig.aborted").IncSlot(slot)
 	if m.phase != nil {
-		// One allow covers its own line and the next.
-		m.reg.Counter(m.phase.aborted).IncSlot(slot) //spritelint:allow metricname both built by newMigPhase on the literal mig.phase. and mig.aborted. backbones
+		m.reg.Counter(m.phase.aborted).IncSlot(slot)
 		m.reg.Counter(m.phase.abortedIn).IncSlot(slot)
 	}
 }
@@ -157,7 +156,7 @@ func (m *migMeter) abort(env *sim.Env) {
 func (m *migMeter) observeTotals(env *sim.Env, rec *MigrationRecord) {
 	slot := sim.WorkerSlot(env)
 	m.reg.Timing("mig.total").ObserveSlot(slot, rec.Total)
-	m.reg.Timing(m.names.total).ObserveSlot(slot, rec.Total) //spritelint:allow metricname built by newStrategyNames on the literal mig.total. backbone
+	m.reg.Timing(m.names.total).ObserveSlot(slot, rec.Total)
 	m.reg.Timing("mig.freeze").ObserveSlot(slot, rec.Freeze)
 	m.reg.Counter("mig.vm_bytes").AddSlot(slot, int64(rec.VMBytes))
 	m.reg.Counter("mig.files_moved").AddSlot(slot, int64(rec.Files))

@@ -171,9 +171,7 @@ func (c *Client) lookupServer(env *sim.Env, path string) (rpc.HostID, error) {
 		return rpc.NoHost, err
 	}
 	c.stats.PrefixQueries++
-	if m := c.fs.m; m != nil {
-		m.prefixQueries.IncSlot(sim.WorkerSlot(env))
-	}
+	c.fs.m.prefixQueries.IncSlot(sim.WorkerSlot(env))
 	prefix := c.fs.ns.prefixFor(path)
 	c.prefixCache.AddPrefix(prefix, host)
 	return host, nil
@@ -418,9 +416,7 @@ func (c *Client) readAt(env *sim.Env, st *Stream, off int64, n int, keep bool) (
 // countRead adds n to the bytes-read statistics.
 func (c *Client) countRead(env *sim.Env, n int) {
 	c.stats.BytesRead += uint64(n)
-	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(n))
-	}
+	c.fs.m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(n))
 }
 
 // Write writes data at the stream's access position, advancing it.
@@ -473,9 +469,7 @@ func (c *Client) WriteAt(env *sim.Env, st *Stream, off int64, data []byte) error
 // countWritten adds n to the bytes-written statistics.
 func (c *Client) countWritten(env *sim.Env, n int) {
 	c.stats.BytesWritten += uint64(n)
-	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(n))
-	}
+	c.fs.m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(n))
 }
 
 // Seek sets the access position.
@@ -565,16 +559,12 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 	if c.cacheEnabled(st) {
 		if b, ok := c.blocks[key]; ok {
 			c.stats.Hits++
-			if m := c.fs.m; m != nil {
-				m.hits.IncSlot(sim.WorkerSlot(env))
-			}
+			c.fs.m.hits.IncSlot(sim.WorkerSlot(env))
 			c.toFront(b)
 			return b.data, nil
 		}
 		c.stats.Misses++
-		if m := c.fs.m; m != nil {
-			m.misses.IncSlot(sim.WorkerSlot(env))
-		}
+		c.fs.m.misses.IncSlot(sim.WorkerSlot(env))
 	}
 	r, err := fsRead.Call(c.ep, env, st.FID.Server, readArgs{FID: st.FID, Block: block}, 32)
 	if err != nil {
@@ -799,9 +789,7 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 		c.setDirty(b, false)
 	}
 	c.stats.BlockFlushes++
-	if m := c.fs.m; m != nil {
-		m.flushes.IncSlot(sim.WorkerSlot(env))
-	}
+	c.fs.m.flushes.IncSlot(sim.WorkerSlot(env))
 	c.edit(b.key.fid, func(m *fileMeta) { m.ver = r.Version })
 	return nil
 }
@@ -852,9 +840,7 @@ func (c *Client) dropFile(fid FileID) {
 // consistency recall.
 func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (struct{}, int, error) {
 	c.stats.Recalls++
-	if m := c.fs.m; m != nil {
-		m.recalls.IncSlot(sim.WorkerSlot(env))
-	}
+	c.fs.m.recalls.IncSlot(sim.WorkerSlot(env))
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return struct{}{}, 0, err
 	}
@@ -865,9 +851,7 @@ func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, a cacheCallb
 // consistency action: flush dirty blocks, then drop the file from the cache.
 func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (struct{}, int, error) {
 	c.stats.Recalls++
-	if m := c.fs.m; m != nil {
-		m.recalls.IncSlot(sim.WorkerSlot(env))
-	}
+	c.fs.m.recalls.IncSlot(sim.WorkerSlot(env))
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return struct{}{}, 0, err
 	}
@@ -1034,9 +1018,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 		return fmt.Errorf("migrate stream %s: %w", st.Path, err)
 	}
 	if st.pipe {
-		if m := c.fs.m; m != nil {
-			m.pipeMoves.IncSlot(sim.WorkerSlot(env))
-		}
+		c.fs.m.pipeMoves.IncSlot(sim.WorkerSlot(env))
 		return nil
 	}
 	if !keepSource || addTarget { // the server moved the entry and replied
@@ -1058,9 +1040,7 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 	if share {
 		st.shared = true
 	}
-	if m := c.fs.m; m != nil {
-		m.streamMoves.IncSlot(sim.WorkerSlot(env))
-	}
+	c.fs.m.streamMoves.IncSlot(sim.WorkerSlot(env))
 	return nil
 }
 

@@ -134,9 +134,9 @@ type FS struct {
 	// when both the crash injector and a later reaping pass request it.
 	scrubbed map[rpc.HostID]rpc.Epoch
 
-	// m holds the optional metrics plane's cached counters, shared by every
-	// client so cluster-wide cache behaviour reads as one set of series.
-	m *fsCounters
+	// m holds the metrics plane's cached counters, shared by every client
+	// so cluster-wide cache behaviour reads as one set of series.
+	m fsCounters
 }
 
 // fsCounters caches the fabric-wide instrument pointers.
@@ -147,16 +147,12 @@ type fsCounters struct {
 	streamMoves, pipeMoves         *metrics.Counter
 }
 
-// SetMetrics installs (or with nil removes) the registry receiving the
-// fabric's cache and stream-forwarding counters: fs.cache.{hits,misses,
-// flushes,recalls}, fs.bytes.{read,written}, fs.prefix.queries, and
-// fs.stream.{moves,pipe_moves}.
+// SetMetrics installs the registry receiving the fabric's cache and
+// stream-forwarding counters: fs.cache.{hits,misses,flushes,recalls},
+// fs.bytes.{read,written}, fs.prefix.queries, and fs.stream.{moves,
+// pipe_moves}. A nil registry discards them, as a new fabric does.
 func (f *FS) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		f.m = nil
-		return
-	}
-	f.m = &fsCounters{
+	f.m = fsCounters{
 		hits:          reg.Counter("fs.cache.hits"),
 		misses:        reg.Counter("fs.cache.misses"),
 		flushes:       reg.Counter("fs.cache.flushes"),
@@ -174,7 +170,7 @@ func New(s *sim.Simulation, transport *rpc.Transport, params Params) *FS {
 	if params.BlockSize <= 0 {
 		params.BlockSize = 4096
 	}
-	return &FS{
+	f := &FS{
 		sim:       s,
 		transport: transport,
 		params:    params,
@@ -182,6 +178,8 @@ func New(s *sim.Simulation, transport *rpc.Transport, params Params) *FS {
 		servers:   make(map[rpc.HostID]*Server),
 		clients:   make(map[rpc.HostID]*Client),
 	}
+	f.SetMetrics(nil)
+	return f
 }
 
 // AddServer creates a file server on the given host serving the given path

@@ -218,10 +218,7 @@ func (c *Client) pipeRead(env *sim.Env, st *Stream, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.stats.BytesRead += uint64(len(r.Data))
-	if m := c.fs.m; m != nil {
-		m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(len(r.Data)))
-	}
+	c.countRead(env, len(r.Data))
 	return r.Data, nil
 }
 
@@ -231,10 +228,7 @@ func (c *Client) pipeWrite(env *sim.Env, st *Stream, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.stats.BytesWritten += uint64(r.Size)
-	if m := c.fs.m; m != nil {
-		m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(r.Size))
-	}
+	c.countWritten(env, r.Size)
 	return r.Size, nil
 }
 

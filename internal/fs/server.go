@@ -226,14 +226,15 @@ func (fl *file) applyWrite(now time.Duration, off int, data []byte, n, newSize i
 	return writeReply{Version: fl.version, Size: fl.size}
 }
 
-// ServerStats summarizes one server's activity.
+// ServerStats summarizes one server's activity. Cluster.MetricsSnapshot
+// publishes each tagged field as the gauge fsserver.<host>.<tag>.
 type ServerStats struct {
-	Lookups     uint64
-	BlocksRead  uint64
-	BlocksWrite uint64
-	ColdReads   uint64
-	FlushRecall uint64 // consistency callbacks asking a client to flush
-	Disables    uint64 // times caching was disabled for a file
+	Lookups     uint64 `metric:"lookups"`
+	BlocksRead  uint64 `metric:"blocks_read"`
+	BlocksWrite uint64 `metric:"blocks_written"`
+	ColdReads   uint64 `metric:"cold_reads"`
+	FlushRecall uint64 `metric:"flush_recalls"`  // consistency callbacks asking a client to flush
+	Disables    uint64 `metric:"cache_disables"` // times caching was disabled for a file
 	BulkWrites  uint64 // fs.writeBulk batches served
 	BulkReads   uint64 // fs.readBulk batches served
 }

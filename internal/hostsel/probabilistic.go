@@ -149,6 +149,7 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 	if params.Interval <= 0 {
 		params.Interval = time.Second
 	}
+	reg := cluster.Metrics()
 	p := &Probabilistic{
 		cluster: cluster,
 		params:  params,
@@ -156,12 +157,11 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 		viewAt:  make(map[rpc.HostID]time.Duration),
 		claims:  make(map[rpc.HostID]claimRec),
 		hints:   make(map[rpc.HostID][]EvictHint),
-	}
-	if reg := cluster.Metrics(); reg != nil {
-		p.misplaceC = reg.Counter("hostsel.gossip.misplace")
-		p.ageT = reg.Timing("hostsel.gossip.age")
-		p.hintC = reg.Counter("hostsel.gossip.hints")
-		p.evictC = reg.Counter("hostsel.gossip.evict")
+
+		misplaceC: reg.Counter("hostsel.gossip.misplace"),
+		ageT:      reg.Timing("hostsel.gossip.age"),
+		hintC:     reg.Counter("hostsel.gossip.hints"),
+		evictC:    reg.Counter("hostsel.gossip.evict"),
 	}
 	for _, k := range cluster.Workstations() {
 		h := k.Host()
@@ -217,9 +217,7 @@ func (p *Probabilistic) view(host rpc.HostID, now time.Duration) *LoadVector {
 		if n := v.Decay(now-last, staleAfter); n > 0 {
 			p.stats.Evictions += uint64(n)
 			p.gstats.StaleEvicted += uint64(n)
-			if p.evictC != nil {
-				p.evictC.Add(int64(n))
-			}
+			p.evictC.Add(int64(n))
 		}
 	}
 	p.viewAt[host] = now
@@ -463,9 +461,7 @@ func (p *Probabilistic) pushHint(host rpc.HostID, h EvictHint) {
 	}
 	p.hints[host] = append(q, h)
 	p.gstats.HintsQueued++
-	if p.hintC != nil {
-		p.hintC.Inc()
-	}
+	p.hintC.Inc()
 }
 
 // takeHints drains up to hintBound hints from host's queue (the reply
@@ -548,9 +544,7 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 			break
 		}
 		p.stats.Messages++
-		if p.ageT != nil {
-			p.ageT.ObserveSlot(sim.WorkerSlot(env), cd.Age)
-		}
+		p.ageT.ObserveSlot(sim.WorkerSlot(env), cd.Age)
 		cr, err := hsClaim.Call(ep, env, cd.Host, claimArgs{Client: client}, 16)
 		if err != nil {
 			if tolerable(err) {
@@ -581,9 +575,7 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 func (p *Probabilistic) misplaced(v *LoadVector, client rpc.HostID, cd VectorEntry) {
 	p.stats.Conflicts++
 	p.gstats.Misplaced++
-	if p.misplaceC != nil {
-		p.misplaceC.Inc()
-	}
+	p.misplaceC.Inc()
 	v.ApplyHint(EvictHint{Host: cd.Host, Epoch: cd.Epoch})
 	p.pushHint(client, EvictHint{Host: cd.Host, Epoch: cd.Epoch})
 }

@@ -11,14 +11,18 @@
 //   - Deterministic when read. Snapshot output is sorted by name and every
 //     rendered value is a pure function of the recorded observations, so
 //     two same-seed runs produce byte-identical snapshots.
-//   - Mergeable. Timings carry quantile sketches (sketch.go) whose merge
-//     keeps the relative-error bound, so per-host timings can roll up into
-//     cluster ones.
+//   - Exact under sharding. Each worker records into its own cells, and a
+//     read folds them in slot order (Timing.fold): counts, sums, extrema
+//     and sketch buckets (sketch.go) all commute, so the folded view is
+//     what a serial run would report.
+//   - Always present. A nil *Registry hands out shared discard
+//     instruments, so code that records never checks whether a plane is
+//     installed.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -186,6 +190,9 @@ func (t *Timing) shard(n int) {
 
 // Observe records one duration.
 func (t *Timing) Observe(d time.Duration) {
+	if t == &discardTiming {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.observe(d)
@@ -243,28 +250,6 @@ func (t *Timing) Sum() time.Duration {
 	return acc.sum
 }
 
-// Merge folds other into t (cluster roll-ups of per-host timings).
-func (t *Timing) Merge(other *Timing) {
-	if other == nil || t == other {
-		return
-	}
-	oacc, osketch := other.fold()
-	if oacc.n == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n == 0 || oacc.min < t.min {
-		t.min = oacc.min
-	}
-	if t.n == 0 || oacc.max > t.max {
-		t.max = oacc.max
-	}
-	t.n += oacc.n
-	t.sum += oacc.sum
-	t.sketch.merge(osketch)
-}
-
 // summary renders the timing's merged state.
 func (t *Timing) summary() TimingSummary {
 	acc, sk := t.fold()
@@ -288,6 +273,8 @@ type TimingSummary struct {
 
 // Registry holds named instruments. Get-or-create accessors are guarded by
 // a mutex; hot paths should look an instrument up once and keep the pointer.
+// A nil *Registry discards: Counter and Timing return the shared
+// discardCounter and discardTiming, which nothing reads.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -327,16 +314,19 @@ func (r *Registry) EnableSharding(slots int) {
 	}
 }
 
-// Slots returns the per-worker cell count set by EnableSharding (0 when
-// sharding is off).
-func (r *Registry) Slots() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slots
-}
+// discardCounter and discardTiming are a nil registry's instruments: every
+// caller shares them, so asking for one allocates nothing. The counter's
+// atomic adds are race-free; the timing drops each observation at once.
+var (
+	discardCounter Counter
+	discardTiming  Timing
+)
 
 // Counter returns the named counter, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return &discardCounter
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -364,6 +354,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Timing returns the named timing, creating it if needed.
 func (r *Registry) Timing(name string) *Timing {
+	if r == nil {
+		return &discardTiming
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, ok := r.timings[name]
@@ -375,6 +368,26 @@ func (r *Registry) Timing(name string) *Timing {
 		r.timings[name] = t
 	}
 	return t
+}
+
+// SetGauges publishes a stats struct: for each field tagged metric:"name"
+// it sets the gauge prefix+name to the field's value. Untagged fields stay
+// unpublished. stats must be a struct whose tagged fields are integers.
+func (r *Registry) SetGauges(prefix string, stats any) {
+	v := reflect.ValueOf(stats)
+	for i := 0; i < v.NumField(); i++ {
+		name, ok := v.Type().Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		var n int64
+		if f := v.Field(i); f.CanInt() {
+			n = f.Int()
+		} else {
+			n = int64(f.Uint())
+		}
+		r.Gauge(prefix + name).Set(n)
+	}
 }
 
 // Snapshot captures every instrument's current state, sorted by name.
@@ -441,11 +454,6 @@ func (s Snapshot) Text() string {
 			name, t.N, t.Sum, t.Min, t.Max, t.P50, t.P95, t.P99)
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as deterministic (sorted-key) JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ") // encoding/json sorts map keys
 }
 
 func sortedNames[V any](m map[string]V) []string {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -52,25 +51,6 @@ func TestTimingSummary(t *testing.T) {
 	}
 }
 
-func TestTimingMerge(t *testing.T) {
-	r := New()
-	a, b := r.Timing("a"), r.Timing("b")
-	for i := 1; i <= 50; i++ {
-		a.Observe(time.Duration(i) * time.Millisecond)
-	}
-	for i := 51; i <= 100; i++ {
-		b.Observe(time.Duration(i) * time.Millisecond)
-	}
-	a.Merge(b)
-	if a.N() != 100 || a.Sum() != 5050*time.Millisecond {
-		t.Fatalf("merged n=%d sum=%v", a.N(), a.Sum())
-	}
-	a.Merge(a) // self-merge is a no-op
-	if a.N() != 100 {
-		t.Fatalf("self-merge changed n=%d", a.N())
-	}
-}
-
 func TestSnapshotDeterministicText(t *testing.T) {
 	build := func() string {
 		r := New()
@@ -87,24 +67,6 @@ func TestSnapshotDeterministicText(t *testing.T) {
 	}
 	if !strings.Contains(x, "counter a.count") || strings.Index(x, "a.count") > strings.Index(x, "b.count") {
 		t.Fatalf("names not sorted:\n%s", x)
-	}
-}
-
-func TestSnapshotJSON(t *testing.T) {
-	r := New()
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(2)
-	r.Timing("t").Observe(time.Millisecond)
-	data, err := r.Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var round Snapshot
-	if err := json.Unmarshal(data, &round); err != nil {
-		t.Fatal(err)
-	}
-	if round.Counters["c"] != 1 || round.Gauges["g"].Value != 2 || round.Timings["t"].N != 1 {
-		t.Fatalf("round-trip = %+v", round)
 	}
 }
 
@@ -129,5 +91,50 @@ func TestConcurrentCounters(t *testing.T) {
 	if r.Counter("n").Value() != 8000 || r.Gauge("g").Value() != 8000 || r.Timing("t").N() != 8000 {
 		t.Fatalf("lost updates: n=%d g=%d t=%d",
 			r.Counter("n").Value(), r.Gauge("g").Value(), r.Timing("t").N())
+	}
+}
+
+// TestNilRegistryDiscards pins the always-present contract: a nil registry
+// hands every caller the same discard instruments, which take observations
+// from concurrent goroutines and allocate nothing.
+func TestNilRegistryDiscards(t *testing.T) {
+	var r *Registry
+	if r.Counter("a.b") != r.Counter("c.d") || r.Timing("a.b") != r.Timing("c.d") {
+		t.Fatal("a nil registry must share one discard counter and one discard timing")
+	}
+	record := func(slot int) {
+		r.Counter("a.b").Inc()
+		r.Counter("a.b").AddSlot(slot, 3)
+		r.Timing("a.b").ObserveSlot(slot, time.Duration(slot)*time.Millisecond)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				record(slot)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(100, func() { record(1) }); n != 0 {
+		t.Fatalf("recording through a nil registry allocates %v objects, want 0", n)
+	}
+}
+
+// TestSetGaugesPublishesTaggedFields checks the stats-struct publisher:
+// each metric-tagged integer field becomes one gauge under the prefix, of
+// any integer kind, and an untagged field stays unpublished.
+func TestSetGaugesPublishesTaggedFields(t *testing.T) {
+	r := New()
+	r.SetGauges("area.", struct {
+		Calls  uint64 `metric:"calls"`
+		Depth  int    `metric:"max_depth"`
+		Hidden uint64
+	}{Calls: 7, Depth: 3, Hidden: 9})
+	snap := r.Snapshot()
+	if len(snap.Gauges) != 2 || snap.Gauges["area.calls"].Value != 7 || snap.Gauges["area.max_depth"].Value != 3 {
+		t.Fatalf("gauges = %v, want area.calls 7 and area.max_depth 3 only", snap.Gauges)
 	}
 }

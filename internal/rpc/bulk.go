@@ -167,9 +167,6 @@ func (s *Service[A, R]) runBulkHandler(e *Endpoint, env *sim.Env, target *Endpoi
 
 // recordBulk folds one transfer's stats into the bulk metrics counters.
 func (t *Transport) recordBulk(env *sim.Env, bs *BulkStats) {
-	if t.m.reg == nil {
-		return
-	}
 	slot := sim.WorkerSlot(env)
 	t.m.bulkCalls.IncSlot(slot)
 	t.m.bulkBytes.AddSlot(slot, int64(bs.Bytes))

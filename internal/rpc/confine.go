@@ -71,9 +71,7 @@ func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
 		panic(fmt.Sprintf("rpc: ConfineHosts needs 0 < lookahead <= latency (lookahead %v, latency %v)", la, lat))
 	}
 	t.shardOf = shardOf
-	if t.m.reg != nil {
-		t.precreateHostCounters()
-	}
+	t.precreateHostCounters()
 	t.confined = true
 	for _, id := range t.Hosts() {
 		ep := t.endpoints[id]

@@ -143,11 +143,12 @@ func DefaultParams() Params {
 	}
 }
 
-// CallStats aggregates per-service call accounting.
+// CallStats aggregates per-service call accounting. Cluster.MetricsSnapshot
+// publishes each tagged field as the gauge rpc.service.<name>.<tag>.
 type CallStats struct {
-	Calls uint64
-	Bytes uint64
-	Errs  uint64
+	Calls uint64 `metric:"calls"`
+	Bytes uint64 `metric:"bytes"`
+	Errs  uint64 `metric:"errs"`
 }
 
 // svcStats is the internal, concurrency-safe accumulator behind CallStats.
@@ -186,8 +187,9 @@ type Transport struct {
 	confined bool
 	shardOf  func(HostID) int
 
-	// Optional metrics plane. Counter pointers are cached here so the
-	// per-call cost with metrics installed is a handful of atomic adds.
+	// The metrics plane (nil registry: discard instruments). Counter
+	// pointers are cached here so the per-call cost is a handful of atomic
+	// adds.
 	m struct {
 		reg      *metrics.Registry
 		calls    *metrics.Counter
@@ -211,17 +213,12 @@ type hostCounters struct {
 	errs  *metrics.Counter
 }
 
-// SetMetrics installs (or with nil removes) the registry receiving RPC
-// traffic counters: rpc.calls / rpc.bytes / rpc.errs / rpc.retries /
-// rpc.timeouts plus per-destination rpc.to.<host>.{calls,bytes,errs}.
+// SetMetrics installs the registry receiving RPC traffic counters:
+// rpc.calls / rpc.bytes / rpc.errs / rpc.retries / rpc.timeouts plus
+// per-destination rpc.to.<host>.{calls,bytes,errs}. A nil registry discards
+// them, as a new transport does.
 func (t *Transport) SetMetrics(reg *metrics.Registry) {
 	t.m.reg = reg
-	t.m.perHost = nil
-	if reg == nil {
-		t.m.calls, t.m.bytes, t.m.errs, t.m.retries, t.m.timeouts = nil, nil, nil, nil, nil
-		t.m.bulkCalls, t.m.bulkBytes, t.m.bulkFragments, t.m.bulkRetransmits = nil, nil, nil, nil
-		return
-	}
 	t.m.calls = reg.Counter("rpc.calls")
 	t.m.bytes = reg.Counter("rpc.bytes")
 	t.m.errs = reg.Counter("rpc.errs")
@@ -242,9 +239,6 @@ func (t *Transport) SetMetrics(reg *metrics.Registry) {
 // dispatched workers, so the map must be complete (read-only) before any
 // window executes.
 func (t *Transport) precreateHostCounters() {
-	if t.m.reg == nil {
-		return
-	}
 	for _, id := range t.Hosts() {
 		t.makeHostCounters(id)
 	}
@@ -332,6 +326,7 @@ func NewTransport(s *sim.Simulation, net *netsim.Network, params Params) *Transp
 		endpoints: make(map[HostID]*Endpoint),
 	}
 	t.stats.Store(new([]*svcCounters))
+	t.SetMetrics(nil)
 	return t
 }
 
@@ -424,9 +419,6 @@ func (t *Transport) recordStats(env *sim.Env, to HostID, st *svcStats, bytes int
 	st.bytes.Add(uint64(bytes))
 	if failed {
 		st.errs.Add(1)
-	}
-	if t.m.reg == nil {
-		return
 	}
 	slot := sim.WorkerSlot(env)
 	t.m.calls.IncSlot(slot)
@@ -628,15 +620,11 @@ func (e *Endpoint) retryBookkeeping(env *sim.Env, to HostID, service string, att
 	slot := sim.WorkerSlot(env)
 	if attempt >= t.params.MaxRetries {
 		t.timeouts.Add(1)
-		if t.m.reg != nil {
-			t.m.timeouts.IncSlot(slot)
-		}
+		t.m.timeouts.IncSlot(slot)
 		return fmt.Errorf("%w: %s to %v after %d attempts", ErrTimeout, service, to, attempt+1)
 	}
 	t.retries.Add(1)
-	if t.m.reg != nil {
-		t.m.retries.IncSlot(slot)
-	}
+	t.m.retries.IncSlot(slot)
 	if b := t.params.RetryBackoff; b > 0 {
 		return env.Sleep(b << uint(attempt))
 	}

@@ -205,12 +205,13 @@ type activity struct {
 // ContextSwitches counts activity resumptions, not coroutine switches: a
 // Sleep committed in place (sleepInPlace) resumes its activity without
 // switching at all, and counts as one, exactly as the dispatch it stands in
-// for would have.
+// for would have. Cluster.MetricsSnapshot publishes each tagged field as
+// the gauge sim.<tag>.
 type Stats struct {
-	EventsDispatched uint64
-	ContextSwitches  uint64
-	MaxQueueDepth    int
-	Spawned          uint64
+	EventsDispatched uint64 `metric:"events_dispatched"`
+	ContextSwitches  uint64 `metric:"context_switches"`
+	MaxQueueDepth    int    `metric:"max_queue_depth"`
+	Spawned          uint64 `metric:"activities_spawned"`
 }
 
 // Simulation is a deterministic discrete-event simulator. The zero value is

@@ -73,13 +73,14 @@ type BgLoad struct {
 // the simulation runs (it is scenario setup, not an activity).
 func StartBgLoad(s *sim.Simulation, reg *metrics.Registry, cfg BgLoadConfig) *BgLoad {
 	cfg = cfg.withDefaults()
-	b := &BgLoad{cfg: cfg, lastLoad: make(map[int]uint64)}
-	if reg != nil {
-		// Instrument pointers are resolved here, in the exclusive setup
-		// phase, so confined ticks never touch the registry lock.
-		b.ticks = reg.Counter("bgload.ticks")
-		b.reports = reg.Counter("bgload.reports")
-		b.tickDur = reg.Timing("bgload.tick_gap")
+	// Instrument pointers are resolved here, in the exclusive setup phase,
+	// so confined ticks never touch the registry lock.
+	b := &BgLoad{
+		cfg:      cfg,
+		lastLoad: make(map[int]uint64),
+		ticks:    reg.Counter("bgload.ticks"),
+		reports:  reg.Counter("bgload.reports"),
+		tickDur:  reg.Timing("bgload.tick_gap"),
 	}
 	if cfg.ReportEvery > 0 {
 		// Reports cross shards, so they ride a mailbox whose delay clears
@@ -139,19 +140,15 @@ func (b *BgLoad) daemon(host int) func(env *sim.Env) error {
 			for j := 0; j < b.cfg.WorkPerTick; j++ {
 				load = (load ^ uint64(j)) * 1099511628211
 			}
-			if b.ticks != nil {
-				b.ticks.IncSlot(slot)
-				b.tickDur.ObserveSlot(slot, env.Now()-last)
-			}
+			b.ticks.IncSlot(slot)
+			b.tickDur.ObserveSlot(slot, env.Now()-last)
 			last = env.Now()
 			if b.mbox != nil && b.cfg.ReportEvery > 0 && (tick+1)%b.cfg.ReportEvery == 0 {
 				if env.Sim().Traced() {
 					env.Emit("bgload.report", fmt.Sprintf("host=%d tick=%d", host, tick))
 				}
 				b.mbox.Send(env, BgLoadReport{Host: host, Tick: tick, Load: load})
-				if b.reports != nil {
-					b.reports.IncSlot(slot)
-				}
+				b.reports.IncSlot(slot)
 			}
 		}
 		if b.mbox != nil {
