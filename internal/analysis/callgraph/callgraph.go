@@ -30,6 +30,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -589,15 +591,9 @@ func (g *Graph) Condense() []SCC {
 	// Tarjan, iterative (the tree's call chains are deep enough that a
 	// recursive implementation risks the goroutine stack on pathological
 	// fixtures).
-	ids := make([]FuncID, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	index := make(map[FuncID]int, len(ids))
-	low := make(map[FuncID]int, len(ids))
-	onStack := make(map[FuncID]bool, len(ids))
+	index := make(map[FuncID]int, len(g.Nodes))
+	low := make(map[FuncID]int, len(g.Nodes))
+	onStack := make(map[FuncID]bool, len(g.Nodes))
 	var stack []FuncID
 	var comps [][]FuncID
 	next := 0
@@ -608,7 +604,7 @@ func (g *Graph) Condense() []SCC {
 		id FuncID
 		ei int
 	}
-	for _, start := range ids {
+	for _, start := range slices.Sorted(maps.Keys(g.Nodes)) {
 		if _, seen := index[start]; seen {
 			continue
 		}
@@ -687,12 +683,7 @@ func (g *Graph) Condense() []SCC {
 // format.
 func (g *Graph) Dump() string {
 	var b strings.Builder
-	ids := make([]FuncID, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(g.Nodes)) {
 		n := g.Nodes[id]
 		edges := append([]Edge(nil), n.Out...)
 		sort.Slice(edges, func(i, j int) bool {

@@ -29,7 +29,8 @@ package confine
 
 import (
 	"go/token"
-	"sort"
+	"maps"
+	"slices"
 
 	"sprite/internal/analysis/callgraph"
 	"sprite/internal/analysis/dataflow"
@@ -54,12 +55,7 @@ func run(t *dataflow.Tree) ([]lint.Diagnostic, error) {
 		})
 	}
 
-	ids := make([]callgraph.FuncID, 0, len(reach))
-	for id := range reach {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(reach)) {
 		s := t.Sums[id]
 		if s == nil {
 			continue

@@ -32,9 +32,11 @@
 package dataflow
 
 import (
+	"cmp"
 	"go/token"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"sprite/internal/analysis/callgraph"
@@ -200,7 +202,6 @@ var models = map[callgraph.FuncID]*Summary{
 	metricsPkg + ".(Timing).Observe":     {SinkParams: pbits(1)},
 	metricsPkg + ".(Timing).ObserveSlot": {SinkParams: pbits(2)},
 	metricsPkg + ".(Gauge).Set":          {SinkParams: pbits(1)},
-	metricsPkg + ".(Gauge).Add":          {SinkParams: pbits(1)},
 	metricsPkg + ".(Registry).SetGauges": {SinkParams: pbits(2)},
 	// Deterministic clocks/randomness: returns are clean.
 	simPkg + ".(Env).Now":       {},
@@ -277,15 +278,8 @@ type unitRoot struct {
 }
 
 func (t *Tree) collectUnits() map[callgraph.FuncID]*unitRoot {
-	ids := make([]string, 0, len(t.Graph.Nodes))
-	for id := range t.Graph.Nodes {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
 	units := make(map[callgraph.FuncID]*unitRoot)
-	for _, s := range ids {
-		id := callgraph.FuncID(s)
-		n := t.Graph.Nodes[id]
+	for id, n := range t.Graph.Nodes {
 		if Trusted(n.Pkg.ImportPath) || t.testFns[id] {
 			continue
 		}
@@ -317,16 +311,7 @@ func (t *Tree) unitOrder(units map[callgraph.FuncID]*unitRoot) []callgraph.FuncI
 			rank[f] = i
 		}
 	}
-	ids := make([]callgraph.FuncID, 0, len(units))
-	for id := range units {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		ri, rj := rank[ids[i]], rank[ids[j]]
-		if ri != rj {
-			return ri < rj
-		}
-		return ids[i] < ids[j]
+	return slices.SortedFunc(maps.Keys(units), func(a, b callgraph.FuncID) int {
+		return cmp.Or(cmp.Compare(rank[a], rank[b]), cmp.Compare(a, b))
 	})
-	return ids
 }

@@ -61,7 +61,7 @@ var unshardedMetrics = map[string]string{
 
 // gaugeSetters are the metrics calls that set gauges, which have no
 // slot-sharded form.
-var gaugeSetters = []string{"Gauge.Set", "Gauge.Add", "Registry.SetGauges"}
+var gaugeSetters = []string{"Gauge.Set", "Registry.SetGauges"}
 
 // emitMethodNames are the order-sensitive output methods: stream
 // writers, hashes, and the cluster's event/trace emitters. A call on an

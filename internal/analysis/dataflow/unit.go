@@ -417,6 +417,14 @@ func (st *unitState) kindOfCall(call *ast.CallExpr) Kind {
 			return 0
 		}
 	}
+	// slices.Sorted and its Func variants order what they collect: the
+	// result keeps its argument's taint, but not the map's order.
+	if fn := lint.FuncObjOf(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "slices" {
+		switch fn.Name() {
+		case "Sorted", "SortedFunc", "SortedStableFunc":
+			return st.kindOf(call.Args[0]) &^ KMapOrder
+		}
+	}
 	// Explicit sources.
 	if k := SourceOf(lint.FuncObjOf(info, call)); k != 0 {
 		return k

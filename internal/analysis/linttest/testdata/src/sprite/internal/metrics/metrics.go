@@ -23,4 +23,3 @@ func (r *Registry) SetGauges(prefix string, stats any) {}
 type Gauge struct{}
 
 func (g *Gauge) Set(v int64) {}
-func (g *Gauge) Add(n int64) {}

@@ -18,10 +18,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -87,17 +88,18 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
+	// Parse and check in import-path order: token positions follow parse
+	// order, so graph roots sorted by position come out the same every run.
 	fset := token.NewFileSet()
 	imp := NewImporter(fset, exports)
 	var pkgs []*Package
-	for _, e := range units {
-		p, err := checkEntry(fset, imp, e)
+	for _, base := range slices.Sorted(maps.Keys(units)) {
+		p, err := checkEntry(fset, imp, units[base])
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ImportPath, err)
+			return nil, fmt.Errorf("%s: %w", units[base].ImportPath, err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, nil
 }
 

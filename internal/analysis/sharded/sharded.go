@@ -13,9 +13,9 @@
 package sharded
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
-	"sprite/internal/analysis/callgraph"
 	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/lint"
 )
@@ -29,14 +29,8 @@ var Analyzer = &dataflow.TreeAnalyzer{
 
 func run(t *dataflow.Tree) ([]lint.Diagnostic, error) {
 	reach := t.ConfinedReachable()
-	ids := make([]callgraph.FuncID, 0, len(reach))
-	for id := range reach {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	var diags []lint.Diagnostic
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(reach)) {
 		s := t.Sums[id]
 		if s == nil {
 			continue

@@ -31,7 +31,7 @@ func (m *meter) serve(env *sim.Env) {
 func (m *meter) bump(env *sim.Env) {
 	m.served.Inc()               // want `metrics\.Counter\.Inc contends across shards \(use Counter\.IncSlot with sim\.WorkerSlot\) — reachable from confined spawn: SpawnOn -> a\.Boot\$1 -> a\.\(meter\)\.serve -> a\.\(meter\)\.bump`
 	m.latency.Observe(env.Now()) // want `metrics\.Timing\.Observe contends across shards \(use Timing\.ObserveSlot with sim\.WorkerSlot\) — reachable from confined spawn`
-	m.depth.Add(1)               // want `metrics\.Gauge\.Add is deliberately unsharded; gauges must be driven from the exclusive shard — reachable from confined spawn`
+	m.depth.Set(1)               // want `metrics\.Gauge\.Set is deliberately unsharded; gauges must be driven from the exclusive shard — reachable from confined spawn`
 	m.reg.SetGauges("a.", *m)    // want `metrics\.Registry\.SetGauges is deliberately unsharded; gauges must be driven from the exclusive shard — reachable from confined spawn`
 }
 

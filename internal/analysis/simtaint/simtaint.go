@@ -27,9 +27,9 @@ package simtaint
 import (
 	"fmt"
 	"go/token"
-	"sort"
+	"maps"
+	"slices"
 
-	"sprite/internal/analysis/callgraph"
 	"sprite/internal/analysis/dataflow"
 	"sprite/internal/analysis/lint"
 )
@@ -70,12 +70,7 @@ func run(t *dataflow.Tree) ([]lint.Diagnostic, error) {
 	for _, h := range rangeSinks {
 		add(h)
 	}
-	ids := make([]callgraph.FuncID, 0, len(t.Sums))
-	for id := range t.Sums {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(t.Sums)) {
 		for _, h := range t.Sums[id].SinkHits {
 			add(h)
 		}

@@ -6,8 +6,13 @@ package maprange
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"time"
+
+	sim "sprite/internal/sim"
 )
 
 func appendNoSort(m map[string]int) []string {
@@ -111,4 +116,28 @@ func suppressed(m map[string]int) []string {
 		out = append(out, k) //spritelint:allow simtaint fixture exercises the escape hatch
 	}
 	return out
+}
+
+// slices.Sorted over maps.Keys is the standard sorted-keys walk: the
+// emitted keys no longer depend on map order.
+func emitSortedKeys(env *sim.Env, m map[string]string) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		env.Emit("key", k)
+	}
+}
+
+// Sorting masks map order only: a wall-clock-derived sequence stays
+// tainted after it is sorted.
+func emitSortedStamps(env *sim.Env) {
+	stamps := slices.Values([]string{time.Now().String()}) // want `wall-clock time\.Now in simulated code`
+	for _, s := range slices.Sorted(stamps) {
+		env.Emit("stamp", s) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit`
+	}
+}
+
+// An unsorted maps.Keys sequence still carries map order.
+func emitKeysUnsorted(env *sim.Env, m map[string]string) {
+	for k := range maps.Keys(m) {
+		env.Emit("key", k) // want `map-order-derived value reaches sim\.\(Env\)\.Emit`
+	}
 }

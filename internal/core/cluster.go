@@ -1,8 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"slices"
@@ -248,24 +248,14 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 		r.SetGauges(fmt.Sprintf("kernel.%v.", k.host), k.Stats())
 	}
 	servers := c.fs.Servers()
-	for _, host := range keysInOrder(servers) {
+	for _, host := range slices.Sorted(maps.Keys(servers)) {
 		r.SetGauges(fmt.Sprintf("fsserver.%v.", host), servers[host].Stats())
 	}
 	svcs := c.transport.Stats()
-	for _, svc := range keysInOrder(svcs) {
+	for _, svc := range slices.Sorted(maps.Keys(svcs)) {
 		r.SetGauges("rpc.service."+svc+".", svcs[svc])
 	}
 	return r.Snapshot()
-}
-
-// keysInOrder returns m's keys in ascending order.
-func keysInOrder[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // Workstations returns the workstation kernels in host order.

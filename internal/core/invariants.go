@@ -3,8 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"sprite/internal/fs"
@@ -57,7 +57,7 @@ func (c *Cluster) CheckInvariants(endOfRun bool) []string {
 // conditions are epoch-guarded, so post-reboot processes are exempt.)
 func (c *Cluster) checkRecovery() []string {
 	var out []string
-	for _, host := range keysInOrder(c.reapedEpochs) {
+	for _, host := range slices.Sorted(maps.Keys(c.reapedEpochs)) {
 		reaped := c.reapedEpochs[host]
 		for _, k := range c.workstations {
 			for _, p := range k.Processes() {
@@ -114,12 +114,7 @@ func (c *Cluster) checkMigrationMetrics() []string {
 
 func (c *Cluster) checkLedger(endOfRun bool) []string {
 	var out []string
-	pids := make([]PID, 0, len(c.ledgerStarted))
-	for pid := range c.ledgerStarted {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return less(pids[i], pids[j]) })
-	for _, pid := range pids {
+	for _, pid := range slices.SortedFunc(maps.Keys(c.ledgerStarted), PID.Compare) {
 		started := c.ledgerStarted[pid]
 		ended := c.ledgerEnded[pid]
 		if started != 1 {
@@ -132,15 +127,10 @@ func (c *Cluster) checkLedger(endOfRun bool) []string {
 			out = append(out, fmt.Sprintf("ledger: %v started but never exited or crashed", pid))
 		}
 	}
-	ends := make([]PID, 0)
-	for pid := range c.ledgerEnded {
+	for _, pid := range slices.SortedFunc(maps.Keys(c.ledgerEnded), PID.Compare) {
 		if c.ledgerStarted[pid] == 0 {
-			ends = append(ends, pid)
+			out = append(out, fmt.Sprintf("ledger: %v ended without ever starting", pid))
 		}
-	}
-	sort.Slice(ends, func(i, j int) bool { return less(ends[i], ends[j]) })
-	for _, pid := range ends {
-		out = append(out, fmt.Sprintf("ledger: %v ended without ever starting", pid))
 	}
 	return out
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sprite/internal/fs"
@@ -541,7 +541,7 @@ func (k *Kernel) ListHomeProcesses() []ProcessListing {
 			CPUUsed:  p.cpuUsed,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i].PID, out[j].PID) })
+	slices.SortFunc(out, func(a, b ProcessListing) int { return a.PID.Compare(b.PID) })
 	return out
 }
 
@@ -555,18 +555,7 @@ func (k *Kernel) LocationOf(pid PID) (rpc.HostID, error) {
 }
 
 func sortProcs(ps []*Process) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && less(ps[j].pid, ps[j-1].pid); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func less(a, b PID) bool {
-	if a.Home != b.Home {
-		return a.Home < b.Home
-	}
-	return a.Seq < b.Seq
+	slices.SortFunc(ps, func(a, b *Process) int { return a.pid.Compare(b.pid) })
 }
 
 // --- RPC wire types and handlers ---

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"strconv"
@@ -46,6 +47,12 @@ const CrashStatus = -2
 type PID struct {
 	Home rpc.HostID
 	Seq  int
+}
+
+// Compare orders pids by home host, then sequence number: the one pid
+// order every listing and audit walks in.
+func (p PID) Compare(q PID) int {
+	return cmp.Or(cmp.Compare(p.Home, q.Home), cmp.Compare(p.Seq, q.Seq))
 }
 
 // String renders the pid in "host.seq" form.

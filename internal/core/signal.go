@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"sprite/internal/rpc"
@@ -233,12 +234,7 @@ func (k *Kernel) handleKillpg(env *sim.Env, from rpc.HostID, a killArgs) (int, i
 
 // homeRecords snapshots the home-record list (delivery may mutate the map).
 func (k *Kernel) homeRecords() []*homeRecord {
-	out := make([]*homeRecord, 0, len(k.homeRecs))
-	for _, rec := range k.homeRecs {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i].pid, out[j].pid) })
-	return out
+	return slices.SortedFunc(maps.Values(k.homeRecs), func(a, b *homeRecord) int { return a.pid.Compare(b.pid) })
 }
 
 // Rusage is the resource-usage record returned by GetRusage.

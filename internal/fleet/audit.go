@@ -2,7 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"sprite/internal/core"
@@ -92,7 +93,7 @@ func (a *drainAudit) dispose(rec *drainRec, pid core.PID, disp string) {
 func (a *drainAudit) complete(rec *drainRec, end time.Duration) {
 	rec.completed = true
 	rec.end = end
-	for _, pid := range sortedPIDs(rec.residents) {
+	for _, pid := range slices.SortedFunc(maps.Keys(rec.residents), core.PID.Compare) {
 		if rec.residents[pid].disp == "" {
 			a.violations = append(a.violations,
 				fmt.Sprintf("drain %v: resident %v lost (no disposition at completion)", rec.host, pid))
@@ -137,7 +138,7 @@ func (a *drainAudit) check(m *Manager, endOfRun bool) []string {
 				// itself (the storm may simply end mid-drain), but a
 				// tracked resident that can no longer be found anywhere —
 				// and has not exited — is a lost process.
-				for _, pid := range sortedPIDs(rec.residents) {
+				for _, pid := range slices.SortedFunc(maps.Keys(rec.residents), core.PID.Compare) {
 					r := rec.residents[pid]
 					if r.disp != "" || r.proc.State() == core.StateExited {
 						continue
@@ -150,19 +151,5 @@ func (a *drainAudit) check(m *Manager, endOfRun bool) []string {
 			}
 		}
 	}
-	return out
-}
-
-func sortedPIDs(m map[core.PID]*residentRec) []core.PID {
-	out := make([]core.PID, 0, len(m))
-	for pid := range m {
-		out = append(out, pid)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Home != out[j].Home {
-			return out[i].Home < out[j].Home
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out
 }

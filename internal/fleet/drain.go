@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"maps"
+	"slices"
 
 	"sprite/internal/core"
 	"sprite/internal/rpc"
@@ -29,7 +31,7 @@ func (m *Manager) drainPass(env *sim.Env, rec *hostRec) {
 		// The host died under us: whatever was resident is the recovery
 		// plane's problem now (reap + supervisor failover), not a drain
 		// loss. Close the trail and remediate.
-		for _, pid := range sortedPIDs(rec.drain.residents) {
+		for _, pid := range slices.SortedFunc(maps.Keys(rec.drain.residents), core.PID.Compare) {
 			if rec.drain.residents[pid].disp == "" {
 				m.audit.dispose(rec.drain, pid, dispCrashed)
 			}
@@ -67,7 +69,7 @@ func (m *Manager) drainPass(env *sim.Env, rec *hostRec) {
 		}
 	}
 	// Residents observed in an earlier pass may have left the host since.
-	for _, pid := range sortedPIDs(rec.drain.residents) {
+	for _, pid := range slices.SortedFunc(maps.Keys(rec.drain.residents), core.PID.Compare) {
 		r := rec.drain.residents[pid]
 		if r.disp != "" {
 			continue
@@ -130,7 +132,7 @@ func (m *Manager) drainPass(env *sim.Env, rec *hostRec) {
 	}
 	if remaining == 0 {
 		undisposed := 0
-		for _, pid := range sortedPIDs(rec.drain.residents) {
+		for _, pid := range slices.SortedFunc(maps.Keys(rec.drain.residents), core.PID.Compare) {
 			if rec.drain.residents[pid].disp == "" {
 				undisposed++
 			}

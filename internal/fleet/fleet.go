@@ -19,7 +19,7 @@
 //     probes.
 //   - Preemption-aware placement: a Pricer scoring candidate hosts by
 //     expected time-to-eviction (learned online from observed eviction
-//     inter-arrivals per host class), exposed to hostsel as a placement
+//     inter-arrivals per host), exposed to hostsel as a placement
 //     filter, plus a per-user fairness ledger so competing users harvest
 //     idle cycles proportionally.
 //
@@ -117,7 +117,7 @@ const (
 )
 
 // pricerAlpha is the EMA gain for eviction inter-arrival learning;
-// pricerHorizon is the optimistic time-to-eviction assumed for host classes
+// pricerHorizon is the optimistic time-to-eviction assumed for hosts
 // with no observed eviction yet.
 const (
 	pricerAlpha   = 0.3

@@ -37,7 +37,7 @@ func TestPricerLearnsInterArrivals(t *testing.T) {
 	if got := p.Score(a, 0); got != time.Hour {
 		t.Errorf("unseen score = %v, want 1h", got)
 	}
-	// Two evictions 10s apart on a: the class EMA seeds at the gap.
+	// Two evictions 10s apart on a: its EMA seeds at the gap.
 	p.ObserveEviction(a, 10*time.Second)
 	p.ObserveEviction(a, 20*time.Second)
 	if got := p.Expected(a); got != 10*time.Second {
@@ -57,15 +57,6 @@ func TestPricerLearnsInterArrivals(t *testing.T) {
 	// b has no history and outranks the recently-evicted a.
 	if p.Score(b, 21*time.Second) <= p.Score(a, 21*time.Second) {
 		t.Error("fresh host should outrank a recently-evicted one")
-	}
-	// Class pooling: hosts sharing a class share the learned gap.
-	c, d := rpc.HostID(201), rpc.HostID(202)
-	p.SetClass(c, "rack")
-	p.SetClass(d, "rack")
-	p.ObserveEviction(c, 0)
-	p.ObserveEviction(d, 30*time.Second)
-	if got := p.Expected(c); got != 30*time.Second {
-		t.Errorf("pooled expectation = %v, want 30s", got)
 	}
 }
 

@@ -7,12 +7,11 @@ import (
 )
 
 // Pricer estimates each host's expected time-to-eviction, learned online
-// from observed eviction inter-arrivals. Hosts are grouped into classes
-// (default: one class per host) so sparse histories pool their evidence;
-// per class it keeps an EMA of the gaps between evictions. A candidate's
-// score is the class's expected gap minus the time already elapsed since
-// the host's last eviction — "how much runway is probably left" — floored
-// at a small positive value so a host is never priced as instantly doomed.
+// from observed eviction inter-arrivals: per host it keeps an EMA of the
+// gaps between evictions. A candidate's score is the host's expected gap
+// minus the time already elapsed since its last eviction — "how much
+// runway is probably left" — floored at a small positive value so a host
+// is never priced as instantly doomed.
 //
 // The economics mirror the paper's observation that recently-reclaimed
 // hosts tend to be reclaimed again (owner sessions cluster): placing work
@@ -21,66 +20,46 @@ type Pricer struct {
 	alpha   float64
 	horizon time.Duration
 
-	classOf map[rpc.HostID]string
-	// ema is the learned eviction inter-arrival per class.
-	ema map[string]time.Duration
-	// lastEvict is the most recent eviction per host (for elapsed time);
-	// lastClassEvict is per class (for inter-arrival learning).
-	lastEvict      map[rpc.HostID]time.Duration
-	lastClassEvict map[string]time.Duration
+	// ema is the learned eviction inter-arrival per host; lastEvict is the
+	// host's most recent eviction.
+	ema       map[rpc.HostID]time.Duration
+	lastEvict map[rpc.HostID]time.Duration
 }
 
 // NewPricer builds a pricer with EMA gain alpha and optimistic horizon
-// for classes with no observed eviction.
+// for hosts with no observed eviction.
 func NewPricer(alpha float64, horizon time.Duration) *Pricer {
 	return &Pricer{
-		alpha:          alpha,
-		horizon:        horizon,
-		classOf:        make(map[rpc.HostID]string),
-		ema:            make(map[string]time.Duration),
-		lastEvict:      make(map[rpc.HostID]time.Duration),
-		lastClassEvict: make(map[string]time.Duration),
+		alpha:     alpha,
+		horizon:   horizon,
+		ema:       make(map[rpc.HostID]time.Duration),
+		lastEvict: make(map[rpc.HostID]time.Duration),
 	}
-}
-
-// SetClass assigns host to a named class so hosts with shared eviction
-// behaviour (same rack, same owner schedule) pool their histories.
-func (p *Pricer) SetClass(host rpc.HostID, class string) {
-	p.classOf[host] = class
-}
-
-func (p *Pricer) class(host rpc.HostID) string {
-	if c, ok := p.classOf[host]; ok {
-		return c
-	}
-	return host.String()
 }
 
 // ObserveEviction folds one eviction on host at time `at` into the model.
 func (p *Pricer) ObserveEviction(host rpc.HostID, at time.Duration) {
-	class := p.class(host)
-	if last, ok := p.lastClassEvict[class]; ok && at > last {
+	if last, ok := p.lastEvict[host]; ok && at > last {
 		gap := at - last
-		if prev, ok := p.ema[class]; ok {
-			p.ema[class] = time.Duration(float64(prev) + p.alpha*float64(gap-prev))
+		if prev, ok := p.ema[host]; ok {
+			p.ema[host] = time.Duration(float64(prev) + p.alpha*float64(gap-prev))
 		} else {
-			p.ema[class] = gap
+			p.ema[host] = gap
 		}
 	}
-	p.lastClassEvict[class] = at
 	p.lastEvict[host] = at
 }
 
-// Expected returns the learned eviction inter-arrival for host's class,
-// or the optimistic horizon if nothing has been observed yet.
+// Expected returns the learned eviction inter-arrival for host, or the
+// optimistic horizon if nothing has been observed yet.
 func (p *Pricer) Expected(host rpc.HostID) time.Duration {
-	if ema, ok := p.ema[p.class(host)]; ok {
+	if ema, ok := p.ema[host]; ok {
 		return ema
 	}
 	return p.horizon
 }
 
-// Score returns host's expected remaining runway at time now: the class's
+// Score returns host's expected remaining runway at time now: its
 // expected inter-arrival minus the time since the host's last eviction,
 // floored at 1/8 of the expectation (a host overdue for an eviction is
 // cheap, not worthless). Higher is better.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sort"
 	"time"
 
 	"sprite/internal/rpc"
@@ -73,10 +72,7 @@ func (l *ShareLedger) Usage(user string, now time.Duration) time.Duration {
 }
 
 // Allow reports whether user may take another host: its booked usage must
-// not exceed the least-booked known user's by more than the slack. The min
-// is taken over users in sorted order — the fold itself is commutative, but
-// walking the ledger deterministically keeps the whole decision path free
-// of map-order influence by construction, not by argument.
+// not exceed the least-booked known user's by more than the slack.
 func (l *ShareLedger) Allow(user string) bool {
 	if l.slack <= 0 {
 		return true
@@ -88,16 +84,9 @@ func (l *ShareLedger) Allow(user string) bool {
 	if !known {
 		return true // first grant is always allowed
 	}
-	users := make([]string, 0, len(l.booked))
-	for u := range l.booked {
-		users = append(users, u)
+	least := mine
+	for _, v := range l.booked {
+		least = min(least, v)
 	}
-	sort.Strings(users)
-	min := mine
-	for _, u := range users {
-		if v := l.booked[u]; v < min {
-			min = v
-		}
-	}
-	return mine-min <= l.slack
+	return mine-least <= l.slack
 }

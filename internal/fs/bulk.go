@@ -72,14 +72,14 @@ func (c *Client) writeBulk(env *sim.Env, st *Stream, ext PageRun) (rpc.BulkStats
 	n := ext.size()
 	newSize := int(ext.Off) + n
 	defer c.bumpSize(st, newSize)
-	c.edit(st.FID, func(m *fileMeta) { m.size = max(m.size, newSize) })
+	c.note(st, func(m *fileMeta) { m.size = max(m.size, newSize) })
 	r, bs, err := fsWriteBulk.CallBulk(c.ep, env, st.FID.Server, writeBulkArgs{
 		FID: st.FID, Off: ext.Off, Data: ext.Data, N: n, NewSize: -1,
 	}, 48, n, rpc.BulkOut)
 	if err != nil {
 		return bs, fmt.Errorf("bulk write %s at %d: %w", st.Path, ext.Off, err)
 	}
-	c.edit(st.FID, func(m *fileMeta) { m.ver = r.Version })
+	c.note(st, func(m *fileMeta) { m.ver = r.Version })
 	c.bumpSize(st, r.Size)
 	// Any cached blocks overlapping the extent predate this write and are
 	// now stale; drop them rather than patching.

@@ -306,6 +306,16 @@ func (c *Client) edit(fid FileID, f func(*fileMeta)) {
 	c.files[fid] = m
 }
 
+// note is edit for what a write through st teaches this client. A host
+// that holds no reference to st updates an entry it has but makes none: a
+// migration source still flushing pages after the backing stream moved
+// away, and forget dropped its entry, keeps none.
+func (c *Client) note(st *Stream, f func(*fileMeta)) {
+	if _, ok := c.files[st.FID]; ok || st.RefsOn(c.host) > 0 {
+		c.edit(st.FID, f)
+	}
+}
+
 // Close drops one reference held by this host. The last reference on the
 // host notifies the server; the last reference anywhere closes the stream.
 func (c *Client) Close(env *sim.Env, st *Stream) error {
@@ -317,7 +327,7 @@ func (c *Client) Close(env *sim.Env, st *Stream) error {
 			if err := c.pipeClose(env, st); err != nil {
 				return fmt.Errorf("close %s: %w", st.Path, err)
 			}
-		} else if _, err := fsClose.Call(c.ep, env, st.FID.Server, closeArgs{
+		} else if done, err := fsClose.Call(c.ep, env, st.FID.Server, closeArgs{
 			Stream: st.ID, FID: st.FID, Mode: st.Mode, Host: c.host, Dirty: c.hasDirty(st.FID),
 		}, 32); err != nil {
 			if transportFailed(err) {
@@ -330,9 +340,21 @@ func (c *Client) Close(env *sim.Env, st *Stream) error {
 				})
 			}
 			return fmt.Errorf("close %s: %w", st.Path, err)
+		} else if done {
+			c.forget(st.FID)
 		}
 	}
 	return nil
+}
+
+// forget drops fid's entry once this host holds no open of the file, if
+// the file is uncached here: with no cached blocks to validate, the next
+// Open or stream move re-learns its version and size, and the entry of a
+// removed file (inode numbers are never reused) is never read again.
+func (c *Client) forget(fid FileID) {
+	if c.files[fid].noCache {
+		delete(c.files, fid)
+	}
 }
 
 // Dup adds a reference on this host (used by fork: parent and child share
@@ -523,7 +545,7 @@ func (c *Client) bumpSize(st *Stream, size int) {
 	if size > st.size {
 		st.size = size
 	}
-	c.edit(st.FID, func(m *fileMeta) { m.size = max(m.size, size) })
+	c.note(st, func(m *fileMeta) { m.size = max(m.size, size) })
 }
 
 // readRange reads file bytes [off, off+n) via the cache when permitted and
@@ -1022,6 +1044,9 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 		return nil
 	}
 	if !keepSource || addTarget { // the server moved the entry and replied
+		if r.SourceDone {
+			c.forget(st.FID)
+		}
 		st.cacheable = r.Cacheable
 		// Let the destination host reconcile its cache. Under host
 		// confinement the destination client's tables belong to another

@@ -44,7 +44,7 @@ func (s *Server) ScrubHost(host rpc.HostID) {
 		}
 	}
 	// Pipes wake blocked waiters, so scrub them in a deterministic order.
-	for _, ino := range sortedKeys(s.pipes) {
+	for _, ino := range slices.Sorted(maps.Keys(s.pipes)) {
 		p := s.pipes[ino]
 		p.opens.dropHost(host)
 		s.retireIfClosed(p)
@@ -55,7 +55,7 @@ func (s *Server) ScrubHost(host rpc.HostID) {
 // server discards the host's open state, and the host's own client forgets
 // its caches.
 func (f *FS) ScrubHost(host rpc.HostID) {
-	for _, h := range sortedKeys(f.servers) {
+	for _, h := range slices.Sorted(maps.Keys(f.servers)) {
 		f.servers[h].ScrubHost(host)
 	}
 	if c := f.clients[host]; c != nil {
@@ -157,17 +157,6 @@ func (f *FS) OpenRefs() map[StreamID]map[rpc.HostID]FileID {
 	return out
 }
 
-// sortedKeys returns m's keys in ascending order, for walks whose order
-// shows in results.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // CheckInvariants verifies the file system's own consistency rules and
 // returns one message per violation (empty means clean):
 //
@@ -183,9 +172,9 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 //   - with endOfRun set, every open table must be empty and no pipe alive.
 func (f *FS) CheckInvariants(endOfRun bool) []string {
 	var out []string
-	for _, sh := range sortedKeys(f.servers) {
+	for _, sh := range slices.Sorted(maps.Keys(f.servers)) {
 		srv := f.servers[sh]
-		for _, path := range sortedKeys(srv.files) {
+		for _, path := range slices.Sorted(maps.Keys(srv.files)) {
 			if n := len(srv.files[path].opens.refs); endOfRun && n > 0 {
 				out = append(out, fmt.Sprintf("fs: server %d file %s: %d open entries at end of run", sh, path, n))
 			}
@@ -194,7 +183,7 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 			out = append(out, fmt.Sprintf("fs: server %d: %d pipes alive at end of run", sh, len(srv.pipes)))
 		}
 	}
-	for _, ch := range sortedKeys(f.clients) {
+	for _, ch := range slices.Sorted(maps.Keys(f.clients)) {
 		c := f.clients[ch]
 		lenAt, n := len(out), 0 // n stops one past the map's size on a broken ring
 		for b := c.lru.next; b != nil && b != &c.lru && n <= len(c.blocks); b = b.next {
@@ -214,14 +203,10 @@ func (f *FS) CheckInvariants(endOfRun bool) []string {
 		if !maps.Equal(c.dirty, dirty) {
 			out = append(out, fmt.Sprintf("fs: host %d: dirty counts %v, cache holds %v", ch, c.dirty, dirty))
 		}
-		fids := make([]FileID, 0, len(dirty))
-		for fid := range dirty {
-			fids = append(fids, fid)
-		}
-		slices.SortFunc(fids, func(a, b FileID) int {
+		byFile := func(a, b FileID) int {
 			return cmp.Or(cmp.Compare(a.Server, b.Server), cmp.Compare(a.Ino, b.Ino))
-		})
-		for _, fid := range fids {
+		}
+		for _, fid := range slices.SortedFunc(maps.Keys(dirty), byFile) {
 			srv := f.servers[fid.Server]
 			if srv == nil {
 				out = append(out, fmt.Sprintf("fs: host %d: dirty blocks for %v with no server", ch, fid))

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -326,6 +327,114 @@ func TestMoveStreamPreservesDataAndOffset(t *testing.T) {
 		}
 		return b.Close(env, st)
 	})
+}
+
+// TestExitedProcessesLeaveNoFileEntries: 64 processes each open two
+// uncacheable backing files on their home host, hop 4 times (each hop
+// flushing pages from the source while the streams move), then close and
+// remove them. No client may keep an entry for a file it no longer
+// has open. An uncacheable file another local stream still holds keeps
+// its entry, and a cacheable file keeps it after close, since its cached
+// blocks are validated by version at the next open.
+func TestExitedProcessesLeaveNoFileEntries(t *testing.T) {
+	const hosts, procs, hops = 8, 64, 4
+	h := newHarness(t, hosts)
+	for i := 0; i < procs; i++ {
+		h.sim.Spawn(fmt.Sprintf("p%d", i), func(env *sim.Env) error {
+			host := rpc.HostID(2 + i%hosts)
+			var sts []*Stream
+			for _, seg := range []string{"heap", "stack"} {
+				st, err := h.fs.Client(host).Open(env, fmt.Sprintf("/swap/p%d.%s", i, seg), ReadWriteMode,
+					OpenOptions{Create: true, Uncacheable: true})
+				if err != nil {
+					return err
+				}
+				sts = append(sts, st)
+			}
+			for hop := 0; hop <= hops; hop++ {
+				for _, st := range sts {
+					if _, err := h.fs.Client(host).Write(env, st, make([]byte, 100)); err != nil {
+						return err
+					}
+				}
+				if hop == hops {
+					break
+				}
+				// As in a migration, the source flushes dirty pages while
+				// the streams move away.
+				src, to := h.fs.Client(host), rpc.HostID(2+(int(host)-2+1)%hosts)
+				flushed := sim.NewWaitGroup(h.sim)
+				flushed.Add(1)
+				env.Spawn("flush", func(env *sim.Env) error {
+					defer flushed.Done()
+					for _, st := range sts {
+						if _, err := src.WriteAtBatch(env, st, []PageRun{{Off: 0, Zeros: 4 << 13}}, 0); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				for _, st := range sts {
+					if err := src.MoveStream(env, st, to); err != nil {
+						return err
+					}
+				}
+				if err := flushed.Wait(env); err != nil {
+					return err
+				}
+				host = to
+			}
+			for _, st := range sts {
+				if err := h.fs.Client(host).Close(env, st); err != nil {
+					return err
+				}
+				if err := h.fs.Client(host).Remove(env, st.Path); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err := h.sim.Run(0); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	for i := 0; i < hosts; i++ {
+		if c := h.fs.Client(rpc.HostID(2 + i)); len(c.files) != 0 {
+			t.Errorf("host %d keeps %d file entries after every process exited", 2+i, len(c.files))
+		}
+	}
+
+	c := h.fs.Client(2)
+	h.run(t, func(env *sim.Env) error {
+		a, err := c.Open(env, "/shared", ReadWriteMode, OpenOptions{Create: true, Uncacheable: true})
+		if err != nil {
+			return err
+		}
+		b, err := c.Open(env, "/shared", ReadMode, OpenOptions{})
+		if err != nil {
+			return err
+		}
+		if err := c.Close(env, a); err != nil {
+			return err
+		}
+		if _, ok := c.files[b.FID]; !ok {
+			t.Error("closing one stream dropped the entry another local stream still uses")
+		}
+		if err := c.Close(env, b); err != nil {
+			return err
+		}
+		if err := c.WriteFile(env, "/cached", []byte("x")); err != nil {
+			return err
+		}
+		fid, _, err := c.Stat(env, "/cached")
+		if _, ok := c.files[fid]; err == nil && !ok {
+			t.Error("closing a cacheable file dropped the entry its cached blocks need")
+		}
+		return err
+	})
+	if len(c.files) != 1 {
+		t.Errorf("host 2 keeps %d file entries, want 1 (the cacheable file)", len(c.files))
+	}
 }
 
 func TestMoveStreamFlushesSourceDirtyBlocks(t *testing.T) {

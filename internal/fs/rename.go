@@ -3,7 +3,8 @@ package fs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"sprite/internal/rpc"
@@ -77,11 +78,7 @@ func (s *Server) handleReadDir(env *sim.Env, from rpc.HostID, a readDirArgs) (re
 			seen[rest] = true
 		}
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(seen))
 	size := 16
 	for _, n := range names {
 		size += len(n) + 1

@@ -26,6 +26,9 @@ type (
 		Size      int
 		Version   uint64
 		Cacheable bool
+		// SourceDone (stream moves only) reports that the source host
+		// holds no other open of the file.
+		SourceDone bool
 	}
 	closeArgs struct {
 		Stream StreamID
@@ -120,7 +123,7 @@ type (
 // The fs.* services, and the callbacks a server makes to client caches.
 var (
 	fsOpen          = rpc.NewService[openArgs, openReply]("fs.open")
-	fsClose         = rpc.NewService[closeArgs, struct{}]("fs.close")
+	fsClose         = rpc.NewService[closeArgs, bool]("fs.close")
 	fsRead          = rpc.NewService[readArgs, readReply]("fs.read")
 	fsWrite         = rpc.NewService[writeArgs, writeReply]("fs.write")
 	fsReadBulk      = rpc.NewService[readBulkArgs, struct{}]("fs.readBulk")
@@ -437,13 +440,15 @@ func (s *Server) ensureConsistentOpen(env *sim.Env, fl *file, host rpc.HostID, m
 	return nil
 }
 
-func (s *Server) handleClose(env *sim.Env, from rpc.HostID, a closeArgs) (struct{}, int, error) {
+// handleClose drops the stream's entry for the closing host and reports
+// whether that host holds no other open of the file.
+func (s *Server) handleClose(env *sim.Env, from rpc.HostID, a closeArgs) (bool, int, error) {
 	fl, err := s.lookup(a.FID)
 	if err != nil {
-		return struct{}{}, 0, err
+		return false, 0, err
 	}
 	if err := fl.mu.Acquire(env); err != nil {
-		return struct{}{}, 0, err
+		return false, 0, err
 	}
 	defer fl.mu.Release()
 	// The closing writer's cache may retain dirty blocks under delayed
@@ -452,7 +457,7 @@ func (s *Server) handleClose(env *sim.Env, from rpc.HostID, a closeArgs) (struct
 		fl.lastWriter = a.Host
 	}
 	fl.opens.drop(a.Stream, a.Host)
-	return struct{}{}, 16, nil
+	return len(fl.opens.onHost(a.Host)) == 0, 16, nil
 }
 
 func (s *Server) handleRead(env *sim.Env, from rpc.HostID, a readArgs) (readReply, int, error) {
@@ -653,10 +658,11 @@ func (s *Server) handleMigrateStream(env *sim.Env, from rpc.HostID, a migrateStr
 		}
 	}
 	return openReply{
-		FID:       a.FID,
-		Size:      fl.size,
-		Version:   fl.version,
-		Cacheable: fl.cacheable,
+		FID:        a.FID,
+		Size:       fl.size,
+		Version:    fl.version,
+		Cacheable:  fl.cacheable,
+		SourceDone: a.From != rpc.NoHost && len(fl.opens.onHost(a.From)) == 0,
 	}, 64, nil
 }
 

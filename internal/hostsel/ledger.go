@@ -2,7 +2,8 @@ package hostsel
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"sprite/internal/core"
@@ -145,12 +146,7 @@ func (l *ClaimLedger) Check(endOfRun bool) []string {
 		out = append(out, fmt.Sprintf("ledger: %s lost %d selection request(s): RequestHosts never returned", l.Name(), l.inFlight))
 	}
 	now := l.cluster.Sim().Now()
-	hosts := make([]rpc.HostID, 0, len(l.grants))
-	for h := range l.grants {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	for _, h := range hosts {
+	for _, h := range slices.Sorted(maps.Keys(l.grants)) {
 		if g := l.grants[h]; l.live(h, g, now) {
 			out = append(out, fmt.Sprintf("ledger: %s leaked grant of %v to %v (granted at %v, never released)",
 				l.Name(), h, g.client, g.at))

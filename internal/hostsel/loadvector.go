@@ -2,6 +2,8 @@ package hostsel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -163,16 +165,6 @@ func (v *LoadVector) ApplyHint(h EvictHint) bool {
 	return true
 }
 
-// AdvanceEpoch drops the entry for host if it predates epoch: a reboot
-// invalidates every sample taken under an older incarnation.
-func (v *LoadVector) AdvanceEpoch(host rpc.HostID, epoch rpc.Epoch) bool {
-	if e, ok := v.entries[host]; ok && e.Epoch < epoch {
-		delete(v.entries, host)
-		return true
-	}
-	return false
-}
-
 // Remove drops the entry for host.
 func (v *LoadVector) Remove(host rpc.HostID) { delete(v.entries, host) }
 
@@ -231,13 +223,8 @@ func (v *LoadVector) enforceBound() {
 // Snapshot renders the vector deterministically (sorted by host id) for
 // the determinism regression tests and goldens.
 func (v *LoadVector) Snapshot() string {
-	hosts := make([]rpc.HostID, 0, len(v.entries))
-	for h := range v.entries {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	var b strings.Builder
-	for _, h := range hosts {
+	for _, h := range slices.Sorted(maps.Keys(v.entries)) {
 		e := v.entries[h]
 		fmt.Fprintf(&b, "%v avail=%t load=%.2f idle=%v free=%d epoch=%d age=%v\n",
 			e.Host, e.Available, e.Load, e.IdleSince, e.FreePages, e.Epoch, e.Age)

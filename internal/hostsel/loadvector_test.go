@@ -178,8 +178,7 @@ func TestEvictionHintBeatsStalePositive(t *testing.T) {
 }
 
 // TestEpochAdvanceInvalidatesOlderEntries: a reboot invalidates every
-// sample taken under an earlier incarnation, via merge and via
-// AdvanceEpoch.
+// sample taken under an earlier incarnation.
 func TestEpochAdvanceInvalidatesOlderEntries(t *testing.T) {
 	v := NewLoadVector(8)
 	old := VectorEntry{Host: 3, Available: true, Epoch: 1, Age: time.Millisecond}
@@ -199,18 +198,6 @@ func TestEpochAdvanceInvalidatesOlderEntries(t *testing.T) {
 		t.Fatal("older-epoch entry re-accepted after epoch advance")
 	}
 
-	// AdvanceEpoch drops stale-incarnation entries outright.
-	v2 := NewLoadVector(8)
-	v2.Put(old)
-	if !v2.AdvanceEpoch(3, 2) {
-		t.Fatal("AdvanceEpoch did not drop the older entry")
-	}
-	if _, ok := v2.Get(3); ok {
-		t.Fatal("older-epoch entry survived AdvanceEpoch")
-	}
-	if v2.AdvanceEpoch(3, 2) {
-		t.Fatal("AdvanceEpoch reported a drop on an empty slot")
-	}
 }
 
 // TestNewestHalfYoungestFirst: the gossip payload is the youngest ceil(n/2)

@@ -22,8 +22,9 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,20 +98,9 @@ type Gauge struct {
 // Set replaces the level.
 func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
-	g.bumpMax(n)
-}
-
-// Add moves the level by n and returns the new value.
-func (g *Gauge) Add(n int64) int64 {
-	v := g.v.Add(n)
-	g.bumpMax(v)
-	return v
-}
-
-func (g *Gauge) bumpMax(v int64) {
 	for {
 		cur := g.max.Load()
-		if v <= cur || g.max.CompareAndSwap(cur, v) {
+		if n <= cur || g.max.CompareAndSwap(cur, n) {
 			return
 		}
 	}
@@ -441,26 +431,17 @@ type Snapshot struct {
 // spritesim -metrics prints and the determinism goldens compare.
 func (s Snapshot) Text() string {
 	var b strings.Builder
-	for _, name := range sortedNames(s.Counters) {
+	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 		fmt.Fprintf(&b, "counter %-40s %d\n", name, s.Counters[name])
 	}
-	for _, name := range sortedNames(s.Gauges) {
+	for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 		g := s.Gauges[name]
 		fmt.Fprintf(&b, "gauge   %-40s %d (max %d)\n", name, g.Value, g.Max)
 	}
-	for _, name := range sortedNames(s.Timings) {
+	for _, name := range slices.Sorted(maps.Keys(s.Timings)) {
 		t := s.Timings[name]
 		fmt.Fprintf(&b, "timing  %-40s n=%d sum=%v min=%v max=%v p50=%v p95=%v p99=%v\n",
 			name, t.N, t.Sum, t.Min, t.Max, t.P50, t.P95, t.P99)
 	}
 	return b.String()
-}
-
-func sortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -19,9 +19,9 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatal("Counter must return the same instance per name")
 	}
 	g := r.Gauge("q")
-	g.Add(3)
-	g.Add(4)
-	g.Add(-5)
+	g.Set(3)
+	g.Set(7)
+	g.Set(2)
 	if g.Value() != 2 || g.Max() != 7 {
 		t.Fatalf("gauge = %d max %d", g.Value(), g.Max())
 	}
@@ -82,15 +82,15 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("n").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(int64(j))
 				r.Timing("t").Observe(time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Counter("n").Value() != 8000 || r.Gauge("g").Value() != 8000 || r.Timing("t").N() != 8000 {
-		t.Fatalf("lost updates: n=%d g=%d t=%d",
-			r.Counter("n").Value(), r.Gauge("g").Value(), r.Timing("t").N())
+	if r.Counter("n").Value() != 8000 || r.Gauge("g").Max() != 999 || r.Timing("t").N() != 8000 {
+		t.Fatalf("lost updates: n=%d g max=%d t=%d",
+			r.Counter("n").Value(), r.Gauge("g").Max(), r.Timing("t").N())
 	}
 }
 

@@ -1,8 +1,9 @@
 package metrics
 
 import (
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // sketch is an online, mergeable quantile sketch with a bounded relative
@@ -126,10 +127,8 @@ func (s *sketch) quantile(q float64) float64 {
 	// Walk the value axis in ascending order: negative buckets from the
 	// most negative (largest magnitude) down, then zeros, then positive
 	// buckets ascending.
-	negIdx := sortedKeys(s.neg)
 	cum := uint64(0)
-	for j := len(negIdx) - 1; j >= 0; j-- {
-		i := negIdx[j]
+	for _, i := range slices.Backward(slices.Sorted(maps.Keys(s.neg))) {
 		cum += s.neg[i]
 		if rank < cum {
 			return clamp(-sketchValue(i), s.min, s.max)
@@ -139,22 +138,13 @@ func (s *sketch) quantile(q float64) float64 {
 	if rank < cum {
 		return 0
 	}
-	for _, i := range sortedKeys(s.pos) {
+	for _, i := range slices.Sorted(maps.Keys(s.pos)) {
 		cum += s.pos[i]
 		if rank < cum {
 			return clamp(sketchValue(i), s.min, s.max)
 		}
 	}
 	return s.max
-}
-
-func sortedKeys(m map[int]uint64) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -13,7 +13,6 @@
 package recovery
 
 import (
-	"sort"
 	"time"
 
 	"sprite/internal/core"
@@ -151,14 +150,6 @@ func (m *Monitor) DeclaredDown(host rpc.HostID) rpc.Epoch { return m.declaredDow
 // Stop makes every watcher exit at its next tick.
 func (m *Monitor) Stop() { m.stopped = true }
 
-// hosts returns every registered host in sorted order (determinism: watcher
-// spawn order and vantage choice must not depend on map iteration).
-func (m *Monitor) hosts() []rpc.HostID {
-	hs := m.c.Transport().Hosts()
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	return hs
-}
-
 // recoveryPing is the liveness probe; a host replies with its boot epoch.
 var recoveryPing = rpc.NewService[struct{}, rpc.Epoch]("recovery.ping")
 
@@ -167,7 +158,7 @@ var recoveryPing = rpc.NewService[struct{}, rpc.Epoch]("recovery.ping")
 // from the hosts' current epochs, and spawns one watcher activity per host.
 func (m *Monitor) Start() {
 	t := m.c.Transport()
-	for _, h := range m.hosts() {
+	for _, h := range t.Hosts() {
 		ep := t.Endpoint(h)
 		if ep == nil {
 			continue
@@ -182,7 +173,7 @@ func (m *Monitor) Start() {
 			m.observed[host] = epoch
 		}
 	})
-	for _, h := range m.hosts() {
+	for _, h := range m.c.Transport().Hosts() {
 		host := h
 		m.c.Boot("recovery-monitor-"+host.String(), func(env *sim.Env) error {
 			return m.watch(env, host)
@@ -205,7 +196,7 @@ func (m *Monitor) watch(env *sim.Env, host rpc.HostID) error {
 // vantage picks the live peer the ping is sent from: the first registered
 // host, in host order, that is not the watched host and is up.
 func (m *Monitor) vantage(host rpc.HostID) *rpc.Endpoint {
-	for _, h := range m.hosts() {
+	for _, h := range m.c.Transport().Hosts() {
 		if h == host {
 			continue
 		}

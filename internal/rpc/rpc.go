@@ -16,7 +16,8 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -350,12 +351,7 @@ func (t *Transport) Endpoint(host HostID) *Endpoint { return t.endpoints[host] }
 
 // Hosts returns all registered host ids in ascending order.
 func (t *Transport) Hosts() []HostID {
-	ids := make([]HostID, 0, len(t.endpoints))
-	for id := range t.endpoints {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return slices.Sorted(maps.Keys(t.endpoints))
 }
 
 // Network returns the underlying network model.

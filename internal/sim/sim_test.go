@@ -313,32 +313,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestCondBroadcast(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
-	woken := 0
-	for i := 0; i < 3; i++ {
-		s.Spawn(fmt.Sprintf("w%d", i), func(env *Env) error {
-			if err := c.Wait(env); err != nil {
-				return err
-			}
-			woken++
-			return nil
-		})
-	}
-	s.Spawn("b", func(env *Env) error {
-		if err := env.Sleep(time.Second); err != nil {
-			return err
-		}
-		c.Broadcast()
-		return nil
-	})
-	run(t, s)
-	if woken != 3 {
-		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	s := New(1)
 	f := NewFuture(s)

@@ -378,42 +378,3 @@ func (w *WaitGroup) dropWaiter(env *Env) {
 		}
 	}
 }
-
-// Cond is a broadcast-only condition variable: waiters block until the next
-// Broadcast.
-type Cond struct {
-	sim     *Simulation
-	waiters []*Env
-}
-
-// NewCond returns a condition variable bound to the simulation.
-func NewCond(s *Simulation) *Cond {
-	return &Cond{sim: s}
-}
-
-// Wait blocks the activity until the next Broadcast.
-func (c *Cond) Wait(env *Env) error {
-	c.waiters = append(c.waiters, env)
-	if werr := env.block(); werr != nil {
-		c.dropWaiter(env)
-		return werr
-	}
-	return nil
-}
-
-func (c *Cond) dropWaiter(env *Env) {
-	for i, e := range c.waiters {
-		if e == env {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// Broadcast wakes every current waiter.
-func (c *Cond) Broadcast() {
-	for _, w := range c.waiters {
-		w.wakeNow(nil)
-	}
-	c.waiters = nil
-}

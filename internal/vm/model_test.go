@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"sprite/internal/sim"
 )
@@ -103,38 +102,6 @@ func TestModelRandomTouchSequences(t *testing.T) {
 			})
 		})
 	}
-}
-
-// Property: SetResidency produces exactly the requested counts and dirty
-// pages are always a subset of resident pages.
-func TestSetResidencyProperty(t *testing.T) {
-	h := newHarness(t)
-	h.run(t, func(env *sim.Env) error {
-		as, err := New(env, h.fs.Client(2), "prop", Config{HeapPages: 128}, DefaultParams())
-		if err != nil {
-			return err
-		}
-		f := func(r8, d8 uint8) bool {
-			rf := float64(r8) / 255
-			df := float64(d8) / 255
-			as.Heap.SetResidency(rf, df)
-			for i := 0; i < as.Heap.Pages(); i++ {
-				if as.Heap.Dirty(i) && !as.Heap.Resident(i) {
-					return false // dirty must imply resident
-				}
-			}
-			wantRes := int(rf * 128)
-			return abs(as.Heap.ResidentCount()-wantRes) <= 1
-		}
-		return quick.Check(f, nil)
-	})
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Property: a flush after n dirtying touches writes exactly the number of

@@ -113,15 +113,6 @@ func (s *Segment) DirtyCount() int { return countTrue(s.dirty) }
 // SetPager replaces the segment's pager (used by migration strategies).
 func (s *Segment) SetPager(p Pager) { s.pager = p }
 
-// SetResidency force-sets page state without cost; experiment setup uses it
-// to express "this process has been running for a while".
-func (s *Segment) SetResidency(residentFrac, dirtyFrac float64) {
-	for i := 0; i < s.pages; i++ {
-		s.resident[i] = float64(i) < residentFrac*float64(s.pages)
-		s.dirty[i] = s.resident[i] && float64(i) < dirtyFrac*float64(s.pages)
-	}
-}
-
 // InvalidateAll marks every page non-resident and clean (after the Sprite
 // flush, the target starts with an empty resident set).
 func (s *Segment) InvalidateAll() {
@@ -165,12 +156,6 @@ type AddressSpace struct {
 	// cpu is charged for fault handling; it is the current host's CPU and
 	// is updated on migration.
 	chargeCPU func(env *sim.Env, d time.Duration) error
-
-	// maxResident caps the resident set (0 = unlimited); clockSeg and
-	// clockPage are the replacement hand.
-	maxResident int
-	clockSeg    int
-	clockPage   int
 }
 
 // Config sizes a new address space.
@@ -278,11 +263,6 @@ func (as *AddressSpace) Touch(env *sim.Env, seg *Segment, page int, write bool) 
 		as.stats.Faults++
 		if as.chargeCPU != nil && as.params.FaultCPU > 0 {
 			if err := as.chargeCPU(env, as.params.FaultCPU); err != nil {
-				return err
-			}
-		}
-		if as.maxResident > 0 && as.ResidentPages() >= as.maxResident {
-			if err := as.evictOne(env, seg, page); err != nil {
 				return err
 			}
 		}

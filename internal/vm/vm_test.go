@@ -159,21 +159,6 @@ func TestDemandPagingAfterInvalidate(t *testing.T) {
 	})
 }
 
-func TestSetResidency(t *testing.T) {
-	h := newHarness(t)
-	h.run(t, func(env *sim.Env) error {
-		as := newSpace(t, env, h, "p1", 100)
-		as.Heap.SetResidency(0.5, 0.25)
-		if got := as.Heap.ResidentCount(); got != 50 {
-			t.Errorf("resident = %d, want 50", got)
-		}
-		if got := as.Heap.DirtyCount(); got != 25 {
-			t.Errorf("dirty = %d, want 25", got)
-		}
-		return nil
-	})
-}
-
 func TestCodePagesFromBinaryAreCached(t *testing.T) {
 	h := newHarness(t)
 	h.run(t, func(env *sim.Env) error {
@@ -244,6 +229,25 @@ func TestNewAllocations(t *testing.T) {
 		build() // create the swap files and warm the server's tables
 		if a := testing.AllocsPerRun(100, build); a != 7 {
 			t.Errorf("vm.New allocates %.1f objects, want 7", a)
+		}
+		return nil
+	})
+}
+
+func TestUnlimitedByDefault(t *testing.T) {
+	h := newHarness(t)
+	h.run(t, func(env *sim.Env) error {
+		as := newSpace(t, env, h, "uncapped", 64)
+		for i := 0; i < 64; i++ {
+			if err := as.Touch(env, as.Heap, i, true); err != nil {
+				return err
+			}
+		}
+		if got := as.Heap.ResidentCount(); got != 64 {
+			t.Fatalf("resident = %d, want 64 (no local replacement)", got)
+		}
+		if as.Stats().PageOuts != 0 {
+			t.Fatal("page-outs from touches alone")
 		}
 		return nil
 	})
