@@ -50,10 +50,12 @@ fuzz:
 # The third leg reruns the window-barrier tests with GOMAXPROCS below and
 # above the worker count: at -cpu 1 a waiting helper or coordinator only
 # makes progress by yielding or parking. TestParallelEquivalenceProperty is
-# left out; it takes half a minute per -cpu value under -race. The
-# background-load tests ride along: bgload's daemons are the busiest
-# confined activities, and each report checks Simulation.Traced before it
-# formats its trace detail.
+# left out; it takes half a minute per -cpu value under -race. The race
+# build pins the windowed regime (internal/sim/regime_race.go); the regime
+# tests, which pin the serial one or switch every few commits themselves,
+# ride along. So do the background-load tests: bgload's daemons are the
+# busiest confined activities, and each report checks Simulation.Traced
+# before it formats its trace detail.
 # The fourth leg does the same for the confined RPC plane: pooled handler
 # activities, their spare shells and recycled call records are state shared
 # by the activities of one shard, and must never be touched from another
@@ -63,7 +65,7 @@ fuzz:
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/experiments
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers' ./internal/sim
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers|TestEpochRule|TestSleepInPlaceOnlyInSerialRegime' ./internal/sim
 	$(GO) test -race -count=1 -cpu 1,4 -run TestBgLoad ./internal/workload
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 

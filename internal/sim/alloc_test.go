@@ -11,7 +11,10 @@ import (
 // program afresh and runs it to completion, and AllocsPerRun's own warm-up
 // call fills the event freelist, the worker pools and the effect logs. What
 // is left is what the program costs every time — the spawns — plus whatever
-// the kernel allocates per event, which is what the tests bound.
+// the kernel allocates per event, which is what the tests bound. Under the
+// measured regime where the epochs fall depends on the host clock, so a
+// run's windows may still set new high-water marks after the first; three
+// more warm-up runs let them settle first.
 
 func skipAllocCounts(t *testing.T) {
 	t.Helper()
@@ -21,20 +24,25 @@ func skipAllocCounts(t *testing.T) {
 }
 
 // warmAllocs reports the allocations of one spawn-and-run of program on a
-// warm simulation under the given kernel (workers 0 = serial).
-func warmAllocs(t *testing.T, workers int, program func(s *Simulation)) float64 {
+// warm simulation under the given kernel (workers 0 = serial) and regime.
+func warmAllocs(t *testing.T, workers int, rc regimeCase, program func(s *Simulation)) float64 {
 	t.Helper()
 	s := New(1)
 	s.SetLookahead(time.Millisecond)
 	if workers > 0 {
 		s.ConfigureParallel(workers)
+		rc.apply(s)
 	}
-	return testing.AllocsPerRun(5, func() {
+	once := func() {
 		program(s)
 		if err := s.Run(0); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	for i := 0; i < 3; i++ {
+		once()
+	}
+	return testing.AllocsPerRun(5, once)
 }
 
 // Shape of the confined-daemon program the allocation tests run.
@@ -65,26 +73,44 @@ func spawnConfinedTickers(s *Simulation) {
 }
 
 // TestWindowAllocsMatchSerial pins the tentpole: on the spawnConfinedTickers
-// program a warm parallel kernel allocates within 10% of the serial one —
-// the spawns and the per-Run helper goroutines, nothing per window or per
-// event.
+// program a warm parallel kernel allocates within 10% of the serial one
+// under every dispatch regime — the spawns and the per-Run helper
+// goroutines, nothing per window or per event. Commits of the serial regime
+// allocate nothing at all: 4,000 more sleeps leave the count where it was.
 func TestWindowAllocsMatchSerial(t *testing.T) {
 	skipAllocCounts(t)
-	serial := warmAllocs(t, 0, spawnConfinedTickers)
-	parallel := warmAllocs(t, 2, spawnConfinedTickers)
-	t.Logf("allocs per run of %d events: serial %.0f, workers=2 %.0f", confinedShards*confinedTicks, serial, parallel)
-	if parallel > 1.1*serial {
-		t.Fatalf("workers=2 allocated %.0f per run, serial %.0f: more than 1.1x", parallel, serial)
+	serial := warmAllocs(t, 0, regimeCase{}, spawnConfinedTickers)
+	for _, rc := range regimeCases {
+		parallel := warmAllocs(t, 2, rc, spawnConfinedTickers)
+		t.Logf("allocs per run of %d events: serial %.0f, workers=2 %s %.0f", confinedShards*confinedTicks, serial, rc.name, parallel)
+		if parallel > 1.1*serial {
+			t.Errorf("workers=2 %s allocated %.0f per run, serial %.0f: more than 1.1x", rc.name, parallel, serial)
+		}
+	}
+	perCommit := perOpAllocs(t, 2, regimeCase{pin: regimeSerial}, func(s *Simulation, ops int) {
+		for sh := 1; sh <= 8; sh++ {
+			s.SpawnOn(sh, "ticker", func(env *Env) error {
+				for k := 0; k < ops/8; k++ {
+					if err := env.Sleep(time.Duration(1+k%7) * time.Microsecond); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	})
+	if perCommit > 0.001 {
+		t.Errorf("a serial-regime commit allocates %.4f, want 0", perCommit)
 	}
 }
 
 // perOpAllocs runs program at two sizes on warm simulations under the given
 // kernel and returns the allocations each additional operation cost.
-func perOpAllocs(t *testing.T, workers int, program func(s *Simulation, ops int)) float64 {
+func perOpAllocs(t *testing.T, workers int, rc regimeCase, program func(s *Simulation, ops int)) float64 {
 	t.Helper()
 	const small, large = 200, 4200
 	at := func(ops int) float64 {
-		return warmAllocs(t, workers, func(s *Simulation) { program(s, ops) })
+		return warmAllocs(t, workers, rc, func(s *Simulation) { program(s, ops) })
 	}
 	return (at(large) - at(small)) / (large - small)
 }
@@ -95,7 +121,7 @@ func perOpAllocs(t *testing.T, workers int, program func(s *Simulation, ops int)
 func TestQueueHandoffAllocFree(t *testing.T) {
 	skipAllocCounts(t)
 	token := any("token") // boxed once, so the payload itself is free
-	got := perOpAllocs(t, 0, func(s *Simulation, ops int) {
+	got := perOpAllocs(t, 0, regimeCase{}, func(s *Simulation, ops int) {
 		ping, pong := NewQueue(s), NewQueue(s)
 		s.Spawn("ping", func(env *Env) error {
 			for i := 0; i < ops/2; i++ {
@@ -125,7 +151,7 @@ func TestQueueHandoffAllocFree(t *testing.T) {
 // activities — three always queued — costs nothing per Acquire/Release.
 func TestResourceContendedAllocFree(t *testing.T) {
 	skipAllocCounts(t)
-	got := perOpAllocs(t, 0, func(s *Simulation, ops int) {
+	got := perOpAllocs(t, 0, regimeCase{}, func(s *Simulation, ops int) {
 		r := NewResource(s, 1)
 		for u := 0; u < 4; u++ {
 			s.Spawn(fmt.Sprintf("u%d", u), func(env *Env) error {

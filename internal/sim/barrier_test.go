@@ -79,10 +79,10 @@ func TestParkerOutlastsEarlyWake(t *testing.T) {
 //	X commits exclusively
 //	window 4 @3000: C; closes on the empty queue
 //
-// Only window 1 spans two workers, and only when there are two. Window
-// formation does not depend on the worker count, and the serial kernel
-// counts nothing. No timer is cancelled, so the window, chain and exclusive
-// counts add up to every committed event.
+// Only window 1 spans two workers, and only when there are two. The
+// windowed regime is pinned, window formation does not depend on the worker
+// count, and the serial kernel counts nothing. No timer is cancelled, so the
+// window, chain and exclusive counts add up to every committed event.
 func TestWindowStats(t *testing.T) {
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	run := func(workers int) (WindowStats, uint64, Stats) {
@@ -90,6 +90,7 @@ func TestWindowStats(t *testing.T) {
 		s.SetLookahead(us(100))
 		if workers > 0 {
 			s.ConfigureParallel(workers)
+			regimeCase{pin: regimeWindowed}.apply(s)
 		}
 		sleeper := func(d time.Duration) func(*Env) error {
 			return func(env *Env) error { return env.Sleep(d) }
@@ -138,10 +139,13 @@ func TestWindowStats(t *testing.T) {
 }
 
 // TestRepeatedRunJoinsHelpers advances one parallel simulation by 120
-// Run(limit) slices: it must match the serial kernel sliced the same way,
-// and no helper goroutine may outlive a Run (runProg checks after every
-// slice). A helper that outlived its Run would still be waiting for a post
-// when the next Run started another helper for the same worker.
+// Run(limit) slices under every dispatch regime: it must match the serial
+// kernel sliced the same way, and no helper goroutine may outlive a Run
+// (runProg checks after every slice). A helper that outlived its Run would
+// still be waiting for a post when the next Run started another helper for
+// the same worker. Under flip3 the regime changes within slices and across
+// their boundaries, since the epoch count carries over from one Run to the
+// next.
 func TestRepeatedRunJoinsHelpers(t *testing.T) {
 	cfg := progCfg{
 		seed:      7,
@@ -155,9 +159,12 @@ func TestRepeatedRunJoinsHelpers(t *testing.T) {
 	if want.errs != "" || want.stats.EventsDispatched == 0 {
 		t.Fatalf("serial oracle: %v", want)
 	}
-	for _, workers := range []int{2, 4} {
-		if got := runConfinedProg(cfg, workers); got != want {
-			t.Errorf("workers=%d diverged from serial:\n got: %v\nwant: %v", workers, got, want)
+	for _, rc := range regimeCases {
+		cfg.regime = rc
+		for _, workers := range []int{1, 2, 4, 8} {
+			if got := runConfinedProg(cfg, workers); got != want {
+				t.Errorf("%s workers=%d diverged from serial:\n got: %v\nwant: %v", rc.name, workers, got, want)
+			}
 		}
 	}
 }
@@ -175,14 +182,15 @@ const (
 
 // BenchmarkWindowBarrier prices one window of the parallel kernel — form,
 // hand off, dispatch, barrier, replay — at the window size of the
-// benchmark's fleet_par. An op is one tick; ns/window is the figure that
-// compares across barrier designs.
+// benchmark's fleet_par, with the windowed regime pinned. An op is one
+// tick; ns/window is the figure that compares across barrier designs.
 func BenchmarkWindowBarrier(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s := New(1)
 			s.SetLookahead(barrierLookahead)
 			s.ConfigureParallel(workers)
+			regimeCase{pin: regimeWindowed}.apply(s)
 			for sh := 1; sh <= barrierShards; sh++ {
 				s.SpawnOn(sh, "ticker", func(env *Env) error {
 					r, h := env.LocalRand(), uint64(env.Shard())

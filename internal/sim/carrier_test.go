@@ -30,18 +30,19 @@ func spawnExitOn(shard int) func(s *Simulation, ops int) {
 }
 
 // TestSpawnReusesCarrier: a warm spawn-and-exit allocates the activity and
-// nothing else — no coroutine — on the serial kernel and inside a 2-worker
+// nothing else — no coroutine — on the serial kernel, inside a 2-worker
 // window, where the parent is confined and its children finish on the
-// worker that spawned them.
+// worker that spawned them, and in the 2-worker kernel's serial regime.
 func TestSpawnReusesCarrier(t *testing.T) {
 	skipAllocCounts(t)
 	for _, tc := range []struct {
 		workers, shard int
-	}{{0, 0}, {2, 1}} {
-		got := perOpAllocs(t, tc.workers, spawnExitOn(tc.shard))
-		t.Logf("workers=%d: %.3f allocs per spawn-and-exit", tc.workers, got)
+		rc             regimeCase
+	}{{0, 0, regimeCase{}}, {2, 1, regimeCase{name: "windowed", pin: regimeWindowed}}, {2, 1, regimeCase{name: "serial", pin: regimeSerial}}} {
+		got := perOpAllocs(t, tc.workers, tc.rc, spawnExitOn(tc.shard))
+		t.Logf("workers=%d %s: %.3f allocs per spawn-and-exit", tc.workers, tc.rc.name, got)
 		if got > 1.001 {
-			t.Errorf("workers=%d: a warm spawn-and-exit allocates %.3f, want <= 1", tc.workers, got)
+			t.Errorf("workers=%d %s: a warm spawn-and-exit allocates %.3f, want <= 1", tc.workers, tc.rc.name, got)
 		}
 	}
 }
@@ -86,17 +87,38 @@ func TestIdleCarriersBounded(t *testing.T) {
 
 // TestGoexitInActivityEndsRun: runtime.Goexit inside an activity (as
 // t.FailNow would call) ends the goroutine that called Run, under both
-// kernels, instead of leaving it blocked forever. Under the parallel kernel
-// it fires once in a share the coordinator runs (shard 1, worker 0's) and
-// once in a helper's (shard 2): at 1ms both shards have events, so both
-// workers are active in the quitter's window. Either way no helper
-// goroutine outlives the Run.
+// kernels and every dispatch regime, instead of leaving it blocked forever.
+// In a window it fires once in a share the coordinator runs (shard 1,
+// worker 0's) and once in a helper's (shard 2): at 1ms both shards have
+// events, so both workers are active in the quitter's window. The serial
+// regime runs the quitter on the coordinator, in worker slot 0. The
+// measured regime's first epoch is windowed (serial with one worker); flip3
+// starts serial, and the three first resumes at 0 end its first epoch, so
+// the quitter runs in a window. Either way no helper goroutine outlives the
+// Run.
 func TestGoexitInActivityEndsRun(t *testing.T) {
-	for _, tc := range []struct{ workers, shard, slot int }{{0, 1, 0}, {2, 1, 1}, {2, 2, 2}} {
+	type goexitCase struct {
+		workers, shard, slot int
+		rc                   regimeCase
+	}
+	cases := []goexitCase{{0, 1, 0, regimeCase{}}}
+	for _, rc := range regimeCases {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for shard := 1; shard <= 2; shard++ {
+				slot := 0
+				if rc.pin == regimeWindowed || rc.flip > 0 || rc.pin == regimeMeasured && workers > 1 {
+					slot = (shard-1)%workers + 1
+				}
+				cases = append(cases, goexitCase{workers, shard, slot, rc})
+			}
+		}
+	}
+	for _, tc := range cases {
 		s := New(1)
 		s.SetLookahead(time.Millisecond)
 		if tc.workers > 0 {
 			s.ConfigureParallel(tc.workers)
+			tc.rc.apply(s)
 		}
 		for sh := 1; sh <= 2; sh++ {
 			s.SpawnOn(sh, "sleeper", func(env *Env) error {

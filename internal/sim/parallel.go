@@ -5,7 +5,7 @@ package sim
 // The event heap is split into an exclusive shard 0 — every activity spawned
 // with Spawn, which keeps the one-at-a-time serial discipline — and confined
 // shards (SpawnOn with shard > 0) whose activities may be dispatched
-// concurrently. The loop alternates between two modes:
+// concurrently. Forming windows, the loop alternates between two modes:
 //
 //   - The head event belongs to shard 0 (or is a scheduler callback): it is
 //     dispatched exclusively, exactly as the serial kernel would.
@@ -31,8 +31,13 @@ package sim
 // and committed order bit for bit. Worker count and scheduling jitter cannot
 // leak into results: the shard→worker map is static and nothing a worker
 // does escapes its buffers until replay.
+//
+// The serial regime commits every event as runSerial does, which light events
+// make cheaper than windows: the kernel times epochs of commits on the host
+// clock and keeps the cheaper regime. Neither regime decides what commits.
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,6 +72,17 @@ type traceEntry struct {
 // far more than that.
 const spinYields = 256
 
+// The regimes a kernel can be pinned to; the measured one times both.
+const regimeMeasured, regimeSerial, regimeWindowed = 0, 1, 2
+
+// The epoch rule: an epoch ends at the first commit after epochEvents more.
+// The kernel starts windowed and times the serial regime next; it keeps the
+// cheaper one and times the other again after probeEvery epochs, from
+// firstProbe doubling up to maxProbeEvery while the same regime wins.
+const epochEvents, firstProbe, maxProbeEvery = 2048, 8, 64
+
+var defaultRegime = regimeMeasured // ConfigureParallel's pin; windowed under -race
+
 // parKernel is the parallel dispatcher attached to a Simulation by
 // ConfigureParallel.
 type parKernel struct {
@@ -77,6 +93,14 @@ type parKernel struct {
 	window   []*event   // scratch: the current committed prefix
 	frontier eventQueue // scratch: replay ordering heap
 	stats    WindowStats
+
+	// The dispatch regime; flipEvery > 0 (a test seam) alternates it. epochNs:
+	// earlier Runs' time in the epoch; cost: the incumbent's last ns/event.
+	pin                            int
+	serial, probing                bool
+	flipEvery, epochEnd, epochBase uint64
+	epochNs, runStart, cost        int64
+	probeIn, probeEvery            int
 
 	// The window barrier. The coordinator runs the first active worker's
 	// share itself and posts the others to their helpers (one goroutine per
@@ -93,10 +117,10 @@ type parKernel struct {
 // WindowStats counts how the parallel kernel formed its windows: how many,
 // how many queued events they took, how many events they created and
 // committed themselves, how many had one active worker, why each closed, and
-// how many events it committed exclusively between them. Only the
-// coordinator writes the counters, and they never affect the simulation;
-// they stay out of Stats, which both kernels must produce identically. Under
-// the serial kernel every counter is zero.
+// how many events it committed exclusively between them or in the serial
+// regime. Only the coordinator writes them, and they never affect the
+// simulation; they stay out of Stats, which both kernels must produce
+// identically. Under the serial kernel every counter is zero.
 //
 // When no window takes a cancelled timer, WindowEvents + ChainEvents +
 // ExclusiveCommits is Stats.EventsDispatched.
@@ -109,6 +133,7 @@ type WindowStats struct {
 	ClosedExclusive  uint64 // formation stopped at an exclusive (shard 0) event
 	ClosedEmpty      uint64 // formation emptied the queue
 	ExclusiveCommits uint64 // events committed exclusively by the parallel loop
+	InPlace          uint64 // of those, sleeps committed in place (serial regime only)
 }
 
 // WindowStats returns a copy of the parallel kernel's window counters.
@@ -210,7 +235,7 @@ func (s *Simulation) ConfigureParallel(workers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	s.par = &parKernel{s: s, nworkers: workers}
+	s.par = &parKernel{s: s, nworkers: workers, pin: defaultRegime, probeIn: 1, probeEvery: firstProbe / 2}
 }
 
 // Parallel reports whether the parallel kernel is configured.
@@ -286,9 +311,15 @@ func (p *parKernel) shareDone() {
 // runParallel is Run's main loop under the parallel kernel.
 func (s *Simulation) runParallel(limit time.Duration) {
 	p := s.par
+	p.runStart, s.limit = hostNanos(), limit
+	defer func() { p.epochNs, s.stepping = p.epochNs+hostNanos()-p.runStart, false }()
 	p.start()
-	defer p.stopWorkers()
+	defer p.stopWorkers() // runs first: after a Goexit, posted shares may still run
 	for len(s.queue) > 0 && !s.stopped {
+		if s.stats.EventsDispatched >= p.epochEnd {
+			p.nextEpoch()
+		}
+		s.stepping = p.serial
 		head := s.queue.peek()
 		if head.cancelled() {
 			s.queue.pop()
@@ -301,12 +332,45 @@ func (s *Simulation) runParallel(limit time.Duration) {
 			s.now = limit
 			return
 		}
-		if head.homeShard() == 0 {
-			p.stats.ExclusiveCommits++
+		if p.serial || head.homeShard() == 0 {
+			n := s.stats.EventsDispatched
 			s.commitExclusive(s.queue.pop())
+			p.stats.ExclusiveCommits += s.stats.EventsDispatched - n
+			p.stats.InPlace += s.stats.EventsDispatched - n - 1
 			continue
 		}
 		p.runWindow(limit)
+	}
+}
+
+// nextEpoch ends an epoch and picks the regime for the next one.
+func (p *parKernel) nextEpoch() {
+	s, now := p.s, hostNanos()
+	n := int64(s.stats.EventsDispatched - p.epochBase)
+	ns := (p.epochNs + now - p.runStart) / max(n, 1)
+	p.epochBase, p.epochNs, p.runStart = s.stats.EventsDispatched, 0, now
+	p.epochEnd = p.epochBase + cmp.Or(p.flipEvery, epochEvents)
+	switch {
+	case p.flipEvery > 0:
+		p.serial = !p.serial
+	case p.pin != regimeMeasured || p.nworkers == 1: // one worker: serial
+		p.serial = p.pin != regimeWindowed
+	case n == 0: // before the first commit
+	case !p.probing:
+		p.cost = ns // the incumbent's latest epoch, the probe's nearest neighbour
+		if p.probeIn--; p.probeIn == 0 {
+			p.serial, p.probing = !p.serial, true
+		}
+	case ns < p.cost: // the probe won
+		p.probing, p.cost, p.probeEvery, p.probeIn = false, ns, firstProbe, firstProbe
+	default: // the probe lost: back to the incumbent
+		p.serial, p.probing = !p.serial, false
+		p.probeEvery = min(2*p.probeEvery, maxProbeEvery)
+		p.probeIn = p.probeEvery
+	}
+	for _, w := range p.workers { // serial commits draw on these; topUp refills
+		moveTail(&s.free, &w.pool, len(w.pool))
+		moveTail(&s.carriers, &w.carriers, len(w.carriers))
 	}
 }
 

@@ -39,6 +39,8 @@ type progCfg struct {
 	// slices, when > 0, advances the run to limit in that many Run calls
 	// of equal length instead of one.
 	slices int
+	// regime, when named, is applied to the parallel kernel.
+	regime regimeCase
 }
 
 // confinedProg builds a workload exercising every confined-contract
@@ -136,6 +138,9 @@ func newProgSim(cfg progCfg, workers int) (*Simulation, *strings.Builder) {
 	s.SetLookahead(cfg.lookahead)
 	if workers > 0 {
 		s.ConfigureParallel(workers)
+		if cfg.regime.name != "" {
+			cfg.regime.apply(s)
+		}
 	}
 	traceB := new(strings.Builder)
 	s.SetTraceSink(func(at time.Duration, kind, detail string) {
@@ -326,18 +331,21 @@ func TestParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	if want.stats.EventsDispatched == 0 || !strings.Contains(want.trace, "tick") {
 		t.Fatalf("oracle did no work: %v", want)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := runConfinedProg(cfg, workers)
-		if got != want {
-			t.Errorf("workers=%d diverged from serial:\n got: %v\nwant: %v", workers, got, want)
+	for _, rc := range regimeCases {
+		cfg.regime = rc
+		for _, workers := range []int{1, 2, 4, 8} {
+			got := runConfinedProg(cfg, workers)
+			if got != want {
+				t.Errorf("%s workers=%d diverged from serial:\n got: %v\nwant: %v", rc.name, workers, got, want)
+			}
 		}
 	}
 }
 
 func TestParallelEquivalenceProperty(t *testing.T) {
 	// Quick-style sweep: many seeds and shapes, each compared across all
-	// worker counts. Shapes are derived from the seed so the corpus drifts
-	// as seeds grow.
+	// worker counts under every dispatch regime. Shapes are derived from the
+	// seed so the corpus drifts as seeds grow.
 	seeds := 50
 	if testing.Short() {
 		seeds = 8
@@ -359,11 +367,14 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 			if want.runErr != "" || want.errs != "" {
 				t.Fatalf("%s seed=%d: serial oracle failed: %v", name, cfg.seed, want)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				got := prog(cfg, workers)
-				if got != want {
-					t.Fatalf("%s seed=%d shards=%d daemons=%d lookahead=%v workers=%d diverged:\n got: %v\nwant: %v",
-						name, cfg.seed, cfg.shards, cfg.daemons, cfg.lookahead, workers, got, want)
+			for _, rc := range regimeCases {
+				cfg.regime = rc
+				for _, workers := range []int{1, 2, 4, 8} {
+					got := prog(cfg, workers)
+					if got != want {
+						t.Fatalf("%s seed=%d shards=%d daemons=%d lookahead=%v %s workers=%d diverged:\n got: %v\nwant: %v",
+							name, cfg.seed, cfg.shards, cfg.daemons, cfg.lookahead, rc.name, workers, got, want)
+					}
 				}
 			}
 		}
