@@ -53,9 +53,12 @@ fuzz:
 # left out; it takes half a minute per -cpu value under -race. The race
 # build pins the windowed regime (internal/sim/regime_race.go); the regime
 # tests, which pin the serial one or switch every few commits themselves,
-# ride along. So do the background-load tests: bgload's daemons are the
-# busiest confined activities, and each report checks Simulation.Traced
-# before it formats its trace detail.
+# ride along. So do the exclusive-wake tests, whose confined completers
+# wake shard-0 waiters from inside windows, and core's Boot-driver tests,
+# which do the same through whole confined clusters. So do the
+# background-load tests: bgload's daemons are the busiest confined
+# activities, and each report checks Simulation.Traced before it formats
+# its trace detail.
 # The fourth leg does the same for the confined RPC plane: pooled handler
 # activities, their spare shells and recycled call records are state shared
 # by the activities of one shard, and must never be touched from another
@@ -65,7 +68,8 @@ fuzz:
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/experiments
-	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers|TestEpochRule|TestSleepInPlaceOnlyInSerialRegime' ./internal/sim
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers|TestEpochRule|TestSleepInPlaceOnlyInSerialRegime|TestExclusiveWake|TestFutureCompleteAcrossConfinedShards' ./internal/sim
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBootDriverOnConfinedCluster|TestConfinedClusterRunsInPhases' ./internal/core
 	$(GO) test -race -count=1 -cpu 1,4 -run TestBgLoad ./internal/workload
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 

@@ -115,7 +115,7 @@ func TestChaos(t *testing.T) {
 						if p.State() != StateRunning {
 							continue
 						}
-						p.post(SigKill)
+						p.post(env, SigKill)
 					}
 				}
 				// Join everything.

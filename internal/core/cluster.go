@@ -66,12 +66,6 @@ type Cluster struct {
 	// unconditionally cannot perturb an experiment.
 	metrics *metrics.Registry
 
-	// confined records that every host is homed on its own shard
-	// (Params.Sim.ConfineHosts): process activities spawn on their host's
-	// shard and the cross-shard bookkeeping of migration takes its
-	// RPC/rehome paths.
-	confined bool
-
 	// failpoint, when set, is consulted at every Failpoint (fault
 	// injection; see SetFailpoint).
 	failpoint FailpointFunc
@@ -197,7 +191,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		// Confinement must switch on only after every endpoint has
 		// registered its handlers: ConfineHosts spawns the per-host
 		// dispatcher daemons and freezes the handler tables.
-		c.confined = true
 		c.transport.ConfineHosts(func(h rpc.HostID) int { return int(h) })
 	}
 	return c, nil
@@ -279,33 +272,43 @@ func (c *Cluster) Workstation(i int) *Kernel { return c.workstations[i] }
 func (c *Cluster) KernelOn(host rpc.HostID) *Kernel { return c.kernels[host] }
 
 // Run executes the simulation until no events remain or the time limit is
-// reached (limit <= 0 means unlimited).
-func (c *Cluster) Run(limit time.Duration) error { return c.sim.Run(limit) }
+// reached (limit <= 0 means unlimited). A cluster runs in phases: a run that
+// quiesces unwinds a confined cluster's RPC dispatchers, and Run rearms them
+// before the next.
+func (c *Cluster) Run(limit time.Duration) error {
+	c.transport.Rearm()
+	return c.sim.Run(limit)
+}
 
 // Stop aborts the simulation, unwinding every activity.
 func (c *Cluster) Stop() { c.sim.Stop() }
 
-// Boot spawns a driver activity at time zero. It is the usual way to inject
-// scenario code into the cluster. On a confined cluster drivers that start,
-// join, or migrate processes must instead boot on the home host's shard via
-// BootOn; a shard-0 driver touching a confined kernel trips the simulation's
-// cross-shard checks.
+// Boot spawns a driver activity at time zero on the exclusive shard. It is
+// the usual way to inject scenario code into the cluster, and works on any
+// cluster shape: on a confined one, a process's exit, a migration's result
+// and a signal's effects settle on the hosts' shards, and reach the driver
+// one lookahead later, as the messages they are.
 func (c *Cluster) Boot(name string, fn func(env *sim.Env) error) {
 	c.sim.Spawn(name, fn)
 }
 
-// BootOn spawns a driver activity confined to the given host's shard. It is
-// how scenario code enters a confined cluster: the driver shares the host
-// kernel's shard, so StartProcess, Wait, and RequestMigration run without
-// cross-shard coordination. On non-confined clusters every host maps to the
-// exclusive shard, so BootOn degenerates to Boot and scenarios stay portable
-// across both configurations.
+// BootOn spawns a driver activity on the given host's shard. It is
+// placement, for parallelism: on a confined cluster the driver shares the
+// host kernel's shard, so it runs concurrently with other hosts and hears
+// from its own host's processes at once. On other clusters every host maps
+// to the exclusive shard, so BootOn is Boot.
 func (c *Cluster) BootOn(host rpc.HostID, name string, fn func(env *sim.Env) error) {
-	if !c.confined {
-		c.sim.Spawn(name, fn)
-		return
+	c.sim.SpawnOn(c.shardOf(host), name, fn)
+}
+
+// shardOf is the shard host's activities run on: the host's own on a
+// confined cluster (Params.Sim.ConfineHosts), the exclusive shard 0
+// otherwise.
+func (c *Cluster) shardOf(host rpc.HostID) int {
+	if c.transport.Confined() {
+		return int(host)
 	}
-	c.sim.SpawnOn(int(host), name, fn)
+	return 0
 }
 
 // Seed creates a file in the shared FS without charging virtual time

@@ -348,7 +348,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 						if err := ctx.TouchHeap(0, 16, true); err != nil {
 							return err
 						}
-						ready.Complete(nil, nil)
+						ready.Complete(ctx.Env(), nil, nil)
 						// A full migration fires at one of these quanta.
 						if err := ctx.Compute(20 * time.Millisecond); err != nil {
 							return err

@@ -118,7 +118,7 @@ func (c *Cluster) noteEnd(pid PID) {
 // the contract by mistake can match errors.Is(err, sim.ErrConfinedContract)
 // on the surfaced activity error instead of grepping a bare string.
 func (c *Cluster) confinedNoCrash(what string, host rpc.HostID) {
-	if c.confined {
+	if c.transport.Confined() {
 		panic(&sim.ConfinedContractError{
 			Op:     what,
 			Host:   fmt.Sprintf("host %v", host),
@@ -224,7 +224,7 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		for _, rec := range k.homeRecords() {
 			if w := rec.waiter; w != nil {
 				rec.waiter = nil
-				w.Complete(nil, ErrHostCrashed)
+				w.Complete(env, nil, ErrHostCrashed)
 			}
 		}
 		k.homeRecs = make(map[PID]*homeRecord)
@@ -263,7 +263,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 			}
 			if w := rec.waiter; w != nil {
 				rec.waiter = nil
-				w.Complete(nil, ErrHostCrashed)
+				w.Complete(env, nil, ErrHostCrashed)
 			}
 			delete(k.homeRecs, rec.pid)
 		}
@@ -274,7 +274,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 				continue
 			}
 			if p.home.host == host && p.homeEpoch <= epoch {
-				p.post(SigKill)
+				p.post(env, SigKill)
 				if c.sim.Traced() {
 					env.Emit("reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
 				}
@@ -288,7 +288,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 		for _, rec := range k.homeRecords() {
 			p := rec.proc
 			if p.crashed && p.state == StateExited && p.cur != nil && p.cur.host == host && p.crashEpoch <= epoch {
-				k.recordExit(p.pid, CrashStatus)
+				k.recordExit(env, p.pid, CrashStatus)
 			}
 		}
 	}
@@ -338,12 +338,12 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	c.noteEnd(p.pid)
 	p.state = StateExited
 	p.exitStatus = CrashStatus
-	p.failPendingMigration(fmt.Sprintf("%v crashed", p.pid))
+	p.failPendingMigration(env, fmt.Sprintf("%v crashed", p.pid))
 	if w := p.contWaiter; w != nil {
 		p.contWaiter = nil
-		w.Complete(nil, ErrHostCrashed)
+		w.Complete(env, nil, ErrHostCrashed)
 	}
-	p.exited.Complete(CrashStatus, nil)
+	p.exited.Complete(env, CrashStatus, nil)
 	if p.env != nil {
 		p.env.Interrupt(ErrHostCrashed)
 	}

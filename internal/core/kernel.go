@@ -261,15 +261,10 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	body := func(penv *sim.Env) error {
 		return k.runProcess(penv, p, cfg)
 	}
-	if k.cluster.confined {
-		// The process activity belongs to its host's shard. env.Spawn would
-		// inherit the caller's shard, which is right when the driver booted
-		// via BootOn — pinning explicitly makes a misplaced driver fail at
-		// spawn time instead of at the first cross-shard wake.
-		env.SpawnOn(int(k.host), "proc-"+pid.String()+"-"+name, body)
-	} else {
-		env.Spawn("proc-"+pid.String()+"-"+name, body)
-	}
+	// The process activity belongs to its host's shard, whatever shard the
+	// caller runs on. A confined caller may only spawn onto its own shard,
+	// so a process started from another host's shard fails here.
+	env.SpawnOn(k.cluster.shardOf(k.host), "proc-"+pid.String()+"-"+name, body)
 	return p, nil
 }
 
@@ -393,7 +388,7 @@ func (p *Process) exitCleanup(env *sim.Env) error {
 			return err
 		}
 	}
-	if p.Foreign() && !k.cluster.confined {
+	if p.Foreign() && !k.cluster.transport.Confined() {
 		// Confined clusters skip this: finishExit itself sends the notify, so
 		// error-path exits (which bypass exitCleanup) also settle the home.
 		if _, err := kExitNotify.Call(k.ep, env, p.home.host, exitNotifyArgs{
@@ -424,8 +419,8 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	if k.cluster.sim.Traced() {
 		env.Emit("proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
 	}
-	if k.cluster.confined && p.Foreign() {
-		p.failPendingMigration("exited before migration")
+	if k.cluster.transport.Confined() && p.Foreign() {
+		p.failPendingMigration(env, "exited before migration")
 		if _, err := kExitNotify.Call(k.ep, env, p.home.host, exitNotifyArgs{
 			PID: p.pid, Status: status,
 		}, 32); err != nil {
@@ -438,14 +433,14 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	}
 	p.state = StateExited
 	p.exitStatus = status
-	p.home.recordExit(p.pid, status)
-	p.failPendingMigration("exited before migration")
-	p.exited.Complete(status, nil)
+	p.home.recordExit(env, p.pid, status)
+	p.failPendingMigration(env, "exited before migration")
+	p.exited.Complete(env, status, nil)
 }
 
 // recordExit runs at the home kernel: detach the record and queue the exit
 // for the parent's Wait.
-func (k *Kernel) recordExit(pid PID, status int) {
+func (k *Kernel) recordExit(env *sim.Env, pid PID, status int) {
 	rec := k.homeRecs[pid]
 	if rec == nil {
 		return
@@ -460,7 +455,7 @@ func (k *Kernel) recordExit(pid PID, status int) {
 	if prec.waiter != nil {
 		w := prec.waiter
 		prec.waiter = nil
-		w.Complete(nil, nil)
+		w.Complete(env, nil, nil)
 	}
 }
 
@@ -654,7 +649,7 @@ func (k *Kernel) handleExitNotify(env *sim.Env, from rpc.HostID, a exitNotifyArg
 	if err := k.cpu.Compute(env, k.params.SyscallCPU); err != nil {
 		return struct{}{}, 0, err
 	}
-	if k.cluster.confined {
+	if k.cluster.transport.Confined() {
 		rec := k.homeRecs[a.PID]
 		if rec == nil {
 			panic(fmt.Sprintf("core: confined exit notify for unknown %v", a.PID))
@@ -662,8 +657,8 @@ func (k *Kernel) handleExitNotify(env *sim.Env, from rpc.HostID, a exitNotifyArg
 		p := rec.proc
 		p.state = StateExited
 		p.exitStatus = a.Status
-		k.recordExit(a.PID, a.Status)
-		p.exited.Complete(a.Status, nil)
+		k.recordExit(env, a.PID, a.Status)
+		p.exited.Complete(env, a.Status, nil)
 	}
 	return struct{}{}, 8, nil
 }
@@ -680,7 +675,7 @@ func (k *Kernel) handleKill(env *sim.Env, from rpc.HostID, a killArgs) (struct{}
 		}
 		return struct{}{}, 8, nil
 	}
-	rec.proc.post(normalizeSig(a.Sig))
+	rec.proc.post(env, normalizeSig(a.Sig))
 	return struct{}{}, 8, nil
 }
 
@@ -698,7 +693,7 @@ func (k *Kernel) handleKillLocal(env *sim.Env, from rpc.HostID, a killArgs) (str
 	if p == nil {
 		return struct{}{}, 0, fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
 	}
-	p.post(normalizeSig(a.Sig))
+	p.post(env, normalizeSig(a.Sig))
 	return struct{}{}, 8, nil
 }
 

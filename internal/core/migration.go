@@ -76,9 +76,9 @@ func (k *Kernel) requestMigration(p *Process, target *Kernel, reason string, atE
 	done := sim.NewFuture(k.cluster.sim)
 	switch err := p.migratable(atExec); {
 	case err != nil:
-		done.Complete(nil, err)
+		done.Complete(nil, nil, err) // no waiter yet
 	case !atExec && target == p.cur:
-		done.Complete(target.host, nil)
+		done.Complete(nil, target.host, nil)
 	default:
 		p.migrateReq = &migrationRequest{target: target, atExec: atExec, reason: reason, done: done}
 	}
@@ -102,10 +102,10 @@ func (p *Process) migratable(atExec bool) error {
 
 // failPendingMigration resolves a request p will never reach a migration
 // point to serve (it exited, or died with its host) with ErrNoSuchProcess.
-func (p *Process) failPendingMigration(why string) {
+func (p *Process) failPendingMigration(env *sim.Env, why string) {
 	if req := p.migrateReq; req != nil {
 		p.migrateReq = nil
-		req.done.Complete(nil, fmt.Errorf("%w: %s", ErrNoSuchProcess, why))
+		req.done.Complete(env, nil, fmt.Errorf("%w: %s", ErrNoSuchProcess, why))
 	}
 }
 
@@ -158,7 +158,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// always runs: an aborted migration must not leave a phase timing or a
 	// dangling in-flight count behind.
 	abort := func(err error) error {
-		if k.cluster.confined {
+		if k.cluster.transport.Confined() {
 			// Abort recovery repairs target-side tables from the source
 			// activity — cross-shard by nature. The confined contract
 			// excludes every abort trigger (crashes, failpoints, version
@@ -235,7 +235,7 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	// clusters always take the RPC (even migrating home), because the home
 	// record lives on the home host's shard and this activity is still on
 	// the source shard.
-	if p.home != target || k.cluster.confined {
+	if p.home != target || k.cluster.transport.Confined() {
 		if _, err := kUpdateLoc.Call(k.ep, env, p.home.host, updateLocArgs{
 			PID: p.pid, Loc: target.host,
 		}, 32); err != nil {
@@ -310,7 +310,7 @@ type migScratch struct {
 // moveStreams is the body of p's stream mover for the hop in p.mig.
 func (p *Process) moveStreams(env *sim.Env) error {
 	m := &p.mig
-	m.join.Complete(nil, m.src.transferStreams(env, p, m.dst, &m.rec))
+	m.join.Complete(env, nil, m.src.transferStreams(env, p, m.dst, &m.rec))
 	return nil
 }
 
@@ -409,7 +409,7 @@ func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *
 		if err != nil {
 			return fmt.Errorf("move %s: %w", st.Path, err)
 		}
-		if k.cluster.confined {
+		if k.cluster.transport.Confined() {
 			// The destination client's version/size updates for this move are
 			// pended on the source client (MoveStream cannot write another
 			// shard's tables); carry them on the process, which applies them

@@ -23,7 +23,7 @@ func transitHarness(c *Cluster, victim *PID, hold time.Duration) *sim.Future {
 		if fp != FailMigPCB || pid != *victim {
 			return nil
 		}
-		inTransit.Complete(nil, nil)
+		inTransit.Complete(env, nil, nil)
 		return env.Sleep(hold)
 	})
 	return inTransit

@@ -78,8 +78,7 @@ type SimParams struct {
 	// without Parallel it exercises the identical code path under the
 	// serial oracle (which is how equivalence is checked). Confined
 	// clusters trade generality for speed — see DESIGN.md §14 for the
-	// contract (uncontended network, no host crashes, no migration aborts,
-	// drivers pinned to host shards via BootOn).
+	// contract (uncontended network, no host crashes, no migration aborts).
 	ConfineHosts bool
 }
 

@@ -128,7 +128,7 @@ func TestPipeEOFWhenWriterHostCrashes(t *testing.T) {
 				if _, err := cc.Write(wfd, []byte("last words")); err != nil {
 					return err
 				}
-				moved.Complete(nil, nil)
+				moved.Complete(cc.Env(), nil, nil)
 				// Never closes wfd: only the host crash can deliver EOF.
 				return cc.Compute(10 * time.Second)
 			}, smallProc); err != nil {
@@ -217,7 +217,7 @@ func TestPipeEPIPEWhenReaderHostCrashes(t *testing.T) {
 				if _, err := cc.Read(rfd, 64); err != nil {
 					return err
 				}
-				moved.Complete(nil, nil)
+				moved.Complete(cc.Env(), nil, nil)
 				// Never reads again: the pipe fills and the writer blocks.
 				return cc.Compute(10 * time.Second)
 			}, smallProc); err != nil {

@@ -211,10 +211,7 @@ func (p *Process) Exited() *sim.Future { return p.exited }
 // On ordinary clusters it is a no-op, so callers need not branch.
 func (p *Process) confinedResume(env *sim.Env) error {
 	c := p.cur.cluster
-	if !c.confined {
-		return nil
-	}
-	if shard := int(p.cur.host); env.Shard() != shard {
+	if shard := c.shardOf(p.cur.host); env.Shard() != shard {
 		if err := env.Rehome(shard, c.sim.Lookahead()); err != nil {
 			return err
 		}

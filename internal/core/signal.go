@@ -94,7 +94,7 @@ func (c *Cluster) signalPID(env *sim.Env, via *Kernel, target PID, sig Signal) e
 
 // post records a signal against the process and wakes it if it is stopped
 // (so SIGCONT and SIGKILL can get through).
-func (p *Process) post(sig Signal) {
+func (p *Process) post(env *sim.Env, sig Signal) {
 	switch sig {
 	case SigKill:
 		p.killed = true
@@ -103,7 +103,7 @@ func (p *Process) post(sig Signal) {
 		if p.contWaiter != nil {
 			w := p.contWaiter
 			p.contWaiter = nil
-			w.Complete(nil, nil)
+			w.Complete(env, nil, nil)
 		}
 		return
 	default:
@@ -112,7 +112,7 @@ func (p *Process) post(sig Signal) {
 	if p.contWaiter != nil {
 		w := p.contWaiter
 		p.contWaiter = nil
-		w.Complete(nil, nil)
+		w.Complete(env, nil, nil)
 	}
 }
 
@@ -218,7 +218,7 @@ func (k *Kernel) handleKillpg(env *sim.Env, from rpc.HostID, a killArgs) (int, i
 		}
 		delivered++
 		if rec.location == k.host {
-			rec.proc.post(sig)
+			rec.proc.post(env, sig)
 			continue
 		}
 		// ...and one onward RPC per remote member.

@@ -145,14 +145,14 @@ func (c *Ctx) performMigration(req *migrationRequest) error {
 		if req.done != nil {
 			// Complete before rehoming: the requester waits on the source
 			// shard, where this activity still runs.
-			req.done.Complete(p.cur.host, nil)
+			req.done.Complete(c.env, p.cur.host, nil)
 		}
 		return p.confinedResume(c.env)
 	}
 	if req.done == nil {
 		return err
 	}
-	req.done.Complete(nil, err)
+	req.done.Complete(c.env, nil, err)
 	if !dead {
 		return nil
 	}
@@ -487,7 +487,7 @@ func (c *Ctx) Fork(name string, prog Program, cfg ProcConfig) (*Process, error) 
 		return nil, err
 	}
 	p := c.proc
-	if p.cur.cluster.confined && p.Foreign() {
+	if p.cur.cluster.transport.Confined() && p.Foreign() {
 		// Fork allocates the pid and family record in the home kernel's
 		// tables — another shard's state. The confined contract keeps
 		// process-family calls on the home host (DESIGN.md §14).
@@ -519,7 +519,7 @@ func (c *Ctx) Wait() (PID, int, error) {
 	if err := c.enter("wait"); err != nil {
 		return NilPID, 0, err
 	}
-	if c.proc.cur.cluster.confined && c.proc.Foreign() {
+	if c.proc.cur.cluster.transport.Confined() && c.proc.Foreign() {
 		// waitChild blocks on the home kernel's records — another shard's
 		// state and a cross-shard future wake (DESIGN.md §14).
 		panic(&sim.ConfinedContractError{

@@ -167,9 +167,11 @@ func (t *openTable) hostsOther(except rpc.HostID) []rpc.HostID {
 	return out
 }
 
+// wakeAll completes a pipe end's waiters. They are handlers on the pipe's
+// server, as is every caller, so the wakes need no completer's Env.
 func wakeAll(waiters *[]*sim.Future) {
 	for _, w := range *waiters {
-		w.Complete(nil, nil)
+		w.Complete(nil, nil, nil)
 	}
 	*waiters = nil
 }

@@ -170,7 +170,7 @@ func (d *Device) Reply(ctx *core.Ctx, req *Request, data []byte) error {
 	if err := d.sys.cluster.Network().Send(ctx.Env(), 32+len(data)); err != nil {
 		return err
 	}
-	req.reply.Complete(append([]byte(nil), data...), nil)
+	req.reply.Complete(ctx.Env(), append([]byte(nil), data...), nil)
 	return nil
 }
 

@@ -255,13 +255,13 @@ func TestManyClientsOneServer(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		wg := sim.NewWaitGroup(c.Sim())
-		wg.Add(clients)
+		// The clients are joined by their exit futures, which a confined
+		// cluster delivers to this exclusive driver too.
+		var joins []*core.Process
 		for i := 0; i < clients; i++ {
 			k := c.Workstation(1 + i)
 			idx := i
-			_, err := k.StartProcess(env, fmt.Sprintf("client%d", i), func(ctx *core.Ctx) error {
-				defer wg.Done()
+			cli, err := k.StartProcess(env, fmt.Sprintf("client%d", i), func(ctx *core.Ctx) error {
 				if err := ctx.Env().Sleep(10 * time.Millisecond); err != nil {
 					return err
 				}
@@ -280,9 +280,12 @@ func TestManyClientsOneServer(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			joins = append(joins, cli)
 		}
-		if err := wg.Wait(env); err != nil {
-			return err
+		for _, cli := range joins {
+			if _, err := cli.Exited().Wait(env); err != nil {
+				return err
+			}
 		}
 		_, err = srv.Exited().Wait(env)
 		return err

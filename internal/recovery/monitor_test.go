@@ -32,7 +32,7 @@ func runWithMonitor(t *testing.T, c *core.Cluster, mon *recovery.Monitor, fn fun
 	c.Boot("test-driver", func(env *sim.Env) error {
 		err := fn(env)
 		mon.Stop()
-		done.Complete(nil, err)
+		done.Complete(env, nil, err)
 		return err
 	})
 	if err := c.Run(time.Minute); err != nil {

@@ -396,7 +396,7 @@ func (s *Supervisor) watch(env *sim.Env, j *job) error {
 	status, _ := v.(int)
 	if status == 0 {
 		s.completed.Inc()
-		j.done.Complete(0, nil)
+		j.done.Complete(env, 0, nil)
 		return nil
 	}
 	if j.evacuating {
@@ -407,18 +407,18 @@ func (s *Supervisor) watch(env *sim.Env, j *job) error {
 		from := j.evacFrom
 		home := s.pickHome(from)
 		if home == nil {
-			s.giveUp(j, status)
+			s.giveUp(env, j, status)
 			return nil
 		}
 		return s.launch(env, j, home, s.pickTarget(env, home, from))
 	}
 	crashHost, epoch, isCrash := s.crashSite(p, status)
 	if !isCrash {
-		s.giveUp(j, status)
+		s.giveUp(env, j, status)
 		return nil
 	}
 	if j.restarts >= s.p.MaxRestarts {
-		s.giveUp(j, status)
+		s.giveUp(env, j, status)
 		return nil
 	}
 	// Act on detection, not ground truth: the restart may begin only once
@@ -454,7 +454,7 @@ func (s *Supervisor) watch(env *sim.Env, j *job) error {
 	}
 	home := s.pickHome(crashHost)
 	if home == nil {
-		s.giveUp(j, status)
+		s.giveUp(env, j, status)
 		return nil
 	}
 	return s.launch(env, j, home, s.pickTarget(env, home, crashHost))
@@ -482,10 +482,10 @@ func (s *Supervisor) crashSite(p *core.Process, status int) (rpc.HostID, rpc.Epo
 	return rpc.NoHost, 0, false
 }
 
-func (s *Supervisor) giveUp(j *job, status int) {
+func (s *Supervisor) giveUp(env *sim.Env, j *job, status int) {
 	j.lost = true
 	s.lostC.Inc()
-	j.done.Complete(status, fmt.Errorf("%w: %s after %d restarts (status %d)", ErrJobLost, j.name, j.restarts, status))
+	j.done.Complete(env, status, fmt.Errorf("%w: %s after %d restarts (status %d)", ErrJobLost, j.name, j.restarts, status))
 }
 
 // ComputeJob returns the canonical restartable workload: total compute

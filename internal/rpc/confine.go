@@ -46,7 +46,8 @@ import (
 
 // ConfineHosts switches the transport to per-host shard delivery: every
 // registered endpoint is assigned the shard shardOf(host), given a request
-// mailbox homed there, and served by a dispatcher daemon spawned on it.
+// mailbox homed there, and served by a dispatcher daemon spawned on it
+// (Rearm).
 // Call then routes every remote call through the mailboxes under both
 // kernels, so serial runs replay the exact event sequence parallel runs
 // commit.
@@ -70,7 +71,6 @@ func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
 	if lat := t.net.Latency(); la <= 0 || lat < la {
 		panic(fmt.Sprintf("rpc: ConfineHosts needs 0 < lookahead <= latency (lookahead %v, latency %v)", la, lat))
 	}
-	t.shardOf = shardOf
 	t.precreateHostCounters()
 	t.confined = true
 	for _, id := range t.Hosts() {
@@ -81,7 +81,25 @@ func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
 		}
 		ep.shard = shard
 		ep.reqBox = sim.NewMailboxOn(t.sim, shard, t.net.Latency())
-		t.sim.SpawnOn(shard, fmt.Sprintf("rpcd-%v", id), ep.dispatchLoop)
+	}
+	t.Rearm()
+}
+
+// Rearm spawns the endpoints' dispatcher daemons, in host order, unless
+// they run. A run that quiesces unwinds every daemon at once, the
+// dispatchers and their idle handlers among them, so a transport that is to
+// serve a later Run must be rearmed before it: Cluster.Run does. It does
+// nothing on an unconfined transport, and nothing once the simulation is
+// stopped, since no later Run would serve a call.
+func (t *Transport) Rearm() {
+	if !t.confined || t.serving || t.sim.Stopped() {
+		return
+	}
+	t.serving = true
+	for _, id := range t.Hosts() {
+		ep := t.endpoints[id]
+		ep.idle = nil
+		t.sim.SpawnOn(ep.shard, fmt.Sprintf("rpcd-%v", id), ep.dispatchLoop)
 	}
 }
 
@@ -188,7 +206,8 @@ type confEntry struct {
 // dispatchLoop is the endpoint's server daemon: it receives requests from
 // the host's mailbox and hands each to a handler activity of its own, so a
 // slow handler (disk, nested RPC) never head-of-line-blocks the endpoint. It
-// is a daemon — bounded runs quiesce cleanly with it parked in Recv.
+// is a daemon — bounded runs quiesce cleanly with it parked in Recv, and
+// Rearm spawns it again for the next.
 func (ep *Endpoint) dispatchLoop(env *sim.Env) error {
 	env.MarkDaemon()
 	t := ep.transport
@@ -196,6 +215,7 @@ func (ep *Endpoint) dispatchLoop(env *sim.Env) error {
 	for {
 		v, err := ep.reqBox.Recv(env)
 		if err != nil {
+			t.serving = false // only the exclusive drain unwinds a daemon
 			return nil
 		}
 		req := v.(*confReq)

@@ -184,9 +184,9 @@ type Transport struct {
 
 	// confined is set by ConfineHosts: every remote call is routed through
 	// per-host shard mailboxes instead of executing the handler inline in
-	// the caller's activity.
-	confined bool
-	shardOf  func(HostID) int
+	// the caller's activity. serving says the endpoints' dispatchers run
+	// (Rearm).
+	confined, serving bool
 
 	// The metrics plane (nil registry: discard instruments). Counter
 	// pointers are cached here so the per-call cost is a handful of atomic

@@ -233,7 +233,7 @@ func runRehomeProg(seed int64, shards, workers int, lookahead time.Duration) ker
 				// A short-lived child on the current shard.
 				f := NewFuture(s)
 				env.Spawn(fmt.Sprintf("%s-child-%d", env.Name(), hop), func(c *Env) error {
-					f.Complete(hop, nil)
+					f.Complete(c, hop, nil)
 					return nil
 				})
 				if _, err := f.Wait(env); err != nil {

@@ -19,7 +19,7 @@ func TestFutureCompletesWithError(t *testing.T) {
 		if err := env.Sleep(time.Second); err != nil {
 			return err
 		}
-		f.Complete(nil, want)
+		f.Complete(env, nil, want)
 		return nil
 	})
 	run(t, s)
@@ -31,8 +31,8 @@ func TestFutureCompletesWithError(t *testing.T) {
 func TestFutureDoubleCompleteIsNoop(t *testing.T) {
 	s := New(1)
 	f := NewFuture(s)
-	f.Complete(1, nil)
-	f.Complete(2, nil)
+	f.Complete(nil, 1, nil)
+	f.Complete(nil, 2, nil)
 	var got any
 	s.Spawn("w", func(env *Env) error {
 		got, _ = f.Wait(env)
@@ -70,7 +70,7 @@ func TestFutureReset(t *testing.T) {
 			if err := env.Sleep(time.Second); err != nil {
 				return err
 			}
-			f.Complete(i, nil)
+			f.Complete(env, i, nil)
 		}
 		return nil
 	})

@@ -113,7 +113,7 @@ func runConfinedProg(cfg progCfg, workers int) kernelFP {
 							if err := c.Sleep(time.Duration(c.LocalRand().Intn(300)) * time.Microsecond); err != nil {
 								return err
 							}
-							f.Complete(step, nil)
+							f.Complete(c, step, nil)
 							return nil
 						})
 						if _, err := f.Wait(env); err != nil {
@@ -258,7 +258,7 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 							if err := c.Sleep(us(c.LocalRand(), 300)); err != nil {
 								return err
 							}
-							f.Complete(step, nil)
+							f.Complete(c, step, nil)
 							return nil
 						})
 						_, err := f.WaitTimeout(env, us(r, 300))

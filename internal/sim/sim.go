@@ -709,6 +709,9 @@ func (s *Simulation) Stop() {
 	s.stopped = true
 }
 
+// Stopped reports whether Stop has been called.
+func (s *Simulation) Stopped() bool { return s.stopped }
+
 // drain wakes every remaining blocked activity with ErrStopped so that no
 // activity is left parked on its carrier after Run returns.
 func (s *Simulation) drain() {
@@ -974,15 +977,24 @@ func (s *Simulation) sleepInPlace(d time.Duration) bool {
 // activity scheduled for this instant run first.
 func (e *Env) Yield() error { return e.Sleep(0) }
 
-// wakeNow cancels a pending timer (if any) and schedules an immediate resume.
-// Only the first wake of a given block takes effect: once a resume event is
-// queued, further wakes are no-ops until the activity actually runs again
-// (a second queued resume would later fire as a spurious wakeup while the
-// activity is blocked on something else entirely).
-func (e *Env) wakeNow(err error) {
+// wakeNow cancels a pending timer (if any) and schedules the resume. by is
+// the waking activity's Env where the primitive has it (Future.Complete),
+// nil where it has none. The resume is immediate, except that a confined
+// waker's wake of an exclusive (shard 0) activity is a cross-shard message:
+// it lands one lookahead later, logged inside a window on the waker's event,
+// where replay numbers it exactly as the serial kernel does. Only the first
+// wake of a given block takes effect: once a resume event is queued, further
+// wakes are no-ops until the activity actually runs again (a second queued
+// resume would later fire as a spurious wakeup while the activity is blocked
+// on something else entirely).
+func (e *Env) wakeNow(by *Env, err error) {
 	a := e.act
 	if a.state != stateBlocked || a.woken {
 		return
+	}
+	remote := by != nil && by.act.shard != 0 && by.act.shard != a.shard
+	if remote && a.shard != 0 {
+		panic(crossShardWake)
 	}
 	if a.wake != nil { // cancel pending timer (always a bare activity event)
 		a.wake.act = nil
@@ -991,14 +1003,22 @@ func (e *Env) wakeNow(err error) {
 	a.woken = true
 	e.wakeErr = err
 	s := e.sim
+	if remote {
+		if w := by.act.ctxw; w != nil {
+			w.scheduleRemote(w.now+s.lookahead, a)
+		} else {
+			s.schedule(s.now+s.lookahead, a, nil)
+		}
+		return
+	}
 	if s.inWindow() {
 		// The waker is a confined activity executing inside a window; the
 		// confined contract restricts it to same-shard sync objects, so the
-		// wakee lives on the same shard and the same worker. Waking a
-		// shard-0 activity at the current instant would have to reorder
-		// already-running work — that is exactly what a Mailbox exists for.
+		// wakee lives on the same shard and the same worker. A primitive that
+		// carries no waker cannot send the one message an exclusive wakee
+		// may receive.
 		if a.shard == 0 {
-			panic("sim: wake of an exclusive (shard 0) activity from inside a parallel window; cross-shard signalling must use a Mailbox")
+			panic("sim: wake of an exclusive (shard 0) activity from inside a parallel window by a primitive other than Future.Complete; cross-shard signalling must use a Mailbox")
 		}
 		w := s.par.workerFor(a.shard)
 		w.scheduleLocal(w.now, a)
@@ -1008,10 +1028,14 @@ func (e *Env) wakeNow(err error) {
 		// Serial oracle for the same contract: a confined activity waking a
 		// foreign shard at the current instant would be a same-timestamp
 		// cross-shard interaction, invisible to the lookahead bound.
-		panic("sim: cross-shard wake at the current instant; cross-shard signalling must use a Mailbox")
+		panic(crossShardWake)
 	}
 	s.schedule(s.now, a, nil)
 }
+
+// crossShardWake is the panic of a same-instant wake across shards that the
+// confined contract forbids.
+const crossShardWake = "sim: cross-shard wake at the current instant; cross-shard signalling must use a Mailbox"
 
 // Interrupt poisons the activity that owns e with err: if it is blocked in
 // any primitive, it is woken immediately and the primitive returns err; if it
@@ -1022,7 +1046,7 @@ func (e *Env) wakeNow(err error) {
 func (e *Env) Interrupt(err error) {
 	switch e.act.state {
 	case stateBlocked:
-		e.wakeNow(err)
+		e.wakeNow(nil, err)
 	case stateDone:
 		// Already finished; nothing to deliver.
 	default:

@@ -123,7 +123,7 @@ func TestFutureWakesWaiters(t *testing.T) {
 		if err := env.Sleep(3 * time.Second); err != nil {
 			return err
 		}
-		f.Complete(99, nil)
+		f.Complete(env, 99, nil)
 		return nil
 	})
 	run(t, s)
@@ -138,7 +138,7 @@ func TestFutureWakesWaiters(t *testing.T) {
 func TestFutureWaitAfterComplete(t *testing.T) {
 	s := New(1)
 	f := NewFuture(s)
-	f.Complete("done", nil)
+	f.Complete(nil, "done", nil)
 	var got any
 	s.Spawn("late", func(env *Env) error {
 		v, err := f.Wait(env)
@@ -183,7 +183,7 @@ func TestFutureWaitTimeoutResolvedEarly(t *testing.T) {
 		if err := env.Sleep(time.Second); err != nil {
 			return err
 		}
-		f.Complete(7, nil)
+		f.Complete(env, 7, nil)
 		return nil
 	})
 	run(t, s)

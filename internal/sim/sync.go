@@ -24,9 +24,13 @@ func NewFuture(s *Simulation) *Future {
 // Done reports whether the future has been completed.
 func (f *Future) Done() bool { return f.done }
 
-// Complete resolves the future, waking every waiter at the current virtual
-// time. Completing an already-complete future is a no-op.
-func (f *Future) Complete(value any, err error) {
+// Complete resolves the future, waking every waiter. env is the completing
+// activity's Env: a confined completer's exclusive (shard 0) waiters wake
+// one lookahead later, as a message would reach them, and every other waiter
+// at the current virtual time. A nil env (scheduler context, or a completer
+// on its waiters' shard) wakes every waiter at once, as Queue.Send does.
+// Completing an already-complete future is a no-op.
+func (f *Future) Complete(env *Env, value any, err error) {
 	if f.done {
 		return
 	}
@@ -34,7 +38,7 @@ func (f *Future) Complete(value any, err error) {
 	f.value = value
 	f.err = err
 	for _, w := range f.waiters {
-		w.wakeNow(nil)
+		w.wakeNow(env, nil)
 	}
 	clear(f.waiters[:cap(f.waiters)]) // dropWaiter leaves copies past len
 	f.waiters = f.waiters[:0]
@@ -173,7 +177,7 @@ func (q *Queue) Send(v any) {
 		if w.act.woken {
 			continue
 		}
-		w.wakeNow(nil)
+		w.wakeNow(nil, nil)
 		return
 	}
 }
@@ -185,7 +189,7 @@ func (q *Queue) Close() {
 	}
 	q.closed = true
 	for _, w := range q.waiters.live() {
-		w.wakeNow(ErrStopped)
+		w.wakeNow(nil, ErrStopped)
 	}
 	q.waiters = fifo[*Env]{}
 }
@@ -301,7 +305,7 @@ func (r *Resource) releaseAt(now time.Duration) {
 		if w.act.woken {
 			continue
 		}
-		w.wakeNow(nil) // slot ownership transfers; inUse stays the same
+		w.wakeNow(nil, nil) // slot ownership transfers; inUse stays the same
 		return
 	}
 	r.inUse--
@@ -349,7 +353,7 @@ func (w *WaitGroup) Add(n int) {
 	w.count += n
 	if w.count <= 0 {
 		for _, e := range w.waiters {
-			e.wakeNow(nil)
+			e.wakeNow(nil, nil)
 		}
 		w.waiters = nil
 	}
