@@ -57,8 +57,7 @@ fuzz:
 # wake shard-0 waiters from inside windows, and core's Boot-driver tests,
 # which do the same through whole confined clusters. So do the
 # background-load tests: bgload's daemons are the busiest confined
-# activities, and each report checks Simulation.Traced before it formats
-# its trace detail.
+# activities, and each report emits a trace event from inside a window.
 # The fourth leg does the same for the confined RPC plane: pooled handler
 # activities, their spare shells and recycled call records are state shared
 # by the activities of one shard, and must never be touched from another
@@ -117,13 +116,17 @@ scale:
 experiments:
 	$(GO) run ./cmd/spritesim -all
 
+# Run the six examples and diff what each prints against its
+# examples/<name>/output.golden: the examples are deterministic, and the ipc
+# example's trace is where rendered trace events reach a reader. A run that
+# fails adds an "exit status" line, so its diff fails too. After an intended
+# change in what an example prints, regenerate its golden by hand:
+#   go run ./examples/<name> > examples/<name>/output.golden
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/pmake
-	$(GO) run ./examples/eviction
-	$(GO) run ./examples/loadsharing
-	$(GO) run ./examples/ipc
-	$(GO) run ./examples/recovery
+	@for e in quickstart pmake eviction loadsharing ipc recovery; do \
+		echo "examples/$$e"; \
+		{ $(GO) run ./examples/$$e || echo "exit status $$?"; } | diff -u examples/$$e/output.golden - || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

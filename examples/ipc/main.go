@@ -29,8 +29,11 @@ func run() error {
 		return err
 	}
 	events := trace.New(64)
-	events.SetFilter("migration", "exec-migration")
-	cluster.SetTrace(events.Func())
+	cluster.SetTrace(func(ev trace.Event) {
+		if ev.Kind == trace.Migration || ev.Kind == trace.ExecMigration {
+			events.Append(ev)
+		}
+	})
 	pdevs := pdev.NewSystem(cluster)
 	h := cluster.Workstations()
 	cfg := sprite.ProcConfig{Binary: "/bin/prog", CodePages: 4, HeapPages: 16, StackPages: 2}

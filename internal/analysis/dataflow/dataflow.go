@@ -194,8 +194,8 @@ func Trusted(importPath string) bool {
 // Param numbering counts the receiver as param 0.
 var models = map[callgraph.FuncID]*Summary{
 	// Trace emission: the determinism goldens' raw material.
-	simPkg + ".(Env).Emit":     {SinkParams: pbits(1, 2), Emits: true},
-	tracePkg + ".(Log).Append": {SinkParams: pbits(1, 2, 3), Emits: true},
+	simPkg + ".(Env).Emit":     {SinkParams: pbits(1), Emits: true},
+	tracePkg + ".(Log).Append": {SinkParams: pbits(1), Emits: true},
 	// Metrics values land in Snapshot.Text, which goldens compare.
 	metricsPkg + ".(Counter).Add":        {SinkParams: pbits(1)},
 	metricsPkg + ".(Counter).AddSlot":    {SinkParams: pbits(2)},

@@ -51,8 +51,19 @@ func (t Time) String() string    { return string(rune(t.ns)) }
 func (d Duration) String() string { return string(rune(d)) }
 `
 
+// fakeTrace is the event type fakeSim's Emit takes.
+const fakeTrace = `package trace
+
+type Event struct {
+	Kind uint8
+	Name string
+}
+`
+
 // fakeSim mirrors the sim API surface the models table classifies.
 const fakeSim = `package sim
+
+import "sprite/internal/trace"
 
 type Rand struct{}
 func (*Rand) Intn(n int) int { return 0 }
@@ -60,7 +71,7 @@ func (*Rand) Intn(n int) int { return 0 }
 type Env struct{}
 type Simulation struct{}
 
-func (*Env) Emit(kind, detail string)                                   {}
+func (*Env) Emit(ev trace.Event)                                        {}
 func (*Env) Rand() *Rand                                                { return nil }
 func (*Env) LocalRand() *Rand                                           { return nil }
 func (*Env) Spawn(name string, fn func(*Env) error)                     {}
@@ -74,9 +85,10 @@ func analyzeSrc(t *testing.T, src string) *Tree {
 	fset := token.NewFileSet()
 	imp := mapImporter{}
 	tm := checkPkg(t, fset, imp, "time", fakeTime)
+	tr := checkPkg(t, fset, imp, "sprite/internal/trace", fakeTrace)
 	sim := checkPkg(t, fset, imp, "sprite/internal/sim", fakeSim)
 	p := checkPkg(t, fset, imp, "p", src)
-	return Analyze([]*load.Package{tm, sim, p})
+	return Analyze([]*load.Package{tm, tr, sim, p})
 }
 
 // TestRecursiveConvergence pins the satellite requirement: summaries on a
@@ -119,10 +131,11 @@ func TestSinkParamAndInterproceduralHit(t *testing.T) {
 
 import (
 	sim "sprite/internal/sim"
+	"sprite/internal/trace"
 	"time"
 )
 
-func logIt(env *sim.Env, s string) { env.Emit("k", s) }
+func logIt(env *sim.Env, s string) { env.Emit(trace.Event{Name: s}) }
 
 func now() string { return time.Now().String() }
 
@@ -176,7 +189,10 @@ func keysUnsorted(m map[string]int) []string {
 func TestMutationsEmitsAndRangeHits(t *testing.T) {
 	tree := analyzeSrc(t, `package p
 
-import sim "sprite/internal/sim"
+import (
+	sim "sprite/internal/sim"
+	"sprite/internal/trace"
+)
 
 var registry = map[string]int{}
 
@@ -184,7 +200,7 @@ func poke() { registry["x"] = 1 }
 
 func record(out *[]string, s string) { *out = append(*out, s) }
 
-func helperEmit(env *sim.Env, s string) { env.Emit("k", s) }
+func helperEmit(env *sim.Env, s string) { env.Emit(trace.Event{Name: s}) }
 
 func useRange(m map[string]string, env *sim.Env) {
 	for k := range m {

@@ -6,6 +6,8 @@ package sim
 import (
 	"math/rand"
 	"time"
+
+	"sprite/internal/trace"
 )
 
 type Simulation struct{}
@@ -29,7 +31,7 @@ func (e *Env) Rand() *rand.Rand            { return nil }
 func (e *Env) LocalRand() *rand.Rand       { return nil }
 func (e *Env) Now() time.Duration          { return 0 }
 func (e *Env) Sleep(d time.Duration) error { return nil }
-func (e *Env) Emit(kind, detail string)    {}
+func (e *Env) Emit(ev trace.Event)         {}
 
 type Mailbox struct{}
 

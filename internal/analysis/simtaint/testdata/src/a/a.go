@@ -11,6 +11,7 @@ import (
 	"time"
 
 	sim "sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 func stamp() string { return time.Now().Format(time.RFC3339) } // want `wall-clock time\.Now in simulated code`
@@ -18,20 +19,27 @@ func stamp() string { return time.Now().Format(time.RFC3339) } // want `wall-clo
 func jitter() int { return rand.Intn(10) } // want `global rand\.Intn`
 
 func report(env *sim.Env) {
-	env.Emit("host.up", stamp()) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit; goldens and seed replay diverge`
+	env.Emit(trace.Event{Name: stamp()}) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit; goldens and seed replay diverge`
+}
+
+// A tainted value assigned to a field of the event taints the event.
+func reportAssigned(env *sim.Env) {
+	var ev trace.Event
+	ev.Name = stamp()
+	env.Emit(ev) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit`
 }
 
 func emitJitter(env *sim.Env) {
-	env.Emit("host.jitter", strconv.Itoa(jitter())) // want `global-rand-derived value reaches sim\.\(Env\)\.Emit`
+	env.Emit(trace.Event{Host: jitter()}) // want `global-rand-derived value reaches sim\.\(Env\)\.Emit`
 }
 
 // clean: deterministic clocks and per-shard randomness carry no taint.
 func reportClean(env *sim.Env) {
-	env.Emit("host.tick", strconv.Itoa(int(env.Now())))
-	env.Emit("host.pick", strconv.Itoa(env.LocalRand().Intn(10)))
+	env.Emit(trace.Event{Name: strconv.Itoa(int(env.Now()))})
+	env.Emit(trace.Event{Host: env.LocalRand().Intn(10)})
 }
 
-func helperEmit(env *sim.Env, k string) { env.Emit("host.key", k) }
+func helperEmit(env *sim.Env, k string) { env.Emit(trace.Event{Name: k}) }
 
 func dump(env *sim.Env, m map[string]string) {
 	for k := range m {

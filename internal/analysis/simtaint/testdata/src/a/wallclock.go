@@ -4,8 +4,11 @@
 // inside it.
 package a
 
-import sim "sprite/internal/sim"
+import (
+	sim "sprite/internal/sim"
+	"sprite/internal/trace"
+)
 
 func wallReport(env *sim.Env) {
-	env.Emit("wall.elapsed", stamp())
+	env.Emit(trace.Event{Name: stamp()})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	sim "sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 func appendNoSort(m map[string]int) []string {
@@ -122,7 +123,7 @@ func suppressed(m map[string]int) []string {
 // emitted keys no longer depend on map order.
 func emitSortedKeys(env *sim.Env, m map[string]string) {
 	for _, k := range slices.Sorted(maps.Keys(m)) {
-		env.Emit("key", k)
+		env.Emit(trace.Event{Name: k})
 	}
 }
 
@@ -131,13 +132,13 @@ func emitSortedKeys(env *sim.Env, m map[string]string) {
 func emitSortedStamps(env *sim.Env) {
 	stamps := slices.Values([]string{time.Now().String()}) // want `wall-clock time\.Now in simulated code`
 	for _, s := range slices.Sorted(stamps) {
-		env.Emit("stamp", s) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit`
+		env.Emit(trace.Event{Name: s}) // want `wall-clock-derived value reaches sim\.\(Env\)\.Emit`
 	}
 }
 
 // An unsorted maps.Keys sequence still carries map order.
 func emitKeysUnsorted(env *sim.Env, m map[string]string) {
 	for k := range maps.Keys(m) {
-		env.Emit("key", k) // want `map-order-derived value reaches sim\.\(Env\)\.Emit`
+		env.Emit(trace.Event{Name: k}) // want `map-order-derived value reaches sim\.\(Env\)\.Emit`
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"sprite/internal/fs"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 	"sprite/internal/vm"
 )
 
@@ -65,15 +66,19 @@ func TestSpriteFlushMovesPagesAsCounts(t *testing.T) {
 	}
 }
 
-// TestUntracedRunFormatsNoTraceDetails: a trace event's detail string is
-// built only when a sink is installed. Sixteen processes start, migrate and
-// exit twice over — once untraced, once into a sink that keeps nothing — and
-// the traced run must allocate at least one object per event more than the
-// untraced one. Formatting ahead of the sink check made the two runs
-// allocate alike.
+// TestUntracedRunFormatsNoTraceDetails: emitting a trace event costs no
+// allocation, with or without a sink; only a sink that renders formats
+// anything. Sixteen processes start, migrate and exit, untraced and into a
+// sink that keeps nothing, and the traced run must allocate no more objects
+// than the untraced one. Each side counts its least of three runs: the
+// process-wide counter now and then picks up a runtime allocation or two.
+// The runs stay on the serial kernel, since the parallel one picks its
+// dispatch regime by timing on the host clock and so allocates a little
+// differently from run to run.
 func TestUntracedRunFormatsNoTraceDetails(t *testing.T) {
+	t.Setenv("SPRITE_SIM_PARALLEL", "")
 	const procs = 16
-	run := func(sink func(time.Duration, string, string)) uint64 {
+	run := func(sink func(trace.Event)) uint64 {
 		c := newCluster(t, 2)
 		c.SetTrace(sink)
 		dst := c.Workstation(1)
@@ -97,18 +102,21 @@ func TestUntracedRunFormatsNoTraceDetails(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return m1.Mallocs - m0.Mallocs
 	}
+	least := func(sink func(trace.Event)) uint64 {
+		return min(run(sink), run(sink), run(sink))
+	}
 	events := 0
-	untraced := run(nil)
-	traced := run(func(time.Duration, string, string) { events++ })
+	run(func(trace.Event) { events++ }) // first-run costs (runtime caches, pools) land here
 	if events != 3*procs {
 		t.Fatalf("sink saw %d events, want a start, a migration and an exit for each of %d processes", events, procs)
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
+	untraced, traced := least(nil), least(func(trace.Event) {})
 	t.Logf("%d events: %d objects traced, %d untraced", events, traced, untraced)
-	if traced < untraced+uint64(events) {
-		t.Errorf("traced run allocated %d objects, untraced %d: %d events were formatted with nobody listening", traced, untraced, events)
+	if traced > untraced {
+		t.Errorf("traced run allocated %d objects, untraced %d: emitting %d events into a sink that keeps nothing allocated", traced, untraced, events)
 	}
 }
 

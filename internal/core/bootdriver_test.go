@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // bootDriverFingerprint runs one exclusive (Boot) driver over a confined
@@ -26,9 +27,9 @@ func bootDriverFingerprint(t *testing.T, simp SimParams) string {
 		t.Fatal(err)
 	}
 	requireKernel(t, c, simp)
-	var trace, seen strings.Builder
-	c.SetTrace(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(&trace, "%v %s %s\n", at, kind, detail)
+	var events, seen strings.Builder
+	c.SetTrace(func(ev trace.Event) {
+		fmt.Fprintf(&events, "%v %s %s\n", ev.At, ev.Kind, ev.Detail())
 	})
 	if err := c.SeedBinary("/bin/prog", 32<<10); err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func bootDriverFingerprint(t *testing.T, simp SimParams) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digest=%#x now=%v migrations=%d\n", c.Sim().OrderDigest(), c.Sim().Now(), len(c.MigrationRecords()))
 	b.WriteString(seen.String())
-	b.WriteString(trace.String())
+	b.WriteString(events.String())
 	b.WriteString(c.MetricsSnapshot().Text())
 	return b.String()
 }

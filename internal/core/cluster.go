@@ -15,6 +15,7 @@ import (
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // applyEnvParallel lets CI suites opt whole test binaries into the parallel
@@ -116,17 +117,14 @@ func (c *Cluster) AddReapHook(fn func(env *sim.Env, host rpc.HostID, epoch rpc.E
 	c.reapHooks = append(c.reapHooks, fn)
 }
 
-// TraceFunc receives cluster events (migrations, evictions, process
-// lifecycle) as they happen in virtual time. See internal/trace for a
-// ready-made ring-buffer sink.
-type TraceFunc func(at time.Duration, kind, detail string)
-
 // SetTrace installs the cluster's one event sink (nil disables tracing):
-// the simulation's. Every layer emits through Env.Emit, which delivers
-// exclusive-context events at once and buffers in-window ones to the
-// barrier, so the sink observes the serial sequence under either kernel
-// and any worker count.
-func (c *Cluster) SetTrace(fn TraceFunc) {
+// the simulation's. It receives cluster events (migrations, evictions,
+// process lifecycle, crashes) as they happen in virtual time; a
+// trace.Log's Append is a ready-made ring-buffer sink. Every layer emits
+// through Env.Emit, which delivers exclusive-context events at once and
+// buffers in-window ones to the barrier, so the sink observes the serial
+// sequence under either kernel and any worker count.
+func (c *Cluster) SetTrace(fn func(trace.Event)) {
 	c.sim.SetTraceSink(fn)
 }
 
@@ -191,7 +189,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 		// Confinement must switch on only after every endpoint has
 		// registered its handlers: ConfineHosts spawns the per-host
 		// dispatcher daemons and freezes the handler tables.
-		c.transport.ConfineHosts(func(h rpc.HostID) int { return int(h) })
+		if err := c.transport.ConfineHosts(func(h rpc.HostID) int { return int(h) }); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"sprite/internal/fs"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // This file is the equivalence suite for per-host confinement (DESIGN.md
@@ -47,9 +48,9 @@ func confinedFingerprint(t *testing.T, strategy TransferStrategy, simp SimParams
 	}
 	requireKernel(t, c, simp)
 	c.SetStrategyAll(strategy)
-	var trace strings.Builder
-	c.SetTrace(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(&trace, "%v %s %s\n", at, kind, detail)
+	var events strings.Builder
+	c.SetTrace(func(ev trace.Event) {
+		fmt.Fprintf(&events, "%v %s %s\n", ev.At, ev.Kind, ev.Detail())
 	})
 	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func confinedFingerprint(t *testing.T, strategy TransferStrategy, simp SimParams
 	var b strings.Builder
 	fmt.Fprintf(&b, "digest=%#x now=%v\n", c.Sim().OrderDigest(), c.Sim().Now())
 	fmt.Fprintf(&b, "migrations=%d\n", len(c.MigrationRecords()))
-	b.WriteString(trace.String())
+	b.WriteString(events.String())
 	b.WriteString(c.MetricsSnapshot().Text())
 	return b.String()
 }
@@ -334,4 +335,26 @@ func TestConfinedContract(t *testing.T) {
 			t.Fatalf("confined migration abort: err = %v, want abort panic", err)
 		}
 	})
+}
+
+// TestConfineRefusalsAreErrors: a network confinement cannot serve — a
+// contended medium, or a zero latency that leaves no lookahead — is a
+// configuration NewCluster rejects with an error, not a panic that takes
+// the whole test binary down.
+func TestConfineRefusalsAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"contended", func(p *Params) { p.Net.Contended = true }},
+		{"zero latency", func(p *Params) { p.Net.Latency = 0 }},
+	} {
+		params := DefaultParams()
+		params.Sim.ConfineHosts = true
+		c.edit(&params)
+		_, err := NewCluster(Options{Workstations: 2, FileServers: 1, Seed: 1, Params: &params})
+		if err == nil || !strings.Contains(err.Error(), "ConfineHosts") {
+			t.Errorf("%s: NewCluster error = %v, want ConfineHosts's refusal", c.name, err)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // This file is the kernel half of the fault plane: named mid-migration
@@ -184,9 +185,7 @@ func (c *Cluster) CrashHost(env *sim.Env, host rpc.HostID) {
 		}
 	}
 	c.fs.ScrubHostEpoch(host, epoch)
-	if c.sim.Traced() {
-		env.Emit("host-crash", fmt.Sprintf("host %v epoch %d", host, epoch))
-	}
+	env.Emit(trace.Event{Kind: trace.HostCrash, Host: int(host), Epoch: uint64(epoch)})
 }
 
 // RestartHost brings a crashed host back with empty tables under a new boot
@@ -198,9 +197,7 @@ func (c *Cluster) RestartHost(env *sim.Env, host rpc.HostID) {
 	if ep := c.transport.Endpoint(host); ep != nil {
 		ep.Restart()
 	}
-	if c.sim.Traced() {
-		env.Emit("host-restart", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
-	}
+	env.Emit(trace.Event{Kind: trace.HostRestart, Host: int(host), Epoch: uint64(c.HostEpoch(host))})
 }
 
 // Reboot power-cycles a host: if it is up it crashes first (CrashHost), its
@@ -230,9 +227,7 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		k.homeRecs = make(map[PID]*homeRecord)
 	}
 	c.RestartHost(env, host)
-	if c.sim.Traced() {
-		env.Emit("host-reboot", fmt.Sprintf("host %v epoch %d", host, c.HostEpoch(host)))
-	}
+	env.Emit(trace.Event{Kind: trace.HostReboot, Host: int(host), Epoch: uint64(c.HostEpoch(host))})
 }
 
 // ReapDeadHost applies Sprite's crash-recovery matrix for one dead boot
@@ -275,9 +270,9 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 			}
 			if p.home.host == host && p.homeEpoch <= epoch {
 				p.post(env, SigKill)
-				if c.sim.Traced() {
-					env.Emit("reap-orphan", fmt.Sprintf("%v %s on %v (home %v died)", p.pid, p.name, k.host, host))
-				}
+				ev := p.traceEvent(trace.ReapOrphan, k.host)
+				ev.Peer = int(host)
+				env.Emit(ev)
 			}
 		}
 	}
@@ -296,9 +291,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 	for _, hook := range c.reapHooks {
 		hook(env, host, epoch)
 	}
-	if c.sim.Traced() {
-		env.Emit("host-reap", fmt.Sprintf("host %v epoch %d", host, epoch))
-	}
+	env.Emit(trace.Event{Kind: trace.HostReap, Host: int(host), Epoch: uint64(epoch)})
 }
 
 // HostDown reports whether the host is currently crashed.
@@ -347,9 +340,7 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 	if p.env != nil {
 		p.env.Interrupt(ErrHostCrashed)
 	}
-	if c.sim.Traced() {
-		env.Emit("proc-crash", fmt.Sprintf("%v %s on %v", p.pid, p.name, crashedHost))
-	}
+	env.Emit(p.traceEvent(trace.ProcCrash, crashedHost))
 }
 
 // releaseMoved drops the references p's migration has moved to target,

@@ -9,6 +9,7 @@ import (
 	"sprite/internal/fs"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 	"sprite/internal/vm"
 )
 
@@ -254,9 +255,7 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	k.procs[pid] = p
 	k.stats.ProcsStarted++
 	k.cluster.noteStart(pid)
-	if k.cluster.sim.Traced() {
-		env.Emit("proc-start", fmt.Sprintf("%v %s on %v", pid, name, k.host))
-	}
+	env.Emit(p.traceEvent(trace.ProcStart, k.host))
 
 	body := func(penv *sim.Env) error {
 		return k.runProcess(penv, p, cfg)
@@ -416,9 +415,9 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	delete(k.procs, p.pid)
 	k.stats.ProcsExited++
 	k.cluster.noteEnd(p.pid)
-	if k.cluster.sim.Traced() {
-		env.Emit("proc-exit", fmt.Sprintf("%v %s status=%d on %v", p.pid, p.name, status, k.host))
-	}
+	ev := p.traceEvent(trace.ProcExit, k.host)
+	ev.Status = status
+	env.Emit(ev)
 	if k.cluster.transport.Confined() && p.Foreign() {
 		p.failPendingMigration(env, "exited before migration")
 		if _, err := kExitNotify.Call(k.ep, env, p.home.host, exitNotifyArgs{

@@ -8,6 +8,7 @@ import (
 	"sprite/internal/fs"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 	"sprite/internal/vm"
 )
 
@@ -280,17 +281,14 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	if req.atExec {
 		k.stats.RemoteExecs++
 	}
-	if !k.cluster.sim.Traced() {
-		return nil
-	}
+	ev := p.traceEvent(trace.Migration, rec.From)
+	ev.Peer, ev.Reason, ev.Total = int(rec.To), rec.Reason, rec.Total
 	if req.atExec {
-		env.Emit("exec-migration",
-			fmt.Sprintf("%v %v->%v (%s) total=%v", p.pid, rec.From, rec.To, rec.Reason, rec.Total))
+		ev.Kind = trace.ExecMigration
 	} else {
-		env.Emit("migration",
-			fmt.Sprintf("%v %v->%v (%s, %s) total=%v vm=%dB files=%d",
-				p.pid, rec.From, rec.To, rec.Reason, rec.Strategy, rec.Total, rec.VMBytes, rec.Files))
+		ev.Strategy, ev.VMBytes, ev.Files = rec.Strategy, rec.VMBytes, rec.Files
 	}
+	env.Emit(ev)
 	return nil
 }
 
@@ -456,9 +454,9 @@ func (k *Kernel) EvictAll(env *sim.Env) error {
 		}
 		waits = append(waits, k.RequestMigration(p, target, "eviction"))
 		k.stats.Evictions++
-		if k.cluster.sim.Traced() {
-			env.Emit("eviction", fmt.Sprintf("%v evicted from %v to %v", p.pid, k.host, target.host))
-		}
+		ev := p.traceEvent(trace.Eviction, k.host)
+		ev.Peer = int(target.host)
+		env.Emit(ev)
 	}
 	for _, w := range waits {
 		if _, err := w.Wait(env); err != nil {

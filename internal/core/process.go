@@ -10,6 +10,7 @@ import (
 	"sprite/internal/fs"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 	"sprite/internal/vm"
 )
 
@@ -176,6 +177,11 @@ func (p *Process) Current() *Kernel { return p.cur }
 
 // Foreign reports whether the process executes away from home.
 func (p *Process) Foreign() bool { return p.cur != p.home }
+
+// traceEvent starts a trace event of the given kind about p on host.
+func (p *Process) traceEvent(kind trace.Kind, host rpc.HostID) trace.Event {
+	return trace.Event{Kind: kind, Home: int(p.pid.Home), Seq: p.pid.Seq, Name: p.name, Host: int(host)}
+}
 
 // Migrations returns how many times the process has migrated.
 func (p *Process) Migrations() int { return p.migrations }

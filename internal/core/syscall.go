@@ -7,6 +7,7 @@ import (
 	"sprite/internal/fs"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // HandlingPolicy classifies how a kernel call behaves for a migrated
@@ -135,10 +136,9 @@ func (c *Ctx) performMigration(req *migrationRequest) error {
 	if err != nil && req.atExec && !dead {
 		// An aborted exec-time migration leaves the process intact on the
 		// source; Sprite demotes it to a plain local exec.
-		if p.cur.cluster.sim.Traced() {
-			c.env.Emit("exec-migrate-abort",
-				fmt.Sprintf("%v -> %v: %v", p.pid, req.target.host, err))
-		}
+		ev := p.traceEvent(trace.ExecMigrateAbort, p.cur.host)
+		ev.Peer, ev.Err = int(req.target.host), err.Error()
+		c.env.Emit(ev)
 		err = nil
 	}
 	if err == nil {

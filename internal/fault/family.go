@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"strings"
+
+	"sprite/internal/trace"
 )
 
 // This file is the one driver both scenario families run through. A family
@@ -57,13 +59,13 @@ type kernelCfg struct {
 
 // KernelObservation is everything externally visible about one scenario
 // run: if any field differs between the serial oracle and the parallel
-// kernel, determinism is broken. Trace is the byte-exact event stream, not
-// a digest, so divergences point at the first differing event.
+// kernel, determinism is broken. Trace is the complete event stream, not a
+// digest, so divergences point at the first differing event.
 type KernelObservation struct {
 	RunErr     string
 	Order      uint64 // sim.OrderDigest: FNV over the committed (at, seq) stream
 	Digest     string // the family's coarse replay fingerprint
-	Trace      string
+	Trace      []trace.Event
 	Metrics    string
 	Violations []string
 	BgReports  int
@@ -97,8 +99,8 @@ func (f family[S, E]) equivCheck(sc S, workers []int) []string {
 		if got.Order != want.Order {
 			diffs = append(diffs, fmt.Sprintf("%s: order digest %#x, serial %#x", tag, got.Order, want.Order))
 		}
-		if got.Trace != want.Trace {
-			diffs = append(diffs, fmt.Sprintf("%s: trace diverged at %s", tag, diffLine(got.Trace, want.Trace)))
+		if d := traceDiff(got.Trace, want.Trace); d != "" {
+			diffs = append(diffs, fmt.Sprintf("%s: trace diverged at %s", tag, d))
 		}
 		if got.Metrics != want.Metrics {
 			diffs = append(diffs, fmt.Sprintf("%s: metrics diverged at %s", tag, diffLine(got.Metrics, want.Metrics)))
@@ -117,6 +119,21 @@ func (f family[S, E]) equivCheck(sc S, workers []int) []string {
 		}
 	}
 	return diffs
+}
+
+// traceDiff names the first event where two traces differ, rendered as
+// each kernel saw it, or their lengths when one is a prefix of the other
+// ("" when they are equal).
+func traceDiff(a, b []trace.Event) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("event %d: %q vs %q", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("lengths differ: %d vs %d events", len(a), len(b))
+	}
+	return ""
 }
 
 // diffLine locates the first line where two multi-line strings diverge,

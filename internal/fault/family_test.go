@@ -1,11 +1,14 @@
 package fault
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"sprite/internal/trace"
 )
 
 // Replay one scenario of any sweep in this package:
@@ -134,10 +137,11 @@ func TestFleetKernelEquivalence(t *testing.T) {
 }
 
 // TestKernelObservationComplete guards the comparison surface itself: a
-// run of either family must actually produce trace bytes, metrics bytes, a
-// digest and an order digest (and, for processes, background-load reports)
-// on a clean baseline — otherwise equivCheck could go green by comparing
-// empty strings.
+// run of either family must actually produce trace events (in time order,
+// with process starts and host crashes among them), metrics bytes, a
+// digest and an order digest (and, for processes, background-load reports,
+// in the trace too) on a clean baseline — otherwise equivCheck could go
+// green by comparing empty observations.
 func TestKernelObservationComplete(t *testing.T) {
 	for _, c := range []struct {
 		family string
@@ -148,8 +152,22 @@ func TestKernelObservationComplete(t *testing.T) {
 		{"fleets", fleets.observe(fleets.gen(5002), 0), false},
 	} {
 		obs := c.obs
-		if obs.Trace == "" {
+		if len(obs.Trace) == 0 {
 			t.Errorf("%s: no trace captured", c.family)
+		}
+		kinds := map[trace.Kind]bool{}
+		for i, ev := range obs.Trace {
+			kinds[ev.Kind] = true
+			if i > 0 && ev.At < obs.Trace[i-1].At {
+				t.Errorf("%s: trace event %d at %v precedes event %d at %v", c.family, i, ev.At, i-1, obs.Trace[i-1].At)
+				break
+			}
+		}
+		if !kinds[trace.ProcStart] || !kinds[trace.HostCrash] {
+			t.Errorf("%s: trace holds no process start or no host crash: kinds %v", c.family, kinds)
+		}
+		if c.bg && !kinds[trace.BgLoadReport] {
+			t.Errorf("%s: no background-load report reached the trace", c.family)
 		}
 		if obs.Metrics == "" {
 			t.Errorf("%s: no metrics captured", c.family)
@@ -166,5 +184,32 @@ func TestKernelObservationComplete(t *testing.T) {
 		if obs.RunErr != "" || len(obs.Violations) > 0 {
 			t.Errorf("%s: baseline scenario not clean: err=%q violations=%v", c.family, obs.RunErr, obs.Violations)
 		}
+	}
+}
+
+// TestTraceDiffNamesFirstEvent: a trace divergence names the first
+// differing event and renders it from both sides, or gives both lengths
+// when one trace is a prefix of the other. An event carries its error as
+// text, so two runs' equal errors compare equal.
+func TestTraceDiffNamesFirstEvent(t *testing.T) {
+	abort := func(err error) trace.Event {
+		return trace.Event{Kind: trace.ExecMigrateAbort, Home: 1, Seq: 3, Peer: 2, Err: err.Error()}
+	}
+	crash := trace.Event{At: 5, Kind: trace.HostCrash, Host: 2, Epoch: 1}
+	a := []trace.Event{abort(errors.New("target down")), crash}
+	b := []trace.Event{abort(errors.New("target down")), crash}
+	if d := traceDiff(a, b); d != "" {
+		t.Fatalf("equal traces differ: %s", d)
+	}
+	b[1].Epoch = 2
+	want := `event 1: "[         5ns] host-crash       host host2 epoch 1" vs "[         5ns] host-crash       host host2 epoch 2"`
+	if d := traceDiff(a, b); d != want {
+		t.Fatalf("traceDiff = %s, want %s", d, want)
+	}
+	if d, want := traceDiff(a, a[:1]), "lengths differ: 2 vs 1 events"; d != want {
+		t.Fatalf("traceDiff = %s, want %s", d, want)
+	}
+	if d := traceDiff(a[:1], []trace.Event{abort(errors.New("target busy"))}); !strings.HasPrefix(d, "event 0: ") {
+		t.Fatalf("errors with different text compared equal: %q", d)
 	}
 }

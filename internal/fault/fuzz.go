@@ -231,7 +231,6 @@ type harness struct {
 	c    *core.Cluster      // nil when the build failed; res says why
 	mon  *recovery.Monitor  // how survivors learn of a crash; each family starts and stops it
 	ring *trace.Log
-	full strings.Builder // the complete event stream, kept for obs
 }
 
 // hook installs fn (nil: no point fails) as the cluster's failpoint hook,
@@ -276,14 +275,14 @@ func newHarness(sc fmt.Stringer, seed int64, workstations int, binary string, kc
 	// Tracing costs no simulated time, so recording unconditionally keeps
 	// the run identical to an untraced one while giving failure reports the
 	// last events before things went wrong.
-	sink := h.ring.Func()
-	if kc.capture != nil {
+	sink := h.ring.Append
+	if obs := kc.capture; obs != nil {
 		// Equivalence runs additionally keep the complete event stream:
-		// byte-exact traces are the strongest cross-kernel comparison.
-		ring := sink
-		sink = func(at time.Duration, kind, detail string) {
-			fmt.Fprintf(&h.full, "%v %s %s\n", at, kind, detail)
-			ring(at, kind, detail)
+		// every field of every event is the strongest cross-kernel
+		// comparison.
+		sink = func(ev trace.Event) {
+			obs.Trace = append(obs.Trace, ev)
+			h.ring.Append(ev)
 		}
 	}
 	c.SetTrace(sink)
@@ -319,7 +318,6 @@ func (h *harness) finish(digest func(metrics.Snapshot) string) *Result {
 		}
 		obs.Order = c.Sim().OrderDigest()
 		obs.Digest = res.Digest
-		obs.Trace = h.full.String()
 		obs.Metrics = snap.Text()
 		obs.Violations = append([]string(nil), res.Violations...)
 	}

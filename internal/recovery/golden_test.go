@@ -11,6 +11,7 @@ import (
 
 	"sprite/internal/core"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the crash-scenario goldens under testdata/")
@@ -55,15 +56,12 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // traceSink collects the crash-relevant slice of the event stream.
-func traceSink(b *strings.Builder) core.TraceFunc {
-	keep := map[string]bool{
-		"proc-start": true, "proc-exit": true, "proc-crash": true,
-		"migration": true, "host-crash": true, "host-restart": true,
-		"host-reboot": true, "host-reap": true, "reap-orphan": true,
-	}
-	return func(at time.Duration, kind, detail string) {
-		if keep[kind] {
-			fmt.Fprintf(b, "%12v %-12s %s\n", at, kind, detail)
+func traceSink(b *strings.Builder) func(trace.Event) {
+	return func(ev trace.Event) {
+		switch ev.Kind {
+		case trace.ProcStart, trace.ProcExit, trace.ProcCrash, trace.Migration,
+			trace.HostCrash, trace.HostRestart, trace.HostReboot, trace.HostReap, trace.ReapOrphan:
+			fmt.Fprintf(b, "%12v %-12s %s\n", ev.At, ev.Kind, ev.Detail())
 		}
 	}
 }

@@ -53,11 +53,13 @@ import (
 // commit.
 //
 // ConfineHosts must run after all hosts are registered and before Run, from
-// the exclusive setup context. It refuses a contended network (the shared
-// medium is cluster-global state no shard may block on) and requires
-// 0 < lookahead <= one-way latency, the conservative contract that makes
-// cross-shard delivery safe.
-func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
+// the exclusive setup context. It refuses, with an error and without
+// changing anything, a contended network (the shared medium is
+// cluster-global state no shard may block on) and a lookahead outside
+// (0, one-way latency], the conservative contract that makes cross-shard
+// delivery safe. A second call, a nil shardOf or a shard <= 0 is a
+// programming error and panics.
+func (t *Transport) ConfineHosts(shardOf func(HostID) int) error {
 	if t.confined {
 		panic("rpc: ConfineHosts called twice")
 	}
@@ -65,11 +67,11 @@ func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
 		panic("rpc: ConfineHosts with nil shardOf")
 	}
 	if t.net.Contended() {
-		panic("rpc: ConfineHosts over a contended network; the shared medium serializes all hosts")
+		return errors.New("rpc: ConfineHosts over a contended network; the shared medium serializes all hosts")
 	}
 	la := t.sim.Lookahead()
 	if lat := t.net.Latency(); la <= 0 || lat < la {
-		panic(fmt.Sprintf("rpc: ConfineHosts needs 0 < lookahead <= latency (lookahead %v, latency %v)", la, lat))
+		return fmt.Errorf("rpc: ConfineHosts needs 0 < lookahead <= latency (lookahead %v, latency %v)", la, lat)
 	}
 	t.precreateHostCounters()
 	t.confined = true
@@ -83,6 +85,7 @@ func (t *Transport) ConfineHosts(shardOf func(HostID) int) {
 		ep.reqBox = sim.NewMailboxOn(t.sim, shard, t.net.Latency())
 	}
 	t.Rearm()
+	return nil
 }
 
 // Rearm spawns the endpoints' dispatcher daemons, in host order, unless

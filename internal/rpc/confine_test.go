@@ -79,7 +79,9 @@ func runConfinedFabric(t *testing.T, seed int64, hosts, callsPerHost, workers in
 			return n * 2, 64 + n%32, nil
 		})
 	}
-	tr.ConfineHosts(func(h HostID) int { return int(h) })
+	if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+		t.Fatal(err)
+	}
 
 	logs := make([]string, hosts+1)
 	for i := 1; i <= hosts; i++ {
@@ -158,7 +160,9 @@ func TestConfinedAtMostOnce(t *testing.T) {
 			execs++
 			return "done", 16, nil
 		})
-		tr.ConfineHosts(func(h HostID) int { return int(h) })
+		if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+			t.Fatal(err)
+		}
 		var got any
 		var gerr error
 		s.SpawnOn(1, "caller", func(env *sim.Env) error {
@@ -212,7 +216,9 @@ func TestConfinedSlowHandlerRetransmit(t *testing.T) {
 			}
 			return "slow-done", 16, nil
 		})
-		tr.ConfineHosts(func(h HostID) int { return int(h) })
+		if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+			t.Fatal(err)
+		}
 		var got any
 		var gerr error
 		s.SpawnOn(1, "caller", func(env *sim.Env) error {
@@ -243,7 +249,9 @@ func TestConfinedErrors(t *testing.T) {
 	tr := NewTransport(s, net, DefaultParams())
 	tr.Register(1)
 	tr.Register(2)
-	tr.ConfineHosts(func(h HostID) int { return int(h) })
+	if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+		t.Fatal(err)
+	}
 	var noSvc, noHost error
 	s.SpawnOn(1, "caller", func(env *sim.Env) error {
 		_, noSvc = tr.Endpoint(1).Call(env, 2, "missing", nil, 8)
@@ -284,7 +292,9 @@ func TestConfinedEpochAndHints(t *testing.T) {
 	})
 	tr.SetHintObserver(func(caller, server HostID, payload any) { seenHint = payload })
 	srv.Restart() // epoch 2
-	tr.ConfineHosts(func(h HostID) int { return int(h) })
+	if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+		t.Fatal(err)
+	}
 	s.SpawnOn(1, "caller", func(env *sim.Env) error {
 		_, err := tr.Endpoint(1).Call(env, 2, "ping", nil, 8)
 		return err
@@ -323,7 +333,9 @@ func TestConfinedBulkEquivalence(t *testing.T) {
 				return n + 1, 40 << 10, nil
 			})
 		}
-		tr.ConfineHosts(func(h HostID) int { return int(h) })
+		if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+			t.Fatal(err)
+		}
 		logs := make([]string, hosts+1)
 		for i := 1; i <= hosts; i++ {
 			host := HostID(i)
@@ -377,7 +389,9 @@ func TestConfinedBroadcastPanics(t *testing.T) {
 	tr := NewTransport(s, net, DefaultParams())
 	tr.Register(1)
 	tr.Register(2)
-	tr.ConfineHosts(func(h HostID) int { return int(h) })
+	if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+		t.Fatal(err)
+	}
 	panicked := false
 	s.SpawnOn(1, "caster", func(env *sim.Env) error {
 		defer func() {
@@ -405,6 +419,40 @@ func TestConfinedRPCStorm(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		if got := runConfinedFabric(t, 99, 12, 20, workers, true); got != serial {
 			t.Fatalf("storm workers %d diverged:\nserial: %v\npar:    %v", workers, serial, got)
+		}
+	}
+}
+
+// TestConfineHostsRefusals: a contended network, and a lookahead outside
+// (0, latency], are refused with an error that leaves the transport as it
+// was, so the same transport confines once its lookahead is fixed.
+func TestConfineHostsRefusals(t *testing.T) {
+	shardOf := func(h HostID) int { return int(h) }
+	for _, c := range []struct {
+		name      string
+		contended bool
+		lookahead time.Duration
+	}{
+		{"contended", true, time.Millisecond},
+		{"no lookahead", false, 0},
+		{"lookahead past latency", false, 2 * time.Millisecond},
+	} {
+		s := sim.New(1)
+		s.SetLookahead(c.lookahead)
+		net := netsim.New(s, netsim.Params{Latency: time.Millisecond, BandwidthBytesPerSec: 1e7, Contended: c.contended})
+		tr := NewTransport(s, net, DefaultParams())
+		tr.Register(1)
+		tr.Register(2)
+		if err := tr.ConfineHosts(shardOf); err == nil || tr.Confined() {
+			t.Errorf("%s: ConfineHosts err = %v, confined = %t; want a refusal that changes nothing", c.name, err, tr.Confined())
+			continue
+		}
+		if c.contended {
+			continue
+		}
+		s.SetLookahead(time.Millisecond)
+		if err := tr.ConfineHosts(shardOf); err != nil || !tr.Confined() {
+			t.Errorf("%s: after the refusal, ConfineHosts err = %v, confined = %t; want a confined transport", c.name, err, tr.Confined())
 		}
 	}
 }

@@ -23,7 +23,9 @@ func pooledFabric(workers int) (*sim.Simulation, *Transport) {
 	tr := NewTransport(s, net, DefaultParams())
 	tr.Register(1)
 	tr.Register(2)
-	tr.ConfineHosts(func(h HostID) int { return int(h) })
+	if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+		panic(err)
+	}
 	return s, tr
 }
 

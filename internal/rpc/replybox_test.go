@@ -86,7 +86,9 @@ func TestReplyBoxReuseDropsLateReplies(t *testing.T) {
 		tr.Endpoint(2).Handle("blob", func(env *sim.Env, from HostID, arg any) (any, int, error) {
 			return arg, 4096, nil
 		})
-		tr.ConfineHosts(func(h HostID) int { return int(h) })
+		if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+			t.Fatal(err)
+		}
 		s.SpawnOn(1, "client", func(env *sim.Env) error {
 			for i := 0; i < calls; i++ {
 				v, err := client.Call(env, 2, "echo", i, 64)
@@ -193,7 +195,9 @@ func TestConfinedCallAllocCeiling(t *testing.T) {
 			client := tr.Register(1)
 			tr.Register(2).Handle("unit", func(*sim.Env, HostID, any) (any, int, error) { return nil, 16, nil })
 			typedPair.Handle(tr.Endpoint(2), servePair)
-			tr.ConfineHosts(func(h HostID) int { return int(h) })
+			if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+				t.Fatal(err)
+			}
 			s.SpawnOn(1, "client", func(env *sim.Env) error {
 				for i := 0; i < calls; i++ {
 					var err error

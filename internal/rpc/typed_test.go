@@ -105,7 +105,9 @@ func TestTypedConfinedCall(t *testing.T) {
 			})
 			typedBulk.Handle(ep, servePair)
 		}
-		tr.ConfineHosts(func(h HostID) int { return int(h) })
+		if err := tr.ConfineHosts(func(h HostID) int { return int(h) }); err != nil {
+			t.Fatal(err)
+		}
 		logs := make([]string, hosts+1)
 		for h := HostID(1); h <= hosts; h++ {
 			s.SpawnOn(int(h), fmt.Sprintf("client-%v", h), func(env *sim.Env) error {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"sprite/internal/trace"
 )
 
 // The allocation tests below all measure a warm simulation: one Simulation
@@ -262,7 +264,7 @@ func TestEmitWithoutSinkBuffersNothing(t *testing.T) {
 		s.SetLookahead(200 * time.Microsecond)
 		s.ConfigureParallel(2)
 		if withSink {
-			s.SetTraceSink(func(time.Duration, string, string) {})
+			s.SetTraceSink(func(trace.Event) {})
 		}
 		reports := NewMailbox(s, 300*time.Microsecond)
 		s.Spawn("collector", func(env *Env) error {
@@ -281,7 +283,7 @@ func TestEmitWithoutSinkBuffersNothing(t *testing.T) {
 						return nil
 					}
 					if tick%5 == 4 {
-						env.Emit("bgload.report", env.Name())
+						note(env, "bgload.report", env.Name())
 						reports.Send(env, tick)
 					}
 				}

@@ -26,9 +26,7 @@ func runHomedProg(seed int64, shards, workers int, lookahead time.Duration) kern
 		s.ConfigureParallel(workers)
 	}
 	var traceB strings.Builder
-	s.SetTraceSink(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(&traceB, "%d %s %s\n", at, kind, detail)
-	})
+	recordTrace(s, &traceB)
 
 	// Per-shard request mailboxes, homed to their shard.
 	boxes := make([]*Mailbox, shards+1)
@@ -79,7 +77,7 @@ func runHomedProg(seed int64, shards, workers int, lookahead time.Duration) kern
 				if err != nil {
 					return nil
 				}
-				env.Emit("reply", fmt.Sprintf("%s got %v", env.Name(), v))
+				note(env, "reply", fmt.Sprintf("%s got %v", env.Name(), v))
 				if err := env.Sleep(time.Duration(r.Intn(900)) * time.Microsecond); err != nil {
 					return nil
 				}
@@ -139,9 +137,7 @@ func TestMailboxBoundaryDelayEqualsLookahead(t *testing.T) {
 			s.ConfigureParallel(workers)
 		}
 		var traceB strings.Builder
-		s.SetTraceSink(func(at time.Duration, kind, detail string) {
-			fmt.Fprintf(&traceB, "%d %s %s\n", at, kind, detail)
-		})
+		recordTrace(s, &traceB)
 		a := NewMailboxOn(s, 1, la)
 		b := NewMailboxOn(s, 2, la)
 		s.SpawnOn(1, "ping", func(env *Env) error {
@@ -151,7 +147,7 @@ func TestMailboxBoundaryDelayEqualsLookahead(t *testing.T) {
 				if err != nil {
 					return nil
 				}
-				env.Emit("pong", fmt.Sprintf("%v@%d", v, env.Now()/time.Microsecond))
+				note(env, "pong", fmt.Sprintf("%v@%d", v, env.Now()/time.Microsecond))
 			}
 			return nil
 		})
@@ -204,9 +200,7 @@ func runRehomeProg(seed int64, shards, workers int, lookahead time.Duration) ker
 		s.ConfigureParallel(workers)
 	}
 	var traceB strings.Builder
-	s.SetTraceSink(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(&traceB, "%d %s %s\n", at, kind, detail)
-	})
+	recordTrace(s, &traceB)
 	// Resident daemon per shard so every shard has local activity the
 	// hoppers interleave with.
 	for sh := 1; sh <= shards; sh++ {
@@ -229,7 +223,7 @@ func runRehomeProg(seed int64, shards, workers int, lookahead time.Duration) ker
 				if err := env.Sleep(time.Duration(r.Intn(800)) * time.Microsecond); err != nil {
 					return nil
 				}
-				env.Emit("at", fmt.Sprintf("%s shard=%d hop=%d", env.Name(), env.Shard(), hop))
+				note(env, "at", fmt.Sprintf("%s shard=%d hop=%d", env.Name(), env.Shard(), hop))
 				// A short-lived child on the current shard.
 				f := NewFuture(s)
 				env.Spawn(fmt.Sprintf("%s-child-%d", env.Name(), hop), func(c *Env) error {

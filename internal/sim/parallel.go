@@ -61,11 +61,6 @@ type childEntry struct {
 	remote bool      // global queue only, never this worker's local order
 }
 
-type traceEntry struct {
-	at           time.Duration
-	kind, detail string
-}
-
 // spinYields is how many times a waiter at the window barrier yields the
 // processor before it parks. A window holds a few events, so the other side
 // usually answers within a few yields; parking and waking a goroutine costs
@@ -657,7 +652,7 @@ func (s *Simulation) replay(window []*event) {
 			}
 			if s.traceSink != nil {
 				for _, te := range ev.traces {
-					s.traceSink(te.at, te.kind, te.detail)
+					s.traceSink(te)
 				}
 			}
 			if ev.finished {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sprite/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -89,13 +91,13 @@ func runConfinedProg(cfg progCfg, workers int) kernelFP {
 					}
 					switch r.Intn(6) {
 					case 0:
-						env.Emit("tick", fmt.Sprintf("%s step=%d", env.Name(), step))
+						note(env, "tick", fmt.Sprintf("%s step=%d", env.Name(), step))
 					case 1:
 						q.Send(fmt.Sprintf("%s-%d", env.Name(), step))
 					case 2:
 						if q.Len() > 0 {
 							if v, err := q.Recv(env); err == nil {
-								env.Emit("recv", fmt.Sprintf("%v", v))
+								note(env, "recv", fmt.Sprintf("%v", v))
 							} else {
 								return nil
 							}
@@ -143,10 +145,18 @@ func newProgSim(cfg progCfg, workers int) (*Simulation, *strings.Builder) {
 		}
 	}
 	traceB := new(strings.Builder)
-	s.SetTraceSink(func(at time.Duration, kind, detail string) {
-		fmt.Fprintf(traceB, "%d %s %s\n", at, kind, detail)
-	})
+	recordTrace(s, traceB)
 	return s, traceB
+}
+
+// note emits a test observation. The kernel carries events without reading
+// them, so its tests keep theirs in the event's Name.
+func note(env *Env, kind, detail string) { env.Emit(trace.Event{Name: kind + " " + detail}) }
+
+// recordTrace installs a sink that writes each observation to b with its
+// virtual time.
+func recordTrace(s *Simulation, b *strings.Builder) {
+	s.SetTraceSink(func(ev trace.Event) { fmt.Fprintf(b, "%d %s\n", ev.At, ev.Name) })
 }
 
 // runProg runs s to cfg.limit and fingerprints it. With cfg.slices set it
@@ -202,11 +212,11 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 	outcome := func(env *Env, what string, err error) bool {
 		switch {
 		case err == nil:
-			env.Emit(what, env.Name())
+			note(env, what, env.Name())
 		case errors.Is(err, ErrTimeout):
-			env.Emit(what+".timeout", env.Name())
+			note(env, what+".timeout", env.Name())
 		case errors.Is(err, errPoke):
-			env.Emit(what+".poked", env.Name())
+			note(env, what+".poked", env.Name())
 		default:
 			return false // ErrStopped: unwinding
 		}
@@ -224,7 +234,7 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 			for {
 				v, err := box.RecvTimeout(env, us(r, 400))
 				if err == nil {
-					env.Emit("mail", fmt.Sprint(v))
+					note(env, "mail", fmt.Sprint(v))
 				}
 				if !outcome(env, "recv", err) {
 					return nil
@@ -281,7 +291,7 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 				if err := env.Rehome(next, cfg.lookahead+us(r, 200)); err != nil {
 					return nil
 				}
-				env.Emit("hop", fmt.Sprintf("%s hop=%d shard=%d", env.Name(), hop, env.Shard()))
+				note(env, "hop", fmt.Sprintf("%s hop=%d shard=%d", env.Name(), hop, env.Shard()))
 				boxes[next].Send(env, fmt.Sprintf("%s@%d", env.Name(), hop))
 			}
 		})
@@ -309,7 +319,7 @@ func runLoneSleeperProg(cfg progCfg, workers int) kernelFP {
 			if err := env.Sleep(time.Duration(r.Intn(4)*r.Intn(1000)) * time.Microsecond); err != nil {
 				return nil
 			}
-			env.Emit("tick", fmt.Sprint(step))
+			note(env, "tick", fmt.Sprint(step))
 		}
 		return nil
 	})

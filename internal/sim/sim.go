@@ -31,6 +31,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"sprite/internal/trace"
 )
 
 // Errors returned by simulation primitives.
@@ -71,7 +73,7 @@ type event struct {
 	dispatched bool
 	finished   bool
 	children   []childEntry
-	traces     []traceEntry
+	traces     []trace.Event
 }
 
 // reset returns ev to the zero event, keeping (cleared) the effect-log
@@ -236,7 +238,7 @@ type Simulation struct {
 	lookahead time.Duration // minimum cross-shard signalling delay
 	shards    map[int]*shardMeta
 	par       *parKernel // nil = serial kernel
-	traceSink func(at time.Duration, kind, detail string)
+	traceSink func(trace.Event)
 }
 
 // shardMeta carries per-shard deterministic state. Only the spawn ordinal
@@ -315,16 +317,12 @@ func (s *Simulation) SetLookahead(d time.Duration) {
 func (s *Simulation) Lookahead() time.Duration { return s.lookahead }
 
 // SetTraceSink installs (or with nil removes) the sink that Env.Emit
-// delivers structured trace events to. Under the parallel kernel, events
-// emitted inside a window are buffered and flushed in committed order, so
-// the sink observes the exact serial sequence.
-func (s *Simulation) SetTraceSink(fn func(at time.Duration, kind, detail string)) {
+// delivers trace events to. Under the parallel kernel, events emitted
+// inside a window are buffered and flushed in committed order, so the sink
+// observes the exact serial sequence.
+func (s *Simulation) SetTraceSink(fn func(trace.Event)) {
 	s.traceSink = fn
 }
-
-// Traced reports whether a trace sink is installed. Emitters check it
-// before formatting a detail, so an untraced run formats nothing.
-func (s *Simulation) Traced() bool { return s.traceSink != nil }
 
 // exclusiveOnly panics when called from a shard-confined context. The two
 // kernels detect the same misuse: the serial oracle checks the running
@@ -892,11 +890,11 @@ func (e *Env) SpawnOn(shard int, name string, fn func(env *Env) error) *Env {
 	return e.sim.spawnOn(nil, shard, name, fn)
 }
 
-// Emit delivers a structured trace event to the simulation's trace sink (a
-// no-op without one). Inside a parallel window the event is buffered and
-// flushed at the barrier in committed order, so sinks always observe the
-// serial sequence.
-func (e *Env) Emit(kind, detail string) {
+// Emit stamps ev with the current virtual time and delivers it to the
+// simulation's trace sink (a no-op without one). Inside a parallel window
+// the event is buffered and flushed at the barrier in committed order, so
+// sinks always observe the serial sequence.
+func (e *Env) Emit(ev trace.Event) {
 	// The sink is installed before Run, so reading it from a worker is
 	// race-free; without one there is nothing to buffer either.
 	sink := e.sim.traceSink
@@ -904,10 +902,12 @@ func (e *Env) Emit(kind, detail string) {
 		return
 	}
 	if w := e.act.ctxw; w != nil {
-		w.cur.traces = append(w.cur.traces, traceEntry{at: w.now, kind: kind, detail: detail})
+		ev.At = w.now
+		w.cur.traces = append(w.cur.traces, ev)
 		return
 	}
-	sink(e.sim.now, kind, detail)
+	ev.At = e.sim.now
+	sink(ev)
 }
 
 // block parks the activity until the scheduler resumes it, returning any

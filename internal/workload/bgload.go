@@ -6,6 +6,7 @@ import (
 
 	"sprite/internal/metrics"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // BgLoadConfig sizes the background-load plane: one confined daemon per
@@ -144,9 +145,7 @@ func (b *BgLoad) daemon(host int) func(env *sim.Env) error {
 			b.tickDur.ObserveSlot(slot, env.Now()-last)
 			last = env.Now()
 			if b.mbox != nil && b.cfg.ReportEvery > 0 && (tick+1)%b.cfg.ReportEvery == 0 {
-				if env.Sim().Traced() {
-					env.Emit("bgload.report", fmt.Sprintf("host=%d tick=%d", host, tick))
-				}
+				env.Emit(trace.Event{Kind: trace.BgLoadReport, Host: host, Tick: tick})
 				b.mbox.Send(env, BgLoadReport{Host: host, Tick: tick, Load: load})
 				b.reports.IncSlot(slot)
 			}
