@@ -64,13 +64,19 @@ fuzz:
 # shard's worker. The typed-service tests ride along, so the typed call
 # slots, which the services' pools hand across shards, run under the race
 # detector too.
+# The fifth leg does the same for the pseudo-devices, whose tests each run on
+# an unconfined and a confined cluster: a device's queue and pending replies
+# live at its file server, touched only by that server's handlers, while
+# clients and serving processes reach them from other shards. internal/pdev
+# is in the second leg too.
 race:
 	$(GO) test -race ./...
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/experiments
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/pdev ./internal/experiments
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestParallelRaceStress|TestParallelMatchesSerialAcrossWorkerCounts|TestRehomeEquivalence|TestGoexitInActivityEndsRun|TestRepeatedRunJoinsHelpers|TestEpochRule|TestSleepInPlaceOnlyInSerialRegime|TestExclusiveWake|TestFutureCompleteAcrossConfinedShards' ./internal/sim
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBootDriverOnConfinedCluster|TestConfinedClusterRunsInPhases' ./internal/core
 	$(GO) test -race -count=1 -cpu 1,4 -run TestBgLoad ./internal/workload
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/pdev
 
 # Minimum total coverage enforced; raise as the suite grows.
 COVER_MIN ?= 75

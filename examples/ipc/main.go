@@ -45,7 +45,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			defer dev.Close()
+			defer dev.Close(ctx)
 			for i := 0; i < 4; i++ {
 				req, err := dev.Recv(ctx)
 				if err != nil {

@@ -13,6 +13,7 @@ import (
 	"sprite"
 	"sprite/internal/recovery"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 func main() {
@@ -33,8 +34,8 @@ func run() error {
 	mon := recovery.NewMonitor(cluster, recovery.DefaultParams())
 	sup := recovery.NewSupervisor(cluster, mon, recovery.DefaultSupervisorParams())
 	mon.Start()
-	mon.Subscribe(func(ev recovery.Event) {
-		fmt.Printf("[%8v] monitor: %v %v (epoch %d)\n", ev.At, ev.Kind, ev.Host, ev.Epoch)
+	mon.Subscribe(func(ev trace.Event) {
+		fmt.Printf("[%8v] monitor: %v %v (epoch %d)\n", ev.At, ev.Kind, sprite.HostID(ev.Host), ev.Epoch)
 	})
 
 	cfg := sprite.ProcConfig{Binary: "/bin/job", CodePages: 16, HeapPages: 32, StackPages: 4}

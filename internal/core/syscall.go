@@ -224,6 +224,11 @@ func (c *Ctx) enterHome(call string) error {
 // their operations are real kernel calls with real migration points.
 func (c *Ctx) Syscall(name string) error { return c.enter(name) }
 
+// Endpoint returns the RPC endpoint of the host the process runs on, from
+// which such services make their calls. It stays valid until the process's
+// next kernel call, which may migrate it.
+func (c *Ctx) Endpoint() *rpc.Endpoint { return c.proc.cur.ep }
+
 // --- Process identity and time ---
 
 // GetPID returns the caller's pid (local policy: pid travels in the PCB).

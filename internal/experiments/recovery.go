@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sprite/internal/recovery"
+	"sprite/internal/rpc"
 )
 
 // E15CrashRecovery goes beyond the thesis' performance tables into the
@@ -49,7 +50,7 @@ func E15CrashRecovery(cfg Config) (*Table, error) {
 
 	var evs []string
 	for _, ev := range res.Events {
-		evs = append(evs, fmt.Sprintf("%v %v epoch=%d at=%v", ev.Kind, ev.Host, ev.Epoch, ev.At))
+		evs = append(evs, fmt.Sprintf("%v %v epoch=%d at=%v", ev.Kind, rpc.HostID(ev.Host), ev.Epoch, ev.At))
 	}
 	t.AddNote("liveness events: %s", strings.Join(evs, "; "))
 	if len(res.Violations) != 0 {

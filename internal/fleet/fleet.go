@@ -43,6 +43,7 @@ import (
 	"sprite/internal/recovery"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // HostState is a managed host's position in the cordon/drain machine.
@@ -265,9 +266,9 @@ func (m *Manager) Params() Params { return m.p }
 func (m *Manager) SetMonitor(mon *recovery.Monitor) {
 	m.mon = mon
 	mon.SetProbeObserver(m.ObserveProbe)
-	mon.Subscribe(func(ev recovery.Event) {
-		if ev.Kind == recovery.HostDown {
-			m.pricer.ObserveEviction(ev.Host, ev.At)
+	mon.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.HostDown {
+			m.pricer.ObserveEviction(rpc.HostID(ev.Host), ev.At)
 		}
 	})
 }

@@ -7,11 +7,11 @@
 // transparency (§3.2). Sprite's Internet protocol service [Che87] was built
 // this way, which is why sockets posed no problem for migration.
 //
-// Routing mirrors Sprite's: the file server that owns the pseudo-device's
-// name is the rendezvous; it tracks the serving process's current host and
-// forwards requests there. When the server process migrates, the first
-// request routed to the old host discovers the stale location, and the
-// rendezvous is updated — one extra hop, once.
+// The file server that owns a device's name is its I/O server, as for any
+// stream's shared state (thesis Ch. 5): only its RPC handlers touch the
+// device's queue and unanswered requests. A Call is one RPC that queues there
+// and waits; Serve, Recv, Reply and Close are RPCs to it from wherever the
+// serving process runs.
 package pdev
 
 import (
@@ -25,236 +25,176 @@ import (
 	"sprite/internal/sim"
 )
 
-// Errors reported by pseudo-device operations.
 var (
-	// ErrNotServed is returned when no process serves the path.
-	ErrNotServed = errors.New("pdev: path not served")
-	// ErrClosed is returned when the device has been shut down.
-	ErrClosed = errors.New("pdev: device closed")
+	ErrNotServed = errors.New("pdev: path not served") // no process serves the path
+	ErrClosed    = errors.New("pdev: device closed")   // the device was shut down
 )
 
-// registration is the rendezvous record kept at the owning file server.
-type registration struct {
-	dev  *Device
-	host rpc.HostID // last known host of the serving process
-}
-
-// System is the cluster-wide pseudo-device fabric. One System serves a
-// cluster; it registers its routing services on every host.
+// System is the pseudo-device fabric: the pdev services on every file server.
 type System struct {
 	cluster *core.Cluster
-	// registry is indexed by path; conceptually it lives at each path's
-	// owning file server, and every access is charged a hop to that server.
-	registry map[string]*registration
 }
 
 // NewSystem creates the pseudo-device fabric for a cluster.
 func NewSystem(cluster *core.Cluster) *System {
-	s := &System{
-		cluster:  cluster,
-		registry: make(map[string]*registration),
-	}
-	for _, k := range cluster.Workstations() {
-		host := k.Host()
+	for _, host := range slices.Sorted(maps.Keys(cluster.FS().Servers())) {
+		srv := &server{sim: cluster.Sim(), devices: make(map[string]*device)}
 		ep := cluster.Transport().Endpoint(host)
-		pdevDeliver.Handle(ep, s.makeDeliverHandler(host))
+		pdevServe.Handle(ep, srv.serve)
+		pdevCall.Handle(ep, srv.call)
+		pdevRecv.Handle(ep, srv.recv)
+		pdevReply.Handle(ep, srv.reply)
+		pdevClose.Handle(ep, srv.close)
 	}
-	for _, srvHost := range slices.Sorted(maps.Keys(cluster.FS().Servers())) {
-		ep := cluster.Transport().Endpoint(srvHost)
-		pdevRoute.Handle(ep, s.makeRouteHandler(srvHost))
-	}
-	return s
+	return &System{cluster: cluster}
 }
 
-// Device is one served pseudo-device.
+// Device is the serving process's handle on a device kept at its I/O server.
 type Device struct {
-	sys    *System
 	path   string
-	owner  *core.Process
-	queue  *sim.Queue
-	closed bool
+	server rpc.HostID
 }
 
-// Request is one client message awaiting a reply.
+// Request is one client message awaiting a reply. It is also the wire
+// format of a call (path, From, Data) and of a reply (path, id, Data).
 type Request struct {
 	From core.PID
 	Data []byte
-
-	reply *sim.Future
+	path string
+	id   uint64 // the request's number at its I/O server
 }
 
-// wire formats
-type (
-	routeArgs struct {
-		Path string
-		From core.PID
-		Data []byte
-	}
-	deliverArgs struct {
-		Path string
-		From core.PID
-		Data []byte
-	}
-	deliverReply struct {
-		Data []byte
-	}
-)
-
 var (
-	pdevRoute   = rpc.NewService[routeArgs, deliverReply]("pdev.route")
-	pdevDeliver = rpc.NewService[deliverArgs, deliverReply]("pdev.deliver")
+	pdevServe = rpc.NewService[string, struct{}]("pdev.serve")
+	pdevCall  = rpc.NewService[Request, []byte]("pdev.call")
+	pdevRecv  = rpc.NewService[string, Request]("pdev.recv")
+	pdevReply = rpc.NewService[Request, struct{}]("pdev.reply")
+	pdevClose = rpc.NewService[string, struct{}]("pdev.close")
 )
 
-// Serve registers the calling process as the server for path. The path's
-// owning file server records the rendezvous (one RPC, like opening the
-// pseudo-device for serving).
+// Serve makes the calling process the server for path, unless another serves
+// it: one RPC to the path's owning file server, like opening it for serving.
 func (s *System) Serve(ctx *core.Ctx, path string) (*Device, error) {
-	srvHost, err := s.cluster.FS().Namespace().Lookup(path)
+	srv, err := s.cluster.FS().Namespace().Lookup(path)
 	if err != nil {
 		return nil, fmt.Errorf("pdev serve %s: %w", path, err)
 	}
-	p := ctx.Process()
-	// Registration is a small control round trip to the owning file
-	// server (Sprite opens the pseudo-device file in "server" mode).
-	if p.Current().Host() != srvHost {
-		if err := s.cluster.Network().Send(ctx.Env(), 64); err != nil {
-			return nil, err
-		}
-		if err := s.cluster.Network().Send(ctx.Env(), 16); err != nil {
-			return nil, err
-		}
+	if _, err := pdevServe.Call(ctx.Endpoint(), ctx.Env(), srv, path, 64); err != nil {
+		return nil, err
 	}
-	dev := &Device{
-		sys:   s,
-		path:  path,
-		owner: p,
-		queue: sim.NewQueue(s.cluster.Sim()),
-	}
-	s.registry[path] = &registration{dev: dev, host: p.Current().Host()}
-	return dev, nil
+	return &Device{path: path, server: srv}, nil
 }
 
-// Recv blocks until a client request arrives. It is a kernel call (a read
-// on the pseudo-device): entering it — and returning from it — are
-// migration and signal-delivery points, so a blocked server can still be
-// evicted as soon as it wakes.
+// Recv blocks until a client request arrives. It is a kernel call (a read on
+// the pseudo-device) whose entry and return are migration and signal points,
+// so a blocked server can still be evicted as soon as it wakes.
 func (d *Device) Recv(ctx *core.Ctx) (*Request, error) {
-	if d.closed {
-		return nil, ErrClosed
-	}
 	if err := ctx.Syscall("pdev-read"); err != nil {
 		return nil, err
 	}
-	v, err := d.queue.Recv(ctx.Env())
+	req, err := pdevRecv.Call(ctx.Endpoint(), ctx.Env(), d.server, d.path, 16)
+	if err == nil {
+		// Deliver any migration that was requested while we were blocked.
+		err = ctx.Syscall("pdev-read")
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Deliver any migration that was requested while we were blocked.
-	if err := ctx.Syscall("pdev-read"); err != nil {
-		return nil, err
-	}
-	req, ok := v.(*Request)
-	if !ok {
-		return nil, fmt.Errorf("pdev: bad queue item %T", v)
-	}
-	return req, nil
+	return &req, nil
 }
 
-// Reply completes a request. It is a kernel call (a write on the
-// pseudo-device); the response is charged as a message from the server's
-// current host back through the fabric.
+// Reply answers a request. It is a kernel call (a write on the
+// pseudo-device) that hands the response to the I/O server.
 func (d *Device) Reply(ctx *core.Ctx, req *Request, data []byte) error {
 	if err := ctx.Syscall("pdev-write"); err != nil {
 		return err
 	}
-	if err := d.sys.cluster.Network().Send(ctx.Env(), 32+len(data)); err != nil {
-		return err
-	}
-	req.reply.Complete(ctx.Env(), append([]byte(nil), data...), nil)
-	return nil
+	_, err := pdevReply.Call(ctx.Endpoint(), ctx.Env(), d.server, Request{path: d.path, id: req.id, Data: data}, 32+len(data))
+	return err
 }
 
-// Close shuts the device down: queued and future callers get ErrNotServed.
-func (d *Device) Close() {
-	if d.closed {
-		return
-	}
-	d.closed = true
-	delete(d.sys.registry, d.path)
-	d.queue.Close()
+// Close shuts the device down: unanswered and future callers get ErrNotServed.
+func (d *Device) Close(ctx *core.Ctx) error {
+	_, err := pdevClose.Call(ctx.Endpoint(), ctx.Env(), d.server, d.path, 16)
+	return err
 }
 
-// Call sends data to the process serving path and waits for its reply.
-// The request travels client host -> owning file server -> server-process
-// host; a stale rendezvous costs one extra forwarding hop.
+// Call sends data to the process serving path and waits for its reply: one
+// RPC to the path's owning file server, which queues it for that process.
 func (s *System) Call(ctx *core.Ctx, path string, data []byte) ([]byte, error) {
-	srvHost, err := s.cluster.FS().Namespace().Lookup(path)
+	srv, err := s.cluster.FS().Namespace().Lookup(path)
 	if err != nil {
 		return nil, fmt.Errorf("pdev call %s: %w", path, err)
 	}
-	from := ctx.Process()
-	ep := s.cluster.Transport().Endpoint(from.Current().Host())
-	r, err := pdevRoute.Call(ep, ctx.Env(), srvHost, routeArgs{
-		Path: path,
-		From: from.PID(),
-		Data: data,
-	}, 48+len(data))
-	return r.Data, err
+	msg := Request{path: path, From: ctx.Process().PID(), Data: data}
+	return pdevCall.Call(ctx.Endpoint(), ctx.Env(), srv, msg, 48+len(data))
 }
 
-// makeRouteHandler serves "pdev.route" at a file server: resolve the
-// rendezvous and forward to the serving process's host, healing stale
-// locations.
-func (s *System) makeRouteHandler(srvHost rpc.HostID) rpc.HandlerFunc[routeArgs, deliverReply] {
-	return func(env *sim.Env, from rpc.HostID, a routeArgs) (deliverReply, int, error) {
-		reg, ok := s.registry[a.Path]
-		if !ok || reg.dev.closed {
-			return deliverReply{}, 0, fmt.Errorf("%w: %s", ErrNotServed, a.Path)
-		}
-		ep := s.cluster.Transport().Endpoint(srvHost)
-		for hops := 0; hops < 2; hops++ {
-			r, err := pdevDeliver.Call(ep, env, reg.host, deliverArgs(a), 48+len(a.Data))
-			if err == nil {
-				return r, 16 + len(r.Data), nil
-			}
-			if !errors.Is(err, errStaleLocation) {
-				return deliverReply{}, 0, err
-			}
-			// Stale rendezvous: the server process migrated. Update and
-			// retry once.
-			reg.host = reg.dev.owner.Current().Host()
-		}
-		return deliverReply{}, 0, fmt.Errorf("%w: %s (location thrashing)", ErrNotServed, a.Path)
-	}
+// server is one file server's device table; only its pdev handlers touch it.
+type server struct {
+	sim     *sim.Simulation
+	devices map[string]*device
 }
 
-// errStaleLocation marks a delivery attempt at a host the server process
-// has migrated away from.
-var errStaleLocation = errors.New("pdev: server process not at this host")
+// device is a served pseudo-device as its I/O server keeps it.
+type device struct {
+	queue   *sim.Queue             // Requests no Recv has taken yet
+	pending map[uint64]*sim.Future // every unanswered request's reply, by id
+	lastID  uint64
+}
 
-// makeDeliverHandler serves "pdev.deliver" at a workstation: enqueue for
-// the serving process if it is actually here, then wait for its reply.
-func (s *System) makeDeliverHandler(host rpc.HostID) rpc.HandlerFunc[deliverArgs, deliverReply] {
-	return func(env *sim.Env, from rpc.HostID, a deliverArgs) (deliverReply, int, error) {
-		reg, ok := s.registry[a.Path]
-		if !ok || reg.dev.closed {
-			return deliverReply{}, 0, fmt.Errorf("%w: %s", ErrNotServed, a.Path)
-		}
-		dev := reg.dev
-		if dev.owner.Current().Host() != host {
-			return deliverReply{}, 0, errStaleLocation
-		}
-		req := &Request{
-			From:  a.From,
-			Data:  append([]byte(nil), a.Data...),
-			reply: sim.NewFuture(s.cluster.Sim()),
-		}
-		dev.queue.Send(req)
-		v, err := req.reply.Wait(env)
-		if err != nil {
-			return deliverReply{}, 0, err
-		}
-		data, _ := v.([]byte)
-		return deliverReply{Data: data}, 16 + len(data), nil
+func (s *server) serve(_ *sim.Env, _ rpc.HostID, path string) (struct{}, int, error) {
+	if s.devices[path] != nil {
+		return struct{}{}, 0, fmt.Errorf("pdev serve %s: already served", path)
 	}
+	s.devices[path] = &device{queue: sim.NewQueue(s.sim), pending: make(map[uint64]*sim.Future)}
+	return struct{}{}, 16, nil
+}
+
+func (s *server) call(env *sim.Env, _ rpc.HostID, m Request) ([]byte, int, error) {
+	d := s.devices[m.path]
+	if d == nil {
+		return nil, 0, fmt.Errorf("%w: %s", ErrNotServed, m.path)
+	}
+	d.lastID++
+	reply := sim.NewFuture(s.sim)
+	d.pending[d.lastID] = reply
+	m.Data, m.id = slices.Clone(m.Data), d.lastID
+	d.queue.Send(m)
+	v, err := reply.Wait(env)
+	data, _ := v.([]byte)
+	return data, 16 + len(data), err
+}
+
+func (s *server) recv(env *sim.Env, _ rpc.HostID, path string) (Request, int, error) {
+	d := s.devices[path]
+	if d == nil {
+		return Request{}, 0, ErrClosed
+	}
+	v, err := d.queue.Recv(env)
+	req, _ := v.(Request)
+	return req, 48 + len(req.Data), err
+}
+
+func (s *server) reply(env *sim.Env, _ rpc.HostID, m Request) (struct{}, int, error) {
+	d := s.devices[m.path]
+	if d == nil || d.pending[m.id] == nil {
+		return struct{}{}, 0, ErrClosed
+	}
+	d.pending[m.id].Complete(env, slices.Clone(m.Data), nil)
+	delete(d.pending, m.id)
+	return struct{}{}, 16, nil
+}
+
+// close forgets the device and fails every unanswered request, oldest first.
+func (s *server) close(env *sim.Env, _ rpc.HostID, path string) (struct{}, int, error) {
+	if d := s.devices[path]; d != nil {
+		delete(s.devices, path)
+		d.queue.Close()
+		failed := fmt.Errorf("%w: %s", ErrNotServed, path)
+		for _, id := range slices.Sorted(maps.Keys(d.pending)) {
+			d.pending[id].Complete(env, nil, failed)
+		}
+	}
+	return struct{}{}, 8, nil
 }

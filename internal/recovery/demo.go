@@ -9,6 +9,7 @@ import (
 	"sprite/internal/metrics"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 // DemoResult is what RunDemoWith hands back: enough to print a report,
@@ -23,8 +24,9 @@ type DemoResult struct {
 	Restarts  int
 	// Lost names jobs the supervisor gave up on (empty on a healthy run).
 	Lost []string
-	// Events is the liveness event stream, in order.
-	Events []Event
+	// Events is the liveness event stream (trace.HostDown, trace.HostUp),
+	// in order.
+	Events []trace.Event
 	// Violations is CheckInvariants(true) at the end of the run.
 	Violations []string
 }
@@ -34,7 +36,7 @@ type DemoResult struct {
 func (r DemoResult) Digest() string {
 	evs := ""
 	for _, ev := range r.Events {
-		evs += fmt.Sprintf("[%v %v e%d]", ev.Kind, ev.Host, ev.Epoch)
+		evs += fmt.Sprintf("[%v %v e%d]", ev.Kind, rpc.HostID(ev.Host), ev.Epoch)
 	}
 	return fmt.Sprintf("completed=%d restarts=%d lost=%d events=%s violations=%d",
 		r.Completed, r.Restarts, len(r.Lost), evs, len(r.Violations))
@@ -118,7 +120,7 @@ func RunDemoWith(c *core.Cluster, crashes []CrashSpec) (DemoResult, error) {
 	mon.Start()
 
 	var res DemoResult
-	mon.Subscribe(func(ev Event) { res.Events = append(res.Events, ev) })
+	mon.Subscribe(func(ev trace.Event) { res.Events = append(res.Events, ev) })
 
 	cfg := core.ProcConfig{Binary: "/bin/job", CodePages: 16, HeapPages: 32, StackPages: 4}
 	if len(crashes) == 0 {

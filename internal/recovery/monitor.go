@@ -19,38 +19,8 @@ import (
 	"sprite/internal/metrics"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
-
-// EventKind classifies a liveness transition.
-type EventKind int
-
-// Liveness transitions.
-const (
-	// HostDown means a boot incarnation of a host has been declared dead.
-	HostDown EventKind = iota + 1
-	// HostUp means a host has been observed alive under a new boot epoch.
-	HostUp
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case HostDown:
-		return "host-down"
-	case HostUp:
-		return "host-up"
-	default:
-		return "?"
-	}
-}
-
-// Event is a liveness transition delivered to subscribers.
-type Event struct {
-	Kind EventKind
-	Host rpc.HostID
-	// Epoch is the dead incarnation for HostDown, the new one for HostUp.
-	Epoch rpc.Epoch
-	At    time.Duration
-}
 
 // Params configures the liveness monitor.
 type Params struct {
@@ -72,10 +42,11 @@ func DefaultParams() Params {
 }
 
 // Monitor watches every registered host from the vantage of its live peers
-// and turns broken RPC channels and advancing boot epochs into HostDown /
-// HostUp events. One monitor stands in for the per-kernel recovery modules
-// real Sprite ran: each watched host is pinged from the first live peer, so
-// detection keeps working whichever single host is down.
+// and turns broken RPC channels and advancing boot epochs into
+// trace.HostDown / trace.HostUp events. One monitor stands in for the
+// per-kernel recovery modules real Sprite ran: each watched host is pinged
+// from the first live peer, so detection keeps working whichever single
+// host is down.
 type Monitor struct {
 	c *core.Cluster
 	p Params
@@ -90,7 +61,7 @@ type Monitor struct {
 	suspect      map[rpc.HostID]int
 	isDown       map[rpc.HostID]bool
 
-	subs     []func(Event)
+	subs     []func(trace.Event)
 	probeObs func(host rpc.HostID, ok bool, at time.Duration)
 	stopped  bool
 
@@ -129,9 +100,11 @@ func NewMonitor(c *core.Cluster, p Params) *Monitor {
 // Params returns the monitor's configuration.
 func (m *Monitor) Params() Params { return m.p }
 
-// Subscribe registers a liveness event callback. Callbacks run inside the
-// declaring watcher's activity, in subscription order.
-func (m *Monitor) Subscribe(fn func(Event)) { m.subs = append(m.subs, fn) }
+// Subscribe registers a liveness event callback: it receives each
+// trace.HostDown and trace.HostUp event the monitor emits (Epoch is the dead
+// incarnation for HostDown, the new one for HostUp). Callbacks run inside
+// the declaring watcher's activity, in subscription order.
+func (m *Monitor) Subscribe(fn func(trace.Event)) { m.subs = append(m.subs, fn) }
 
 // SetProbeObserver installs a per-probe callback: every ping the monitor
 // sends reports (host, ok, at) the instant the reply or failure lands. The
@@ -269,10 +242,7 @@ func (m *Monitor) declareDown(env *sim.Env, host rpc.HostID, dead rpc.Epoch) {
 		m.detect.Observe(env.Now() - at)
 	}
 	m.c.ReapDeadHost(env, host, dead)
-	ev := Event{Kind: HostDown, Host: host, Epoch: dead, At: env.Now()}
-	for _, fn := range m.subs {
-		fn(ev)
-	}
+	m.emit(env, trace.HostDown, host, dead)
 }
 
 // declareUp marks host alive under the given epoch.
@@ -285,7 +255,14 @@ func (m *Monitor) declareUp(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 	}
 	m.isDown[host] = false
 	m.hostUp.Inc()
-	ev := Event{Kind: HostUp, Host: host, Epoch: epoch, At: env.Now()}
+	m.emit(env, trace.HostUp, host, epoch)
+}
+
+// emit traces one liveness transition and hands the same event to every
+// subscriber.
+func (m *Monitor) emit(env *sim.Env, kind trace.Kind, host rpc.HostID, epoch rpc.Epoch) {
+	ev := trace.Event{At: env.Now(), Kind: kind, Host: int(host), Epoch: uint64(epoch)}
+	env.Emit(ev)
 	for _, fn := range m.subs {
 		fn(ev)
 	}

@@ -5,6 +5,7 @@ package recovery_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"sprite/internal/recovery"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 func newCluster(t *testing.T, ws int) *core.Cluster {
@@ -49,8 +51,13 @@ func runWithMonitor(t *testing.T, c *core.Cluster, mon *recovery.Monitor, fn fun
 func TestMonitorDetectsCrash(t *testing.T) {
 	c := newCluster(t, 3)
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
-	var events []recovery.Event
-	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
+	var events, traced []trace.Event
+	mon.Subscribe(func(ev trace.Event) { events = append(events, ev) })
+	c.SetTrace(func(ev trace.Event) {
+		if ev.Kind == trace.HostDown || ev.Kind == trace.HostUp {
+			traced = append(traced, ev)
+		}
+	})
 	mon.Start()
 	victim := c.Workstation(1).Host()
 
@@ -73,11 +80,14 @@ func TestMonitorDetectsCrash(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("events = %v, want [down, up]", events)
 	}
-	if events[0].Kind != recovery.HostDown || events[0].Host != victim || events[0].Epoch != 1 {
+	if events[0].Kind != trace.HostDown || rpc.HostID(events[0].Host) != victim || events[0].Epoch != 1 {
 		t.Errorf("first event = %+v, want HostDown %v epoch 1", events[0], victim)
 	}
-	if events[1].Kind != recovery.HostUp || events[1].Epoch != 2 {
+	if events[1].Kind != trace.HostUp || events[1].Epoch != 2 {
 		t.Errorf("second event = %+v, want HostUp epoch 2", events[1])
+	}
+	if !slices.Equal(traced, events) {
+		t.Errorf("traced liveness events = %v, subscribers saw %v", traced, events)
 	}
 	if v := c.CheckInvariants(true); len(v) != 0 {
 		t.Errorf("invariants: %v", v)
@@ -91,8 +101,8 @@ func TestMonitorDetectsCrash(t *testing.T) {
 func TestMonitorDetectsInstantReboot(t *testing.T) {
 	c := newCluster(t, 3)
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 3})
-	var events []recovery.Event
-	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
+	var events []trace.Event
+	mon.Subscribe(func(ev trace.Event) { events = append(events, ev) })
 	mon.Start()
 	victim := c.Workstation(2).Host()
 
@@ -104,8 +114,8 @@ func TestMonitorDetectsInstantReboot(t *testing.T) {
 		return env.Sleep(100 * time.Millisecond)
 	})
 
-	if len(events) != 2 || events[0].Kind != recovery.HostDown || events[0].Epoch != 1 ||
-		events[1].Kind != recovery.HostUp || events[1].Epoch != 2 {
+	if len(events) != 2 || events[0].Kind != trace.HostDown || events[0].Epoch != 1 ||
+		events[1].Kind != trace.HostUp || events[1].Epoch != 2 {
 		t.Fatalf("events = %+v, want HostDown e1 then HostUp e2", events)
 	}
 	if got := c.ReapedEpoch(victim); got != 1 {
@@ -123,8 +133,8 @@ func TestMonitorIgnoresMessageLoss(t *testing.T) {
 	plane.DropMessages(0, 300*time.Millisecond, 1.0, victim)
 
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
-	var events []recovery.Event
-	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
+	var events []trace.Event
+	mon.Subscribe(func(ev trace.Event) { events = append(events, ev) })
 	mon.Start()
 
 	runWithMonitor(t, c, mon, func(env *sim.Env) error {
@@ -176,8 +186,8 @@ func TestMonitorPingFailpoint(t *testing.T) {
 func TestMonitorSurvivesVantageCrash(t *testing.T) {
 	c := newCluster(t, 3)
 	mon := recovery.NewMonitor(c, recovery.Params{Interval: 10 * time.Millisecond, FailThreshold: 2})
-	var events []recovery.Event
-	mon.Subscribe(func(ev recovery.Event) { events = append(events, ev) })
+	var events []trace.Event
+	mon.Subscribe(func(ev trace.Event) { events = append(events, ev) })
 	mon.Start()
 	server := rpc.HostID(1)
 
@@ -196,7 +206,7 @@ func TestMonitorSurvivesVantageCrash(t *testing.T) {
 		return env.Sleep(100 * time.Millisecond)
 	})
 
-	if len(events) != 2 || events[0].Kind != recovery.HostDown || events[1].Kind != recovery.HostUp {
+	if len(events) != 2 || events[0].Kind != trace.HostDown || events[1].Kind != trace.HostUp {
 		t.Fatalf("events = %+v, want fs-server down then up", events)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sprite/internal/core"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
+	"sprite/internal/trace"
 )
 
 var jobCfg = core.ProcConfig{Binary: "/bin/job", CodePages: 16, HeapPages: 32, StackPages: 4}
@@ -124,15 +125,16 @@ func acceptanceRun(t *testing.T, role string, point core.Failpoint) {
 	})
 	// Reboot 50 ms after the monitor declares the crash (role-agnostic:
 	// whenever and whatever died, it comes back under a new epoch).
-	mon.Subscribe(func(ev Event) {
-		if ev.Kind != HostDown {
+	mon.Subscribe(func(ev trace.Event) {
+		if ev.Kind != trace.HostDown {
 			return
 		}
-		c.Boot("reboot-"+ev.Host.String(), func(env *sim.Env) error {
+		host := rpc.HostID(ev.Host)
+		c.Boot("reboot-"+host.String(), func(env *sim.Env) error {
 			if err := env.Sleep(50 * time.Millisecond); err != nil {
 				return nil
 			}
-			c.RestartHost(env, ev.Host)
+			c.RestartHost(env, host)
 			return nil
 		})
 	})

@@ -28,6 +28,8 @@ const (
 	HostRestart                      // a crashed host came back: Host, Epoch
 	HostReboot                       // a host was power-cycled: Host, Epoch
 	HostReap                         // a dead incarnation was reaped cluster-wide: Host, Epoch
+	HostDown                         // the liveness monitor declared an incarnation dead: Host, Epoch
+	HostUp                           // the liveness monitor saw a host alive under a new epoch: Host, Epoch
 	ReapOrphan                       // a process whose home died was killed: pid, Name, Host, Peer (the home)
 	BgLoadReport                     // a background-load daemon reported: Host, Tick
 	numKinds
@@ -45,6 +47,8 @@ var kindNames = [numKinds]string{
 	HostRestart:      "host-restart",
 	HostReboot:       "host-reboot",
 	HostReap:         "host-reap",
+	HostDown:         "host-down",
+	HostUp:           "host-up",
 	ReapOrphan:       "reap-orphan",
 	BgLoadReport:     "bgload.report",
 }
@@ -89,7 +93,7 @@ func (e Event) Detail() string {
 		return fmt.Sprintf("%s -> %s: %s", pid, hostName(e.Peer), e.Err)
 	case Eviction:
 		return fmt.Sprintf("%s evicted from %s to %s", pid, hostName(e.Host), hostName(e.Peer))
-	case HostCrash, HostRestart, HostReboot, HostReap:
+	case HostCrash, HostRestart, HostReboot, HostReap, HostDown, HostUp:
 		return fmt.Sprintf("host %s epoch %d", hostName(e.Host), e.Epoch)
 	case ReapOrphan:
 		return fmt.Sprintf("%s %s on %s (home %s died)", pid, e.Name, hostName(e.Host), hostName(e.Peer))
