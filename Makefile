@@ -69,6 +69,11 @@ fuzz:
 # live at its file server, touched only by that server's handlers, while
 # clients and serving processes reach them from other shards. internal/pdev
 # is in the second leg too.
+# The sixth leg does the same for the host selectors, whose tests that crash
+# no host each run on an unconfined and a confined cluster, here with the
+# parallel kernel forced: a gossip view, claim and hint queue live at their
+# workstation, touched only by that host's handlers and daemon, while
+# gossip rounds and claims reach them from every other shard.
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/pdev ./internal/experiments
@@ -77,6 +82,7 @@ race:
 	$(GO) test -race -count=1 -cpu 1,4 -run TestBgLoad ./internal/workload
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/pdev
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestRequestAndReleaseAllArchitectures|TestNoDoubleGrant|TestBusyHostsNotOffered|TestCentral(FairAllocationUnderContention|EvictsOnOwnerReturn|CrashAndRestart|RestartForgetsAssignments)|TestProbabilistic(GossipPropagates|StaleViewCausesConflict)|TestMulticastStatelessQuery|TestSharedFileDisablesCachingByDesign|TestAvailabilityUpdateCostOrdering|TestChurn(Flapping|Partition)AllSelectors)$$' ./internal/hostsel
 
 # Minimum total coverage enforced; raise as the suite grows.
 COVER_MIN ?= 75

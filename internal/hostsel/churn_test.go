@@ -84,13 +84,14 @@ func faultHosts(c *core.Cluster) []rpc.HostID {
 	return hosts
 }
 
-// runChurn builds a 16-workstation cluster, wires one selector wrapped in a
-// ClaimLedger, lets inject schedule the churn, and drives announcer and
-// requester activities through it. It returns a deterministic digest of the
-// selector's end state; any invariant violation fails the test.
-func runChurn(t *testing.T, cb churnBuild, seed int64, inject func(c *core.Cluster, plane *fault.Plane, sel hostsel.Selector)) string {
+// runChurn builds a 16-workstation cluster on params (nil: the defaults),
+// wires one selector wrapped in a ClaimLedger, lets inject schedule the
+// churn, and drives announcer and requester activities through it. It
+// returns a deterministic digest of the selector's end state; any invariant
+// violation fails the test.
+func runChurn(t *testing.T, cb churnBuild, seed int64, params *core.Params, inject func(c *core.Cluster, plane *fault.Plane, sel hostsel.Selector)) string {
 	t.Helper()
-	c, err := core.NewCluster(core.Options{Workstations: churnWorkstations, FileServers: 1, Seed: seed})
+	c, err := core.NewCluster(core.Options{Workstations: churnWorkstations, FileServers: 1, Seed: seed, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestChurnRebootStormAllSelectors(t *testing.T) {
 	for _, cb := range churnBuilds() {
 		cb := cb
 		t.Run(cb.name, func(t *testing.T) {
-			digest := runChurn(t, cb, 42, rebootStorm)
+			digest := runChurn(t, cb, 42, nil, rebootStorm)
 			if st := parseGranted(digest); st == 0 {
 				t.Errorf("%s: no grants at all under reboot storm:\n%s", cb.name, digest)
 			}
@@ -247,24 +248,26 @@ func TestChurnRebootStormAllSelectors(t *testing.T) {
 
 func TestChurnFlappingAllSelectors(t *testing.T) {
 	for _, cb := range churnBuilds() {
-		cb := cb
 		t.Run(cb.name, func(t *testing.T) {
-			digest := runChurn(t, cb, 43, flapping)
-			if st := parseGranted(digest); st == 0 {
-				t.Errorf("%s: no grants at all under flapping:\n%s", cb.name, digest)
-			}
+			hostsel.EachShape(t, func(t *testing.T, params *core.Params) {
+				digest := runChurn(t, cb, 43, params, flapping)
+				if st := parseGranted(digest); st == 0 {
+					t.Errorf("%s: no grants at all under flapping:\n%s", cb.name, digest)
+				}
+			})
 		})
 	}
 }
 
 func TestChurnPartitionAllSelectors(t *testing.T) {
 	for _, cb := range churnBuilds() {
-		cb := cb
 		t.Run(cb.name, func(t *testing.T) {
-			digest := runChurn(t, cb, 44, partitions)
-			if st := parseGranted(digest); st == 0 {
-				t.Errorf("%s: no grants at all under partitions:\n%s", cb.name, digest)
-			}
+			hostsel.EachShape(t, func(t *testing.T, params *core.Params) {
+				digest := runChurn(t, cb, 44, params, partitions)
+				if st := parseGranted(digest); st == 0 {
+					t.Errorf("%s: no grants at all under partitions:\n%s", cb.name, digest)
+				}
+			})
 		})
 	}
 }
@@ -288,8 +291,8 @@ func TestChurnDeterminism(t *testing.T) {
 				cb = b
 			}
 		}
-		first := runChurn(t, cb, 42, rebootStorm)
-		second := runChurn(t, cb, 42, rebootStorm)
+		first := runChurn(t, cb, 42, nil, rebootStorm)
+		second := runChurn(t, cb, 42, nil, rebootStorm)
 		if first != second {
 			t.Errorf("%s: same-seed churn runs diverged:\n--- run 1:\n%s\n--- run 2:\n%s", name, first, second)
 		}
@@ -306,7 +309,7 @@ func TestChurnGolden(t *testing.T) {
 			gossip = b
 		}
 	}
-	digest := runChurn(t, gossip, 42, rebootStorm)
+	digest := runChurn(t, gossip, 42, nil, rebootStorm)
 	path := filepath.Join("testdata", "churn_reboot_gossip.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

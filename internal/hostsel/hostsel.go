@@ -20,6 +20,7 @@ package hostsel
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"sprite/internal/rpc"
@@ -37,6 +38,28 @@ type Stats struct {
 	Conflicts uint64 // claims that failed due to stale information
 	Messages  uint64 // selector-generated messages (updates, gossip, claims)
 	Evictions uint64 // revocations triggered by owners returning
+}
+
+func (s *Stats) add(o Stats) {
+	s.Requests += o.Requests
+	s.Granted += o.Granted
+	s.Denied += o.Denied
+	s.Conflicts += o.Conflicts
+	s.Messages += o.Messages
+	s.Evictions += o.Evictions
+}
+
+// perHost holds one record per workstation. A selector's constructor fills
+// it, and nothing adds or removes a record after that, so a lookup from any
+// shard is safe; each record is written only for its own host.
+type perHost[T any] map[rpc.HostID]*T
+
+// of returns host's record, or an error for a host that is no workstation.
+func (t perHost[T]) of(host rpc.HostID) (*T, error) {
+	if r := t[host]; r != nil {
+		return r, nil
+	}
+	return nil, fmt.Errorf("hostsel: %v is not a workstation", host)
 }
 
 // Selector allocates idle hosts to clients.

@@ -15,8 +15,7 @@ import (
 // but every request disturbs every host, which bounds scalability.
 type Multicast struct {
 	cluster *core.Cluster
-	claims  map[rpc.HostID]rpc.HostID
-	stats   Stats
+	stats   perHost[Stats] // each requesting workstation's counters
 }
 
 var _ Selector = (*Multicast)(nil)
@@ -36,16 +35,10 @@ var (
 // NewMulticast creates the multicast selector and registers its services on
 // every workstation.
 func NewMulticast(cluster *core.Cluster) *Multicast {
-	m := &Multicast{
-		cluster: cluster,
-		claims:  make(map[rpc.HostID]rpc.HostID),
-	}
+	m := &Multicast{cluster: cluster, stats: make(perHost[Stats])}
 	for _, k := range cluster.Workstations() {
-		owner := k.Host()
-		ep := cluster.Transport().Endpoint(owner)
-		hsQuery.Handle(ep, m.makeQueryHandler(owner))
-		hsMClaim.Handle(ep, m.makeClaimHandler(owner))
-		hsMRelease.Handle(ep, m.makeReleaseHandler(owner))
+		m.stats[k.Host()] = new(Stats)
+		m.serve(k)
 	}
 	return m
 }
@@ -53,37 +46,45 @@ func NewMulticast(cluster *core.Cluster) *Multicast {
 // Name implements Selector.
 func (m *Multicast) Name() string { return "multicast" }
 
-// Stats implements Selector.
-func (m *Multicast) Stats() Stats { return m.stats }
+// Stats implements Selector: every requester's counters, summed in host
+// order.
+func (m *Multicast) Stats() Stats {
+	var s Stats
+	for _, k := range m.cluster.Workstations() {
+		s.add(*m.stats[k.Host()])
+	}
+	return s
+}
 
-func (m *Multicast) makeQueryHandler(owner rpc.HostID) rpc.HandlerFunc[struct{}, queryReply] {
-	return func(env *sim.Env, from rpc.HostID, _ struct{}) (queryReply, int, error) {
-		k := m.cluster.KernelOn(owner)
-		if _, taken := m.claims[owner]; taken || k == nil || !k.Available(env.Now()) {
+// serve registers k's three services as closures over the one claim k holds
+// as an owner, which only they touch, and a reap hook that frees the claim
+// when the incarnation holding it is declared dead (its release will never
+// come).
+func (m *Multicast) serve(k *core.Kernel) {
+	var claim claimRec
+	ep := m.cluster.Transport().Endpoint(k.Host())
+	hsQuery.Handle(ep, func(env *sim.Env, from rpc.HostID, _ struct{}) (queryReply, int, error) {
+		if claim.client != 0 || !k.Available(env.Now()) {
 			return queryReply{}, 0, ErrNoHosts // non-responders stay silent
 		}
 		return queryReply{IdleSince: k.LastInput()}, 16, nil
-	}
-}
-
-func (m *Multicast) makeClaimHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, bool] {
-	return func(env *sim.Env, from rpc.HostID, a claimArgs) (bool, int, error) {
-		k := m.cluster.KernelOn(owner)
-		if _, taken := m.claims[owner]; taken || k == nil || !k.Available(env.Now()) {
+	})
+	hsMClaim.Handle(ep, func(env *sim.Env, from rpc.HostID, a claimArgs) (bool, int, error) {
+		if claim.client != 0 || !k.Available(env.Now()) {
 			return false, 8, nil
 		}
-		m.claims[owner] = a.Client
+		claim = claimRec{client: a.Client, clientEpoch: m.cluster.HostEpoch(a.Client)}
 		return true, 8, nil
-	}
-}
-
-func (m *Multicast) makeReleaseHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, struct{}] {
-	return func(env *sim.Env, from rpc.HostID, a claimArgs) (struct{}, int, error) {
-		if m.claims[owner] == a.Client {
-			delete(m.claims, owner)
+	})
+	hsMRelease.Handle(ep, func(env *sim.Env, from rpc.HostID, a claimArgs) (struct{}, int, error) {
+		if claim.client == a.Client {
+			claim = claimRec{}
 		}
 		return struct{}{}, 8, nil
-	}
+	})
+	m.cluster.AddReapHook(func(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
+		claim.scrub(host, epoch)
+	})
 }
 
 // NotifyAvailability implements Selector: stateless, nothing to update.
@@ -94,14 +95,18 @@ func (m *Multicast) NotifyAvailability(env *sim.Env, host rpc.HostID, available 
 // RequestHosts implements Selector: multicast a query, claim the longest
 // idle responders.
 func (m *Multicast) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
-	m.stats.Requests++
+	st, err := m.stats.of(client)
+	if err != nil {
+		return nil, err
+	}
+	st.Requests++
 	ep := m.cluster.Transport().Endpoint(client)
-	m.stats.Messages++ // the multicast itself
+	st.Messages++ // the multicast itself
 	replies, err := hsQuery.Broadcast(ep, env, struct{}{}, 16)
 	if err != nil {
 		return nil, err
 	}
-	m.stats.Messages += uint64(len(replies))
+	st.Messages += uint64(len(replies))
 	type cand struct {
 		host rpc.HostID
 		idle time.Duration
@@ -121,7 +126,7 @@ func (m *Multicast) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.
 		if len(got) >= n {
 			break
 		}
-		m.stats.Messages++
+		st.Messages++
 		granted, err := hsMClaim.Call(ep, env, cd.host, claimArgs{Client: client}, 16)
 		if err != nil {
 			return got, err
@@ -129,21 +134,25 @@ func (m *Multicast) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.
 		if granted {
 			got = append(got, cd.host)
 		} else {
-			m.stats.Conflicts++
+			st.Conflicts++
 		}
 	}
-	m.stats.Granted += uint64(len(got))
+	st.Granted += uint64(len(got))
 	if len(got) < n {
-		m.stats.Denied++
+		st.Denied++
 	}
 	return got, nil
 }
 
 // Release implements Selector.
 func (m *Multicast) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
+	st, err := m.stats.of(client)
+	if err != nil {
+		return err
+	}
 	ep := m.cluster.Transport().Endpoint(client)
 	for _, h := range hosts {
-		m.stats.Messages++
+		st.Messages++
 		if _, err := hsMRelease.Call(ep, env, h, claimArgs{Client: client}, 16); err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package hostsel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -60,6 +59,19 @@ type GossipStats struct {
 	StaleEvicted uint64 // view entries aged out by decay
 }
 
+func (g *GossipStats) add(o GossipStats) {
+	g.Rounds += o.Rounds
+	g.Sent += o.Sent
+	g.Unreachable += o.Unreachable
+	g.EntriesSent += o.EntriesSent
+	g.Merged += o.Merged
+	g.Bytes += o.Bytes
+	g.HintsQueued += o.HintsQueued
+	g.HintsApplied += o.HintsApplied
+	g.Misplaced += o.Misplaced
+	g.StaleEvicted += o.StaleEvicted
+}
+
 // Probabilistic is the distributed, gossip-based architecture: each host
 // maintains a bounded partial load vector (load, idle time, free memory,
 // boot epoch) with per-entry age. Every gossip round a host refreshes its
@@ -74,15 +86,10 @@ type Probabilistic struct {
 	cluster *core.Cluster
 	params  ProbabilisticParams
 
-	hosts  []rpc.HostID
-	views  map[rpc.HostID]*LoadVector
-	viewAt map[rpc.HostID]time.Duration
-	claims map[rpc.HostID]claimRec
-	hints  map[rpc.HostID][]EvictHint
+	stations []*station // one per workstation, in host order
+	at       perHost[station]
 
 	stopped  bool
-	stats    Stats
-	gstats   GossipStats
 	hintSink func(subject rpc.HostID)
 
 	misplaceC *metrics.Counter
@@ -93,15 +100,32 @@ type Probabilistic struct {
 
 var _ Selector = (*Probabilistic)(nil)
 
+// station is one workstation's share of the gossip plane: its view and
+// when the view last decayed, the claim it holds as an owner, its outgoing
+// hint queue, and the counters of what it does. Only the host's own
+// handlers, hint provider, hint observer and gossip daemon reach it, plus
+// calls made for the host as a client; the readers of every station
+// (Stats, Gossip, OutstandingClaims, ViewSnapshot, the reap hook) run in
+// exclusive context.
+type station struct {
+	host   rpc.HostID
+	view   *LoadVector
+	viewAt time.Duration
+	claim  claimRec
+	hints  []EvictHint
+	stats  Stats
+	gstats GossipStats
+}
+
 // claimRec is one held claim, bound to the boot incarnation that granted
 // it: a claim taken under an older epoch died with the reboot. The
 // claimant's own boot epoch is recorded too, so a claim whose holder dies
-// mid-claim can be scrubbed when the death is reaped (ScrubDeadClaimant)
-// without voiding a claim re-taken by the holder's next incarnation.
+// mid-claim can be scrubbed when the death is reaped (scrub) without
+// voiding a claim re-taken by the holder's next incarnation.
 type claimRec struct {
-	client      rpc.HostID
-	epoch       rpc.Epoch // owner's boot epoch when granted
-	clientEpoch rpc.Epoch // claimant's boot epoch when granted
+	client      rpc.HostID // 0: no claim held
+	epoch       rpc.Epoch  // owner's boot epoch when granted
+	clientEpoch rpc.Epoch  // claimant's boot epoch when granted
 	at          time.Duration
 }
 
@@ -153,10 +177,7 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 	p := &Probabilistic{
 		cluster: cluster,
 		params:  params,
-		views:   make(map[rpc.HostID]*LoadVector),
-		viewAt:  make(map[rpc.HostID]time.Duration),
-		claims:  make(map[rpc.HostID]claimRec),
-		hints:   make(map[rpc.HostID][]EvictHint),
+		at:      make(perHost[station]),
 
 		misplaceC: reg.Counter("hostsel.gossip.misplace"),
 		ageT:      reg.Timing("hostsel.gossip.age"),
@@ -164,25 +185,16 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 		evictC:    reg.Counter("hostsel.gossip.evict"),
 	}
 	for _, k := range cluster.Workstations() {
-		h := k.Host()
-		p.hosts = append(p.hosts, h)
-		p.views[h] = NewLoadVector(vectorBound)
-		ep := cluster.Transport().Endpoint(h)
-		hsGossip.Handle(ep, p.makeGossipHandler(h))
-		hsClaim.Handle(ep, p.makeClaimHandler(h))
-		hsRelease.Handle(ep, p.makeReleaseHandler(h))
-		host := h
-		ep.SetHintProvider(func() (any, int) {
-			hints := p.takeHints(host)
-			if len(hints) == 0 {
-				return nil, 0
-			}
-			return hintBatch{Hints: hints}, hintBytes * len(hints)
-		})
+		st := &station{host: k.Host(), view: NewLoadVector(vectorBound)}
+		p.stations = append(p.stations, st)
+		p.at[st.host] = st
+		p.serve(st)
 	}
 	cluster.Transport().SetHintObserver(p.observeHints)
 	cluster.AddReapHook(func(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
-		p.ScrubDeadClaimant(host, epoch)
+		for _, st := range p.stations {
+			st.claim.scrub(host, epoch)
+		}
 	})
 	return p
 }
@@ -190,11 +202,24 @@ func NewProbabilistic(cluster *core.Cluster, params ProbabilisticParams) *Probab
 // Name implements Selector.
 func (p *Probabilistic) Name() string { return "gossip" }
 
-// Stats implements Selector.
-func (p *Probabilistic) Stats() Stats { return p.stats }
+// Stats implements Selector: every station's counters, summed in host
+// order.
+func (p *Probabilistic) Stats() Stats {
+	var s Stats
+	for _, st := range p.stations {
+		s.add(st.stats)
+	}
+	return s
+}
 
-// Gossip returns the gossip-specific counters.
-func (p *Probabilistic) Gossip() GossipStats { return p.gstats }
+// Gossip returns the gossip-specific counters, summed in host order.
+func (p *Probabilistic) Gossip() GossipStats {
+	var g GossipStats
+	for _, st := range p.stations {
+		g.add(st.gstats)
+	}
+	return g
+}
 
 // tolerable reports whether a call error is an expected churn outcome
 // (down peer, partition, reboot window) rather than a simulation error.
@@ -207,28 +232,18 @@ func tolerable(err error) bool {
 		errors.Is(err, rpc.ErrNoHost)
 }
 
-// view returns host's vector decayed up to now.
-func (p *Probabilistic) view(host rpc.HostID, now time.Duration) *LoadVector {
-	v := p.views[host]
-	if v == nil {
-		return nil
-	}
-	if last, ok := p.viewAt[host]; ok && now > last {
-		if n := v.Decay(now-last, staleAfter); n > 0 {
-			p.stats.Evictions += uint64(n)
-			p.gstats.StaleEvicted += uint64(n)
-			p.evictC.Add(int64(n))
+// view returns st's vector decayed up to now.
+func (p *Probabilistic) view(env *sim.Env, st *station) *LoadVector {
+	now := env.Now()
+	if now > st.viewAt {
+		if n := st.view.Decay(now-st.viewAt, staleAfter); n > 0 {
+			st.stats.Evictions += uint64(n)
+			st.gstats.StaleEvicted += uint64(n)
+			p.evictC.AddSlot(sim.WorkerSlot(env), int64(n))
 		}
 	}
-	p.viewAt[host] = now
-	return v
-}
-
-// resetView discards host's volatile view state (a reboot lost it).
-func (p *Probabilistic) resetView(host rpc.HostID, now time.Duration) {
-	p.views[host] = NewLoadVector(vectorBound)
-	p.viewAt[host] = now
-	delete(p.hints, host)
+	st.viewAt = now
+	return st.view
 }
 
 // memPages is the modeled physical memory per workstation, the baseline
@@ -237,11 +252,8 @@ const memPages = 4096
 
 // sample takes a fresh self-observation of host.
 func (p *Probabilistic) sample(host rpc.HostID, now time.Duration) VectorEntry {
-	e := VectorEntry{Host: host, Epoch: p.epochOf(host)}
+	e := VectorEntry{Host: host, Epoch: p.cluster.HostEpoch(host)}
 	k := p.cluster.KernelOn(host)
-	if k == nil {
-		return e
-	}
 	free := memPages
 	for _, pr := range k.Processes() {
 		if sp := pr.Space(); sp != nil {
@@ -258,13 +270,6 @@ func (p *Probabilistic) sample(host rpc.HostID, now time.Duration) VectorEntry {
 	return e
 }
 
-func (p *Probabilistic) epochOf(host rpc.HostID) rpc.Epoch {
-	if ep := p.cluster.Transport().Endpoint(host); ep != nil {
-		return ep.Epoch()
-	}
-	return 0
-}
-
 // SetHintSink installs a callback fired once for every eviction hint
 // queued, with the hint's subject (the host the hint retracts). The fleet
 // health plane counts per-host hint rate through it. The callback runs in
@@ -272,39 +277,29 @@ func (p *Probabilistic) epochOf(host rpc.HostID) rpc.Epoch {
 // time; nil removes it.
 func (p *Probabilistic) SetHintSink(fn func(subject rpc.HostID)) { p.hintSink = fn }
 
-// ScrubDeadClaimant releases every claim held by a claimant whose boot
-// incarnation <= epoch has been declared dead: the holder's memory — and
-// with it the intent to release — is gone, so without the scrub the claim
-// leaks until its lease expires (or forever with no lease), surfacing only
-// in the end-of-run ledger audit. The epoch guard keeps a claim re-taken
-// by the claimant's next incarnation intact. Registered as a cluster reap
-// hook, so it runs exactly when the death becomes cluster-wide knowledge.
-func (p *Probabilistic) ScrubDeadClaimant(claimant rpc.HostID, epoch rpc.Epoch) {
-	for owner, rec := range p.claims {
-		if rec.client == claimant && rec.clientEpoch <= epoch {
-			delete(p.claims, owner)
-		}
+// scrub releases the claim if claimant's incarnation that holds it (<=
+// epoch) has been declared dead: the holder's memory, and with it the
+// intent to release, is gone, so without the scrub the claim leaks until
+// its lease expires (or forever with no lease). The epoch guard keeps a
+// claim re-taken by the claimant's next incarnation intact. Selectors run
+// it from a cluster reap hook, exactly when the death becomes cluster-wide
+// knowledge.
+func (rec *claimRec) scrub(claimant rpc.HostID, epoch rpc.Epoch) {
+	if rec.client == claimant && rec.clientEpoch <= epoch {
+		*rec = claimRec{}
 	}
 }
 
-// claimed reports whether host holds a live claim at now, lazily releasing
-// records voided by the epoch guard or an expired lease. A claim taken
-// under an earlier boot epoch is memory the reboot destroyed: honoring it
-// would leak the host forever, since its holder's release will be a no-op.
-func (p *Probabilistic) claimed(host rpc.HostID, now time.Duration) bool {
-	rec, ok := p.claims[host]
-	if !ok {
-		return false
-	}
-	if rec.epoch != p.epochOf(host) {
-		delete(p.claims, host)
-		return false
-	}
-	if p.params.ClaimLease > 0 && now-rec.at >= p.params.ClaimLease {
-		delete(p.claims, host)
-		return false
-	}
-	return true
+// claimed reports whether st holds a live claim at now: one granted under
+// the host's current boot epoch and inside its lease. A claim taken under
+// an earlier epoch is memory the reboot destroyed: honoring it would leak
+// the host forever, since its holder's release will be a no-op. A claim
+// that is not live never becomes live again, so the next grant simply
+// overwrites it.
+func (p *Probabilistic) claimed(st *station, now time.Duration) bool {
+	rec := st.claim
+	return rec.client != 0 && rec.epoch == p.cluster.HostEpoch(st.host) &&
+		(p.params.ClaimLease <= 0 || now-rec.at < p.params.ClaimLease)
 }
 
 // StartDaemons spawns the per-host gossip tickers. They run until Stop is
@@ -312,10 +307,9 @@ func (p *Probabilistic) claimed(host rpc.HostID, now time.Duration) bool {
 // down and resetting their view after a reboot (the old view died with the
 // old incarnation's memory).
 func (p *Probabilistic) StartDaemons(env *sim.Env) {
-	for _, h := range p.hosts {
-		host := h
-		env.Spawn(fmt.Sprintf("gossip-%v", host), func(genv *sim.Env) error {
-			lastEpoch := p.epochOf(host)
+	for _, st := range p.stations {
+		env.Spawn(fmt.Sprintf("gossip-%v", st.host), func(genv *sim.Env) error {
+			lastEpoch := p.cluster.HostEpoch(st.host)
 			for !p.stopped {
 				if err := genv.Sleep(p.params.Interval); err != nil {
 					return err
@@ -323,14 +317,14 @@ func (p *Probabilistic) StartDaemons(env *sim.Env) {
 				if p.stopped {
 					return nil
 				}
-				if p.cluster.HostDown(host) {
+				if p.cluster.HostDown(st.host) {
 					continue
 				}
-				if cur := p.epochOf(host); cur != lastEpoch {
-					p.resetView(host, genv.Now())
+				if cur := p.cluster.HostEpoch(st.host); cur != lastEpoch {
+					st.view, st.viewAt, st.hints = NewLoadVector(vectorBound), genv.Now(), nil
 					lastEpoch = cur
 				}
-				if err := p.gossipFrom(genv, host); err != nil {
+				if err := p.gossipFrom(genv, st); err != nil {
 					return err
 				}
 			}
@@ -342,24 +336,21 @@ func (p *Probabilistic) StartDaemons(env *sim.Env) {
 // Stop ends the gossip daemons at their next tick.
 func (p *Probabilistic) Stop() { p.stopped = true }
 
-// gossipFrom runs one gossip round for host: refresh the host's own row,
-// then merge the newest half of its vector into Fanout random peers.
-func (p *Probabilistic) gossipFrom(env *sim.Env, host rpc.HostID) error {
-	if p.cluster.HostDown(host) || p.cluster.KernelOn(host) == nil {
+// gossipFrom runs one gossip round for st's host: refresh the host's own
+// row, then merge the newest half of its vector into Fanout random peers.
+func (p *Probabilistic) gossipFrom(env *sim.Env, st *station) error {
+	host := st.host
+	if p.cluster.HostDown(host) {
 		return nil
 	}
-	now := env.Now()
-	v := p.view(host, now)
-	if v == nil {
-		return nil
-	}
-	v.Put(p.sample(host, now))
+	v := p.view(env, st)
+	v.Put(p.sample(host, env.Now()))
 	payload := v.NewestHalf()
 	ep := p.cluster.Transport().Endpoint(host)
-	peers := make([]rpc.HostID, 0, len(p.hosts)-1)
-	for _, h := range p.hosts {
-		if h != host {
-			peers = append(peers, h)
+	peers := make([]rpc.HostID, 0, len(p.stations)-1)
+	for _, peer := range p.stations {
+		if peer != st {
+			peers = append(peers, peer.host)
 		}
 	}
 	rng := env.Rand()
@@ -368,16 +359,16 @@ func (p *Probabilistic) gossipFrom(env *sim.Env, host rpc.HostID) error {
 	if n > len(peers) {
 		n = len(peers)
 	}
-	p.gstats.Rounds++
+	st.gstats.Rounds++
 	size := gossipBaseBytes + gossipEntryBytes*len(payload)
 	for _, peer := range peers[:n] {
-		p.stats.Messages++
-		p.gstats.Sent++
-		p.gstats.EntriesSent += uint64(len(payload))
-		p.gstats.Bytes += uint64(size)
+		st.stats.Messages++
+		st.gstats.Sent++
+		st.gstats.EntriesSent += uint64(len(payload))
+		st.gstats.Bytes += uint64(size)
 		if _, err := hsGossip.Call(ep, env, peer, gossipArgs{From: host, Entries: payload}, size); err != nil {
 			if tolerable(err) {
-				p.gstats.Unreachable++
+				st.gstats.Unreachable++
 				continue
 			}
 			return err
@@ -386,123 +377,107 @@ func (p *Probabilistic) gossipFrom(env *sim.Env, host rpc.HostID) error {
 	return nil
 }
 
-func (p *Probabilistic) makeGossipHandler(owner rpc.HostID) rpc.HandlerFunc[gossipArgs, struct{}] {
-	return func(env *sim.Env, from rpc.HostID, a gossipArgs) (struct{}, int, error) {
-		v := p.view(owner, env.Now())
-		if v == nil {
-			return struct{}{}, 8, nil
-		}
+// serve registers st's host's three gossip services and its reply-hint
+// provider; each closes over st alone.
+func (p *Probabilistic) serve(st *station) {
+	owner := st.host
+	ep := p.cluster.Transport().Endpoint(owner)
+	hsGossip.Handle(ep, func(env *sim.Env, from rpc.HostID, a gossipArgs) (struct{}, int, error) {
+		v := p.view(env, st)
 		for _, e := range a.Entries {
 			if e.Host == owner {
 				continue // a host is its own best source of truth
 			}
 			if v.Update(e) {
-				p.gstats.Merged++
+				st.gstats.Merged++
 			}
 		}
 		return struct{}{}, 8, nil
-	}
-}
-
-func (p *Probabilistic) makeClaimHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, claimReply] {
-	return func(env *sim.Env, from rpc.HostID, a claimArgs) (claimReply, int, error) {
+	})
+	hsClaim.Handle(ep, func(env *sim.Env, from rpc.HostID, a claimArgs) (claimReply, int, error) {
 		now := env.Now()
 		k := p.cluster.KernelOn(owner)
 		state := p.sample(owner, now)
-		if p.claimed(owner, now) || k == nil || !k.Available(now) {
+		if p.claimed(st, now) || !k.Available(now) {
 			state.Available = false
 			// Queue a hint so ordinary replies from this host retract any
 			// stale positive entry other peers still hold.
-			p.pushHint(owner, EvictHint{Host: owner, Epoch: state.Epoch})
+			p.pushHint(env, st, EvictHint{Host: owner, Epoch: state.Epoch})
 			return claimReply{OK: false, State: state}, gossipEntryBytes + 8, nil
 		}
-		p.claims[owner] = claimRec{
+		st.claim = claimRec{
 			client: a.Client, epoch: state.Epoch,
-			clientEpoch: p.epochOf(a.Client), at: now,
+			clientEpoch: p.cluster.HostEpoch(a.Client), at: now,
 		}
 		state.Available = false // claimed now: not available to anyone else
 		return claimReply{OK: true, State: state}, gossipEntryBytes + 8, nil
-	}
-}
-
-func (p *Probabilistic) makeReleaseHandler(owner rpc.HostID) rpc.HandlerFunc[claimArgs, claimReply] {
-	return func(env *sim.Env, from rpc.HostID, a claimArgs) (claimReply, int, error) {
+	})
+	hsRelease.Handle(ep, func(env *sim.Env, from rpc.HostID, a claimArgs) (claimReply, int, error) {
 		now := env.Now()
-		if rec, ok := p.claims[owner]; ok {
-			if rec.client == a.Client || rec.epoch != p.epochOf(owner) {
-				delete(p.claims, owner)
-			}
+		if st.claim.client == a.Client {
+			st.claim = claimRec{}
 		}
 		state := p.sample(owner, now)
-		if p.claimed(owner, now) {
+		if p.claimed(st, now) {
 			state.Available = false
 		}
 		return claimReply{OK: true, State: state}, gossipEntryBytes + 8, nil
-	}
+	})
+	ep.SetHintProvider(func() (any, int) {
+		hints := p.takeHints(st)
+		if len(hints) == 0 {
+			return nil, 0
+		}
+		return hintBatch{Hints: hints}, hintBytes * len(hints)
+	})
 }
 
-// pushHint queues an eviction hint on host's outgoing piggyback queue,
+// pushHint queues an eviction hint on st's outgoing piggyback queue,
 // replacing any older hint about the same subject.
-func (p *Probabilistic) pushHint(host rpc.HostID, h EvictHint) {
+func (p *Probabilistic) pushHint(env *sim.Env, st *station, h EvictHint) {
 	if p.hintSink != nil {
 		p.hintSink(h.Host)
 	}
-	q := p.hints[host]
-	for i, old := range q {
+	for i, old := range st.hints {
 		if old.Host == h.Host {
 			if h.Epoch >= old.Epoch {
-				q[i] = h
+				st.hints[i] = h
 			}
 			return
 		}
 	}
-	if limit := hintBound * 4; len(q) >= limit {
-		q = q[1:]
+	if limit := hintBound * 4; len(st.hints) >= limit {
+		st.hints = st.hints[1:]
 	}
-	p.hints[host] = append(q, h)
-	p.gstats.HintsQueued++
-	p.hintC.Inc()
+	st.hints = append(st.hints, h)
+	st.gstats.HintsQueued++
+	p.hintC.IncSlot(sim.WorkerSlot(env))
 }
 
-// takeHints drains up to hintBound hints from host's queue (the reply
+// takeHints drains up to hintBound hints from st's queue (the reply
 // piggyback provider).
-func (p *Probabilistic) takeHints(host rpc.HostID) []EvictHint {
-	q := p.hints[host]
-	if len(q) == 0 {
+func (p *Probabilistic) takeHints(st *station) []EvictHint {
+	n := min(hintBound, len(st.hints))
+	if n == 0 {
 		return nil
 	}
-	n := hintBound
-	if n > len(q) {
-		n = len(q)
-	}
-	out := make([]EvictHint, n)
-	copy(out, q[:n])
-	if len(q) == n {
-		delete(p.hints, host)
-	} else {
-		p.hints[host] = append([]EvictHint(nil), q[n:]...)
-	}
+	out := append([]EvictHint(nil), st.hints[:n]...)
+	st.hints = st.hints[n:]
 	return out
 }
 
 // observeHints is the transport hint observer: hints piggybacked on a
 // reply retract stale positive entries in the calling host's view. It runs
-// inside the calling activity and only mutates local view state.
+// inside the calling activity and only mutates the caller's station.
 func (p *Probabilistic) observeHints(caller, server rpc.HostID, payload any) {
 	b, ok := payload.(hintBatch)
-	if !ok {
-		return
-	}
-	v := p.views[caller]
-	if v == nil {
+	st := p.at[caller]
+	if !ok || st == nil {
 		return
 	}
 	for _, h := range b.Hints {
-		if h.Host == caller {
-			continue
-		}
-		if v.ApplyHint(h) {
-			p.gstats.HintsApplied++
+		if h.Host != caller && st.view.ApplyHint(h) {
+			st.gstats.HintsApplied++
 		}
 	}
 }
@@ -511,13 +486,14 @@ func (p *Probabilistic) observeHints(caller, server rpc.HostID, payload any) {
 // host's own row and gossips immediately (in addition to the periodic
 // tick); an unavailability transition also queues an eviction hint.
 func (p *Probabilistic) NotifyAvailability(env *sim.Env, host rpc.HostID, available bool) error {
-	if _, ok := p.views[host]; !ok {
+	st := p.at[host]
+	if st == nil {
 		return nil
 	}
 	if !available {
-		p.pushHint(host, EvictHint{Host: host, Epoch: p.epochOf(host)})
+		p.pushHint(env, st, EvictHint{Host: host, Epoch: p.cluster.HostEpoch(host)})
 	}
-	return p.gossipFrom(env, host)
+	return p.gossipFrom(env, st)
 }
 
 // RequestHosts implements Selector: consult the client's local vector,
@@ -525,12 +501,12 @@ func (p *Probabilistic) NotifyAvailability(env *sim.Env, host rpc.HostID, availa
 // failed claim is a misplacement — the staleness cost the gossip design
 // accepts — and feeds back a fresh negative entry plus an eviction hint.
 func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]rpc.HostID, error) {
-	p.stats.Requests++
-	now := env.Now()
-	v := p.view(client, now)
-	if v == nil {
-		return nil, fmt.Errorf("hostsel: %v runs no gossip view", client)
+	st, err := p.at.of(client)
+	if err != nil {
+		return nil, err
 	}
+	st.stats.Requests++
+	v := p.view(env, st)
 	var cands []VectorEntry
 	for _, e := range v.Entries() {
 		if e.Available && e.Host != client {
@@ -543,14 +519,14 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 		if len(got) >= n {
 			break
 		}
-		p.stats.Messages++
+		st.stats.Messages++
 		p.ageT.ObserveSlot(sim.WorkerSlot(env), cd.Age)
 		cr, err := hsClaim.Call(ep, env, cd.Host, claimArgs{Client: client}, 16)
 		if err != nil {
 			if tolerable(err) {
 				// The candidate is down, rebooting, or partitioned away:
 				// the view was stale about its reachability.
-				p.misplaced(v, client, cd)
+				p.misplaced(env, st, cd)
 				continue
 			}
 			return got, err
@@ -559,25 +535,25 @@ func (p *Probabilistic) RequestHosts(env *sim.Env, client rpc.HostID, n int) ([]
 		if cr.OK {
 			got = append(got, cd.Host)
 		} else {
-			p.misplaced(v, client, cd)
+			p.misplaced(env, st, cd)
 		}
 	}
-	p.stats.Granted += uint64(len(got))
+	st.stats.Granted += uint64(len(got))
 	if len(got) < n {
-		p.stats.Denied++
+		st.stats.Denied++
 	}
 	return got, nil
 }
 
-// misplaced records one stale-view claim failure and spreads the
-// correction: drop/retract the entry locally and queue an eviction hint so
-// the client's own replies carry the news.
-func (p *Probabilistic) misplaced(v *LoadVector, client rpc.HostID, cd VectorEntry) {
-	p.stats.Conflicts++
-	p.gstats.Misplaced++
-	p.misplaceC.Inc()
-	v.ApplyHint(EvictHint{Host: cd.Host, Epoch: cd.Epoch})
-	p.pushHint(client, EvictHint{Host: cd.Host, Epoch: cd.Epoch})
+// misplaced records one stale-view claim failure at the client's station
+// and spreads the correction: retract the entry locally and queue an
+// eviction hint so the client's own replies carry the news.
+func (p *Probabilistic) misplaced(env *sim.Env, st *station, cd VectorEntry) {
+	st.stats.Conflicts++
+	st.gstats.Misplaced++
+	p.misplaceC.IncSlot(sim.WorkerSlot(env))
+	st.view.ApplyHint(EvictHint{Host: cd.Host, Epoch: cd.Epoch})
+	p.pushHint(env, st, EvictHint{Host: cd.Host, Epoch: cd.Epoch})
 }
 
 // Release implements Selector. Releases to unreachable hosts are
@@ -585,24 +561,23 @@ func (p *Probabilistic) misplaced(v *LoadVector, client rpc.HostID, cd VectorEnt
 // the claim through the epoch guard), and a partitioned host's claim
 // expires with the lease.
 func (p *Probabilistic) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
-	now := env.Now()
-	v := p.view(client, now)
+	st, err := p.at.of(client)
+	if err != nil {
+		return err
+	}
+	v := p.view(env, st)
 	ep := p.cluster.Transport().Endpoint(client)
 	for _, h := range hosts {
-		p.stats.Messages++
+		st.stats.Messages++
 		cr, err := hsRelease.Call(ep, env, h, claimArgs{Client: client}, 16)
 		if err != nil {
 			if tolerable(err) {
-				if v != nil {
-					v.Remove(h)
-				}
+				v.Remove(h)
 				continue
 			}
 			return err
 		}
-		if v != nil {
-			v.Put(cr.State)
-		}
+		v.Put(cr.State)
 	}
 	return nil
 }
@@ -612,14 +587,10 @@ func (p *Probabilistic) Release(env *sim.Env, client rpc.HostID, hosts []rpc.Hos
 // for the churn suite's leak checks.
 func (p *Probabilistic) OutstandingClaims(now time.Duration) map[rpc.HostID]rpc.HostID {
 	out := make(map[rpc.HostID]rpc.HostID)
-	for host, rec := range p.claims {
-		if rec.epoch != p.epochOf(host) {
-			continue
+	for _, st := range p.stations {
+		if p.claimed(st, now) {
+			out[st.host] = st.claim.client
 		}
-		if p.params.ClaimLease > 0 && now-rec.at >= p.params.ClaimLease {
-			continue
-		}
-		out[host] = rec.client
 	}
 	return out
 }
@@ -627,16 +598,10 @@ func (p *Probabilistic) OutstandingClaims(now time.Duration) map[rpc.HostID]rpc.
 // ViewSnapshot renders every host's vector deterministically — the
 // byte-identical fingerprint the determinism regression tests compare.
 func (p *Probabilistic) ViewSnapshot() string {
-	hosts := make([]rpc.HostID, len(p.hosts))
-	copy(hosts, p.hosts)
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	var b strings.Builder
-	for _, h := range hosts {
-		v := p.views[h]
-		if v == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "view %v (%d entries, decayed at %v):\n", h, v.Len(), p.viewAt[h])
+	for _, st := range p.stations {
+		v := st.view
+		fmt.Fprintf(&b, "view %v (%d entries, decayed at %v):\n", st.host, v.Len(), st.viewAt)
 		for _, line := range strings.Split(strings.TrimRight(v.Snapshot(), "\n"), "\n") {
 			if line == "" {
 				continue

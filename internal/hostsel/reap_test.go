@@ -74,11 +74,15 @@ func TestReapDeadClaimantReleasesClaim(t *testing.T) {
 			t.Fatalf("B's claim after reap: got %v, want [%v]", got, target)
 		}
 
-		// A's next incarnation re-claiming must not be scrubbed by a late
-		// (idempotent) re-reap of the old epoch.
+		// A restarts, crashes again, and restarts once more before that
+		// second death is reaped. The claim its newest incarnation takes
+		// must survive the late reap of the older one.
 		if err := ledger.Release(env, b, got); err != nil {
 			return err
 		}
+		c.RestartHost(env, a)
+		aEpoch = c.HostEpoch(a)
+		c.CrashHost(env, a)
 		c.RestartHost(env, a)
 		if err := env.Sleep(time.Minute); err != nil {
 			return err
@@ -93,9 +97,9 @@ func TestReapDeadClaimantReleasesClaim(t *testing.T) {
 		if len(got) != 1 || got[0] != target {
 			t.Fatalf("A's reclaim after restart: got %v, want [%v]", got, target)
 		}
-		c.ReapDeadHost(env, a, aEpoch) // stale epoch: must be a no-op
+		c.ReapDeadHost(env, a, aEpoch)
 		if oc := sel.OutstandingClaims(env.Now()); oc[target] != a {
-			t.Fatalf("claims after stale re-reap %v, want %v held by %v", oc, target, a)
+			t.Fatalf("claims after the older incarnation's reap %v, want %v held by %v", oc, target, a)
 		}
 		ledger.Release(env, a, got)
 		c.Stop()
@@ -106,5 +110,80 @@ func TestReapDeadClaimantReleasesClaim(t *testing.T) {
 	}
 	if msgs := c.CheckInvariants(true); len(msgs) != 0 {
 		t.Fatalf("invariants: %v", msgs)
+	}
+}
+
+// TestMulticastReapFreesDeadClaimantsClaim: a multicast claim lives only at
+// its owner, so when the claimant dies holding it nothing but the reap hook
+// can free it. Before the hook, B's request ten minutes after A's death
+// found no responder: the claimed host stayed silent forever.
+func TestMulticastReapFreesDeadClaimantsClaim(t *testing.T) {
+	c, err := core.NewCluster(core.Options{Workstations: 3, FileServers: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := hostsel.NewMulticast(c)
+	a := c.Workstation(0).Host()
+	target := c.Workstation(1).Host()
+	b := c.Workstation(2).Host()
+	c.Boot("boot", func(env *sim.Env) error {
+		if err := env.Sleep(time.Minute); err != nil {
+			return err
+		}
+		// Equally idle responders are taken in host order: A gets the target.
+		got, err := sel.RequestHosts(env, a, 1)
+		if err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != target {
+			t.Fatalf("A's claim: got %v, want [%v]", got, target)
+		}
+		aEpoch := c.HostEpoch(a)
+		c.CrashHost(env, a)
+		c.ReapDeadHost(env, a, aEpoch)
+		if err := env.Sleep(10 * time.Minute); err != nil {
+			return err
+		}
+		got, err = sel.RequestHosts(env, b, 1)
+		if err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != target {
+			t.Fatalf("B's claim after A's reap: got %v, want [%v]", got, target)
+		}
+		if err := sel.Release(env, b, got); err != nil {
+			return err
+		}
+
+		// A restarts, crashes again, and restarts once more before that
+		// second death is reaped. Its newest incarnation takes the target;
+		// the late reap of the older incarnation must leave that claim alone.
+		c.RestartHost(env, a)
+		aEpoch = c.HostEpoch(a)
+		c.CrashHost(env, a)
+		c.RestartHost(env, a)
+		if err := env.Sleep(time.Minute); err != nil {
+			return err
+		}
+		if got, err = sel.RequestHosts(env, a, 1); err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != target {
+			t.Fatalf("A's reclaim after restart: got %v, want [%v]", got, target)
+		}
+		c.ReapDeadHost(env, a, aEpoch)
+		if got, err = sel.RequestHosts(env, b, 2); err != nil {
+			return err
+		}
+		for _, h := range got {
+			if h == target {
+				t.Fatalf("B got %v while A's new incarnation holds %v", got, target)
+			}
+		}
+		c.Stop()
+		return nil
+	})
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
 	}
 }
