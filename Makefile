@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test fuzz race cover bench artifacts scale experiments examples clean
+.PHONY: all build vet lint test fuzz race allocs cover bench artifacts scale experiments examples clean
 
 all: build vet lint test
 
@@ -65,10 +65,11 @@ fuzz:
 # slots, which the services' pools hand across shards, run under the race
 # detector too.
 # The fifth leg does the same for the pseudo-devices, whose tests each run on
-# an unconfined and a confined cluster: a device's queue and pending replies
-# live at its file server, touched only by that server's handlers, while
-# clients and serving processes reach them from other shards. internal/pdev
-# is in the second leg too.
+# an unconfined and a confined cluster, here with the parallel kernel
+# forced, since pdev's clusters confine hosts without asking for it: a
+# device's queue and pending replies live at its file server, touched only
+# by that server's handlers, while clients and serving processes reach them
+# from other shards' workers.
 # The sixth leg does the same for the host selectors, whose tests that crash
 # no host each run on an unconfined and a confined cluster, here with the
 # parallel kernel forced: a gossip view, claim and hint queue live at their
@@ -81,8 +82,16 @@ race:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestBootDriverOnConfinedCluster|TestConfinedClusterRunsInPhases' ./internal/core
 	$(GO) test -race -count=1 -cpu 1,4 -run TestBgLoad ./internal/workload
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
-	$(GO) test -race -count=1 -cpu 1,4 ./internal/pdev
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 ./internal/pdev
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestRequestAndReleaseAllArchitectures|TestNoDoubleGrant|TestBusyHostsNotOffered|TestCentral(FairAllocationUnderContention|EvictsOnOwnerReturn|CrashAndRestart|RestartForgetsAssignments)|TestProbabilistic(GossipPropagates|StaleViewCausesConflict)|TestMulticastStatelessQuery|TestSharedFileDisablesCachingByDesign|TestAvailabilityUpdateCostOrdering|TestChurn(Flapping|Partition)AllSelectors)$$' ./internal/hostsel
+
+# The allocation contract (BENCH_allocs.json, DESIGN.md §17): rerun every
+# package whose tests check a row, one package at a time so no two rewrite
+# the file at once, and rewrite the value of each exact row from what its
+# check measures. Ceilings are edited by hand; review the diff.
+ALLOC_PKGS = $(shell $(GO) list -f '{{range .TestImports}}{{if eq . "sprite/internal/allocs"}}{{$$.ImportPath}}{{end}}{{end}}' ./...)
+allocs:
+	$(GO) test -p 1 -count=1 $(ALLOC_PKGS) -update-allocs
 
 # Minimum total coverage enforced; raise as the suite grows.
 COVER_MIN ?= 75

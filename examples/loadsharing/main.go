@@ -43,7 +43,7 @@ func run() error {
 		}
 		fmt.Printf("[%8v] submitting %d simulation jobs (%v CPU each)\n", env.Now(), jobs, jobCPU)
 		t0 := env.Now()
-		done := sim.NewWaitGroup(cluster.Sim())
+		done := sim.NewWaitGroup()
 		done.Add(jobs)
 		evictions := 0
 		launched := 0

@@ -324,7 +324,7 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 					}
 					return nil
 				})
-				ready := sim.NewFuture(c.Sim())
+				ready := sim.NewFuture()
 				var fd int
 				var ranOn rpc.HostID
 				// after is what the process does once the migration has

@@ -337,8 +337,8 @@ func (c *Cluster) destroyProcess(env *sim.Env, p *Process, crashedHost rpc.HostI
 		w.Complete(env, nil, ErrHostCrashed)
 	}
 	p.exited.Complete(env, CrashStatus, nil)
-	if p.env != nil {
-		p.env.Interrupt(ErrHostCrashed)
+	if p.ctx.env != nil {
+		p.ctx.env.Interrupt(ErrHostCrashed)
 	}
 	env.Emit(p.traceEvent(trace.ProcCrash, crashedHost))
 }

@@ -201,6 +201,7 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	}
 	p := &Process{
 		pid:       pid,
+		pidName:   pid.String(),
 		pgrp:      pgrp,
 		name:      name,
 		state:     StateRunning,
@@ -209,7 +210,7 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 		cur:       k,
 		program:   prog,
 		args:      cfg.Args,
-		exited:    sim.NewFuture(k.cluster.sim),
+		exited:    sim.NewFuture(),
 		evictable: true,
 		created:   env.Now(),
 		homeEpoch: home.ep.Epoch(),
@@ -244,11 +245,13 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 		proc:     p,
 		location: k.host,
 		parent:   parentPID,
-		children: make(map[PID]bool),
 	}
 	home.homeRecs[pid] = rec
 	if parent != nil {
 		if prec := home.homeRecs[parentPID]; prec != nil {
+			if prec.children == nil { // most processes never fork
+				prec.children = make(map[PID]bool)
+			}
 			prec.children[pid] = true
 		}
 	}
@@ -263,15 +266,15 @@ func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcC
 	// The process activity belongs to its host's shard, whatever shard the
 	// caller runs on. A confined caller may only spawn onto its own shard,
 	// so a process started from another host's shard fails here.
-	env.SpawnOn(k.cluster.shardOf(k.host), "proc-"+pid.String()+"-"+name, body)
+	env.SpawnOn(k.cluster.shardOf(k.host), "proc-"+p.pidName+"-"+name, body)
 	return p, nil
 }
 
 // runProcess is the body of a process activity: build the image, run the
 // program, tear down.
 func (k *Kernel) runProcess(env *sim.Env, p *Process, cfg ProcConfig) error {
-	p.env = env
-	ctx := &Ctx{proc: p, env: env}
+	p.ctx = Ctx{proc: p, env: env}
+	ctx := &p.ctx
 	if err := p.buildSpace(env, p.name, cfg); err != nil {
 		if p.crashed {
 			return nil // destroyProcess already did the bookkeeping
@@ -305,7 +308,7 @@ func (k *Kernel) runProcess(env *sim.Env, p *Process, cfg ProcConfig) error {
 
 // buildSpace creates the process's address space on its current host.
 func (p *Process) buildSpace(env *sim.Env, name string, cfg ProcConfig) error {
-	space, err := vm.New(env, p.cur.fsc, p.pid.String()+"-"+name, vm.Config{
+	space, err := vm.New(env, p.cur.fsc, p.pidName+"-"+name, vm.Config{
 		CodePages:  cfg.CodePages,
 		HeapPages:  cfg.HeapPages,
 		StackPages: cfg.StackPages,
@@ -314,12 +317,15 @@ func (p *Process) buildSpace(env *sim.Env, name string, cfg ProcConfig) error {
 	if err != nil {
 		return err
 	}
-	space.SetCPU(func(e *sim.Env, d time.Duration) error {
-		p.cpuUsed += d
-		return p.cur.cpu.Compute(e, d)
-	})
+	space.SetCPU(p)
 	p.space = space
 	return nil
+}
+
+// ChargeCPU charges d to the process on its current host (it is a vm.CPU).
+func (p *Process) ChargeCPU(env *sim.Env, d time.Duration) error {
+	p.cpuUsed += d
+	return p.cur.cpu.Compute(env, d)
 }
 
 // discardSpace closes the address space's backing streams and removes its
@@ -473,7 +479,7 @@ func (k *Kernel) waitChild(env *sim.Env, parent PID) (PID, int, error) {
 		if len(rec.children) == 0 {
 			return NilPID, 0, ErrNoChildren
 		}
-		rec.waiter = sim.NewFuture(k.cluster.sim)
+		rec.waiter = sim.NewFuture()
 		if _, err := rec.waiter.Wait(env); err != nil {
 			return NilPID, 0, err
 		}

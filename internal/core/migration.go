@@ -74,7 +74,7 @@ func (k *Kernel) RequestExecMigration(p *Process, target *Kernel, reason string)
 }
 
 func (k *Kernel) requestMigration(p *Process, target *Kernel, reason string, atExec bool) *sim.Future {
-	done := sim.NewFuture(k.cluster.sim)
+	done := sim.NewFuture()
 	switch err := p.migratable(atExec); {
 	case err != nil:
 		done.Complete(nil, nil, err) // no waiter yet
@@ -322,7 +322,7 @@ func (k *Kernel) transferImage(env *sim.Env, p *Process, target *Kernel, rec *Mi
 	rec.NegotiateTime = mm.next(env, mm.names.vm)
 	m := &p.mig
 	if m.mover == nil {
-		m.moverName, m.mover = "mig-streams-"+p.pid.String(), p.moveStreams
+		m.moverName, m.mover = "mig-streams-"+p.pidName, p.moveStreams
 	} else {
 		m.join.Reset()
 	}
@@ -387,6 +387,11 @@ func (k *Kernel) migInit(env *sim.Env, p *Process, target *Kernel) error {
 // migration can move it back — on error the list covers everything
 // transferred before the failure.
 func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *MigrationRecord) error {
+	if p.migStreams == nil { // the first hop sizes one array for both lists
+		n := len(p.allStreams(make([]*fs.Stream, 0, 8)))
+		both := make([]*fs.Stream, 2*n)
+		p.migStreams, p.migMoved = both[:0:n], both[n:n]
+	}
 	p.migStreams = p.allStreams(p.migStreams[:0])
 	for _, st := range p.migStreams {
 		if err := k.cpu.Compute(env, k.params.MigPerFileCPU); err != nil {

@@ -18,7 +18,7 @@ import (
 // moment the transfer begins to hang, so the boot activity can race a
 // signal against it.
 func transitHarness(c *Cluster, victim *PID, hold time.Duration) *sim.Future {
-	inTransit := sim.NewFuture(c.Sim())
+	inTransit := sim.NewFuture()
 	c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
 		if fp != FailMigPCB || pid != *victim {
 			return nil

@@ -110,7 +110,7 @@ func TestPipeNoSpuriousEOFWhenWriterMigratesMidBlockingRead(t *testing.T) {
 func TestPipeEOFWhenWriterHostCrashes(t *testing.T) {
 	c := newCluster(t, 2)
 	h0, h1 := c.Workstation(0), c.Workstation(1)
-	moved := sim.NewFuture(c.Sim())
+	moved := sim.NewFuture()
 	var received string
 	c.Boot("boot", func(env *sim.Env) error {
 		parent, err := h0.StartProcess(env, "pair", func(ctx *Ctx) error {
@@ -199,7 +199,7 @@ func TestPipeEOFWhenWriterHostCrashes(t *testing.T) {
 func TestPipeEPIPEWhenReaderHostCrashes(t *testing.T) {
 	c := newCluster(t, 2)
 	h0, h1 := c.Workstation(0), c.Workstation(1)
-	moved := sim.NewFuture(c.Sim())
+	moved := sim.NewFuture()
 	var writeErr error
 	c.Boot("boot", func(env *sim.Env) error {
 		parent, err := h0.StartProcess(env, "pair", func(ctx *Ctx) error {

@@ -103,12 +103,13 @@ type migrationRequest struct {
 
 // Process is a simulated Sprite user process.
 type Process struct {
-	pid    PID
-	name   string
-	uid    string
-	state  ProcessState
-	parent PID
-	pgrp   PID // process group (leader's pid); inherited across fork
+	pid     PID
+	pidName string // pid.String(), built once for every name derived from it
+	name    string
+	uid     string
+	state   ProcessState
+	parent  PID
+	pgrp    PID // process group (leader's pid); inherited across fork
 
 	home *Kernel // never changes: the transparency anchor
 	cur  *Kernel // changes on migration
@@ -130,9 +131,17 @@ type Process struct {
 	exited     *sim.Future // resolves to exit status (int)
 	exitStatus int
 
-	killed     bool
-	crashed    bool     // destroyed by a host crash; the activity must unwind silently
-	env        *sim.Env // the process activity's Env, for crash interruption
+	killed  bool
+	crashed bool // destroyed by a host crash; the activity must unwind silently
+	// sharedMemory marks the process as using shared writable memory,
+	// which Sprite refuses to migrate.
+	sharedMemory bool
+	// evictable processes may be migrated away by host reclaiming.
+	evictable bool
+	// forwarded marks that the current kernel call already paid its trip
+	// home (set by the forward-everything baseline to avoid double
+	// charging calls that are home-forwarded anyway).
+	forwarded  bool
 	pending    []Signal
 	handlers   map[Signal]SignalHandler
 	contWaiter *sim.Future
@@ -143,7 +152,8 @@ type Process struct {
 	// to a surviving target host.
 	migTarget *Kernel
 	migMoved  []*fs.Stream
-	// migStreams is transferStreams' list of the streams to move.
+	// migStreams is transferStreams' list of the streams to move. It and
+	// migMoved share one array, sized by the first hop's stream count.
 	migStreams []*fs.Stream
 	// migRecon carries the destination fs client's stream-move bookkeeping
 	// across a confined migration: MoveStream on the source shard cannot
@@ -152,11 +162,8 @@ type Process struct {
 	migRecon []fs.Reconcile
 	// mig is the scratch each migration hop works in (see migScratch).
 	mig migScratch
-	// sharedMemory marks the process as using shared writable memory,
-	// which Sprite refuses to migrate.
-	sharedMemory bool
-	// evictable processes may be migrated away by host reclaiming.
-	evictable bool
+	// ctx is the program's Ctx; its Env is the one a crash interrupts.
+	ctx Ctx
 
 	migrations int
 	cpuUsed    time.Duration
@@ -259,10 +266,6 @@ func (p *Process) allStreams(dst []*fs.Stream) []*fs.Stream {
 type Ctx struct {
 	proc *Process
 	env  *sim.Env
-	// forwarded marks that the current kernel call already paid its trip
-	// home (set by the forward-everything baseline to avoid double
-	// charging calls that are home-forwarded anyway).
-	forwarded bool
 }
 
 // Process returns the calling process.

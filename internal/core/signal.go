@@ -164,7 +164,7 @@ func (c *Ctx) waitForCont() error {
 				return nil
 			}
 		}
-		p.contWaiter = sim.NewFuture(p.cur.cluster.sim)
+		p.contWaiter = sim.NewFuture()
 		if _, err := p.contWaiter.Wait(c.env); err != nil {
 			return err
 		}

@@ -183,12 +183,12 @@ func (c *Ctx) enter(call string) error {
 	}
 	// The Remote UNIX baseline: every call of a foreign process pays a
 	// round trip home, regardless of its Appendix-A classification.
-	c.forwarded = false
+	p.forwarded = false
 	if p.cur.forwardAll && p.Foreign() {
 		if err := c.forwardHome(call); err != nil {
 			return err
 		}
-		c.forwarded = true
+		p.forwarded = true
 	}
 	return nil
 }
@@ -198,7 +198,7 @@ func (c *Ctx) enter(call string) error {
 // the point.
 func (c *Ctx) forwardHome(call string) error {
 	p := c.proc
-	if !p.Foreign() || c.forwarded {
+	if !p.Foreign() || p.forwarded {
 		return nil
 	}
 	_, err := kForward.Call(p.cur.ep, c.env, p.home.host, forwardArgs{PID: p.pid, Call: call}, 64)

@@ -313,7 +313,7 @@ func E8SelectionArchitectures(cfg Config) (*Table, error) {
 				// Three clients compete for hosts: races between them are
 				// what exposes stale distributed state as conflicts.
 				requesters := 3
-				wg := sim.NewWaitGroup(c.Sim())
+				wg := sim.NewWaitGroup()
 				wg.Add(requesters)
 				for r := 0; r < requesters; r++ {
 					client := c.Workstation(r).Host()

@@ -139,7 +139,7 @@ func E14DayInTheLife(cfg Config) (*Table, error) {
 			return err
 		}
 		t0 := env.Now()
-		done := sim.NewWaitGroup(c.Sim())
+		done := sim.NewWaitGroup()
 		done.Add(jobs)
 		launched := 0
 		for launched < jobs {

@@ -249,7 +249,7 @@ func E11PlacementVsMigration(cfg Config) (*Table, error) {
 		submit := c.Workstation(0)
 		var sample metrics.Sample
 		var makespan time.Duration
-		done := sim.NewWaitGroup(c.Sim())
+		done := sim.NewWaitGroup()
 		done.Add(jobs)
 		rebalStop := false
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sprite/internal/allocs"
 	"sprite/internal/sim"
 )
 
@@ -42,12 +43,8 @@ func TestCountedCallsAllocateNothing(t *testing.T) {
 			}
 		}
 		readCount() // warm the cache
-		if a := testing.AllocsPerRun(100, readCount); a != 0 {
-			t.Errorf("warm cached ReadCount allocates %.1f objects, want 0", a)
-		}
-		if a := testing.AllocsPerRun(100, writeZeros); a != 0 {
-			t.Errorf("cached WriteZeros allocates %.1f objects, want 0", a)
-		}
+		allocs.Check(t, "fs.read_count", testing.AllocsPerRun(100, readCount))
+		allocs.Check(t, "fs.write_zeros", testing.AllocsPerRun(100, writeZeros))
 		return c.Close(env, st)
 	})
 }
@@ -71,9 +68,7 @@ func TestStatAllocatesNothing(t *testing.T) {
 			}
 		}
 		stat() // warm the server's stats table and the client's prefix cache
-		if a := testing.AllocsPerRun(100, stat); a != 0 {
-			t.Errorf("Stat allocates %.1f objects, want 0", a)
-		}
+		allocs.Check(t, "fs.stat", testing.AllocsPerRun(100, stat))
 		return nil
 	})
 }
@@ -120,15 +115,15 @@ func TestReadCountAtMatchesReadAt(t *testing.T) {
 		return got[:2], stats[:2], warmAllocs
 	}
 	gotAt, statsAt, _ := run(false)
-	gotCount, statsCount, allocs := run(true)
+	gotCount, statsCount, warm := run(true)
 	for i := range gotAt {
 		if gotCount[i] != gotAt[i] || statsCount[i] != statsAt[i] {
 			t.Errorf("read %d: ReadCountAt = %d with stats %+v; ReadAt read %d with %+v",
 				i, gotCount[i], statsCount[i], gotAt[i], statsAt[i])
 		}
 	}
-	if allocs != 0 {
-		t.Errorf("warm ReadCountAt allocates %.1f objects, want 0", allocs)
+	if !raceEnabled {
+		allocs.Check(t, "fs.read_count_at", warm)
 	}
 }
 
@@ -213,9 +208,7 @@ func TestOpenCloseAllocatesOneObject(t *testing.T) {
 			}
 		}
 		openClose() // warm the prefix cache and the server's tables
-		if a := testing.AllocsPerRun(100, openClose); a != 1 {
-			t.Errorf("warm Open+Close allocates %.1f objects, want 1", a)
-		}
+		allocs.Check(t, "fs.open_close", testing.AllocsPerRun(100, openClose))
 		return nil
 	})
 }
@@ -244,9 +237,7 @@ func TestZeroBlockMissAllocatesOneObject(t *testing.T) {
 			}
 		}
 		miss() // warm the server's tables
-		if a := testing.AllocsPerRun(100, miss); a != 1 {
-			t.Errorf("a zero-block miss allocates %.1f objects, want 1", a)
-		}
+		allocs.Check(t, "fs.zero_block_miss", testing.AllocsPerRun(100, miss))
 		return c.Close(env, st)
 	})
 }

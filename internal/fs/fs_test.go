@@ -363,7 +363,7 @@ func TestExitedProcessesLeaveNoFileEntries(t *testing.T) {
 				// As in a migration, the source flushes dirty pages while
 				// the streams move away.
 				src, to := h.fs.Client(host), rpc.HostID(2+(int(host)-2+1)%hosts)
-				flushed := sim.NewWaitGroup(h.sim)
+				flushed := sim.NewWaitGroup()
 				flushed.Add(1)
 				env.Spawn("flush", func(env *sim.Env) error {
 					defer flushed.Done()

@@ -105,7 +105,7 @@ func (s *Server) handlePipeRead(env *sim.Env, from rpc.HostID, a pipeIOArgs) (re
 		if !p.opens.holds(true) {
 			return readReply{}, 16, nil // EOF
 		}
-		w := sim.NewFuture(s.fs.sim)
+		w := sim.NewFuture()
 		p.opens.readWaiters = append(p.opens.readWaiters, w)
 		if _, err := w.Wait(env); err != nil {
 			return readReply{}, 0, err
@@ -140,7 +140,7 @@ func (s *Server) handlePipeWrite(env *sim.Env, from rpc.HostID, a pipeIOArgs) (w
 		}
 		space := p.capacity - len(p.buf)
 		if space == 0 {
-			w := sim.NewFuture(s.fs.sim)
+			w := sim.NewFuture()
 			p.opens.writeWaiters = append(p.opens.writeWaiters, w)
 			if _, err := w.Wait(env); err != nil {
 				return writeReply{}, 0, err

@@ -20,7 +20,7 @@ func TestPipeBasicTransfer(t *testing.T) {
 		if err := a.MoveStream(env, r, 3); err != nil {
 			return err
 		}
-		done := sim.NewWaitGroup(h.sim)
+		done := sim.NewWaitGroup()
 		done.Add(2)
 		env.Spawn("writer", func(we *sim.Env) error {
 			defer done.Done()
@@ -69,7 +69,7 @@ func TestPipeBlocksWhenEmptyAndFull(t *testing.T) {
 			return err
 		}
 		var readAt time.Duration
-		done := sim.NewWaitGroup(h.sim)
+		done := sim.NewWaitGroup()
 		done.Add(1)
 		env.Spawn("reader", func(re *sim.Env) error {
 			defer done.Done()
@@ -101,7 +101,7 @@ func TestPipeBlocksWhenEmptyAndFull(t *testing.T) {
 			return err
 		}
 		var wroteAt time.Duration
-		done2 := sim.NewWaitGroup(h.sim)
+		done2 := sim.NewWaitGroup()
 		done2.Add(1)
 		env.Spawn("blocked-writer", func(we *sim.Env) error {
 			defer done2.Done()

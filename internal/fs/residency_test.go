@@ -51,7 +51,7 @@ func TestReadMissKeepsConcurrentWrite(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		wg := sim.NewWaitGroup(h.sim)
+		wg := sim.NewWaitGroup()
 		wg.Add(1)
 		env.Spawn("reader", func(env *sim.Env) error {
 			defer wg.Done()
@@ -103,7 +103,7 @@ func TestEvictionFlushKeepsConcurrentWrite(t *testing.T) {
 				if err := c.WriteAt(env, st, 0, bytes.Repeat([]byte("a"), 2*bs)); err != nil {
 					return err
 				}
-				wg := sim.NewWaitGroup(h.sim)
+				wg := sim.NewWaitGroup()
 				wg.Add(1)
 				env.Spawn("evictor", func(env *sim.Env) error {
 					defer wg.Done()

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sprite/internal/allocs"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -118,9 +120,7 @@ func TestNilRegistryDiscards(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := testing.AllocsPerRun(100, func() { record(1) }); n != 0 {
-		t.Fatalf("recording through a nil registry allocates %v objects, want 0", n)
-	}
+	allocs.Check(t, "metrics.nil_registry.record", testing.AllocsPerRun(100, func() { record(1) }))
 }
 
 // TestSetGaugesPublishesTaggedFields checks the stats-struct publisher:

@@ -157,7 +157,7 @@ func (s *server) call(env *sim.Env, _ rpc.HostID, m Request) ([]byte, int, error
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotServed, m.path)
 	}
 	d.lastID++
-	reply := sim.NewFuture(s.sim)
+	reply := sim.NewFuture()
 	d.pending[d.lastID] = reply
 	m.Data, m.id = slices.Clone(m.Data), d.lastID
 	d.queue.Send(m)

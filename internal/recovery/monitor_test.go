@@ -30,7 +30,7 @@ func newCluster(t *testing.T, ws int) *core.Cluster {
 // resolves, then runs the cluster to completion.
 func runWithMonitor(t *testing.T, c *core.Cluster, mon *recovery.Monitor, fn func(env *sim.Env) error) {
 	t.Helper()
-	done := sim.NewFuture(c.Sim())
+	done := sim.NewFuture()
 	c.Boot("test-driver", func(env *sim.Env) error {
 		err := fn(env)
 		mon.Stop()

@@ -225,7 +225,7 @@ func (s *Supervisor) Submit(env *sim.Env, name string, cfg core.ProcConfig, fn J
 		cfg:  cfg,
 		fn:   fn,
 		base: s.p.Dir + "/" + name,
-		done: sim.NewFuture(s.c.Sim()),
+		done: sim.NewFuture(),
 	}
 	home := s.pickHome(rpc.NoHost)
 	if home == nil {

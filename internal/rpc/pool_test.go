@@ -40,7 +40,7 @@ func TestConfinedPooledHandlerDeadlock(t *testing.T) {
 		tr.Endpoint(2).Handle("fast", func(*sim.Env, HostID, any) (any, int, error) { return nil, 16, nil })
 		tr.Endpoint(2).Handle("hang", func(env *sim.Env, _ HostID, arg any) (any, int, error) {
 			if arg.(int) == 1 {
-				_, err := sim.NewFuture(env.Sim()).Wait(env) // never completed
+				_, err := sim.NewFuture().Wait(env) // never completed
 				return nil, 0, err
 			}
 			return nil, 16, nil

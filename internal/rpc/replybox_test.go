@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/allocs"
 	"sprite/internal/netsim"
 	"sprite/internal/sim"
 )
@@ -185,9 +186,8 @@ func TestConfinedCallAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const ceiling = 0.5
-	measure := func(calls int, typed bool) (allocs float64, spawned uint64) {
-		allocs = testing.AllocsPerRun(3, func() {
+	measure := func(calls int, typed bool) (objects float64, spawned uint64) {
+		objects = testing.AllocsPerRun(3, func() {
 			s := sim.New(1)
 			s.SetLookahead(time.Millisecond)
 			net := netsim.New(s, netsim.Params{Latency: time.Millisecond, BandwidthBytesPerSec: 1e7})
@@ -221,17 +221,19 @@ func TestConfinedCallAllocCeiling(t *testing.T) {
 			}
 			spawned = s.Stats().Spawned
 		})
-		return allocs, spawned
+		return objects, spawned
 	}
 	const small, large = 100, 1100
-	for _, typed := range []bool{false, true} {
+	for _, c := range []struct {
+		typed bool
+		row   string
+	}{{false, "rpc.confined_call.untyped"}, {true, "rpc.confined_call.typed"}} {
+		typed := c.typed
 		allocsSmall, spawnedSmall := measure(small, typed)
 		allocsLarge, spawnedLarge := measure(large, typed)
 		perCall := (allocsLarge - allocsSmall) / (large - small)
 		t.Logf("typed=%v: %.2f allocations per confined call", typed, perCall)
-		if perCall > ceiling {
-			t.Errorf("typed=%v: a confined call allocates %.2f, ceiling %.1f", typed, perCall, ceiling)
-		}
+		allocs.Check(t, c.row, perCall)
 		if spawnedLarge != spawnedSmall {
 			t.Errorf("typed=%v: %d calls spawned %d activities, %d calls %d: steady-state calls must reuse their handler",
 				typed, small, spawnedSmall, large, spawnedLarge)

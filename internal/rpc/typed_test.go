@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/allocs"
 	"sprite/internal/netsim"
 	"sprite/internal/sim"
 )
@@ -65,14 +66,12 @@ func TestTypedCallAllocs(t *testing.T) {
 	}
 	const small, large = 100, 1100
 	for _, c := range []struct {
-		typed  bool
-		lo, hi float64
-	}{{true, 0, 0.1}, {false, 1.9, 2.1}} {
+		typed bool
+		row   string
+	}{{true, "rpc.direct_call.typed"}, {false, "rpc.direct_call.untyped"}} {
 		perCall := (measure(large, c.typed) - measure(small, c.typed)) / (large - small)
 		t.Logf("typed=%v: %.2f allocations per direct call", c.typed, perCall)
-		if perCall < c.lo || perCall > c.hi {
-			t.Errorf("typed=%v: a direct call allocates %.2f, want %.1f..%.1f", c.typed, perCall, c.lo, c.hi)
-		}
+		allocs.Check(t, c.row, perCall)
 	}
 }
 

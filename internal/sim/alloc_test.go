@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/allocs"
 	"sprite/internal/trace"
 )
 
@@ -85,9 +86,7 @@ func TestWindowAllocsMatchSerial(t *testing.T) {
 	for _, rc := range regimeCases {
 		parallel := warmAllocs(t, 2, rc, spawnConfinedTickers)
 		t.Logf("allocs per run of %d events: serial %.0f, workers=2 %s %.0f", confinedShards*confinedTicks, serial, rc.name, parallel)
-		if parallel > 1.1*serial {
-			t.Errorf("workers=2 %s allocated %.0f per run, serial %.0f: more than 1.1x", rc.name, parallel, serial)
-		}
+		allocs.Check(t, "sim.window.parallel_over_serial", parallel/serial)
 	}
 	perCommit := perOpAllocs(t, 2, regimeCase{pin: regimeSerial}, func(s *Simulation, ops int) {
 		for sh := 1; sh <= 8; sh++ {
@@ -101,9 +100,7 @@ func TestWindowAllocsMatchSerial(t *testing.T) {
 			})
 		}
 	})
-	if perCommit > 0.001 {
-		t.Errorf("a serial-regime commit allocates %.4f, want 0", perCommit)
-	}
+	allocs.Check(t, "sim.window.serial_regime_commit", perCommit)
 }
 
 // perOpAllocs runs program at two sizes on warm simulations under the given
@@ -144,9 +141,40 @@ func TestQueueHandoffAllocFree(t *testing.T) {
 			return nil
 		})
 	})
-	if got > 0.001 {
-		t.Fatalf("queue handoff allocates %.3f per op, want 0", got)
-	}
+	allocs.Check(t, "sim.queue.handoff", got)
+}
+
+// TestFutureOneWaiterAllocFree: a future with one waiter at a time keeps
+// it in its inline slot, so a Wait/Complete/Reset cycle costs nothing (row
+// sim.future.one_waiter), even on a future never waited on before, as a new
+// process's exit future and its first hop's join are. Every cycle here
+// starts on a zero Future; before the inline slot, each first Wait grew a
+// waiter array of one.
+func TestFutureOneWaiterAllocFree(t *testing.T) {
+	skipAllocCounts(t)
+	futures := make([]Future, 4200)
+	got := perOpAllocs(t, 0, regimeCase{}, func(s *Simulation, ops int) {
+		clear(futures)
+		s.Spawn("waiter", func(env *Env) error {
+			for i := range ops {
+				if _, err := futures[i].Wait(env); err != nil {
+					return err
+				}
+				futures[i].Reset()
+			}
+			return nil
+		})
+		s.Spawn("completer", func(env *Env) error {
+			for i := range ops {
+				if err := env.Sleep(time.Microsecond); err != nil {
+					return err
+				}
+				futures[i].Complete(env, nil, nil)
+			}
+			return nil
+		})
+	})
+	allocs.Check(t, "sim.future.one_waiter", got)
 }
 
 // TestResourceContendedAllocFree: a one-slot Resource fought over by four
@@ -166,9 +194,7 @@ func TestResourceContendedAllocFree(t *testing.T) {
 			})
 		}
 	})
-	if got > 0.001 {
-		t.Fatalf("contended acquire/release allocates %.3f per op, want 0", got)
-	}
+	allocs.Check(t, "sim.resource.contended", got)
 }
 
 // TestFifoKeepsOrderAndArray drives the fifo behind Queue and Resource

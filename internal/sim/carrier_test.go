@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"sprite/internal/allocs"
 )
 
 // Tests for the carrier contract: activities run on pooled runtime
@@ -41,9 +43,7 @@ func TestSpawnReusesCarrier(t *testing.T) {
 	}{{0, 0, regimeCase{}}, {2, 1, regimeCase{name: "windowed", pin: regimeWindowed}}, {2, 1, regimeCase{name: "serial", pin: regimeSerial}}} {
 		got := perOpAllocs(t, tc.workers, tc.rc, spawnExitOn(tc.shard))
 		t.Logf("workers=%d %s: %.3f allocs per spawn-and-exit", tc.workers, tc.rc.name, got)
-		if got > 1.001 {
-			t.Errorf("workers=%d %s: a warm spawn-and-exit allocates %.3f, want <= 1", tc.workers, tc.rc.name, got)
-		}
+		allocs.Check(t, "sim.spawn_exit.warm", got)
 	}
 }
 
@@ -80,9 +80,7 @@ func TestIdleCarriersBounded(t *testing.T) {
 		}
 	}) / n
 	t.Logf("fresh simulation: %.2f allocs per spawn", perSpawn)
-	if perSpawn > 3 {
-		t.Fatalf("a fresh simulation allocates %.2f per spawn, want <= 3 (spare carriers reused)", perSpawn)
-	}
+	allocs.Check(t, "sim.spawn.fresh_simulation", perSpawn)
 }
 
 // TestGoexitInActivityEndsRun: runtime.Goexit inside an activity (as

@@ -225,7 +225,7 @@ func runRehomeProg(seed int64, shards, workers int, lookahead time.Duration) ker
 				}
 				note(env, "at", fmt.Sprintf("%s shard=%d hop=%d", env.Name(), env.Shard(), hop))
 				// A short-lived child on the current shard.
-				f := NewFuture(s)
+				f := NewFuture()
 				env.Spawn(fmt.Sprintf("%s-child-%d", env.Name(), hop), func(c *Env) error {
 					f.Complete(c, hop, nil)
 					return nil

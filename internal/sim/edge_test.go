@@ -2,13 +2,15 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestFutureCompletesWithError(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	want := errors.New("request failed")
 	var got error
 	s.Spawn("w", func(env *Env) error {
@@ -30,7 +32,7 @@ func TestFutureCompletesWithError(t *testing.T) {
 
 func TestFutureDoubleCompleteIsNoop(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	f.Complete(nil, 1, nil)
 	f.Complete(nil, 2, nil)
 	var got any
@@ -84,6 +86,71 @@ func TestFutureReset(t *testing.T) {
 		}
 	}()
 	f.Reset()
+}
+
+// TestFutureWakesWaitersInOrder: a future wakes its waiters in the order
+// they queued, whether the first sits alone in the inline slot or a second
+// has moved the list to an array of its own, and a waiter that times out
+// leaves the others in order: among them the inline waiter dropped after a
+// later one queued behind it.
+func TestFutureWakesWaitersInOrder(t *testing.T) {
+	const ms = time.Millisecond
+	type waiter struct{ at, timeout time.Duration } // timeout 0: Wait
+	for _, tc := range []struct {
+		name    string
+		waiters []waiter
+		want    []string
+	}{
+		{"one", []waiter{{0, 0}}, []string{"w0"}},
+		{"two", []waiter{{0, 0}, {ms, 0}}, []string{"w0", "w1"}},
+		{"three", []waiter{{0, 0}, {ms, 0}, {2 * ms, 0}}, []string{"w0", "w1", "w2"}},
+		{"inline times out behind a queued waiter", []waiter{{0, 5 * ms}, {ms, 0}, {6 * ms, 0}},
+			[]string{"w0 timed out", "w1", "w2"}},
+		{"inline times out alone", []waiter{{0, ms}, {2 * ms, 0}, {3 * ms, 0}},
+			[]string{"w0 timed out", "w1", "w2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			f := NewFuture()
+			var got []string
+			for i, w := range tc.waiters {
+				s.Spawn(fmt.Sprintf("w%d", i), func(env *Env) error {
+					if err := env.Sleep(w.at); err != nil {
+						return err
+					}
+					var err error
+					if w.timeout > 0 {
+						_, err = f.WaitTimeout(env, w.timeout)
+					} else {
+						_, err = f.Wait(env)
+					}
+					switch {
+					case errors.Is(err, ErrTimeout):
+						got = append(got, env.Name()+" timed out")
+					case err != nil:
+						return err
+					default:
+						got = append(got, env.Name())
+					}
+					return nil
+				})
+			}
+			s.Spawn("completer", func(env *Env) error {
+				if err := env.Sleep(10 * ms); err != nil {
+					return err
+				}
+				f.Complete(env, nil, nil)
+				return nil
+			})
+			run(t, s)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("woken %v, want %v", got, tc.want)
+			}
+			if len(f.waiters) != 0 || f.wait1[0] != nil {
+				t.Errorf("completed future still holds waiters %v, inline %v", f.waiters, f.wait1[0])
+			}
+		})
+	}
 }
 
 func TestQueueLenAndSendAfterClose(t *testing.T) {

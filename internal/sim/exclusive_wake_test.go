@@ -26,7 +26,7 @@ func runExclusiveWakeProg(cfg progCfg, workers int) kernelFP {
 	for sh := 1; sh <= cfg.shards; sh++ {
 		futs := make([]*Future, rounds)
 		for i := range futs {
-			futs[i] = NewFuture(s)
+			futs[i] = NewFuture()
 		}
 		s.SpawnOn(sh, fmt.Sprintf("completer-%d", sh), func(env *Env) error {
 			r := env.LocalRand()
@@ -123,7 +123,7 @@ func TestFutureCompleteAcrossConfinedShardsPanics(t *testing.T) {
 			s.ConfigureParallel(workers)
 			regimeCase{pin: regimeWindowed}.apply(s)
 		}
-		f := NewFuture(s)
+		f := NewFuture()
 		s.SpawnOn(2, "waiter", func(env *Env) error {
 			_, err := f.Wait(env)
 			return err

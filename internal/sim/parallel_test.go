@@ -110,7 +110,7 @@ func runConfinedProg(cfg progCfg, workers int) kernelFP {
 						mbox.Send(env, fmt.Sprintf("%s@%d", env.Name(), env.Now()/time.Microsecond))
 					case 5:
 						// Short-lived same-shard child joined through a Future.
-						f := NewFuture(s)
+						f := NewFuture()
 						env.Spawn(fmt.Sprintf("%s-child-%d", env.Name(), step), func(c *Env) error {
 							if err := c.Sleep(time.Duration(c.LocalRand().Intn(300)) * time.Microsecond); err != nil {
 								return err
@@ -263,7 +263,7 @@ func runCancelProg(cfg progCfg, workers int) kernelFP {
 						to := 1 + r.Intn(cfg.shards)
 						boxes[to].SendAfter(env, fmt.Sprintf("%s#%d", env.Name(), step), cfg.lookahead+us(r, 300))
 					case 3:
-						f := NewFuture(s)
+						f := NewFuture()
 						env.Spawn(fmt.Sprintf("%s-child-%d", env.Name(), step), func(c *Env) error {
 							if err := c.Sleep(us(c.LocalRand(), 300)); err != nil {
 								return err

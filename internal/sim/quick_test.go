@@ -125,7 +125,7 @@ func TestWaitGroupRandomizedCompletions(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		n := 1 + int(n8%10)
 		s := New(seed)
-		wg := NewWaitGroup(s)
+		wg := NewWaitGroup()
 		wg.Add(n)
 		var maxEnd time.Duration
 		for i := 0; i < n; i++ {

@@ -107,7 +107,7 @@ func TestActivityPanicBecomesError(t *testing.T) {
 
 func TestFutureWakesWaiters(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	var got any
 	var wokenAt time.Duration
 	s.Spawn("waiter", func(env *Env) error {
@@ -137,7 +137,7 @@ func TestFutureWakesWaiters(t *testing.T) {
 
 func TestFutureWaitAfterComplete(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	f.Complete(nil, "done", nil)
 	var got any
 	s.Spawn("late", func(env *Env) error {
@@ -153,7 +153,7 @@ func TestFutureWaitAfterComplete(t *testing.T) {
 
 func TestFutureWaitTimeout(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	var gotErr error
 	var at time.Duration
 	s.Spawn("waiter", func(env *Env) error {
@@ -172,7 +172,7 @@ func TestFutureWaitTimeout(t *testing.T) {
 
 func TestFutureWaitTimeoutResolvedEarly(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	var got any
 	var gotErr error
 	s.Spawn("waiter", func(env *Env) error {
@@ -290,7 +290,7 @@ func TestResourceMultipleSlots(t *testing.T) {
 
 func TestWaitGroup(t *testing.T) {
 	s := New(1)
-	wg := NewWaitGroup(s)
+	wg := NewWaitGroup()
 	var doneAt time.Duration
 	wg.Add(3)
 	for i := 1; i <= 3; i++ {
@@ -315,7 +315,7 @@ func TestWaitGroup(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	s := New(1)
-	f := NewFuture(s)
+	f := NewFuture()
 	s.Spawn("stuck", func(env *Env) error {
 		_, err := f.Wait(env)
 		return err

@@ -8,18 +8,19 @@ import (
 // Future is a single-assignment value that activities can wait on. It is the
 // basic building block for request/response interactions (RPC replies,
 // process exit status, migration completion, ...).
+//
+// A Future is only ever used by pointer: its first waiter lives in wait1,
+// so a value copy would share that slot with the original.
 type Future struct {
-	sim     *Simulation
 	done    bool
 	value   any
 	err     error
-	waiters []*Env
+	waiters []*Env // FIFO; on wait1 until a second waiter queues
+	wait1   [1]*Env
 }
 
-// NewFuture returns an unresolved future bound to the simulation.
-func NewFuture(s *Simulation) *Future {
-	return &Future{sim: s}
-}
+// NewFuture returns an unresolved future.
+func NewFuture() *Future { return &Future{} }
 
 // Done reports whether the future has been completed.
 func (f *Future) Done() bool { return f.done }
@@ -40,8 +41,8 @@ func (f *Future) Complete(env *Env, value any, err error) {
 	for _, w := range f.waiters {
 		w.wakeNow(env, nil)
 	}
-	clear(f.waiters[:cap(f.waiters)]) // dropWaiter leaves copies past len
-	f.waiters = f.waiters[:0]
+	clear(f.waiters[:cap(f.waiters)])
+	f.waiters, f.wait1[0] = f.waiters[:0], nil // wait1 outlives a move to an array
 }
 
 // Reset re-arms a completed future, keeping its waiter array, once every
@@ -58,7 +59,7 @@ func (f *Future) Reset() {
 // its value and error. If the simulation stops first, it returns ErrStopped.
 func (f *Future) Wait(env *Env) (any, error) {
 	if !f.done {
-		f.waiters = append(f.waiters, env)
+		f.addWaiter(env)
 		if werr := env.block(); werr != nil {
 			f.dropWaiter(env)
 			return nil, werr
@@ -73,7 +74,7 @@ func (f *Future) WaitTimeout(env *Env, d time.Duration) (any, error) {
 	if f.done {
 		return f.value, f.err
 	}
-	f.waiters = append(f.waiters, env)
+	f.addWaiter(env)
 	env.act.wake = env.scheduleWake(d)
 	// If the timer fires, block returns nil but the future is unresolved.
 	if werr := env.block(); werr != nil {
@@ -87,12 +88,17 @@ func (f *Future) WaitTimeout(env *Env, d time.Duration) (any, error) {
 	return f.value, f.err
 }
 
+// addWaiter queues env; the first takes the inline slot, allocating nothing.
+func (f *Future) addWaiter(env *Env) {
+	if f.waiters == nil {
+		f.waiters = f.wait1[:0]
+	}
+	f.waiters = append(f.waiters, env)
+}
+
 func (f *Future) dropWaiter(env *Env) {
-	for i, w := range f.waiters {
-		if w == env {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			return
-		}
+	if i := slices.Index(f.waiters, env); i >= 0 {
+		f.waiters = slices.Delete(f.waiters, i, i+1)
 	}
 }
 
@@ -338,15 +344,12 @@ func (r *Resource) Acquired() uint64 { return r.acquired }
 // WaitGroup counts outstanding activities and lets one or more activities
 // wait for the count to reach zero.
 type WaitGroup struct {
-	sim     *Simulation
 	count   int
 	waiters []*Env
 }
 
-// NewWaitGroup returns a wait group bound to the simulation.
-func NewWaitGroup(s *Simulation) *WaitGroup {
-	return &WaitGroup{sim: s}
-}
+// NewWaitGroup returns a wait group with a zero count.
+func NewWaitGroup() *WaitGroup { return &WaitGroup{} }
 
 // Add increments the counter by n (n may be negative; Done is Add(-1)).
 func (w *WaitGroup) Add(n int) {
@@ -375,10 +378,7 @@ func (w *WaitGroup) Wait(env *Env) error {
 }
 
 func (w *WaitGroup) dropWaiter(env *Env) {
-	for i, e := range w.waiters {
-		if e == env {
-			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
-			return
-		}
+	if i := slices.Index(w.waiters, env); i >= 0 {
+		w.waiters = slices.Delete(w.waiters, i, i+1)
 	}
 }

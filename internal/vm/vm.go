@@ -144,7 +144,6 @@ func countTrue(bs []bool) int {
 // AddressSpace is a process's memory image.
 type AddressSpace struct {
 	params Params
-	name   string
 
 	Code  *Segment
 	Heap  *Segment
@@ -153,9 +152,12 @@ type AddressSpace struct {
 
 	stats Stats
 
-	// cpu is charged for fault handling; it is the current host's CPU and
-	// is updated on migration.
-	chargeCPU func(env *sim.Env, d time.Duration) error
+	cpu CPU // charged for fault handling; nil charges nothing
+}
+
+// CPU is what an address space charges fault handling to (a process).
+type CPU interface {
+	ChargeCPU(env *sim.Env, d time.Duration) error
 }
 
 // Config sizes a new address space.
@@ -179,7 +181,7 @@ func New(env *sim.Env, client *fs.Client, name string, cfg Config, params Params
 		params.PageSize = 8192
 	}
 	// The space holds its segments, and one array all their bitmaps.
-	as := &AddressSpace{params: params, name: name}
+	as := &AddressSpace{params: params}
 	fsp := FilePager{Client: client}
 	pages := [3]int{cfg.CodePages, cfg.HeapPages, cfg.StackPages}
 	bits := make([]bool, 2*(pages[0]+pages[1]+pages[2]))
@@ -239,11 +241,8 @@ func (as *AddressSpace) DirtyPages() int {
 	return as.Heap.DirtyCount() + as.Stack.DirtyCount()
 }
 
-// SetCPU installs the current host's CPU charge function (updated by the
-// kernel on migration).
-func (as *AddressSpace) SetCPU(charge func(env *sim.Env, d time.Duration) error) {
-	as.chargeCPU = charge
-}
+// SetCPU installs what fault handling is charged to.
+func (as *AddressSpace) SetCPU(cpu CPU) { as.cpu = cpu }
 
 // SetPagerAll installs one pager on every segment.
 func (as *AddressSpace) SetPagerAll(p Pager) {
@@ -261,8 +260,8 @@ func (as *AddressSpace) Touch(env *sim.Env, seg *Segment, page int, write bool) 
 	}
 	if !seg.resident[page] {
 		as.stats.Faults++
-		if as.chargeCPU != nil && as.params.FaultCPU > 0 {
-			if err := as.chargeCPU(env, as.params.FaultCPU); err != nil {
+		if as.cpu != nil && as.params.FaultCPU > 0 {
+			if err := as.cpu.ChargeCPU(env, as.params.FaultCPU); err != nil {
 				return err
 			}
 		}

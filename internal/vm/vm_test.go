@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/allocs"
 	"sprite/internal/fs"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
@@ -227,9 +228,7 @@ func TestNewAllocations(t *testing.T) {
 			}
 		}
 		build() // create the swap files and warm the server's tables
-		if a := testing.AllocsPerRun(100, build); a != 7 {
-			t.Errorf("vm.New allocates %.1f objects, want 7", a)
-		}
+		allocs.Check(t, "vm.new", testing.AllocsPerRun(100, build))
 		return nil
 	})
 }

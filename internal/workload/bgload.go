@@ -98,7 +98,7 @@ func StartBgLoad(s *sim.Simulation, reg *metrics.Registry, cfg BgLoadConfig) *Bg
 				if err != nil {
 					return nil
 				}
-				r := v.(BgLoadReport)
+				r := v.(*BgLoadReport)
 				if r.Tick < 0 {
 					// Retirement sentinel from a daemon that exhausted its
 					// tick budget; once all have retired the collector exits
@@ -123,9 +123,21 @@ func StartBgLoad(s *sim.Simulation, reg *metrics.Registry, cfg BgLoadConfig) *Bg
 }
 
 // daemon is one host's load-accounting loop: jittered ticks, a burst of
-// synthetic bookkeeping per tick, sharded metrics, periodic reports.
+// synthetic bookkeeping per tick, sharded metrics, periodic reports. A
+// report travels as a pointer into the daemon's slab of 16, so sending it
+// boxes nothing; a used-up slab is left to the collector and a fresh one
+// made.
 func (b *BgLoad) daemon(host int) func(env *sim.Env) error {
 	return func(env *sim.Env) error {
+		var slab []BgLoadReport
+		send := func(rep BgLoadReport) {
+			if len(slab) == 0 {
+				slab = make([]BgLoadReport, 16)
+			}
+			slab[0] = rep
+			b.mbox.Send(env, &slab[0])
+			slab = slab[1:]
+		}
 		r := env.LocalRand()
 		slot := 0
 		load := uint64(env.Shard())
@@ -146,12 +158,12 @@ func (b *BgLoad) daemon(host int) func(env *sim.Env) error {
 			last = env.Now()
 			if b.mbox != nil && b.cfg.ReportEvery > 0 && (tick+1)%b.cfg.ReportEvery == 0 {
 				env.Emit(trace.Event{Kind: trace.BgLoadReport, Host: host, Tick: tick})
-				b.mbox.Send(env, BgLoadReport{Host: host, Tick: tick, Load: load})
+				send(BgLoadReport{Host: host, Tick: tick, Load: load})
 				b.reports.IncSlot(slot)
 			}
 		}
 		if b.mbox != nil {
-			b.mbox.Send(env, BgLoadReport{Host: host, Tick: -1, Load: load})
+			send(BgLoadReport{Host: host, Tick: -1, Load: load})
 		}
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/allocs"
 	"sprite/internal/metrics"
 	"sprite/internal/sim"
 	"sprite/internal/trace"
@@ -135,7 +136,38 @@ func TestBgLoadUntracedReportsFormatNothing(t *testing.T) {
 	}
 	untraced, traced := least(nil), least(func(trace.Event) {})
 	t.Logf("%d reports: %d objects traced, %d untraced", reports, traced, untraced)
-	if traced > untraced {
-		t.Errorf("traced run allocated %d objects, untraced %d: emitting %d reports into a sink that keeps nothing allocated", traced, untraced, reports)
+	allocs.Check(t, "workload.bgload.traced_over_untraced", float64(traced)-float64(untraced))
+}
+
+// TestBgLoadReportsShareSlabs: a report travels to the collector as a
+// pointer into its daemon's slab of reports, so the plane pays one object
+// per slab where boxing every report into the mailbox's any paid one per
+// report (row workload.bgload.report). The cost per report is the slope
+// between a plane that reports every tick and one that reports every
+// fifth, each the least of three runs on the serial kernel.
+func TestBgLoadReportsShareSlabs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
 	}
+	const hosts, ticks = 8, 80
+	run := func(every int) uint64 {
+		s := sim.New(3)
+		b := StartBgLoad(s, nil, BgLoadConfig{Hosts: hosts, Tick: time.Millisecond, WorkPerTick: 50, Ticks: ticks, ReportEvery: every})
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if want := hosts * ticks / every; b.Received() != want {
+			t.Fatalf("collector received %d reports, want %d", b.Received(), want)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	least := func(every int) float64 {
+		return float64(min(run(every), run(every), run(every)))
+	}
+	perReport := (least(1) - least(5)) / (hosts*ticks - hosts*ticks/5)
+	t.Logf("%.4f objects per report", perReport)
+	allocs.Check(t, "workload.bgload.report", perReport)
 }
