@@ -75,6 +75,12 @@ fuzz:
 # parallel kernel forced: a gossip view, claim and hint queue live at their
 # workstation, touched only by that host's handlers and daemon, while
 # gossip rounds and claims reach them from every other shard.
+# The seventh leg does the same for migration rollback, whose abort suites
+# each run on an unconfined and a confined cluster, here with the parallel
+# kernel forced so the confined subtests run on worker goroutines: an
+# aborted migration's target drops the PCB, applies the fs records carried
+# for it and moves the streams back in its k.migAbort handler, on its own
+# shard, while the source waits for the reply.
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/pdev ./internal/experiments
@@ -84,6 +90,7 @@ race:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 ./internal/pdev
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestRequestAndReleaseAllArchitectures|TestNoDoubleGrant|TestBusyHostsNotOffered|TestCentral(FairAllocationUnderContention|EvictsOnOwnerReturn|CrashAndRestart|RestartForgetsAssignments)|TestProbabilistic(GossipPropagates|StaleViewCausesConflict)|TestMulticastStatelessQuery|TestSharedFileDisablesCachingByDesign|TestAvailabilityUpdateCostOrdering|TestChurn(Flapping|Partition)AllSelectors)$$' ./internal/hostsel
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestMigrationAbortRollsBack|TestMigrationToDownHostAbortsCleanly|TestMigrationVersionMismatchRejected|TestLostMigAbortLeavesNoGhost|TestBulkAbortMidBatchRollsBack)$$' ./internal/core ./internal/fault
 
 # The allocation contract (BENCH_allocs.json, DESIGN.md §17): rerun every
 # package whose tests check a row, one package at a time so no two rewrite

@@ -283,22 +283,13 @@ func TestConfinedCrossHostStorm(t *testing.T) {
 }
 
 // TestConfinedContract verifies the §14 restrictions fail loudly rather
-// than corrupt a run: the crash/restart plane and migration aborts panic on
-// a confined cluster.
+// than corrupt a run: the crash/restart plane panics on a confined cluster.
+// A migration abort is not one of them; its target-side repair runs on the
+// target's shard (TestMigrationAbortRollsBack).
 func TestConfinedContract(t *testing.T) {
-	newConfined := func(t *testing.T) *Cluster {
-		t.Helper()
-		params := DefaultParams()
-		params.Sim.ConfineHosts = true
-		c, err := NewCluster(Options{Workstations: 2, FileServers: 1, Seed: 1, Params: &params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	// Activity panics surface as the activity's error, which Run reports.
 	t.Run("crash-panics", func(t *testing.T) {
-		c := newConfined(t)
+		c := newShapedCluster(t, 2, true)
 		c.BootOn(c.Workstation(0).Host(), "crasher", func(env *sim.Env) error {
 			c.CrashHost(env, c.Workstation(1).Host())
 			return nil
@@ -306,33 +297,6 @@ func TestConfinedContract(t *testing.T) {
 		err := c.Run(0)
 		if err == nil || !strings.Contains(err.Error(), "not supported under host confinement") {
 			t.Fatalf("confined CrashHost: err = %v, want confinement panic", err)
-		}
-	})
-	t.Run("abort-panics", func(t *testing.T) {
-		c := newConfined(t)
-		if err := c.SeedBinary("/bin/prog", 8<<10); err != nil {
-			t.Fatal(err)
-		}
-		c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
-			if fp == FailMigInit {
-				return fmt.Errorf("injected")
-			}
-			return nil
-		})
-		src, dst := c.Workstation(0), c.Workstation(1)
-		c.BootOn(src.Host(), "driver", func(env *sim.Env) error {
-			p, err := src.StartProcess(env, "victim", func(ctx *Ctx) error {
-				return ctx.Migrate(dst.Host())
-			}, ProcConfig{Binary: "/bin/prog", CodePages: 1, HeapPages: 4, StackPages: 1})
-			if err != nil {
-				return err
-			}
-			_, err = p.Exited().Wait(env)
-			return err
-		})
-		err := c.Run(0)
-		if err == nil || !strings.Contains(err.Error(), "migration abort") {
-			t.Fatalf("confined migration abort: err = %v, want abort panic", err)
 		}
 	})
 }

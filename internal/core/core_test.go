@@ -12,9 +12,34 @@ import (
 // newCluster builds a small test cluster with a seeded binary.
 func newCluster(t *testing.T, workstations int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(Options{Workstations: workstations, FileServers: 1, Seed: 1})
+	return newShapedCluster(t, workstations, false)
+}
+
+// eachShape runs test as one subtest per cluster shape: "unconfined", every
+// host on the exclusive shard with direct RPC, and "confined", each host on
+// its own shard with mailbox RPC (Params.Sim.ConfineHosts).
+func eachShape(t *testing.T, test func(t *testing.T, confined bool)) {
+	for _, confined := range []bool{false, true} {
+		name := "unconfined"
+		if confined {
+			name = "confined"
+		}
+		t.Run(name, func(t *testing.T) { test(t, confined) })
+	}
+}
+
+// newShapedCluster is newCluster in either shape; a confined one fails the
+// test unless its transport is confined.
+func newShapedCluster(t *testing.T, workstations int, confined bool) *Cluster {
+	t.Helper()
+	params := DefaultParams()
+	params.Sim.ConfineHosts = confined
+	c, err := NewCluster(Options{Workstations: workstations, FileServers: 1, Seed: 1, Params: &params})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if confined && !c.Transport().Confined() {
+		t.Fatal("cluster is not confined")
 	}
 	if err := c.SeedBinary("/bin/prog", 128*1024); err != nil {
 		t.Fatal(err)
@@ -512,25 +537,27 @@ func TestSharedMemoryProcessRefusesMigration(t *testing.T) {
 }
 
 func TestMigrationVersionMismatchRejected(t *testing.T) {
-	c := newCluster(t, 2)
-	src, dst := c.Workstation(0), c.Workstation(1)
-	dst.SetMigrationVersion(2)
-	var merr error
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := src.StartProcess(env, "versioned", func(ctx *Ctx) error {
-			merr = ctx.Migrate(dst.Host())
-			return nil
-		}, smallProc)
-		if err != nil {
+	eachShape(t, func(t *testing.T, confined bool) {
+		c := newShapedCluster(t, 2, confined)
+		src, dst := c.Workstation(0), c.Workstation(1)
+		dst.SetMigrationVersion(2)
+		var merr error
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := src.StartProcess(env, "versioned", func(ctx *Ctx) error {
+				merr = ctx.Migrate(dst.Host())
+				return nil
+			}, smallProc)
+			if err != nil {
+				return err
+			}
+			_, err = p.Exited().Wait(env)
 			return err
+		})
+		runCluster(t, c)
+		if !errors.Is(merr, ErrVersionMismatch) {
+			t.Fatalf("err = %v, want ErrVersionMismatch", merr)
 		}
-		_, err = p.Exited().Wait(env)
-		return err
 	})
-	runCluster(t, c)
-	if !errors.Is(merr, ErrVersionMismatch) {
-		t.Fatalf("err = %v, want ErrVersionMismatch", merr)
-	}
 }
 
 func TestKillRoutedThroughHome(t *testing.T) {

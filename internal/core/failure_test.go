@@ -19,40 +19,42 @@ var bigProc = ProcConfig{Binary: "/bin/prog", CodePages: 4, HeapPages: 32, Stack
 // the source (Charlotte-style abort-before-commit; Sprite's handshake gives
 // the same property).
 func TestMigrationToDownHostAbortsCleanly(t *testing.T) {
-	c := newCluster(t, 2)
-	src, dst := c.Workstation(0), c.Workstation(1)
-	c.Transport().Endpoint(dst.Host()).SetDown(true)
-	var merr error
-	var finishedOn rpc.HostID
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := src.StartProcess(env, "survivor", func(ctx *Ctx) error {
-			if err := ctx.TouchHeap(0, 8, true); err != nil {
+	eachShape(t, func(t *testing.T, confined bool) {
+		c := newShapedCluster(t, 2, confined)
+		src, dst := c.Workstation(0), c.Workstation(1)
+		c.Transport().Endpoint(dst.Host()).SetDown(true)
+		var merr error
+		var finishedOn rpc.HostID
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := src.StartProcess(env, "survivor", func(ctx *Ctx) error {
+				if err := ctx.TouchHeap(0, 8, true); err != nil {
+					return err
+				}
+				merr = ctx.Migrate(dst.Host())
+				// Life goes on at the source.
+				if err := ctx.Compute(50 * time.Millisecond); err != nil {
+					return err
+				}
+				finishedOn = ctx.Process().Current().Host()
+				return nil
+			}, smallProc)
+			if err != nil {
 				return err
 			}
-			merr = ctx.Migrate(dst.Host())
-			// Life goes on at the source.
-			if err := ctx.Compute(50 * time.Millisecond); err != nil {
-				return err
-			}
-			finishedOn = ctx.Process().Current().Host()
-			return nil
-		}, smallProc)
-		if err != nil {
+			_, err = p.Exited().Wait(env)
 			return err
+		})
+		runCluster(t, c)
+		if !errors.Is(merr, rpc.ErrHostDown) {
+			t.Fatalf("migrate err = %v, want ErrHostDown", merr)
 		}
-		_, err = p.Exited().Wait(env)
-		return err
+		if finishedOn != src.Host() {
+			t.Fatalf("finished on %v, want source %v", finishedOn, src.Host())
+		}
+		if src.Stats().MigrationsOut != 0 {
+			t.Fatal("aborted migration was counted as completed")
+		}
 	})
-	runCluster(t, c)
-	if !errors.Is(merr, rpc.ErrHostDown) {
-		t.Fatalf("migrate err = %v, want ErrHostDown", merr)
-	}
-	if finishedOn != src.Host() {
-		t.Fatalf("finished on %v, want source %v", finishedOn, src.Host())
-	}
-	if src.Stats().MigrationsOut != 0 {
-		t.Fatal("aborted migration was counted as completed")
-	}
 }
 
 // residualHarness runs: start on home, migrate home->A, migrate A->B, then
@@ -314,127 +316,224 @@ func TestMigrationAbortRollsBack(t *testing.T) {
 				name = "exec/" + tc.point.String()
 			}
 			t.Run(name, func(t *testing.T) {
-				c := newCluster(t, 2)
-				src, dst := c.Workstation(0), c.Workstation(1)
-				armed := true
-				c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
-					if armed && fp == tc.point {
-						armed = false
-						return injected
+				eachShape(t, func(t *testing.T, confined bool) {
+					c := newShapedCluster(t, 2, confined)
+					src, dst := c.Workstation(0), c.Workstation(1)
+					armed := true
+					c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
+						if armed && fp == tc.point {
+							armed = false
+							return injected
+						}
+						return nil
+					})
+					ready := sim.NewFuture()
+					var fd int
+					var ranOn rpc.HostID
+					// after is what the process does once the migration has
+					// aborted: keep using the stream that moved and came back.
+					after := func(ctx *Ctx) error {
+						ranOn = ctx.Process().Current().Host()
+						if _, err := ctx.Write(fd, []byte("after")); err != nil {
+							return err
+						}
+						return ctx.Close(fd)
 					}
-					return nil
-				})
-				ready := sim.NewFuture()
-				var fd int
-				var ranOn rpc.HostID
-				// after is what the process does once the migration has
-				// aborted: keep using the stream that moved and came back.
-				after := func(ctx *Ctx) error {
-					ranOn = ctx.Process().Current().Host()
-					if _, err := ctx.Write(fd, []byte("after")); err != nil {
-						return err
-					}
-					return ctx.Close(fd)
-				}
-				c.Boot("boot", func(env *sim.Env) error {
-					p, err := src.StartProcess(env, "unlucky", func(ctx *Ctx) error {
-						var err error
-						if fd, err = ctx.Open("/log", fs.WriteMode, fs.OpenOptions{Create: true}); err != nil {
+					c.Boot("boot", func(env *sim.Env) error {
+						p, err := src.StartProcess(env, "unlucky", func(ctx *Ctx) error {
+							var err error
+							if fd, err = ctx.Open("/log", fs.WriteMode, fs.OpenOptions{Create: true}); err != nil {
+								return err
+							}
+							if _, err := ctx.Write(fd, []byte("before ")); err != nil {
+								return err
+							}
+							if err := ctx.TouchHeap(0, 16, true); err != nil {
+								return err
+							}
+							ready.Complete(ctx.Env(), nil, nil)
+							// A full migration fires at one of these quanta.
+							if err := ctx.Compute(20 * time.Millisecond); err != nil {
+								return err
+							}
+							if atExec {
+								return ctx.Exec("image", after, smallProc)
+							}
+							return after(ctx)
+						}, bigProc)
+						if err != nil {
 							return err
 						}
-						if _, err := ctx.Write(fd, []byte("before ")); err != nil {
+						if _, err := ready.Wait(env); err != nil {
 							return err
 						}
-						if err := ctx.TouchHeap(0, 16, true); err != nil {
-							return err
-						}
-						ready.Complete(ctx.Env(), nil, nil)
-						// A full migration fires at one of these quanta.
-						if err := ctx.Compute(20 * time.Millisecond); err != nil {
-							return err
-						}
+						request := src.RequestMigration
 						if atExec {
-							return ctx.Exec("image", after, smallProc)
+							request = src.RequestExecMigration
 						}
-						return after(ctx)
-					}, bigProc)
-					if err != nil {
-						return err
-					}
-					if _, err := ready.Wait(env); err != nil {
-						return err
-					}
-					request := src.RequestMigration
-					if atExec {
-						request = src.RequestExecMigration
-					}
-					landed, merr := request(p, dst, "test").Wait(env)
-					if atExec {
-						if merr != nil || landed != src.Host() {
-							t.Errorf("demoted exec resolved to (%v, %v), want (%v, nil)", landed, merr, src.Host())
+						landed, merr := request(p, dst, "test").Wait(env)
+						if atExec {
+							if merr != nil || landed != src.Host() {
+								t.Errorf("demoted exec resolved to (%v, %v), want (%v, nil)", landed, merr, src.Host())
+							}
+						} else if !errors.Is(merr, injected) {
+							t.Errorf("requester saw %v, want the injected fault", merr)
 						}
-					} else if !errors.Is(merr, injected) {
-						t.Errorf("requester saw %v, want the injected fault", merr)
-					}
-					// The instant the requester hears of it, the rollback is
-					// already complete.
-					if p.Current() != src || p.State() != StateRunning {
-						t.Errorf("after abort: on %v in state %v, want running on source", p.Current().Host(), p.State())
-					}
-					if _, ghost := dst.procs[p.pid]; ghost {
-						t.Error("target still holds the aborted process's PCB")
-					}
-					for _, st := range p.allStreams(nil) {
-						if st.RefsOn(src.Host()) == 0 || st.RefsOn(dst.Host()) != 0 {
-							t.Errorf("stream %s: refs source=%d target=%d, want all back on the source",
-								st.Path, st.RefsOn(src.Host()), st.RefsOn(dst.Host()))
+						// The instant the requester hears of it, the rollback is
+						// already complete.
+						if p.Current() != src || p.State() != StateRunning {
+							t.Errorf("after abort: on %v in state %v, want running on source", p.Current().Host(), p.State())
 						}
-					}
-					status, err := p.Exited().Wait(env)
-					if err != nil {
-						return err
-					}
-					if status != 0 {
-						t.Errorf("exit status = %v, want 0", status)
-					}
-					got, err := src.FSClient().ReadFile(env, "/log")
-					if err != nil {
-						return err
-					}
-					if string(got) != "before after" {
-						t.Errorf("file = %q, want %q", got, "before after")
-					}
-					return nil
-				})
-				runCluster(t, c)
+						if _, ghost := dst.procs[p.pid]; ghost {
+							t.Error("target still holds the aborted process's PCB")
+						}
+						for _, st := range p.allStreams(nil) {
+							if st.RefsOn(src.Host()) == 0 || st.RefsOn(dst.Host()) != 0 {
+								t.Errorf("stream %s: refs source=%d target=%d, want all back on the source",
+									st.Path, st.RefsOn(src.Host()), st.RefsOn(dst.Host()))
+							}
+						}
+						status, err := p.Exited().Wait(env)
+						if err != nil {
+							return err
+						}
+						if status != 0 {
+							t.Errorf("exit status = %v, want 0", status)
+						}
+						got, err := src.FSClient().ReadFile(env, "/log")
+						if err != nil {
+							return err
+						}
+						if string(got) != "before after" {
+							t.Errorf("file = %q, want %q", got, "before after")
+						}
+						return nil
+					})
+					runCluster(t, c)
 
-				if ranOn != src.Host() {
-					t.Errorf("ran on %v after the abort, want source %v", ranOn, src.Host())
-				}
-				if s, d := src.Stats(), dst.Stats(); s.MigrationsAborted != 1 || s.MigrationsOut != 0 || s.RemoteExecs != 0 || d.MigrationsIn != 0 {
-					t.Errorf("stats: source %+v, target %+v", s, d)
-				}
-				if n := len(c.MigrationRecords()); n != 0 {
-					t.Errorf("%d migration records for an aborted migration", n)
-				}
-				snap := c.MetricsSnapshot()
-				for name, want := range map[string]int64{
-					"mig.started": 1, "mig.completed": 0, "mig.aborted": 1, "mig.aborted." + tc.phase: 1,
-				} {
-					if got := snap.Counters[name]; got != want {
-						t.Errorf("%s = %d, want %d", name, got, want)
+					if ranOn != src.Host() {
+						t.Errorf("ran on %v after the abort, want source %v", ranOn, src.Host())
 					}
-				}
-				for _, name := range []string{"mig.phase." + tc.phase, "mig.total", "mig.freeze"} {
-					if ts := snap.Timings[name]; ts.N != 0 {
-						t.Errorf("timing %s survived the rollback: %+v", name, ts)
+					if s, d := src.Stats(), dst.Stats(); s.MigrationsAborted != 1 || s.MigrationsOut != 0 || s.RemoteExecs != 0 || d.MigrationsIn != 0 {
+						t.Errorf("stats: source %+v, target %+v", s, d)
 					}
-				}
-				if v := c.CheckInvariants(true); len(v) != 0 {
-					t.Errorf("invariants: %v", v)
-				}
+					if n := len(c.MigrationRecords()); n != 0 {
+						t.Errorf("%d migration records for an aborted migration", n)
+					}
+					snap := c.MetricsSnapshot()
+					for name, want := range map[string]int64{
+						"mig.started": 1, "mig.completed": 0, "mig.aborted": 1, "mig.aborted." + tc.phase: 1,
+					} {
+						if got := snap.Counters[name]; got != want {
+							t.Errorf("%s = %d, want %d", name, got, want)
+						}
+					}
+					for _, name := range []string{"mig.phase." + tc.phase, "mig.total", "mig.freeze"} {
+						if ts := snap.Timings[name]; ts.N != 0 {
+							t.Errorf("timing %s survived the rollback: %+v", name, ts)
+						}
+					}
+					if v := c.CheckInvariants(true); len(v) != 0 {
+						t.Errorf("invariants: %v", v)
+					}
+				})
 			})
 		}
+	}
+}
+
+// abortDropper loses every k.migAbort request, or every reply, sent in the
+// window that opens with the first one; other services pass untouched, so
+// it keeps no state but what the migrating process's own calls write.
+type abortDropper struct {
+	reply   bool
+	window  time.Duration
+	opened  time.Duration
+	dropped int
+}
+
+func (d *abortDropper) Intercept(env *sim.Env, from, to rpc.HostID, service string, attempt int) rpc.Verdict {
+	if service != "k.migAbort" {
+		return rpc.Verdict{}
+	}
+	if d.dropped == 0 {
+		d.opened = env.Now()
+	}
+	if env.Now()-d.opened >= d.window {
+		return rpc.Verdict{}
+	}
+	d.dropped++
+	return rpc.Verdict{DropRequest: !d.reply, DropReply: d.reply}
+}
+
+// TestLostMigAbortLeavesNoGhost: the network loses the target's rollback
+// call for longer than one call's retry budget after a k.migPCB-installed
+// PCB was aborted, then heals. The source calls again while the target
+// stays up in the same incarnation, so the target still drops the PCB and
+// moves the stream back, and nothing leaks. Lost replies make the target
+// run the repair and then answer a repeated call, which must change
+// nothing.
+func TestLostMigAbortLeavesNoGhost(t *testing.T) {
+	eachShape(t, func(t *testing.T, confined bool) {
+		for _, reply := range []bool{false, true} {
+			name := "request"
+			if reply {
+				name = "reply"
+			}
+			t.Run(name, func(t *testing.T) { lostMigAbort(t, confined, reply) })
+		}
+	})
+}
+
+// lostMigAbort runs one TestLostMigAbortLeavesNoGhost case.
+func lostMigAbort(t *testing.T, confined, reply bool) {
+	c := newShapedCluster(t, 2, confined)
+	src, dst := c.Workstation(0), c.Workstation(1)
+	injected := errors.New("injected fault")
+	c.SetFailpoint(func(env *sim.Env, fp Failpoint, pid PID) error {
+		if fp == FailMigPCB {
+			return injected
+		}
+		return nil
+	})
+	rp := c.Params().RPC
+	budget := time.Duration(rp.MaxRetries+1)*rp.CallTimeout + rp.RetryBackoff<<rp.MaxRetries
+	drops := &abortDropper{reply: reply, window: 2 * budget}
+	c.Transport().SetInjector(drops)
+	var merr error
+	c.Boot("boot", func(env *sim.Env) error {
+		p, err := src.StartProcess(env, "unlucky", func(ctx *Ctx) error {
+			fd, err := ctx.Open("/log", fs.WriteMode, fs.OpenOptions{Create: true})
+			if err != nil {
+				return err
+			}
+			if _, err := ctx.Write(fd, []byte("before ")); err != nil {
+				return err
+			}
+			merr = ctx.Migrate(dst.Host())
+			if _, err := ctx.Write(fd, []byte("after")); err != nil {
+				return err
+			}
+			return ctx.Close(fd)
+		}, smallProc)
+		if err != nil {
+			return err
+		}
+		_, err = p.Exited().Wait(env)
+		return err
+	})
+	runCluster(t, c)
+	if !errors.Is(merr, injected) {
+		t.Fatalf("migrate err = %v, want the injected fault", merr)
+	}
+	if d := dst.Stats(); d.MigrationsIn != 0 || len(dst.procs) != 0 {
+		t.Errorf("target keeps %d processes, MigrationsIn %d", len(dst.procs), d.MigrationsIn)
+	}
+	if v := c.CheckInvariants(true); len(v) != 0 {
+		t.Errorf("invariants: %v", v)
+	}
+	if drops.dropped <= rp.MaxRetries+1 || c.Transport().Timeouts() == 0 {
+		t.Errorf("%d k.migAbort messages dropped, %d calls timed out: the window never outlasted a call", drops.dropped, c.Transport().Timeouts())
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -353,26 +354,24 @@ func (c *Cluster) releaseMoved(p *Process, target *Kernel) {
 	p.migMoved = nil
 }
 
-// recoverStreams undoes a partial stream transfer when a migration aborts:
-// every stream already moved is moved back, newest first. If the normal RPC
-// move-back is impossible (the target host crashed — the usual reason for
-// the abort), the source kernel repairs the stream state directly, mirroring
-// Sprite's post-crash RPC recovery. A stream leaves p.migMoved as its move
-// back starts, so a crash of this host meanwhile releases (destroyProcess)
-// only the streams still at the target.
-func (k *Kernel) recoverStreams(env *sim.Env, p *Process, target *Kernel) {
-	for n := len(p.migMoved); n > 0 && !p.crashed; n = len(p.migMoved) {
-		st := p.migMoved[n-1]
-		p.migMoved = p.migMoved[:n-1]
-		err := target.fsc.MoveStream(env, st, k.host)
-		switch {
-		case p.crashed:
-			// This host died during the move back, scrubbing the reference
-			// already shifted here: align both hosts' server entries with
-			// what the clients still hold, whether or not the call ran.
-			k.cluster.fs.RecoverStream(st, k.host, target.host)
-		case err != nil:
-			k.cluster.fs.RecoverStream(st, target.host, k.host)
+// rollBack has the target undo its half of p's aborted migration on its own
+// shard (handleMigAbort), one path for both cluster shapes. A lost call is
+// sent again while the target stays up in the incarnation the migration
+// negotiated with, as only it can drop a PCB it installed. Once that is gone
+// (CrashHost dropped the skeleton), or the call fails otherwise, the source
+// repairs the moved streams itself and drops the stale fs records.
+func (k *Kernel) rollBack(env *sim.Env, p *Process, target *Kernel, epoch rpc.Epoch) {
+	_, err := kMigAbort.Call(k.ep, env, target.host, p, 16)
+	for errors.Is(err, rpc.ErrTimeout) && !k.cluster.HostDown(target.host) && k.cluster.HostEpoch(target.host) == epoch {
+		_, err = kMigAbort.Call(k.ep, env, target.host, p, 16)
+	}
+	switch {
+	case err == nil:
+		p.migRecon = k.fsc.ApplyReconciles(p.migRecon)
+	case !p.crashed:
+		for i := len(p.migMoved) - 1; i >= 0; i-- {
+			k.cluster.fs.RecoverStream(p.migMoved[i], target.host, k.host)
 		}
+		p.migMoved, p.migRecon = p.migMoved[:0], p.migRecon[:0]
 	}
 }

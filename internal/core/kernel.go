@@ -105,6 +105,7 @@ func newKernel(c *Cluster, host rpc.HostID) *Kernel {
 	kForward.Handle(k.ep, k.handleForward)
 	kMigInit.Handle(k.ep, k.handleMigInit)
 	kMigPCB.Handle(k.ep, k.handleMigPCB)
+	kMigAbort.Handle(k.ep, k.handleMigAbort)
 	kUpdateLoc.Handle(k.ep, k.handleUpdateLoc)
 	kExitNotify.Handle(k.ep, k.handleExitNotify)
 	kKill.Handle(k.ep, k.handleKill)
@@ -565,10 +566,6 @@ type (
 		PID     PID
 		Version int
 	}
-	migPCBArgs struct {
-		PID  PID
-		Proc *Process
-	}
 	updateLocArgs struct {
 		PID PID
 		Loc rpc.HostID
@@ -596,7 +593,8 @@ type (
 // The k.* kernel-to-kernel services.
 var (
 	kMigInit    = rpc.NewService[migInitArgs, struct{}]("k.migInit")
-	kMigPCB     = rpc.NewService[migPCBArgs, struct{}]("k.migPCB")
+	kMigPCB     = rpc.NewService[*Process, struct{}]("k.migPCB")
+	kMigAbort   = rpc.NewService[*Process, struct{}]("k.migAbort")
 	kUpdateLoc  = rpc.NewService[updateLocArgs, struct{}]("k.updateLoc")
 	kExitNotify = rpc.NewService[exitNotifyArgs, struct{}]("k.exitNotify")
 	kKill       = rpc.NewService[killArgs, struct{}]("k.kill")
@@ -629,13 +627,47 @@ func (k *Kernel) handleMigInit(env *sim.Env, from rpc.HostID, a migInitArgs) (st
 	return struct{}{}, 16, nil
 }
 
-func (k *Kernel) handleMigPCB(env *sim.Env, from rpc.HostID, a migPCBArgs) (struct{}, int, error) {
+func (k *Kernel) handleMigPCB(env *sim.Env, from rpc.HostID, p *Process) (struct{}, int, error) {
 	if err := k.cpu.Compute(env, k.params.MigPCBCPU); err != nil {
 		return struct{}{}, 0, err
 	}
-	k.procs[a.PID] = a.Proc
+	if k.ep.Down() { // unconfined, this host's crash does not interrupt the caller
+		return struct{}{}, 0, fmt.Errorf("%w: %v", rpc.ErrHostDown, k.host)
+	}
+	k.procs[p.pid] = p
 	k.stats.MigrationsIn++
 	return struct{}{}, 16, nil
+}
+
+// handleMigAbort undoes this host's half of p's aborted migration from src
+// (rollBack): it drops the PCB if installed, applies the fs records carried
+// for it and moves each moved stream back, newest first, popping it first so
+// a crash of src meanwhile releases (destroyProcess) only the rest. The
+// records its moves defer for src ride back on p.
+func (k *Kernel) handleMigAbort(env *sim.Env, src rpc.HostID, p *Process) (struct{}, int, error) {
+	if _, ghost := k.procs[p.pid]; ghost {
+		delete(k.procs, p.pid)
+		k.stats.MigrationsIn--
+	}
+	if len(p.migMoved) == 0 { // nothing moved, or a repeated call: p.migRecon is src's
+		return struct{}{}, 8, nil
+	}
+	p.migRecon = k.fsc.ApplyReconciles(p.migRecon)
+	for n := len(p.migMoved); n > 0 && !p.crashed; n = len(p.migMoved) {
+		st := p.migMoved[n-1]
+		p.migMoved = p.migMoved[:n-1]
+		err := k.fsc.MoveStream(env, st, src)
+		switch {
+		case p.crashed:
+			// src died during the move back, scrubbing the reference shifted
+			// there: align both hosts' server entries with the clients.
+			k.cluster.fs.RecoverStream(st, src, k.host)
+		case err != nil:
+			k.cluster.fs.RecoverStream(st, k.host, src)
+		}
+	}
+	p.migRecon = k.fsc.AppendReconciles(p.migRecon)
+	return struct{}{}, 8, nil
 }
 
 func (k *Kernel) handleUpdateLoc(env *sim.Env, from rpc.HostID, a updateLocArgs) (struct{}, int, error) {

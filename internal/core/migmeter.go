@@ -133,10 +133,7 @@ func (m *migMeter) complete(env *sim.Env) time.Duration {
 }
 
 // abort retires the migration as aborted, charging the interruption to the
-// phase that was in flight. Aborts only happen under the serial kernel —
-// the confined contract excludes every abort trigger — but the slot calls
-// cost nothing there (slot 0 is the shared base cell) and keep the meter
-// uniformly shard-safe.
+// phase that was in flight, in the source's slot like every other charge.
 func (m *migMeter) abort(env *sim.Env) {
 	if m.done {
 		return

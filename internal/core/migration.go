@@ -152,34 +152,17 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 	mm := newMigMeter(env, k.cluster.metrics, rec.Strategy)
 
 	// abort undoes a partial migration so the process resumes on the
-	// source (where an exec rebuilds the image locally instead): streams
-	// already moved come back, a PCB already installed at the target is
-	// discarded there. A process destroyed by a crash of its own host skips
-	// recovery — there is nothing left to resume. The metrics rollback
-	// always runs: an aborted migration must not leave a phase timing or a
-	// dangling in-flight count behind.
+	// source (where an exec rebuilds the image locally instead), the target
+	// repairing its half (rollBack). A process destroyed by a crash of its
+	// own host skips that: there is nothing left to resume. The metrics
+	// rollback always runs, leaving no phase timing or in-flight count.
 	abort := func(err error) error {
-		if k.cluster.transport.Confined() {
-			// Abort recovery repairs target-side tables from the source
-			// activity — cross-shard by nature. The confined contract
-			// excludes every abort trigger (crashes, failpoints, version
-			// skew), so reaching here is a configuration bug.
-			panic(&sim.ConfinedContractError{
-				Op:     "migration abort",
-				Host:   fmt.Sprintf("%v (on %v)", p.pid, k.host),
-				Reason: err.Error(),
-			})
-		}
 		mm.abort(env)
 		k.stats.MigrationsAborted++
 		if p.crashed {
 			return err
 		}
-		k.recoverStreams(env, p, target)
-		if _, installed := target.procs[p.pid]; installed {
-			delete(target.procs, p.pid)
-			target.stats.MigrationsIn--
-		}
+		k.rollBack(env, p, target, epoch)
 		p.state = StateRunning
 		return err
 	}
@@ -412,15 +395,11 @@ func (k *Kernel) transferStreams(env *sim.Env, p *Process, target *Kernel, rec *
 		if err != nil {
 			return fmt.Errorf("move %s: %w", st.Path, err)
 		}
-		if k.cluster.transport.Confined() {
-			// The destination client's version/size updates for this move are
-			// pended on the source client (MoveStream cannot write another
-			// shard's tables); carry them on the process, which applies them
-			// after it rehomes onto the target shard. Harvesting per call
-			// keeps concurrent migrations from the same source untangled —
-			// MoveStream cannot yield between pending and returning.
-			p.migRecon = k.fsc.AppendReconciles(p.migRecon)
-		}
+		// A confined move pends the destination client's updates here; the
+		// process carries them to the target's shard. Harvesting per call
+		// keeps concurrent migrations from one source untangled: MoveStream
+		// cannot yield between pending and returning.
+		p.migRecon = k.fsc.AppendReconciles(p.migRecon)
 		rec.Files++
 	}
 	return nil
@@ -432,9 +411,7 @@ func (k *Kernel) transferPCB(env *sim.Env, p *Process, target *Kernel) error {
 	if err := k.cpu.Compute(env, k.params.MigPCBCPU); err != nil {
 		return err
 	}
-	if _, err := kMigPCB.Call(k.ep, env, target.host, migPCBArgs{
-		PID: p.pid, Proc: p,
-	}, k.params.MigPCBBytes); err != nil {
+	if _, err := kMigPCB.Call(k.ep, env, target.host, p, k.params.MigPCBBytes); err != nil {
 		return fmt.Errorf("pcb transfer: %w", err)
 	}
 	return nil

@@ -78,7 +78,7 @@ type SimParams struct {
 	// without Parallel it exercises the identical code path under the
 	// serial oracle (which is how equivalence is checked). Confined
 	// clusters trade generality for speed — see DESIGN.md §14 for the
-	// contract (uncontended network, no host crashes, no migration aborts).
+	// contract (uncontended network, no host crashes).
 	ConfineHosts bool
 }
 

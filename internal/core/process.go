@@ -155,10 +155,9 @@ type Process struct {
 	// migStreams is transferStreams' list of the streams to move. It and
 	// migMoved share one array, sized by the first hop's stream count.
 	migStreams []*fs.Stream
-	// migRecon carries the destination fs client's stream-move bookkeeping
-	// across a confined migration: MoveStream on the source shard cannot
-	// write the target client's tables, so the updates ride here until
-	// confinedResume applies them on the target's shard.
+	// migRecon carries an fs client's stream-move bookkeeping across a
+	// confined migration, to the target (confinedResume) or, after an
+	// abort, to the target and back (rollBack, handleMigAbort).
 	migRecon []fs.Reconcile
 	// mig is the scratch each migration hop works in (see migScratch).
 	mig migScratch
@@ -229,10 +228,7 @@ func (p *Process) confinedResume(env *sim.Env) error {
 			return err
 		}
 	}
-	if rs := p.migRecon; len(rs) > 0 {
-		p.cur.fsc.ApplyReconciles(rs)
-		p.migRecon = rs[:0]
-	}
+	p.migRecon = p.cur.fsc.ApplyReconciles(p.migRecon)
 	return nil
 }
 

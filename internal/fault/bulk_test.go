@@ -9,12 +9,18 @@ import (
 	"sprite/internal/sim"
 )
 
-// bulkCluster builds a default cluster with the test binary seeded.
-func bulkCluster(t *testing.T, workstations int, seed int64) *core.Cluster {
+// bulkCluster builds a default cluster, each host confined to its own shard
+// if asked, with the test binary seeded.
+func bulkCluster(t *testing.T, workstations int, seed int64, confined bool) *core.Cluster {
 	t.Helper()
-	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: 1, Seed: seed})
+	params := core.DefaultParams()
+	params.Sim.ConfineHosts = confined
+	c, err := core.NewCluster(core.Options{Workstations: workstations, FileServers: 1, Seed: seed, Params: &params})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if confined && !c.Transport().Confined() {
+		t.Fatal("cluster is not confined")
 	}
 	if err := c.SeedBinary("/bin/prog", 64<<10); err != nil {
 		t.Fatal(err)
@@ -28,7 +34,7 @@ var bulkProc = core.ProcConfig{Binary: "/bin/prog", CodePages: 4, HeapPages: 64,
 // fifth of all traffic, a batched migration loses fragments mid-batch, pays
 // retransmission timeouts, and still completes with every invariant intact.
 func TestBulkMigrationRetransmitsUnderDrops(t *testing.T) {
-	c := bulkCluster(t, 2, 7)
+	c := bulkCluster(t, 2, 7, false)
 	plane := NewPlane(c, 99)
 	plane.DropMessages(0, time.Hour, 0.2)
 	src, dst := c.Workstation(0), c.Workstation(1)
@@ -75,58 +81,66 @@ func TestBulkMigrationRetransmitsUnderDrops(t *testing.T) {
 // TestBulkAbortMidBatchRollsBack: an injected abort right after the batched
 // VM transfer drives the abort-recovery path — the process resumes on the
 // source with its streams restored, the metrics plane rolls back coherently,
-// and a retry then succeeds over the same bulk path.
+// and a retry then succeeds over the same bulk path, in either cluster shape.
 func TestBulkAbortMidBatchRollsBack(t *testing.T) {
-	c := bulkCluster(t, 2, 11)
-	plane := NewPlane(c, 5)
-	plane.FailMigration(core.FailMigVM, core.PID{}, 0, time.Hour, 1, 1)
-	src, dst := c.Workstation(0), c.Workstation(1)
-	var firstErr, retryErr error
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := src.StartProcess(env, "unlucky", func(ctx *core.Ctx) error {
-			if err := ctx.TouchHeap(0, 64, true); err != nil {
+	for _, shape := range []struct {
+		name     string
+		confined bool
+	}{{"unconfined", false}, {"confined", true}} {
+		confined := shape.confined
+		t.Run(shape.name, func(t *testing.T) {
+			c := bulkCluster(t, 2, 11, confined)
+			plane := NewPlane(c, 5)
+			plane.FailMigration(core.FailMigVM, core.PID{}, 0, time.Hour, 1, 1)
+			src, dst := c.Workstation(0), c.Workstation(1)
+			var firstErr, retryErr error
+			c.Boot("boot", func(env *sim.Env) error {
+				p, err := src.StartProcess(env, "unlucky", func(ctx *core.Ctx) error {
+					if err := ctx.TouchHeap(0, 64, true); err != nil {
+						return err
+					}
+					firstErr = ctx.Migrate(dst.Host())
+					if err := ctx.TouchHeap(0, 8, true); err != nil {
+						return err
+					}
+					retryErr = ctx.Migrate(dst.Host())
+					return ctx.TouchHeap(0, 64, false)
+				}, bulkProc)
+				if err != nil {
+					return err
+				}
+				_, err = p.Exited().Wait(env)
 				return err
+			})
+			if err := c.Run(0); err != nil {
+				t.Fatal(err)
 			}
-			firstErr = ctx.Migrate(dst.Host())
-			if err := ctx.TouchHeap(0, 8, true); err != nil {
-				return err
+			if !errors.Is(firstErr, ErrInjected) {
+				t.Fatalf("first migration err = %v, want injected failure", firstErr)
 			}
-			retryErr = ctx.Migrate(dst.Host())
-			return ctx.TouchHeap(0, 64, false)
-		}, bulkProc)
-		if err != nil {
-			return err
-		}
-		_, err = p.Exited().Wait(env)
-		return err
-	})
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(firstErr, ErrInjected) {
-		t.Fatalf("first migration err = %v, want injected failure", firstErr)
-	}
-	if retryErr != nil {
-		t.Fatalf("retry after abort failed: %v", retryErr)
-	}
-	recs := c.MigrationRecords()
-	if len(recs) != 1 || !recs[0].Batched {
-		t.Fatalf("completed migrations = %+v, want one batched record", recs)
-	}
-	snap := c.MetricsSnapshot()
-	if got := snap.Counters["mig.aborted"]; got != 1 {
-		t.Fatalf("mig.aborted = %d, want 1", got)
-	}
-	if got := snap.Counters["mig.aborted.vm.sprite-flush"]; got != 1 {
-		t.Fatalf("mig.aborted.vm.sprite-flush = %d, want 1", got)
-	}
-	if got := snap.Counters["mig.completed"]; got != 1 {
-		t.Fatalf("mig.completed = %d, want 1", got)
-	}
-	if g := snap.Gauges["mig.inflight"]; g.Value != 0 {
-		t.Fatalf("mig.inflight = %d, want 0", g.Value)
-	}
-	if v := c.CheckInvariants(true); len(v) != 0 {
-		t.Fatalf("invariants violated after abort: %v", v)
+			if retryErr != nil {
+				t.Fatalf("retry after abort failed: %v", retryErr)
+			}
+			recs := c.MigrationRecords()
+			if len(recs) != 1 || !recs[0].Batched {
+				t.Fatalf("completed migrations = %+v, want one batched record", recs)
+			}
+			snap := c.MetricsSnapshot()
+			if got := snap.Counters["mig.aborted"]; got != 1 {
+				t.Fatalf("mig.aborted = %d, want 1", got)
+			}
+			if got := snap.Counters["mig.aborted.vm.sprite-flush"]; got != 1 {
+				t.Fatalf("mig.aborted.vm.sprite-flush = %d, want 1", got)
+			}
+			if got := snap.Counters["mig.completed"]; got != 1 {
+				t.Fatalf("mig.completed = %d, want 1", got)
+			}
+			if g := snap.Gauges["mig.inflight"]; g.Value != 0 {
+				t.Fatalf("mig.inflight = %d, want 0", g.Value)
+			}
+			if v := c.CheckInvariants(true); len(v) != 0 {
+				t.Fatalf("invariants violated after abort: %v", v)
+			}
+		})
 	}
 }

@@ -269,23 +269,25 @@ func (c *Client) nextStreamID() StreamID {
 }
 
 // AppendReconciles drains the destination-cache updates deferred by
-// confined stream moves into dst. The migration path harvests them on the
-// source shard right after each MoveStream and carries them with the
-// process; both lists keep their arrays for the next migration.
+// confined stream moves into dst, right after each MoveStream; both lists
+// keep their arrays.
 func (c *Client) AppendReconciles(dst []Reconcile) []Reconcile {
 	dst = append(dst, c.pendingRec...)
 	c.pendingRec = c.pendingRec[:0]
 	return dst
 }
 
-// ApplyReconciles applies deferred destination-cache updates. It must run on
-// this client's home shard — the migrated process calls it right after
-// rehoming to the target host.
-func (c *Client) ApplyReconciles(rs []Reconcile) {
+// ApplyReconciles applies deferred destination-cache updates and returns rs
+// emptied, keeping its array. It must run on this client's home shard: the
+// migrated process calls it right after rehoming to the target host, and an
+// aborted migration's target and source each apply the records moved for
+// them.
+func (c *Client) ApplyReconciles(rs []Reconcile) []Reconcile {
 	for _, r := range rs {
 		c.noteVersion(r.FID, r.Version, r.Cacheable)
 		c.edit(r.FID, func(m *fileMeta) { m.size = r.Size })
 	}
+	return rs[:0]
 }
 
 // noteVersion reconciles the client's cache with the server's version: a
@@ -1049,9 +1051,8 @@ func (c *Client) MoveStream(env *sim.Env, st *Stream, to rpc.HostID) error {
 		}
 		st.cacheable = r.Cacheable
 		// Let the destination host reconcile its cache. Under host
-		// confinement the destination client's tables belong to another
-		// shard, so the update is deferred: the migrating process carries
-		// it and applies it after rehoming (ApplyReconciles).
+		// confinement its tables belong to another shard, so the update is
+		// deferred and the migrating process carries it (ApplyReconciles).
 		if c.fs.transport.Confined() {
 			c.pendingRec = append(c.pendingRec, Reconcile{
 				FID: st.FID, Version: r.Version, Cacheable: r.Cacheable, Size: r.Size,

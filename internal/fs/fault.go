@@ -80,14 +80,12 @@ func (f *FS) ScrubHostEpoch(host rpc.HostID, epoch rpc.Epoch) {
 	f.ScrubHost(host)
 }
 
-// RecoverStream repairs a stream whose reference was stranded on a crashed
-// host mid-migration: the client-side references left on from move to to,
-// and the owning server's entries for both hosts are made to match, directly
-// and without charging time (the source kernel's recovery runs against a
-// server that has already scrubbed the crashed host). The repair is
-// idempotent, so it holds whether or not the failed move back reached the
-// server. It is only used by migration abort recovery when the normal RPC
-// path to the stranded host is gone.
+// RecoverStream repairs a stream an aborted migration could not move back:
+// the client-side references left on from move to to, and the owning
+// server's entries for both hosts are made to match, directly and without
+// charging time (the server may already have scrubbed a crashed host). The
+// repair is idempotent, so it holds whether or not the failed move back
+// reached the server.
 func (f *FS) RecoverStream(st *Stream, from, to rpc.HostID) {
 	st.shift(from, to, st.RefsOn(from))
 	f.resync(st, to)
