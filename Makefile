@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test fuzz race allocs cover bench artifacts scale experiments examples clean
+.PHONY: all build vet lint test fuzz race allocs cover traffic bench artifacts scale experiments examples clean
 
 all: build vet lint test
 
@@ -111,6 +111,27 @@ cover:
 		echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; \
 	fi
 
+# The traffic census: which functions no run of the program's own drivers
+# ever executes. spritesim, the six examples and the benchmark harness are
+# built with coverage of every package into a temporary directory; then
+# `spritesim -all -quick`, each example and `benchmark -iters 2` run under
+# one GOCOVERDIR, and the functions they left at 0.0% are printed, outside
+# the lint analyzers (internal/analysis, cmd/spritelint), which no run
+# reaches. A function listed here decides nothing in any table, example or
+# benchmark run: test it, drive it, or delete it. A report only: it gates
+# nothing and writes nothing in the tree. Seconds with a warm build cache.
+traffic:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for p in cmd/spritesim benchmark $(addprefix examples/,$(EXAMPLES)); do \
+		$(GO) build -cover -coverpkg=sprite/... -o $$tmp/bin/$$(basename $$p) ./$$p || exit 1; \
+	done; \
+	mkdir $$tmp/cov; export GOCOVERDIR=$$tmp/cov; \
+	$$tmp/bin/spritesim -all -quick >/dev/null || exit 1; \
+	for e in $(EXAMPLES); do $$tmp/bin/$$e >/dev/null || exit 1; done; \
+	$$tmp/bin/benchmark -iters 2 -out $$tmp/bench.json >/dev/null || exit 1; \
+	$(GO) tool covdata func -i=$$tmp/cov | \
+		awk '$$NF == "0.0%" && $$1 !~ /^sprite\/(internal\/analysis|cmd\/spritelint)\//'
+
 # The end-to-end benchmark (benchmark/README.md): the five named workloads,
 # 20 iterations each, both clocks, written to BENCH_e2e.json. `go run`
 # exits non-zero if any unit of work failed its check. Compare two such
@@ -150,8 +171,9 @@ experiments:
 # fails adds an "exit status" line, so its diff fails too. After an intended
 # change in what an example prints, regenerate its golden by hand:
 #   go run ./examples/<name> > examples/<name>/output.golden
+EXAMPLES = quickstart pmake eviction loadsharing ipc recovery
 examples:
-	@for e in quickstart pmake eviction loadsharing ipc recovery; do \
+	@for e in $(EXAMPLES); do \
 		echo "examples/$$e"; \
 		{ $(GO) run ./examples/$$e || echo "exit status $$?"; } | diff -u examples/$$e/output.golden - || exit 1; \
 	done

@@ -537,6 +537,61 @@ func lostMigAbort(t *testing.T, confined, reply bool) {
 	}
 }
 
+// replyDropper loses every reply of one service sent from one host: each
+// such call runs its handler and then times out.
+type replyDropper struct {
+	service string
+	from    rpc.HostID
+}
+
+func (d replyDropper) Intercept(env *sim.Env, from, to rpc.HostID, service string, attempt int) rpc.Verdict {
+	return rpc.Verdict{DropReply: service == d.service && from == d.from}
+}
+
+// TestLostUpdateLocReplyKeepsHomeOnSource: a process homed on one host hops
+// to a second, then tries a third while every k.updateLoc reply from the
+// second is lost. The home applied the update when the request arrived, so
+// the aborted hop must point it back at the second host: the home names
+// where the process runs, and a kill routed through the home reaches it.
+func TestLostUpdateLocReplyKeepsHomeOnSource(t *testing.T) {
+	eachShape(t, func(t *testing.T, confined bool) {
+		c := newShapedCluster(t, 3, confined)
+		home, mid, far := c.Workstation(0), c.Workstation(1), c.Workstation(2)
+		c.Transport().SetInjector(replyDropper{service: "k.updateLoc", from: mid.Host()})
+		hopped := sim.NewFuture()
+		var first, second error
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := home.StartProcess(env, "hopper", func(ctx *Ctx) error {
+				first = ctx.Migrate(mid.Host())
+				second = ctx.Migrate(far.Host())
+				hopped.Complete(ctx.Env(), nil, nil)
+				return ctx.Compute(10 * time.Second)
+			}, smallProc)
+			if err != nil {
+				return err
+			}
+			if _, err := hopped.Wait(env); err != nil {
+				return err
+			}
+			if loc, err := home.LocationOf(p.PID()); err != nil || loc != mid.Host() {
+				t.Errorf("home says (%v, %v), want %v", loc, err, mid.Host())
+			}
+			if err := c.Kill(env, home, p.PID()); err != nil {
+				t.Errorf("kill via home: %v", err)
+			}
+			_, err = p.Exited().Wait(env)
+			return err
+		})
+		runCluster(t, c)
+		if first != nil || !errors.Is(second, rpc.ErrTimeout) {
+			t.Errorf("hops: first %v, second %v; want nil and a timeout", first, second)
+		}
+		if v := c.CheckInvariants(true); len(v) != 0 {
+			t.Errorf("invariants: %v", v)
+		}
+	})
+}
+
 // TestPendingMigrationDiesWithItsProcess: a request its process never
 // reaches a migration point to serve — here an exec-time request on a
 // process that never execs — resolves with ErrNoSuchProcess however the

@@ -223,6 +223,10 @@ func (k *Kernel) migrate(env *sim.Env, p *Process, req *migrationRequest) error 
 		if _, err := kUpdateLoc.Call(k.ep, env, p.home.host, updateLocArgs{
 			PID: p.pid, Loc: target.host,
 		}, 32); err != nil {
+			// The home applies the update when the request arrives, so a
+			// lost reply may have left it naming the target: point it back
+			// at the source, best effort.
+			_, _ = kUpdateLoc.Call(k.ep, env, p.home.host, updateLocArgs{PID: p.pid, Loc: k.host}, 32)
 			return abort(fmt.Errorf("update home: %w", err))
 		}
 	} else if hr := p.home.homeRecs[p.pid]; hr != nil {

@@ -91,8 +91,7 @@ func e18Point(cfg Config, t *Table, storm e18Storm, n, jobs int) (*e18Row, error
 
 	// The gossip selector is both drain-target source and health input:
 	// its eviction hints feed the manager's per-host signals, and the
-	// wrapped selector adds the pricer ordering, so placement prefers
-	// hosts with the longest expected time-to-eviction.
+	// wrapped selector keeps placement off hosts that are not Active.
 	gp := hostsel.DefaultProbabilisticParams()
 	gp.Interval = 100 * time.Millisecond
 	// The supervisor holds a placement claim for each incarnation and never
@@ -168,7 +167,6 @@ func e18Point(cfg Config, t *Table, storm e18Storm, n, jobs int) (*e18Row, error
 					continue
 				}
 				k.NoteInput(env.Now())
-				m.NoteEviction(k.Host(), env.Now())
 				_ = k.EvictAll(env)
 			}
 		}
@@ -292,10 +290,10 @@ func e18Point(cfg Config, t *Table, storm e18Storm, n, jobs int) (*e18Row, error
 // E18FleetEconomy sweeps storm intensity over the fleet sizes and scores
 // the pool manager on goodput (jobs completed over jobs submitted), jobs
 // lost, and drain latency. The paper's harvesting story (Ch. 5: evict on
-// owner return) becomes an economy here: the health plane prices each
-// host's expected time-to-eviction, placement prefers long-runway hosts,
-// and drains convert owner pressure into migrations and checkpoint
-// relaunches instead of lost work.
+// owner return) becomes an economy here: the health plane scores each
+// host, placement skips cordoned and draining hosts, and drains convert
+// owner pressure into migrations and checkpoint relaunches instead of
+// lost work.
 func E18FleetEconomy(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:       "E18",

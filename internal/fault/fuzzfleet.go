@@ -30,7 +30,7 @@ type FleetEventKind int
 // Storm mutation kinds.
 const (
 	// FleetEvictStorm: owners return on a band of hosts at once — input
-	// notes, EvictAll, and pricer eviction observations.
+	// notes and EvictAll.
 	FleetEvictStorm FleetEventKind = iota
 	// FleetFlap: one host power-cycles with no warning.
 	FleetFlap
@@ -254,7 +254,6 @@ func runFleetScenario(sc FleetScenario, kc kernelCfg) *Result {
 						continue
 					}
 					k.NoteInput(env.Now())
-					m.NoteEviction(k.Host(), env.Now())
 					_ = k.EvictAll(env)
 				}
 			case FleetFlap:

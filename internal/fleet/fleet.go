@@ -17,11 +17,9 @@
 //     through the recovery Supervisor when no host accepts), remediation
 //     reboots the host, and readmission requires N consecutive clean
 //     probes.
-//   - Preemption-aware placement: a Pricer scoring candidate hosts by
-//     expected time-to-eviction (learned online from observed eviction
-//     inter-arrivals per host), exposed to hostsel as a placement
-//     filter, plus a per-user fairness ledger so competing users harvest
-//     idle cycles proportionally.
+//   - A placement filter: a wrapper over any hostsel selector that keeps
+//     only Active hosts, in the selector's order, and hands cordoned ones
+//     straight back.
 //
 // Every decision the manager takes is driven by virtual time and sorted
 // host order, so runs are bit-for-bit reproducible; the drain-safety
@@ -43,7 +41,6 @@ import (
 	"sprite/internal/recovery"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
-	"sprite/internal/trace"
 )
 
 // HostState is a managed host's position in the cordon/drain machine.
@@ -101,9 +98,6 @@ type Params struct {
 	CleanProbes int
 	// HalfLife is the health signals' exponential-decay half-life.
 	HalfLife time.Duration
-	// FairnessSlack is the per-user usage spread tolerated before the
-	// ledger denies further grants (0 disables fairness throttling).
-	FairnessSlack time.Duration
 	// PlacementSlack is how many extra candidates each filtered selection
 	// requests so vetoes do not starve the caller.
 	PlacementSlack int
@@ -115,14 +109,6 @@ const (
 	probeWeight = 18
 	hintWeight  = 3
 	abortWeight = 12
-)
-
-// pricerAlpha is the EMA gain for eviction inter-arrival learning;
-// pricerHorizon is the optimistic time-to-eviction assumed for hosts
-// with no observed eviction yet.
-const (
-	pricerAlpha   = 0.3
-	pricerHorizon = 10 * time.Minute
 )
 
 // DefaultParams returns a configuration matched to the default monitor
@@ -166,9 +152,7 @@ type Manager struct {
 	sel hostsel.Selector
 	sup *recovery.Supervisor
 
-	pricer *Pricer
-	shares *ShareLedger
-	audit  *drainAudit
+	audit *drainAudit
 
 	hosts []rpc.HostID
 	recs  map[rpc.HostID]*hostRec
@@ -193,7 +177,6 @@ type Manager struct {
 	evacuatedC      *metrics.Counter
 	exitedC         *metrics.Counter
 	stallsC         *metrics.Counter
-	deniedC         *metrics.Counter
 	drainLatency    *metrics.Timing
 }
 
@@ -227,8 +210,6 @@ func New(c *core.Cluster, p Params) *Manager {
 	m := &Manager{
 		c:           c,
 		p:           p,
-		pricer:      NewPricer(pricerAlpha, pricerHorizon),
-		shares:      NewShareLedger(p.FairnessSlack),
 		audit:       newDrainAudit(),
 		recs:        make(map[rpc.HostID]*hostRec),
 		hintPending: make(map[rpc.HostID]int),
@@ -244,7 +225,6 @@ func New(c *core.Cluster, p Params) *Manager {
 		evacuatedC:      reg.Counter("fleet.procs.evacuated"),
 		exitedC:         reg.Counter("fleet.procs.exited"),
 		stallsC:         reg.Counter("fleet.drain.stalls"),
-		deniedC:         reg.Counter("fleet.fairness.denied"),
 		drainLatency:    reg.Timing("fleet.drain_latency"),
 	}
 	for _, k := range c.Workstations() {
@@ -261,16 +241,10 @@ func New(c *core.Cluster, p Params) *Manager {
 func (m *Manager) Params() Params { return m.p }
 
 // SetMonitor attaches the liveness monitor: its per-probe results feed the
-// missed-probe health signal and readmission probation, and its HostDown
-// declarations feed the pricer's eviction model.
+// missed-probe health signal and readmission probation.
 func (m *Manager) SetMonitor(mon *recovery.Monitor) {
 	m.mon = mon
 	mon.SetProbeObserver(m.ObserveProbe)
-	mon.Subscribe(func(ev trace.Event) {
-		if ev.Kind == trace.HostDown {
-			m.pricer.ObserveEviction(rpc.HostID(ev.Host), ev.At)
-		}
-	})
 }
 
 // SetSelector attaches the host-selection architecture drains pick targets
@@ -335,13 +309,6 @@ func (m *Manager) ObserveProbe(host rpc.HostID, ok bool, at time.Duration) {
 	if rec.state == Readmitting {
 		rec.cleanProbes++
 	}
-}
-
-// NoteEviction reports an owner-return eviction on host at time `at`,
-// feeding the pricer's inter-arrival model. Workload drivers call it when
-// they trigger EvictAll.
-func (m *Manager) NoteEviction(host rpc.HostID, at time.Duration) {
-	m.pricer.ObserveEviction(host, at)
 }
 
 // Start boots the controller activity. Call before the cluster runs.
@@ -505,45 +472,31 @@ func (m *Manager) readmitTick(env *sim.Env, rec *hostRec) {
 	}
 }
 
-// --- placement filter + fairness accounting ---
+// --- placement filter ---
 
-// FilterHosts vets a selector's grant: only Active hosts pass, ordered
-// by the pricer's expected time-to-eviction (longest first, host id as the
-// deterministic tiebreak); a user over its fairness share gets nothing.
-func (m *Manager) FilterHosts(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) []rpc.HostID {
-	if !m.shares.Allow(client.String()) {
-		m.deniedC.Inc()
-		return nil
-	}
-	now := env.Now()
+// FilterHosts vets a selector's grant: only Active hosts pass, in the
+// selector's order.
+func (m *Manager) FilterHosts(hosts []rpc.HostID) []rpc.HostID {
 	out := make([]rpc.HostID, 0, len(hosts))
 	for _, h := range hosts {
-		if rec := m.recs[h]; rec == nil || rec.state == Active {
+		if m.State(h) == Active {
 			out = append(out, h)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := m.pricer.Score(out[i], now), m.pricer.Score(out[j], now)
-		if si != sj {
-			return si > sj
-		}
-		return out[i] < out[j]
-	})
 	return out
 }
 
 // WrapSelector layers the fleet plane over a selector: grants are filtered
-// through FilterHosts (state + pricer + fairness) and charged to the
-// fairness ledger until released.
+// through FilterHosts, so cordoned and draining hosts never get placements.
 func (m *Manager) WrapSelector(sel hostsel.Selector) hostsel.Selector {
 	return &placementSelector{m: m, inner: sel}
 }
 
 // placementSelector is the fleet plane's one selector wrapper. It asks the
 // inner selector for PlacementSlack extra candidates, so vetoes do not
-// starve the caller, keeps up to n of the hosts FilterHosts passes, hands
-// the rejects and the overshoot straight back so a vetoed grant never
-// leaks a claim, and charges each kept host to the share ledger.
+// starve the caller, keeps up to n of the hosts FilterHosts passes, and
+// hands the rejects and the overshoot straight back so a vetoed grant never
+// leaks a claim.
 type placementSelector struct {
 	m     *Manager
 	inner hostsel.Selector
@@ -558,7 +511,7 @@ func (s *placementSelector) RequestHosts(env *sim.Env, client rpc.HostID, n int)
 	if len(got) == 0 {
 		return nil, err
 	}
-	kept := s.m.FilterHosts(env, client, got)
+	kept := s.m.FilterHosts(got)
 	if len(kept) > n {
 		kept = kept[:n]
 	}
@@ -583,20 +536,12 @@ func (s *placementSelector) RequestHosts(env *sim.Env, client rpc.HostID, n int)
 		}
 		return nil, err
 	}
-	user := client.String()
-	for _, h := range kept {
-		s.m.shares.Acquire(user, h, env.Now())
-	}
 	// A partial grant is a grant: suppress the inner selector's shortfall
 	// error the way callers of the raw interface expect.
 	return kept, nil
 }
 
 func (s *placementSelector) Release(env *sim.Env, client rpc.HostID, hosts []rpc.HostID) error {
-	user := client.String()
-	for _, h := range hosts {
-		s.m.shares.Release(user, h, env.Now())
-	}
 	return s.inner.Release(env, client, hosts)
 }
 

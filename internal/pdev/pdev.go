@@ -12,6 +12,14 @@
 // device's queue and unanswered requests. A Call is one RPC that queues there
 // and waits; Serve, Recv, Reply and Close are RPCs to it from wherever the
 // serving process runs.
+//
+// A server waiting in Recv is a daemon: a run that quiesces with nothing but
+// idle servers left ends cleanly, and their Recv returns sim.ErrStopped.
+// When a crashed host is reaped, every device whose server last served or
+// received from the dead incarnation is closed, so its callers get
+// ErrNotServed instead of waiting forever. A server that migrates and then
+// dies before its next Recv is not covered: its device names the host it
+// left, and stays open.
 package pdev
 
 import (
@@ -37,15 +45,26 @@ type System struct {
 
 // NewSystem creates the pseudo-device fabric for a cluster.
 func NewSystem(cluster *core.Cluster) *System {
+	var servers []*server
 	for _, host := range slices.Sorted(maps.Keys(cluster.FS().Servers())) {
-		srv := &server{sim: cluster.Sim(), devices: make(map[string]*device)}
+		srv := &server{cluster: cluster, devices: make(map[string]*device)}
 		ep := cluster.Transport().Endpoint(host)
 		pdevServe.Handle(ep, srv.serve)
 		pdevCall.Handle(ep, srv.call)
 		pdevRecv.Handle(ep, srv.recv)
 		pdevReply.Handle(ep, srv.reply)
 		pdevClose.Handle(ep, srv.close)
+		servers = append(servers, srv)
 	}
+	cluster.AddReapHook(func(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
+		for _, srv := range servers {
+			for _, path := range slices.Sorted(maps.Keys(srv.devices)) {
+				if d := srv.devices[path]; d.host == host && d.epoch <= epoch {
+					srv.close(env, host, path)
+				}
+			}
+		}
+	})
 	return &System{cluster: cluster}
 }
 
@@ -92,7 +111,9 @@ func (d *Device) Recv(ctx *core.Ctx) (*Request, error) {
 	if err := ctx.Syscall("pdev-read"); err != nil {
 		return nil, err
 	}
+	ctx.Env().MarkDaemon()
 	req, err := pdevRecv.Call(ctx.Endpoint(), ctx.Env(), d.server, d.path, 16)
+	ctx.Env().ClearDaemon()
 	if err == nil {
 		// Deliver any migration that was requested while we were blocked.
 		err = ctx.Syscall("pdev-read")
@@ -130,9 +151,10 @@ func (s *System) Call(ctx *core.Ctx, path string, data []byte) ([]byte, error) {
 	return pdevCall.Call(ctx.Endpoint(), ctx.Env(), srv, msg, 48+len(data))
 }
 
-// server is one file server's device table; only its pdev handlers touch it.
+// server is one file server's device table; only its pdev handlers and the
+// reap hook touch it.
 type server struct {
-	sim     *sim.Simulation
+	cluster *core.Cluster
 	devices map[string]*device
 }
 
@@ -141,13 +163,20 @@ type device struct {
 	queue   *sim.Queue             // Requests no Recv has taken yet
 	pending map[uint64]*sim.Future // every unanswered request's reply, by id
 	lastID  uint64
+	// host and epoch are the incarnation the serving process last served
+	// or received from.
+	host  rpc.HostID
+	epoch rpc.Epoch
 }
 
-func (s *server) serve(_ *sim.Env, _ rpc.HostID, path string) (struct{}, int, error) {
+func (s *server) serve(_ *sim.Env, from rpc.HostID, path string) (struct{}, int, error) {
 	if s.devices[path] != nil {
 		return struct{}{}, 0, fmt.Errorf("pdev serve %s: already served", path)
 	}
-	s.devices[path] = &device{queue: sim.NewQueue(s.sim), pending: make(map[uint64]*sim.Future)}
+	s.devices[path] = &device{
+		queue: sim.NewQueue(s.cluster.Sim()), pending: make(map[uint64]*sim.Future),
+		host: from, epoch: s.cluster.HostEpoch(from),
+	}
 	return struct{}{}, 16, nil
 }
 
@@ -166,12 +195,15 @@ func (s *server) call(env *sim.Env, _ rpc.HostID, m Request) ([]byte, int, error
 	return data, 16 + len(data), err
 }
 
-func (s *server) recv(env *sim.Env, _ rpc.HostID, path string) (Request, int, error) {
+func (s *server) recv(env *sim.Env, from rpc.HostID, path string) (Request, int, error) {
 	d := s.devices[path]
 	if d == nil {
 		return Request{}, 0, ErrClosed
 	}
+	d.host, d.epoch = from, s.cluster.HostEpoch(from)
+	env.MarkDaemon()
 	v, err := d.queue.Recv(env)
+	env.ClearDaemon()
 	req, _ := v.(Request)
 	return req, 48 + len(req.Data), err
 }

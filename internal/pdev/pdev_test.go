@@ -530,3 +530,126 @@ func TestCallsCostTime(t *testing.T) {
 		}
 	})
 }
+
+// TestIdleServerLetsRunQuiesce: a server that answers one request and then
+// waits in Recv for a client that never comes does not turn the quiescent
+// run into a deadlock. The run ends cleanly and the waiting Recv returns
+// sim.ErrStopped.
+func TestIdleServerLetsRunQuiesce(t *testing.T) {
+	eachShape(t, func(t *testing.T, sh shape) {
+		c, sys := newCluster(t, sh, 2)
+		var idle error
+		c.Boot("boot", func(env *sim.Env) error {
+			_, err := c.Workstation(0).StartProcess(env, "server", func(ctx *core.Ctx) error {
+				dev, err := sys.Serve(ctx, "/dev/idle")
+				if err != nil {
+					return err
+				}
+				for {
+					req, err := dev.Recv(ctx)
+					if err != nil {
+						idle = err
+						return err
+					}
+					if err := dev.Reply(ctx, req, req.Data); err != nil {
+						return err
+					}
+				}
+			}, cfg)
+			if err != nil {
+				return err
+			}
+			cli, err := c.Workstation(1).StartProcess(env, "client", func(ctx *core.Ctx) error {
+				if err := ctx.Env().Sleep(10 * time.Millisecond); err != nil {
+					return err
+				}
+				_, err := sys.Call(ctx, "/dev/idle", []byte("once"))
+				return err
+			}, cfg)
+			if err != nil {
+				return err
+			}
+			_, err = cli.Exited().Wait(env)
+			return err
+		})
+		if err := c.Run(0); err != nil {
+			t.Fatalf("quiescent run with an idle server: %v", err)
+		}
+		if !errors.Is(idle, sim.ErrStopped) {
+			t.Fatalf("idle Recv returned %v, want sim.ErrStopped", idle)
+		}
+	})
+}
+
+// TestReapClosesDevicesOfDeadServer: a device whose server's host crashed
+// is closed when the host is reaped. A caller queued before the crash and
+// one that calls after the reap both get ErrNotServed. A device that the
+// host's next incarnation serves survives the late reap of the old one.
+// Crashes are unconfined-only, so this runs on the unconfined shape.
+func TestReapClosesDevicesOfDeadServer(t *testing.T) {
+	c, sys := newCluster(t, shapes[0], 3)
+	srvK, cliK := c.Workstation(0), c.Workstation(1)
+	var queued, late, reborn error
+	c.Boot("boot", func(env *sim.Env) error {
+		served := sim.NewFuture()
+		_, err := srvK.StartProcess(env, "server", func(ctx *core.Ctx) error {
+			if _, err := sys.Serve(ctx, "/dev/old"); err != nil {
+				return err
+			}
+			served.Complete(ctx.Env(), nil, nil)
+			return ctx.Compute(time.Second) // busy: never takes a request
+		}, cfg)
+		if err != nil {
+			return err
+		}
+		if _, err := served.Wait(env); err != nil {
+			return err
+		}
+		first, err := cliK.StartProcess(env, "queued", func(ctx *core.Ctx) error {
+			_, queued = sys.Call(ctx, "/dev/old", []byte("x"))
+			return nil
+		}, cfg)
+		if err != nil {
+			return err
+		}
+		if err := env.Sleep(10 * time.Millisecond); err != nil {
+			return err
+		}
+		epoch := c.HostEpoch(srvK.Host())
+		c.CrashHost(env, srvK.Host())
+		c.RestartHost(env, srvK.Host())
+		srv2, err := srvK.StartProcess(env, "server2", echoServer(sys, "/dev/new", 1), cfg)
+		if err != nil {
+			return err
+		}
+		if err := env.Sleep(10 * time.Millisecond); err != nil {
+			return err
+		}
+		c.ReapDeadHost(env, srvK.Host(), epoch)
+		if _, err := first.Exited().Wait(env); err != nil {
+			return err
+		}
+		second, err := cliK.StartProcess(env, "late", func(ctx *core.Ctx) error {
+			_, late = sys.Call(ctx, "/dev/old", []byte("y"))
+			_, reborn = sys.Call(ctx, "/dev/new", []byte("z"))
+			return nil
+		}, cfg)
+		if err != nil {
+			return err
+		}
+		if _, err := second.Exited().Wait(env); err != nil {
+			return err
+		}
+		_, err = srv2.Exited().Wait(env)
+		return err
+	})
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(queued, ErrNotServed) || !errors.Is(late, ErrNotServed) {
+		t.Errorf("callers of the dead server's device got (%v, %v), want ErrNotServed", queued, late)
+	}
+	if reborn != nil {
+		t.Errorf("the next incarnation's device: %v, want served", reborn)
+	}
+}
