@@ -81,6 +81,11 @@ fuzz:
 # aborted migration's target drops the PCB, applies the fs records carried
 # for it and moves the streams back in its k.migAbort handler, on its own
 # shard, while the source waits for the reply.
+# The eighth leg does the same for process families, whose tests each run on
+# an unconfined and a confined cluster, here with the parallel kernel
+# forced: a migrated process's fork, wait and process-group calls run their
+# home half in a k.forward handler on the home host's shard, while the
+# caller, its children and a killer run on others.
 race:
 	$(GO) test -race ./...
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race ./internal/sim ./internal/core ./internal/fault ./internal/recovery ./internal/hostsel ./internal/fleet ./internal/pmake ./internal/pdev ./internal/experiments
@@ -89,8 +94,9 @@ race:
 	$(GO) test -race -count=1 -cpu 1,4 -run TestBgLoad ./internal/workload
 	$(GO) test -race -count=1 -cpu 1,4 -run 'TestConfined|TestReplyBox|TestTyped' ./internal/rpc
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 ./internal/pdev
-	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestRequestAndReleaseAllArchitectures|TestNoDoubleGrant|TestBusyHostsNotOffered|TestCentral(FairAllocationUnderContention|EvictsOnOwnerReturn|CrashAndRestart|RestartForgetsAssignments)|TestProbabilistic(GossipPropagates|StaleViewCausesConflict)|TestMulticastStatelessQuery|TestSharedFileDisablesCachingByDesign|TestAvailabilityUpdateCostOrdering|TestChurn(Flapping|Partition)AllSelectors)$$' ./internal/hostsel
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestRequestAndReleaseAllArchitectures|TestNoDoubleGrant|TestBusyHostsNotOffered|TestCentral(FairAllocationUnderContention|EvictsOnOwnerReturn)|TestProbabilistic(GossipPropagates|StaleViewCausesConflict)|TestMulticastStatelessQuery|TestSharedFileDisablesCachingByDesign|TestAvailabilityUpdateCostOrdering|TestChurn(Flapping|Partition)AllSelectors)$$' ./internal/hostsel
 	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestMigrationAbortRollsBack|TestMigrationToDownHostAbortsCleanly|TestMigrationVersionMismatchRejected|TestLostMigAbortLeavesNoGhost|TestBulkAbortMidBatchRollsBack)$$' ./internal/core ./internal/fault
+	SPRITE_SIM_PARALLEL=4 $(GO) test -race -count=1 -cpu 1,4 -run '^(TestFamilySpansHosts|TestChildOfForeignProcessBelongsToHome|TestSharedStreamFollowedToSameHost|TestPgrpInheritedAcrossForkAndMigration|TestSignalGroupReachesMigratedMembers|TestSetPgrpIsolates|TestSignalGroupUnknownGroup|TestKilledWaiterEndsItsWait)$$' . ./internal/core
 
 # The allocation contract (BENCH_allocs.json, DESIGN.md §17): rerun every
 # package whose tests check a row, one package at a time so no two rewrite

@@ -98,44 +98,55 @@ func TestBuildSurvivesMidBuildEviction(t *testing.T) {
 }
 
 // TestFamilySpansHosts: a migrated parent forks children on its current
-// host; waits and kills route through the home machine correctly.
+// host; waits and kills route through the home machine correctly, on both
+// cluster shapes.
 func TestFamilySpansHosts(t *testing.T) {
-	c := newFacadeCluster(t, 3, nil)
-	home, away := c.Workstation(0), c.Workstation(1)
-	cfg := sprite.ProcConfig{Binary: "/bin/prog", CodePages: 4, HeapPages: 8, StackPages: 2}
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := home.StartProcess(env, "matriarch", func(ctx *sprite.Ctx) error {
-			if err := ctx.Migrate(away.Host()); err != nil {
-				return err
-			}
-			// Three children, forked while foreign.
-			for i := 0; i < 3; i++ {
-				d := time.Duration(i+1) * 100 * time.Millisecond
-				if _, err := ctx.Fork("kid", func(cc *sprite.Ctx) error {
-					return cc.Compute(d)
-				}, cfg); err != nil {
-					return err
-				}
-			}
-			// Wait for all three through the home machine.
-			for i := 0; i < 3; i++ {
-				if _, _, err := ctx.Wait(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, cfg)
-		if err != nil {
-			return err
+	for _, confined := range []bool{false, true} {
+		name := "unconfined"
+		if confined {
+			name = "confined"
 		}
-		_, err = p.Exited().Wait(env)
-		return err
-	})
-	if err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if home.HomeProcessCount() != 0 {
-		t.Fatalf("home records remain: %d", home.HomeProcessCount())
+		t.Run(name, func(t *testing.T) {
+			params := sprite.DefaultParams()
+			params.Sim.ConfineHosts = confined
+			c := newFacadeCluster(t, 3, &params)
+			home, away := c.Workstation(0), c.Workstation(1)
+			cfg := sprite.ProcConfig{Binary: "/bin/prog", CodePages: 4, HeapPages: 8, StackPages: 2}
+			c.Boot("boot", func(env *sim.Env) error {
+				p, err := home.StartProcess(env, "matriarch", func(ctx *sprite.Ctx) error {
+					if err := ctx.Migrate(away.Host()); err != nil {
+						return err
+					}
+					// Three children, forked while foreign.
+					for i := 0; i < 3; i++ {
+						d := time.Duration(i+1) * 100 * time.Millisecond
+						if _, err := ctx.Fork("kid", func(cc *sprite.Ctx) error {
+							return cc.Compute(d)
+						}, cfg); err != nil {
+							return err
+						}
+					}
+					// Wait for all three through the home machine.
+					for i := 0; i < 3; i++ {
+						if _, _, err := ctx.Wait(); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, cfg)
+				if err != nil {
+					return err
+				}
+				_, err = p.Exited().Wait(env)
+				return err
+			})
+			if err := c.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if home.HomeProcessCount() != 0 {
+				t.Fatalf("home records remain: %d", home.HomeProcessCount())
+			}
+		})
 	}
 }
 

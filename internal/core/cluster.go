@@ -219,10 +219,10 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }
 // MetricsSnapshot folds every derived statistic the cluster keeps outside
 // the registry — scheduler counters, per-kernel migration tallies, per-file-
 // server activity, per-RPC-service traffic — into gauges, one per
-// metric-tagged stats field (Registry.SetGauges), then returns a
-// deterministic point-in-time snapshot. Two same-seed runs produce
-// byte-identical renderings: the snapshot sorts every name, whatever order
-// the gauges were set in.
+// metric-tagged stats field (Registry.SetGauges), adds the RPC totals as
+// counters, then returns a deterministic point-in-time snapshot. Two
+// same-seed runs produce byte-identical renderings: the snapshot sorts every
+// name, whatever order the gauges were set in.
 func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	r := c.metrics
 	r.SetGauges("sim.", c.sim.Stats())
@@ -248,7 +248,16 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	for _, svc := range slices.Sorted(maps.Keys(svcs)) {
 		r.SetGauges("rpc.service."+svc+".", svcs[svc])
 	}
-	return r.Snapshot()
+	snap := r.Snapshot()
+	// The fabric-wide RPC counters are the per-service sums and the retry
+	// atomics, counted once in the transport.
+	tot := c.transport.Totals()
+	snap.Counters["rpc.calls"] = int64(tot.Calls)
+	snap.Counters["rpc.bytes"] = int64(tot.Bytes)
+	snap.Counters["rpc.errs"] = int64(tot.Errs)
+	snap.Counters["rpc.retries"] = int64(c.transport.Retries())
+	snap.Counters["rpc.timeouts"] = int64(c.transport.Timeouts())
+	return snap
 }
 
 // Workstations returns the workstation kernels in host order.

@@ -5,7 +5,7 @@
 // A Cluster assembles workstations and file servers over one RPC fabric
 // and one shared file system. Each workstation's Kernel owns a process
 // table; simulated user processes are Go closures over a Ctx whose methods
-// are the kernel calls, each dispatched per the Appendix-A handling table
+// are the kernel calls, each implementing its Appendix-A handling policy
 // (SyscallTable):
 //
 //   - location-independent calls execute on the current host;

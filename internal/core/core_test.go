@@ -627,35 +627,37 @@ func TestHomeRecordTracksLocation(t *testing.T) {
 }
 
 func TestChildOfForeignProcessBelongsToHome(t *testing.T) {
-	c := newCluster(t, 2)
-	src, dst := c.Workstation(0), c.Workstation(1)
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := src.StartProcess(env, "parent", func(ctx *Ctx) error {
-			if err := ctx.Migrate(dst.Host()); err != nil {
+	eachShape(t, func(t *testing.T, confined bool) {
+		c := newShapedCluster(t, 2, confined)
+		src, dst := c.Workstation(0), c.Workstation(1)
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := src.StartProcess(env, "parent", func(ctx *Ctx) error {
+				if err := ctx.Migrate(dst.Host()); err != nil {
+					return err
+				}
+				child, err := ctx.Fork("kid", func(cc *Ctx) error {
+					return cc.Exit(0)
+				}, smallProc)
+				if err != nil {
+					return err
+				}
+				if child.PID().Home != src.Host() {
+					t.Errorf("child home = %v, want %v", child.PID().Home, src.Host())
+				}
+				if child.Current() != dst {
+					t.Errorf("child runs on %v, want parent's host %v", child.Current().Host(), dst.Host())
+				}
+				_, _, err = ctx.Wait()
 				return err
-			}
-			child, err := ctx.Fork("kid", func(cc *Ctx) error {
-				return cc.Exit(0)
 			}, smallProc)
 			if err != nil {
 				return err
 			}
-			if child.PID().Home != src.Host() {
-				t.Errorf("child home = %v, want %v", child.PID().Home, src.Host())
-			}
-			if child.Current() != dst {
-				t.Errorf("child runs on %v, want parent's host %v", child.Current().Host(), dst.Host())
-			}
-			_, _, err = ctx.Wait()
+			_, err = p.Exited().Wait(env)
 			return err
-		}, smallProc)
-		if err != nil {
-			return err
-		}
-		_, err = p.Exited().Wait(env)
-		return err
+		})
+		runCluster(t, c)
 	})
-	runCluster(t, c)
 }
 
 func TestIdleDetection(t *testing.T) {

@@ -220,10 +220,7 @@ func (c *Cluster) Reboot(env *sim.Env, host rpc.HostID) {
 		// visible for the detector's sake, but a reboot destroys them before
 		// any detector can act.
 		for _, rec := range k.homeRecords() {
-			if w := rec.waiter; w != nil {
-				rec.waiter = nil
-				w.Complete(env, nil, ErrHostCrashed)
-			}
+			rec.wake(env, ErrHostCrashed)
 		}
 		k.homeRecs = make(map[PID]*homeRecord)
 	}
@@ -257,10 +254,7 @@ func (c *Cluster) ReapDeadHost(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
 			if rec.proc.homeEpoch > epoch {
 				continue
 			}
-			if w := rec.waiter; w != nil {
-				rec.waiter = nil
-				w.Complete(env, nil, ErrHostCrashed)
-			}
+			rec.wake(env, ErrHostCrashed)
 			delete(k.homeRecs, rec.pid)
 		}
 	}

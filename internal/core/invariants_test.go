@@ -99,50 +99,52 @@ func TestInvariantsCleanOnHealthyRun(t *testing.T) {
 // (stream, host) entry — not one per move — so the ledger matches mid-run
 // and nothing is left once both close.
 func TestSharedStreamFollowedToSameHost(t *testing.T) {
-	c := newCluster(t, 2)
-	a, b := c.Workstation(0), c.Workstation(1)
-	var midRun []string
-	c.Boot("boot", func(env *sim.Env) error {
-		p, err := a.StartProcess(env, "parent", func(ctx *Ctx) error {
-			fd, err := ctx.Open("/data/shared", fs.WriteMode, fs.OpenOptions{Create: true})
+	eachShape(t, func(t *testing.T, confined bool) {
+		c := newShapedCluster(t, 2, confined)
+		a, b := c.Workstation(0), c.Workstation(1)
+		var midRun []string
+		c.Boot("boot", func(env *sim.Env) error {
+			p, err := a.StartProcess(env, "parent", func(ctx *Ctx) error {
+				fd, err := ctx.Open("/data/shared", fs.WriteMode, fs.OpenOptions{Create: true})
+				if err != nil {
+					return err
+				}
+				if _, err := ctx.Fork("child", func(cc *Ctx) error {
+					if err := cc.Migrate(b.Host()); err != nil {
+						return err
+					}
+					if err := cc.Compute(2 * time.Second); err != nil {
+						return err
+					}
+					return cc.Close(fd)
+				}, smallProc); err != nil {
+					return err
+				}
+				if err := ctx.Compute(500 * time.Millisecond); err != nil {
+					return err
+				}
+				if err := ctx.Migrate(b.Host()); err != nil {
+					return err
+				}
+				midRun = c.CheckInvariants(false)
+				if err := ctx.Close(fd); err != nil {
+					return err
+				}
+				_, _, err = ctx.Wait()
+				return err
+			}, smallProc)
 			if err != nil {
 				return err
 			}
-			if _, err := ctx.Fork("child", func(cc *Ctx) error {
-				if err := cc.Migrate(b.Host()); err != nil {
-					return err
-				}
-				if err := cc.Compute(2 * time.Second); err != nil {
-					return err
-				}
-				return cc.Close(fd)
-			}, smallProc); err != nil {
-				return err
-			}
-			if err := ctx.Compute(500 * time.Millisecond); err != nil {
-				return err
-			}
-			if err := ctx.Migrate(b.Host()); err != nil {
-				return err
-			}
-			midRun = c.CheckInvariants(false)
-			if err := ctx.Close(fd); err != nil {
-				return err
-			}
-			_, _, err = ctx.Wait()
+			_, err = p.Exited().Wait(env)
 			return err
-		}, smallProc)
-		if err != nil {
-			return err
+		})
+		runCluster(t, c)
+		if len(midRun) != 0 {
+			t.Errorf("after both moved to %v: %v", b.Host(), midRun)
 		}
-		_, err = p.Exited().Wait(env)
-		return err
+		if v := c.CheckInvariants(true); len(v) != 0 {
+			t.Errorf("end of run: %v", v)
+		}
 	})
-	runCluster(t, c)
-	if len(midRun) != 0 {
-		t.Errorf("after both moved to %v: %v", b.Host(), midRun)
-	}
-	if v := c.CheckInvariants(true); len(v) != 0 {
-		t.Errorf("end of run: %v", v)
-	}
 }

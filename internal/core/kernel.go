@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -39,11 +40,12 @@ type homeRecord struct {
 	proc     *Process
 	location rpc.HostID
 	parent   PID
+	pgrp     PID // process group (its leader's pid), kept only here
 	children map[PID]bool
 	// exits queues exited-but-unwaited children of THIS process.
 	exits []childExit
-	// waiter is resolved when a child exit arrives while the process is
-	// blocked in Wait.
+	// waiter is resolved when a child exit arrives while a Wait of the
+	// process is pending here.
 	waiter *sim.Future
 }
 
@@ -184,91 +186,85 @@ type ProcConfig struct {
 // this kernel. The returned process runs in its own activity; use
 // Exited().Wait to join it.
 func (k *Kernel) StartProcess(env *sim.Env, name string, prog Program, cfg ProcConfig) (*Process, error) {
-	return k.startProcess(env, name, prog, cfg, nil)
+	p, err := k.newProcess(env, name, prog, cfg, nil)
+	if err == nil {
+		k.adopt(p)
+		k.launch(env, p, cfg)
+	}
+	return p, err
 }
 
-func (k *Kernel) startProcess(env *sim.Env, name string, prog Program, cfg ProcConfig, parent *Process) (*Process, error) {
-	home := k
-	var parentPID PID
-	if parent != nil {
-		home = parent.home
-		parentPID = parent.pid
-	}
-	home.pidSeq++
-	pid := PID{Home: home.host, Seq: home.pidSeq}
-	pgrp := pid // a top-level process leads its own group
-	if parent != nil {
-		pgrp = parent.pgrp
-	}
+// newProcess builds a PCB on this host before any home kernel hears of it.
+// A forked child (parent set) is homed at its parent's home and inherits the
+// working directory, the signal dispositions and the descriptor table, each
+// entry sharing the stream (and its access position).
+func (k *Kernel) newProcess(env *sim.Env, name string, prog Program, cfg ProcConfig, parent *Process) (*Process, error) {
 	p := &Process{
-		pid:       pid,
-		pidName:   pid.String(),
-		pgrp:      pgrp,
 		name:      name,
 		state:     StateRunning,
-		parent:    parentPID,
-		home:      home,
+		home:      k,
 		cur:       k,
 		program:   prog,
 		args:      cfg.Args,
 		exited:    sim.NewFuture(),
 		evictable: true,
 		created:   env.Now(),
-		homeEpoch: home.ep.Epoch(),
 	}
-	// Fork semantics: the child inherits the working directory and the
-	// signal dispositions...
-	if parent != nil {
-		p.cwd = parent.cwd
-		if len(parent.handlers) > 0 {
-			p.handlers = make(map[Signal]SignalHandler, len(parent.handlers))
-			for s, h := range parent.handlers {
-				p.handlers[s] = h
-			}
-		}
+	if parent == nil {
+		return p, nil
 	}
-	// ...and the descriptor table; each inherited entry shares the stream
-	// (and its access position).
-	if parent != nil && len(parent.files) > 0 {
+	p.home, p.parent, p.cwd = parent.home, parent.pid, parent.cwd
+	if len(parent.handlers) > 0 {
+		p.handlers = maps.Clone(parent.handlers)
+	}
+	if len(parent.files) > 0 {
 		p.files = make([]*fs.Stream, len(parent.files))
 		for fd, st := range parent.files {
 			if st == nil {
 				continue
 			}
 			if err := k.fsc.Dup(st); err != nil {
+				_ = p.closeFiles(env) // the parent's references keep the streams open
 				return nil, fmt.Errorf("fork: dup fd %d: %w", fd, err)
 			}
 			p.files[fd] = st
 		}
 	}
-	rec := &homeRecord{
-		pid:      pid,
-		proc:     p,
-		location: k.host,
-		parent:   parentPID,
-	}
-	home.homeRecs[pid] = rec
-	if parent != nil {
-		if prec := home.homeRecs[parentPID]; prec != nil {
-			if prec.children == nil { // most processes never fork
-				prec.children = make(map[PID]bool)
-			}
-			prec.children[pid] = true
-		}
-	}
-	k.procs[pid] = p
-	k.stats.ProcsStarted++
-	k.cluster.noteStart(pid)
-	env.Emit(p.traceEvent(trace.ProcStart, k.host))
+	return p, nil
+}
 
-	body := func(penv *sim.Env) error {
-		return k.runProcess(penv, p, cfg)
+// adopt is the home half of fork and of a top-level start, run by p's home
+// kernel: it allocates the pid of a process its caller has already built and
+// records the family. A child joins its parent's process group; a process
+// with no parent here leads its own.
+func (k *Kernel) adopt(p *Process) {
+	k.pidSeq++
+	p.pid = PID{Home: k.host, Seq: k.pidSeq}
+	p.pidName = p.pid.String()
+	p.homeEpoch = k.ep.Epoch()
+	rec := &homeRecord{pid: p.pid, proc: p, location: p.cur.host, parent: p.parent, pgrp: p.pid}
+	if prec := k.homeRecs[p.parent]; prec != nil {
+		rec.pgrp = prec.pgrp
+		if prec.children == nil { // most processes never fork
+			prec.children = make(map[PID]bool)
+		}
+		prec.children[p.pid] = true
 	}
+	k.homeRecs[p.pid] = rec
+}
+
+// launch starts an adopted process on this, its current host.
+func (k *Kernel) launch(env *sim.Env, p *Process, cfg ProcConfig) {
+	k.procs[p.pid] = p
+	k.stats.ProcsStarted++
+	k.cluster.noteStart(p.pid)
+	env.Emit(p.traceEvent(trace.ProcStart, k.host))
 	// The process activity belongs to its host's shard, whatever shard the
 	// caller runs on. A confined caller may only spawn onto its own shard,
 	// so a process started from another host's shard fails here.
-	env.SpawnOn(k.cluster.shardOf(k.host), "proc-"+p.pidName+"-"+name, body)
-	return p, nil
+	env.SpawnOn(k.cluster.shardOf(k.host), "proc-"+p.pidName+"-"+p.name, func(penv *sim.Env) error {
+		return k.runProcess(penv, p, cfg)
+	})
 }
 
 // runProcess is the body of a process activity: build the image, run the
@@ -371,20 +367,8 @@ func (p *Process) discardSpace(env *sim.Env) error {
 // the address space, notify home, wake the parent.
 func (p *Process) exitCleanup(env *sim.Env) error {
 	k := p.cur
-	for fd, st := range p.files {
-		if st == nil {
-			continue
-		}
-		p.files[fd] = nil
-		if err := k.fsc.Close(env, st); err != nil {
-			if errors.Is(err, rpc.ErrHostDown) || errors.Is(err, rpc.ErrTimeout) {
-				// The stream's I/O server is down. The client dropped the ref
-				// before calling, and the server rebuilds open tables from
-				// surviving clients on recovery, so it won't be re-registered.
-				continue
-			}
-			return fmt.Errorf("proc %v: close fd %d: %w", p.pid, fd, err)
-		}
+	if err := p.closeFiles(env); err != nil {
+		return err
 	}
 	if err := p.discardSpace(env); err != nil {
 		return fmt.Errorf("proc %v: discard space: %w", p.pid, err)
@@ -408,6 +392,26 @@ func (p *Process) exitCleanup(env *sim.Env) error {
 		}
 	}
 	p.finishExit(env, p.exitStatus)
+	return nil
+}
+
+// closeFiles closes the descriptor table's entries.
+func (p *Process) closeFiles(env *sim.Env) error {
+	for fd, st := range p.files {
+		if st == nil {
+			continue
+		}
+		p.files[fd] = nil
+		if err := p.cur.fsc.Close(env, st); err != nil {
+			if errors.Is(err, rpc.ErrHostDown) || errors.Is(err, rpc.ErrTimeout) {
+				// The stream's I/O server is down. The client dropped the ref
+				// before calling, and the server rebuilds open tables from
+				// surviving clients on recovery, so it won't be re-registered.
+				continue
+			}
+			return fmt.Errorf("proc %v: close fd %d: %w", p.pid, fd, err)
+		}
+	}
 	return nil
 }
 
@@ -444,28 +448,36 @@ func (p *Process) finishExit(env *sim.Env, status int) {
 	p.exited.Complete(env, status, nil)
 }
 
-// recordExit runs at the home kernel: detach the record and queue the exit
-// for the parent's Wait.
+// recordExit runs at the home kernel: detach the record, end a Wait of the
+// process still pending here, and queue the exit for the parent's Wait.
 func (k *Kernel) recordExit(env *sim.Env, pid PID, status int) {
 	rec := k.homeRecs[pid]
 	if rec == nil {
 		return
 	}
 	delete(k.homeRecs, pid)
+	// Killed while blocked in Wait, the process is gone, but a migrated
+	// caller's wait half may still block here, in a handler of its own.
+	rec.wake(env, ErrNoSuchProcess)
 	prec := k.homeRecs[rec.parent]
 	if prec == nil {
 		return // orphan: no one will wait
 	}
 	delete(prec.children, pid)
 	prec.exits = append(prec.exits, childExit{pid: pid, status: status})
-	if prec.waiter != nil {
-		w := prec.waiter
-		prec.waiter = nil
-		w.Complete(env, nil, nil)
+	prec.wake(env, nil)
+}
+
+// wake ends the Wait pending on rec, if any, with err (nil: a child exited).
+func (rec *homeRecord) wake(env *sim.Env, err error) {
+	if w := rec.waiter; w != nil {
+		rec.waiter = nil
+		w.Complete(env, nil, err)
 	}
 }
 
-// waitChild implements Wait at the home kernel.
+// waitChild is Wait's home half: it returns an exited child of parent,
+// blocking until one exits. Waits of one parent share one pending future.
 func (k *Kernel) waitChild(env *sim.Env, parent PID) (PID, int, error) {
 	for {
 		rec := k.homeRecs[parent]
@@ -480,11 +492,37 @@ func (k *Kernel) waitChild(env *sim.Env, parent PID) (PID, int, error) {
 		if len(rec.children) == 0 {
 			return NilPID, 0, ErrNoChildren
 		}
-		rec.waiter = sim.NewFuture()
+		if rec.waiter == nil {
+			rec.waiter = sim.NewFuture()
+		}
 		if _, err := rec.waiter.Wait(env); err != nil {
 			return NilPID, 0, err
 		}
 	}
+}
+
+// family runs a process-family call's home half for the caller a.PID at
+// this, its home kernel, whether the caller runs here or came through
+// k.forward: fork adopts the child, wait waits for one, and getpgrp and
+// setpgrp read and write the caller's group. Other calls have none.
+func (k *Kernel) family(env *sim.Env, a forwardArgs) (r forwardReply) {
+	switch a.Call {
+	case "fork":
+		k.adopt(a.Child)
+	case "wait":
+		r.PID, r.Status, r.Err = k.waitChild(env, a.PID)
+	case "getpgrp", "setpgrp":
+		rec := k.homeRecs[a.PID]
+		switch {
+		case rec == nil:
+			r.Err = fmt.Errorf("%w: %v", ErrNoSuchProcess, a.PID)
+		case a.Call == "setpgrp":
+			rec.pgrp = a.PID
+		default:
+			r.PID = rec.pgrp
+		}
+	}
+	return r
 }
 
 // Processes returns the processes currently executing on this host.
@@ -608,13 +646,13 @@ var (
 	EvictService = rpc.NewService[struct{}, struct{}]("k.evict")
 )
 
-func (k *Kernel) handleForward(env *sim.Env, from rpc.HostID, _ forwardArgs) (struct{}, int, error) {
-	// The forwarded call's home-side work is modeled as one kernel-call
-	// dispatch on the home CPU.
+// handleForward serves a home-forwarded call: one kernel-call dispatch on
+// the home CPU, then the call's home half.
+func (k *Kernel) handleForward(env *sim.Env, from rpc.HostID, a forwardArgs) (forwardReply, int, error) {
 	if err := k.cpu.Compute(env, k.params.SyscallCPU); err != nil {
-		return struct{}{}, 0, err
+		return forwardReply{}, 0, err
 	}
-	return struct{}{}, 32, nil
+	return k.family(env, a), 32, nil
 }
 
 func (k *Kernel) handleMigInit(env *sim.Env, from rpc.HostID, a migInitArgs) (struct{}, int, error) {

@@ -87,7 +87,7 @@ func (s ProcessState) String() string {
 
 // Program is the body of a simulated user process. It runs as one sim
 // activity and interacts with the world only through its Ctx — each Ctx
-// method is a kernel call, dispatched per the Appendix-A handling table, so
+// method is a kernel call that implements its Appendix-A handling policy, so
 // a program behaves identically before and after migration.
 type Program func(ctx *Ctx) error
 
@@ -109,7 +109,6 @@ type Process struct {
 	uid     string
 	state   ProcessState
 	parent  PID
-	pgrp    PID // process group (leader's pid); inherited across fork
 
 	home *Kernel // never changes: the transparency anchor
 	cur  *Kernel // changes on migration
@@ -138,10 +137,8 @@ type Process struct {
 	sharedMemory bool
 	// evictable processes may be migrated away by host reclaiming.
 	evictable bool
-	// forwarded marks that the current kernel call already paid its trip
-	// home (set by the forward-everything baseline to avoid double
-	// charging calls that are home-forwarded anyway).
-	forwarded  bool
+	// waiting marks the process blocked in Wait, which a SIGKILL ends.
+	waiting    bool
 	pending    []Signal
 	handlers   map[Signal]SignalHandler
 	contWaiter *sim.Future

@@ -98,6 +98,11 @@ func (p *Process) post(env *sim.Env, sig Signal) {
 	switch sig {
 	case SigKill:
 		p.killed = true
+		if p.waiting {
+			// A kill ends a blocked Wait here, where the process runs; a
+			// home half still pending ends with the exit (recordExit).
+			p.ctx.env.Interrupt(ErrKilled)
+		}
 	case SigCont:
 		p.pending = append(p.pending, sig)
 		if p.contWaiter != nil {
@@ -177,20 +182,15 @@ func (p *Process) Stopped() bool { return p.contWaiter != nil }
 // GetPgrp returns the caller's process group (forwarded home: group
 // membership is family state kept at the home machine).
 func (c *Ctx) GetPgrp() (PID, error) {
-	if err := c.enterHome("getpgrp"); err != nil {
+	if err := c.enter("getpgrp"); err != nil {
 		return NilPID, err
 	}
-	return c.proc.pgrp, nil
+	r, err := c.homeCall(forwardArgs{PID: c.proc.pid, Call: "getpgrp"})
+	return r.PID, err
 }
 
 // SetPgrp makes the caller the leader of a new process group.
-func (c *Ctx) SetPgrp() error {
-	if err := c.enterHome("setpgrp"); err != nil {
-		return err
-	}
-	c.proc.pgrp = c.proc.pid
-	return nil
-}
+func (c *Ctx) SetPgrp() error { return c.enterHome("setpgrp") }
 
 // SignalGroup delivers sig to every member of a process group. The group's
 // home machine enumerates the members (they all share it, since children
@@ -213,7 +213,7 @@ func (k *Kernel) handleKillpg(env *sim.Env, from rpc.HostID, a killArgs) (int, i
 	sig := normalizeSig(a.Sig)
 	delivered := 0
 	for _, rec := range k.homeRecords() {
-		if rec.proc.pgrp != a.PID {
+		if rec.pgrp != a.PID {
 			continue
 		}
 		delivered++

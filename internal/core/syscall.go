@@ -6,7 +6,6 @@ import (
 
 	"sprite/internal/fs"
 	"sprite/internal/rpc"
-	"sprite/internal/sim"
 	"sprite/internal/trace"
 )
 
@@ -58,10 +57,10 @@ func (h HandlingPolicy) String() string {
 
 // SyscallTable is the per-call handling classification, reconstructed from
 // Appendix A ("Handling of UNIX system calls in Sprite"). The 4.3BSD call
-// set is grouped by the policy that applies to a remote process. Calls the
-// simulation actually models are dispatched through this table; the rest
-// document the classification (and are exercised generically by the
-// conformance tests).
+// set is grouped by the policy that applies to a remote process. Each
+// modeled Ctx call enters the kernel under its name here and implements its
+// policy itself; the forward-everything baseline reads the table so as not
+// to charge a PolicyHome call twice, and a test checks the two agree.
 var SyscallTable = map[string]HandlingPolicy{
 	// Local: depend only on state carried in the PCB.
 	"getpid": PolicyLocal, "getppid": PolicyLocal, "getuid": PolicyLocal,
@@ -78,6 +77,7 @@ var SyscallTable = map[string]HandlingPolicy{
 	"mkdir": PolicyFile, "rmdir": PolicyFile, "chdir": PolicyFile,
 	"chmod": PolicyFile, "chown": PolicyFile, "truncate": PolicyFile,
 	"fsync": PolicyFile, "select": PolicyFile, "ioctl": PolicyFile,
+	"readdir": PolicyFile,
 
 	// Forwarded home: process family, host identity, time, signals to
 	// other processes, and migration initiation itself.
@@ -96,13 +96,22 @@ var SyscallTable = map[string]HandlingPolicy{
 	"mmap-shared": PolicyDenied, "ptrace": PolicyDenied,
 }
 
-// forwardArgs is the wire format of a home-forwarded kernel call.
+// forwardArgs is the wire format of a home-forwarded kernel call: the
+// caller, the call, and for fork the child the caller has built.
 type forwardArgs struct {
-	PID  PID
-	Call string
+	PID   PID
+	Call  string
+	Child *Process
 }
 
-var kForward = rpc.NewService[forwardArgs, struct{}]("k.forward")
+// forwardReply is Kernel.family's answer; Err is its own error, not the transport's.
+type forwardReply struct {
+	PID    PID
+	Status int
+	Err    error
+}
+
+var kForward = rpc.NewService[forwardArgs, forwardReply]("k.forward")
 
 // migrationPoint is what every kernel-call entry and every compute quantum
 // boundary does first: it is the kill point, the point where a pending
@@ -182,40 +191,41 @@ func (c *Ctx) enter(call string) error {
 		p.cpuUsed += d
 	}
 	// The Remote UNIX baseline: every call of a foreign process pays a
-	// round trip home, regardless of its Appendix-A classification.
-	p.forwarded = false
-	if p.cur.forwardAll && p.Foreign() {
-		if err := c.forwardHome(call); err != nil {
+	// round trip home, regardless of its Appendix-A classification; a
+	// PolicyHome call pays it in its own home call.
+	if p.cur.forwardAll && p.Foreign() && SyscallTable[call] != PolicyHome {
+		if _, err := c.homeCall(forwardArgs{PID: p.pid, Call: call}); err != nil {
 			return err
 		}
-		p.forwarded = true
 	}
 	return nil
 }
 
-// forwardHome charges a home-forwarded call's round trip when the process is
-// foreign. The home kernel's handler does the (trivial) work; the latency is
-// the point.
-func (c *Ctx) forwardHome(call string) error {
+// homeCall runs a call's home half (Kernel.family) at the caller's home
+// kernel: directly when the process is at home, through k.forward when it
+// is foreign, where the round trip is the point for calls with no home half.
+func (c *Ctx) homeCall(a forwardArgs) (forwardReply, error) {
 	p := c.proc
-	if !p.Foreign() || p.forwarded {
-		return nil
+	if !p.Foreign() {
+		r := p.home.family(c.env, a)
+		return r, r.Err
 	}
-	_, err := kForward.Call(p.cur.ep, c.env, p.home.host, forwardArgs{PID: p.pid, Call: call}, 64)
+	r, err := kForward.Call(p.cur.ep, c.env, p.home.host, a, 64)
 	if err != nil {
-		return fmt.Errorf("forward %s home: %w", call, err)
+		return r, fmt.Errorf("forward %s home: %w", a.Call, err)
 	}
 	p.cur.stats.ForwardedCalls++
-	return nil
+	return r, r.Err
 }
 
 // enterHome is the prologue of a call whose policy is PolicyHome: enter,
-// then the trip home if the process is foreign.
+// then the call's home half.
 func (c *Ctx) enterHome(call string) error {
 	if err := c.enter(call); err != nil {
 		return err
 	}
-	return c.forwardHome(call)
+	_, err := c.homeCall(forwardArgs{PID: c.proc.pid, Call: call})
+	return err
 }
 
 // Syscall enters the kernel for a named call with no effect beyond the
@@ -319,10 +329,7 @@ func (c *Ctx) Open(path string, mode fs.OpenMode, opts fs.OpenOptions) (int, err
 
 // Read reads up to n bytes from fd.
 func (c *Ctx) Read(fd, n int) ([]byte, error) {
-	if err := c.enter("read"); err != nil {
-		return nil, err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("read", fd)
 	if err != nil {
 		return nil, err
 	}
@@ -332,10 +339,7 @@ func (c *Ctx) Read(fd, n int) ([]byte, error) {
 // ReadCount is Read for a caller that discards the contents: the same call,
 // with the same costs, returning only how many bytes were read.
 func (c *Ctx) ReadCount(fd, n int) (int, error) {
-	if err := c.enter("read"); err != nil {
-		return 0, err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("read", fd)
 	if err != nil {
 		return 0, err
 	}
@@ -344,10 +348,7 @@ func (c *Ctx) ReadCount(fd, n int) (int, error) {
 
 // Write writes data to fd.
 func (c *Ctx) Write(fd int, data []byte) (int, error) {
-	if err := c.enter("write"); err != nil {
-		return 0, err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("write", fd)
 	if err != nil {
 		return 0, err
 	}
@@ -357,10 +358,7 @@ func (c *Ctx) Write(fd int, data []byte) (int, error) {
 // WriteZeros is Write of n zero bytes for a caller whose contents do not
 // matter: the same call, with the same costs, but the zeros are a length.
 func (c *Ctx) WriteZeros(fd, n int) (int, error) {
-	if err := c.enter("write"); err != nil {
-		return 0, err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("write", fd)
 	if err != nil {
 		return 0, err
 	}
@@ -372,10 +370,7 @@ func (c *Ctx) WriteZeros(fd, n int) (int, error) {
 // client crash — checkpointers above all — pay the synchronous server
 // traffic for durability, exactly the trade delayed writes otherwise hide.
 func (c *Ctx) Fsync(fd int) error {
-	if err := c.enter("fsync"); err != nil {
-		return err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("fsync", fd)
 	if err != nil {
 		return err
 	}
@@ -384,10 +379,7 @@ func (c *Ctx) Fsync(fd int) error {
 
 // Seek sets fd's access position.
 func (c *Ctx) Seek(fd int, off int64) error {
-	if err := c.enter("lseek"); err != nil {
-		return err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("lseek", fd)
 	if err != nil {
 		return err
 	}
@@ -396,10 +388,7 @@ func (c *Ctx) Seek(fd int, off int64) error {
 
 // Close closes fd.
 func (c *Ctx) Close(fd int) error {
-	if err := c.enter("close"); err != nil {
-		return err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("close", fd)
 	if err != nil {
 		return err
 	}
@@ -409,10 +398,7 @@ func (c *Ctx) Close(fd int) error {
 
 // Dup duplicates fd, sharing the stream and its access position.
 func (c *Ctx) Dup(fd int) (int, error) {
-	if err := c.enter("dup"); err != nil {
-		return -1, err
-	}
-	st, err := c.proc.stream(fd)
+	st, err := c.enterFD("dup", fd)
 	if err != nil {
 		return -1, err
 	}
@@ -484,7 +470,8 @@ func (c *Ctx) Remove(path string) error {
 // --- Process management (forwarded home) ---
 
 // Fork creates a child process running prog on the caller's current host.
-// Pid allocation and family bookkeeping happen at home (forwarded for a
+// The child is built here first; then its home kernel, the parent's,
+// allocates its pid and records the family (the home half, forwarded for a
 // foreign caller), so the child is a home-machine process wherever its
 // parent happens to be running — Sprite's transparency rule.
 func (c *Ctx) Fork(name string, prog Program, cfg ProcConfig) (*Process, error) {
@@ -492,61 +479,47 @@ func (c *Ctx) Fork(name string, prog Program, cfg ProcConfig) (*Process, error) 
 		return nil, err
 	}
 	p := c.proc
-	if p.cur.cluster.transport.Confined() && p.Foreign() {
-		// Fork allocates the pid and family record in the home kernel's
-		// tables — another shard's state. The confined contract keeps
-		// process-family calls on the home host (DESIGN.md §14).
-		panic(&sim.ConfinedContractError{
-			Op:     "Fork by migrated process",
-			Host:   fmt.Sprintf("%v (on %v)", p.pid, p.cur.host),
-			Reason: "pid allocation lives on the home shard",
-		})
-	}
-	if err := c.forwardHome("fork"); err != nil {
-		return nil, err
-	}
 	if d := p.cur.params.ForkCPU; d > 0 {
 		if err := p.cur.cpu.Compute(c.env, d); err != nil {
 			return nil, err
 		}
 		p.cpuUsed += d
 	}
-	child, err := p.cur.startProcess(c.env, name, prog, cfg, p)
+	child, err := p.cur.newProcess(c.env, name, prog, cfg, p)
 	if err != nil {
 		return nil, err
 	}
+	if _, err := c.homeCall(forwardArgs{PID: p.pid, Call: "fork", Child: child}); err != nil {
+		_ = child.closeFiles(c.env) // the parent's references keep the streams open
+		return nil, err
+	}
+	p.cur.launch(c.env, child, cfg)
 	return child, nil
 }
 
 // Wait blocks until one of the caller's children exits and returns its pid
-// and status. Child records live at home.
+// and status. Child records live at home, where the wait's home half runs.
+// A SIGKILL ends the wait with ErrKilled.
 func (c *Ctx) Wait() (PID, int, error) {
 	if err := c.enter("wait"); err != nil {
 		return NilPID, 0, err
 	}
-	if c.proc.cur.cluster.transport.Confined() && c.proc.Foreign() {
-		// waitChild blocks on the home kernel's records — another shard's
-		// state and a cross-shard future wake (DESIGN.md §14).
-		panic(&sim.ConfinedContractError{
-			Op:     "Wait by migrated process",
-			Host:   fmt.Sprintf("%v (on %v)", c.proc.pid, c.proc.cur.host),
-			Reason: "child records live on the home shard",
-		})
+	p := c.proc
+	if p.killed {
+		return NilPID, 0, ErrKilled
 	}
-	if err := c.forwardHome("wait"); err != nil {
-		return NilPID, 0, err
+	p.waiting = true
+	r, err := c.homeCall(forwardArgs{PID: p.pid, Call: "wait"})
+	p.waiting = false
+	if err != nil && p.killed {
+		return NilPID, 0, ErrKilled
 	}
-	return c.proc.home.waitChild(c.env, c.proc.pid)
+	return r.PID, r.Status, err
 }
 
 // Kill terminates another process. The home machine of the target routes
 // the signal to wherever the target currently runs.
-func (c *Ctx) Kill(target PID) error {
-	if err := c.enterHome("kill"); err != nil {
-		return err
-	}
-	return c.proc.cur.cluster.signalPID(c.env, c.proc.cur, target, SigKill)
-}
+func (c *Ctx) Kill(target PID) error { return c.SendSignal(target, SigKill) }
 
 // Exit terminates the calling program with the given status. It unwinds the
 // program by returning a sentinel that the process runner recognizes; the
@@ -618,6 +591,14 @@ func (c *Ctx) Exec(name string, prog Program, cfg ProcConfig) error {
 }
 
 // --- descriptor table helpers ---
+
+// enterFD is enter for a call on descriptor fd, returning fd's stream.
+func (c *Ctx) enterFD(call string, fd int) (*fs.Stream, error) {
+	if err := c.enter(call); err != nil {
+		return nil, err
+	}
+	return c.proc.stream(fd)
+}
 
 func (p *Process) addStream(st *fs.Stream) int {
 	for i, s := range p.files {

@@ -499,7 +499,7 @@ func runScenario(sc Scenario, kc kernelCfg) *Result {
 			crashed += st.ProcsCrashed
 		}
 		digest := fmt.Sprintf("t=%v calls=%d retries=%d timeouts=%d injected=%d started=%d exited=%d crashed=%d",
-			c.Sim().Now(), c.Transport().TotalCalls(), c.Transport().Retries(), c.Transport().Timeouts(),
+			c.Sim().Now(), c.Transport().Totals().Calls, c.Transport().Retries(), c.Transport().Timeouts(),
 			plane.Injected(), started, exited, crashed)
 		if gossip != nil {
 			st := gossip.Stats()

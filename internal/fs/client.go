@@ -11,17 +11,6 @@ import (
 	"sprite/internal/sim"
 )
 
-// ClientStats summarizes one host's cache behaviour.
-type ClientStats struct {
-	Hits          uint64
-	Misses        uint64
-	BytesRead     uint64
-	BytesWritten  uint64
-	BlockFlushes  uint64
-	Recalls       uint64 // consistency callbacks served (flush or disable)
-	PrefixQueries uint64 // prefix-table broadcasts to discover a domain
-}
-
 type cacheKey struct {
 	fid   FileID
 	block int
@@ -68,8 +57,6 @@ type Client struct {
 	// MoveStream under host confinement: the migrating process applies them
 	// itself once it lands on the target's shard (see ApplyReconciles).
 	pendingRec []Reconcile
-
-	stats ClientStats
 }
 
 // Reconcile is one deferred destination-cache update from a stream
@@ -122,9 +109,6 @@ func newClient(f *FS, host rpc.HostID) *Client {
 // Host returns the client's host id.
 func (c *Client) Host() rpc.HostID { return c.host }
 
-// Stats returns a copy of the cache statistics.
-func (c *Client) Stats() ClientStats { return c.stats }
-
 // DirtyBlocks returns the number of dirty blocks held in the cache.
 func (c *Client) DirtyBlocks() int {
 	n := 0
@@ -170,7 +154,6 @@ func (c *Client) lookupServer(env *sim.Env, path string) (rpc.HostID, error) {
 	if err := c.fs.transport.Network().Send(env, 32); err != nil {
 		return rpc.NoHost, err
 	}
-	c.stats.PrefixQueries++
 	c.fs.m.prefixQueries.IncSlot(sim.WorkerSlot(env))
 	prefix := c.fs.ns.prefixFor(path)
 	c.prefixCache.AddPrefix(prefix, host)
@@ -439,7 +422,6 @@ func (c *Client) readAt(env *sim.Env, st *Stream, off int64, n int, keep bool) (
 
 // countRead adds n to the bytes-read statistics.
 func (c *Client) countRead(env *sim.Env, n int) {
-	c.stats.BytesRead += uint64(n)
 	c.fs.m.bytesRead.AddSlot(sim.WorkerSlot(env), int64(n))
 }
 
@@ -492,7 +474,6 @@ func (c *Client) WriteAt(env *sim.Env, st *Stream, off int64, data []byte) error
 
 // countWritten adds n to the bytes-written statistics.
 func (c *Client) countWritten(env *sim.Env, n int) {
-	c.stats.BytesWritten += uint64(n)
 	c.fs.m.bytesWritten.AddSlot(sim.WorkerSlot(env), int64(n))
 }
 
@@ -582,12 +563,10 @@ func (c *Client) readBlock(env *sim.Env, st *Stream, block int) ([]byte, error) 
 	key := cacheKey{fid: st.FID, block: block}
 	if c.cacheEnabled(st) {
 		if b, ok := c.blocks[key]; ok {
-			c.stats.Hits++
 			c.fs.m.hits.IncSlot(sim.WorkerSlot(env))
 			c.toFront(b)
 			return b.data, nil
 		}
-		c.stats.Misses++
 		c.fs.m.misses.IncSlot(sim.WorkerSlot(env))
 	}
 	r, err := fsRead.Call(c.ep, env, st.FID.Server, readArgs{FID: st.FID, Block: block}, 32)
@@ -812,7 +791,6 @@ func (c *Client) flushBlock(env *sim.Env, b *cacheBlock) error {
 	if b.gen == gen {
 		c.setDirty(b, false)
 	}
-	c.stats.BlockFlushes++
 	c.fs.m.flushes.IncSlot(sim.WorkerSlot(env))
 	c.edit(b.key.fid, func(m *fileMeta) { m.ver = r.Version })
 	return nil
@@ -863,7 +841,6 @@ func (c *Client) dropFile(fid FileID) {
 // handleFlushCallback serves the server's "write back your dirty blocks"
 // consistency recall.
 func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (struct{}, int, error) {
-	c.stats.Recalls++
 	c.fs.m.recalls.IncSlot(sim.WorkerSlot(env))
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return struct{}{}, 0, err
@@ -874,7 +851,6 @@ func (c *Client) handleFlushCallback(env *sim.Env, from rpc.HostID, a cacheCallb
 // handleDisableCallback serves the server's "stop caching this file"
 // consistency action: flush dirty blocks, then drop the file from the cache.
 func (c *Client) handleDisableCallback(env *sim.Env, from rpc.HostID, a cacheCallbackArgs) (struct{}, int, error) {
-	c.stats.Recalls++
 	c.fs.m.recalls.IncSlot(sim.WorkerSlot(env))
 	if err := c.FlushFile(env, a.FID); err != nil {
 		return struct{}{}, 0, err

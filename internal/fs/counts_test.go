@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sprite/internal/allocs"
+	"sprite/internal/metrics"
 	"sprite/internal/sim"
 )
 
@@ -73,14 +74,27 @@ func TestStatAllocatesNothing(t *testing.T) {
 	})
 }
 
+// readCounters names the fabric counters a client's reads move.
+var readCounters = []string{"fs.cache.hits", "fs.cache.misses", "fs.bytes.read", "fs.prefix.queries"}
+
+// readCounts reads readCounters from reg.
+func readCounts(reg *metrics.Registry) (out [4]int64) {
+	for i, name := range readCounters {
+		out[i] = reg.Counter(name).Value()
+	}
+	return out
+}
+
 // TestReadCountAtMatchesReadAt checks the paging path's counting read
 // against ReadAt: on a cold and then a warm cache, both return the same
-// count and move the client's statistics the same way, and a warm
+// count and move the fabric's read counters the same way, and a warm
 // ReadCountAt allocates nothing.
 func TestReadCountAtMatchesReadAt(t *testing.T) {
 	const n = 2*4096 + 100
-	run := func(counting bool) (got []int, stats []ClientStats, warmAllocs float64) {
+	run := func(counting bool) (got []int, counts [][4]int64, warmAllocs float64) {
 		h := newHarness(t, 1)
+		reg := metrics.New()
+		h.fs.SetMetrics(reg)
 		c := h.fs.Client(2)
 		if _, err := h.fs.Seed("/swap", bytes.Repeat([]byte{7}, n), false); err != nil {
 			t.Fatal(err)
@@ -103,7 +117,7 @@ func TestReadCountAtMatchesReadAt(t *testing.T) {
 					t.Error(err)
 				}
 				got = append(got, k)
-				stats = append(stats, c.Stats())
+				counts = append(counts, readCounts(reg))
 			}
 			read() // cold
 			read() // warm
@@ -112,14 +126,14 @@ func TestReadCountAtMatchesReadAt(t *testing.T) {
 			}
 			return c.Close(env, st)
 		})
-		return got[:2], stats[:2], warmAllocs
+		return got[:2], counts[:2], warmAllocs
 	}
-	gotAt, statsAt, _ := run(false)
-	gotCount, statsCount, warm := run(true)
+	gotAt, countsAt, _ := run(false)
+	gotCount, countsCount, warm := run(true)
 	for i := range gotAt {
-		if gotCount[i] != gotAt[i] || statsCount[i] != statsAt[i] {
-			t.Errorf("read %d: ReadCountAt = %d with stats %+v; ReadAt read %d with %+v",
-				i, gotCount[i], statsCount[i], gotAt[i], statsAt[i])
+		if gotCount[i] != gotAt[i] || countsCount[i] != countsAt[i] {
+			t.Errorf("read %d: ReadCountAt = %d with %v %v; ReadAt read %d with %v",
+				i, gotCount[i], readCounters, countsCount[i], gotAt[i], countsAt[i])
 		}
 	}
 	if !raceEnabled {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -147,6 +148,8 @@ func TestConcurrentWriteSharingDisablesCaching(t *testing.T) {
 
 func TestCacheHitsOnRepeatedReads(t *testing.T) {
 	h := newHarness(t, 1)
+	reg := metrics.New()
+	h.fs.SetMetrics(reg)
 	c := h.fs.Client(2)
 	if _, err := h.fs.Seed("/data", bytes.Repeat([]byte("x"), 64*1024), false); err != nil {
 		t.Fatal(err)
@@ -159,12 +162,12 @@ func TestCacheHitsOnRepeatedReads(t *testing.T) {
 		}
 		return nil
 	})
-	st := c.Stats()
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Fatalf("stats = %+v, want both hits and misses", st)
+	hits, misses := reg.Counter("fs.cache.hits").Value(), reg.Counter("fs.cache.misses").Value()
+	if misses == 0 || hits == 0 {
+		t.Fatalf("%d hits, %d misses; want both", hits, misses)
 	}
-	if st.Hits < 2*st.Misses {
-		t.Fatalf("stats = %+v, want hits ~2x misses for 3 reads", st)
+	if hits < 2*misses {
+		t.Fatalf("%d hits, %d misses; want hits ~2x misses for 3 reads", hits, misses)
 	}
 }
 

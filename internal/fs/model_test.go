@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -463,7 +464,7 @@ func TestZeroBlocksAgainstModel(t *testing.T) {
 			if err := z.expectBlock(z.a, 0, false, true); err != nil {
 				return err
 			}
-			flushes := z.a.Stats().BlockFlushes
+			flushes := z.flushes.Value()
 			st, err := z.a.Open(env, "/other", WriteMode, OpenOptions{Create: true})
 			if err != nil {
 				return err
@@ -474,9 +475,9 @@ func TestZeroBlocksAgainstModel(t *testing.T) {
 			if err := z.a.Close(env, st); err != nil {
 				return err
 			}
-			if _, ok := z.a.blocks[z.key(0)]; ok || z.a.Stats().BlockFlushes == flushes {
+			if _, ok := z.a.blocks[z.key(0)]; ok || z.flushes.Value() == flushes {
 				return fmt.Errorf("block 0 cached=%t after filling the cache, flushes %d -> %d; want it evicted dirty",
-					ok, flushes, z.a.Stats().BlockFlushes)
+					ok, flushes, z.flushes.Value())
 			}
 			return nil
 		}},
@@ -533,7 +534,10 @@ func TestZeroBlocksAgainstModel(t *testing.T) {
 			params := DefaultParams()
 			params.ClientCacheBlocks = 8
 			f := New(s, tr, params)
-			z := &zeroCase{srv: f.AddServer(1, "/"), a: f.AddClient(2), b: f.AddClient(3), model: &modelFile{}}
+			reg := metrics.New()
+			f.SetMetrics(reg)
+			z := &zeroCase{srv: f.AddServer(1, "/"), a: f.AddClient(2), b: f.AddClient(3), model: &modelFile{},
+				flushes: reg.Counter("fs.cache.flushes")}
 			fid, err := f.Seed("/z", tc.seed, false)
 			if err != nil {
 				t.Fatal(err)
@@ -569,10 +573,11 @@ func TestZeroBlocksAgainstModel(t *testing.T) {
 // zeroCase is one TestZeroBlocksAgainstModel scenario's fabric: file /z on
 // server srv, written through clients a and b, mirrored in model.
 type zeroCase struct {
-	srv   *Server
-	a, b  *Client
-	fid   FileID
-	model *modelFile
+	srv     *Server
+	a, b    *Client
+	fid     FileID
+	model   *modelFile
+	flushes *metrics.Counter // the fabric's fs.cache.flushes
 }
 
 func (z *zeroCase) key(block int) cacheKey { return cacheKey{fid: z.fid, block: block} }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sprite/internal/metrics"
 	"sprite/internal/sim"
 )
 
@@ -16,6 +17,9 @@ func TestPrefixBroadcastChargedOncePerDomain(t *testing.T) {
 	f.AddServer(1, "/")
 	f.AddServer(4, "/b")
 	c := f.AddClient(3)
+	reg := metrics.New()
+	f.SetMetrics(reg)
+	queries := reg.Counter("fs.prefix.queries")
 	if _, err := f.Seed("/a/x", []byte("1"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -28,20 +32,20 @@ func TestPrefixBroadcastChargedOncePerDomain(t *testing.T) {
 				return err
 			}
 		}
-		if got := c.Stats().PrefixQueries; got != 1 {
+		if got := queries.Value(); got != 1 {
 			t.Errorf("prefix queries after repeated root opens = %d, want 1", got)
 		}
 		// First touch of the /b domain pays another broadcast.
 		if _, err := c.ReadFile(env, "/b/x"); err != nil {
 			return err
 		}
-		if got := c.Stats().PrefixQueries; got != 2 {
+		if got := queries.Value(); got != 2 {
 			t.Errorf("prefix queries after /b open = %d, want 2", got)
 		}
 		if _, err := c.ReadFile(env, "/b/x"); err != nil {
 			return err
 		}
-		if got := c.Stats().PrefixQueries; got != 2 {
+		if got := queries.Value(); got != 2 {
 			t.Errorf("prefix queries after cached /b open = %d, want 2", got)
 		}
 		return nil

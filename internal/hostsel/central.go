@@ -40,9 +40,16 @@ type Central struct {
 	params  CentralParams
 
 	info        map[rpc.HostID]availInfo
-	assignments map[rpc.HostID]rpc.HostID // idle host -> client using it
-	allocCount  map[rpc.HostID]int        // client -> hosts currently held
+	assignments map[rpc.HostID]grant // idle host -> client using it
+	allocCount  map[rpc.HostID]int   // client -> hosts currently held
 	stats       Stats
+}
+
+// grant is a lent host's borrower and the borrower's boot epoch at the
+// grant: a reap of that incarnation frees it, a late reap of an older one not.
+type grant struct {
+	client rpc.HostID
+	epoch  rpc.Epoch
 }
 
 var _ Selector = (*Central)(nil)
@@ -77,13 +84,14 @@ func NewCentral(cluster *core.Cluster, host rpc.HostID, params CentralParams) *C
 		host:        host,
 		params:      params,
 		info:        make(map[rpc.HostID]availInfo),
-		assignments: make(map[rpc.HostID]rpc.HostID),
+		assignments: make(map[rpc.HostID]grant),
 		allocCount:  make(map[rpc.HostID]int),
 	}
 	ep := cluster.Transport().Register(host)
 	migdUpdate.Handle(ep, c.handleUpdate)
 	migdRequest.Handle(ep, c.handleRequest)
 	migdRelease.Handle(ep, c.handleRelease)
+	cluster.AddReapHook(c.reap)
 	return c
 }
 
@@ -93,15 +101,24 @@ func (c *Central) Name() string { return "central" }
 // Stats implements Selector.
 func (c *Central) Stats() Stats { return c.stats }
 
-// Reset discards all server state, as after a crash and restart of the
-// migd process. Theimer & Lantz's observation — adopted by the thesis —
-// is that a centralized facility can simply be restarted on failure: the
-// state is soft, and hosts repopulate it with their next availability
-// announcements.
-func (c *Central) Reset() {
-	c.info = make(map[rpc.HostID]availInfo)
-	c.assignments = make(map[rpc.HostID]rpc.HostID)
-	c.allocCount = make(map[rpc.HostID]int)
+// reap drops the soft state a death leaves stale: the dead client
+// incarnation's grants, whose release will never come, and all of it when the
+// host is migd's own. Theimer & Lantz's observation, adopted by the thesis,
+// is that a centralized facility can simply be restarted on failure: hosts
+// repopulate its soft state with their next availability announcements.
+func (c *Central) reap(env *sim.Env, host rpc.HostID, epoch rpc.Epoch) {
+	if host == c.host {
+		c.info = make(map[rpc.HostID]availInfo)
+		c.assignments = make(map[rpc.HostID]grant)
+		c.allocCount = make(map[rpc.HostID]int)
+		return
+	}
+	for h, g := range c.assignments {
+		if g.client == host && g.epoch <= epoch {
+			delete(c.assignments, h)
+			c.allocCount[host]--
+		}
+	}
 }
 
 // NotifyAvailability implements Selector: the host's load daemon reports a
@@ -149,11 +166,11 @@ func (c *Central) handleUpdate(env *sim.Env, from rpc.HostID, a migdUpdateArgs) 
 	}
 	c.info[a.Host] = info
 	if !a.Available {
-		if client, assigned := c.assignments[a.Host]; assigned {
+		if g, assigned := c.assignments[a.Host]; assigned {
 			// Owner returned while the host was lent out: revoke and make
 			// the borrowed host evict its foreign processes.
 			delete(c.assignments, a.Host)
-			c.allocCount[client]--
+			c.allocCount[g.client]--
 			c.stats.Evictions++
 			srvEP := c.cluster.Transport().Endpoint(c.host)
 			if _, err := core.EvictService.Call(srvEP, env, a.Host, struct{}{}, 16); err != nil {
@@ -204,7 +221,7 @@ func (c *Central) handleRequest(env *sim.Env, from rpc.HostID, a migdRequestArgs
 	}
 	picked := pickLongestIdle(cands, c.info, want)
 	for _, h := range picked {
-		c.assignments[h] = a.Client
+		c.assignments[h] = grant{client: a.Client, epoch: c.cluster.HostEpoch(a.Client)}
 	}
 	c.allocCount[a.Client] += len(picked)
 	c.stats.Granted += uint64(len(picked))
@@ -219,7 +236,7 @@ func (c *Central) handleRelease(env *sim.Env, from rpc.HostID, a migdReleaseArgs
 		return struct{}{}, 0, err
 	}
 	for _, h := range a.Hosts {
-		if c.assignments[h] == a.Client {
+		if c.assignments[h].client == a.Client {
 			delete(c.assignments, h)
 			c.allocCount[a.Client]--
 		}

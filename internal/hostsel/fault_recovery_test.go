@@ -84,14 +84,15 @@ func TestCentralUnderFaultPlane(t *testing.T) {
 		}
 
 		// migd's host fail-stops.
+		epoch := c.HostEpoch(migd)
 		c.CrashHost(env, migd)
 		if _, err := sel.RequestHosts(env, client, 1); !errors.Is(err, rpc.ErrHostDown) {
 			t.Errorf("request during crash err = %v, want ErrHostDown", err)
 		}
 
-		// Restart: soft state is gone until hosts re-announce.
+		// Reap and restart: soft state is gone until hosts re-announce.
+		c.ReapDeadHost(env, migd, epoch)
 		c.RestartHost(env, migd)
-		sel.Reset()
 		got, err := sel.RequestHosts(env, client, 1)
 		if err != nil {
 			return err

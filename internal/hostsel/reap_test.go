@@ -11,6 +11,7 @@ import (
 
 	"sprite/internal/core"
 	"sprite/internal/hostsel"
+	"sprite/internal/rpc"
 	"sprite/internal/sim"
 )
 
@@ -170,6 +171,84 @@ func TestMulticastReapFreesDeadClaimantsClaim(t *testing.T) {
 		}
 		if len(got) != 1 || got[0] != target {
 			t.Fatalf("A's reclaim after restart: got %v, want [%v]", got, target)
+		}
+		c.ReapDeadHost(env, a, aEpoch)
+		if got, err = sel.RequestHosts(env, b, 2); err != nil {
+			return err
+		}
+		for _, h := range got {
+			if h == target {
+				t.Fatalf("B got %v while A's new incarnation holds %v", got, target)
+			}
+		}
+		c.Stop()
+		return nil
+	})
+	if err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCentralReapFreesDeadClientsGrant replays the multicast schedule above
+// against migd: a grant recorded at the server outlives its holder unless
+// the reap frees it. Before the hook, B's request ten minutes after A's
+// death returned no host: the target stayed lent to the dead A forever.
+func TestCentralReapFreesDeadClientsGrant(t *testing.T) {
+	c, err := core.NewCluster(core.Options{Workstations: 3, FileServers: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := hostsel.NewCentral(c, rpc.HostID(1), hostsel.DefaultCentralParams()) // migd on the file server
+	a := c.Workstation(0).Host()
+	target := c.Workstation(1).Host()
+	b := c.Workstation(2).Host()
+	c.Boot("boot", func(env *sim.Env) error {
+		if err := env.Sleep(time.Minute); err != nil {
+			return err
+		}
+		if err := sel.NotifyAvailability(env, target, true); err != nil {
+			return err
+		}
+		got, err := sel.RequestHosts(env, a, 1)
+		if err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != target {
+			t.Fatalf("A's grant: got %v, want [%v]", got, target)
+		}
+		aEpoch := c.HostEpoch(a)
+		c.CrashHost(env, a)
+		c.ReapDeadHost(env, a, aEpoch)
+		if err := env.Sleep(10 * time.Minute); err != nil {
+			return err
+		}
+		got, err = sel.RequestHosts(env, b, 1)
+		if err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != target {
+			t.Fatalf("B's grant after A's reap: got %v, want [%v]", got, target)
+		}
+		if err := sel.Release(env, b, got); err != nil {
+			return err
+		}
+
+		// A restarts, crashes again, and restarts once more before that
+		// second death is reaped. Its newest incarnation is granted the
+		// target; the late reap of the older incarnation must leave that
+		// grant alone.
+		c.RestartHost(env, a)
+		aEpoch = c.HostEpoch(a)
+		c.CrashHost(env, a)
+		c.RestartHost(env, a)
+		if err := env.Sleep(time.Minute); err != nil {
+			return err
+		}
+		if got, err = sel.RequestHosts(env, a, 1); err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0] != target {
+			t.Fatalf("A's grant after restart: got %v, want [%v]", got, target)
 		}
 		c.ReapDeadHost(env, a, aEpoch)
 		if got, err = sel.RequestHosts(env, b, 2); err != nil {

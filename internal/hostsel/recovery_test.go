@@ -11,14 +11,17 @@ import (
 )
 
 // TestCentralCrashAndRestart: while migd's host is down, selection fails;
-// after restart the soft state is repopulated by the hosts' next
-// announcements and selection works again — the thesis's argument that a
-// centralized facility needs no replication, just restartability.
+// once its death is reaped migd's soft state is gone, and after restart it
+// is repopulated by the hosts' next announcements and selection works
+// again — the thesis's argument that a centralized facility needs no
+// replication, just restartability. Crashes are not supported under host
+// confinement, so the test runs on the unconfined shape only.
 func TestCentralCrashAndRestart(t *testing.T) {
-	EachShape(t, func(t *testing.T, params *core.Params) {
-		c := newCluster(t, params, 4)
-		sel := NewCentral(c, rpc.HostID(1), DefaultCentralParams())
-		migdEP := c.Transport().Endpoint(rpc.HostID(1))
+	t.Run("unconfined", func(t *testing.T) {
+		params := core.DefaultParams()
+		c := newCluster(t, &params, 4)
+		migd := rpc.HostID(1)
+		sel := NewCentral(c, migd, DefaultCentralParams())
 		c.Boot("boot", func(env *sim.Env) error {
 			if err := warmup(env); err != nil {
 				return err
@@ -39,14 +42,16 @@ func TestCentralCrashAndRestart(t *testing.T) {
 			}
 
 			// migd's host crashes.
-			migdEP.SetDown(true)
+			epoch := c.HostEpoch(migd)
+			c.CrashHost(env, migd)
 			if _, err := sel.RequestHosts(env, client, 1); !errors.Is(err, rpc.ErrHostDown) {
 				t.Errorf("request during crash err = %v, want ErrHostDown", err)
 			}
 
-			// Restart: empty soft state, hosts re-announce, service resumes.
-			migdEP.SetDown(false)
-			sel.Reset()
+			// Reap and restart: empty soft state, hosts re-announce, service
+			// resumes.
+			c.ReapDeadHost(env, migd, epoch)
+			c.RestartHost(env, migd)
 			got, err := sel.RequestHosts(env, client, 1)
 			if err != nil {
 				return err
@@ -73,13 +78,16 @@ func TestCentralCrashAndRestart(t *testing.T) {
 }
 
 // TestCentralRestartForgetsAssignments documents the soft-state trade-off:
-// assignments made before the crash are forgotten, so a host can be
+// assignments made before migd's crash are forgotten, so a host can be
 // double-granted until its borrower releases and the load daemon reports
-// the real load. The load threshold is what bounds the damage.
+// the real load. The load threshold is what bounds the damage. Unconfined
+// only, as it crashes a host.
 func TestCentralRestartForgetsAssignments(t *testing.T) {
-	EachShape(t, func(t *testing.T, params *core.Params) {
-		c := newCluster(t, params, 3)
-		sel := NewCentral(c, rpc.HostID(1), DefaultCentralParams())
+	t.Run("unconfined", func(t *testing.T) {
+		params := core.DefaultParams()
+		c := newCluster(t, &params, 3)
+		migd := rpc.HostID(1)
+		sel := NewCentral(c, migd, DefaultCentralParams())
 		c.Boot("boot", func(env *sim.Env) error {
 			if err := warmup(env); err != nil {
 				return err
@@ -95,7 +103,11 @@ func TestCentralRestartForgetsAssignments(t *testing.T) {
 			if len(got) != 1 {
 				t.Fatalf("grant = %v", got)
 			}
-			sel.Reset() // crash+restart loses the assignment
+			// Crash, reap and restart lose the assignment.
+			epoch := c.HostEpoch(migd)
+			c.CrashHost(env, migd)
+			c.ReapDeadHost(env, migd, epoch)
+			c.RestartHost(env, migd)
 			if err := announceAll(env, c, sel); err != nil {
 				return err
 			}

@@ -108,7 +108,7 @@ func (s *System) Serve(ctx *core.Ctx, path string) (*Device, error) {
 // the pseudo-device) whose entry and return are migration and signal points,
 // so a blocked server can still be evicted as soon as it wakes.
 func (d *Device) Recv(ctx *core.Ctx) (*Request, error) {
-	if err := ctx.Syscall("pdev-read"); err != nil {
+	if err := ctx.Syscall("read"); err != nil {
 		return nil, err
 	}
 	ctx.Env().MarkDaemon()
@@ -116,7 +116,7 @@ func (d *Device) Recv(ctx *core.Ctx) (*Request, error) {
 	ctx.Env().ClearDaemon()
 	if err == nil {
 		// Deliver any migration that was requested while we were blocked.
-		err = ctx.Syscall("pdev-read")
+		err = ctx.Syscall("read")
 	}
 	if err != nil {
 		return nil, err
@@ -127,7 +127,7 @@ func (d *Device) Recv(ctx *core.Ctx) (*Request, error) {
 // Reply answers a request. It is a kernel call (a write on the
 // pseudo-device) that hands the response to the I/O server.
 func (d *Device) Reply(ctx *core.Ctx, req *Request, data []byte) error {
-	if err := ctx.Syscall("pdev-write"); err != nil {
+	if err := ctx.Syscall("write"); err != nil {
 		return err
 	}
 	_, err := pdevReply.Call(ctx.Endpoint(), ctx.Env(), d.server, Request{path: d.path, id: req.id, Data: data}, 32+len(data))

@@ -105,7 +105,7 @@ func runConfinedFabric(t *testing.T, seed int64, hosts, callsPerHost, workers in
 		digest:   s.OrderDigest(),
 		now:      s.Now(),
 		replies:  strings.Join(logs, ""),
-		calls:    tr.TotalCalls(),
+		calls:    tr.Totals().Calls,
 		retries:  tr.Retries(),
 		timeouts: tr.Timeouts(),
 		messages: net.Messages(),
@@ -360,7 +360,7 @@ func TestConfinedBulkEquivalence(t *testing.T) {
 			digest:   s.OrderDigest(),
 			now:      s.Now(),
 			replies:  strings.Join(logs, ""),
-			calls:    tr.TotalCalls(),
+			calls:    tr.Totals().Calls,
 			messages: net.Messages(),
 			bytes:    net.Bytes(),
 		}

@@ -190,15 +190,12 @@ type Transport struct {
 
 	// The metrics plane (nil registry: discard instruments). Counter
 	// pointers are cached here so the per-call cost is a handful of atomic
-	// adds.
+	// adds. The fabric-wide call totals are not among them: the stats table
+	// and the retry atomics already count every call, and
+	// Cluster.MetricsSnapshot publishes their sums.
 	m struct {
-		reg      *metrics.Registry
-		calls    *metrics.Counter
-		bytes    *metrics.Counter
-		errs     *metrics.Counter
-		retries  *metrics.Counter
-		timeouts *metrics.Counter
-		perHost  map[HostID]*hostCounters
+		reg     *metrics.Registry
+		perHost map[HostID]*hostCounters
 
 		bulkCalls       *metrics.Counter
 		bulkBytes       *metrics.Counter
@@ -215,16 +212,11 @@ type hostCounters struct {
 }
 
 // SetMetrics installs the registry receiving RPC traffic counters:
-// rpc.calls / rpc.bytes / rpc.errs / rpc.retries / rpc.timeouts plus
-// per-destination rpc.to.<host>.{calls,bytes,errs}. A nil registry discards
-// them, as a new transport does.
+// per-destination rpc.to.<host>.{calls,bytes,errs} and the bulk
+// transfers' rpc.bulk.*. A nil registry discards them, as a new transport
+// does.
 func (t *Transport) SetMetrics(reg *metrics.Registry) {
 	t.m.reg = reg
-	t.m.calls = reg.Counter("rpc.calls")
-	t.m.bytes = reg.Counter("rpc.bytes")
-	t.m.errs = reg.Counter("rpc.errs")
-	t.m.retries = reg.Counter("rpc.retries")
-	t.m.timeouts = reg.Counter("rpc.timeouts")
 	t.m.bulkCalls = reg.Counter("rpc.bulk.calls")
 	t.m.bulkBytes = reg.Counter("rpc.bulk.bytes")
 	t.m.bulkFragments = reg.Counter("rpc.bulk.fragments")
@@ -377,12 +369,17 @@ func (t *Transport) Stats() map[string]CallStats {
 	return out
 }
 
-// TotalCalls returns the total number of RPCs issued.
-func (t *Transport) TotalCalls() (n uint64) {
+// Totals returns the per-service statistics summed over every service,
+// calls and broadcasts alike.
+func (t *Transport) Totals() (out CallStats) {
 	for _, c := range *t.stats.Load() {
-		n += c.call.calls.Load() + c.bcast.calls.Load()
+		for _, st := range []*svcStats{&c.call, &c.bcast} {
+			out.Calls += st.calls.Load()
+			out.Bytes += st.bytes.Load()
+			out.Errs += st.errs.Load()
+		}
 	}
-	return n
+	return out
 }
 
 // counters returns the stats table entry of service id, first growing the
@@ -416,17 +413,11 @@ func (t *Transport) recordStats(env *sim.Env, to HostID, st *svcStats, bytes int
 	if failed {
 		st.errs.Add(1)
 	}
-	slot := sim.WorkerSlot(env)
-	t.m.calls.IncSlot(slot)
-	t.m.bytes.AddSlot(slot, int64(bytes))
-	hc := t.hostCounters(to)
-	if hc != nil {
+	if hc := t.hostCounters(to); hc != nil {
+		slot := sim.WorkerSlot(env)
 		hc.calls.IncSlot(slot)
 		hc.bytes.AddSlot(slot, int64(bytes))
-	}
-	if failed {
-		t.m.errs.IncSlot(slot)
-		if hc != nil {
+		if failed {
 			hc.errs.IncSlot(slot)
 		}
 	}
@@ -613,14 +604,11 @@ func (e *Endpoint) awaitRetry(env *sim.Env, to HostID, service string, attempt i
 // the final timeout and charge the exponential backoff.
 func (e *Endpoint) retryBookkeeping(env *sim.Env, to HostID, service string, attempt int) error {
 	t := e.transport
-	slot := sim.WorkerSlot(env)
 	if attempt >= t.params.MaxRetries {
 		t.timeouts.Add(1)
-		t.m.timeouts.IncSlot(slot)
 		return fmt.Errorf("%w: %s to %v after %d attempts", ErrTimeout, service, to, attempt+1)
 	}
 	t.retries.Add(1)
-	t.m.retries.IncSlot(slot)
 	if b := t.params.RetryBackoff; b > 0 {
 		return env.Sleep(b << uint(attempt))
 	}

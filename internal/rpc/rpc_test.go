@@ -180,8 +180,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.Calls != 3 || st.Bytes != 300 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if tr.TotalCalls() != 3 {
-		t.Fatalf("total = %d", tr.TotalCalls())
+	if tr.Totals().Calls != 3 {
+		t.Fatalf("total = %d", tr.Totals().Calls)
 	}
 }
 

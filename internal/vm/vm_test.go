@@ -7,6 +7,7 @@ import (
 
 	"sprite/internal/allocs"
 	"sprite/internal/fs"
+	"sprite/internal/metrics"
 	"sprite/internal/netsim"
 	"sprite/internal/rpc"
 	"sprite/internal/sim"
@@ -162,6 +163,9 @@ func TestDemandPagingAfterInvalidate(t *testing.T) {
 
 func TestCodePagesFromBinaryAreCached(t *testing.T) {
 	h := newHarness(t)
+	reg := metrics.New()
+	h.fs.SetMetrics(reg)
+	hits := reg.Counter("fs.cache.hits")
 	h.run(t, func(env *sim.Env) error {
 		as := newSpace(t, env, h, "p1", 4)
 		// Touch all code pages; the binary is cacheable so a second
@@ -171,14 +175,14 @@ func TestCodePagesFromBinaryAreCached(t *testing.T) {
 				return err
 			}
 		}
-		hits := h.fs.Client(2).Stats().Hits
+		before := hits.Value()
 		as2 := newSpace(t, env, h, "p2", 4)
 		for i := 0; i < as2.Code.Pages(); i++ {
 			if err := as2.Touch(env, as2.Code, i, false); err != nil {
 				return err
 			}
 		}
-		if h.fs.Client(2).Stats().Hits <= hits {
+		if hits.Value() <= before {
 			t.Error("second process's code touches should hit the cache")
 		}
 		return nil
