@@ -115,33 +115,15 @@ func perOpAllocs(t *testing.T, workers int, rc regimeCase, program func(s *Simul
 }
 
 // TestQueueHandoffAllocFree: a Queue ping-pong costs nothing per handoff
-// once the queues' backing arrays exist. With s = s[1:] pops every Send
-// reallocated both the item and the waiter list.
+// once the queues' backing arrays exist (row sim.queue.handoff), so a round
+// trip of BenchmarkDispatchPingPong allocates nothing (sim.dispatch.pingpong).
+// With s = s[1:] pops every Send reallocated both the item and the waiter
+// list.
 func TestQueueHandoffAllocFree(t *testing.T) {
 	skipAllocCounts(t)
-	token := any("token") // boxed once, so the payload itself is free
-	got := perOpAllocs(t, 0, regimeCase{}, func(s *Simulation, ops int) {
-		ping, pong := NewQueue(s), NewQueue(s)
-		s.Spawn("ping", func(env *Env) error {
-			for i := 0; i < ops/2; i++ {
-				ping.Send(token)
-				if _, err := pong.Recv(env); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		s.Spawn("pong", func(env *Env) error {
-			for i := 0; i < ops/2; i++ {
-				if _, err := ping.Recv(env); err != nil {
-					return err
-				}
-				pong.Send(token)
-			}
-			return nil
-		})
-	})
-	allocs.Check(t, "sim.queue.handoff", got)
+	perRound := perOpAllocs(t, 0, regimeCase{}, pingPong)
+	allocs.Check(t, "sim.queue.handoff", perRound/2)
+	allocs.Check(t, "sim.dispatch.pingpong", perRound)
 }
 
 // TestFutureOneWaiterAllocFree: a future with one waiter at a time keeps

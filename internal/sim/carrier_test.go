@@ -34,7 +34,9 @@ func spawnExitOn(shard int) func(s *Simulation, ops int) {
 // TestSpawnReusesCarrier: a warm spawn-and-exit allocates the activity and
 // nothing else — no coroutine — on the serial kernel, inside a 2-worker
 // window, where the parent is confined and its children finish on the
-// worker that spawned them, and in the 2-worker kernel's serial regime.
+// worker that spawned them, and in the 2-worker kernel's serial regime. On
+// the serial kernel and in the serial regime each child finishes inside its
+// parent's nested dispatch (TestBatonNestedFinishReturnsCarrier).
 func TestSpawnReusesCarrier(t *testing.T) {
 	skipAllocCounts(t)
 	for _, tc := range []struct {

@@ -49,7 +49,7 @@ func NewMailboxOn(s *Simulation, shard int, delay time.Duration) *Mailbox {
 	if shard < 0 {
 		panic("sim: NewMailboxOn with negative shard")
 	}
-	return &Mailbox{sim: s, q: Queue{sim: s}, delay: delay, shard: shard}
+	return &Mailbox{sim: s, delay: delay, shard: shard}
 }
 
 // HomeShard returns the shard deliveries are homed on.

@@ -128,7 +128,7 @@ type WindowStats struct {
 	ClosedExclusive  uint64 // formation stopped at an exclusive (shard 0) event
 	ClosedEmpty      uint64 // formation emptied the queue
 	ExclusiveCommits uint64 // events committed exclusively by the parallel loop
-	InPlace          uint64 // of those, sleeps committed in place (serial regime only)
+	InPlace          uint64 // of those, commits made inside an activity: in-place sleeps and baton steps (serial regime only)
 }
 
 // WindowStats returns a copy of the parallel kernel's window counters.
@@ -322,8 +322,6 @@ func (s *Simulation) runParallel(limit time.Duration) {
 			continue
 		}
 		if limit > 0 && head.at > limit {
-			s.queue.pop()
-			s.release(head)
 			s.now = limit
 			return
 		}

@@ -121,9 +121,10 @@ func TestEpochRule(t *testing.T) {
 
 // TestSleepInPlaceOnlyInSerialRegime: two confined sleepers on two shards
 // commit their wakes in place under the serial regime whenever the wake is
-// the next event, exactly as on the serial kernel, and never inside a
-// window. Under every regime the parallel kernel matches the serial one,
-// and window, chain and exclusive events add up to every committed event.
+// the next event, and each other's resumes by passing the baton, exactly as
+// on the serial kernel, and never inside a window. Under every regime the
+// parallel kernel matches the serial one, and window, chain and exclusive
+// events add up to every committed event.
 func TestSleepInPlaceOnlyInSerialRegime(t *testing.T) {
 	const limit = 50 * time.Millisecond
 	run := func(workers int, rc regimeCase) (uint64, Stats, WindowStats) {
@@ -163,11 +164,11 @@ func TestSleepInPlaceOnlyInSerialRegime(t *testing.T) {
 			serialOnly := rc.pin == regimeSerial || workers == 1 && rc.pin == regimeMeasured && rc.flip == 0
 			switch {
 			case serialOnly && (ws.Windows != 0 || ws.InPlace == 0):
-				t.Errorf("%s: serial regime formed %d windows and committed %d sleeps in place", name, ws.Windows, ws.InPlace)
+				t.Errorf("%s: serial regime formed %d windows and made %d commits inside activities", name, ws.Windows, ws.InPlace)
 			case rc.pin == regimeWindowed && ws.InPlace != 0:
-				t.Errorf("%s: windowed regime committed %d sleeps in place", name, ws.InPlace)
+				t.Errorf("%s: windowed regime made %d commits inside activities", name, ws.InPlace)
 			case rc.flip > 0 && (ws.Windows == 0 || ws.InPlace == 0):
-				t.Errorf("%s: flipping regimes formed %d windows and committed %d sleeps in place", name, ws.Windows, ws.InPlace)
+				t.Errorf("%s: flipping regimes formed %d windows and made %d commits inside activities", name, ws.Windows, ws.InPlace)
 			}
 		}
 	}

@@ -195,6 +195,7 @@ type activity struct {
 	reaped   bool       // completion bookkeeping already performed
 	daemon   bool       // service loop: excluded from deadlock detection
 	ctxw     *worker    // worker dispatching this activity inside a window
+	holding  bool       // in passBaton's nested dispatch of another activity
 	lrand    *rand.Rand // lazily created shard-local random stream
 }
 
@@ -205,7 +206,7 @@ type activity struct {
 // seed.
 //
 // ContextSwitches counts activity resumptions, not coroutine switches: a
-// Sleep committed in place (sleepInPlace) resumes its activity without
+// resume committed in place (commitInPlace) continues its activity without
 // switching at all, and counts as one, exactly as the dispatch it stands in
 // for would have. Cluster.MetricsSnapshot publishes each tagged field as
 // the gauge sim.<tag>.
@@ -228,7 +229,7 @@ type Simulation struct {
 	current   *activity
 	live      map[uint64]*activity
 	stopped   bool
-	stepping  bool          // runSerial's loop is running; see sleepInPlace
+	stepping  bool          // runSerial's loop is running; see passBaton
 	limit     time.Duration // the running Run's limit (<= 0: none)
 	rng       *rand.Rand
 	seed      int64
@@ -401,11 +402,11 @@ func (s *Simulation) spawnOn(w *worker, shard int, name string, fn func(env *Env
 
 // carrier is a runtime coroutine (iter.Pull) that runs activities one after
 // another: it runs an activity's fn, marks the activity done and parks idle
-// until a spawn hands it the next one. Resuming an activity is one switch
-// into its carrier (next), blocking one switch back (park), and a warm spawn
-// pays no coroutine setup. Idle carriers wait on the simulation's list, on a
-// worker's list inside a window (topped up and trimmed between windows, like
-// the event pools), and between runs on the process-wide spare list.
+// until a spawn hands it the next one. A resume costs a switch in (next) and
+// one back (park) unless passBaton saves them; a warm spawn pays no coroutine
+// setup. Idle carriers wait on the simulation's list, on a worker's list
+// inside a window (topped up and trimmed between windows, like the event
+// pools), and between runs on the process-wide spare list.
 type carrier struct {
 	act   *activity // the activity to start; set by spawn, cleared on start
 	next  func() (struct{}, bool)
@@ -642,22 +643,23 @@ func (s *Simulation) Run(limit time.Duration) error {
 	return nil
 }
 
-// runSerial is the classic one-event-at-a-time loop: the oracle kernel.
+// runSerial is the classic one-event-at-a-time loop: the oracle kernel. An
+// event past the limit stays queued for the next Run, so Run(limit) slices
+// commit what one Run(0) does.
 func (s *Simulation) runSerial(limit time.Duration) {
 	s.stepping, s.limit = true, limit
 	defer func() { s.stepping = false }()
 	for len(s.queue) > 0 && !s.stopped {
-		ev := s.queue.pop()
+		ev := s.queue.peek()
 		if ev.cancelled() {
-			s.release(ev)
+			s.release(s.queue.pop())
 			continue
 		}
 		if limit > 0 && ev.at > limit {
-			s.release(ev)
 			s.now = limit
 			break
 		}
-		s.commitExclusive(ev)
+		s.commitExclusive(s.queue.pop())
 	}
 }
 
@@ -911,10 +913,15 @@ func (e *Env) Emit(ev trace.Event) {
 }
 
 // block parks the activity until the scheduler resumes it, returning any
-// wake error (ErrStopped or ErrTimeout) set by the waker.
+// wake error (ErrStopped or ErrTimeout) set by the waker. While runSerial's
+// loop runs, the activity passes the baton instead of parking at once.
 func (e *Env) block() error {
 	e.act.state = stateBlocked
-	e.act.car.park()
+	if e.sim.stepping {
+		e.sim.passBaton(e.act)
+	} else {
+		e.act.car.park()
+	}
 	e.act.state = stateRunning
 	e.act.woken = false
 	err := e.wakeErr
@@ -937,7 +944,7 @@ func (e *Env) scheduleWake(d time.Duration) *event {
 
 // Sleep advances the activity's virtual time by d.
 func (e *Env) Sleep(d time.Duration) error {
-	if !e.sim.sleepInPlace(max(d, 0)) {
+	if !e.sim.sleepInPlace(e.act, max(d, 0)) {
 		e.act.wake = e.scheduleWake(d)
 		return e.block()
 	}
@@ -946,15 +953,14 @@ func (e *Env) Sleep(d time.Duration) error {
 	return err
 }
 
-// sleepInPlace commits the wake of the running activity's Sleep(d) without
-// leaving it, when that wake is the event runSerial would commit next: it
-// does to the kernel exactly what schedule, runSerial, commitExclusive and
-// dispatch would have done, minus the two coroutine switches. The guards:
-// runSerial's loop is running (not drain, not the parallel kernel), the
-// simulation is not stopped, the wake (now+d, seq+1) sorts before the queue
-// head — so the head must be strictly later — and it is within Run's limit.
-// It reports false, having changed nothing, when any guard fails.
-func (s *Simulation) sleepInPlace(d time.Duration) bool {
+// sleepInPlace commits the wake of the running activity a's Sleep(d) in
+// place, numbered and counted in the queue depth as schedule would, when it
+// is the event runSerial would commit next. The guards: runSerial's loop is
+// running (not drain, not a window), the simulation is not stopped, the wake
+// (now+d, seq+1) sorts before the queue head — so the head must be strictly
+// later — and it is within Run's limit. Else it reports false, having
+// changed nothing.
+func (s *Simulation) sleepInPlace(a *activity, d time.Duration) bool {
 	if !s.stepping || s.stopped {
 		return false
 	}
@@ -966,11 +972,50 @@ func (s *Simulation) sleepInPlace(d time.Duration) bool {
 	if n := len(s.queue) + 1; n > s.stats.MaxQueueDepth {
 		s.stats.MaxQueueDepth = n
 	}
-	s.now = at
-	s.stats.EventsDispatched++
-	s.noteCommit(at, s.seq)
-	s.stats.ContextSwitches++
+	s.commitInPlace(a, at, s.seq)
 	return true
+}
+
+// commitInPlace commits a resume of a, whose coroutine is running, with no
+// switch: what commitExclusive and dispatch would book (clock, event count,
+// order digest, one context switch), and a carries on as the running one.
+func (s *Simulation) commitInPlace(a *activity, at time.Duration, seq uint64) {
+	s.now = max(s.now, at)
+	s.stats.EventsDispatched++
+	s.noteCommit(at, seq)
+	s.stats.ContextSwitches++
+	a.wake, s.current = nil, a
+}
+
+// passBaton blocks a while runSerial's loop (or the serial regime's) runs: a's
+// coroutine takes the loop's next steps itself. It drops cancelled events,
+// commits its own resume in place and returns, and commits anything else
+// through commitExclusive, a resume as a nested next. It parks, handing the
+// baton down to whoever resumed a, at what the loop must see: Stop, an empty
+// queue, an event past Run's limit, an After callback (its panic escapes Run),
+// the epoch boundary, or the resume of an activity holding down this chain.
+func (s *Simulation) passBaton(a *activity) {
+	s.current = nil
+	for len(s.queue) > 0 && !s.stopped {
+		ev := s.queue.peek()
+		if ev.cancelled() {
+			s.release(s.queue.pop())
+			continue
+		}
+		if ev.fn != nil || ev.act != nil && ev.act.holding || s.limit > 0 && ev.at > s.limit ||
+			s.par != nil && s.stats.EventsDispatched >= s.par.epochEnd {
+			break
+		}
+		if ev.act == a {
+			s.commitInPlace(a, ev.at, ev.seq)
+			s.release(s.queue.pop())
+			return
+		}
+		a.holding = true
+		s.commitExclusive(s.queue.pop())
+		a.holding = false
+	}
+	a.car.park()
 }
 
 // Yield reschedules the activity at the current time, letting any other

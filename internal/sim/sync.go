@@ -156,16 +156,13 @@ func (f *fifo[T]) rewind() {
 // Queue is an unbounded FIFO queue with blocking receive. Senders never
 // block. It is the mailbox primitive used by server activities.
 type Queue struct {
-	sim     *Simulation
 	items   fifo[any]
 	waiters fifo[*Env]
 	closed  bool
 }
 
-// NewQueue returns an empty queue bound to the simulation.
-func NewQueue(s *Simulation) *Queue {
-	return &Queue{sim: s}
-}
+// NewQueue returns an empty queue (a Queue needs nothing of s).
+func NewQueue(s *Simulation) *Queue { return &Queue{} }
 
 // Len returns the number of queued items.
 func (q *Queue) Len() int { return q.items.len() }
